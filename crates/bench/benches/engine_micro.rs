@@ -105,25 +105,6 @@ fn token_engine_per_packet(c: &mut Criterion) {
     g.finish();
 }
 
-fn trace_center_record(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace_center");
-    g.throughput(Throughput::Elements(10_000));
-    // Steady state: the keys already exist, so record() must not
-    // allocate (it used to build an owned String per point).
-    g.bench_function("record_10k_4keys", |b| {
-        let keys = ["sw0.p0.qlen", "sw0.p0.token", "sw0.p1.qlen", "sw0.p1.token"];
-        b.iter(|| {
-            let mut tc = simnet::trace::TraceCenter::new();
-            for i in 0..10_000u64 {
-                let key = keys[(i % 4) as usize];
-                tc.record(black_box(key), Time(i * 500), i as f64);
-            }
-            black_box(tc)
-        })
-    });
-    g.finish();
-}
-
 fn end_to_end_packet_rate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     g.sample_size(10);
@@ -157,7 +138,6 @@ criterion_group!(
     event_queue_churn,
     port_queue_ops,
     token_engine_per_packet,
-    trace_center_record,
     end_to_end_packet_rate
 );
 criterion_main!(micro);

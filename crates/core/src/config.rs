@@ -50,9 +50,6 @@ pub struct TfcSwitchConfig {
     /// (§4.4). When disabled (ablation), the instantaneous `rtt_m` is
     /// used for the token too, re-coupling queueing delay into it.
     pub decouple_rtt: bool,
-    /// Record per-slot traces (`ne`, `rtt_b`, `rtt_m`, `window`, `token`,
-    /// `rho`) into the simulator's trace center.
-    pub trace: bool,
 }
 
 impl Default for TfcSwitchConfig {
@@ -70,7 +67,6 @@ impl Default for TfcSwitchConfig {
             integral_adjustment: true,
             e_two_slot_average: true,
             decouple_rtt: true,
-            trace: false,
         }
     }
 }

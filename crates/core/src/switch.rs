@@ -111,19 +111,6 @@ impl TfcSwitchPolicy {
         }
     }
 
-    fn trace_slot(&self, port: usize, report: &crate::port::SlotReport, fx: &mut PolicyFx) {
-        if !self.cfg.trace {
-            return;
-        }
-        let prefix = format!("tfc.s{}.p{}", self.id.0, port);
-        fx.trace(format!("{prefix}.ne"), report.effective_flows);
-        fx.trace(format!("{prefix}.rttb_us"), report.rtt_b.as_micros_f64());
-        fx.trace(format!("{prefix}.rttm_us"), report.rtt_m.as_micros_f64());
-        fx.trace(format!("{prefix}.window"), report.window_bytes as f64);
-        fx.trace(format!("{prefix}.token"), report.token_bytes);
-        fx.trace(format!("{prefix}.rho"), report.rho);
-    }
-
     /// Emits the structured per-port gauge sample at slot close. Always
     /// produced (one small struct per slot); the simulator's telemetry
     /// layer discards it unless gauge collection is enabled.
@@ -179,7 +166,6 @@ impl SwitchPolicy for TfcSwitchPolicy {
         if let Some(report) = self.ports[out_port].engine.on_data(pkt, now) {
             let token = self.ports[out_port].engine.token_bytes();
             self.ports[out_port].arbiter.set_cap(token);
-            self.trace_slot(out_port, &report, fx);
             self.slot_gauges(out_port, &report, fx);
             self.arm_miss_timer(out_port, now, fx);
         } else if self.ports[out_port].engine.delimiter() != delim_before
@@ -433,20 +419,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_emits_series_on_slot_close() {
-        let cfg = TfcSwitchConfig {
-            trace: true,
-            ..Default::default()
-        };
-        let mut p = TfcSwitchPolicy::new(NodeId(3), &links(1), cfg);
+    fn gauges_emitted_on_slot_close() {
+        let mut p = TfcSwitchPolicy::new(NodeId(3), &links(1), TfcSwitchConfig::default());
         let mut fx = PolicyFx::new();
         p.on_egress(0, &mut rm_data(1), 0, Time(0), &mut fx);
-        assert!(fx.traces.is_empty());
+        assert!(fx.slot_samples.is_empty());
         let mut fx2 = PolicyFx::new();
         p.on_egress(0, &mut rm_data(1), 0, Time(160_000), &mut fx2);
-        let keys: Vec<&str> = fx2.traces.iter().map(|(k, _)| k.as_str()).collect();
-        assert!(keys.contains(&"tfc.s3.p0.ne"));
-        assert!(keys.contains(&"tfc.s3.p0.window"));
+        let s = fx2.slot_samples.first().expect("slot closed");
+        assert_eq!((s.node, s.port), (3, 0));
+        assert!(s.effective_flows > 0.0 && s.window_bytes > 0);
     }
 }
 

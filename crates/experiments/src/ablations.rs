@@ -9,7 +9,7 @@ use workloads::{OnOffApp, OnOffFlow};
 
 use crate::incast::{self, IncastExpConfig};
 use crate::proto::{Proto, ProtoConfig};
-use crate::util::{mean_of, sample_queue, trace_points};
+use crate::util::{mean_of, queue_points, sample_queue};
 
 /// Result pair of an ablation: the mechanism on vs. off.
 #[derive(Debug)]
@@ -63,9 +63,9 @@ fn continuous_load_queue(decouple: bool, n: usize, duration: Dur) -> (f64, u64, 
         },
     );
     let port = sim.core().route_of(sw, receiver).expect("downlink");
-    sample_queue(sim.core_mut(), sw, port, Dur::millis(1), "q");
+    let sampler = sample_queue(sim.core_mut(), sw, port, Dur::millis(1));
     sim.run();
-    let q = trace_points(sim.core(), "q");
+    let q = queue_points(sim.core(), sampler);
     let late: Vec<(u64, f64)> = q
         .iter()
         .copied()

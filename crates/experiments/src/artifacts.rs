@@ -2,7 +2,7 @@
 //!
 //! A driver that finds [`TelemetryConfig::export`] set on its simulator
 //! writes the full artifact bundle (manifest, counters, events, flows,
-//! TFC slot gauges, lifecycle-span sketches, legacy trace series) under
+//! TFC slot gauges, lifecycle-span sketches, queue-sampler series) under
 //! `results/<run>/` via [`maybe_export`]. With export unset (the
 //! default) nothing touches the filesystem.
 
@@ -36,7 +36,7 @@ pub fn flow_summaries(core: &SimCore) -> Vec<FlowSummary> {
 /// reported on stderr but never abort the experiment.
 ///
 /// This is the single tracing exit point: the structured event log, the
-/// span sketches, and the legacy `TraceCenter` rho/queue series all
+/// TFC slot gauges, the span sketches, and the queue-sampler series all
 /// leave through the same `results/<run>/` bundle.
 pub fn maybe_export(
     core: &SimCore,
@@ -59,9 +59,9 @@ pub fn maybe_export(
     };
     let tel = core.telemetry();
     let series: Vec<(&str, &[(u64, f64)])> = core
-        .trace()
+        .queue_series()
         .iter()
-        .map(|(name, ts)| (name, ts.points()))
+        .map(|ts| (ts.name(), ts.points()))
         .collect();
     // Streaming runs export their per-class retired sketches alongside
     // the (few) flows still live at shutdown; the slab high-water marks

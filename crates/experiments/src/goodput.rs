@@ -13,7 +13,7 @@ use telemetry::TelemetryConfig;
 use workloads::{OnOffApp, OnOffFlow};
 
 use crate::proto::{Proto, ProtoConfig};
-use crate::util::{convergence_time, mean_of, sample_queue, trace_points};
+use crate::util::{convergence_time, mean_of, queue_points, sample_queue};
 
 /// Figs. 8–10 parameters.
 #[derive(Debug, Clone)]
@@ -128,7 +128,7 @@ pub fn run(cfg: &GoodputConfig) -> GoodputResult {
     );
     let nf1 = switches[1];
     let port = sim.core().route_of(nf1, hosts[2]).expect("route to H3");
-    sample_queue(sim.core_mut(), nf1, port, cfg.queue_sample, "queue");
+    let sampler = sample_queue(sim.core_mut(), nf1, port, cfg.queue_sample);
     sim.run();
     crate::artifacts::maybe_export(sim.core(), "testbed(3 hosts, 2 switches)", format!("{cfg:?}"));
 
@@ -144,7 +144,7 @@ pub fn run(cfg: &GoodputConfig) -> GoodputResult {
                 .expect("meter attached at start")
         })
         .collect();
-    let queue = trace_points(sim.core(), "queue");
+    let queue = queue_points(sim.core(), sampler);
     // Fair share of the bottleneck among 3 active flows (flow 3 joins
     // when flows 1–2 are running; goodput excludes headers).
     let fair = 1e9 / 3.0 * (1460.0 / 1500.0);

@@ -14,7 +14,7 @@ use telemetry::TelemetryConfig;
 use workloads::{IncastApp, IncastConfig};
 
 use crate::proto::{Proto, ProtoConfig};
-use crate::util::{mean_of, sample_queue, trace_points};
+use crate::util::{mean_of, queue_points, sample_queue};
 
 /// One incast run's parameters.
 #[derive(Debug, Clone)]
@@ -135,7 +135,7 @@ pub fn run(cfg: &IncastExpConfig) -> IncastExpResult {
         },
     );
     let port = sim.core().route_of(sw, receiver).expect("downlink");
-    sample_queue(sim.core_mut(), sw, port, Dur::micros(100), "queue");
+    let sampler = sample_queue(sim.core_mut(), sw, port, Dur::micros(100));
     sim.run();
     crate::artifacts::maybe_export(
         sim.core(),
@@ -146,7 +146,7 @@ pub fn run(cfg: &IncastExpConfig) -> IncastExpResult {
     let app = sim.app();
     let stats = sim.core().port_stats(sw, port);
     let (max_q, drops) = (stats.max_queue_bytes, stats.drops);
-    let queue = trace_points(sim.core(), "queue");
+    let queue = queue_points(sim.core(), sampler);
     // For horizon-bounded runs goodput spans the whole horizon.
     let goodput_bps = if let Some(h) = cfg.horizon {
         let total = cfg.block_bytes * cfg.senders as u64 * u64::from(app.rounds_done());

@@ -14,7 +14,7 @@ use tfc::config::TfcSwitchConfig;
 use tfc::{TfcStack, TfcSwitchPolicy};
 use workloads::{OnOffApp, OnOffFlow};
 
-use crate::util::trace_points;
+use crate::util::gauge_points;
 
 /// Fig. 7 parameters.
 #[derive(Debug, Clone)]
@@ -76,11 +76,7 @@ impl NeResult {
 /// Runs the Fig. 7 experiment.
 pub fn run(cfg: &NeConfig) -> NeResult {
     let (t, hosts, switches) = testbed(cfg.link_delay);
-    let tfc_cfg = TfcSwitchConfig {
-        trace: true,
-        ..Default::default()
-    };
-    let net = t.build(TfcSwitchPolicy::factory(tfc_cfg));
+    let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
 
     let step = cfg.step.as_nanos();
     let total_steps = (cfg.n1_max * 2 + 1) as u64;
@@ -136,7 +132,10 @@ pub fn run(cfg: &NeConfig) -> NeResult {
             end: Some(Time(horizon)),
             host_jitter: None,
             packet_log: 0,
-            telemetry: cfg.telemetry.clone(),
+            telemetry: TelemetryConfig {
+                tfc_gauges: true,
+                ..cfg.telemetry.clone()
+            },
             ..Default::default()
         },
     );
@@ -145,8 +144,7 @@ pub fn run(cfg: &NeConfig) -> NeResult {
 
     let nf2 = switches[2];
     let port = sim.core().route_of(nf2, h6).expect("route to H6");
-    let prefix = format!("tfc.s{}.p{}", nf2.0, port);
-    let measured = trace_points(sim.core(), &format!("{prefix}.ne"));
+    let measured = gauge_points(sim.core(), nf2, port, |s| s.effective_flows);
     assert!(!measured.is_empty(), "no Ne trace recorded");
 
     // RTT ratio estimate from hop counts: cross-rack H1 flows traverse

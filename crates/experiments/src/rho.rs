@@ -13,7 +13,7 @@ use telemetry::TelemetryConfig;
 use workloads::{OnOffApp, OnOffFlow};
 
 use crate::proto::{Proto, ProtoConfig};
-use crate::util::{mean_of, sample_queue, trace_points};
+use crate::util::{mean_of, queue_points, sample_queue};
 
 /// Fig. 14 parameters.
 #[derive(Debug, Clone)]
@@ -100,7 +100,7 @@ fn run_point(cfg: &RhoConfig, rho0: f64) -> RhoPoint {
     );
     let nf2 = switches[2];
     let port = sim.core().route_of(nf2, h6).expect("route to H6");
-    sample_queue(sim.core_mut(), nf2, port, Dur::millis(1), "queue");
+    let sampler = sample_queue(sim.core_mut(), nf2, port, Dur::millis(1));
     sim.run();
     crate::artifacts::maybe_export(
         sim.core(),
@@ -112,7 +112,7 @@ fn run_point(cfg: &RhoConfig, rho0: f64) -> RhoPoint {
     // ramp-up is microseconds against a multi-ms run).
     let delivered: u64 = sim.core().flows().map(|(_, st)| st.delivered).sum();
     let goodput_bps = delivered as f64 * 8.0 / cfg.duration.as_secs_f64();
-    let queue = trace_points(sim.core(), "queue");
+    let queue = queue_points(sim.core(), sampler);
     // Skip the startup transient for the queue average.
     let late: Vec<(u64, f64)> = queue
         .iter()

@@ -21,7 +21,7 @@ use telemetry::TelemetryConfig;
 use tfc::config::TfcSwitchConfig;
 use tfc::{TfcStack, TfcSwitchPolicy};
 
-use crate::util::{trace_points, window_minima};
+use crate::util::{gauge_points, window_minima};
 
 /// Fig. 6 parameters.
 #[derive(Debug, Clone)]
@@ -124,11 +124,7 @@ pub fn run(cfg: &RttbConfig) -> RttbResult {
     // engine at NF1's port toward H3 publishes rtt_m per slot. H1 also
     // pings H3 with one MSS per round trip.
     let (t, hosts, switches) = testbed(cfg.link_delay);
-    let tfc_cfg = TfcSwitchConfig {
-        trace: true,
-        ..Default::default()
-    };
-    let net = t.build(TfcSwitchPolicy::factory(tfc_cfg));
+    let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
     let horizon = cfg.duration.as_nanos();
     let app = LoadAndPing {
         load_pairs: vec![
@@ -152,7 +148,10 @@ pub fn run(cfg: &RttbConfig) -> RttbResult {
             end: Some(Time(horizon)),
             host_jitter: Some(cfg.jitter),
             packet_log: 0,
-            telemetry: cfg.telemetry.clone(),
+            telemetry: TelemetryConfig {
+                tfc_gauges: true,
+                ..cfg.telemetry.clone()
+            },
             ..Default::default()
         },
     );
@@ -161,11 +160,10 @@ pub fn run(cfg: &RttbConfig) -> RttbResult {
 
     let nf1 = switches[1];
     let port = sim.core().route_of(nf1, hosts[2]).expect("route to H3");
-    let key = format!("tfc.s{}.p{}.rttm_us", nf1.0, port);
-    let rttm = trace_points(sim.core(), &key);
+    let rttm = gauge_points(sim.core(), nf1, port, |s| Dur(s.rtt_m_ns).as_micros_f64());
     assert!(
         !rttm.is_empty(),
-        "no rtt_m trace recorded; TFC engine inactive?"
+        "no rtt_m gauge recorded; TFC engine inactive?"
     );
     let measured = window_minima(&rttm, cfg.sample_window);
 

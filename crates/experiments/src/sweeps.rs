@@ -9,7 +9,7 @@ use simnet::units::{Bandwidth, Dur, Time};
 use workloads::{OnOffApp, OnOffFlow};
 
 use crate::proto::{Proto, ProtoConfig};
-use crate::util::{mean_of, sample_queue, trace_points};
+use crate::util::{mean_of, queue_points, sample_queue};
 
 /// One sweep point: the parameter value and what it produced.
 #[derive(Debug, Clone, Copy)]
@@ -50,9 +50,9 @@ fn run_point(mutate: impl FnOnce(&mut ProtoConfig), duration: Dur, n: usize) -> 
         },
     );
     let port = sim.core().route_of(sw, receiver).expect("downlink");
-    sample_queue(sim.core_mut(), sw, port, Dur::millis(1), "q");
+    let sampler = sample_queue(sim.core_mut(), sw, port, Dur::millis(1));
     sim.run();
-    let q = trace_points(sim.core(), "q");
+    let q = queue_points(sim.core(), sampler);
     let late: Vec<(u64, f64)> = q
         .iter()
         .copied()

@@ -2,28 +2,41 @@
 
 use metrics::TimeSeries;
 use simnet::packet::NodeId;
-use simnet::sim::SimCore;
-use simnet::trace::QueueSampler;
+use simnet::sim::{QueueSampler, SimCore};
 use simnet::units::{Dur, Time};
+use telemetry::PortSlotSample;
 
-/// Attaches a periodic queue-length sampler to `(switch, port)` under the
-/// given trace key.
-pub fn sample_queue(core: &mut SimCore, switch: NodeId, port: usize, every: Dur, key: &str) {
+/// Attaches a periodic queue-length sampler to `(switch, port)` and
+/// returns its index for [`queue_points`].
+pub fn sample_queue(core: &mut SimCore, switch: NodeId, port: usize, every: Dur) -> usize {
     core.add_queue_sampler(QueueSampler {
         node: switch,
         port,
         every,
-        key: key.to_owned(),
         until: None,
-    });
+    })
 }
 
-/// Points of a named trace, or empty if absent.
-pub fn trace_points(core: &SimCore, key: &str) -> Vec<(u64, f64)> {
-    core.trace()
-        .get(key)
-        .map(|ts| ts.points().to_vec())
-        .unwrap_or_default()
+/// Points recorded by queue sampler `sampler`.
+pub fn queue_points(core: &SimCore, sampler: usize) -> Vec<(u64, f64)> {
+    core.queue_series()[sampler].points().to_vec()
+}
+
+/// `(time_ns, value)` points of one TFC slot gauge at `(switch, port)`,
+/// read from the telemetry slot samples (the run must enable
+/// `TelemetryConfig::tfc_gauges`).
+pub fn gauge_points(
+    core: &SimCore,
+    switch: NodeId,
+    port: usize,
+    value: impl Fn(&PortSlotSample) -> f64,
+) -> Vec<(u64, f64)> {
+    core.telemetry()
+        .slots
+        .iter()
+        .filter(|s| s.node == switch.0 && usize::from(s.port) == port)
+        .map(|s| (s.at_ns, value(s)))
+        .collect()
 }
 
 /// Sums several equally-windowed rate series point-wise (aggregate

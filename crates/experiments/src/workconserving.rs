@@ -15,7 +15,7 @@ use telemetry::TelemetryConfig;
 use workloads::{OnOffApp, OnOffFlow};
 
 use crate::proto::{Proto, ProtoConfig};
-use crate::util::{mean_of, sample_queue, sum_series, trace_points};
+use crate::util::{mean_of, queue_points, sample_queue, sum_series};
 
 /// Fig. 11 parameters.
 #[derive(Debug, Clone)]
@@ -127,8 +127,8 @@ pub fn run(cfg: &WorkConservingConfig) -> WorkConservingResult {
     let (s1, s2) = (switches[0], switches[1]);
     let s1_port = sim.core().route_of(s1, h4).expect("S1 toward S2");
     let s2_port = sim.core().route_of(s2, h3).expect("S2 toward h3");
-    sample_queue(sim.core_mut(), s1, s1_port, Dur::millis(1), "q.s1");
-    sample_queue(sim.core_mut(), s2, s2_port, Dur::millis(1), "q.s2");
+    let q1 = sample_queue(sim.core_mut(), s1, s1_port, Dur::millis(1));
+    let q2 = sample_queue(sim.core_mut(), s2, s2_port, Dur::millis(1));
     sim.run();
     crate::artifacts::maybe_export(
         sim.core(),
@@ -171,8 +171,8 @@ pub fn run(cfg: &WorkConservingConfig) -> WorkConservingResult {
     WorkConservingResult {
         s1_mean_bps: steady(&s1_goodput),
         s2_mean_bps: steady(&s2_goodput),
-        s1_queue: trace_points(sim.core(), "q.s1"),
-        s2_queue: trace_points(sim.core(), "q.s2"),
+        s1_queue: queue_points(sim.core(), q1),
+        s2_queue: queue_points(sim.core(), q2),
         s1_goodput,
         s2_goodput,
         drops: sim.core().total_drops(),

@@ -11,7 +11,6 @@
 //! * summary statistics ([`Summary`]),
 //! * flow-completion-time bookkeeping with the paper's size bins
 //!   ([`FctCollector`], [`SizeBin`]),
-//! * logarithmic histograms for latency shapes ([`Histogram`]),
 //! * mergeable streaming quantile sketches with bounded memory and a
 //!   relative error guarantee ([`QuantileSketch`]).
 //!
@@ -21,7 +20,6 @@
 pub mod cdf;
 pub mod ewma;
 pub mod fct;
-pub mod histogram;
 pub mod percentile;
 pub mod rate;
 pub mod sketch;
@@ -31,7 +29,6 @@ pub mod timeseries;
 pub use cdf::{Cdf, PiecewiseCdf};
 pub use ewma::Ewma;
 pub use fct::{FctCollector, FctSummary, FlowRecord, SizeBin};
-pub use histogram::Histogram;
 pub use percentile::Sampler;
 pub use rate::RateMeter;
 pub use sketch::QuantileSketch;

@@ -217,7 +217,7 @@ impl SimCore {
     fn on_sample(&mut self, sampler: usize) {
         let s = &self.samplers[sampler];
         let bytes = self.nodes[s.node.0 as usize].port(s.port).queue.bytes();
-        self.trace.record(&s.key, self.now, bytes as f64);
+        self.queue_series[sampler].push(self.now.nanos(), bytes as f64);
         let next = self.now + s.every;
         let past_until = s.until.is_some_and(|u| next > u);
         let past_end = self.cfg.end.is_some_and(|e| next > e);
@@ -617,9 +617,6 @@ impl SimCore {
                 .events
                 .schedule_cancellable(self.now + after, Event::PolicyTimer { node, token });
             self.policy_timers[node.0 as usize].push((token, handle));
-        }
-        for (key, value) in fx.traces {
-            self.trace.record(&key, self.now, value);
         }
         for pkt in fx.inject {
             // Policy-owned packets (re)enter the fabric here; a no-route

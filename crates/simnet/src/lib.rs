@@ -13,7 +13,7 @@
 //! * full-duplex links with a rate and a propagation delay,
 //! * static shortest-path routing,
 //! * a workload [`app::Application`] hook plus deterministic seeded
-//!   randomness, trace sampling, and flow accounting.
+//!   randomness, queue sampling, and flow accounting.
 //!
 //! # Examples
 //!
@@ -48,7 +48,6 @@ pub mod retire;
 pub mod sched;
 pub mod sim;
 pub mod topology;
-pub mod trace;
 pub mod units;
 
 pub use app::{Application, FlowEvent, NullApp};
@@ -60,6 +59,6 @@ pub use node::PortStats;
 pub use packet::{Flags, FlowId, NodeId, Packet, HEADER_BYTES, MIN_FRAME, MSS, WINDOW_INIT};
 pub use retire::{FlowRetirer, RetireConfig};
 pub use sched::{SchedulerKind, TimerHandle};
-pub use sim::{FlowState, SimApi, SimConfig, SimCore, Simulator};
+pub use sim::{FlowState, QueueSampler, SimApi, SimConfig, SimCore, Simulator};
 pub use topology::{Network, TopologyBuilder};
 pub use units::{Bandwidth, Dur, Time};

@@ -116,7 +116,7 @@ const ECMP_TAG: u16 = 1 << 15;
 /// same few uplink sets across thousands of destinations (a k-ary
 /// fat-tree edge switch has exactly one distinct uplink set), so the
 /// pool stays tiny and a 10k-host table is still ~22 KB per switch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTable {
     /// One entry per destination node id.
     entries: Vec<u16>,
@@ -182,10 +182,29 @@ impl RouteTable {
     /// sorted ascending and duplicate-free; empty clears the entry back
     /// to [`NO_ROUTE`]. Multi-port sets are deduplicated into the pool.
     pub fn set(&mut self, dst: usize, ports: &[u16]) {
-        if self.entries.len() <= dst {
-            self.entries.resize(dst + 1, NO_ROUTE);
+        self.set_all(&[dst], ports);
+    }
+
+    /// [`set`](Self::set) for several destinations that share one
+    /// next-hop set: the entry, and its pool slot if any, is resolved
+    /// once and written to every `dsts` row.
+    pub(crate) fn set_all(&mut self, dsts: &[usize], ports: &[u16]) {
+        let Some(&max) = dsts.iter().max() else {
+            return;
+        };
+        if self.entries.len() <= max {
+            self.entries.resize(max + 1, NO_ROUTE);
         }
-        self.entries[dst] = match ports {
+        let entry = self.intern(ports);
+        for &dst in dsts {
+            self.entries[dst] = entry;
+        }
+    }
+
+    /// The entry value encoding `ports`, adding a multi-port set to the
+    /// pool on first use.
+    fn intern(&mut self, ports: &[u16]) -> u16 {
+        match ports {
             [] => NO_ROUTE,
             &[p] => {
                 assert!(p < ECMP_TAG, "port index {p} collides with the ECMP tag");
@@ -211,7 +230,7 @@ impl RouteTable {
                 );
                 ECMP_TAG | idx as u16
             }
-        };
+        }
     }
 
     /// The next-hop candidates toward `dst`.
@@ -454,6 +473,11 @@ mod tests {
         assert_eq!(rt.reachable_dests(), 3);
         // Identical sets share one pool slot.
         assert_eq!(rt.sets.len(), 1);
+        // One call fills several rows (growing the table) with one set.
+        rt.set_all(&[2, 5], &[0, 3]);
+        assert_eq!(rt.next_hops(NodeId(2)), NextHops::Ecmp(&[0, 3]));
+        assert_eq!(rt.next_hops(NodeId(5)), NextHops::Ecmp(&[0, 3]));
+        assert_eq!(rt.sets.len(), 2);
         // Clearing an entry restores NO_ROUTE.
         rt.set(0, &[]);
         assert_eq!(rt.next_hops(NodeId(0)), NextHops::None);

@@ -21,9 +21,6 @@ pub struct PolicyFx {
     /// routed and enqueued as if it had just arrived, but without another
     /// ingress-hook pass.
     pub inject: Vec<Packet>,
-    /// Named trace samples `(series, value)` recorded at the current
-    /// simulation time.
-    pub traces: Vec<(String, f64)>,
     /// TFC per-port gauge samples emitted at slot close. The simulator
     /// stamps the time and forwards them to the telemetry layer (which
     /// discards them unless gauge collection is enabled).
@@ -53,11 +50,6 @@ impl PolicyFx {
     /// Re-injects a packet into the egress path.
     pub fn inject(&mut self, pkt: Packet) {
         self.inject.push(pkt);
-    }
-
-    /// Records a trace sample.
-    pub fn trace(&mut self, series: impl Into<String>, value: f64) {
-        self.traces.push((series.into(), value));
     }
 
     /// Emits a TFC slot gauge sample.
@@ -298,10 +290,8 @@ mod tests {
     fn policy_fx_collects() {
         let mut fx = PolicyFx::new();
         fx.timer(Dur::micros(1), 9);
-        fx.trace("q", 3.0);
         fx.inject(data_pkt(false));
         assert_eq!(fx.timers.len(), 1);
-        assert_eq!(fx.traces.len(), 1);
         assert_eq!(fx.inject.len(), 1);
     }
 }

@@ -28,13 +28,27 @@ use crate::packet::{FlowId, NodeId};
 use crate::retire::{FlowRetirer, RetireConfig};
 use crate::sched::{SchedulerKind, TimerHandle};
 use crate::topology::Network;
-use crate::trace::{QueueSampler, TraceCenter};
 use crate::units::{Dur, Time};
+use metrics::TimeSeries;
 
 /// XOR tag deriving the fault RNG stream from the run seed, so loss-
 /// window draws never perturb the workload/jitter stream (same idiom as
 /// the telemetry sampling seed).
 const FAULT_RNG_TAG: u64 = 0xfa17_ca05_fa17_ca05;
+
+/// A periodic queue-length sampler attached to one switch port (see
+/// [`SimCore::add_queue_sampler`]).
+#[derive(Debug, Clone)]
+pub struct QueueSampler {
+    /// Switch to sample.
+    pub node: NodeId,
+    /// Port index at that switch.
+    pub port: usize,
+    /// Sampling period.
+    pub every: Dur,
+    /// Stop sampling at this time (`None` = until simulation end).
+    pub until: Option<Time>,
+}
 
 /// Global simulation parameters.
 #[derive(Debug, Clone)]
@@ -185,8 +199,9 @@ pub struct SimCore {
     pub(crate) policy_timers: Vec<Vec<(u64, TimerHandle)>>,
     pub(crate) rng: StdRng,
     pub(crate) fault_rng: StdRng,
-    pub(crate) trace: TraceCenter,
     pub(crate) samplers: Vec<QueueSampler>,
+    /// One series per entry of `samplers`.
+    pub(crate) queue_series: Vec<TimeSeries>,
     pub(crate) pending_app: VecDeque<AppCall>,
     pub(crate) cfg: SimConfig,
     pub(crate) stopped: bool,
@@ -384,12 +399,16 @@ impl SimCore {
             .watch_rtt = true;
     }
 
-    /// Registers a periodic queue-length sampler.
-    pub fn add_queue_sampler(&mut self, s: QueueSampler) {
+    /// Registers a periodic queue-length sampler and returns the index
+    /// of its series in [`queue_series`](Self::queue_series).
+    pub fn add_queue_sampler(&mut self, s: QueueSampler) -> usize {
         let at = self.now + s.every;
         let idx = self.samplers.len();
+        self.queue_series
+            .push(TimeSeries::new(format!("queue.s{}.p{}", s.node.0, s.port)));
         self.samplers.push(s);
         self.events.schedule(at, Event::Sample { sampler: idx });
+        idx
     }
 
     /// The seeded RNG (shared by workloads for reproducibility).
@@ -423,9 +442,10 @@ impl SimCore {
         self.flows.iter()
     }
 
-    /// The collected traces.
-    pub fn trace(&self) -> &TraceCenter {
-        &self.trace
+    /// The queued-bytes series of every queue sampler, in registration
+    /// order, each named `queue.s<node>.p<port>`.
+    pub fn queue_series(&self) -> &[TimeSeries] {
+        &self.queue_series
     }
 
     /// The structured telemetry state (event log, loop counters, TFC
@@ -841,8 +861,8 @@ impl<A: Application> Simulator<A> {
                 policy_timers,
                 rng: StdRng::seed_from_u64(cfg.seed),
                 fault_rng: StdRng::seed_from_u64(cfg.seed ^ FAULT_RNG_TAG),
-                trace: TraceCenter::new(),
                 samplers: Vec::new(),
+                queue_series: Vec::new(),
                 pending_app: VecDeque::new(),
                 cfg,
                 stopped: false,
@@ -1156,19 +1176,18 @@ mod tests {
     fn queue_sampler_records_series() {
         let (mut sim, flow) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
         let sw = sim.core().switch_ids()[0];
-        sim.core_mut()
-            .add_queue_sampler(crate::trace::QueueSampler {
-                node: sw,
-                port: 1,
-                every: Dur::micros(5),
-                key: "q".into(),
-                until: Some(Time(50_000)),
-            });
+        let q = sim.core_mut().add_queue_sampler(QueueSampler {
+            node: sw,
+            port: 1,
+            every: Dur::micros(5),
+            until: Some(Time(50_000)),
+        });
         for _ in 0..8 {
             sim.core_mut().push_data(flow, MSS);
         }
         sim.run();
-        let ts = sim.core().trace().get("q").expect("series exists");
+        let ts = &sim.core().queue_series()[q];
+        assert_eq!(ts.name(), format!("queue.s{}.p1", sw.0));
         assert!(ts.len() >= 9, "only {} samples", ts.len());
         assert!(ts.max_value().unwrap() > 0.0, "queue never observed");
     }

@@ -288,16 +288,6 @@ impl TopologyBuilder {
             }
         }
 
-        // BFS from every host to fill each node's route table.
-        let adjacency: Vec<Vec<(NodeId, usize)>> = ports
-            .iter()
-            .map(|ps| {
-                ps.iter()
-                    .enumerate()
-                    .map(|(idx, p)| (p.peer, idx))
-                    .collect()
-            })
-            .collect();
         // Only switches route; hosts have a single NIC. Dense u16 port
         // entries keep fabric-scale builds (10k-host fat-trees) in tens
         // of megabytes instead of gigabytes; equal-cost sets live in a
@@ -316,53 +306,74 @@ impl TopologyBuilder {
                 "per-node port count exceeds the tagged u16 route-table range"
             );
         }
-        let mut next_hops: Vec<u16> = Vec::new();
-        for dst in 0..n {
-            if self.kinds[dst] != NodeKind::Host {
-                continue;
+        // Route fill: one BFS per access node, not per host. A host is a
+        // leaf hanging off exactly one access node `a`, so every other
+        // node v reaches it in hops(v, a) + 1 and its equal-cost next
+        // hops toward the host are its next hops toward `a`; only `a`
+        // itself differs, forwarding straight out of the host's port.
+        // Groups run in order of their lowest host id, so each switch
+        // meets its equal-cost sets in the same first-use order as a
+        // per-host fill and the pooled tables come out identical.
+        let mut group_of = vec![usize::MAX; n];
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for h in (0..n).filter(|&i| self.kinds[i] == NodeKind::Host) {
+            let a = ports[h][0].peer.0 as usize;
+            if group_of[a] == usize::MAX {
+                group_of[a] = groups.len();
+                groups.push((a, Vec::new()));
             }
-            // BFS backwards from dst; dist[v] = hops from v to dst.
-            let mut dist: Vec<u32> = vec![u32::MAX; n];
-            dist[dst] = 0;
-            let mut q = VecDeque::from([dst]);
-            while let Some(v) = q.pop_front() {
-                for &(peer, _) in &adjacency[v] {
-                    let p = peer.0 as usize;
+            groups[group_of[a]].1.push(h);
+        }
+        let mut dist: Vec<u32> = vec![u32::MAX; n];
+        let mut queue = VecDeque::new();
+        let mut next_hops: Vec<u16> = Vec::new();
+        for (a, hosts) in &groups {
+            let a = *a;
+            // BFS backwards from a; dist[v] = hops from v to a.
+            dist.fill(u32::MAX);
+            dist[a] = 0;
+            queue.push_back(a);
+            while let Some(v) = queue.pop_front() {
+                for p in &ports[v] {
+                    let p = p.peer.0 as usize;
                     if dist[p] == u32::MAX {
                         dist[p] = dist[v] + 1;
-                        q.push_back(p);
+                        queue.push_back(p);
                     }
                 }
             }
+            if let Some(v) = dist.iter().position(|&d| d == u32::MAX) {
+                // Previously this slipped past the route fill and
+                // surfaced as an `expect("connected graph")` panic (or a
+                // missing-route panic deep in a run); now it is a
+                // structured validation error.
+                return Err(TopologyError::Disconnected {
+                    node: NodeId(v as u32),
+                    unreachable: NodeId(hosts[0] as u32),
+                });
+            }
             for v in 0..n {
-                if v == dst {
+                if self.kinds[v] != NodeKind::Switch {
                     continue;
                 }
-                if dist[v] == u32::MAX {
-                    // Previously this slipped past the route fill and
-                    // surfaced as an `expect("connected graph")` panic
-                    // (or a missing-route panic deep in a run); now it
-                    // is a structured validation error.
-                    return Err(TopologyError::Disconnected {
-                        node: NodeId(v as u32),
-                        unreachable: NodeId(dst as u32),
-                    });
-                }
-                if self.kinds[v] != NodeKind::Switch {
+                if v == a {
+                    for &h in hosts {
+                        routes[a].set(h, &[ports[h][0].peer_port as u16]);
+                    }
                     continue;
                 }
                 // Every equal-cost parent joins the set: fat-trees
                 // expose all their uplinks instead of concentrating on
-                // the lowest-id core. Adjacency is walked in port-index
-                // order, so the set arrives sorted and deterministic.
+                // the lowest-id core. Ports are walked in index order,
+                // so the set arrives sorted and deterministic.
                 next_hops.clear();
-                for &(peer, port) in &adjacency[v] {
-                    if dist[peer.0 as usize] == dist[v] - 1 {
+                for (port, p) in ports[v].iter().enumerate() {
+                    if dist[p.peer.0 as usize] + 1 == dist[v] {
                         next_hops.push(port as u16);
                     }
                 }
-                debug_assert!(!next_hops.is_empty(), "BFS-reached node has a parent toward dst");
-                routes[v].set(dst, &next_hops);
+                debug_assert!(!next_hops.is_empty(), "reached node has a parent");
+                routes[v].set_all(hosts, &next_hops);
             }
         }
 
@@ -1001,6 +1012,139 @@ mod proptests {
                 }
             }
         });
+    }
+
+    /// The per-host route fill that the access-node fill replaced, kept
+    /// as its oracle: one BFS per destination host over the builder's
+    /// links, then `set` per (host, switch) pair in id order.
+    fn per_host_routes(t: &TopologyBuilder) -> Result<Vec<RouteTable>, TopologyError> {
+        let n = t.kinds.len();
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for l in &t.links {
+            adj[l.a.0 as usize].push(l.b.0 as usize);
+            adj[l.b.0 as usize].push(l.a.0 as usize);
+        }
+        if let Some(v) = adj.iter().position(Vec::is_empty) {
+            let v = NodeId(v as u32);
+            return Err(TopologyError::Disconnected {
+                node: v,
+                unreachable: v,
+            });
+        }
+        let mut routes: Vec<RouteTable> = t
+            .kinds
+            .iter()
+            .map(|k| match k {
+                NodeKind::Switch => RouteTable::unreachable(n),
+                NodeKind::Host => RouteTable::default(),
+            })
+            .collect();
+        for dst in (0..n).filter(|&i| t.kinds[i] == NodeKind::Host) {
+            let mut dist = vec![u32::MAX; n];
+            dist[dst] = 0;
+            let mut q = VecDeque::from([dst]);
+            while let Some(v) = q.pop_front() {
+                for &p in &adj[v] {
+                    if dist[p] == u32::MAX {
+                        dist[p] = dist[v] + 1;
+                        q.push_back(p);
+                    }
+                }
+            }
+            for v in (0..n).filter(|&v| v != dst) {
+                if dist[v] == u32::MAX {
+                    return Err(TopologyError::Disconnected {
+                        node: NodeId(v as u32),
+                        unreachable: NodeId(dst as u32),
+                    });
+                }
+                if t.kinds[v] == NodeKind::Switch {
+                    let hops: Vec<u16> = (0..adj[v].len())
+                        .filter(|&p| dist[adj[v][p]] + 1 == dist[v])
+                        .map(|p| p as u16)
+                        .collect();
+                    routes[v].set(dst, &hops);
+                }
+            }
+        }
+        Ok(routes)
+    }
+
+    /// A random multigraph: switches joined by a random spanning tree
+    /// (each tree link dropped with probability 1/8, to cover the
+    /// disconnected case) plus extra, possibly parallel, switch links;
+    /// hosts on random switches. Node kinds interleave in id order and
+    /// links are added in shuffled order, so neither a host group's ids
+    /// nor a switch's port order follows the topology.
+    fn random_fabric(rng: &mut rng::rngs::StdRng) -> TopologyBuilder {
+        use rng::seq::SliceRandom;
+        let n_sw = rng.gen_range(1..8usize);
+        let n_hosts = rng.gen_range(1..16usize);
+        let mut kinds: Vec<bool> = (0..n_sw + n_hosts).map(|i| i < n_sw).collect();
+        kinds.shuffle(rng);
+        let mut t = TopologyBuilder::new();
+        let (mut switches, mut hosts) = (Vec::new(), Vec::new());
+        for is_switch in kinds {
+            if is_switch {
+                switches.push(t.switch());
+            } else {
+                hosts.push(t.host());
+            }
+        }
+        let mut links = Vec::new();
+        for i in 1..n_sw {
+            if !rng.gen_bool(0.125) {
+                links.push((switches[i], switches[rng.gen_range(0..i)]));
+            }
+        }
+        for _ in 0..rng.gen_range(0..6usize) {
+            let (a, b) = (rng.gen_range(0..n_sw), rng.gen_range(0..n_sw));
+            if a != b {
+                links.push((switches[a], switches[b]));
+            }
+        }
+        for &h in &hosts {
+            links.push((h, switches[rng.gen_range(0..n_sw)]));
+        }
+        links.shuffle(rng);
+        for (a, b) in links {
+            t.link(a, b, Bandwidth::gbps(1), Dur::micros(1));
+        }
+        t
+    }
+
+    /// The access-node route fill is byte-identical to the per-host fill
+    /// it replaced: the same entries and the same pooled equal-cost sets
+    /// in the same pool order, or the same structured error.
+    #[test]
+    fn access_node_fill_matches_per_host_fill() {
+        let check = |t: TopologyBuilder| {
+            let expected = per_host_routes(&t);
+            match (expected, t.try_build(|_, _| Box::new(DropTail))) {
+                (Ok(exp), Ok(net)) => {
+                    for (i, node) in net.nodes.iter().enumerate() {
+                        if let Node::Switch(sw) = node {
+                            assert_eq!(sw.routes, exp[i], "switch {i}");
+                        }
+                    }
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (exp, got) => panic!(
+                    "per-host fill {:?}, access-node fill {:?}",
+                    exp.map(|_| ()),
+                    got.map(|_| ())
+                ),
+            }
+        };
+        let (g, d) = (Bandwidth::gbps(1), Dur::micros(1));
+        check(testbed(d).0);
+        check(multi_bottleneck(g, d).0);
+        check(star(5, g, d).0);
+        check(leaf_spine(3, 4, g, Bandwidth::gbps(10), d).0);
+        for k in [2, 4, 6, 8] {
+            check(fat_tree(k, g, Bandwidth::gbps(10), d).0);
+        }
+        cases(256, |_case, rng| check(random_fabric(rng)));
     }
 
     #[test]

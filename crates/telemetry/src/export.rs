@@ -12,8 +12,8 @@
 //! * `spans.json` — per-hop lifecycle-span sketches (only when span
 //!   tracing is on, so `TraceConfig::Off` artifact sets stay
 //!   byte-identical to pre-span runs);
-//! * `traces.csv` — the legacy named rho/queue time series from
-//!   `simnet::trace::TraceCenter` (only when non-empty).
+//! * `traces.csv` — the simulator's queue-sampler series, one
+//!   `queue.s<node>.p<port>` series per sampler (only when any exist).
 //!
 //! Everything is plain JSON/CSV readable by `tfc-trace` (via
 //! [`crate::json::parse`]) or any external tool.
@@ -584,7 +584,7 @@ pub fn write_manifest(manifest: &RunManifest) -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Column header of `traces.csv` (flattened legacy named time series).
+/// Column header of `traces.csv` (flattened named queue-sampler series).
 pub const TRACES_CSV_HEADER: &str = "series,at_ns,value";
 
 fn traces_csv(series: &[(&str, &[(u64, f64)])]) -> String {
@@ -602,7 +602,7 @@ fn traces_csv(series: &[(&str, &[(u64, f64)])]) -> String {
 /// returns the directory path.
 ///
 /// `spans.json` is written only when span tracing is enabled and
-/// `traces.csv` only when legacy series exist, so a `TraceConfig::Off`
+/// `traces.csv` only when sampler series exist, so a `TraceConfig::Off`
 /// run without samplers produces exactly the historical five files.
 pub fn export_run(
     manifest: &RunManifest,

@@ -8,17 +8,14 @@
 use simnet::sim::{SimConfig, Simulator};
 use simnet::topology::testbed;
 use simnet::units::{Dur, Time};
+use telemetry::TelemetryConfig;
 use tfc::config::TfcSwitchConfig;
 use tfc::{TfcStack, TfcSwitchPolicy};
 use workloads::{OnOffApp, OnOffFlow};
 
 fn main() {
     let (topo, hosts, switches) = testbed(Dur::nanos(500));
-    let cfg = TfcSwitchConfig {
-        trace: true,
-        ..Default::default()
-    };
-    let net = topo.build(TfcSwitchPolicy::factory(cfg));
+    let net = topo.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
 
     // Two executors exchange messages continuously; three more wake for
     // 30 ms bursts, one after another — an on-off pattern like Storm's.
@@ -51,6 +48,10 @@ fn main() {
         app,
         SimConfig {
             end: Some(Time(horizon)),
+            telemetry: TelemetryConfig {
+                tfc_gauges: true,
+                ..Default::default()
+            },
             ..Default::default()
         },
     );
@@ -59,13 +60,19 @@ fn main() {
     // Print the measured effective-flow count per 30 ms phase.
     let nf2 = switches[2];
     let port = sim.core().route_of(nf2, h6).expect("route");
-    let key = format!("tfc.s{}.p{}.ne", nf2.0, port);
-    let ne = sim.core().trace().get(&key).expect("ne trace");
+    let ne: Vec<_> = sim
+        .core()
+        .telemetry()
+        .slots
+        .iter()
+        .filter(|s| s.node == nf2.0 && usize::from(s.port) == port)
+        .collect();
     println!("phase | active flows | measured Ne (switch)");
     for w in 0..8u64 {
         let vals: Vec<f64> = ne
-            .window(w * step, (w + 1) * step)
-            .map(|(_, v)| v)
+            .iter()
+            .filter(|s| (w * step..(w + 1) * step).contains(&s.at_ns))
+            .map(|s| s.effective_flows)
             .collect();
         if vals.is_empty() {
             continue;

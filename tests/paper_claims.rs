@@ -83,17 +83,14 @@ fn single_flow_steady_state_queue_is_packets() {
     // Sample the bottleneck (NF2 toward H6) only after convergence.
     let nf2 = switches[2];
     let port = sim.core().route_of(nf2, hosts[5]).unwrap();
-    sim.core_mut()
-        .add_queue_sampler(simnet::trace::QueueSampler {
-            node: nf2,
-            port,
-            every: Dur::millis(1),
-            key: "q".into(),
-            until: None,
-        });
+    let sampler = sim.core_mut().add_queue_sampler(simnet::QueueSampler {
+        node: nf2,
+        port,
+        every: Dur::millis(1),
+        until: None,
+    });
     sim.run();
-    let q = sim.core().trace().get("q").expect("sampled");
-    let late: Vec<f64> = q
+    let late: Vec<f64> = sim.core().queue_series()[sampler]
         .window(Dur::millis(40).as_nanos(), u64::MAX)
         .map(|(_, v)| v)
         .collect();
