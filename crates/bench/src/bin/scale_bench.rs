@@ -6,23 +6,22 @@
 //! multipath fat-tree whose cross-pod flows spray over every
 //! equal-cost uplink while edge and aggregation links flap (ECMP
 //! forwarding plus selection-time reroute at scale) —
-//! under six scheduling variants: the reference binary-heap scheduler,
-//! the timing wheel with batch dispatch off, the timing wheel with
-//! same-tick batch coalescing (the default), and the sharded
-//! lookahead-window scheduler at 1, 2, and 4 extraction threads. For
-//! each scenario, it checks all variants produced *identical*
+//! under the reference binary-heap scheduler and the timing wheel (the
+//! default). For each scenario, it checks both produced *identical*
 //! simulations (same event count, same delivered bytes) and records
-//! wall-clock events/sec, writing `results/bench/BENCH_scale.json`.
+//! events/sec, writing `results/bench/BENCH_scale.json`. The timer
+//! covers `Simulator::run` alone — topology and route build and flow
+//! setup are excluded — so `speedup` is a loop-only ratio.
 //!
 //! Each scenario also re-runs the default variant with flow-sampled
 //! lifecycle tracing on (16/1000 flows), asserting the traced
 //! simulation is outcome-identical to the untraced one and recording
-//! the wall-clock ratio as `trace_overhead` (1.0 = free; the CI smoke
+//! the loop-time ratio as `trace_overhead` (1.0 = free; the CI smoke
 //! bounds the leaf-spine value at 1.10).
 //!
 //! `--quick` shortens every horizon for CI smoke use (`scripts/verify.sh`).
-//! `--sharded-det` instead exports two same-seed 4-thread sharded runs
-//! for the verify.sh byte-determinism gate (`tfc-trace diff`).
+//! `--det` instead exports two same-seed wheel runs for the verify.sh
+//! byte-determinism gate (`tfc-trace diff`).
 
 use std::time::Instant;
 
@@ -39,30 +38,36 @@ use telemetry::export::{git_describe, results_dir};
 use telemetry::json::{self, Value};
 use telemetry::{TelemetryConfig, TraceConfig};
 
-/// One scenario, parameterized by the scheduler backend, whether
-/// same-tick batch dispatch is on, and the lifecycle-trace mode.
+/// Variant-agnostic run outcome used for the cross-variant identity
+/// check: `(events_processed, total delivered bytes)`.
+type Outcome = (u64, u64);
+
+/// One scenario, parameterized by the scheduler backend and the
+/// lifecycle-trace mode; returns the outcome and the loop time (s).
 struct Scenario {
     name: &'static str,
     hosts: usize,
     flows: usize,
     sim_ms: u64,
-    run: Box<dyn Fn(SchedulerKind, bool, TraceConfig) -> (u64, u64)>,
+    run: Box<dyn Fn(SchedulerKind, TraceConfig) -> (Outcome, f64)>,
 }
 
-/// Variant-agnostic run outcome used for the cross-variant identity
-/// check: `(events_processed, total delivered bytes)`.
-fn outcome<A: simnet::app::Application>(sim: &Simulator<A>) -> (u64, u64) {
-    (
+/// Runs the event loop, timing `Simulator::run` alone.
+fn run_timed<A: simnet::app::Application>(sim: &mut Simulator<A>) -> (Outcome, f64) {
+    let t0 = Instant::now();
+    sim.run();
+    let secs = t0.elapsed().as_secs_f64();
+    let out = (
         sim.core().events_processed(),
         sim.core().flows().map(|(_, st)| st.delivered).sum(),
-    )
+    );
+    (out, secs)
 }
 
-fn cfg(kind: SchedulerKind, coalesce: bool, end_ms: u64, trace: TraceConfig) -> SimConfig {
+fn cfg(kind: SchedulerKind, end_ms: u64, trace: TraceConfig) -> SimConfig {
     SimConfig {
         end: Some(Time(Dur::millis(end_ms).as_nanos())),
         scheduler: kind,
-        coalesce,
         telemetry: TelemetryConfig {
             trace,
             ..Default::default()
@@ -79,7 +84,7 @@ fn leaf_spine_360(sim_ms: u64, flows: usize) -> Scenario {
         hosts: 360,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
             let (t, hosts, _) = leaf_spine(
                 18,
                 20,
@@ -92,7 +97,7 @@ fn leaf_spine_360(sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             let mut rng = rng::rngs::StdRng::seed_from_u64(2024);
             for _ in 0..flows {
@@ -104,8 +109,7 @@ fn leaf_spine_360(sim_ms: u64, flows: usize) -> Scenario {
                 let bytes = rng.gen_range(20_000u64..2_000_000);
                 sim.core_mut().start_flow(FlowSpec::sized(src, dst, bytes));
             }
-            sim.run();
-            outcome(&sim)
+            run_timed(&mut sim)
         }),
     }
 }
@@ -117,7 +121,7 @@ fn incast_fanin(sim_ms: u64, senders: usize) -> Scenario {
         hosts: senders + 1,
         flows: senders,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
             let (t, hosts, _) = star(senders + 1, Bandwidth::gbps(10), Dur::micros(10));
             let receiver = hosts[0];
             let net = t.build(tfc::TfcSwitchPolicy::factory(Default::default()));
@@ -125,7 +129,7 @@ fn incast_fanin(sim_ms: u64, senders: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             for (i, &src) in hosts[1..].iter().enumerate() {
                 sim.core_mut().start_flow(FlowSpec::sized(
@@ -134,8 +138,7 @@ fn incast_fanin(sim_ms: u64, senders: usize) -> Scenario {
                     400_000 + 4_000 * i as u64,
                 ));
             }
-            sim.run();
-            outcome(&sim)
+            run_timed(&mut sim)
         }),
     }
 }
@@ -148,7 +151,7 @@ fn chaos_leaf_spine(sim_ms: u64, flows: usize) -> Scenario {
         hosts: 48,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
             let (t, hosts, switches) = leaf_spine(
                 6,
                 8,
@@ -161,7 +164,7 @@ fn chaos_leaf_spine(sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             for i in 0..flows {
                 let src = hosts[i % hosts.len()];
@@ -176,8 +179,7 @@ fn chaos_leaf_spine(sim_ms: u64, flows: usize) -> Scenario {
                 .loss_burst(Time(9_000_000), Dur::millis(1), leaf, 2, 250)
                 .policy_reset(Time(12_000_000), leaf, 3)
                 .install(sim.core_mut());
-            sim.run();
-            outcome(&sim)
+            run_timed(&mut sim)
         }),
     }
 }
@@ -192,7 +194,7 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
         hosts: k * k * k / 4,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
             let (t, hosts, _) = fat_tree(
                 k,
                 Bandwidth::gbps(10),
@@ -204,7 +206,7 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             let mut rng = rng::rngs::StdRng::seed_from_u64(4099);
             for _ in 0..flows {
@@ -216,8 +218,7 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 let bytes = rng.gen_range(20_000u64..400_000);
                 sim.core_mut().start_flow(FlowSpec::sized(src, dst, bytes));
             }
-            sim.run();
-            outcome(&sim)
+            run_timed(&mut sim)
         }),
     }
 }
@@ -227,15 +228,15 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
 /// ECMP hash while one edge uplink and one aggregation-core link flap
 /// mid-run, forcing selection-time reroutes. The cross-variant identity
 /// check then doubles as a scale-sized proof that route churn does not
-/// break sharded lookahead determinism. Quick CI smoke uses k = 8;
-/// full mode k = 16 (1024 hosts).
+/// leak the scheduler backend into the simulation. Quick CI smoke uses
+/// k = 8; full mode k = 16 (1024 hosts).
 fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
     Scenario {
         name: "fat_tree_multipath",
         hosts: k * k * k / 4,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
             let (t, hosts, switches) = fat_tree(
                 k,
                 Bandwidth::gbps(10),
@@ -247,7 +248,7 @@ fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             let n = hosts.len();
             for i in 0..flows {
@@ -268,8 +269,7 @@ fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 .link_flap(Time(1_000_000), Dur::millis(1), edge0, 0)
                 .link_flap(Time(2_500_000), Dur::micros(800), agg0, 0)
                 .install(sim.core_mut());
-            sim.run();
-            outcome(&sim)
+            run_timed(&mut sim)
         }),
     }
 }
@@ -280,51 +280,26 @@ struct Row {
     flows: usize,
     sim_ms: u64,
     events: u64,
-    heap_wall_ms: f64,
-    wheel_nobatch_wall_ms: f64,
-    wheel_wall_ms: f64,
+    heap_loop_ms: f64,
+    wheel_loop_ms: f64,
     heap_events_per_sec: f64,
-    wheel_nobatch_events_per_sec: f64,
     wheel_events_per_sec: f64,
-    /// Wheel+batching vs reference heap.
+    /// Wheel vs reference heap, event loop only.
     speedup: f64,
-    /// Wheel+batching vs wheel without batching (batching alone).
-    batch_speedup: f64,
-    /// Sharded scheduler wall time at 1, 2, and 4 extraction threads.
-    sharded_wall_ms: [f64; 3],
-    sharded_events_per_sec: [f64; 3],
-    /// Sharded at 4 threads vs the reference heap.
-    sharded_speedup: f64,
-    /// Sharded at 4 threads vs sharded at 1 thread: what parallel
-    /// window extraction alone buys (handler execution stays
-    /// sequential to preserve byte-determinism, so this isolates the
-    /// scheduler's share of the wall clock).
-    sharded_thread_scaling: f64,
-    traced_wall_ms: f64,
+    traced_loop_ms: f64,
     traced_events_per_sec: f64,
-    /// Wheel+batching with sampled lifecycle tracing vs without.
+    /// Wheel with sampled lifecycle tracing vs without.
     trace_overhead: f64,
 }
 
 fn bench(s: &Scenario) -> Row {
-    let timed = |kind, coalesce, trace| {
-        let t0 = Instant::now();
-        let out = (s.run)(kind, coalesce, trace);
-        (out, t0.elapsed().as_secs_f64())
-    };
-    let (heap_out, heap_secs) = timed(SchedulerKind::RefHeap, false, TraceConfig::Off);
-    let (nobatch_out, nobatch_secs) = timed(SchedulerKind::Wheel, false, TraceConfig::Off);
-    let (wheel_out, wheel_secs) = timed(SchedulerKind::Wheel, true, TraceConfig::Off);
-    let mut sharded_secs = [0.0f64; 3];
-    for (i, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let (out, secs) = timed(SchedulerKind::Sharded { threads }, true, TraceConfig::Off);
-        assert_eq!(
-            heap_out, out,
-            "{}: sharded({threads} threads) diverged from heap (events, delivered)",
-            s.name
-        );
-        sharded_secs[i] = secs;
-    }
+    let (heap_out, heap_secs) = (s.run)(SchedulerKind::RefHeap, TraceConfig::Off);
+    let (wheel_out, wheel_secs) = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
+    assert_eq!(
+        heap_out, wheel_out,
+        "{}: wheel diverged from heap (events, delivered)",
+        s.name
+    );
     // The overhead ratio is measured in adjacent traced/untraced pairs
     // and reported as the minimum per-pair ratio: single wall-clock
     // samples on shared machines swing by double digits, but two runs
@@ -339,27 +314,17 @@ fn bench(s: &Scenario) -> Row {
     let mut traced_best = f64::INFINITY;
     let mut overhead = f64::INFINITY;
     for _ in 0..3 {
-        let (traced_out, traced_secs) = timed(SchedulerKind::Wheel, true, sampled);
+        let (traced_out, traced_secs) = (s.run)(SchedulerKind::Wheel, sampled);
         assert_eq!(
             wheel_out, traced_out,
             "{}: sampled tracing changed the simulation (events, delivered)",
             s.name
         );
         traced_best = traced_best.min(traced_secs);
-        let (out, untraced_secs) = timed(SchedulerKind::Wheel, true, TraceConfig::Off);
+        let (out, untraced_secs) = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
         assert_eq!(wheel_out, out, "{}: rerun diverged", s.name);
         overhead = overhead.min(traced_secs / untraced_secs);
     }
-    assert_eq!(
-        heap_out, nobatch_out,
-        "{}: wheel diverged from heap (events, delivered)",
-        s.name
-    );
-    assert_eq!(
-        heap_out, wheel_out,
-        "{}: batched wheel diverged from heap (events, delivered)",
-        s.name
-    );
     let events = heap_out.0;
     Row {
         name: s.name,
@@ -367,19 +332,12 @@ fn bench(s: &Scenario) -> Row {
         flows: s.flows,
         sim_ms: s.sim_ms,
         events,
-        heap_wall_ms: heap_secs * 1e3,
-        wheel_nobatch_wall_ms: nobatch_secs * 1e3,
-        wheel_wall_ms: wheel_secs * 1e3,
+        heap_loop_ms: heap_secs * 1e3,
+        wheel_loop_ms: wheel_secs * 1e3,
         heap_events_per_sec: events as f64 / heap_secs,
-        wheel_nobatch_events_per_sec: events as f64 / nobatch_secs,
         wheel_events_per_sec: events as f64 / wheel_secs,
         speedup: heap_secs / wheel_secs,
-        batch_speedup: nobatch_secs / wheel_secs,
-        sharded_wall_ms: sharded_secs.map(|s| s * 1e3),
-        sharded_events_per_sec: sharded_secs.map(|s| events as f64 / s),
-        sharded_speedup: heap_secs / sharded_secs[2],
-        sharded_thread_scaling: sharded_secs[0] / sharded_secs[2],
-        traced_wall_ms: traced_best * 1e3,
+        traced_loop_ms: traced_best * 1e3,
         traced_events_per_sec: events as f64 / traced_best,
         trace_overhead: overhead,
     }
@@ -392,35 +350,23 @@ fn row_json(r: &Row) -> Value {
         "flows": r.flows as u64,
         "sim_ms": r.sim_ms,
         "events": r.events,
-        "heap_wall_ms": r.heap_wall_ms,
-        "wheel_nobatch_wall_ms": r.wheel_nobatch_wall_ms,
-        "wheel_wall_ms": r.wheel_wall_ms,
+        "heap_loop_ms": r.heap_loop_ms,
+        "wheel_loop_ms": r.wheel_loop_ms,
         "heap_events_per_sec": r.heap_events_per_sec,
-        "wheel_nobatch_events_per_sec": r.wheel_nobatch_events_per_sec,
         "wheel_events_per_sec": r.wheel_events_per_sec,
         "speedup": r.speedup,
-        "batch_speedup": r.batch_speedup,
-        "sharded1_wall_ms": r.sharded_wall_ms[0],
-        "sharded2_wall_ms": r.sharded_wall_ms[1],
-        "sharded4_wall_ms": r.sharded_wall_ms[2],
-        "sharded1_events_per_sec": r.sharded_events_per_sec[0],
-        "sharded2_events_per_sec": r.sharded_events_per_sec[1],
-        "sharded4_events_per_sec": r.sharded_events_per_sec[2],
-        "sharded_speedup": r.sharded_speedup,
-        "sharded_thread_scaling": r.sharded_thread_scaling,
-        "traced_wall_ms": r.traced_wall_ms,
+        "traced_loop_ms": r.traced_loop_ms,
         "traced_events_per_sec": r.traced_events_per_sec,
         "trace_overhead": r.trace_overhead,
     })
 }
 
-/// `--sharded-det`: exports two same-seed 4-thread sharded chaos
-/// leaf-spine runs with full event/flow/slot telemetry for the
-/// verify.sh determinism gate, which byte-compares them with
-/// `tfc-trace diff`. Profiling stays off — wall-clock timings are
-/// never comparable across runs.
-fn sharded_det_export() {
-    for name in ["sharded-det-a", "sharded-det-b"] {
+/// `--det`: exports two same-seed wheel chaos leaf-spine runs with
+/// full event/flow/slot telemetry for the verify.sh determinism gate,
+/// which byte-compares them with `tfc-trace diff`. Profiling stays off
+/// — wall-clock timings are never comparable across runs.
+fn det_export() {
+    for name in ["det-a", "det-b"] {
         let (t, hosts, switches) = leaf_spine(
             6,
             8,
@@ -431,8 +377,7 @@ fn sharded_det_export() {
         let net = t.build(tfc::TfcSwitchPolicy::factory(Default::default()));
         let cfg = SimConfig {
             end: Some(Time(Dur::millis(10).as_nanos())),
-            scheduler: SchedulerKind::Sharded { threads: 4 },
-            coalesce: true,
+            scheduler: SchedulerKind::Wheel,
             telemetry: TelemetryConfig {
                 events: telemetry::LogMode::Full,
                 sample_one_in: 1,
@@ -459,7 +404,7 @@ fn sharded_det_export() {
         let dir = experiments::artifacts::maybe_export(
             sim.core(),
             "leaf_spine(6x8)",
-            "sharded determinism smoke",
+            "determinism smoke",
         )
         .expect("export directory");
         println!("{}", dir.display());
@@ -467,8 +412,8 @@ fn sharded_det_export() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--sharded-det") {
-        sharded_det_export();
+    if std::env::args().any(|a| a == "--det") {
+        det_export();
         return;
     }
     let quick = std::env::args().any(|a| a == "--quick");
@@ -495,22 +440,12 @@ fn main() {
         eprintln!("running {} ({} hosts, {} flows, {} ms)...", s.name, s.hosts, s.flows, s.sim_ms);
         let row = bench(s);
         eprintln!(
-            "  {} events; heap {:.0} ev/s, wheel {:.0} ev/s, wheel+batch {:.0} ev/s, speedup {:.2}x (batching {:.2}x), trace overhead {:.3}x",
+            "  {} events; heap {:.0} ev/s, wheel {:.0} ev/s, speedup {:.2}x, trace overhead {:.3}x",
             row.events,
             row.heap_events_per_sec,
-            row.wheel_nobatch_events_per_sec,
             row.wheel_events_per_sec,
             row.speedup,
-            row.batch_speedup,
             row.trace_overhead,
-        );
-        eprintln!(
-            "  sharded 1/2/4 threads: {:.0}/{:.0}/{:.0} ev/s, {:.2}x vs heap at 4t, thread scaling {:.2}x",
-            row.sharded_events_per_sec[0],
-            row.sharded_events_per_sec[1],
-            row.sharded_events_per_sec[2],
-            row.sharded_speedup,
-            row.sharded_thread_scaling,
         );
         rows.push(row);
     }
@@ -519,26 +454,23 @@ fn main() {
         .iter()
         .find(|r| r.name == "leaf_spine_360")
         .expect("leaf-spine scenario present");
-    // Sharded thread-sweep numbers are only interpretable relative to
-    // the machine: record how many hardware threads it advertises and
-    // how many the suite actually keeps busy at the sweep's widest
-    // point (the sequential dispatch thread plus the 4 extraction
-    // workers of `Sharded { threads: 4 }`). `available_parallelism`
+    // Timings are only interpretable relative to the machine: record
+    // how many hardware threads it advertises and how many the suite
+    // keeps busy (the single event-loop thread). `available_parallelism`
     // is 0 when the platform cannot say.
     let available_parallelism = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(0);
     let mut doc = telemetry::json!({
-        "schema": "tfc-bench-scale/v6",
+        "schema": "tfc-bench-scale/v7",
         "mode": if quick { "quick" } else { "full" },
         "git": git_describe().as_str(),
         "host": telemetry::json!({
             "available_parallelism": available_parallelism,
-            "active_threads": 1u64 + 4,
+            "active_threads": 1u64,
         }),
         "scenarios": Value::Array(rows.iter().map(row_json).collect()),
         "leaf_spine_speedup": leaf.speedup,
-        "leaf_spine_sharded_speedup": leaf.sharded_speedup,
         "trace_overhead": leaf.trace_overhead,
     });
 
@@ -564,7 +496,7 @@ fn main() {
         .expect("BENCH_scale.json parses");
     assert_eq!(
         parsed.get("schema").and_then(Value::as_str),
-        Some("tfc-bench-scale/v6")
+        Some("tfc-bench-scale/v7")
     );
     let host = parsed.get("host").expect("host block present");
     for key in ["available_parallelism", "active_threads"] {
@@ -590,12 +522,8 @@ fn main() {
     for s in scen {
         for key in [
             "heap_events_per_sec",
-            "wheel_nobatch_events_per_sec",
             "wheel_events_per_sec",
-            "sharded1_events_per_sec",
-            "sharded2_events_per_sec",
-            "sharded4_events_per_sec",
-            "sharded_speedup",
+            "speedup",
             "traced_events_per_sec",
             "trace_overhead",
         ] {

@@ -266,25 +266,14 @@ fn try_summarize(dir: &Path) -> Result<(), String> {
         n(&counters, "sampled_out"),
     );
 
-    // Event-loop profile. Profiled runs also carry per-kind dispatch
-    // batch counts, from which the mean coalescing factor falls out.
+    // Event-loop profile.
     if let Some(rows) = counters.get("loop").and_then(Value::as_array) {
         println!("\nevent loop:");
         for row in rows {
             let c = n(row, "count");
             if c > 0 {
                 let ns = n(row, "nanos");
-                let batches = row.get("batches").and_then(Value::as_i64).unwrap_or(0);
-                if batches > 0 {
-                    println!(
-                        "  {:<22} {c:>10}  {batches:>10} batches ({:.2}/batch)  {:.3} ms",
-                        s(row, "event"),
-                        c as f64 / batches as f64,
-                        ns as f64 / 1e6
-                    );
-                } else {
-                    println!("  {:<22} {c:>10}  {:.3} ms", s(row, "event"), ns as f64 / 1e6);
-                }
+                println!("  {:<22} {c:>10}  {:.3} ms", s(row, "event"), ns as f64 / 1e6);
             }
         }
         println!(

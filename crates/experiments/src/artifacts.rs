@@ -53,7 +53,6 @@ pub fn maybe_export(
         git: git_describe(),
         sim: Some(SimMeta {
             scheduler: format!("{:?}", cfg.scheduler),
-            coalesce: cfg.coalesce,
             trace: cfg.telemetry.trace.describe(),
         }),
     };

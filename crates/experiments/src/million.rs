@@ -60,10 +60,6 @@ pub struct MillionConfig {
     /// Telemetry (Ring/sampled modes keep artifact size flat; see
     /// [`MillionConfig::streaming_telemetry`]).
     pub telemetry: TelemetryConfig,
-    /// Event-scheduler backend (the equivalence suite sweeps this).
-    pub scheduler: simnet::SchedulerKind,
-    /// Same-tick batch dispatch in the wheel backend.
-    pub coalesce: bool,
 }
 
 impl MillionConfig {
@@ -82,8 +78,6 @@ impl MillionConfig {
             keep_exact: false,
             seed: 61,
             telemetry: TelemetryConfig::off(),
-            scheduler: simnet::SchedulerKind::default(),
-            coalesce: true,
         }
     }
 
@@ -250,8 +244,6 @@ pub fn run(cfg: &MillionConfig) -> MillionStats {
             seed: cfg.seed,
             retire: Some(cfg.retire()),
             telemetry: cfg.telemetry.clone(),
-            scheduler: cfg.scheduler,
-            coalesce: cfg.coalesce,
             ..Default::default()
         },
     );

@@ -89,22 +89,6 @@ impl Event {
         "fault",
     ];
 
-    /// The node this event is pinned to, if any — the key the sharded
-    /// scheduler routes on. Fabric events (arrivals, transmissions,
-    /// host/policy timers) belong to their node's shard; global events
-    /// (application timers, samplers, scripted faults) have no affinity
-    /// and live on shard 0.
-    pub fn node_affinity(&self) -> Option<NodeId> {
-        match self {
-            Event::Arrival { node, .. }
-            | Event::TxDone { node, .. }
-            | Event::HostTimer { node, .. }
-            | Event::PolicyTimer { node, .. }
-            | Event::NicEnqueue { node, .. } => Some(*node),
-            Event::AppTimer { .. } | Event::Sample { .. } | Event::Fault { .. } => None,
-        }
-    }
-
     /// Dense index of this event's kind into [`Self::KIND_NAMES`].
     pub fn kind_index(&self) -> usize {
         match self {

@@ -13,20 +13,6 @@
 //! table) and free it on every terminal path: delivery to an endpoint,
 //! tail drop, fault loss, or policy consumption. The hot path performs
 //! zero packet clones.
-//!
-//! # Batched dispatch
-//!
-//! [`SimCore::handle_event`] coalesces a run of *consecutive* arrivals
-//! popped at the same `(time, switch, port)` into one batched handler
-//! call, paying the dispatch overhead (kind match, stats bump, borrow
-//! setup) once per batch. This cannot change behaviour: the run is
-//! collected with [`EventQueue::pop_if`], which pops an event only when
-//! it is already the queue minimum *and* extends the run, so batch
-//! members are dispatched in exactly the `(time, seq)` order the queue
-//! would have produced one at a time — the determinism invariant is
-//! untouched, and a declined event never moves. Only switch arrivals
-//! batch: a host arrival can enqueue application upcalls, and those
-//! drain between events.
 
 use rng::rngs::StdRng;
 use rng::Rng;
@@ -42,22 +28,9 @@ use crate::policy::{EgressVerdict, IngressVerdict, PolicyFx};
 use crate::sim::{AppCall, PacketEventKind, SimCore};
 use crate::units::Time;
 
-/// Kind index of [`Event::Arrival`] in [`Event::KIND_NAMES`].
-const ARRIVAL_KIND: usize = 0;
-
 impl SimCore {
-    /// Counts, optionally profiles, and dispatches one event — or, for
-    /// switch arrivals with coalescing on, the whole same-time
-    /// same-port run it starts.
+    /// Counts, optionally profiles, and dispatches one event.
     pub(crate) fn handle_event(&mut self, ev: Event) {
-        if self.cfg.coalesce {
-            if let Event::Arrival { node, port, pkt } = ev {
-                if matches!(self.nodes[node.0 as usize], Node::Switch(_)) {
-                    self.switch_arrival_batch(node, port, pkt);
-                    return;
-                }
-            }
-        }
         let kind = ev.kind_index();
         self.telemetry.loop_stats.count(kind);
         if self.telemetry.loop_stats.profiled() {
@@ -69,47 +42,6 @@ impl SimCore {
         } else {
             self.dispatch_event(ev);
         }
-    }
-
-    /// Collects the run of consecutive same-time arrivals at one switch
-    /// port starting with `first`, then dispatches them as a batch (one
-    /// stats bump, one profiling span). See the module docs for why
-    /// this preserves the per-event order exactly.
-    fn switch_arrival_batch(&mut self, node: NodeId, port: usize, first: PacketId) {
-        debug_assert_eq!(Event::KIND_NAMES[ARRIVAL_KIND], "arrival");
-        let now = self.now;
-        let mut batch = std::mem::take(&mut self.arrival_batch);
-        debug_assert!(batch.is_empty());
-        batch.push(first);
-        while let Some((_, ev)) = self.events.pop_if(|t, ev| {
-            t == now
-                && matches!(ev, Event::Arrival { node: n, port: p, .. }
-                    if *n == node && *p == port)
-        }) {
-            let Event::Arrival { pkt, .. } = ev else {
-                unreachable!("pop_if predicate admits arrivals only")
-            };
-            batch.push(pkt);
-        }
-        self.telemetry
-            .loop_stats
-            .count_batch(ARRIVAL_KIND, batch.len() as u64);
-        if self.telemetry.loop_stats.profiled() {
-            let t0 = std::time::Instant::now();
-            for &pkt in &batch {
-                self.on_arrival(node, port, pkt);
-            }
-            self.telemetry
-                .loop_stats
-                .add_nanos(ARRIVAL_KIND, t0.elapsed().as_nanos() as u64);
-        } else {
-            for &pkt in &batch {
-                self.on_arrival(node, port, pkt);
-            }
-        }
-        self.events_processed += batch.len() as u64;
-        batch.clear();
-        self.arrival_batch = batch;
     }
 
     fn dispatch_event(&mut self, ev: Event) {

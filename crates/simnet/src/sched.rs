@@ -27,9 +27,11 @@
 //! pops in exact `(time, seq)` order: level-0 buckets hold a single
 //! tick and are sorted on drain, ticks are visited in order, and the
 //! cursor cascades coarser buckets *before* draining a same-start
-//! level-0 bucket so co-scheduled entries always merge first. The pop
-//! sequence is therefore identical to the reference heap's — which is
-//! what the byte-identical artifact equivalence tests assert.
+//! level-0 bucket so co-scheduled entries always merge first. Entries
+//! pushed onto the tick being drained go to a small `late` heap beside
+//! the sorted bucket, and each pop takes the smaller head of the two.
+//! The pop sequence is therefore identical to the reference heap's —
+//! which is what the byte-identical artifact equivalence tests assert.
 //!
 //! # Cancellation
 //!
@@ -67,15 +69,6 @@ pub enum SchedulerKind {
     /// Kept as the reference implementation for equivalence tests and
     /// as the baseline in the scale benchmarks.
     RefHeap,
-    /// Per-shard timing wheels partitioned by node (switch plus its
-    /// hosts), drained window-by-window under conservative lookahead
-    /// with `threads` worker threads. Pop order is still the exact
-    /// global `(time, seq)` order, so artifacts stay byte-identical to
-    /// the single-threaded wheel.
-    Sharded {
-        /// Worker threads (also the shard count); clamped to at least 1.
-        threads: usize,
-    },
 }
 
 /// A cancellable-timer handle returned by
@@ -148,16 +141,20 @@ impl Ord for HeapEntry {
 struct Wheel {
     /// Tick of the most recent pop; buckets behind it are empty.
     now_tick: u64,
-    /// The tick currently being drained, sorted *descending* by
+    /// The level-0 bucket being drained, sorted *descending* by
     /// `(at, seq)` so pops come off the cheap end.
     current: Vec<Entry>,
+    /// Entries that arrived at (or before) `now_tick` after its bucket
+    /// was drained: same-tick pushes and overflow page-mates landing on
+    /// the cursor. Together with `current` it forms the live run.
+    late: BinaryHeap<HeapEntry>,
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
     /// `LEVELS * SLOTS` FIFO buckets, level-major.
     buckets: Vec<Vec<Entry>>,
     /// Entries beyond the wheel horizon, min-ordered by `(at, seq)`.
     overflow: BinaryHeap<HeapEntry>,
-    /// Live entries across `current`, `buckets`, and `overflow`.
+    /// Live entries across `current`, `late`, `buckets`, and `overflow`.
     len: usize,
     /// Recycled bucket storage for cascades, to avoid re-allocating.
     cascade_buf: Vec<Entry>,
@@ -168,6 +165,7 @@ impl Wheel {
         Wheel {
             now_tick: 0,
             current: Vec::new(),
+            late: BinaryHeap::new(),
             occupied: [0; LEVELS],
             buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             overflow: BinaryHeap::new(),
@@ -180,11 +178,11 @@ impl Wheel {
         self.len += 1;
         let tick = e.at.nanos() >> GRAN_BITS;
         if tick <= self.now_tick {
-            // Lands on (or before) the tick being drained: merge into
-            // the live run, keeping it sorted descending by key.
-            let key = e.key();
-            let pos = self.current.partition_point(|x| x.key() > key);
-            self.current.insert(pos, e);
+            // Lands on (or before) the tick being drained. A sorted
+            // insert into `current` would shift O(run) entries per push,
+            // and dense fabrics push thousands into one tick, so the
+            // entry joins the `late` heap at O(log n) instead.
+            self.late.push(HeapEntry(e));
             return;
         }
         self.place_future(e, tick);
@@ -205,10 +203,10 @@ impl Wheel {
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Re-places an entry during a cascade or overflow migration, when
-    /// `current` is empty. Same-tick entries go to the level-0 bucket
-    /// under the cursor so they drain (and sort) together with any
-    /// bucket-mates instead of bypassing them.
+    /// Re-places an entry during a cascade, when the live run is empty.
+    /// Same-tick entries go to the level-0 bucket under the cursor so
+    /// they drain (and sort) together with any bucket-mates instead of
+    /// bypassing them.
     fn place_internal(&mut self, e: Entry) {
         let tick = e.at.nanos() >> GRAN_BITS;
         debug_assert!(tick >= self.now_tick);
@@ -242,18 +240,33 @@ impl Wheel {
         Some(((slot as usize), (base | slot) << shift))
     }
 
+    /// Pops the smaller `(at, seq)` head of the live run's two halves.
+    fn pop_live(&mut self) -> Option<Entry> {
+        let late_first = match (self.current.last(), self.late.peek()) {
+            (Some(c), Some(l)) => l.0.key() < c.key(),
+            (c, _) => c.is_none(),
+        };
+        if late_first {
+            self.late.pop().map(|h| h.0)
+        } else {
+            self.current.pop()
+        }
+    }
+
     fn pop(&mut self) -> Option<Entry> {
         loop {
-            if let Some(e) = self.current.pop() {
+            if let Some(e) = self.pop_live() {
                 self.len -= 1;
                 return Some(e);
             }
             if self.len == 0 {
                 return None;
             }
-            // Pick the earliest bucket. Scanning coarse-to-fine with a
-            // strict `<` makes ties prefer the coarser level, so a
-            // same-start cascade merges into level 0 before the drain.
+            // The live run is empty, so every remaining entry sits at a
+            // later tick. Pick the earliest bucket. Scanning
+            // coarse-to-fine with a strict `<` makes ties prefer the
+            // coarser level, so a same-start cascade merges into level 0
+            // before the drain.
             let mut best: Option<(u64, usize, usize)> = None;
             for level in (0..LEVELS).rev() {
                 if let Some((slot, start)) = self.candidate(level) {
@@ -271,9 +284,9 @@ impl Wheel {
                 // page migrate into the wheel: an entry at exactly the
                 // wheel horizon lands in a bucket here rather than
                 // ping-ponging through the heap on later pops.
-                // Same-tick page-mates join `current` (the live run, as
-                // `push` would) so a subsequent push at this tick cannot
-                // jump ahead of them.
+                // Same-tick page-mates join `late` (as `push` would) so
+                // a subsequent push at this tick cannot jump ahead of
+                // them.
                 let e = self
                     .overflow
                     .pop()
@@ -287,15 +300,11 @@ impl Wheel {
                     if (t ^ self.now_tick) >> HORIZON_BITS != 0 {
                         break;
                     }
-                    let m = self.overflow.pop().expect("peeked").0;
+                    let m = self.overflow.pop().expect("peeked");
                     if t == self.now_tick {
-                        // Heap pops in (at, seq) order, so these arrive
-                        // sorted ascending; current is sorted descending.
-                        let key = m.key();
-                        let pos = self.current.partition_point(|x| x.key() > key);
-                        self.current.insert(pos, m);
+                        self.late.push(m);
                     } else {
-                        self.place_future(m, t);
+                        self.place_future(m.0, t);
                     }
                 }
                 self.len -= 1;
@@ -324,6 +333,11 @@ impl Wheel {
 
     fn peek_key(&self) -> Option<(Time, u64)> {
         let mut best = self.current.last().map(Entry::key);
+        if let Some(h) = self.late.peek() {
+            if best.is_none_or(|b| h.0.key() < b) {
+                best = Some(h.0.key());
+            }
+        }
         for level in 0..LEVELS {
             if let Some((slot, _)) = self.candidate(level) {
                 for e in &self.buckets[level * SLOTS + slot] {
@@ -340,360 +354,12 @@ impl Wheel {
         }
         best
     }
-
-    /// Pops the earliest entry with `at < end`, or `None` when no such
-    /// entry remains — the sharded backend's window drain. Unlike
-    /// [`pop`](Self::pop), the cursor never advances past the window:
-    /// buckets whose range starts beyond `end` stay untouched, so a
-    /// later push cannot land "behind" the cursor and degenerate into
-    /// a sorted insert on the live run.
-    fn pop_before(&mut self, end: u64) -> Option<Entry> {
-        let end_tick = end >> GRAN_BITS;
-        loop {
-            // The live run's tail is the exact minimum over the whole
-            // wheel (buckets sit at strictly later ticks): below `end`
-            // it pops, at or beyond it the window is dry.
-            match self.current.last() {
-                Some(e) if e.at.nanos() < end => {
-                    self.len -= 1;
-                    return self.current.pop();
-                }
-                Some(_) => return None,
-                None => {}
-            }
-            if self.len == 0 {
-                return None;
-            }
-            let mut best: Option<(u64, usize, usize)> = None;
-            for level in (0..LEVELS).rev() {
-                if let Some((slot, start)) = self.candidate(level) {
-                    if best.map_or(true, |(bs, _, _)| start < bs) {
-                        best = Some((start, level, slot));
-                    }
-                }
-            }
-            let Some((start, level, slot)) = best else {
-                // Only the overflow tier remains. Migrate its head page
-                // into the wheel when it may intersect the window;
-                // entries land in `current`/buckets and the loop
-                // re-examines them (the head itself may still be at or
-                // beyond a mid-tick `end`).
-                let oft = self.overflow.peek().expect("len > 0").0.at.nanos() >> GRAN_BITS;
-                if oft > end_tick {
-                    return None;
-                }
-                debug_assert!(oft >= self.now_tick);
-                self.now_tick = oft;
-                while let Some(h) = self.overflow.peek() {
-                    let t = h.0.at.nanos() >> GRAN_BITS;
-                    if (t ^ self.now_tick) >> HORIZON_BITS != 0 {
-                        break;
-                    }
-                    let m = self.overflow.pop().expect("peeked").0;
-                    if t == self.now_tick {
-                        let key = m.key();
-                        let pos = self.current.partition_point(|x| x.key() > key);
-                        self.current.insert(pos, m);
-                    } else {
-                        self.place_future(m, t);
-                    }
-                }
-                continue;
-            };
-            if start > end_tick {
-                // Everything left starts beyond the window; leave the
-                // cursor where it is.
-                return None;
-            }
-            debug_assert!(start >= self.now_tick);
-            self.now_tick = start;
-            let idx = level * SLOTS + slot;
-            self.occupied[level] &= !(1u64 << slot);
-            if level == 0 {
-                std::mem::swap(&mut self.buckets[idx], &mut self.current);
-                self.current
-                    .sort_unstable_by(|a, b| b.key().cmp(&a.key()));
-                continue;
-            }
-            let mut tmp = std::mem::take(&mut self.cascade_buf);
-            std::mem::swap(&mut tmp, &mut self.buckets[idx]);
-            for e in tmp.drain(..) {
-                self.place_internal(e);
-            }
-            self.cascade_buf = tmp;
-        }
-    }
-
-    /// Cheap lower bound on the earliest pending time: exact when the
-    /// live run or only the overflow tier is non-empty, tick-granular
-    /// otherwise (coarse levels round down to their slot's start). The
-    /// sharded window planner needs a conservative bound, never an
-    /// overestimate; an open window that turns out to start early just
-    /// drains nothing and re-plans off the tightened bound.
-    fn next_time_lb(&self) -> Option<u64> {
-        if let Some(e) = self.current.last() {
-            return Some(e.at.nanos());
-        }
-        if self.len == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        for level in 0..LEVELS {
-            if let Some((_, start)) = self.candidate(level) {
-                let t = start << GRAN_BITS;
-                if best.map_or(true, |b| t < b) {
-                    best = Some(t);
-                }
-            }
-        }
-        if let Some(h) = self.overflow.peek() {
-            let t = h.0.at.nanos();
-            if best.map_or(true, |b| t < b) {
-                best = Some(t);
-            }
-        }
-        best
-    }
-}
-
-/// Per-shard counters maintained by the sharded backend, exported into
-/// `counters.json` under the wall-clock profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardCounters {
-    /// Entries routed into this shard's wheel.
-    pub pushes: u64,
-    /// Entries this shard surrendered to merged ready windows.
-    pub drained: u64,
-}
-
-/// One partition of the sharded backend: a private timing wheel plus a
-/// cached lower bound on its earliest pending time, so window planning
-/// never pays the wheel's bucket-scan peek.
-#[derive(Debug)]
-struct Shard {
-    wheel: Wheel,
-    /// Conservative bound on the earliest `at` (ns) among entries in
-    /// `wheel`: exact after a push, tick-granular after a window drain
-    /// that left only coarse buckets. Never an overestimate; `None`
-    /// when the wheel is empty.
-    next_at: Option<u64>,
-    stats: ShardCounters,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            wheel: Wheel::new(),
-            next_at: None,
-            stats: ShardCounters::default(),
-        }
-    }
-
-    fn push(&mut self, e: Entry) {
-        let at = e.at.nanos();
-        self.next_at = Some(self.next_at.map_or(at, |m| m.min(at)));
-        self.stats.pushes += 1;
-        self.wheel.push(e);
-    }
-
-    /// Moves every entry with `at < end` out of the wheel into `out`
-    /// (in shard-local `(at, seq)` order) and refreshes `next_at` from
-    /// what remains. The wheel's cursor stops inside the window, so
-    /// entries at or beyond `end` are never popped and re-inserted —
-    /// re-insertion after an overshoot would drag the cursor to the
-    /// shard's next (possibly far-future) entry and turn every later
-    /// push into a sorted insert on the live run.
-    fn drain_window(&mut self, end: u64, out: &mut Vec<Entry>) {
-        while let Some(e) = self.wheel.pop_before(end) {
-            self.stats.drained += 1;
-            out.push(e);
-        }
-        self.next_at = self.wheel.next_time_lb();
-    }
-}
-
-/// The sharded backend: per-shard wheels behind a merged ready heap.
-///
-/// The fabric is partitioned by node (`shard_of`); the link propagation
-/// delay across the cut is the conservative lookahead `L`. When the
-/// ready heap runs dry, the backend opens a window `[t0, t0 + L)` at the
-/// earliest pending time `t0` and every shard extracts its slice of the
-/// window concurrently (disjoint `&mut` chunks under `std::thread::scope`
-/// — the epoch barrier is the scope join). The slices merge into one
-/// binary heap keyed by the global `(time, seq)` pair, which is unique
-/// per entry, so the merged pop order is independent of both thread
-/// interleaving and shard assignment: byte-identical to the
-/// single-threaded wheel.
-///
-/// Entries scheduled *into* the open window (handlers firing at
-/// `now + serialisation`, cross-shard arrivals at `now + link delay`)
-/// land directly in the ready heap; the lookahead guarantees nothing in
-/// any wheel precedes them. Everything later is routed to its shard's
-/// wheel for a future window.
-#[derive(Debug)]
-struct Sharded {
-    shards: Vec<Shard>,
-    /// `shard_of[node]` — shard index per node id. Unknown nodes and
-    /// events with no node affinity go to shard 0.
-    shard_of: Vec<u32>,
-    /// Worker threads used per window drain (clamped to shard count).
-    threads: usize,
-    /// Conservative lookahead: window width in nanoseconds.
-    lookahead: u64,
-    /// Merged current window, min-ordered by `(at, seq)`. Invariant:
-    /// every entry in every shard wheel has `at >= window_end`, and
-    /// every ready entry has `at < window_end`.
-    ready: BinaryHeap<HeapEntry>,
-    /// Exclusive end of the current window (ns).
-    window_end: u64,
-    /// Windows that extracted at least one entry.
-    windows: u64,
-    /// Reused merge buffer.
-    scratch: Vec<Entry>,
-    /// Reused per-worker drain buffers.
-    bufs: Vec<Vec<Entry>>,
-}
-
-/// Default lookahead before a shard map is configured: one wheel tick,
-/// which makes the unconfigured single shard behave like the plain
-/// wheel's tick-at-a-time drain.
-const DEFAULT_LOOKAHEAD: u64 = 1 << GRAN_BITS;
-
-impl Sharded {
-    fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        Sharded {
-            shards: vec![Shard::new()],
-            shard_of: Vec::new(),
-            threads,
-            lookahead: DEFAULT_LOOKAHEAD,
-            ready: BinaryHeap::new(),
-            window_end: 0,
-            windows: 0,
-            scratch: Vec::new(),
-            bufs: vec![Vec::new(); threads],
-        }
-    }
-
-    fn configure(&mut self, shard_of: Vec<u32>, shards: usize, lookahead_ns: u64) {
-        debug_assert!(
-            self.ready.is_empty() && self.shards.iter().all(|s| s.next_at.is_none()),
-            "shard map must be configured before any event is scheduled"
-        );
-        debug_assert!(shard_of.iter().all(|&s| (s as usize) < shards.max(1)));
-        self.shards = (0..shards.max(1)).map(|_| Shard::new()).collect();
-        self.shard_of = shard_of;
-        self.lookahead = lookahead_ns.max(1);
-    }
-
-    fn shard_idx(&self, ev: &Event) -> usize {
-        ev.node_affinity()
-            .and_then(|n| self.shard_of.get(n.0 as usize))
-            .map_or(0, |&s| s as usize)
-    }
-
-    fn push(&mut self, e: Entry) {
-        if e.at.nanos() < self.window_end {
-            // Inside the open window: by the lookahead invariant no
-            // wheel entry precedes it, so it joins the ready heap at
-            // its (time, seq) slot.
-            self.ready.push(HeapEntry(e));
-            return;
-        }
-        let idx = self.shard_idx(&e.event);
-        self.shards[idx].push(e);
-    }
-
-    /// Opens windows until the ready heap holds the next events: plans
-    /// `[t0, t0 + lookahead)` off the per-shard `next_at` bounds,
-    /// drains participating shards (in parallel when configured), and
-    /// heapifies the union. A window planned off a tick-granular lower
-    /// bound can come up dry; the loop then re-plans off the bounds the
-    /// drain just tightened, which strictly advance, so it terminates.
-    /// No-op when every wheel is empty.
-    fn refill(&mut self) {
-        while self.ready.is_empty() {
-            let Some(t0) = self.shards.iter().filter_map(|s| s.next_at).min() else {
-                return;
-            };
-            let end = t0
-                .saturating_add(self.lookahead)
-                .max(t0.saturating_add(1));
-            self.window_end = end;
-            // Thread the drain across shards that actually intersect
-            // the window; spawning for idle shards is pure overhead.
-            let active = self
-                .shards
-                .iter()
-                .filter(|s| s.next_at.is_some_and(|a| a < end))
-                .count();
-            let workers = self.threads.min(active).max(1);
-            if workers == 1 {
-                let scratch = &mut self.scratch;
-                for sh in &mut self.shards {
-                    if sh.next_at.is_some_and(|a| a < end) {
-                        sh.drain_window(end, scratch);
-                    }
-                }
-            } else {
-                let chunk = self.shards.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    for (shards, buf) in self.shards.chunks_mut(chunk).zip(self.bufs.iter_mut()) {
-                        scope.spawn(move || {
-                            for sh in shards {
-                                if sh.next_at.is_some_and(|a| a < end) {
-                                    sh.drain_window(end, buf);
-                                }
-                            }
-                        });
-                    }
-                });
-                for buf in &mut self.bufs {
-                    self.scratch.append(buf);
-                }
-            }
-            if self.scratch.is_empty() {
-                continue;
-            }
-            self.windows += 1;
-            // Rebuild the heap in place, reusing its allocation;
-            // `(at, seq)` keys are globally unique, so the heap order —
-            // and therefore the pop sequence — does not depend on the
-            // order the worker buffers were appended in.
-            let mut entries = std::mem::take(&mut self.ready).into_vec();
-            entries.extend(self.scratch.drain(..).map(HeapEntry));
-            self.ready = BinaryHeap::from(entries);
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        if self.ready.is_empty() {
-            self.refill();
-        }
-        self.ready.pop().map(|e| e.0)
-    }
-
-    fn peek_key(&self) -> Option<(Time, u64)> {
-        if let Some(h) = self.ready.peek() {
-            return Some(h.0.key());
-        }
-        // Between windows the caches hold a conservative bound on the
-        // earliest wheel time (exact straight after a push); the seq
-        // component is unknown but only the time is observable through
-        // this path, and no simulation decision depends on it.
-        self.shards
-            .iter()
-            .filter_map(|s| s.next_at)
-            .min()
-            .map(|t| (Time(t), 0))
-    }
 }
 
 #[derive(Debug)]
 enum Backend {
     Wheel(Wheel),
     Heap(BinaryHeap<HeapEntry>),
-    Sharded(Box<Sharded>),
 }
 
 impl Backend {
@@ -701,7 +367,6 @@ impl Backend {
         match self {
             Backend::Wheel(w) => w.push(e),
             Backend::Heap(h) => h.push(HeapEntry(e)),
-            Backend::Sharded(s) => s.push(e),
         }
     }
 
@@ -709,7 +374,6 @@ impl Backend {
         match self {
             Backend::Wheel(w) => w.pop(),
             Backend::Heap(h) => h.pop().map(|e| e.0),
-            Backend::Sharded(s) => s.pop(),
         }
     }
 
@@ -717,22 +381,6 @@ impl Backend {
         match self {
             Backend::Wheel(w) => w.peek_key(),
             Backend::Heap(h) => h.peek().map(|e| e.0.key()),
-            Backend::Sharded(s) => s.peek_key(),
-        }
-    }
-
-    /// O(1) peek at the next entry *if it is immediately available* —
-    /// no bucket cascades, no scans. For the wheel that means the live
-    /// same-tick run (`current`); `None` says the next entry (if any)
-    /// first needs queue maintenance, not that the queue is empty. The
-    /// heap's top is always immediate.
-    fn peek_head(&self) -> Option<&Entry> {
-        match self {
-            Backend::Wheel(w) => w.current.last(),
-            Backend::Heap(h) => h.peek().map(|e| &e.0),
-            // The ready heap's top is the global head while a window is
-            // open; between windows the next entry needs a refill first.
-            Backend::Sharded(s) => s.ready.peek().map(|e| &e.0),
         }
     }
 }
@@ -799,9 +447,6 @@ impl EventQueue {
         let backend = match kind {
             SchedulerKind::Wheel => Backend::Wheel(Wheel::new()),
             SchedulerKind::RefHeap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Sharded { threads } => {
-                Backend::Sharded(Box::new(Sharded::new(threads)))
-            }
         };
         EventQueue {
             backend,
@@ -816,29 +461,6 @@ impl EventQueue {
     /// Which backend this queue runs on.
     pub fn kind(&self) -> SchedulerKind {
         self.kind
-    }
-
-    /// Installs the shard map for the sharded backend: `shard_of[node]`
-    /// names each node's shard (of `shards` total) and `lookahead_ns`
-    /// is the conservative window width — the minimum link propagation
-    /// delay across the shard cut. Must be called before any event is
-    /// scheduled; a no-op on the other backends.
-    pub fn configure_shards(&mut self, shard_of: Vec<u32>, shards: usize, lookahead_ns: u64) {
-        if let Backend::Sharded(s) = &mut self.backend {
-            debug_assert_eq!(self.live, 0, "configure_shards on a non-empty queue");
-            s.configure(shard_of, shards, lookahead_ns);
-        }
-    }
-
-    /// Per-shard queue counters `(windows opened, per-shard stats)` for
-    /// the sharded backend; `None` on the other backends.
-    pub fn shard_stats(&self) -> Option<(u64, Vec<ShardCounters>)> {
-        match &self.backend {
-            Backend::Sharded(s) => {
-                Some((s.windows, s.shards.iter().map(|sh| sh.stats).collect()))
-            }
-            _ => None,
-        }
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -915,45 +537,6 @@ impl EventQueue {
         }
     }
 
-    /// Pops the next event only when it is immediately at hand *and*
-    /// `pred` accepts it — the dispatch loop's same-tick batch
-    /// lookahead. Costs one O(1) peek when it declines.
-    ///
-    /// "Immediately at hand" is backend-dependent: the heap's top
-    /// always is, while the wheel only offers the live same-tick run,
-    /// so `None` may simply mean the next event needs bucket
-    /// maintenance first. Callers must treat `None` as "no batch",
-    /// never "queue empty". Since a declined event stays put at its
-    /// `(time, seq)` key, pop order is unaffected either way; batching
-    /// opportunities within one tick are never missed, because a tick's
-    /// run shares one bucket. Lazily-cancelled entries at the head are
-    /// reaped here the same way [`pop`](Self::pop) reaps them.
-    pub fn pop_if(&mut self, pred: impl Fn(Time, &Event) -> bool) -> Option<(Time, Event)> {
-        loop {
-            let head = self.backend.peek_head()?;
-            let cancelled = head.handle.is_some_and(|h| {
-                let s = &self.slots[h.slot as usize];
-                debug_assert_eq!(s.gen, h.gen);
-                s.state == SlotState::Cancelled
-            });
-            if !cancelled && !pred(head.at, &head.event) {
-                return None;
-            }
-            let e = self.backend.pop().expect("peeked entry pops");
-            if let Some(h) = e.handle {
-                let s = &mut self.slots[h.slot as usize];
-                s.state = SlotState::Free;
-                s.gen = s.gen.wrapping_add(1);
-                self.free.push(h.slot);
-                if cancelled {
-                    continue;
-                }
-            }
-            self.live -= 1;
-            return Some((e.at, e.event));
-        }
-    }
-
     /// Time of the earliest pending entry. Lazy deletion means a
     /// cancelled-but-unreaped entry may be reported here; `pop` never
     /// returns it.
@@ -978,12 +561,7 @@ mod tests {
     use rng::props::{cases, vec_u64};
     use rng::Rng;
 
-    const KINDS: [SchedulerKind; 4] = [
-        SchedulerKind::Wheel,
-        SchedulerKind::RefHeap,
-        SchedulerKind::Sharded { threads: 1 },
-        SchedulerKind::Sharded { threads: 2 },
-    ];
+    const KINDS: [SchedulerKind; 2] = [SchedulerKind::Wheel, SchedulerKind::RefHeap];
 
     fn token_of(ev: &Event) -> u64 {
         match ev {
@@ -1260,23 +838,56 @@ mod tests {
     #[test]
     fn overflow_boundary_random_workloads_match_model() {
         let horizon_ticks = 1u64 << HORIZON_BITS;
+        // Same-tick bursts that met a non-empty `late` heap (holding
+        // page-mates migrated onto the cursor tick or earlier pushes).
+        let mut late_merges = 0u32;
         cases(64, |_case, rng| {
             let mut q = EventQueue::with_kind(SchedulerKind::Wheel);
             let mut model = VecModel::new();
             let mut now = 0u64;
             let mut token = 0u64;
+            let mut schedule = |q: &mut EventQueue, model: &mut VecModel, at: u64| {
+                q.schedule(Time(at), Event::AppTimer { token });
+                model.schedule(at, token);
+                token += 1;
+            };
             for _ in 0..200 {
-                if rng.gen_range(0u32..3) < 2 {
-                    let tick_off = horizon_ticks - 3 + rng.gen_range(0..=6u64);
-                    let at = now + (tick_off << GRAN_BITS) + rng.gen_range(0..256u64);
-                    q.schedule(Time(at), Event::AppTimer { token });
-                    model.schedule(at, token);
-                    token += 1;
-                } else {
-                    let got = q.pop().map(|(t, e)| (t.nanos(), token_of(&e)));
-                    assert_eq!(got, model.pop());
-                    if let Some((t, _)) = got {
-                        now = t;
+                match rng.gen_range(0u32..4) {
+                    0 => {
+                        let tick_off = horizon_ticks - 3 + rng.gen_range(0..=6u64);
+                        let at = now + (tick_off << GRAN_BITS) + rng.gen_range(0..256u64);
+                        schedule(&mut q, &mut model, at);
+                    }
+                    1 => {
+                        // Page-mates: several entries on one tick past
+                        // the horizon, migrated together by one pop.
+                        let tick = (now >> GRAN_BITS) + horizon_ticks + rng.gen_range(0..=2u64);
+                        for _ in 0..rng.gen_range(2..8u32) {
+                            let at = (tick << GRAN_BITS) | rng.gen_range(0..256u64);
+                            schedule(&mut q, &mut model, at);
+                        }
+                    }
+                    2 => {
+                        let got = q.pop().map(|(t, e)| (t.nanos(), token_of(&e)));
+                        assert_eq!(got, model.pop());
+                        if let Some((t, _)) = got {
+                            now = t;
+                        }
+                    }
+                    _ => {
+                        // Dense pushes onto the tick being drained,
+                        // before and after the page-mates' sub-tick
+                        // offsets.
+                        let Backend::Wheel(w) = &q.backend else {
+                            unreachable!()
+                        };
+                        if !w.late.is_empty() {
+                            late_merges += 1;
+                        }
+                        for _ in 0..rng.gen_range(1..16u32) {
+                            let at = rng.gen_range(now..=now | 255);
+                            schedule(&mut q, &mut model, at);
+                        }
                     }
                 }
             }
@@ -1288,162 +899,10 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn pop_if_takes_matching_run_and_stops() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            // Same-time run of tokens 0..3, then a later event.
-            for token in 0..3 {
-                q.schedule(Time(10), Event::AppTimer { token });
-            }
-            q.schedule(Time(50), Event::AppTimer { token: 99 });
-            let (t, first) = q.pop().unwrap();
-            assert_eq!((t, token_of(&first)), (Time(10), 0));
-            // Lookahead drains the rest of the tick, in seq order.
-            let mut run = vec![];
-            while let Some((_, e)) = q.pop_if(|at, _| at == Time(10)) {
-                run.push(token_of(&e));
-            }
-            assert_eq!(run, vec![1, 2], "{kind:?}");
-            // The declined event is untouched and pops normally.
-            assert_eq!(q.len(), 1, "{kind:?}");
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t, token_of(&e)), (Time(50), 99), "{kind:?}");
-            assert!(q.pop_if(|_, _| true).is_none(), "empty queue");
-        }
-    }
-
-    #[test]
-    fn pop_if_declining_preserves_order_and_reaps_cancelled_heads() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(Time(1), Event::AppTimer { token: 9 });
-            let h = q.schedule_cancellable(Time(5), Event::AppTimer { token: 0 });
-            q.schedule(Time(5), Event::AppTimer { token: 1 });
-            q.schedule(Time(7), Event::AppTimer { token: 2 });
-            assert!(q.cancel(h));
-            // Prime the wheel's live run (pop_if never does bucket work).
-            assert_eq!(q.pop().map(|(_, e)| token_of(&e)), Some(9));
-            // The cancelled head is reaped, not offered to the predicate.
-            let got = q.pop_if(|_, e| token_of(e) != 0);
-            assert_eq!(got.map(|(t, e)| (t, token_of(&e))), Some((Time(5), 1)), "{kind:?}");
-            // Declining leaves everything in place for pop.
-            assert!(q.pop_if(|_, _| false).is_none(), "{kind:?}");
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, e)| token_of(&e))
-                .collect();
-            assert_eq!(order, vec![2], "{kind:?}");
-            assert!(q.is_empty(), "{kind:?}");
-        }
-    }
-
-    /// A sharded queue with a real multi-shard map must reproduce the
-    /// reference heap's exact pop sequence — node-affine events land in
-    /// different shards, windows are tiny (lookahead 512 ns) so the
-    /// merge path is exercised constantly, and the thread count must
-    /// not be observable.
-    #[test]
-    fn sharded_map_matches_heap_across_thread_counts() {
-        use crate::packet::NodeId;
-        fn tok(ev: &Event) -> u64 {
-            match ev {
-                Event::PolicyTimer { token, .. } => *token,
-                Event::AppTimer { token } => 1_000_000 + *token,
-                _ => panic!("unexpected event"),
-            }
-        }
-        for threads in [1usize, 2, 4] {
-            cases(32, |_case, rng| {
-                let mut sharded =
-                    EventQueue::with_kind(SchedulerKind::Sharded { threads });
-                // Five nodes over three shards, plus no-affinity events
-                // (AppTimer) pinned to shard 0.
-                sharded.configure_shards(vec![0, 1, 2, 0, 1], 3, 512);
-                let mut heap = EventQueue::with_kind(SchedulerKind::RefHeap);
-                let mut now = 0u64;
-                let mut token = 0u64;
-                let mut handles: Vec<(TimerHandle, TimerHandle)> = Vec::new();
-                for _ in 0..400 {
-                    match rng.gen_range(0u32..8) {
-                        0..=4 => {
-                            let at = Time(now + rng.gen_range(0..100_000u64));
-                            let ev = if rng.gen_bool(0.8) {
-                                Event::PolicyTimer {
-                                    node: NodeId(rng.gen_range(0..5u32)),
-                                    token,
-                                }
-                            } else {
-                                Event::AppTimer { token }
-                            };
-                            if rng.gen_bool(0.25) {
-                                handles.push((
-                                    sharded.schedule_cancellable(at, ev.clone()),
-                                    heap.schedule_cancellable(at, ev),
-                                ));
-                            } else {
-                                sharded.schedule(at, ev.clone());
-                                heap.schedule(at, ev);
-                            }
-                            token += 1;
-                        }
-                        5 => {
-                            if let Some((hs, hh)) = handles.pop() {
-                                assert_eq!(sharded.cancel(hs), heap.cancel(hh));
-                            }
-                        }
-                        _ => {
-                            let a = sharded.pop().map(|(t, e)| (t, tok(&e)));
-                            let b = heap.pop().map(|(t, e)| (t, tok(&e)));
-                            assert_eq!(a, b, "threads {threads}");
-                            if let Some((t, _)) = a {
-                                now = t.nanos();
-                            }
-                        }
-                    }
-                    assert_eq!(sharded.len(), heap.len());
-                }
-                loop {
-                    let a = sharded.pop().map(|(t, e)| (t, tok(&e)));
-                    let b = heap.pop().map(|(t, e)| (t, tok(&e)));
-                    assert_eq!(a, b, "threads {threads}");
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            });
-        }
-    }
-
-    /// The shard counters see every routed push, and the window count
-    /// grows as the queue drains.
-    #[test]
-    fn sharded_stats_track_pushes_and_windows() {
-        use crate::packet::NodeId;
-        let mut q = EventQueue::with_kind(SchedulerKind::Sharded { threads: 2 });
-        q.configure_shards(vec![0, 1], 2, 1_000);
-        assert!(EventQueue::with_kind(SchedulerKind::Wheel).shard_stats().is_none());
-        for i in 0..10u64 {
-            q.schedule(
-                Time(i * 5_000),
-                Event::PolicyTimer {
-                    node: NodeId((i % 2) as u32),
-                    token: i,
-                },
-            );
-        }
-        let (windows0, stats) = q.shard_stats().expect("sharded");
-        assert_eq!(windows0, 0);
-        assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 10);
-        assert_eq!(stats[0].pushes, 5);
-        assert_eq!(stats[1].pushes, 5);
-        while q.pop().is_some() {}
-        let (windows, stats) = q.shard_stats().expect("sharded");
-        // Entries sit 5 µs apart with a 1 µs lookahead: every pop opens
-        // its own window.
-        assert_eq!(windows, 10);
-        assert_eq!(stats.iter().map(|s| s.drained).sum::<u64>(), 10);
+        assert!(
+            late_merges > 0,
+            "no same-tick push met a non-empty late heap"
+        );
     }
 
     #[test]
@@ -1454,7 +913,20 @@ mod tests {
             let mut now = 0u64;
             let mut token = 0u64;
             for _ in 0..300 {
-                if rng.gen_range(0u32..3) < 2 {
+                let r = rng.gen_range(0u32..4);
+                if r == 3 {
+                    // Dense one-tick burst: on the tick being drained
+                    // (every push goes to `late`, interleaving with the
+                    // drained bucket) or on a near tick (a dense bucket
+                    // that later drains into `current`).
+                    let base = now + [0, 256, 1024][rng.gen_range(0..3usize)];
+                    for _ in 0..rng.gen_range(1..40u32) {
+                        let at = Time(rng.gen_range(base..=base | 255));
+                        wheel.schedule(at, Event::AppTimer { token });
+                        heap.schedule(at, Event::AppTimer { token });
+                        token += 1;
+                    }
+                } else if r < 2 {
                     // Mix of near ticks, boundary offsets, and far-future.
                     let off = match rng.gen_range(0u32..6) {
                         0 => 0,

@@ -72,11 +72,6 @@ pub struct SimConfig {
     /// reference heap exists for equivalence tests and benchmarks, and
     /// both produce byte-identical runs (see [`crate::sched`]).
     pub scheduler: SchedulerKind,
-    /// Coalesce consecutive same-time switch arrivals on the same port
-    /// into one batched dispatch (on by default). Off-path: per-event
-    /// dispatch, kept for equivalence tests and benchmarks — both modes
-    /// produce byte-identical runs (see [`crate::handlers`]).
-    pub coalesce: bool,
     /// Bounded-memory flow retirement (off by default): completed flows
     /// fold into per-class quantile sketches and free all per-flow
     /// state, with ids recycled after a quarantine. Required for the
@@ -93,7 +88,6 @@ impl Default for SimConfig {
             packet_log: 0,
             telemetry: TelemetryConfig::default(),
             scheduler: SchedulerKind::default(),
-            coalesce: true,
             retire: None,
         }
     }
@@ -211,9 +205,6 @@ pub struct SimCore {
     pub(crate) telemetry: Telemetry,
     /// Every in-flight packet, slab-allocated; events carry ids into it.
     pub(crate) packets: PacketArena,
-    /// Reusable scratch for coalesced arrival batches (see
-    /// [`crate::handlers`]); empty between dispatches.
-    pub(crate) arrival_batch: Vec<PacketId>,
 }
 
 /// The simulator: a [`SimCore`] plus the workload application.
@@ -837,18 +828,10 @@ impl<A: Application> Simulator<A> {
         let telemetry = Telemetry::new(&cfg.telemetry, cfg.seed, &Event::KIND_NAMES);
         let policy_timers = net.nodes.iter().map(|_| Vec::new()).collect();
         let retirer = cfg.retire.clone().map(FlowRetirer::new);
-        let mut events = EventQueue::with_kind(cfg.scheduler);
-        if let SchedulerKind::Sharded { threads } = cfg.scheduler {
-            // Partition the fabric per switch (hosts ride with their
-            // switch) and use the minimum cross-shard link delay as the
-            // scheduler's conservative lookahead window.
-            let plan = crate::topology::shard_plan(&net.nodes, &net.switches, threads);
-            events.configure_shards(plan.shard_of, plan.shards, plan.min_cut_delay.as_nanos());
-        }
         Self {
             core: SimCore {
                 now: Time::ZERO,
-                events,
+                events: EventQueue::with_kind(cfg.scheduler),
                 nodes: net.nodes,
                 hosts: net.hosts,
                 switches: net.switches,
@@ -871,7 +854,6 @@ impl<A: Application> Simulator<A> {
                 packet_log: VecDeque::new(),
                 telemetry,
                 packets: PacketArena::new(),
-                arrival_batch: Vec::new(),
             },
             app,
         }
@@ -905,14 +887,6 @@ impl<A: Application> Simulator<A> {
             if let Some(m) = &mut state.meter {
                 m.flush(now.nanos());
             }
-        }
-        // Fold the sharded scheduler's per-shard counters into the loop
-        // stats (shard-index order, so the merge is deterministic).
-        if let Some((windows, shards)) = self.core.events.shard_stats() {
-            self.core.telemetry.loop_stats.set_shards(
-                windows,
-                shards.iter().map(|s| (s.pushes, s.drained)).collect(),
-            );
         }
     }
 

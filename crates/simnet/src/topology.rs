@@ -553,60 +553,6 @@ pub fn fat_tree(
     (t, hosts, switches)
 }
 
-/// A fabric partition for the sharded scheduler: every node's shard plus
-/// the conservative lookahead the cut supports.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    /// Number of shards (at least 1).
-    pub shards: usize,
-    /// `shard_of[node.0]` is the node's shard index.
-    pub shard_of: Vec<u32>,
-    /// Minimum link propagation delay across the shard cut — the widest
-    /// window a shard can safely extract without seeing a neighbour
-    /// shard's future. Falls back to the fabric-wide minimum link delay
-    /// when no link crosses the cut (e.g. a single shard).
-    pub min_cut_delay: Dur,
-}
-
-/// Partitions a built network for the sharded scheduler: switches are
-/// assigned round-robin in `switches` order (so leaf/pod siblings spread
-/// across shards) and every host joins its switch's shard — a host's
-/// single NIC link then never crosses the cut, leaving link propagation
-/// between switches as the only cross-shard edge and its minimum delay
-/// as the lookahead.
-pub fn shard_plan(nodes: &[Node], switches: &[NodeId], shards: usize) -> ShardPlan {
-    let shards = shards.max(1);
-    let mut shard_of = vec![0u32; nodes.len()];
-    for (i, &sw) in switches.iter().enumerate() {
-        shard_of[sw.0 as usize] = (i % shards) as u32;
-    }
-    for node in nodes {
-        if let Node::Host(h) = node {
-            shard_of[h.id.0 as usize] = shard_of[h.nic.link.peer.0 as usize];
-        }
-    }
-    let mut cut: Option<u64> = None;
-    let mut any: Option<u64> = None;
-    for node in nodes {
-        let ports: Vec<&Port> = match node {
-            Node::Host(h) => vec![&h.nic],
-            Node::Switch(s) => s.ports.iter().collect(),
-        };
-        for p in ports {
-            let d = p.link.delay.as_nanos();
-            any = Some(any.map_or(d, |m: u64| m.min(d)));
-            if shard_of[node.id().0 as usize] != shard_of[p.link.peer.0 as usize] {
-                cut = Some(cut.map_or(d, |m: u64| m.min(d)));
-            }
-        }
-    }
-    ShardPlan {
-        shards,
-        shard_of,
-        min_cut_delay: Dur(cut.or(any).unwrap_or(1)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,42 +827,6 @@ mod tests {
             other => panic!("expected ECMP core ports, got {other:?}"),
         };
         assert_eq!(cores.len(), k / 2, "aggregation core fan-out");
-    }
-
-    #[test]
-    fn shard_plan_assigns_hosts_with_their_switch() {
-        let (t, hosts, switches) = leaf_spine(
-            4,
-            3,
-            Bandwidth::gbps(1),
-            Bandwidth::gbps(10),
-            Dur::micros(20),
-        );
-        let net = t.build_drop_tail();
-        let plan = shard_plan(&net.nodes, &net.switches, 2);
-        assert_eq!(plan.shards, 2);
-        assert_eq!(plan.shard_of.len(), net.nodes.len());
-        // Switches round-robin in creation order: top=0, leaves 1,0,1,0.
-        for (i, &sw) in switches.iter().enumerate() {
-            assert_eq!(plan.shard_of[sw.0 as usize], (i % 2) as u32);
-        }
-        // Every host shares its leaf's shard, so no host link crosses
-        // the cut.
-        for &h in &hosts {
-            let Node::Host(ref host) = net.nodes[h.0 as usize] else {
-                panic!()
-            };
-            assert_eq!(
-                plan.shard_of[h.0 as usize],
-                plan.shard_of[host.nic.link.peer.0 as usize]
-            );
-        }
-        // All links share one delay here, so the cut minimum is it.
-        assert_eq!(plan.min_cut_delay, Dur::micros(20));
-        // A single shard has no cut and falls back to the fabric min.
-        let solo = shard_plan(&net.nodes, &net.switches, 1);
-        assert!(solo.shard_of.iter().all(|&s| s == 0));
-        assert_eq!(solo.min_cut_delay, Dur::micros(20));
     }
 
     #[test]

@@ -9,15 +9,8 @@
 pub struct LoopStats {
     names: &'static [&'static str],
     counts: Vec<u64>,
-    batches: Vec<u64>,
     nanos: Vec<u64>,
     profile: bool,
-    /// Sharded-scheduler extraction windows opened (0 elsewhere).
-    windows: u64,
-    /// Per-shard `(pushes, drained)` queue counters, in shard-index
-    /// order so the merged view is deterministic. Empty unless the
-    /// sharded scheduler ran.
-    shards: Vec<(u64, u64)>,
 }
 
 impl LoopStats {
@@ -28,27 +21,9 @@ impl LoopStats {
         Self {
             names,
             counts: vec![0; names.len()],
-            batches: vec![0; names.len()],
             nanos: vec![0; names.len()],
             profile,
-            windows: 0,
-            shards: Vec::new(),
         }
-    }
-
-    /// Records the sharded scheduler's per-shard queue counters: the
-    /// number of extraction windows opened plus `(pushes, drained)` per
-    /// shard, already in shard-index order.
-    pub fn set_shards(&mut self, windows: u64, shards: Vec<(u64, u64)>) {
-        self.windows = windows;
-        self.shards = shards;
-    }
-
-    /// Sharded-scheduler extraction windows, and per-shard
-    /// `(pushes, drained)` rows in shard-index order (empty unless the
-    /// sharded scheduler ran).
-    pub fn shard_rows(&self) -> (u64, &[(u64, u64)]) {
-        (self.windows, &self.shards)
     }
 
     /// Whether handler timing was requested.
@@ -57,20 +32,10 @@ impl LoopStats {
         self.profile
     }
 
-    /// Counts one handled event of type `idx` (a batch of one).
+    /// Counts one handled event of type `idx`.
     #[inline]
     pub fn count(&mut self, idx: usize) {
-        self.count_batch(idx, 1);
-    }
-
-    /// Counts one dispatched batch of `n` events of type `idx`. When
-    /// profiling, [`add_nanos`](Self::add_nanos) is expected once per
-    /// batch, so `nanos / batches` is time per handler invocation and
-    /// `counts / batches` the mean coalescing factor.
-    #[inline]
-    pub fn count_batch(&mut self, idx: usize, n: u64) {
-        self.counts[idx] += n;
-        self.batches[idx] += 1;
+        self.counts[idx] += 1;
     }
 
     /// Adds handler wall-clock time for type `idx`.
@@ -80,24 +45,20 @@ impl LoopStats {
     }
 
     /// `(name, count, batches, cumulative_ns)` per event type, in index
-    /// order.
+    /// order. Every event is dispatched on its own, so `batches` always
+    /// equals `count`; the slot is kept so existing four-field
+    /// destructurings still compile.
     pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64, u64, u64)> + '_ {
         self.names
             .iter()
             .zip(&self.counts)
-            .zip(&self.batches)
             .zip(&self.nanos)
-            .map(|(((n, c), b), t)| (*n, *c, *b, *t))
+            .map(|((n, c), t)| (*n, *c, *c, *t))
     }
 
     /// Total events counted across all types.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Total dispatched batches across all types.
-    pub fn total_batches(&self) -> u64 {
-        self.batches.iter().sum()
     }
 
     /// Total handler wall-clock time across all types (0 unless
@@ -165,18 +126,5 @@ mod tests {
         assert!(!s.profiled());
         s.count(1);
         assert_eq!(s.total(), 1);
-    }
-
-    #[test]
-    fn batches_track_coalesced_dispatch() {
-        let mut s = LoopStats::new(&NAMES, true);
-        s.count_batch(0, 5);
-        s.count_batch(0, 3);
-        s.count(0);
-        s.add_nanos(0, 90);
-        let rows: Vec<_> = s.rows().collect();
-        assert_eq!(rows[0], ("a", 9, 3, 90));
-        assert_eq!(s.total(), 9);
-        assert_eq!(s.total_batches(), 3);
     }
 }

@@ -57,8 +57,6 @@ pub struct RunManifest {
 pub struct SimMeta {
     /// Event-queue backend (`Debug` form of `SchedulerKind`).
     pub scheduler: String,
-    /// Whether same-tick switch arrivals were batch-dispatched.
-    pub coalesce: bool,
     /// Lifecycle-span tracing mode ([`crate::TraceConfig::describe`]).
     pub trace: String,
 }
@@ -123,7 +121,6 @@ fn manifest_json(m: &RunManifest) -> Value {
             "sim".to_string(),
             crate::json!({
                 "scheduler": sim.scheduler.as_str(),
-                "coalesce": sim.coalesce,
                 "trace": sim.trace.as_str(),
             }),
         );
@@ -136,27 +133,13 @@ fn counters_json(log: &EventLog, loop_stats: &LoopStats) -> Value {
     for (name, count) in EVENT_KIND_NAMES.iter().zip(log.counts()) {
         events.insert((*name).to_string(), Value::from(*count));
     }
-    // Batch counts (like nanos) describe the dispatch schedule, not the
-    // simulation: they differ between coalesced and uncoalesced runs of
-    // the same sim. Export them only under the wall-clock profile so
-    // unprofiled artifacts stay byte-identical across dispatch modes.
-    let profiled = loop_stats.profiled();
     let loop_rows: Vec<Value> = loop_stats
         .rows()
-        .map(|(name, count, batches, nanos)| {
-            if profiled {
-                crate::json!({
-                    "event": name,
-                    "count": count,
-                    "batches": batches,
-                    "nanos": nanos,
-                })
-            } else {
-                crate::json!({"event": name, "count": count, "nanos": nanos})
-            }
-        })
+        .map(
+            |(name, count, _, nanos)| crate::json!({"event": name, "count": count, "nanos": nanos}),
+        )
         .collect();
-    let mut doc = crate::json!({
+    crate::json!({
         "events": Value::Object(events),
         "stored": log.len(),
         "evicted": log.evicted(),
@@ -164,26 +147,7 @@ fn counters_json(log: &EventLog, loop_stats: &LoopStats) -> Value {
         "loop": Value::Array(loop_rows),
         "loop_total": loop_stats.total(),
         "loop_total_nanos": loop_stats.total_nanos(),
-    });
-    // Shard counters describe the sharded scheduler's dispatch plumbing,
-    // not the simulation, and (like batch counts) they vary with the
-    // backend — export them only under the profile so unprofiled
-    // artifacts stay byte-identical across scheduler kinds.
-    let (windows, shard_rows) = loop_stats.shard_rows();
-    if profiled && !shard_rows.is_empty() {
-        let rows: Vec<Value> = shard_rows
-            .iter()
-            .enumerate()
-            .map(|(i, &(pushes, drained))| {
-                crate::json!({"shard": i, "pushes": pushes, "drained": drained})
-            })
-            .collect();
-        if let Value::Object(map) = &mut doc {
-            map.insert("shard_windows".to_string(), Value::from(windows));
-            map.insert("shards".to_string(), Value::Array(rows));
-        }
-    }
-    doc
+    })
 }
 
 /// The JSON form of one event record (the schema documented in the
@@ -703,7 +667,6 @@ mod tests {
             git: "deadbeef".into(),
             sim: Some(SimMeta {
                 scheduler: "Wheel".into(),
-                coalesce: true,
                 trace: "full".into(),
             }),
         };
@@ -739,7 +702,6 @@ mod tests {
         assert_eq!(m.get("seed").unwrap().as_i64(), Some(3));
         let sim = m.get("sim").unwrap();
         assert_eq!(sim.get("scheduler").unwrap().as_str(), Some("Wheel"));
-        assert_eq!(sim.get("coalesce").unwrap().as_bool(), Some(true));
         assert_eq!(sim.get("trace").unwrap().as_str(), Some("full"));
         let sp = json::parse(&std::fs::read_to_string(out.join("spans.json")).unwrap()).unwrap();
         assert_eq!(sp.get("tracked_packets").unwrap().as_i64(), Some(1));

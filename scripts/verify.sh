@@ -17,15 +17,14 @@ cargo test -q --workspace
 # reconcile exactly with the simulator's ground truth.
 cargo test -q -p tfc-repro --test telemetry
 
-# Six-way scheduler equivalence: reference heap, timing wheel, wheel
-# with batched dispatch, and the sharded backend at 1/2/4 threads must
+# Scheduler equivalence: the reference heap and the timing wheel must
 # export byte-identical artifacts — including the open-loop streaming
-# scenario, where flow retirement recycles ids mid-run and same-seed
-# re-runs (heap and sharded@4) must reproduce the whole bundle byte
-# for byte, and the ECMP+churn fat-tree scenario, where multipath spray
-# and selection-time reroute must not leak the backend or thread count
-# into a single artifact byte. (Also part of the workspace suite above;
-# run explicitly so a failure names the gate.)
+# scenario, where flow retirement recycles ids mid-run and a same-seed
+# wheel re-run must reproduce the whole bundle byte for byte, and the
+# ECMP+churn fat-tree scenario, where multipath spray and
+# selection-time reroute must not leak the backend into a single
+# artifact byte. (Also part of the workspace suite above; run
+# explicitly so a failure names the gate.)
 cargo test -q -p tfc-repro --test sched_equivalence
 
 # Multipath regression: ECMP spray, counted no-route drops, and
@@ -65,32 +64,30 @@ TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace
 grep "no divergence" "$TRACE_DIR/diffsmoke.out" >/dev/null
 grep "first divergence" "$TRACE_DIR/diffsmoke.out" >/dev/null
 
-# Scale-bench smoke: the quick suite must run all six scheduling
-# variants (heap, wheel, wheel+batching, sharded at 1/2/4 threads) to
-# identical outcomes — including the fat-tree and ECMP-multipath
+# Scale-bench smoke: the quick suite must run the heap and the wheel
+# to identical outcomes — including the fat-tree and ECMP-multipath
 # scenarios — and write a well-formed BENCH_scale.json (schema key,
-# host-parallelism manifest, non-zero events/sec — the binary itself
-# asserts positivity and outcome identity).
+# host-parallelism manifest, non-zero loop-only events/sec and speedup
+# — the binary itself asserts positivity and outcome identity).
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-scale-bench -- --quick >/dev/null
 test -s "$TRACE_DIR/bench/BENCH_scale.json"
-grep '"schema": "tfc-bench-scale/v6"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"schema": "tfc-bench-scale/v7"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"available_parallelism"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"active_threads"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"heap_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"wheel_nobatch_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"wheel_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"batch_speedup"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"sharded4_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"sharded_speedup"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"heap_loop_ms"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"wheel_loop_ms"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"speedup"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"name": "fat_tree"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"name": "fat_tree_multipath"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 
-# Sharded-determinism gate: two same-seed 4-thread sharded chaos
-# leaf-spine runs (full telemetry, profiling off) must export
-# byte-identical artifact bundles under tfc-trace diff.
-TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-scale-bench -- --sharded-det >/dev/null
+# Determinism gate: two same-seed wheel chaos leaf-spine runs (full
+# telemetry, profiling off) must export byte-identical artifact
+# bundles under tfc-trace diff.
+TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-scale-bench -- --det >/dev/null
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- diff \
-  "$TRACE_DIR/sharded-det-a" "$TRACE_DIR/sharded-det-b" | grep "no divergence" >/dev/null
+  "$TRACE_DIR/det-a" "$TRACE_DIR/det-b" | grep "no divergence" >/dev/null
 
 # Streaming smoke: tfc-million --quick validates its sketches against
 # an exact oracle, completes 100k open-loop flows with bounded slab and
@@ -103,8 +100,8 @@ grep '"slab_capacity"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"oracle_classes_checked"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 # The scale-bench rows must survive the merge (and vice versa: a
 # re-run of scale-bench preserves the million block).
-grep '"schema": "tfc-bench-scale/v6"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"batch_speedup"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"schema": "tfc-bench-scale/v7"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"wheel_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 
 # tfc-trace --flows: the per-class retired table must render from the
 # v2 flows.json alone (self-test), and the streaming run's artifacts

@@ -1,7 +1,5 @@
-//! Scheduler-equivalence regression: the timing-wheel backend — with
-//! and without same-tick batch dispatch — and the sharded parallel
-//! backend at 1, 2, and 4 worker threads must all reproduce the
-//! reference binary-heap backend *byte for byte*.
+//! Scheduler-equivalence regression: the timing-wheel backend must
+//! reproduce the reference binary-heap backend *byte for byte*.
 //!
 //! Four deterministic scenarios — a figure-style incast, a chaos
 //! fault timeline on a leaf-spine, an open-loop streaming run with
@@ -10,14 +8,10 @@
 //! exporting the full artifact
 //! bundle (manifest, counters, events, flows, TFC slot gauges,
 //! lifecycle-span sketches). Every exported file except the manifest
-//! must be byte-identical across all variants: the wheel is a pure
-//! data-structure substitution, batch coalescing only changes how the
-//! dispatch loop walks the already-determined `(time, seq)` order, and
-//! the sharded backend's worker threads only *extract* conservative
-//! lookahead windows in parallel — the merged pop order is keyed by the
-//! globally unique `(time, seq)` pair, so thread interleaving can leak
-//! into nothing. The manifest is the one artifact that *should* differ
-//! — it records which backend produced the run — so it is compared
+//! must be byte-identical across both variants: the wheel is a pure
+//! data-structure substitution that pops in the same `(time, seq)`
+//! order. The manifest is the one artifact that *should* differ — it
+//! records which backend produced the run — so it is compared
 //! semantically: backend fields must match the variant, everything
 //! else must be identical.
 //!
@@ -26,8 +20,8 @@
 //! sketches land in the v2 `flows.json`, so byte-identity here proves
 //! the whole retirement pipeline — deferred `Retire` calls, slab
 //! reuse, sketch folds — is schedule-stable. A same-seed re-run of the
-//! reference variant must also reproduce the entire streaming bundle
-//! (manifest included) byte for byte.
+//! wheel must also reproduce the entire streaming bundle (manifest
+//! included) byte for byte.
 //!
 //! Kept as a single `#[test]` because all halves set
 //! `TFC_RESULTS_DIR`; Rust runs tests in threads and the environment is
@@ -55,43 +49,16 @@ use workloads::{StreamApp, StreamClass, StreamConfig};
 struct Variant {
     name: &'static str,
     kind: SchedulerKind,
-    coalesce: bool,
 }
 
-const VARIANTS: [Variant; 6] = [
+const VARIANTS: [Variant; 2] = [
     Variant {
         name: "heap",
         kind: SchedulerKind::RefHeap,
-        coalesce: false,
     },
     Variant {
         name: "wheel",
         kind: SchedulerKind::Wheel,
-        coalesce: false,
-    },
-    Variant {
-        name: "wheel_batched",
-        kind: SchedulerKind::Wheel,
-        coalesce: true,
-    },
-    // The sharded backend must be byte-identical at every thread count:
-    // worker threads only extract lookahead windows in parallel, the
-    // merged (time, seq) order — and so every artifact byte — is
-    // thread-invariant. Batched dispatch rides on top, as in production.
-    Variant {
-        name: "sharded_t1",
-        kind: SchedulerKind::Sharded { threads: 1 },
-        coalesce: true,
-    },
-    Variant {
-        name: "sharded_t2",
-        kind: SchedulerKind::Sharded { threads: 2 },
-        coalesce: true,
-    },
-    Variant {
-        name: "sharded_t4",
-        kind: SchedulerKind::Sharded { threads: 4 },
-        coalesce: true,
     },
 ];
 
@@ -124,7 +91,6 @@ fn run_incast(v: Variant) {
             end: Some(Time(Dur::millis(30).as_nanos())),
             telemetry: telemetry("equiv_incast"),
             scheduler: v.kind,
-            coalesce: v.coalesce,
             ..Default::default()
         },
     );
@@ -156,7 +122,6 @@ fn run_chaos(v: Variant) {
             end: Some(Time(Dur::millis(40).as_nanos())),
             telemetry: telemetry("equiv_chaos"),
             scheduler: v.kind,
-            coalesce: v.coalesce,
             ..Default::default()
         },
     );
@@ -224,7 +189,6 @@ fn run_stream(v: Variant) {
             }),
             telemetry: telemetry("equiv_stream"),
             scheduler: v.kind,
-            coalesce: v.coalesce,
             ..Default::default()
         },
     );
@@ -241,10 +205,8 @@ fn run_stream(v: Variant) {
 /// ECMP fat-tree under route churn: cross-pod flows spray over the
 /// k/2-way equal-cost route sets while an edge uplink flaps down and
 /// back twice. Next-hop choice is the pure `(flow, hop)` hash and the
-/// reroute filter reads only port liveness, so neither the backend nor
-/// the worker count may leak into a single artifact byte — this is the
-/// gate that proves route churn does not break sharded lookahead
-/// determinism.
+/// reroute filter reads only port liveness, so the backend may not leak
+/// into a single artifact byte.
 fn run_ecmp(v: Variant) {
     let (t, hosts, switches) = fat_tree(
         4,
@@ -262,7 +224,6 @@ fn run_ecmp(v: Variant) {
             end: Some(Time(Dur::millis(40).as_nanos())),
             telemetry: telemetry("equiv_ecmp"),
             scheduler: v.kind,
-            coalesce: v.coalesce,
             ..Default::default()
         },
     );
@@ -311,12 +272,6 @@ fn check_manifest(dir: &Path, run: &str, v: Variant, reference: &telemetry::json
         v.name
     );
     assert_eq!(
-        sim.get("coalesce").and_then(|b| b.as_bool()),
-        Some(v.coalesce),
-        "{run} manifest records the wrong coalesce flag for {}",
-        v.name
-    );
-    assert_eq!(
         sim.get("trace").and_then(|s| s.as_str()),
         Some("full"),
         "{run} manifest records the wrong trace mode for {}",
@@ -344,7 +299,7 @@ fn manifest_sans_sim(dir: &Path, run: &str) -> telemetry::json::Value {
 }
 
 #[test]
-fn wheel_and_batching_reproduce_heap_artifacts_byte_for_byte() {
+fn wheel_reproduces_heap_artifacts_byte_for_byte() {
     let base = std::env::temp_dir().join("tfc_sched_equiv_test");
     std::fs::remove_dir_all(&base).ok();
     let dir_of = |v: Variant| -> PathBuf {
@@ -358,35 +313,19 @@ fn wheel_and_batching_reproduce_heap_artifacts_byte_for_byte() {
     };
     let dirs: Vec<PathBuf> = VARIANTS.iter().map(|&v| dir_of(v)).collect();
 
-    // Same-seed re-run of the reference variant: the streaming bundle —
-    // manifest included, since backend and seed are identical — must
-    // reproduce byte for byte. Retirement recycles flow ids mid-run, so
-    // this pins down the whole lifecycle pipeline, not just the
-    // scheduler.
-    let rerun = base.join("heap_rerun");
+    // Same-seed re-run of the wheel: the streaming bundle — manifest
+    // included, since backend and seed are identical — must reproduce
+    // byte for byte. Retirement recycles flow ids mid-run, so this pins
+    // down the whole lifecycle pipeline, not just the scheduler.
+    let rerun = base.join("wheel_rerun");
     std::env::set_var("TFC_RESULTS_DIR", &rerun);
-    run_stream(VARIANTS[0]);
-    for file in ARTIFACTS.into_iter().chain(["manifest.json"]) {
-        assert_eq!(
-            read(&dirs[0], "equiv_stream", file),
-            read(&rerun, "equiv_stream", file),
-            "equiv_stream/{file} differs between same-seed re-runs"
-        );
-    }
-
-    // Repeated-run determinism under real parallelism: the 4-thread
-    // sharded variant must reproduce its own streaming bundle (manifest
-    // included) byte for byte — thread scheduling leaks into nothing.
-    let sharded4 = VARIANTS[5];
-    let srerun = base.join("sharded_rerun");
-    std::env::set_var("TFC_RESULTS_DIR", &srerun);
-    run_stream(sharded4);
+    run_stream(VARIANTS[1]);
     std::env::remove_var("TFC_RESULTS_DIR");
     for file in ARTIFACTS.into_iter().chain(["manifest.json"]) {
         assert_eq!(
-            read(&dirs[5], "equiv_stream", file),
-            read(&srerun, "equiv_stream", file),
-            "equiv_stream/{file} differs between same-seed sharded re-runs"
+            read(&dirs[1], "equiv_stream", file),
+            read(&rerun, "equiv_stream", file),
+            "equiv_stream/{file} differs between same-seed wheel re-runs"
         );
     }
 
