@@ -33,8 +33,8 @@ fn event_queue_churn(c: &mut Criterion) {
             })
         });
         // Sim-realistic churn: near-term packet events interleaved with
-        // far-future RTO timers that are cancelled before they fire —
-        // the dead mass the wheel parks in its overflow tier.
+        // far-future RTO timers that are cancelled before they fire,
+        // each new timer armed before the previous one is cancelled.
         g.bench_function(&format!("churn_with_dead_timers_10k_{kind:?}"), |b| {
             b.iter(|| {
                 let mut q = EventQueue::with_kind(kind);
@@ -51,6 +51,29 @@ fn event_queue_churn(c: &mut Criterion) {
                     if i >= 1 {
                         q.cancel(handles[(i - 1) as usize]);
                     }
+                    black_box(q.pop());
+                }
+                while let Some(ev) = q.pop() {
+                    black_box(ev);
+                }
+            })
+        });
+        // The same churn in the simulator's order: each "ACK" cancels
+        // the pending RTO, then re-arms it, so the re-arm adopts the
+        // cancelled timer's queued entry instead of adding one.
+        g.bench_function(&format!("churn_cancel_then_rearm_10k_{kind:?}"), |b| {
+            b.iter(|| {
+                let mut q = EventQueue::with_kind(kind);
+                let mut rto =
+                    q.schedule_cancellable(Time(200_000_000), Event::AppTimer { token: 0 });
+                for i in 0..10_000u64 {
+                    let now = i * 800;
+                    q.schedule(Time(now + 1_500), Event::AppTimer { token: i });
+                    q.cancel(rto);
+                    rto = q.schedule_cancellable(
+                        Time(now + 200_000_000),
+                        Event::AppTimer { token: i },
+                    );
                     black_box(q.pop());
                 }
                 while let Some(ev) = q.pop() {

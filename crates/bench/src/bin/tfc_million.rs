@@ -10,12 +10,16 @@
 //!    until the target flow count completes (1M full, 100k `--quick`),
 //!    with flow retirement recycling slab slots and Ring-mode telemetry
 //!    keeping the exported artifacts flat-sized. The flow-slab and
-//!    packet-arena high-water marks are asserted bounded and recorded.
+//!    packet-arena high-water marks are asserted bounded and recorded,
+//!    the endpoint tables sized like the flow slab, and the scheduler's
+//!    queued-entry high-water bounded by peak live flows.
 //!
 //! Results merge into `results/bench/BENCH_scale.json` (schema v4)
 //! under the `"million"` key, alongside the `tfc-scale-bench` rows.
 
-use experiments::million::{assert_sketch_matches_exact, run, MillionConfig};
+use experiments::million::{
+    assert_sketch_matches_exact, run, MillionConfig, SCHED_ENTRIES_PER_LIVE_FLOW,
+};
 use telemetry::export::{git_describe, results_dir};
 use telemetry::json::{self, Value};
 
@@ -53,8 +57,14 @@ fn main() {
         stats.events_per_sec,
     );
     eprintln!(
-        "  memory: flow slab {} slots (peak {} live) for {} flows; arena {} slots",
-        stats.slab_capacity, stats.slab_peak, stats.retired, stats.arena_capacity,
+        "  memory: flow slab {} slots (peak {} live) for {} flows; endpoint tables {:?} slots; \
+         scheduler peak {} queued entries; arena {} slots",
+        stats.slab_capacity,
+        stats.slab_peak,
+        stats.retired,
+        stats.endpoint_capacity,
+        stats.sched_peak_queued,
+        stats.arena_capacity,
     );
 
     // The acceptance claims, enforced where the numbers are produced.
@@ -68,6 +78,17 @@ fn main() {
         (stats.slab_capacity as u64) < cfg.target_flows / 10,
         "flow slab grew to {} slots — retirement is not recycling ids",
         stats.slab_capacity
+    );
+    assert_eq!(
+        stats.endpoint_capacity,
+        (stats.slab_capacity, stats.slab_capacity),
+        "endpoint tables must be flow-indexed like the flow slab"
+    );
+    assert!(
+        stats.sched_peak_queued <= SCHED_ENTRIES_PER_LIVE_FLOW * stats.slab_peak,
+        "scheduler held {} entries for {} peak live flows — re-arms are not reusing entries",
+        stats.sched_peak_queued,
+        stats.slab_peak
     );
 
     // Flat artifacts: the event ring bounds events.json, and flows.json

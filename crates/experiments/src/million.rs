@@ -6,8 +6,9 @@
 //! cache-follower mice — until a target number of flows has *completed
 //! and retired*. The point of the experiment is not a new figure but a
 //! systems claim: the run finishes millions of flows while the flow
-//! slab, the timer table, and the packet arena stay at their peak-
-//! concurrency high-water marks, and the per-class FCT/slowdown
+//! slab, the endpoint tables, the timer table, the scheduler's queued
+//! entries, and the packet arena stay at their peak-concurrency
+//! high-water marks, and the per-class FCT/slowdown
 //! quantiles come out of fixed-size sketches instead of an unbounded
 //! record vector.
 //!
@@ -30,6 +31,12 @@ use workloads::dist::{background_flow_sizes, cache_follower_flow_sizes};
 use workloads::{StreamApp, StreamClass, StreamConfig};
 
 use crate::proto::{Proto, ProtoConfig};
+
+/// Bound on the event queue's peak queued entries per peak live flow:
+/// a live flow holds its packets' events plus one timer entry, and a
+/// cancelled-and-re-armed timer reuses its queued entry, so dead RTO
+/// entries cannot pile up behind ACK-clocked re-arms.
+pub const SCHED_ENTRIES_PER_LIVE_FLOW: usize = 16;
 
 /// Parameters of one streaming run.
 #[derive(Debug, Clone)]
@@ -210,6 +217,12 @@ pub struct MillionStats {
     /// Flow-slab slots ever created (resident-memory proxy; bounded by
     /// peak concurrency plus the id quarantine, not by `retired`).
     pub slab_capacity: usize,
+    /// `(senders, receivers)` endpoint-table slots; flow-indexed, so
+    /// each equals `slab_capacity`.
+    pub endpoint_capacity: (usize, usize),
+    /// Peak entries the event queue held, live or cancelled (re-armed
+    /// timers reuse their queued entry, so this tracks live events).
+    pub sched_peak_queued: usize,
     /// Packet-arena high-water mark (slots ever created).
     pub arena_capacity: usize,
     /// Packets ever allocated through the arena.
@@ -289,6 +302,8 @@ pub fn run(cfg: &MillionConfig) -> MillionStats {
         slab_live,
         slab_peak,
         slab_capacity,
+        endpoint_capacity: core.endpoint_table_capacity(),
+        sched_peak_queued: core.event_queue().peak_queued(),
         arena_capacity: arena.capacity(),
         arena_allocated: arena.allocated_total(),
         drops: core.total_drops(),
@@ -386,6 +401,17 @@ mod tests {
             stats.retired
         );
         assert!(stats.slab_peak <= stats.slab_capacity);
+        // The endpoint tables and the scheduler are bounded too.
+        assert_eq!(
+            stats.endpoint_capacity,
+            (stats.slab_capacity, stats.slab_capacity)
+        );
+        assert!(
+            stats.sched_peak_queued <= SCHED_ENTRIES_PER_LIVE_FLOW * stats.slab_peak,
+            "{} queued entries for {} peak live flows",
+            stats.sched_peak_queued,
+            stats.slab_peak
+        );
         // Both classes saw traffic, mice dominating.
         assert!(stats.classes[0].count > stats.classes[1].count);
         assert!(stats.classes[1].count > 0, "web-search class starved");

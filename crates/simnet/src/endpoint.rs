@@ -19,9 +19,11 @@ pub struct Effects {
     pub timers: Vec<(Dur, u64)>,
     /// Tokens of previously armed timers to cancel. Best-effort: a
     /// token with no pending timer is ignored, so endpoints keep their
-    /// stale-generation checks as the source of truth and cancellation
-    /// only spares the scheduler dead entries. Cancels are applied
-    /// before this effect set's own `timers`.
+    /// stale-generation checks as the source of truth. Cancels are
+    /// applied before this effect set's own `timers`, so a cancel
+    /// followed by a re-arm lets the re-arm reuse the cancelled timer's
+    /// queued entry (see [`crate::sched`]) instead of adding one per
+    /// call.
     pub cancels: Vec<u64>,
     /// Upcalls for the simulator / application layer.
     pub notes: Vec<Note>,

@@ -11,8 +11,11 @@
 use crate::packet::FlowId;
 
 /// A slab keyed by [`FlowId`]: `Vec<Option<T>>` with O(1) access and
-/// id-ordered iteration. Suited to tables that hold a sparse subset of
-/// the simulation's flows, like a host's sender/receiver endpoints.
+/// id-ordered iteration. Its length is the largest id it ever held, so
+/// it suits tables with an entry for (nearly) every flow, like the
+/// simulator's flow states and its flow-indexed endpoint tables. A
+/// table holding a sparse subset — say, one host's flows — still pays
+/// a slot for every id up to the largest it saw.
 #[derive(Debug)]
 pub struct FlowMap<T> {
     slots: Vec<Option<T>>,

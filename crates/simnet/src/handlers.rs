@@ -115,13 +115,9 @@ impl SimCore {
         }
         let now = self.now;
         let mut fx = Effects::new();
-        let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
-            return;
-        };
-        if let Some(s) = h.senders.get_mut(flow) {
-            s.on_timer(token, now, &mut fx);
-        } else {
-            return;
+        match self.senders.get_mut(flow) {
+            Some((host, s)) if *host == node => s.on_timer(token, now, &mut fx),
+            _ => return,
         }
         self.apply_host_fx(node, flow, fx);
     }
@@ -716,19 +712,20 @@ impl SimCore {
             );
         }
         let mut fx = Effects::new();
+        // Both tables are flow-indexed: an entry whose host is not this
+        // one belongs to a different flow that recycled the id.
         let known = {
-            let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
-                unreachable!()
-            };
             let p = self.packets.get(pkt);
-            if let Some(s) = h.senders.get_mut(flow) {
-                s.on_packet(p, now, &mut fx);
-                true
-            } else if let Some(r) = h.receivers.get_mut(flow) {
-                r.on_packet(p, now, &mut fx);
-                true
-            } else {
-                false // Stale packet of a torn-down flow.
+            match (self.senders.get_mut(flow), self.receivers.get_mut(flow)) {
+                (Some((host, s)), _) if *host == node => {
+                    s.on_packet(p, now, &mut fx);
+                    true
+                }
+                (_, Some((host, r))) if *host == node => {
+                    r.on_packet(p, now, &mut fx);
+                    true
+                }
+                _ => false, // Stale packet of a torn-down flow.
             }
         };
         if self.telemetry.spans.enabled() {

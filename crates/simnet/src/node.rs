@@ -1,7 +1,5 @@
 //! Hosts, switches, and their ports.
 
-use crate::endpoint::{ReceiverEndpoint, SenderEndpoint};
-use crate::flowtable::FlowMap;
 use crate::packet::NodeId;
 use crate::policy::SwitchPolicy;
 use crate::queue::PortQueue;
@@ -349,31 +347,17 @@ impl std::fmt::Debug for Switch {
     }
 }
 
-/// A host: one NIC port plus the transport endpoints living on it.
+/// A host: one NIC port. Its flows' transport endpoints live in the
+/// simulator's flow-indexed endpoint tables, tagged with the host.
+#[derive(Debug)]
 pub struct Host {
     /// This host's node id.
     pub id: NodeId,
     /// The NIC.
     pub nic: Port,
-    /// Sender endpoints of flows originating here, in a dense slab
-    /// keyed by flow id.
-    pub senders: FlowMap<Box<dyn SenderEndpoint>>,
-    /// Receiver endpoints of flows terminating here, in a dense slab
-    /// keyed by flow id.
-    pub receivers: FlowMap<Box<dyn ReceiverEndpoint>>,
     /// Whether the host is stalled by a fault: silent without FIN —
     /// nothing leaves the NIC, arrivals are discarded, timers still run.
     pub stalled: bool,
-}
-
-impl std::fmt::Debug for Host {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Host")
-            .field("id", &self.id)
-            .field("senders", &self.senders.len())
-            .field("receivers", &self.receivers.len())
-            .finish()
-    }
 }
 
 /// A node in the simulated network.
@@ -605,8 +589,6 @@ mod tests {
         let host = Node::Host(Host {
             id: NodeId(5),
             nic: Port::new(link(0), 1_000),
-            senders: Default::default(),
-            receivers: Default::default(),
             stalled: false,
         });
         let _ = host.port(1);

@@ -21,6 +21,12 @@
 //! entries re-place into strictly lower levels, so each entry moves at
 //! most [`LEVELS`] times over its lifetime.
 //!
+//! Entries live in one slab shared by every tier. A bucket is an
+//! intrusive singly linked list of slab indices (Varghese & Lauck's
+//! hashed wheel), so a cascade relinks `u32`s instead of moving
+//! entries, and the slab's high-water mark is the peak number of queued
+//! entries rather than the sum of 256 per-bucket high-water marks.
+//!
 //! # Determinism
 //!
 //! Every entry carries a global insertion sequence number and the wheel
@@ -36,12 +42,26 @@
 //! # Cancellation
 //!
 //! [`EventQueue::schedule_cancellable`] returns a generation-checked
-//! [`TimerHandle`]; [`EventQueue::cancel`] marks the entry dead in a
-//! slab and the queue discards it lazily on pop, for O(1) cancellation
-//! without disturbing bucket order. Both backends share the slab, so a
-//! cancelled timer is invisible under either scheduler.
+//! [`TimerHandle`]; [`EventQueue::cancel`] marks the timer dead in a
+//! slot table and the queue discards its entry lazily on pop, for O(1)
+//! cancellation without disturbing bucket order. Both backends share
+//! the slot table, so a cancelled timer is invisible under either
+//! scheduler.
+//!
+//! A cancelled timer whose entry is still queued is a *carrier*. An
+//! ACK-clocked sender cancels and re-arms its retransmission timer on
+//! every ACK, so without reuse the queue would hold one dead entry per
+//! ACK until each reached its (far-future) time. Instead, the next
+//! cancellable schedule at or after the carrier's time adopts it: it
+//! takes its sequence number now and parks its entry in the carrier's
+//! slot, and when the carrier's entry pops the parked entry is pushed
+//! with that reserved key. Its key is above the carrier's, and
+//! everything popped before the carrier is below it, so the pop order
+//! stays exactly `(time, seq)` on both backends; a re-arm earlier than
+//! the carrier is pushed as usual. A timer re-armed at non-decreasing
+//! times thus holds one queued entry however often it is re-armed.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::event::Event;
@@ -58,6 +78,8 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Ticks spanned by the whole wheel; beyond this, entries overflow.
 const HORIZON_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+/// End of an intrusive list (a bucket or the slab's free list).
+const NIL: u32 = u32::MAX;
 
 /// Which scheduler backend a simulation drives its event loop with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -83,25 +105,39 @@ pub struct TimerHandle {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotState {
+    /// No entry of this slot is queued.
     Free,
+    /// The timer is live: either the queued entry itself or, after an
+    /// adoption, the parked `pending` entry.
     Armed,
+    /// The timer was cancelled but its entry is still queued: a carrier
+    /// the next re-arm may adopt.
     Cancelled,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct TimerSlot {
+    /// Bumped whenever a handle goes stale (fire or cancel).
     gen: u32,
     state: SlotState,
+    /// `(at, seq)` of the queued entry that carries this slot (unless
+    /// `Free`).
+    queued: (Time, u64),
+    /// An adopted re-arm with its reserved key, pushed when the queued
+    /// entry pops.
+    pending: Option<Entry>,
+    /// Whether the slot is on the carrier stack (at most once).
+    listed: bool,
 }
 
 /// An event with its activation time, tie-breaking sequence number,
-/// and (for cancellable timers) slab handle.
+/// and (for cancellable timers) timer slot.
 #[derive(Debug, Clone)]
 struct Entry {
     at: Time,
     seq: u64,
     event: Event,
-    handle: Option<TimerHandle>,
+    timer: Option<u32>,
 }
 
 impl Entry {
@@ -136,70 +172,113 @@ impl Ord for HeapEntry {
     }
 }
 
+/// A slab entry's `(at, seq)` key plus its slab index. Keys are unique,
+/// so ordering these triples orders the entries.
+type Key = (Time, u64, u32);
+
 /// The hierarchical timing wheel.
 #[derive(Debug)]
 struct Wheel {
     /// Tick of the most recent pop; buckets behind it are empty.
     now_tick: u64,
-    /// The level-0 bucket being drained, sorted *descending* by
-    /// `(at, seq)` so pops come off the cheap end.
-    current: Vec<Entry>,
+    /// Every queued entry; `None` marks a free slab slot.
+    entries: Vec<Option<Entry>>,
+    /// Per slab slot: the next index of its bucket list or, for a free
+    /// slot, of the free list.
+    next: Vec<u32>,
+    /// Head of the free list.
+    free: u32,
+    /// The level-0 bucket being drained, sorted *descending* so pops
+    /// come off the cheap end.
+    current: Vec<Key>,
     /// Entries that arrived at (or before) `now_tick` after its bucket
     /// was drained: same-tick pushes and overflow page-mates landing on
     /// the cursor. Together with `current` it forms the live run.
-    late: BinaryHeap<HeapEntry>,
+    late: BinaryHeap<Reverse<Key>>,
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
-    /// `LEVELS * SLOTS` FIFO buckets, level-major.
-    buckets: Vec<Vec<Entry>>,
-    /// Entries beyond the wheel horizon, min-ordered by `(at, seq)`.
-    overflow: BinaryHeap<HeapEntry>,
-    /// Live entries across `current`, `late`, `buckets`, and `overflow`.
+    /// Head of each bucket's list, level-major.
+    heads: Vec<u32>,
+    /// Entries beyond the wheel horizon.
+    overflow: BinaryHeap<Reverse<Key>>,
+    /// Live entries across `current`, `late`, the buckets, and `overflow`.
     len: usize,
-    /// Recycled bucket storage for cascades, to avoid re-allocating.
-    cascade_buf: Vec<Entry>,
 }
 
 impl Wheel {
     fn new() -> Self {
         Wheel {
             now_tick: 0,
+            entries: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
             current: Vec::new(),
             late: BinaryHeap::new(),
             occupied: [0; LEVELS],
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; LEVELS * SLOTS],
             overflow: BinaryHeap::new(),
             len: 0,
-            cascade_buf: Vec::new(),
         }
+    }
+
+    fn key(&self, idx: u32) -> Key {
+        let e = self.entries[idx as usize].as_ref().expect("queued slab slot");
+        (e.at, e.seq, idx)
+    }
+
+    /// Moves the entry out of its slab slot and frees the slot.
+    fn release(&mut self, idx: u32) -> Entry {
+        let e = self.entries[idx as usize].take().expect("queued slab slot");
+        self.next[idx as usize] = self.free;
+        self.free = idx;
+        self.len -= 1;
+        e
     }
 
     fn push(&mut self, e: Entry) {
         self.len += 1;
         let tick = e.at.nanos() >> GRAN_BITS;
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.next[idx as usize];
+            self.entries[idx as usize] = Some(e);
+            idx
+        } else {
+            self.entries.push(Some(e));
+            self.next.push(NIL);
+            (self.entries.len() - 1) as u32
+        };
         if tick <= self.now_tick {
             // Lands on (or before) the tick being drained. A sorted
             // insert into `current` would shift O(run) entries per push,
             // and dense fabrics push thousands into one tick, so the
             // entry joins the `late` heap at O(log n) instead.
-            self.late.push(HeapEntry(e));
+            self.late.push(Reverse(self.key(idx)));
             return;
         }
-        self.place_future(e, tick);
+        self.place_future(idx, tick);
+    }
+
+    /// Links slab entry `idx` onto the front of bucket `b`. Order within
+    /// a bucket is irrelevant: level 0 sorts on drain and cascades
+    /// re-place each entry by its own tick.
+    fn link(&mut self, b: usize, idx: u32) {
+        self.next[idx as usize] = self.heads[b];
+        self.heads[b] = idx;
     }
 
     /// Places an entry with `tick > now_tick` into a bucket or the
     /// overflow tier.
-    fn place_future(&mut self, e: Entry, tick: u64) {
+    fn place_future(&mut self, idx: u32, tick: u64) {
         let x = tick ^ self.now_tick;
         debug_assert!(x != 0);
         let level = ((63 - x.leading_zeros()) / LEVEL_BITS) as usize;
         if level >= LEVELS {
-            self.overflow.push(HeapEntry(e));
+            self.overflow.push(Reverse(self.key(idx)));
             return;
         }
         let slot = ((tick >> (level as u32 * LEVEL_BITS)) & SLOT_MASK) as usize;
-        self.buckets[level * SLOTS + slot].push(e);
+        self.link(level * SLOTS + slot, idx);
         self.occupied[level] |= 1 << slot;
     }
 
@@ -207,16 +286,16 @@ impl Wheel {
     /// Same-tick entries go to the level-0 bucket under the cursor so
     /// they drain (and sort) together with any bucket-mates instead of
     /// bypassing them.
-    fn place_internal(&mut self, e: Entry) {
-        let tick = e.at.nanos() >> GRAN_BITS;
+    fn place_internal(&mut self, idx: u32) {
+        let tick = self.key(idx).0.nanos() >> GRAN_BITS;
         debug_assert!(tick >= self.now_tick);
         if tick == self.now_tick {
             let slot = (tick & SLOT_MASK) as usize;
-            self.buckets[slot].push(e);
+            self.link(slot, idx);
             self.occupied[0] |= 1 << slot;
             return;
         }
-        self.place_future(e, tick);
+        self.place_future(idx, tick);
     }
 
     /// First occupied slot at `level` at or after the cursor, with the
@@ -240,24 +319,23 @@ impl Wheel {
         Some(((slot as usize), (base | slot) << shift))
     }
 
-    /// Pops the smaller `(at, seq)` head of the live run's two halves.
-    fn pop_live(&mut self) -> Option<Entry> {
+    /// Pops the smaller head of the live run's two halves.
+    fn pop_live(&mut self) -> Option<u32> {
         let late_first = match (self.current.last(), self.late.peek()) {
-            (Some(c), Some(l)) => l.0.key() < c.key(),
+            (Some(c), Some(l)) => l.0 < *c,
             (c, _) => c.is_none(),
         };
         if late_first {
-            self.late.pop().map(|h| h.0)
+            self.late.pop().map(|Reverse(k)| k.2)
         } else {
-            self.current.pop()
+            self.current.pop().map(|k| k.2)
         }
     }
 
     fn pop(&mut self) -> Option<Entry> {
         loop {
-            if let Some(e) = self.pop_live() {
-                self.len -= 1;
-                return Some(e);
+            if let Some(idx) = self.pop_live() {
+                return Some(self.release(idx));
             }
             if self.len == 0 {
                 return None;
@@ -287,72 +365,68 @@ impl Wheel {
                 // Same-tick page-mates join `late` (as `push` would) so
                 // a subsequent push at this tick cannot jump ahead of
                 // them.
-                let e = self
+                let Reverse((at, _, idx)) = self
                     .overflow
                     .pop()
-                    .expect("non-empty scheduler has a candidate")
-                    .0;
-                let oft = e.at.nanos() >> GRAN_BITS;
+                    .expect("non-empty scheduler has a candidate");
+                let oft = at.nanos() >> GRAN_BITS;
                 debug_assert!(oft >= self.now_tick);
                 self.now_tick = oft;
-                while let Some(h) = self.overflow.peek() {
-                    let t = h.0.at.nanos() >> GRAN_BITS;
+                while let Some(&Reverse(k)) = self.overflow.peek() {
+                    let t = k.0.nanos() >> GRAN_BITS;
                     if (t ^ self.now_tick) >> HORIZON_BITS != 0 {
                         break;
                     }
-                    let m = self.overflow.pop().expect("peeked");
+                    self.overflow.pop();
                     if t == self.now_tick {
-                        self.late.push(m);
+                        self.late.push(Reverse(k));
                     } else {
-                        self.place_future(m.0, t);
+                        self.place_future(k.2, t);
                     }
                 }
-                self.len -= 1;
-                return Some(e);
+                return Some(self.release(idx));
             };
             debug_assert!(start >= self.now_tick);
             self.now_tick = start;
-            let idx = level * SLOTS + slot;
+            let b = level * SLOTS + slot;
             self.occupied[level] &= !(1u64 << slot);
+            let mut idx = std::mem::replace(&mut self.heads[b], NIL);
             if level == 0 {
-                // Swap keeps the drained bucket's allocation for reuse.
-                std::mem::swap(&mut self.buckets[idx], &mut self.current);
-                self.current
-                    .sort_unstable_by(|a, b| b.key().cmp(&a.key()));
+                while idx != NIL {
+                    self.current.push(self.key(idx));
+                    idx = self.next[idx as usize];
+                }
+                self.current.sort_unstable_by(|a, b| b.cmp(a));
                 continue;
             }
             // Cascade: entries re-place at strictly lower levels.
-            let mut tmp = std::mem::take(&mut self.cascade_buf);
-            std::mem::swap(&mut tmp, &mut self.buckets[idx]);
-            for e in tmp.drain(..) {
-                self.place_internal(e);
+            while idx != NIL {
+                let next = self.next[idx as usize];
+                self.place_internal(idx);
+                idx = next;
             }
-            self.cascade_buf = tmp;
         }
     }
 
     fn peek_key(&self) -> Option<(Time, u64)> {
-        let mut best = self.current.last().map(Entry::key);
-        if let Some(h) = self.late.peek() {
-            if best.is_none_or(|b| h.0.key() < b) {
-                best = Some(h.0.key());
-            }
+        let mut best = self.current.last().copied();
+        if let Some(&Reverse(k)) = self.late.peek() {
+            best = Some(best.map_or(k, |b| b.min(k)));
         }
         for level in 0..LEVELS {
             if let Some((slot, _)) = self.candidate(level) {
-                for e in &self.buckets[level * SLOTS + slot] {
-                    if best.map_or(true, |b| e.key() < b) {
-                        best = Some(e.key());
-                    }
+                let mut idx = self.heads[level * SLOTS + slot];
+                while idx != NIL {
+                    let k = self.key(idx);
+                    best = Some(best.map_or(k, |b| b.min(k)));
+                    idx = self.next[idx as usize];
                 }
             }
         }
-        if let Some(h) = self.overflow.peek() {
-            if best.map_or(true, |b| h.0.key() < b) {
-                best = Some(h.0.key());
-            }
+        if let Some(&Reverse(k)) = self.overflow.peek() {
+            best = Some(best.map_or(k, |b| b.min(k)));
         }
-        best
+        best.map(|(at, seq, _)| (at, seq))
     }
 }
 
@@ -406,7 +480,8 @@ impl Backend {
 /// matches!(ev, Event::AppTimer { token: 1 });
 /// ```
 ///
-/// Cancellable timers are discarded lazily:
+/// Cancellable timers are discarded lazily, and a re-arm reuses the
+/// cancelled timer's queued entry:
 ///
 /// ```
 /// use tfc_simnet::event::{Event, EventQueue};
@@ -417,6 +492,8 @@ impl Backend {
 /// q.schedule(Time(20), Event::AppTimer { token: 2 });
 /// assert!(q.cancel(h));
 /// assert!(!q.cancel(h)); // stale handle
+/// q.schedule_cancellable(Time(30), Event::AppTimer { token: 3 });
+/// assert_eq!(q.queued(), 2); // the re-arm rides the cancelled entry
 /// let (t, _) = q.pop().unwrap();
 /// assert_eq!(t, Time(20));
 /// ```
@@ -427,7 +504,14 @@ pub struct EventQueue {
     next_seq: u64,
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
+    /// Cancelled slots, most recent last: candidate carriers for the
+    /// next re-arm. An entry goes stale once its carrier pops; stale
+    /// entries are dropped when they reach the top.
+    carriers: Vec<u32>,
     live: usize,
+    /// Entries held by the backend, live or dead, and their high-water.
+    queued: usize,
+    peak_queued: usize,
 }
 
 impl Default for EventQueue {
@@ -454,7 +538,10 @@ impl EventQueue {
             next_seq: 0,
             slots: Vec::new(),
             free: Vec::new(),
+            carriers: Vec::new(),
             live: 0,
+            queued: 0,
+            peak_queued: 0,
         }
     }
 
@@ -465,18 +552,52 @@ impl EventQueue {
 
     /// Schedules `event` at absolute time `at`.
     pub fn schedule(&mut self, at: Time, event: Event) {
-        self.push(at, event, None);
+        let seq = self.take_seq();
+        self.push(Entry {
+            at,
+            seq,
+            event,
+            timer: None,
+        });
     }
 
     /// Schedules `event` at `at` and returns a handle that can cancel
     /// it before it fires.
     pub fn schedule_cancellable(&mut self, at: Time, event: Event) -> TimerHandle {
+        let seq = self.take_seq();
+        while let Some(&slot) = self.carriers.last() {
+            let s = &mut self.slots[slot as usize];
+            if s.state != SlotState::Cancelled {
+                s.listed = false;
+                self.carriers.pop();
+                continue;
+            }
+            // The new key `(at, seq)` sorts after the carrier's (its seq
+            // is newer), so parking it until the carrier pops keeps the
+            // pop order. An earlier re-arm leaves the carrier in place.
+            if at >= s.queued.0 {
+                s.listed = false;
+                self.carriers.pop();
+                s.state = SlotState::Armed;
+                s.pending = Some(Entry {
+                    at,
+                    seq,
+                    event,
+                    timer: Some(slot),
+                });
+                return TimerHandle { slot, gen: s.gen };
+            }
+            break;
+        }
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
                 self.slots.push(TimerSlot {
                     gen: 0,
                     state: SlotState::Free,
+                    queued: (Time::ZERO, 0),
+                    pending: None,
+                    listed: false,
                 });
                 (self.slots.len() - 1) as u32
             }
@@ -484,14 +605,21 @@ impl EventQueue {
         let s = &mut self.slots[slot as usize];
         debug_assert_eq!(s.state, SlotState::Free);
         s.state = SlotState::Armed;
+        s.queued = (at, seq);
         let handle = TimerHandle { slot, gen: s.gen };
-        self.push(at, event, Some(handle));
+        self.push(Entry {
+            at,
+            seq,
+            event,
+            timer: Some(slot),
+        });
         handle
     }
 
     /// Cancels a pending cancellable event. Returns `false` for stale
-    /// handles (already fired, or already cancelled). The entry is
-    /// discarded lazily when the queue reaches it.
+    /// handles (already fired, or already cancelled). The queued entry
+    /// is discarded lazily when the queue reaches it, unless a re-arm
+    /// adopts it first.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
         let Some(s) = self.slots.get_mut(handle.slot as usize) else {
             return false;
@@ -500,35 +628,52 @@ impl EventQueue {
             return false;
         }
         s.state = SlotState::Cancelled;
+        s.gen = s.gen.wrapping_add(1);
+        s.pending = None;
+        if !s.listed {
+            s.listed = true;
+            self.carriers.push(handle.slot);
+        }
         self.live -= 1;
         true
     }
 
-    fn push(&mut self, at: Time, event: Event, handle: Option<TimerHandle>) {
+    fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        self.backend.push(Entry {
-            at,
-            seq,
-            event,
-            handle,
-        });
+        seq
+    }
+
+    fn push(&mut self, e: Entry) {
+        self.queued += 1;
+        self.peak_queued = self.peak_queued.max(self.queued);
+        self.backend.push(e);
     }
 
     /// Pops the earliest live event, or `None` when empty. Cancelled
-    /// entries are reaped (their handle slots recycled) transparently.
+    /// entries are reaped (their handle slots recycled) and adopted
+    /// re-arms pushed transparently.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
         loop {
             let e = self.backend.pop()?;
-            if let Some(h) = e.handle {
-                let s = &mut self.slots[h.slot as usize];
-                debug_assert_eq!(s.gen, h.gen);
-                let cancelled = s.state == SlotState::Cancelled;
+            self.queued -= 1;
+            if let Some(slot) = e.timer {
+                let s = &mut self.slots[slot as usize];
+                debug_assert_eq!(s.queued, e.key(), "slot carried by another entry");
+                if let Some(p) = s.pending.take() {
+                    debug_assert_eq!(s.state, SlotState::Armed);
+                    s.queued = p.key();
+                    self.push(p);
+                    continue;
+                }
+                let fired = s.state == SlotState::Armed;
+                if fired {
+                    s.gen = s.gen.wrapping_add(1);
+                }
                 s.state = SlotState::Free;
-                s.gen = s.gen.wrapping_add(1);
-                self.free.push(h.slot);
-                if cancelled {
+                self.free.push(slot);
+                if !fired {
                     continue;
                 }
             }
@@ -538,8 +683,8 @@ impl EventQueue {
     }
 
     /// Time of the earliest pending entry. Lazy deletion means a
-    /// cancelled-but-unreaped entry may be reported here; `pop` never
-    /// returns it.
+    /// cancelled-but-unreaped entry (possibly carrying an adopted
+    /// re-arm) may be reported here; `pop` never returns it.
     pub fn peek_time(&self) -> Option<Time> {
         self.backend.peek_key().map(|(t, _)| t)
     }
@@ -552,6 +697,19 @@ impl EventQueue {
     /// Whether no live events are pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Entries the backend holds right now: live events plus cancelled
+    /// entries not yet reaped. An adopted re-arm rides its carrier's
+    /// entry and is not counted separately.
+    pub fn queued(&self) -> usize {
+        self.queued
+    }
+
+    /// High-water mark of [`queued`](Self::queued) over the queue's
+    /// life: the scheduler's share of peak resident memory.
+    pub fn peak_queued(&self) -> usize {
+        self.peak_queued
     }
 }
 
@@ -761,6 +919,9 @@ mod tests {
         fn schedule(&mut self, at: u64, token: u64) {
             self.entries.push((at, token));
         }
+        fn cancel(&mut self, token: u64) {
+            self.entries.retain(|&(_, t)| t != token);
+        }
         fn pop(&mut self) -> Option<(u64, u64)> {
             let best = self
                 .entries
@@ -959,5 +1120,142 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Random schedule / cancellable / cancel / re-arm / pop sequences
+    /// against the model, on both backends. Re-arms land later than,
+    /// equal to, and earlier than the carrier's queued time, and on the
+    /// tick being drained; some chain adopt → cancel → adopt before the
+    /// carrier pops. Whenever the re-armed timer's own slot is the top
+    /// carrier, adoption must happen exactly when the re-arm is not
+    /// earlier than the carrier (earlier falls back to a plain push).
+    #[test]
+    fn rearm_random_workloads_match_model() {
+        // Re-arms that met their own slot as the top carrier, by
+        // outcome, and adopt → cancel → adopt chains.
+        let (mut adopted, mut pushed, mut chains) = (0u32, 0u32, 0u32);
+        cases(64, |_case, rng| {
+            for kind in KINDS {
+                let mut q = EventQueue::with_kind(kind);
+                let mut model = VecModel::new();
+                let mut timers: Vec<(TimerHandle, u64)> = Vec::new();
+                let mut now = 0u64;
+                let mut token = 0u64;
+                for _ in 0..400 {
+                    match rng.gen_range(0u32..6) {
+                        r @ (0 | 1) => {
+                            let off = match rng.gen_range(0u32..5) {
+                                0 => rng.gen_range(0..256),
+                                1 => rng.gen_range(0..1 << 14),
+                                2 => rng.gen_range(0..1 << 20),
+                                3 => rng.gen_range(0..1 << 26),
+                                _ => rng.gen_range(0..1u64 << 41),
+                            };
+                            let ev = Event::AppTimer { token };
+                            if r == 0 {
+                                q.schedule(Time(now + off), ev);
+                            } else {
+                                timers.push((q.schedule_cancellable(Time(now + off), ev), token));
+                            }
+                            model.schedule(now + off, token);
+                            token += 1;
+                        }
+                        2 if !timers.is_empty() => {
+                            let (h, tok) = timers.swap_remove(rng.gen_range(0..timers.len()));
+                            assert!(q.cancel(h), "{kind:?}: live handle");
+                            assert!(!q.cancel(h), "{kind:?}: cancelled handle is stale");
+                            model.cancel(tok);
+                        }
+                        3 | 4 if !timers.is_empty() => {
+                            let i = rng.gen_range(0..timers.len());
+                            for link in 0..rng.gen_range(1..4u32) {
+                                let (h, tok) = timers[i];
+                                let carrier_at = q.slots[h.slot as usize].queued.0.nanos();
+                                assert!(q.cancel(h));
+                                model.cancel(tok);
+                                let own_top = q.carriers.last() == Some(&h.slot);
+                                let at = match rng.gen_range(0u32..4) {
+                                    0 => carrier_at + rng.gen_range(1..1u64 << 22),
+                                    1 => carrier_at,
+                                    2 => rng.gen_range(now..=carrier_at),
+                                    // Onto the tick being drained.
+                                    _ => rng.gen_range(now..=now | 255),
+                                };
+                                let before = q.queued();
+                                let h2 =
+                                    q.schedule_cancellable(Time(at), Event::AppTimer { token });
+                                model.schedule(at, token);
+                                let adopt = q.queued() == before;
+                                if own_top {
+                                    assert_eq!(
+                                        adopt,
+                                        at >= carrier_at,
+                                        "{kind:?}: at {at} vs carrier {carrier_at}"
+                                    );
+                                    if adopt {
+                                        adopted += 1;
+                                    } else {
+                                        pushed += 1;
+                                    }
+                                }
+                                if adopt && link > 0 {
+                                    chains += 1;
+                                }
+                                timers[i] = (h2, token);
+                                token += 1;
+                            }
+                        }
+                        _ => {
+                            let got = q.pop().map(|(t, e)| (t.nanos(), token_of(&e)));
+                            assert_eq!(got, model.pop(), "{kind:?}");
+                            if let Some((t, tok)) = got {
+                                now = t;
+                                timers.retain(|&(_, x)| x != tok);
+                            }
+                        }
+                    }
+                    assert_eq!(q.len(), model.entries.len(), "{kind:?}");
+                }
+                loop {
+                    let got = q.pop().map(|(t, e)| (t.nanos(), token_of(&e)));
+                    assert_eq!(got, model.pop(), "{kind:?}");
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                assert_eq!(q.queued(), 0, "{kind:?}: dead entries left behind");
+            }
+        });
+        assert!(adopted > 0 && pushed > 0 && chains > 0, "{adopted} {pushed} {chains}");
+    }
+
+    /// An ACK-clocked sender's pattern, 100k times: one packet event
+    /// popped, then the RTO cancelled and re-armed. The re-arms ride the
+    /// first timer's queued entry until it pops and hand over from there,
+    /// so the queue never holds more than the packet and one timer entry.
+    #[test]
+    fn rearm_cycles_keep_queued_entries_bounded() {
+        const RTO: u64 = 200_000_000;
+        const ACKS: u64 = 100_000;
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let mut rto = q.schedule_cancellable(Time(RTO), Event::AppTimer { token: 0 });
+            let mut now = 0u64;
+            for i in 1..=ACKS {
+                // 3 µs per ACK: the first carrier pops about 2/3 through.
+                q.schedule(Time(now + 3_000), Event::AppTimer { token: u64::MAX });
+                let (t, ev) = q.pop().expect("packet event");
+                assert_eq!(token_of(&ev), u64::MAX, "{kind:?}: a cancelled RTO fired");
+                now = t.nanos();
+                assert!(q.cancel(rto));
+                rto = q.schedule_cancellable(Time(now + RTO), Event::AppTimer { token: i });
+                assert!(q.queued() <= 2, "{kind:?}: {} queued after ACK {i}", q.queued());
+            }
+            assert!(q.peak_queued() <= 2, "{kind:?}: peak {}", q.peak_queued());
+            let (t, ev) = q.pop().expect("last RTO");
+            assert_eq!((t.nanos(), token_of(&ev)), (now + RTO, ACKS), "{kind:?}");
+            assert!(q.pop().is_none());
+            assert_eq!(q.queued(), 0);
+        }
     }
 }

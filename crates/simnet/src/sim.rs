@@ -19,7 +19,7 @@ use telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 
 use crate::app::{Application, FlowEvent};
 use crate::arena::{PacketArena, PacketId};
-use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack};
+use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
 use crate::flowtable::FlowMap;
@@ -178,6 +178,13 @@ pub struct SimCore {
     /// leave the slab and their ids return after a quarantine, so the
     /// slab length is bounded by peak concurrency.
     pub(crate) flows: FlowMap<FlowState>,
+    /// Every flow's sender endpoint with the host it lives on. Indexed
+    /// by flow id like `flows`, so the table is bounded by the same
+    /// slab high-water; lookups must check the host, since a stale
+    /// packet of a recycled id can reach a host the new flow avoids.
+    pub(crate) senders: FlowMap<(NodeId, Box<dyn SenderEndpoint>)>,
+    /// Every flow's receiver endpoint with its host (as `senders`).
+    pub(crate) receivers: FlowMap<(NodeId, Box<dyn ReceiverEndpoint>)>,
     /// Next never-used flow id (ids below it are live, retired, or
     /// quarantined).
     pub(crate) next_flow_id: u64,
@@ -270,23 +277,18 @@ impl SimCore {
             self.host_timers.push(Vec::new());
         }
         debug_assert!(self.host_timers[flow.0 as usize].is_empty());
-        let Node::Host(h) = &mut self.nodes[dst.0 as usize] else {
-            panic!("flow dst {dst:?} is not a host");
-        };
-        h.receivers.insert(flow, receiver);
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            panic!("flow src {src:?} is not a host");
-        };
-        h.senders.insert(flow, sender);
+        for node in [src, dst] {
+            assert!(
+                matches!(self.nodes[node.0 as usize], Node::Host(_)),
+                "flow endpoint {node:?} is not a host"
+            );
+        }
+        self.receivers.insert(flow, (dst, receiver));
+        self.senders.insert(flow, (src, sender));
         let mut fx = Effects::new();
         let now = self.now;
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            unreachable!()
-        };
-        h.senders
-            .get_mut(flow)
-            .expect("just inserted")
-            .open(now, &mut fx);
+        let (_, s) = self.senders.get_mut(flow).expect("just inserted");
+        s.open(now, &mut fx);
         self.apply_host_fx(src, flow, fx);
         flow
     }
@@ -297,16 +299,11 @@ impl SimCore {
     ///
     /// Panics if the flow or its sender does not exist.
     pub fn push_data(&mut self, flow: FlowId, bytes: u64) {
-        let src = self.flows.get(flow).expect("flow exists").spec.src;
         let now = self.now;
         let mut fx = Effects::new();
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            unreachable!()
-        };
-        h.senders
-            .get_mut(flow)
-            .expect("sender exists")
-            .push_data(bytes, now, &mut fx);
+        let (src, s) = self.senders.get_mut(flow).expect("sender exists");
+        let src = *src;
+        s.push_data(bytes, now, &mut fx);
         self.apply_host_fx(src, flow, fx);
     }
 
@@ -316,18 +313,12 @@ impl SimCore {
     /// started, or already torn down) — closing twice is safe, so
     /// workloads need not track liveness across faults.
     pub fn close_flow(&mut self, flow: FlowId) {
-        let Some(state) = self.flows.get(flow) else {
-            return;
-        };
-        let src = state.spec.src;
         let now = self.now;
         let mut fx = Effects::new();
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            unreachable!()
-        };
-        let Some(s) = h.senders.get_mut(flow) else {
+        let Some((src, s)) = self.senders.get_mut(flow) else {
             return;
         };
+        let src = *src;
         s.close(now, &mut fx);
         self.apply_host_fx(src, flow, fx);
     }
@@ -474,6 +465,20 @@ impl SimCore {
         (self.flows.len(), self.flows.peak_len(), self.flows.capacity())
     }
 
+    /// Slots of the flow-indexed `(senders, receivers)` endpoint tables.
+    /// Every flow inserts into both and into the flow slab under the
+    /// same id, so each equals [`flow_slab_stats`](Self::flow_slab_stats)'s
+    /// capacity.
+    pub fn endpoint_table_capacity(&self) -> (usize, usize) {
+        (self.senders.capacity(), self.receivers.capacity())
+    }
+
+    /// Read access to the event queue, e.g. for its
+    /// [`peak_queued`](EventQueue::peak_queued) high-water mark.
+    pub fn event_queue(&self) -> &EventQueue {
+        &self.events
+    }
+
     /// Host ids in creation order.
     pub fn host_ids(&self) -> &[NodeId] {
         &self.hosts
@@ -600,11 +605,7 @@ impl SimCore {
 
     /// Current congestion window of a flow's sender, if it exists.
     pub fn sender_cwnd(&self, flow: FlowId) -> Option<u64> {
-        let src = self.flows.get(flow)?.spec.src;
-        let Node::Host(h) = &self.nodes[src.0 as usize] else {
-            return None;
-        };
-        h.senders.get(flow).map(|s| s.cwnd())
+        self.senders.get(flow).map(|(_, s)| s.cwnd())
     }
 
     // ------------------------------------------------------------------
@@ -642,13 +643,8 @@ impl SimCore {
         for (_, handle) in self.host_timers[flow.0 as usize].drain(..) {
             self.events.cancel(handle);
         }
-        let (src, dst) = (state.spec.src, state.spec.dst);
-        if let Node::Host(h) = &mut self.nodes[src.0 as usize] {
-            h.senders.remove(flow);
-        }
-        if let Node::Host(h) = &mut self.nodes[dst.0 as usize] {
-            h.receivers.remove(flow);
-        }
+        self.senders.remove(flow);
+        self.receivers.remove(flow);
         self.free_ids.push_back((self.now, flow));
     }
 
@@ -837,6 +833,8 @@ impl<A: Application> Simulator<A> {
                 switches: net.switches,
                 stack,
                 flows: FlowMap::new(),
+                senders: FlowMap::new(),
+                receivers: FlowMap::new(),
                 next_flow_id: 0,
                 free_ids: VecDeque::new(),
                 retirer,
@@ -1327,5 +1325,164 @@ mod packet_log_tests {
         let arena = sim.core().packet_arena();
         assert!(arena.allocated_total() > 0);
         assert!(arena.is_empty(), "{} packet slots leaked", arena.live());
+    }
+}
+
+#[cfg(test)]
+mod endpoint_table_tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use telemetry::span::{TraceConfig, STAGE_E2E_DATA};
+
+    use super::*;
+    use crate::app::NullApp;
+    use crate::endpoint::{ReceiverEndpoint, SenderEndpoint};
+    use crate::packet::Packet;
+    use crate::topology::star;
+    use crate::units::Bandwidth;
+
+    const BYTES: u64 = 100;
+
+    /// One data packet per flow: the sender emits it on open and is done
+    /// at once, the receiver is done on receipt. Every endpoint
+    /// `on_packet` call bumps the shared counter.
+    struct OneShotSender {
+        flow: FlowId,
+        spec: FlowSpec,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl SenderEndpoint for OneShotSender {
+        fn open(&mut self, _now: Time, fx: &mut Effects) {
+            fx.send(Packet::data(self.flow, self.spec.src, self.spec.dst, 0, BYTES));
+            fx.note(Note::SenderDone);
+        }
+        fn push_data(&mut self, _bytes: u64, _now: Time, _fx: &mut Effects) {}
+        fn close(&mut self, _now: Time, _fx: &mut Effects) {}
+        fn on_packet(&mut self, _pkt: &Packet, _now: Time, _fx: &mut Effects) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+        }
+        fn on_timer(&mut self, _token: u64, _now: Time, _fx: &mut Effects) {}
+        fn cwnd(&self) -> u64 {
+            u64::MAX
+        }
+        fn acked_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    struct OneShotReceiver {
+        got: u64,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl ReceiverEndpoint for OneShotReceiver {
+        fn on_packet(&mut self, pkt: &Packet, _now: Time, fx: &mut Effects) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.got += pkt.payload;
+            fx.note(Note::Delivered { bytes: pkt.payload });
+            fx.note(Note::ReceiverDone);
+        }
+        fn delivered_bytes(&self) -> u64 {
+            self.got
+        }
+    }
+
+    struct OneShotStack(Arc<AtomicU64>);
+
+    impl ProtocolStack for OneShotStack {
+        fn new_sender(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn SenderEndpoint> {
+            Box::new(OneShotSender {
+                flow,
+                spec: spec.clone(),
+                calls: self.0.clone(),
+            })
+        }
+        fn new_receiver(&self, _flow: FlowId, _spec: &FlowSpec) -> Box<dyn ReceiverEndpoint> {
+            Box::new(OneShotReceiver {
+                got: 0,
+                calls: self.0.clone(),
+            })
+        }
+        fn name(&self) -> &'static str {
+            "one-shot"
+        }
+    }
+
+    fn sized(src: NodeId, dst: NodeId) -> FlowSpec {
+        FlowSpec {
+            src,
+            dst,
+            bytes: Some(BYTES),
+            weight: 1,
+        }
+    }
+
+    fn star_sim(hosts: usize, cfg: SimConfig) -> (Simulator<NullApp>, Vec<NodeId>, Arc<AtomicU64>) {
+        let (t, ids, _) = star(hosts, Bandwidth::gbps(10), Dur::micros(1));
+        let calls = Arc::new(AtomicU64::new(0));
+        let stack = Box::new(OneShotStack(calls.clone()));
+        (Simulator::new(t.build_drop_tail(), stack, NullApp, cfg), ids, calls)
+    }
+
+    /// A straggler of a retired flow whose id was recycled for a flow
+    /// between two other hosts must take the stale path at the old
+    /// destination: no endpoint call (the flow-indexed tables hold the
+    /// new flow under that id, tagged with other hosts) and no span
+    /// delivery — it is consumed.
+    #[test]
+    fn straggler_of_recycled_id_stays_stale() {
+        let reuse_after = Dur::micros(50);
+        let cfg = SimConfig {
+            retire: Some(RetireConfig {
+                reuse_after,
+                ..Default::default()
+            }),
+            telemetry: TelemetryConfig {
+                trace: TraceConfig::Full,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (mut sim, h, calls) = star_sim(4, cfg);
+        let old = sim.core_mut().start_flow(sized(h[0], h[1]));
+        sim.run();
+        assert!(sim.core().flows.get(old).is_none(), "flow retired");
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        // Let the id leave quarantine, then hand it to h2 -> h3.
+        let later = sim.core().now() + reuse_after;
+        sim.core_mut().set_timer_at(later, 0);
+        sim.run();
+        let new = sim.core_mut().start_flow(sized(h[2], h[3]));
+        assert_eq!(new, old, "retired id recycled");
+        // The old flow's straggler, emitted by its old source.
+        let pkt = sim.core_mut().packets.alloc(Packet::data(old, h[0], h[1], 0, BYTES));
+        let at = sim.core().now();
+        sim.core_mut().events.schedule(at, Event::NicEnqueue { node: h[0], pkt });
+        sim.run();
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "only the new flow's receiver ran");
+        let spans = &sim.core().telemetry().spans;
+        let delivered = spans.sketch(STAGE_E2E_DATA, 0).map_or(0, |s| s.count());
+        assert_eq!(delivered, 2, "the straggler was delivered, not consumed");
+        assert_eq!(spans.active_len(), 0, "the straggler's span was not forgotten");
+        assert!(sim.core().packet_arena().is_empty());
+    }
+
+    /// Flow-indexed endpoint tables grow with the flow-id space once,
+    /// not once per host: 2,000 flows over a 64-host star leave both
+    /// tables at 2,000 slots.
+    #[test]
+    fn endpoint_tables_size_by_flow_ids_not_hosts() {
+        const HOSTS: usize = 64;
+        const FLOWS: usize = 2_000;
+        let (mut sim, h, calls) = star_sim(HOSTS, SimConfig::default());
+        for i in 0..FLOWS {
+            sim.core_mut().start_flow(sized(h[i % HOSTS], h[(i + 1) % HOSTS]));
+        }
+        sim.run();
+        assert_eq!(calls.load(Ordering::Relaxed), FLOWS as u64);
+        assert_eq!(sim.core().flow_slab_stats().2, FLOWS);
+        assert_eq!(sim.core().endpoint_table_capacity(), (FLOWS, FLOWS));
     }
 }

@@ -389,8 +389,6 @@ impl TopologyBuilder {
                     nodes.push(Node::Host(Host {
                         id,
                         nic: Port::new(link, host_buf),
-                        senders: Default::default(),
-                        receivers: Default::default(),
                         stalled: false,
                     }));
                 }
