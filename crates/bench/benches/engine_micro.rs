@@ -9,7 +9,7 @@ use simnet::event::{Event, EventQueue};
 use simnet::packet::{Flags, FlowId, NodeId, Packet, MSS};
 use simnet::queue::PortQueue;
 use simnet::sim::{SimConfig, Simulator};
-use simnet::topology::star;
+use simnet::topology::{fat_tree, star};
 use simnet::units::{Bandwidth, Dur, Time};
 use simnet::SchedulerKind;
 use std::hint::black_box;
@@ -128,6 +128,21 @@ fn token_engine_per_packet(c: &mut Criterion) {
     g.finish();
 }
 
+/// Topology build with its route fill on a k=16 fat-tree (1,024 hosts,
+/// 320 switches, 128 access groups), with drop-tail switches so the
+/// route fill, not policy construction, dominates.
+fn topology_build(c: &mut Criterion) {
+    let mut g = c.benchmark_group("topology");
+    g.sample_size(10);
+    g.bench_function("topology_build_fat_tree_k16", |b| {
+        b.iter(|| {
+            let (t, _, _) = fat_tree(16, Bandwidth::gbps(10), Bandwidth::gbps(40), Dur::micros(1));
+            black_box(t.build_drop_tail())
+        })
+    });
+    g.finish();
+}
+
 fn end_to_end_packet_rate(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     g.sample_size(10);
@@ -161,6 +176,7 @@ criterion_group!(
     event_queue_churn,
     port_queue_ops,
     token_engine_per_packet,
+    topology_build,
     end_to_end_packet_rate
 );
 criterion_main!(micro);

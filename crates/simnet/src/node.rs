@@ -4,6 +4,7 @@ use crate::packet::NodeId;
 use crate::policy::SwitchPolicy;
 use crate::queue::PortQueue;
 use crate::units::{Bandwidth, Dur};
+use std::sync::Arc;
 
 /// The attached link of a port: rate, one-way propagation delay, and the
 /// peer `(node, port)` at the far end.
@@ -94,29 +95,112 @@ pub struct PortStats {
     pub no_route_drops: u64,
 }
 
-/// Sentinel in a [`RouteTable`] entry row: no egress port toward that
-/// destination (the destination is this switch itself, or not a host).
+/// Sentinel in a [`RouteTable`] entry: no egress port toward the
+/// destinations it covers (an entry cleared by route surgery).
 pub const NO_ROUTE: u16 = u16::MAX;
+
+/// Sentinel in a [`RouteTable`] entry: forward out of the destination
+/// host's own port at this switch, its access node. One value covers
+/// every host of the group, so access switches need no per-host rows.
+const DIRECT: u16 = u16::MAX - 1;
 
 /// Tag bit marking a [`RouteTable`] entry as an index into the shared
 /// equal-cost port-set pool rather than a single port number. Port
-/// indices must stay below this (32 767 ports per switch is far beyond
-/// any fabric this workspace builds).
+/// indices must stay below this; the tagged range loses its two top
+/// values to [`DIRECT`] and [`NO_ROUTE`].
 const ECMP_TAG: u16 = 1 << 15;
 
-/// A multi-next-hop routing table: per destination either a single
-/// egress port or an equal-cost set of them.
+/// Most ports one node may have: every port index must be an untagged
+/// [`RouteTable`] entry value.
+pub(crate) const MAX_PORTS: usize = ECMP_TAG as usize;
+
+/// [`DstIndex`] group of a node no switch routes toward (a switch, or
+/// an id past the built topology).
+const NO_GROUP: u32 = u32::MAX;
+
+/// One node id's place in a [`DstIndex`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Route group, or [`NO_GROUP`].
+    group: u32,
+    /// The host's port at its access node (meaningful for hosts only).
+    port: u16,
+}
+
+/// The destination side of the route tables, shared by every switch of
+/// a built topology: node id → route group, plus each host's port at
+/// its access node.
 ///
-/// The representation stays as compact as the old dense `routes[dst] ->
-/// port` row: one `u16` per destination, where values below [`ECMP_TAG`]
-/// are a single port, [`NO_ROUTE`] means unreachable, and tagged values
+/// A route group is the set of hosts behind one access node. A host is
+/// a leaf with one link, so every switch other than its access node
+/// forwards toward it exactly as toward its group-mates; tables hold
+/// one entry per group, not per host.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DstIndex {
+    /// One slot per node id.
+    slots: Vec<Slot>,
+    /// Destinations per group: the builder's groups, then groups made
+    /// private to one switch by route surgery.
+    sizes: Vec<u32>,
+    /// Number of the builder's groups; higher groups are private.
+    shared: u32,
+}
+
+impl DstIndex {
+    /// An index over `n` node ids, none of them in a group yet.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            slots: vec![
+                Slot {
+                    group: NO_GROUP,
+                    port: 0,
+                };
+                n
+            ],
+            sizes: Vec::new(),
+            shared: 0,
+        }
+    }
+
+    /// Opens the next shared route group and returns its id.
+    pub(crate) fn add_group(&mut self) -> u32 {
+        self.sizes.push(0);
+        self.shared += 1;
+        self.shared - 1
+    }
+
+    /// Puts host `dst`, attached to its access node's port `port`, into
+    /// `group`.
+    pub(crate) fn assign(&mut self, dst: usize, group: u32, port: u16) {
+        self.slots[dst] = Slot { group, port };
+        self.sizes[group as usize] += 1;
+    }
+}
+
+/// A multi-next-hop routing table: per route group, meaning the hosts
+/// behind one access node, either a single egress port, the group's own
+/// host ports, or an equal-cost set of ports.
+///
+/// Every switch of a built topology shares one destination index (node
+/// id → group, plus each host's port at its access node) and keeps
+/// one `u16` entry per group: values below the ECMP tag bit are a
+/// single port, [`NO_ROUTE`] means unreachable, `DIRECT` means "out of
+/// the host's own port" at its access switch, and other tagged values
 /// index a deduplicated pool of sorted port sets. Fabrics repeat the
 /// same few uplink sets across thousands of destinations (a k-ary
 /// fat-tree edge switch has exactly one distinct uplink set), so the
-/// pool stays tiny and a 10k-host table is still ~22 KB per switch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// pool stays tiny; a k = 36 fat-tree switch holds 648 entries
+/// (1.3 KB) for its 11,664 destinations.
+///
+/// Route surgery ([`set`](Self::set)) stays per destination: it gives
+/// the destination a group private to this switch, copying the index
+/// the first time, so other switches and the destination's group-mates
+/// keep their routes.
+#[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    /// One entry per destination node id.
+    /// The destination index, shared until this switch's first surgery.
+    index: Arc<DstIndex>,
+    /// One entry per group of `index`.
     entries: Vec<u16>,
     /// Deduplicated equal-cost port sets, each sorted ascending.
     sets: Vec<Vec<u16>>,
@@ -154,49 +238,66 @@ impl NextHops<'_> {
 }
 
 impl RouteTable {
-    /// An all-[`NO_ROUTE`] table over `n` destinations.
-    pub fn unreachable(n: usize) -> Self {
+    /// An all-[`NO_ROUTE`] table over the groups of `index`.
+    pub(crate) fn new(index: Arc<DstIndex>) -> Self {
         Self {
-            entries: vec![NO_ROUTE; n],
+            entries: vec![NO_ROUTE; index.sizes.len()],
+            index,
             sets: Vec::new(),
         }
     }
 
-    /// Builds a table from an explicit entry row (single ports and
-    /// [`NO_ROUTE`] only) — the pre-multipath construction, kept for
-    /// tests and hand-built switches.
-    pub fn from_single(entries: Vec<u16>) -> Self {
-        assert!(
-            entries.iter().all(|&e| e == NO_ROUTE || e < ECMP_TAG),
-            "single-port entries must stay below the ECMP tag bit"
-        );
-        Self {
-            entries,
-            sets: Vec::new(),
-        }
+    /// Sets the equal-cost next hops of every destination in the shared
+    /// `group`. `ports` must be sorted ascending and duplicate-free;
+    /// empty means [`NO_ROUTE`].
+    pub(crate) fn set_group(&mut self, group: u32, ports: &[u16]) {
+        self.entries[group as usize] = self.intern(ports);
     }
 
-    /// Sets the equal-cost next hops toward `dst`. `ports` must be
+    /// Routes every destination in the shared `group` out of its own
+    /// port: this switch is the group's access node.
+    pub(crate) fn set_direct(&mut self, group: u32) {
+        self.entries[group as usize] = DIRECT;
+    }
+
+    /// Sets the equal-cost next hops toward `dst` alone. `ports` must be
     /// sorted ascending and duplicate-free; empty clears the entry back
     /// to [`NO_ROUTE`]. Multi-port sets are deduplicated into the pool.
+    ///
+    /// The first call for `dst` moves it into a group private to this
+    /// table, so its group-mates and other switches sharing the index
+    /// keep their routes.
     pub fn set(&mut self, dst: usize, ports: &[u16]) {
-        self.set_all(&[dst], ports);
+        let entry = self.intern(ports);
+        let group = self.private_group(dst);
+        self.entries[group] = entry;
     }
 
-    /// [`set`](Self::set) for several destinations that share one
-    /// next-hop set: the entry, and its pool slot if any, is resolved
-    /// once and written to every `dsts` row.
-    pub(crate) fn set_all(&mut self, dsts: &[usize], ports: &[u16]) {
-        let Some(&max) = dsts.iter().max() else {
-            return;
-        };
-        if self.entries.len() <= max {
-            self.entries.resize(max + 1, NO_ROUTE);
+    /// The group of `dst` that only this table uses, creating it (and
+    /// making this table's copy of the index unique) on first use.
+    fn private_group(&mut self, dst: usize) -> usize {
+        let old = self.index.slots.get(dst).map_or(NO_GROUP, |s| s.group);
+        if old != NO_GROUP && old >= self.index.shared {
+            return old as usize;
         }
-        let entry = self.intern(ports);
-        for &dst in dsts {
-            self.entries[dst] = entry;
+        let index = Arc::make_mut(&mut self.index);
+        if index.slots.len() <= dst {
+            index.slots.resize(
+                dst + 1,
+                Slot {
+                    group: NO_GROUP,
+                    port: 0,
+                },
+            );
         }
+        if old != NO_GROUP {
+            index.sizes[old as usize] -= 1;
+        }
+        let group = index.sizes.len();
+        index.slots[dst].group = u32::try_from(group).expect("route groups fit in u32");
+        index.sizes.push(1);
+        self.entries.push(NO_ROUTE);
+        group
     }
 
     /// The entry value encoding `ports`, adding a multi-port set to the
@@ -223,7 +324,7 @@ impl RouteTable {
                         self.sets.len() - 1
                     });
                 assert!(
-                    idx < (NO_ROUTE ^ ECMP_TAG) as usize,
+                    idx < (DIRECT ^ ECMP_TAG) as usize,
                     "equal-cost set pool exceeds the tagged index range"
                 );
                 ECMP_TAG | idx as u16
@@ -231,11 +332,16 @@ impl RouteTable {
         }
     }
 
-    /// The next-hop candidates toward `dst`.
+    /// The next-hop candidates toward `dst`: its group from the index,
+    /// then that group's entry.
     pub fn next_hops(&self, dst: NodeId) -> NextHops<'_> {
-        match self.entries.get(dst.0 as usize) {
-            None => NextHops::None,
-            Some(&e) if e == NO_ROUTE => NextHops::None,
+        let Some(slot) = self.index.slots.get(dst.0 as usize) else {
+            return NextHops::None;
+        };
+        // NO_GROUP is past every table's end.
+        match self.entries.get(slot.group as usize) {
+            None | Some(&NO_ROUTE) => NextHops::None,
+            Some(&DIRECT) => NextHops::Single(slot.port),
             Some(&e) if e & ECMP_TAG == 0 => NextHops::Single(e),
             Some(&e) => NextHops::Ecmp(&self.sets[(e ^ ECMP_TAG) as usize]),
         }
@@ -257,24 +363,39 @@ impl RouteTable {
     /// i.e. how many destinations a failure of `port` can deterministically
     /// re-absorb onto siblings (the `Rerouted` telemetry payload).
     pub fn reroutable_dests(&self, port: u16, mut alive: impl FnMut(u16) -> bool) -> u64 {
-        let mut per_set = vec![0u64; self.sets.len()];
-        let mut hits = 0u64;
-        for (i, s) in self.sets.iter().enumerate() {
-            if s.contains(&port) && s.iter().any(|&p| p != port && alive(p)) {
-                per_set[i] = 1;
-            }
-        }
-        for &e in &self.entries {
-            if e != NO_ROUTE && e & ECMP_TAG != 0 {
-                hits += per_set[(e ^ ECMP_TAG) as usize];
-            }
-        }
-        hits
+        let absorbs: Vec<bool> = self
+            .sets
+            .iter()
+            .map(|s| s.contains(&port) && s.iter().any(|&p| p != port && alive(p)))
+            .collect();
+        self.entries
+            .iter()
+            .zip(&self.index.sizes)
+            .filter(|&(&e, _)| e & ECMP_TAG != 0 && e < DIRECT && absorbs[(e ^ ECMP_TAG) as usize])
+            .map(|(_, &size)| size as u64)
+            .sum()
     }
 
-    /// Number of destination entries (reachable ones).
+    /// Number of destinations with a route.
     pub fn reachable_dests(&self) -> usize {
-        self.entries.iter().filter(|&&e| e != NO_ROUTE).count()
+        self.entries
+            .iter()
+            .zip(&self.index.sizes)
+            .filter(|&(&e, _)| e != NO_ROUTE)
+            .map(|(_, &size)| size as usize)
+            .sum()
+    }
+
+    /// Number of route groups this table holds entries for.
+    #[cfg(test)]
+    pub(crate) fn groups(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether this table and `other` share one destination index.
+    #[cfg(test)]
+    pub(crate) fn shares_index_with(&self, other: &RouteTable) -> bool {
+        Arc::ptr_eq(&self.index, &other.index)
     }
 }
 
@@ -318,7 +439,7 @@ pub struct Switch {
     pub id: NodeId,
     /// Ports in index order.
     pub ports: Vec<Port>,
-    /// Multi-next-hop routing table indexed by destination node id.
+    /// Multi-next-hop routing table toward every host.
     pub routes: RouteTable,
     /// Packet-processing policy (drop-tail, ECN, TFC, ...).
     pub policy: Box<dyn SwitchPolicy>,
@@ -425,10 +546,13 @@ mod tests {
     }
 
     fn switch() -> Switch {
+        let mut routes = RouteTable::default();
+        routes.set(1, &[0]);
+        routes.set(2, &[1]);
         Switch {
             id: NodeId(0),
             ports: vec![Port::new(link(1), 1_000), Port::new(link(2), 1_000)],
-            routes: RouteTable::from_single(vec![NO_ROUTE, 0, 1]),
+            routes,
             policy: Box::new(DropTail),
         }
     }
@@ -444,7 +568,7 @@ mod tests {
 
     #[test]
     fn route_table_single_and_ecmp_entries() {
-        let mut rt = RouteTable::unreachable(4);
+        let mut rt = RouteTable::default();
         rt.set(0, &[3]);
         rt.set(1, &[1, 2]);
         rt.set(2, &[1, 2]);
@@ -457,11 +581,13 @@ mod tests {
         assert_eq!(rt.reachable_dests(), 3);
         // Identical sets share one pool slot.
         assert_eq!(rt.sets.len(), 1);
-        // One call fills several rows (growing the table) with one set.
-        rt.set_all(&[2, 5], &[0, 3]);
+        // Re-pointing a destination reuses its private group; a new
+        // set takes a new pool slot.
+        rt.set(2, &[0, 3]);
         assert_eq!(rt.next_hops(NodeId(2)), NextHops::Ecmp(&[0, 3]));
-        assert_eq!(rt.next_hops(NodeId(5)), NextHops::Ecmp(&[0, 3]));
+        assert_eq!(rt.next_hops(NodeId(1)), NextHops::Ecmp(&[1, 2]));
         assert_eq!(rt.sets.len(), 2);
+        assert_eq!(rt.groups(), 4);
         // Clearing an entry restores NO_ROUTE.
         rt.set(0, &[]);
         assert_eq!(rt.next_hops(NodeId(0)), NextHops::None);
@@ -547,7 +673,7 @@ mod tests {
 
     #[test]
     fn reroutable_dests_counts_sets_with_survivors() {
-        let mut rt = RouteTable::unreachable(6);
+        let mut rt = RouteTable::default();
         rt.set(0, &[0]); // single: never reroutable
         rt.set(1, &[1, 2]);
         rt.set(2, &[1, 2]);
@@ -558,6 +684,88 @@ mod tests {
         assert_eq!(rt.reroutable_dests(2, |p| p != 1), 1);
         // A port no set contains reroutes nothing.
         assert_eq!(rt.reroutable_dests(0, |_| true), 0);
+    }
+
+    /// Route surgery stays per (switch, destination) although tables
+    /// share one entry per access group: re-pointing, clearing and
+    /// restoring one host at one switch changes that pair's next hops and
+    /// nothing else — not the host's group-mates there, not the host at
+    /// any other switch — including an access switch re-pointing its own
+    /// host.
+    #[test]
+    fn surgery_changes_only_that_switch_and_destination() {
+        use crate::topology::{fat_tree, Network};
+        let (t, hosts, switches) =
+            fat_tree(4, Bandwidth::gbps(1), Bandwidth::gbps(10), Dur::micros(2));
+        let mut net = t.build_drop_tail();
+        let n = net.nodes.len() as u32;
+        let snapshot = |net: &Network| -> Vec<Vec<Vec<u16>>> {
+            switches
+                .iter()
+                .map(|&sw| {
+                    let Node::Switch(s) = &net.nodes[sw.0 as usize] else {
+                        panic!()
+                    };
+                    (0..n + 2)
+                        .map(|d| match s.routes.next_hops(NodeId(d)) {
+                            NextHops::None => Vec::new(),
+                            NextHops::Single(p) => vec![p],
+                            NextHops::Ecmp(set) => set.to_vec(),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let original = snapshot(&net);
+        let (h, mate, far) = (hosts[0], hosts[1], *hosts.last().unwrap());
+        let Node::Host(host) = &net.nodes[h.0 as usize] else {
+            panic!()
+        };
+        let edge = host.nic.link.peer;
+        let edge_ix = switches.iter().position(|&s| s == edge).unwrap();
+        let uplinks = original[edge_ix][far.0 as usize].clone();
+        assert_eq!(uplinks.len(), 2, "k=4 edge has two uplinks");
+        let agg = {
+            let Node::Switch(s) = &net.nodes[edge.0 as usize] else {
+                panic!()
+            };
+            s.ports[uplinks[0] as usize].link.peer
+        };
+        let agg_ix = switches.iter().position(|&s| s == agg).unwrap();
+        assert_eq!(
+            original[agg_ix][h.0 as usize], original[agg_ix][mate.0 as usize],
+            "group-mates share the aggregation switch's entry"
+        );
+        let surgery = |net: &mut Network, sw: NodeId, ports: &[u16]| {
+            let Node::Switch(s) = &mut net.nodes[sw.0 as usize] else {
+                panic!()
+            };
+            s.routes.set(h.0 as usize, ports);
+            s.routes.reachable_dests()
+        };
+        let expect_only = |net: &Network, sw_ix: usize, want: &[u16]| {
+            for (i, rows) in snapshot(net).iter().enumerate() {
+                for (d, got) in rows.iter().enumerate() {
+                    let exp = if (i, d) == (sw_ix, h.0 as usize) {
+                        want
+                    } else {
+                        &original[i][d][..]
+                    };
+                    assert_eq!(got, exp, "switch {:?} toward {d}", switches[i]);
+                }
+            }
+        };
+        let all = hosts.len();
+        for (sw, sw_ix, moved) in [(agg, agg_ix, vec![3]), (edge, edge_ix, uplinks)] {
+            assert_ne!(original[sw_ix][h.0 as usize], moved);
+            assert_eq!(surgery(&mut net, sw, &moved), all);
+            expect_only(&net, sw_ix, &moved);
+            assert_eq!(surgery(&mut net, sw, &[]), all - 1, "cleared");
+            expect_only(&net, sw_ix, &[]);
+            let restored = original[sw_ix][h.0 as usize].clone();
+            assert_eq!(surgery(&mut net, sw, &restored), all);
+            assert_eq!(snapshot(&net), original, "restored at {sw:?}");
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! paper's evaluation are provided.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use crate::node::{Host, Node, Port, PortLink, RouteTable, Switch};
+use crate::node::{DstIndex, Host, Node, Port, PortLink, RouteTable, Switch, MAX_PORTS};
 use crate::packet::NodeId;
 use crate::policy::{DropTail, SwitchPolicy};
 use crate::units::{Bandwidth, Dur};
@@ -35,6 +36,23 @@ pub enum TopologyError {
         /// Number of nodes already in the builder.
         nodes: usize,
     },
+    /// A link would connect a node to itself.
+    SelfLink {
+        /// The node on both ends.
+        node: NodeId,
+    },
+    /// A link names a node the builder never created.
+    UnknownNode {
+        /// The id with no node behind it.
+        node: NodeId,
+    },
+    /// A node has more ports than a route-table entry can name.
+    TooManyPorts {
+        /// The offending node.
+        node: NodeId,
+        /// How many ports it has.
+        ports: usize,
+    },
     /// A host has zero or multiple links; every host needs exactly one.
     HostLinkCount {
         /// The offending host's id.
@@ -57,6 +75,17 @@ impl std::fmt::Display for TopologyError {
         match self {
             TopologyError::NodeIdSpaceExhausted { nodes } => {
                 write!(f, "node-id space exhausted: {nodes} nodes, NodeId is u32")
+            }
+            TopologyError::SelfLink { node } => {
+                write!(f, "self-links are not allowed: node {}", node.0)
+            }
+            TopologyError::UnknownNode { node } => write!(f, "unknown node {}", node.0),
+            TopologyError::TooManyPorts { node, ports } => {
+                write!(
+                    f,
+                    "node {} has {ports} ports, at most {MAX_PORTS} are routable",
+                    node.0
+                )
             }
             TopologyError::HostLinkCount { host, links } => {
                 write!(f, "host {} must have exactly one link, has {links}", host.0)
@@ -81,6 +110,17 @@ fn checked_id(count: usize) -> Result<NodeId, TopologyError> {
     u32::try_from(count)
         .map(NodeId)
         .map_err(|_| TopologyError::NodeIdSpaceExhausted { nodes: count })
+}
+
+/// Checks that `node`'s `ports` can all be named by a route-table entry.
+fn checked_ports(node: usize, ports: usize) -> Result<(), TopologyError> {
+    if ports > MAX_PORTS {
+        return Err(TopologyError::TooManyPorts {
+            node: NodeId(node as u32),
+            ports,
+        });
+    }
+    Ok(())
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -178,12 +218,32 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if either node does not exist or `a == b`.
+    /// Panics if either node does not exist or `a == b`; use
+    /// [`try_link`](Self::try_link) to handle those as errors.
     pub fn link(&mut self, a: NodeId, b: NodeId, rate: Bandwidth, delay: Dur) {
-        assert!(a != b, "self-links are not allowed");
-        assert!((a.0 as usize) < self.kinds.len(), "unknown node {a:?}");
-        assert!((b.0 as usize) < self.kinds.len(), "unknown node {b:?}");
+        self.try_link(a, b, rate, delay)
+            .unwrap_or_else(|e| panic!("invalid link: {e}"));
+    }
+
+    /// Connects `a` and `b` with a full-duplex link, or returns an error
+    /// (and adds nothing) when `a == b` or either node does not exist.
+    pub fn try_link(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        rate: Bandwidth,
+        delay: Dur,
+    ) -> Result<(), TopologyError> {
+        if a == b {
+            return Err(TopologyError::SelfLink { node: a });
+        }
+        for node in [a, b] {
+            if node.0 as usize >= self.kinds.len() {
+                return Err(TopologyError::UnknownNode { node });
+            }
+        }
         self.links.push(LinkSpec { a, b, rate, delay });
+        Ok(())
     }
 
     /// Overrides the per-port switch buffer (bytes).
@@ -215,9 +275,10 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a host has more than one link or the graph is
-    /// disconnected; use [`try_build`](Self::try_build) to handle those
-    /// as structured errors.
+    /// Panics if a host has more than one link, a node has more ports
+    /// than a route table can name, or the graph is disconnected; use
+    /// [`try_build`](Self::try_build) to handle those as structured
+    /// errors.
     pub fn build(
         self,
         make_policy: impl FnMut(NodeId, &[PortLink]) -> Box<dyn SwitchPolicy>,
@@ -228,9 +289,10 @@ impl TopologyBuilder {
 
     /// Fallible [`build`](Self::build): returns a structured
     /// [`TopologyError`] for malformed inputs (host with a link count
-    /// other than one, disconnected graph) instead of panicking, so
-    /// programmatic builders — shard planners, ECMP fabric generators —
-    /// can validate candidate topologies.
+    /// other than one, a node with more ports than a route table can
+    /// name, disconnected graph) instead of panicking, so programmatic
+    /// builders such as ECMP fabric generators can validate candidate
+    /// topologies.
     pub fn try_build(
         self,
         mut make_policy: impl FnMut(NodeId, &[PortLink]) -> Box<dyn SwitchPolicy>,
@@ -239,23 +301,13 @@ impl TopologyBuilder {
         let switch_buf = self.switch_buffer.unwrap_or(DEFAULT_SWITCH_BUFFER);
         let host_buf = self.host_buffer.unwrap_or(DEFAULT_HOST_BUFFER);
 
-        // Per-node port plans: (link rate, delay, peer node).
-        let mut port_plans: Vec<Vec<(Bandwidth, Dur, NodeId)>> = vec![Vec::new(); n];
-        for l in &self.links {
-            port_plans[l.a.0 as usize].push((l.rate, l.delay, l.b));
-            port_plans[l.b.0 as usize].push((l.rate, l.delay, l.a));
-        }
-
-        // Resolve peer port indices: for the k-th link of node a to b, the
-        // matching port at b is the index of the corresponding entry.
-        // Walk links again counting per-pair occurrences.
+        // Per-node port lists. For the k-th link of node a to b, the
+        // matching port at b is the index of the corresponding entry:
+        // walk links counting per-node occurrences.
         let mut ports: Vec<Vec<PortLink>> = vec![Vec::new(); n];
-        let mut cursor: Vec<usize> = vec![0; n];
         for l in &self.links {
-            let pa = cursor[l.a.0 as usize];
-            let pb = cursor[l.b.0 as usize];
-            cursor[l.a.0 as usize] += 1;
-            cursor[l.b.0 as usize] += 1;
+            let pa = ports[l.a.0 as usize].len();
+            let pb = ports[l.b.0 as usize].len();
             ports[l.a.0 as usize].push(PortLink {
                 rate: l.rate,
                 delay: l.delay,
@@ -286,97 +338,10 @@ impl TopologyBuilder {
                     unreachable: NodeId(i as u32),
                 });
             }
+            checked_ports(i, ports[i].len())?;
         }
 
-        // Only switches route; hosts have a single NIC. Dense u16 port
-        // entries keep fabric-scale builds (10k-host fat-trees) in tens
-        // of megabytes instead of gigabytes; equal-cost sets live in a
-        // small deduplicated pool per switch.
-        let mut routes: Vec<RouteTable> = self
-            .kinds
-            .iter()
-            .map(|k| match k {
-                NodeKind::Switch => RouteTable::unreachable(n),
-                NodeKind::Host => RouteTable::default(),
-            })
-            .collect();
-        for ps in &ports {
-            assert!(
-                ps.len() < (1usize << 15),
-                "per-node port count exceeds the tagged u16 route-table range"
-            );
-        }
-        // Route fill: one BFS per access node, not per host. A host is a
-        // leaf hanging off exactly one access node `a`, so every other
-        // node v reaches it in hops(v, a) + 1 and its equal-cost next
-        // hops toward the host are its next hops toward `a`; only `a`
-        // itself differs, forwarding straight out of the host's port.
-        // Groups run in order of their lowest host id, so each switch
-        // meets its equal-cost sets in the same first-use order as a
-        // per-host fill and the pooled tables come out identical.
-        let mut group_of = vec![usize::MAX; n];
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for h in (0..n).filter(|&i| self.kinds[i] == NodeKind::Host) {
-            let a = ports[h][0].peer.0 as usize;
-            if group_of[a] == usize::MAX {
-                group_of[a] = groups.len();
-                groups.push((a, Vec::new()));
-            }
-            groups[group_of[a]].1.push(h);
-        }
-        let mut dist: Vec<u32> = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        let mut next_hops: Vec<u16> = Vec::new();
-        for (a, hosts) in &groups {
-            let a = *a;
-            // BFS backwards from a; dist[v] = hops from v to a.
-            dist.fill(u32::MAX);
-            dist[a] = 0;
-            queue.push_back(a);
-            while let Some(v) = queue.pop_front() {
-                for p in &ports[v] {
-                    let p = p.peer.0 as usize;
-                    if dist[p] == u32::MAX {
-                        dist[p] = dist[v] + 1;
-                        queue.push_back(p);
-                    }
-                }
-            }
-            if let Some(v) = dist.iter().position(|&d| d == u32::MAX) {
-                // Previously this slipped past the route fill and
-                // surfaced as an `expect("connected graph")` panic (or a
-                // missing-route panic deep in a run); now it is a
-                // structured validation error.
-                return Err(TopologyError::Disconnected {
-                    node: NodeId(v as u32),
-                    unreachable: NodeId(hosts[0] as u32),
-                });
-            }
-            for v in 0..n {
-                if self.kinds[v] != NodeKind::Switch {
-                    continue;
-                }
-                if v == a {
-                    for &h in hosts {
-                        routes[a].set(h, &[ports[h][0].peer_port as u16]);
-                    }
-                    continue;
-                }
-                // Every equal-cost parent joins the set: fat-trees
-                // expose all their uplinks instead of concentrating on
-                // the lowest-id core. Ports are walked in index order,
-                // so the set arrives sorted and deterministic.
-                next_hops.clear();
-                for (port, p) in ports[v].iter().enumerate() {
-                    if dist[p.peer.0 as usize] + 1 == dist[v] {
-                        next_hops.push(port as u16);
-                    }
-                }
-                debug_assert!(!next_hops.is_empty(), "reached node has a parent");
-                routes[v].set_all(hosts, &next_hops);
-            }
-        }
-
+        let mut routes = fill_routes(&self.kinds, &ports)?.into_iter();
         let mut nodes = Vec::with_capacity(n);
         let mut hosts = Vec::new();
         let mut switches = Vec::new();
@@ -398,7 +363,7 @@ impl TopologyBuilder {
                     nodes.push(Node::Switch(Switch {
                         id,
                         ports: ports[i].iter().map(|&l| Port::new(l, switch_buf)).collect(),
-                        routes: std::mem::take(&mut routes[i]),
+                        routes: routes.next().expect("one route table per switch"),
                         policy,
                     }));
                 }
@@ -415,6 +380,124 @@ impl TopologyBuilder {
     pub fn build_drop_tail(self) -> Network {
         self.build(|_, _| Box::new(DropTail))
     }
+}
+
+/// Fills every switch's route table, returned in switch-id order.
+///
+/// One BFS per route group, not per host: a host is a leaf hanging off
+/// exactly one access node `a`, so every other switch reaches it one
+/// hop further than it reaches `a`, through the same equal-cost ports,
+/// and `a` itself forwards straight out of the host's port. A host
+/// other than the source is never on a shortest path, so the BFS walks
+/// switches only. Groups are numbered in order of their lowest host id,
+/// so each switch meets its equal-cost sets in the same first-use order
+/// as a per-host fill would.
+fn fill_routes(
+    kinds: &[NodeKind],
+    ports: &[Vec<PortLink>],
+) -> Result<Vec<RouteTable>, TopologyError> {
+    const NONE: u32 = u32::MAX;
+    let n = kinds.len();
+    let switches: Vec<usize> = (0..n).filter(|&v| kinds[v] == NodeKind::Switch).collect();
+    let mut ord = vec![NONE; n];
+    for (o, &v) in switches.iter().enumerate() {
+        ord[v] = o as u32;
+    }
+    // Switch-only CSR adjacency: (port, peer ordinal) pairs, ports
+    // ascending, so next-hop sets come out sorted.
+    let mut adj_start = Vec::with_capacity(switches.len() + 1);
+    let mut adj: Vec<(u16, u32)> = Vec::new();
+    for &v in &switches {
+        adj_start.push(adj.len());
+        for (port, l) in ports[v].iter().enumerate() {
+            let peer = ord[l.peer.0 as usize];
+            if peer != NONE {
+                adj.push((port as u16, peer));
+            }
+        }
+    }
+    adj_start.push(adj.len());
+
+    let mut index = DstIndex::new(n);
+    let mut group_of = vec![NONE; n];
+    // (access node, lowest host id) per group.
+    let mut groups: Vec<(usize, usize)> = Vec::new();
+    // Hosts linked to another host: no switch ever reaches them.
+    let mut host_pairs = false;
+    for h in (0..n).filter(|&v| kinds[v] == NodeKind::Host) {
+        let link = ports[h][0];
+        let a = link.peer.0 as usize;
+        if group_of[a] == NONE {
+            group_of[a] = index.add_group();
+            groups.push((a, h));
+        }
+        host_pairs |= kinds[a] != NodeKind::Switch;
+        index.assign(h, group_of[a], link.peer_port as u16);
+    }
+    let access = |h: usize| ports[h][0].peer.0 as usize;
+
+    let index = Arc::new(index);
+    let mut tables: Vec<RouteTable> = switches
+        .iter()
+        .map(|_| RouteTable::new(Arc::clone(&index)))
+        .collect();
+    let mut dist: Vec<u32> = vec![NONE; switches.len()];
+    let mut queue = VecDeque::new();
+    let mut next_hops: Vec<u16> = Vec::new();
+    for (g, &(a, first_host)) in groups.iter().enumerate() {
+        // BFS backwards from a over switches; dist[o] = hops to a.
+        dist.fill(NONE);
+        let mut reached = 0;
+        if ord[a] != NONE {
+            dist[ord[a] as usize] = 0;
+            queue.push_back(ord[a] as usize);
+        }
+        while let Some(o) = queue.pop_front() {
+            reached += 1;
+            for &(_, peer) in &adj[adj_start[o]..adj_start[o + 1]] {
+                if dist[peer as usize] == NONE {
+                    dist[peer as usize] = dist[o] + 1;
+                    queue.push_back(peer as usize);
+                }
+            }
+        }
+        if reached < switches.len() || host_pairs {
+            // A host is reached iff it is the source, hangs off the
+            // source, or hangs off a reached switch.
+            let reaches = |v: usize| match kinds[v] {
+                NodeKind::Switch => dist[ord[v] as usize] != NONE,
+                NodeKind::Host => {
+                    let up = access(v);
+                    v == a || up == a || (ord[up] != NONE && dist[ord[up] as usize] != NONE)
+                }
+            };
+            if let Some(v) = (0..n).find(|&v| !reaches(v)) {
+                return Err(TopologyError::Disconnected {
+                    node: NodeId(v as u32),
+                    unreachable: NodeId(first_host as u32),
+                });
+            }
+        }
+        let g = g as u32;
+        for (o, table) in tables.iter_mut().enumerate() {
+            if switches[o] == a {
+                table.set_direct(g);
+                continue;
+            }
+            // Every equal-cost parent joins the set: fat-trees expose
+            // all their uplinks instead of concentrating on the
+            // lowest-id core.
+            next_hops.clear();
+            for &(port, peer) in &adj[adj_start[o]..adj_start[o + 1]] {
+                if dist[peer as usize] + 1 == dist[o] {
+                    next_hops.push(port);
+                }
+            }
+            debug_assert!(!next_hops.is_empty(), "reached switch has a parent");
+            table.set_group(g, &next_hops);
+        }
+    }
+    Ok(tables)
 }
 
 /// The paper's testbed (Fig. 4): root switch `NF0`, three leaf switches
@@ -554,6 +637,7 @@ pub fn fat_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NextHops;
 
     #[test]
     fn builds_symmetric_peer_ports() {
@@ -844,6 +928,102 @@ mod tests {
         assert!(err.to_string().contains("node-id space exhausted"));
     }
 
+    /// Port indices must stay untagged route-table entry values: a node
+    /// may have exactly `MAX_PORTS` (2^15) ports, not one more.
+    #[test]
+    fn port_count_guards_route_entry_range() {
+        assert_eq!(MAX_PORTS, 1 << 15);
+        assert_eq!(checked_ports(3, 0), Ok(()));
+        assert_eq!(checked_ports(3, MAX_PORTS), Ok(()));
+        assert_eq!(
+            checked_ports(3, MAX_PORTS + 1),
+            Err(TopologyError::TooManyPorts {
+                node: NodeId(3),
+                ports: MAX_PORTS + 1
+            })
+        );
+        let (g, d) = (Bandwidth::gbps(1), Dur::micros(1));
+        // At the bound the top port is still a plain entry, distinct
+        // from the DIRECT and NO_ROUTE sentinels.
+        let (t, hosts, sw) = star(MAX_PORTS, g, d);
+        let net = t
+            .try_build(|_, _| Box::new(DropTail))
+            .expect("at the bound");
+        let Node::Switch(ref s) = net.nodes[sw.0 as usize] else {
+            panic!()
+        };
+        let last = *hosts.last().unwrap();
+        assert_eq!(s.routes.next_hops(last), NextHops::Single(0x7FFF));
+        assert_eq!(s.routes.next_hops(hosts[0]), NextHops::Single(0));
+        assert_eq!(s.routes.reachable_dests(), MAX_PORTS);
+        // One past it: a typed error, not a panic.
+        let (t, _, sw) = star(MAX_PORTS + 1, g, d);
+        let err = t
+            .try_build(|_, _| Box::new(DropTail))
+            .err()
+            .expect("past the bound");
+        assert_eq!(
+            err,
+            TopologyError::TooManyPorts {
+                node: sw,
+                ports: MAX_PORTS + 1
+            }
+        );
+        assert!(err.to_string().contains("32769 ports"));
+    }
+
+    #[test]
+    fn try_link_rejects_bad_links_without_adding_them() {
+        let (g, d) = (Bandwidth::gbps(1), Dur::micros(1));
+        let mut t = TopologyBuilder::new();
+        let h = t.host();
+        let s = t.switch();
+        assert_eq!(
+            t.try_link(h, h, g, d),
+            Err(TopologyError::SelfLink { node: h })
+        );
+        let ghost = NodeId(7);
+        assert_eq!(
+            t.try_link(ghost, s, g, d),
+            Err(TopologyError::UnknownNode { node: ghost })
+        );
+        let err = t.try_link(h, ghost, g, d).unwrap_err();
+        assert_eq!(err, TopologyError::UnknownNode { node: ghost });
+        assert!(err.to_string().contains("unknown node 7"));
+        assert!(t.links.is_empty());
+        assert_eq!(t.try_link(h, s, g, d), Ok(()));
+        assert_eq!(t.build_drop_tail().hosts, vec![h]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid link: self-links are not allowed")]
+    fn link_panics_on_self_link() {
+        let mut t = TopologyBuilder::new();
+        let s = t.switch();
+        t.link(s, s, Bandwidth::gbps(1), Dur::micros(1));
+    }
+
+    /// Tables hold one entry per access group, shared index and all: a
+    /// k = 8 fat-tree switch has k^2/2 = 32 entries, not one per node,
+    /// so the table cannot quietly grow back to per-host rows.
+    #[test]
+    fn fat_tree_tables_hold_one_entry_per_group() {
+        let k = 8;
+        let (t, hosts, switches) =
+            fat_tree(k, Bandwidth::gbps(1), Bandwidth::gbps(10), Dur::micros(2));
+        let net = t.build_drop_tail();
+        let table = |id: NodeId| match &net.nodes[id.0 as usize] {
+            Node::Switch(s) => &s.routes,
+            Node::Host(_) => panic!("{id:?} is a host"),
+        };
+        let first = table(switches[0]);
+        for &sw in &switches {
+            assert_eq!(table(sw).groups(), k * k / 2, "switch {sw:?}");
+            assert!(table(sw).shares_index_with(first), "switch {sw:?}");
+            assert_eq!(table(sw).reachable_dests(), hosts.len(), "switch {sw:?}");
+        }
+    }
+
     #[test]
     fn try_variants_match_infallible_ids() {
         let mut t = TopologyBuilder::new();
@@ -857,7 +1037,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::node::Node;
+    use crate::node::{NextHops, Node};
     use rng::props::cases;
     use rng::Rng;
 
@@ -922,10 +1102,11 @@ mod proptests {
         });
     }
 
-    /// The per-host route fill that the access-node fill replaced, kept
-    /// as its oracle: one BFS per destination host over the builder's
-    /// links, then `set` per (host, switch) pair in id order.
-    fn per_host_routes(t: &TopologyBuilder) -> Result<Vec<RouteTable>, TopologyError> {
+    /// The per-host route fill that the group fill replaced, kept as its
+    /// oracle: one BFS per destination host over the builder's links.
+    /// Returns, per node id, the sorted next-hop ports toward every
+    /// destination id (empty rows for hosts, empty sets for no route).
+    fn per_host_routes(t: &TopologyBuilder) -> Result<Vec<Vec<Vec<u16>>>, TopologyError> {
         let n = t.kinds.len();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for l in &t.links {
@@ -939,12 +1120,12 @@ mod proptests {
                 unreachable: v,
             });
         }
-        let mut routes: Vec<RouteTable> = t
+        let mut routes: Vec<Vec<Vec<u16>>> = t
             .kinds
             .iter()
             .map(|k| match k {
-                NodeKind::Switch => RouteTable::unreachable(n),
-                NodeKind::Host => RouteTable::default(),
+                NodeKind::Switch => vec![Vec::new(); n],
+                NodeKind::Host => Vec::new(),
             })
             .collect();
         for dst in (0..n).filter(|&i| t.kinds[i] == NodeKind::Host) {
@@ -967,11 +1148,10 @@ mod proptests {
                     });
                 }
                 if t.kinds[v] == NodeKind::Switch {
-                    let hops: Vec<u16> = (0..adj[v].len())
+                    routes[v][dst] = (0..adj[v].len())
                         .filter(|&p| dist[adj[v][p]] + 1 == dist[v])
                         .map(|p| p as u16)
                         .collect();
-                    routes[v].set(dst, &hops);
                 }
             }
         }
@@ -981,22 +1161,34 @@ mod proptests {
     /// A random multigraph: switches joined by a random spanning tree
     /// (each tree link dropped with probability 1/8, to cover the
     /// disconnected case) plus extra, possibly parallel, switch links;
-    /// hosts on random switches. Node kinds interleave in id order and
+    /// hosts on random switches, and now and then a host–host pair (an
+    /// island no switch reaches). Node kinds interleave in id order and
     /// links are added in shuffled order, so neither a host group's ids
     /// nor a switch's port order follows the topology.
     fn random_fabric(rng: &mut rng::rngs::StdRng) -> TopologyBuilder {
         use rng::seq::SliceRandom;
+        #[derive(Clone, Copy)]
+        enum Kind {
+            Switch,
+            Host,
+            Paired,
+        }
         let n_sw = rng.gen_range(1..8usize);
         let n_hosts = rng.gen_range(1..16usize);
-        let mut kinds: Vec<bool> = (0..n_sw + n_hosts).map(|i| i < n_sw).collect();
+        let n_paired = if rng.gen_bool(0.125) { 2 } else { 0 };
+        let mut kinds: Vec<Kind> = (0..n_sw)
+            .map(|_| Kind::Switch)
+            .chain((0..n_hosts).map(|_| Kind::Host))
+            .chain((0..n_paired).map(|_| Kind::Paired))
+            .collect();
         kinds.shuffle(rng);
         let mut t = TopologyBuilder::new();
-        let (mut switches, mut hosts) = (Vec::new(), Vec::new());
-        for is_switch in kinds {
-            if is_switch {
-                switches.push(t.switch());
-            } else {
-                hosts.push(t.host());
+        let (mut switches, mut hosts, mut paired) = (Vec::new(), Vec::new(), Vec::new());
+        for kind in kinds {
+            match kind {
+                Kind::Switch => switches.push(t.switch()),
+                Kind::Host => hosts.push(t.host()),
+                Kind::Paired => paired.push(t.host()),
             }
         }
         let mut links = Vec::new();
@@ -1014,6 +1206,9 @@ mod proptests {
         for &h in &hosts {
             links.push((h, switches[rng.gen_range(0..n_sw)]));
         }
+        if let [a, b] = paired[..] {
+            links.push((a, b));
+        }
         links.shuffle(rng);
         for (a, b) in links {
             t.link(a, b, Bandwidth::gbps(1), Dur::micros(1));
@@ -1021,24 +1216,55 @@ mod proptests {
         t
     }
 
-    /// The access-node route fill is byte-identical to the per-host fill
-    /// it replaced: the same entries and the same pooled equal-cost sets
-    /// in the same pool order, or the same structured error.
+    fn hops(h: NextHops<'_>) -> Vec<u16> {
+        match h {
+            NextHops::None => Vec::new(),
+            NextHops::Single(p) => vec![p],
+            NextHops::Ecmp(set) => set.to_vec(),
+        }
+    }
+
+    /// The group route fill is observably identical to the per-host fill
+    /// it replaced: every switch answers `next_hops`, `reachable_dests`
+    /// and `reroutable_dests` as the per-host tables would, or the build
+    /// fails with the same structured error.
     #[test]
     fn access_node_fill_matches_per_host_fill() {
         let check = |t: TopologyBuilder| {
             let expected = per_host_routes(&t);
             match (expected, t.try_build(|_, _| Box::new(DropTail))) {
                 (Ok(exp), Ok(net)) => {
+                    let n = net.nodes.len();
                     for (i, node) in net.nodes.iter().enumerate() {
-                        if let Node::Switch(sw) = node {
-                            assert_eq!(sw.routes, exp[i], "switch {i}");
+                        let Node::Switch(sw) = node else { continue };
+                        let rows = &exp[i];
+                        for d in 0..n + 3 {
+                            let want = rows.get(d).cloned().unwrap_or_default();
+                            let got = hops(sw.routes.next_hops(NodeId(d as u32)));
+                            assert_eq!(got, want, "switch {i} toward {d}");
+                        }
+                        let reachable = rows.iter().filter(|r| !r.is_empty()).count();
+                        assert_eq!(sw.routes.reachable_dests(), reachable, "switch {i}");
+                        for port in 0..sw.ports.len() as u16 {
+                            let masks: [&dyn Fn(u16) -> bool; 3] =
+                                [&|_| true, &|p| p % 2 == 1, &|p| p != port + 1];
+                            for alive in masks {
+                                let want = rows
+                                    .iter()
+                                    .filter(|r| {
+                                        r.contains(&port)
+                                            && r.iter().any(|&p| p != port && alive(p))
+                                    })
+                                    .count() as u64;
+                                let got = sw.routes.reroutable_dests(port, alive);
+                                assert_eq!(got, want, "switch {i} port {port}");
+                            }
                         }
                     }
                 }
                 (Err(a), Err(b)) => assert_eq!(a, b),
                 (exp, got) => panic!(
-                    "per-host fill {:?}, access-node fill {:?}",
+                    "per-host fill {:?}, group fill {:?}",
                     exp.map(|_| ()),
                     got.map(|_| ())
                 ),
@@ -1052,6 +1278,11 @@ mod proptests {
         for k in [2, 4, 6, 8] {
             check(fat_tree(k, g, Bandwidth::gbps(10), d).0);
         }
+        // A lone host–host pair: no switch, nothing to route, valid.
+        let mut pair = TopologyBuilder::new();
+        let (a, b) = (pair.host(), pair.host());
+        pair.link(a, b, g, d);
+        check(pair);
         cases(256, |_case, rng| check(random_fabric(rng)));
     }
 
