@@ -19,8 +19,8 @@
 //! * [`switch::TfcSwitchPolicy`] — the two glued into the simulator's
 //!   switch hooks;
 //! * [`sender::TfcSender`] + [`stack::TfcStack`] — the end-host side
-//!   (§5.1/§5.3), reusing the shared receiver from the `transport`
-//!   crate;
+//!   (§5.1/§5.3): the explicit-window policy over the `transport`
+//!   crate's shared send core, paired with its shared receiver;
 //! * [`config`] — paper-faithful defaults (`rho0 = 0.97`, `alpha = 7/8`,
 //!   initial `rtt_b` 160 µs) plus ablation switches.
 //!

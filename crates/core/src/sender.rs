@@ -12,11 +12,16 @@
 //! * the congestion window is exactly the value carried by the last RMA;
 //! * loss recovery is a plain dup-ACK fast retransmit plus an RTO safety
 //!   net (TFC rarely drops, so these are cold paths).
+//!
+//! The stream machinery (sequence space, RTO, RTT probe, SYN and FIN,
+//! retransmitted head, go-back-N) is the `transport` crate's
+//! [`SendCore`], shared with TCP and DCTCP; this module is only the
+//! explicit-window policy over it.
 
 use simnet::endpoint::{Effects, Note, SenderEndpoint};
 use simnet::packet::{Flags, FlowId, NodeId, Packet, MSS, WINDOW_INIT};
 use simnet::units::{Dur, Time};
-use transport::rtt::RttEstimator;
+use transport::send::{SendCore, Stamp};
 
 use crate::config::TfcHostConfig;
 
@@ -32,20 +37,13 @@ enum State {
 
 /// TFC sender endpoint.
 pub struct TfcSender {
-    flow: FlowId,
-    local: NodeId,
-    remote: NodeId,
-    cfg: TfcHostConfig,
-    /// Allocation weight carried in every packet header.
-    weight: u8,
+    /// Stamps the weight on the SYN and data, and RM on the SYN and
+    /// every retransmitted head.
+    core: SendCore,
+    // From `TfcHostConfig`.
+    awnd: u64,
+    probe_on_resume: bool,
     state: State,
-    // Stream.
-    pushed: u64,
-    closed: bool,
-    snd_una: u64,
-    snd_nxt: u64,
-    fin_sent: bool,
-    done_noted: bool,
     // Window.
     cwnd: u64,
     /// The next outgoing data packet carries the RM bit.
@@ -59,12 +57,6 @@ pub struct TfcSender {
     /// ACKs, and without spacing the re-mark paths emit back-to-back
     /// marks whose compressed interval poisons the switch's `rtt_b`.
     rm_sent_at: Option<Time>,
-    dup_acks: u32,
-    // Timing.
-    est: RttEstimator,
-    timer_gen: u64,
-    timer_armed: bool,
-    rtt_probe: Option<(u64, Time)>,
 }
 
 impl TfcSender {
@@ -89,156 +81,74 @@ impl TfcSender {
         cfg: TfcHostConfig,
         weight: u8,
     ) -> Self {
-        Self {
-            flow,
-            local,
-            remote,
-            cfg,
+        let stamp = Stamp {
+            data: Flags::default(),
+            mark: Flags::RM,
             weight: weight.max(1),
+        };
+        Self {
+            core: SendCore::new(flow, local, remote, bytes, cfg.min_rto, cfg.max_rto, stamp),
+            awnd: cfg.awnd,
+            probe_on_resume: cfg.probe_on_resume,
             state: State::SynSent,
-            pushed: bytes.unwrap_or(0),
-            closed: bytes.is_some(),
-            snd_una: 0,
-            snd_nxt: 0,
-            fin_sent: false,
-            done_noted: false,
             cwnd: 0,
             rm_pending: false,
             rm_outstanding: false,
             rm_seq_end: 0,
             rm_sent_at: None,
-            dup_acks: 0,
-            est: RttEstimator::new(cfg.min_rto, cfg.max_rto),
-            timer_gen: 0,
-            timer_armed: false,
-            rtt_probe: None,
         }
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.snd_nxt - self.snd_una
     }
 
     /// Whether enough time has passed since the last mark to mark again.
     fn mark_spacing_ok(&self, now: Time) -> bool {
-        match (self.rm_sent_at, self.est.srtt()) {
+        match (self.rm_sent_at, self.core.est.srtt()) {
             (Some(at), Some(srtt)) => now.since(at) >= Dur(srtt.as_nanos() / 2),
             _ => true,
         }
     }
 
-    fn arm_timer(&mut self, fx: &mut Effects) {
-        if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
-        }
-        self.timer_gen += 1;
-        self.timer_armed = true;
-        fx.timer(self.est.rto(), self.timer_gen);
-    }
-
-    fn disarm_timer(&mut self, fx: &mut Effects) {
-        if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
-        }
-        self.timer_armed = false;
-        self.timer_gen += 1; // invalidate a pending RTO that outran the cancel
-    }
-
-    fn emit_syn(&mut self, fx: &mut Effects) {
-        let mut syn = Packet::data(self.flow, self.local, self.remote, 0, 0);
-        syn.flags.set(Flags::SYN.with(Flags::RM));
-        syn.window = WINDOW_INIT;
-        syn.weight = self.weight;
-        fx.send(syn);
-    }
-
+    /// Sends a window-acquisition probe and arms the RTO.
     fn emit_probe(&mut self, fx: &mut Effects) {
-        let mut probe = Packet::data(self.flow, self.local, self.remote, self.snd_una, 0);
+        let mut probe = self.core.segment(self.core.snd_una(), 0);
         probe.flags.set(Flags::RM);
-        probe.window = WINDOW_INIT;
-        probe.weight = self.weight;
         self.rm_outstanding = true;
         fx.send(probe);
+        self.core.arm_timer(fx);
     }
 
-    fn emit_data(&mut self, seq: u64, len: u64, rm: bool, now: Time, fx: &mut Effects) {
-        let mut pkt = Packet::data(self.flow, self.local, self.remote, seq, len);
-        pkt.window = WINDOW_INIT;
-        pkt.weight = self.weight;
-        if rm {
-            pkt.flags.set(Flags::RM);
+    /// Records the round mark a retransmitted head carried, if data went
+    /// out: the mark keeps the slot machinery alive, so the switch keeps
+    /// counting this flow.
+    fn head_remarked(&mut self, end: Option<u64>) {
+        if let Some(end) = end {
             self.rm_outstanding = true;
-            self.rm_seq_end = seq + len;
-            self.rm_sent_at = Some(now);
+            self.rm_seq_end = end;
         }
-        if self.rtt_probe.is_none() {
-            self.rtt_probe = Some((seq + len, now));
-        }
-        fx.send(pkt);
-    }
-
-    fn emit_fin(&mut self, fx: &mut Effects) {
-        let mut fin = Packet::data(self.flow, self.local, self.remote, self.pushed, 0);
-        fin.flags.set(Flags::FIN);
-        fx.send(fin);
     }
 
     fn send_available(&mut self, now: Time, fx: &mut Effects) {
         if self.state != State::Streaming {
             return;
         }
-        loop {
-            let wnd_end = self.snd_una + self.cwnd;
-            if self.snd_nxt >= self.pushed || self.snd_nxt >= wnd_end {
-                break;
-            }
-            // The window counts in whole packets: send a full segment
-            // whenever any window space remains (ceiling semantics, at
-            // most one MSS of overshoot per flow per round). Splitting
-            // segments to fit the byte window exactly would strand up to
-            // one MSS per round, and the resulting odd-sized fragments
-            // self-perpetuate (each ACK opens fragment-sized space) —
-            // starving the full-frame-only rtt_b filter of §4.4. The
-            // overshoot is absorbed by the rho feedback of Eq. 7.
-            let remaining = self.pushed - self.snd_nxt;
-            let len = remaining.min(MSS);
-            let rm = self.rm_pending && self.mark_spacing_ok(now);
-            if rm {
+        // The window counts in whole packets: send a full segment
+        // whenever any window space remains (ceiling semantics, at most
+        // one MSS of overshoot per flow per round). Splitting segments
+        // to fit the byte window exactly would strand up to one MSS per
+        // round, and the resulting odd-sized fragments self-perpetuate
+        // (each ACK opens fragment-sized space) — starving the
+        // full-frame-only rtt_b filter of §4.4. The overshoot is
+        // absorbed by the rho feedback of Eq. 7.
+        while let Some(mut pkt) = self.core.next_segment(self.cwnd, false, now) {
+            if self.rm_pending && self.mark_spacing_ok(now) {
                 self.rm_pending = false;
+                pkt.flags.set(Flags::RM);
+                self.rm_outstanding = true;
+                self.rm_seq_end = pkt.seq + pkt.payload;
+                self.rm_sent_at = Some(now);
             }
-            self.emit_data(self.snd_nxt, len, rm, now, fx);
-            self.snd_nxt += len;
+            fx.send(pkt);
         }
-        if self.closed && !self.fin_sent && self.snd_nxt == self.pushed {
-            self.fin_sent = true;
-            self.snd_nxt = self.pushed + 1;
-            self.emit_fin(fx);
-        }
-        if self.outstanding() > 0 && !self.timer_armed {
-            self.arm_timer(fx);
-        }
-    }
-
-    fn retransmit_head(&mut self, now: Time, fx: &mut Effects) {
-        let _ = now;
-        fx.note(Note::Retransmit);
-        self.rtt_probe = None;
-        if self.snd_una >= self.pushed {
-            if self.fin_sent {
-                self.emit_fin(fx);
-            }
-            return;
-        }
-        let len = (self.pushed - self.snd_una).min(MSS);
-        let mut pkt = Packet::data(self.flow, self.local, self.remote, self.snd_una, len);
-        pkt.window = WINDOW_INIT;
-        pkt.weight = self.weight;
-        // Keep the slot machinery alive: a retransmitted head re-marks
-        // the round so the switch keeps counting this flow.
-        pkt.flags.set(Flags::RM);
-        self.rm_outstanding = true;
-        self.rm_seq_end = self.snd_una + len;
-        fx.send(pkt);
+        self.core.send_tail(fx);
     }
 
     /// Current state name (tests, diagnostics).
@@ -253,36 +163,32 @@ impl TfcSender {
 
 impl SenderEndpoint for TfcSender {
     fn open(&mut self, _now: Time, fx: &mut Effects) {
-        if self.state == State::SynSent && !self.timer_armed {
-            self.emit_syn(fx);
-            self.arm_timer(fx);
+        if self.state == State::SynSent && !self.core.timer_armed() {
+            self.core.emit_syn(fx);
         }
     }
 
     fn push_data(&mut self, bytes: u64, now: Time, fx: &mut Effects) {
-        assert!(!self.closed, "push_data after close");
-        let was_idle = self.outstanding() == 0 && self.snd_nxt == self.pushed;
-        self.pushed += bytes;
+        let was_idle = self.core.idle();
+        self.core.push(bytes);
         if self.state == State::WindowAcq && !self.rm_outstanding {
             // Established while idle: run the deferred acquisition now.
             self.emit_probe(fx);
-            self.arm_timer(fx);
             return;
         }
-        if self.state == State::Streaming && was_idle && self.cfg.probe_on_resume {
+        if self.state == State::Streaming && was_idle && self.probe_on_resume {
             // Silent flow resuming: its stale window may be far too big
             // now (the switch stopped counting it). Re-acquire first.
             self.state = State::WindowAcq;
             self.cwnd = 0;
             self.emit_probe(fx);
-            self.arm_timer(fx);
             return;
         }
         self.send_available(now, fx);
     }
 
     fn close(&mut self, now: Time, fx: &mut Effects) {
-        self.closed = true;
+        self.core.close();
         self.send_available(now, fx);
     }
 
@@ -290,16 +196,15 @@ impl SenderEndpoint for TfcSender {
         if pkt.flags.contains(Flags::SYN) && pkt.flags.contains(Flags::ACK) {
             if self.state == State::SynSent {
                 self.state = State::WindowAcq;
-                self.disarm_timer(fx);
+                self.core.disarm_timer(fx);
                 fx.note(Note::Established);
                 // Window-acquisition phase (§4.6): fetch the first window
                 // with a zero-payload marked packet. Deferred until the
                 // application has data, so connect-then-idle flows do not
                 // mark rounds they will not use (and cannot become a
                 // silent delimiter).
-                if self.pushed > self.snd_nxt {
+                if !self.core.idle() {
                     self.emit_probe(fx);
-                    self.arm_timer(fx);
                 }
             }
             return;
@@ -313,9 +218,9 @@ impl SenderEndpoint for TfcSender {
             // guarantees at least one MSS when it is enabled; clamp for
             // the ablation case so the flow cannot deadlock.
             if pkt.window != WINDOW_INIT {
-                self.cwnd = pkt.window.max(MSS).min(self.cfg.awnd);
+                self.cwnd = pkt.window.max(MSS).min(self.awnd);
             } else {
-                self.cwnd = self.cfg.awnd;
+                self.cwnd = self.awnd;
             }
             fx.note(Note::WindowAcquired { bytes: self.cwnd });
             self.rm_pending = true;
@@ -323,13 +228,13 @@ impl SenderEndpoint for TfcSender {
                 self.state = State::Streaming;
             }
         }
-        let ack = pkt.ack.min(self.snd_nxt);
+        let ack = self.core.clamp_ack(pkt.ack);
         if !pkt.flags.contains(Flags::RMA) && self.rm_outstanding && ack >= self.rm_seq_end {
             // The marked packet was cumulatively acknowledged by a later,
             // unmarked ACK. Its RMA was either lost or is being held by a
             // delay arbiter (which legitimately lets plain ACKs overtake
             // it); only declare it lost after a couple of RTTs.
-            let overdue = match (self.rm_sent_at, self.est.srtt()) {
+            let overdue = match (self.rm_sent_at, self.core.est.srtt()) {
                 (Some(at), Some(srtt)) => now.since(at) > Dur(2 * srtt.as_nanos()),
                 _ => true,
             };
@@ -338,77 +243,38 @@ impl SenderEndpoint for TfcSender {
                 self.rm_pending = true;
             }
         }
-        if ack > self.snd_una {
-            self.snd_una = ack;
-            self.dup_acks = 0;
-            if let Some((target, t0)) = self.rtt_probe {
-                if ack >= target {
-                    let rtt = now - t0;
-                    self.est.sample(rtt);
-                    fx.note(Note::RttSample {
-                        nanos: rtt.as_nanos(),
-                    });
-                    self.rtt_probe = None;
-                }
-            }
-            if self.fin_sent && self.snd_una > self.pushed && !self.done_noted {
-                self.done_noted = true;
-                self.disarm_timer(fx);
-                fx.note(Note::SenderDone);
+        let una = self.core.snd_una();
+        if ack > una {
+            self.core.advance(ack, now, fx);
+            if self.core.settle(fx) {
                 return;
             }
-            if self.outstanding() > 0 {
-                self.arm_timer(fx);
-            } else {
-                self.disarm_timer(fx);
-            }
-        } else if ack == self.snd_una && self.outstanding() > 0 && pkt.flags.contains(Flags::RMA) {
-            // RMA for a probe or a re-marked head; not a dup-ACK signal.
-        } else if ack == self.snd_una && self.outstanding() > 0 {
-            self.dup_acks += 1;
-            if self.dup_acks == 3 {
-                self.retransmit_head(now, fx);
-                self.arm_timer(fx);
+        } else if ack == una && self.core.outstanding() > 0 && !pkt.flags.contains(Flags::RMA) {
+            // An RMA for a probe or a re-marked head is no dup-ACK signal.
+            self.core.dup_acks += 1;
+            if self.core.dup_acks == 3 {
+                let end = self.core.retransmit_head(fx);
+                self.head_remarked(end);
             }
         }
         self.send_available(now, fx);
     }
 
-    fn on_timer(&mut self, token: u64, now: Time, fx: &mut Effects) {
-        if token != self.timer_gen || !self.timer_armed {
+    fn on_timer(&mut self, token: u64, _now: Time, fx: &mut Effects) {
+        if !self.core.take_timer(token) {
             return;
         }
-        self.timer_armed = false;
         fx.note(Note::Timeout);
-        self.est.back_off();
+        self.core.est.back_off();
         match self.state {
-            State::SynSent => {
-                self.emit_syn(fx);
-            }
-            State::WindowAcq => {
-                self.emit_probe(fx);
-            }
+            State::SynSent => self.core.emit_syn(fx),
+            State::WindowAcq => self.emit_probe(fx),
+            State::Streaming if self.core.outstanding() == 0 => {}
             State::Streaming => {
-                if self.outstanding() == 0 {
-                    return;
-                }
-                self.dup_acks = 0;
-                // Rewind and resend from the cumulative ACK.
-                self.snd_nxt = self.snd_una.min(self.pushed);
-                let fin_was_sent = self.fin_sent;
-                self.fin_sent = false;
-                if self.snd_nxt < self.pushed {
-                    self.retransmit_head(now, fx);
-                    self.snd_nxt = self.snd_una + (self.pushed - self.snd_una).min(MSS);
-                } else if fin_was_sent {
-                    self.fin_sent = true;
-                    self.snd_nxt = self.pushed + 1;
-                    fx.note(Note::Retransmit);
-                    self.emit_fin(fx);
-                }
+                let end = self.core.go_back_n(fx);
+                self.head_remarked(end);
             }
         }
-        self.arm_timer(fx);
     }
 
     fn cwnd(&self) -> u64 {
@@ -416,7 +282,7 @@ impl SenderEndpoint for TfcSender {
     }
 
     fn acked_bytes(&self) -> u64 {
-        self.snd_una.min(self.pushed)
+        self.core.acked_bytes()
     }
 }
 
@@ -541,7 +407,7 @@ mod tests {
     fn window_shrink_pauses_sending() {
         let mut s = sender(Some(1_000_000));
         establish(&mut s, 10 * MSS);
-        assert_eq!(s.outstanding(), 10 * MSS);
+        assert_eq!(s.core.outstanding(), 10 * MSS);
         // RMA shrinks the window to 2 MSS: nothing new until drained.
         let mut fx = Effects::new();
         s.on_packet(&rma(MSS, 2 * MSS), Time(300), &mut fx);
@@ -693,7 +559,7 @@ mod spacing_tests {
     /// Seeds the RTT estimator with ~100 µs samples.
     fn seed_srtt(s: &mut TfcSender) {
         for _ in 0..4 {
-            s.est.sample(Dur::micros(100));
+            s.core.est.sample(Dur::micros(100));
         }
     }
 

@@ -4,9 +4,9 @@ use simnet::units::Dur;
 
 /// RTT estimator with RFC 6298 smoothing and a configurable RTO clamp.
 ///
-/// Retransmitted segments must not be sampled (Karn's algorithm); the
-/// senders in this crate enforce that by clearing their timing state on
-/// retransmission.
+/// Retransmitted segments must not be sampled (Karn's algorithm);
+/// [`crate::send::SendCore`], which every sender embeds, enforces that
+/// by dropping its RTT probe on each retransmission.
 ///
 /// # Examples
 ///

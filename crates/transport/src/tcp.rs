@@ -10,7 +10,7 @@ use simnet::endpoint::{Effects, Note, SenderEndpoint};
 use simnet::packet::{Flags, FlowId, NodeId, Packet, MSS};
 use simnet::units::{Dur, Time};
 
-use crate::rtt::RttEstimator;
+use crate::send::{SendCore, Stamp};
 
 /// TCP / DCTCP sender configuration.
 #[derive(Debug, Clone, Copy)]
@@ -69,32 +69,16 @@ struct DctcpState {
 
 /// TCP NewReno sender endpoint (DCTCP when `cfg.ecn` is set).
 pub struct TcpSender {
-    flow: FlowId,
-    local: NodeId,
-    remote: NodeId,
-    cfg: TcpConfig,
-    // Stream state.
-    pushed: u64,
-    closed: bool,
-    snd_una: u64,
-    snd_nxt: u64,
-    fin_sent: bool,
-    // Connection state.
-    syn_sent: bool,
+    core: SendCore,
+    /// Receiver advertised window (`TcpConfig::awnd`).
+    awnd: u64,
     established: bool,
-    done_noted: bool,
     // Congestion control.
     cwnd: f64,
     ssthresh: f64,
-    dup_acks: u32,
     in_recovery: bool,
     recover: u64,
     dctcp: Option<DctcpState>,
-    // Timing.
-    est: RttEstimator,
-    timer_gen: u64,
-    timer_armed: bool,
-    rtt_probe: Option<(u64, Time)>,
 }
 
 impl TcpSender {
@@ -114,77 +98,27 @@ impl TcpSender {
             marked_bytes: 0,
             window_end: 0,
         });
+        // DCTCP marks data, retransmissions and the FIN ECN-capable.
+        let data = if cfg.ecn {
+            Flags::ECT
+        } else {
+            Flags::default()
+        };
+        let stamp = Stamp {
+            data,
+            mark: Flags::default(),
+            weight: 1,
+        };
         Self {
-            flow,
-            local,
-            remote,
-            cfg,
-            pushed: bytes.unwrap_or(0),
-            closed: bytes.is_some(),
-            snd_una: 0,
-            snd_nxt: 0,
-            fin_sent: false,
-            syn_sent: false,
+            core: SendCore::new(flow, local, remote, bytes, cfg.min_rto, cfg.max_rto, stamp),
+            awnd: cfg.awnd,
             established: false,
-            done_noted: false,
             cwnd: cfg.init_cwnd as f64,
             ssthresh: f64::INFINITY,
-            dup_acks: 0,
             in_recovery: false,
             recover: 0,
             dctcp,
-            est: RttEstimator::new(cfg.min_rto, cfg.max_rto),
-            timer_gen: 0,
-            timer_armed: false,
-            rtt_probe: None,
         }
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.snd_nxt - self.snd_una
-    }
-
-    fn arm_timer(&mut self, fx: &mut Effects) {
-        if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
-        }
-        self.timer_gen += 1;
-        self.timer_armed = true;
-        fx.timer(self.est.rto(), self.timer_gen);
-    }
-
-    fn disarm_timer(&mut self, fx: &mut Effects) {
-        if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
-        }
-        self.timer_armed = false;
-        self.timer_gen += 1; // invalidate a pending RTO that outran the cancel
-    }
-
-    fn emit_data(&mut self, seq: u64, len: u64, now: Time, fx: &mut Effects) {
-        let mut pkt = Packet::data(self.flow, self.local, self.remote, seq, len);
-        if self.cfg.ecn {
-            pkt.flags.set(Flags::ECT);
-        }
-        if self.rtt_probe.is_none() {
-            self.rtt_probe = Some((seq + len, now));
-        }
-        fx.send(pkt);
-    }
-
-    fn emit_fin(&mut self, fx: &mut Effects) {
-        let mut fin = Packet::data(self.flow, self.local, self.remote, self.pushed, 0);
-        fin.flags.set(Flags::FIN);
-        if self.cfg.ecn {
-            fin.flags.set(Flags::ECT);
-        }
-        fx.send(fin);
-    }
-
-    fn emit_syn(&mut self, fx: &mut Effects) {
-        let mut syn = Packet::data(self.flow, self.local, self.remote, 0, 0);
-        syn.flags.set(Flags::SYN);
-        fx.send(syn);
     }
 
     /// Sends whatever the window and stream allow.
@@ -192,66 +126,17 @@ impl TcpSender {
         if !self.established {
             return;
         }
-        loop {
-            let wnd = (self.cwnd.max(0.0) as u64).min(self.cfg.awnd);
-            let wnd_end = self.snd_una + wnd;
-            if self.snd_nxt >= self.pushed || self.snd_nxt >= wnd_end {
-                break;
-            }
-            let remaining = self.pushed - self.snd_nxt;
-            let len = remaining.min(MSS);
-            // Do not split segments to fit a sub-MSS window remnant
-            // unless that remnant covers the rest of the stream.
-            if wnd_end - self.snd_nxt < len {
-                break;
-            }
-            self.emit_data(self.snd_nxt, len, now, fx);
-            self.snd_nxt += len;
+        let wnd = (self.cwnd.max(0.0) as u64).min(self.awnd);
+        // Do not split segments to fit a sub-MSS window remnant unless
+        // that remnant covers the rest of the stream.
+        while let Some(pkt) = self.core.next_segment(wnd, true, now) {
+            fx.send(pkt);
         }
-        if self.closed && !self.fin_sent && self.snd_nxt == self.pushed {
-            self.fin_sent = true;
-            self.snd_nxt = self.pushed + 1;
-            self.emit_fin(fx);
-        }
-        if self.outstanding() > 0 && !self.timer_armed {
-            self.arm_timer(fx);
-        }
-    }
-
-    /// Retransmits the segment at `snd_una` (or the FIN).
-    fn retransmit_head(&mut self, now: Time, fx: &mut Effects) {
-        let _ = now;
-        fx.note(Note::Retransmit);
-        self.rtt_probe = None; // Karn: never time a retransmission.
-        if self.snd_una >= self.pushed {
-            if self.fin_sent {
-                self.emit_fin(fx);
-            }
-            return;
-        }
-        let len = (self.pushed - self.snd_una).min(MSS);
-        let mut pkt = Packet::data(self.flow, self.local, self.remote, self.snd_una, len);
-        if self.cfg.ecn {
-            pkt.flags.set(Flags::ECT);
-        }
-        fx.send(pkt);
+        self.core.send_tail(fx);
     }
 
     fn on_new_ack(&mut self, ack: u64, ece: bool, now: Time, fx: &mut Effects) {
-        let acked = ack - self.snd_una;
-        self.snd_una = ack;
-        self.dup_acks = 0;
-
-        if let Some((target, t0)) = self.rtt_probe {
-            if ack >= target {
-                let rtt = now - t0;
-                self.est.sample(rtt);
-                fx.note(Note::RttSample {
-                    nanos: rtt.as_nanos(),
-                });
-                self.rtt_probe = None;
-            }
-        }
+        let acked = self.core.advance(ack, now, fx);
 
         if let Some(d) = &mut self.dctcp {
             d.acked_bytes += acked;
@@ -270,9 +155,8 @@ impl TcpSender {
                 });
             } else {
                 // Partial ack: retransmit the next hole, deflate.
-                self.retransmit_head(now, fx);
+                self.core.retransmit_head(fx);
                 self.cwnd = (self.cwnd - acked as f64 + MSS as f64).max(MSS as f64);
-                self.arm_timer(fx);
             }
         } else {
             if self.cwnd < self.ssthresh {
@@ -294,41 +178,30 @@ impl TcpSender {
                     d.acked_bytes = 0;
                     d.marked_bytes = 0;
                 }
-                d.window_end = self.snd_nxt;
+                d.window_end = self.core.snd_nxt();
             }
         }
 
-        // FIN fully acknowledged?
-        if self.fin_sent && self.snd_una > self.pushed && !self.done_noted {
-            self.done_noted = true;
-            self.disarm_timer(fx);
-            fx.note(Note::SenderDone);
-            return;
+        if !self.core.settle(fx) {
+            self.send_available(now, fx);
         }
-        if self.outstanding() > 0 {
-            self.arm_timer(fx);
-        } else {
-            self.disarm_timer(fx);
-        }
-        self.send_available(now, fx);
     }
 
     fn on_dup_ack(&mut self, now: Time, fx: &mut Effects) {
-        self.dup_acks += 1;
+        self.core.dup_acks += 1;
         if self.in_recovery {
             // Inflate and try to keep the pipe full.
             self.cwnd += MSS as f64;
             self.send_available(now, fx);
-        } else if self.dup_acks == 3 {
-            self.ssthresh = (self.outstanding() as f64 / 2.0).max(2.0 * MSS as f64);
-            self.recover = self.snd_nxt;
+        } else if self.core.dup_acks == 3 {
+            self.ssthresh = (self.core.outstanding() as f64 / 2.0).max(2.0 * MSS as f64);
+            self.recover = self.core.snd_nxt();
             self.in_recovery = true;
-            self.retransmit_head(now, fx);
+            self.core.retransmit_head(fx);
             self.cwnd = self.ssthresh + 3.0 * MSS as f64;
             fx.note(Note::WindowAcquired {
                 bytes: self.cwnd as u64,
             });
-            self.arm_timer(fx);
         }
     }
 
@@ -346,21 +219,19 @@ impl TcpSender {
 
 impl SenderEndpoint for TcpSender {
     fn open(&mut self, _now: Time, fx: &mut Effects) {
-        if !self.syn_sent {
-            self.syn_sent = true;
-            self.emit_syn(fx);
-            self.arm_timer(fx);
+        // Until the SYN-ACK, a SYN in flight always has its RTO armed.
+        if !self.established && !self.core.timer_armed() {
+            self.core.emit_syn(fx);
         }
     }
 
     fn push_data(&mut self, bytes: u64, now: Time, fx: &mut Effects) {
-        assert!(!self.closed, "push_data after close");
-        self.pushed += bytes;
+        self.core.push(bytes);
         self.send_available(now, fx);
     }
 
     fn close(&mut self, now: Time, fx: &mut Effects) {
-        self.closed = true;
+        self.core.close();
         self.send_available(now, fx);
     }
 
@@ -368,7 +239,7 @@ impl SenderEndpoint for TcpSender {
         if pkt.flags.contains(Flags::SYN) && pkt.flags.contains(Flags::ACK) {
             if !self.established {
                 self.established = true;
-                self.disarm_timer(fx);
+                self.core.disarm_timer(fx);
                 fx.note(Note::Established);
                 self.send_available(now, fx);
             }
@@ -378,54 +249,37 @@ impl SenderEndpoint for TcpSender {
             return;
         }
         let ece = pkt.flags.contains(Flags::ECE);
-        // Never trust an ACK beyond what was actually sent.
-        let ack = pkt.ack.min(self.snd_nxt);
-        if ack > self.snd_una {
+        let ack = self.core.clamp_ack(pkt.ack);
+        if ack > self.core.snd_una() {
             self.on_new_ack(ack, ece, now, fx);
-        } else if ack == self.snd_una && self.outstanding() > 0 {
+        } else if ack == self.core.snd_una() && self.core.outstanding() > 0 {
             self.on_dup_ack(now, fx);
         }
     }
 
-    fn on_timer(&mut self, token: u64, now: Time, fx: &mut Effects) {
-        if token != self.timer_gen || !self.timer_armed {
-            return; // Stale timer.
+    fn on_timer(&mut self, token: u64, _now: Time, fx: &mut Effects) {
+        if !self.core.take_timer(token) {
+            return;
         }
-        self.timer_armed = false;
         if !self.established {
             // SYN loss.
             fx.note(Note::Timeout);
-            self.est.back_off();
-            self.emit_syn(fx);
-            self.arm_timer(fx);
+            self.core.est.back_off();
+            self.core.emit_syn(fx);
             return;
         }
-        if self.outstanding() == 0 {
+        if self.core.outstanding() == 0 {
             return;
         }
         fx.note(Note::Timeout);
-        self.ssthresh = (self.outstanding() as f64 / 2.0).max(2.0 * MSS as f64);
+        self.ssthresh = (self.core.outstanding() as f64 / 2.0).max(2.0 * MSS as f64);
         self.cwnd = MSS as f64;
         fx.note(Note::WindowAcquired {
             bytes: self.cwnd as u64,
         });
         self.in_recovery = false;
-        self.dup_acks = 0;
-        self.est.back_off();
-        // Go-back-N: rewind and resend from the cumulative ACK point.
-        self.snd_nxt = self.snd_una.min(self.pushed);
-        let fin_was_sent = self.fin_sent;
-        self.fin_sent = false;
-        if self.snd_nxt < self.pushed {
-            self.retransmit_head(now, fx);
-            self.snd_nxt = self.snd_una + (self.pushed - self.snd_una).min(MSS);
-        } else if fin_was_sent {
-            self.fin_sent = true;
-            self.snd_nxt = self.pushed + 1;
-            fx.note(Note::Retransmit);
-            self.emit_fin(fx);
-        }
-        self.arm_timer(fx);
+        self.core.est.back_off();
+        self.core.go_back_n(fx);
     }
 
     fn cwnd(&self) -> u64 {
@@ -433,7 +287,7 @@ impl SenderEndpoint for TcpSender {
     }
 
     fn acked_bytes(&self) -> u64 {
-        self.snd_una.min(self.pushed)
+        self.core.acked_bytes()
     }
 }
 
@@ -594,7 +448,7 @@ mod tests {
         s.on_packet(&ack(recover), Time(3_000), &mut fx);
         let (cwnd0, ssthresh, _) = s.cc_state();
         assert!(cwnd0 >= ssthresh);
-        let una = s.snd_una;
+        let una = s.core.snd_una();
         let mut fx = Effects::new();
         s.on_packet(&ack(una + MSS), Time(4_000), &mut fx);
         let (cwnd1, _, _) = s.cc_state();

@@ -35,6 +35,17 @@ cargo test -q -p tfc-repro --test ecmp
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
+
+# Figure contract: every committed figure dump (results/*.json) must
+# regenerate byte-identically at the default seed. The figures are
+# dumped into the scratch dir, so committed results/ stay put.
+for FIG in all ablations sweeps reroute; do
+  TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin figures -- "$FIG" >/dev/null
+done
+for JSON in results/*.json; do
+  cmp "$JSON" "$TRACE_DIR/$(basename "$JSON")" \
+    || { echo "verify: $JSON does not regenerate byte-identically" >&2; exit 1; }
+done
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- --smoke
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- "$TRACE_DIR/smoke-incast" >/dev/null
 
