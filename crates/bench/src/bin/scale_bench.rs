@@ -488,7 +488,7 @@ fn main() {
             map.insert("million".to_string(), million);
         }
     }
-    std::fs::write(&path, doc.pretty()).expect("write BENCH_scale.json");
+    json::write_file(&path, |w| w.value(&doc)).expect("write BENCH_scale.json");
 
     // Self-validate: the written file must parse back with the expected
     // schema and sane numbers.

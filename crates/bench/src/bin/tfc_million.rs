@@ -174,7 +174,7 @@ fn main() {
         }
         _ => panic!("BENCH_scale.json is not an object"),
     }
-    std::fs::write(&path, doc.pretty()).expect("write BENCH_scale.json");
+    json::write_file(&path, |w| w.value(&doc)).expect("write BENCH_scale.json");
 
     // Self-validate the merged document.
     let parsed = json::parse(&std::fs::read_to_string(&path).expect("read back"))

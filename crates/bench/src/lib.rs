@@ -52,7 +52,7 @@ pub fn dump_json(name: &str, value: &json::Value) {
     let dir = results_dir();
     fs::create_dir_all(&dir).expect("create results dir");
     let path: PathBuf = dir.join(format!("{name}.json"));
-    fs::write(&path, value.pretty())
+    json::write_file(&path, |w| w.value(value))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("  [wrote {}]", path.display());
 }

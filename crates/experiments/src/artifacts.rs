@@ -12,23 +12,22 @@ use simnet::sim::SimCore;
 use telemetry::export::{export_run, git_describe, SimMeta};
 use telemetry::{FlowSummary, RunManifest};
 
-/// Copies per-flow ground truth out of the simulator core.
-pub fn flow_summaries(core: &SimCore) -> Vec<FlowSummary> {
-    core.flows()
-        .map(|(id, st)| FlowSummary {
-            flow: id.0,
-            src: st.spec.src.0,
-            dst: st.spec.dst.0,
-            bytes: st.spec.bytes.unwrap_or(0),
-            delivered: st.delivered,
-            retransmits: st.retransmits,
-            timeouts: st.timeouts,
-            started_ns: st.started_at.nanos(),
-            established_ns: st.established_at.map(|t| t.nanos()),
-            receiver_done_ns: st.receiver_done_at.map(|t| t.nanos()),
-            sender_done_ns: st.sender_done_at.map(|t| t.nanos()),
-        })
-        .collect()
+/// Per-flow ground truth read out of the simulator core, one flow at a
+/// time (the exporter streams it straight to `flows.json`).
+pub fn flow_summaries(core: &SimCore) -> impl Iterator<Item = FlowSummary> + '_ {
+    core.flows().map(|(id, st)| FlowSummary {
+        flow: id.0,
+        src: st.spec.src.0,
+        dst: st.spec.dst.0,
+        bytes: st.spec.bytes.unwrap_or(0),
+        delivered: st.delivered,
+        retransmits: st.retransmits,
+        timeouts: st.timeouts,
+        started_ns: st.started_at.nanos(),
+        established_ns: st.established_at.map(|t| t.nanos()),
+        receiver_done_ns: st.receiver_done_at.map(|t| t.nanos()),
+        sender_done_ns: st.sender_done_at.map(|t| t.nanos()),
+    })
 }
 
 /// Exports the run's artifacts if the simulator was configured with an
@@ -74,7 +73,7 @@ pub fn maybe_export(
         &tel.log,
         &tel.loop_stats,
         &tel.slots,
-        &flow_summaries(core),
+        flow_summaries(core),
         retired.as_ref(),
         &tel.spans,
         &series,

@@ -18,17 +18,17 @@
 //! Everything is plain JSON/CSV readable by `tfc-trace` (via
 //! [`crate::json::parse`]) or any external tool.
 
-use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::PathBuf;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 use metrics::QuantileSketch;
 
 use crate::counters::{LoopStats, PortSlotSample};
 use crate::event::{EventLog, EventRecord, TraceEvent, EVENT_KIND_NAMES};
-use crate::json::{Map, Value};
+use crate::json::{self, Map, PrettyWriter, Value};
 use crate::span::SpanTracker;
 
 /// Metadata making a run reproducible from its artifacts alone.
@@ -62,17 +62,23 @@ pub struct SimMeta {
 }
 
 /// Best-effort `git describe --always --dirty` of the working tree;
-/// `"unknown"` outside a repository or without git.
+/// `"unknown"` outside a repository or without git. Computed once per
+/// process: every manifest would otherwise spawn `git`.
 pub fn git_describe() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static DESCRIBE: OnceLock<String> = OnceLock::new();
+    DESCRIBE
+        .get_or_init(|| {
+            Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 /// Where run artifacts and figure dumps go (`TFC_RESULTS_DIR` overrides
@@ -150,15 +156,12 @@ fn counters_json(log: &EventLog, loop_stats: &LoopStats) -> Value {
     })
 }
 
-/// The JSON form of one event record (the schema documented in the
-/// repository README).
-pub fn record_json(r: &EventRecord) -> Value {
-    let mut m = Map::new();
-    let mut put = |k: &str, v: Value| {
-        m.insert(k.to_string(), v);
-    };
-    put("at_ns", r.at_ns.into());
-    put("kind", r.event.kind_name().into());
+/// Writes one event record as a JSON object (the schema documented in
+/// the repository README), keys in ascending order.
+fn write_record<W: Write>(w: &mut PrettyWriter<W>, r: &EventRecord) -> io::Result<()> {
+    let at = r.at_ns;
+    let kind = r.event.kind_name();
+    w.begin_object()?;
     match r.event {
         TraceEvent::PktEnqueue {
             node,
@@ -168,12 +171,14 @@ pub fn record_json(r: &EventRecord) -> Value {
             bytes,
             queue_bytes,
         } => {
-            put("node", node.into());
-            put("port", port.into());
-            put("flow", flow.into());
-            put("seq", seq.into());
-            put("bytes", bytes.into());
-            put("queue_bytes", queue_bytes.into());
+            w.field("at_ns", at)?;
+            w.field("bytes", bytes)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
+            w.field("port", port)?;
+            w.field("queue_bytes", queue_bytes)?;
+            w.field("seq", seq)?;
         }
         TraceEvent::PktDequeue {
             node,
@@ -189,11 +194,13 @@ pub fn record_json(r: &EventRecord) -> Value {
             seq,
             bytes,
         } => {
-            put("node", node.into());
-            put("port", port.into());
-            put("flow", flow.into());
-            put("seq", seq.into());
-            put("bytes", bytes.into());
+            w.field("at_ns", at)?;
+            w.field("bytes", bytes)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
+            w.field("port", port)?;
+            w.field("seq", seq)?;
         }
         TraceEvent::PktEcnMark {
             node,
@@ -201,10 +208,12 @@ pub fn record_json(r: &EventRecord) -> Value {
             flow,
             seq,
         } => {
-            put("node", node.into());
-            put("port", port.into());
-            put("flow", flow.into());
-            put("seq", seq.into());
+            w.field("at_ns", at)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
+            w.field("port", port)?;
+            w.field("seq", seq)?;
         }
         TraceEvent::PktRoundMark {
             node,
@@ -213,21 +222,27 @@ pub fn record_json(r: &EventRecord) -> Value {
             seq,
             window,
         } => {
-            put("node", node.into());
-            put("port", port.into());
-            put("flow", flow.into());
-            put("seq", seq.into());
-            put("window", window.into());
+            w.field("at_ns", at)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
+            w.field("port", port)?;
+            w.field("seq", seq)?;
+            w.field("window", window)?;
         }
         TraceEvent::PktDeliver { node, flow, bytes } => {
-            put("node", node.into());
-            put("flow", flow.into());
-            put("bytes", bytes.into());
+            w.field("at_ns", at)?;
+            w.field("bytes", bytes)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
         }
         TraceEvent::PktAck { node, flow, ack } => {
-            put("node", node.into());
-            put("flow", flow.into());
-            put("ack", ack.into());
+            w.field("ack", ack)?;
+            w.field("at_ns", at)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
         }
         TraceEvent::FlowOpen {
             flow,
@@ -235,52 +250,74 @@ pub fn record_json(r: &EventRecord) -> Value {
             dst,
             bytes,
         } => {
-            put("flow", flow.into());
-            put("src", src.into());
-            put("dst", dst.into());
-            put("bytes", bytes.into());
+            w.field("at_ns", at)?;
+            w.field("bytes", bytes)?;
+            w.field("dst", dst)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("src", src)?;
         }
         TraceEvent::FlowEstablished { flow }
         | TraceEvent::FlowRetransmit { flow }
         | TraceEvent::FlowRto { flow } => {
-            put("flow", flow.into());
+            w.field("at_ns", at)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
         }
         TraceEvent::FlowWindowAcquired { flow, window } => {
-            put("flow", flow.into());
-            put("window", window.into());
+            w.field("at_ns", at)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("window", window)?;
         }
         TraceEvent::FlowFin { flow, delivered } => {
-            put("flow", flow.into());
-            put("delivered", delivered.into());
+            w.field("at_ns", at)?;
+            w.field("delivered", delivered)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
         }
         TraceEvent::FlowRttSample { flow, nanos } => {
-            put("flow", flow.into());
-            put("nanos", nanos.into());
+            w.field("at_ns", at)?;
+            w.field("flow", flow)?;
+            w.str_field("kind", kind)?;
+            w.field("nanos", nanos)?;
         }
         TraceEvent::FaultInjected {
-            kind,
+            kind: fault,
             node,
             port,
             value,
         }
         | TraceEvent::FaultCleared {
-            kind,
+            kind: fault,
             node,
             port,
             value,
         } => {
-            put("fault", kind.into());
-            put("node", node.into());
-            put("port", port.into());
-            put("value", value.into());
+            w.field("at_ns", at)?;
+            w.str_field("fault", fault)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
+            w.field("port", port)?;
+            w.field("value", value)?;
         }
         TraceEvent::Rerouted { node, port, dests } => {
-            put("node", node.into());
-            put("port", port.into());
-            put("dests", dests.into());
+            w.field("at_ns", at)?;
+            w.field("dests", dests)?;
+            w.str_field("kind", kind)?;
+            w.field("node", node)?;
+            w.field("port", port)?;
         }
     }
-    Value::Object(m)
+    w.end_object()
+}
+
+fn write_events<W: Write>(w: &mut PrettyWriter<W>, log: &EventLog) -> io::Result<()> {
+    w.begin_array()?;
+    for r in log.records() {
+        write_record(w, r)?;
+    }
+    w.end_array()
 }
 
 /// Per-class streaming statistics of retired flows, as exported into
@@ -433,55 +470,66 @@ pub fn retired_from_json(doc: &Value) -> Result<RetiredFlows, String> {
     })
 }
 
-fn flows_json(flows: &[FlowSummary], retired: Option<&RetiredFlows>) -> Value {
-    let live = Value::Array(
-        flows
-            .iter()
-            .map(|f| {
-                crate::json!({
-                    "flow": f.flow,
-                    "src": f.src,
-                    "dst": f.dst,
-                    "bytes": f.bytes,
-                    "delivered": f.delivered,
-                    "retransmits": f.retransmits,
-                    "timeouts": f.timeouts,
-                    "started_ns": f.started_ns,
-                    "established_ns": f.established_ns,
-                    "receiver_done_ns": f.receiver_done_ns,
-                    "sender_done_ns": f.sender_done_ns,
-                })
-            })
-            .collect(),
-    );
+fn write_flow<W: Write>(w: &mut PrettyWriter<W>, f: &FlowSummary) -> io::Result<()> {
+    w.begin_object()?;
+    w.field("bytes", f.bytes)?;
+    w.field("delivered", f.delivered)?;
+    w.field("dst", f.dst)?;
+    w.field("established_ns", f.established_ns)?;
+    w.field("flow", f.flow)?;
+    w.field("receiver_done_ns", f.receiver_done_ns)?;
+    w.field("retransmits", f.retransmits)?;
+    w.field("sender_done_ns", f.sender_done_ns)?;
+    w.field("src", f.src)?;
+    w.field("started_ns", f.started_ns)?;
+    w.field("timeouts", f.timeouts)?;
+    w.end_object()
+}
+
+fn write_flows<W: Write>(
+    w: &mut PrettyWriter<W>,
+    flows: impl IntoIterator<Item = FlowSummary>,
+    retired: Option<&RetiredFlows>,
+) -> io::Result<()> {
     // A run without retirement keeps the historical bare-array form, so
     // existing artifact sets stay byte-identical. Retirement upgrades
     // the document to an object: retired sketches plus the (few) flows
-    // still live at export time.
-    match retired {
-        None => live,
-        Some(r) => crate::json!({
-            "schema": "tfc-flows/v2",
-            "alpha": r.alpha,
-            "retired_total": r.total,
-            "slab_capacity": r.slab_capacity,
-            "slab_peak": r.slab_peak,
-            "classes": Value::Array(r.classes.iter().map(retired_class_json).collect()),
-            "live": live,
-        }),
+    // still live at export time; in key order `live` falls between the
+    // retired section's `classes` and `retired_total`.
+    if let Some(r) = retired {
+        w.begin_object()?;
+        w.field("alpha", r.alpha)?;
+        w.key("classes")?;
+        w.begin_array()?;
+        for c in &r.classes {
+            w.value(&retired_class_json(c))?;
+        }
+        w.end_array()?;
+        w.key("live")?;
     }
+    w.begin_array()?;
+    for f in flows {
+        write_flow(w, &f)?;
+    }
+    w.end_array()?;
+    if let Some(r) = retired {
+        w.field("retired_total", r.total)?;
+        w.str_field("schema", "tfc-flows/v2")?;
+        w.field("slab_capacity", r.slab_capacity)?;
+        w.field("slab_peak", r.slab_peak)?;
+        w.end_object()?;
+    }
+    Ok(())
 }
 
 /// Column header of `tfc_slots.csv`.
 pub const SLOTS_CSV_HEADER: &str =
     "at_ns,node,port,token_bytes,effective_flows,rho,window_bytes,rtt_b_ns,rtt_m_ns,held_acks,delayed_total";
 
-fn slots_csv(slots: &[PortSlotSample]) -> String {
-    let mut out = String::with_capacity(64 * (slots.len() + 1));
-    out.push_str(SLOTS_CSV_HEADER);
-    out.push('\n');
+fn write_slots_csv(out: &mut impl Write, slots: &[PortSlotSample]) -> io::Result<()> {
+    writeln!(out, "{SLOTS_CSV_HEADER}")?;
     for s in slots {
-        let _ = writeln!(
+        writeln!(
             out,
             "{},{},{},{},{},{},{},{},{},{},{}",
             s.at_ns,
@@ -495,9 +543,9 @@ fn slots_csv(slots: &[PortSlotSample]) -> String {
             s.rtt_m_ns,
             s.held_acks,
             s.delayed_total
-        );
+        )?;
     }
-    out
+    Ok(())
 }
 
 /// Parses one `tfc_slots.csv` body back into samples (inverse of the
@@ -544,26 +592,42 @@ pub fn parse_slots_csv(text: &str) -> Result<Vec<PortSlotSample>, String> {
 pub fn write_manifest(manifest: &RunManifest) -> io::Result<PathBuf> {
     let dir = results_dir().join(&manifest.run);
     fs::create_dir_all(&dir)?;
-    fs::write(dir.join("manifest.json"), manifest_json(manifest).pretty())?;
+    json::write_file(&dir.join("manifest.json"), |w| {
+        w.value(&manifest_json(manifest))
+    })?;
     Ok(dir)
 }
 
 /// Column header of `traces.csv` (flattened named queue-sampler series).
 pub const TRACES_CSV_HEADER: &str = "series,at_ns,value";
 
-fn traces_csv(series: &[(&str, &[(u64, f64)])]) -> String {
-    let mut out = String::from(TRACES_CSV_HEADER);
-    out.push('\n');
+fn write_traces_csv(out: &mut impl Write, series: &[(&str, &[(u64, f64)])]) -> io::Result<()> {
+    writeln!(out, "{TRACES_CSV_HEADER}")?;
     for (name, points) in series {
         for (at_ns, value) in *points {
-            let _ = writeln!(out, "{name},{at_ns},{value}");
+            writeln!(out, "{name},{at_ns},{value}")?;
         }
     }
-    out
+    Ok(())
+}
+
+/// Creates `path` and streams a CSV body into it, buffered.
+fn write_csv(
+    path: &Path,
+    body: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut out = BufWriter::new(File::create(path)?);
+    body(&mut out)?;
+    out.flush()
 }
 
 /// Writes the full artifact set under `results/<manifest.run>/` and
 /// returns the directory path.
+///
+/// Every file is streamed through a buffered writer one record or row
+/// at a time, so export holds no whole-file tree or string: its heap
+/// growth stays bounded however many events and flows the run kept.
+/// `flows` is consumed lazily, one summary per `flows.json` row.
 ///
 /// `spans.json` is written only when span tracing is enabled and
 /// `traces.csv` only when sampler series exist, so a `TraceConfig::Off`
@@ -573,22 +637,25 @@ pub fn export_run(
     log: &EventLog,
     loop_stats: &LoopStats,
     slots: &[PortSlotSample],
-    flows: &[FlowSummary],
+    flows: impl IntoIterator<Item = FlowSummary>,
     retired: Option<&RetiredFlows>,
     spans: &SpanTracker,
     series: &[(&str, &[(u64, f64)])],
 ) -> io::Result<PathBuf> {
     let dir = write_manifest(manifest)?;
-    fs::write(dir.join("counters.json"), counters_json(log, loop_stats).pretty())?;
-    let events = Value::Array(log.records().iter().map(record_json).collect());
-    fs::write(dir.join("events.json"), events.pretty())?;
-    fs::write(dir.join("flows.json"), flows_json(flows, retired).pretty())?;
-    fs::write(dir.join("tfc_slots.csv"), slots_csv(slots))?;
+    json::write_file(&dir.join("counters.json"), |w| {
+        w.value(&counters_json(log, loop_stats))
+    })?;
+    json::write_file(&dir.join("events.json"), |w| write_events(w, log))?;
+    json::write_file(&dir.join("flows.json"), |w| write_flows(w, flows, retired))?;
+    write_csv(&dir.join("tfc_slots.csv"), |out| {
+        write_slots_csv(out, slots)
+    })?;
     if spans.enabled() {
-        fs::write(dir.join("spans.json"), spans.to_json().pretty())?;
+        json::write_file(&dir.join("spans.json"), |w| w.value(&spans.to_json()))?;
     }
     if !series.is_empty() {
-        fs::write(dir.join("traces.csv"), traces_csv(series))?;
+        write_csv(&dir.join("traces.csv"), |out| write_traces_csv(out, series))?;
     }
     Ok(dir)
 }
@@ -617,10 +684,344 @@ mod tests {
         }
     }
 
+    /// One record of every [`TraceEvent`] variant, in kind order, with a
+    /// fault label that needs escaping.
+    fn every_event() -> EventLog {
+        let mut log = EventLog::new(LogMode::Full, 1, 1);
+        let events = [
+            TraceEvent::PktEnqueue {
+                node: 2,
+                port: 1,
+                flow: 7,
+                seq: 1460,
+                bytes: 1500,
+                queue_bytes: 3000,
+            },
+            TraceEvent::PktDequeue {
+                node: 2,
+                port: 1,
+                flow: 7,
+                seq: 1460,
+                bytes: 1500,
+            },
+            TraceEvent::PktDrop {
+                node: 3,
+                port: 0,
+                flow: 8,
+                seq: 2920,
+                bytes: 1500,
+            },
+            TraceEvent::PktEcnMark {
+                node: 3,
+                port: 2,
+                flow: 8,
+                seq: 4380,
+            },
+            TraceEvent::PktRoundMark {
+                node: 4,
+                port: 3,
+                flow: 9,
+                seq: 0,
+                window: 5840,
+            },
+            TraceEvent::PktDeliver {
+                node: 1,
+                flow: 7,
+                bytes: 1460,
+            },
+            TraceEvent::PktAck {
+                node: 0,
+                flow: 7,
+                ack: 2921,
+            },
+            TraceEvent::FlowOpen {
+                flow: 10,
+                src: 0,
+                dst: 5,
+                bytes: 65_536,
+            },
+            TraceEvent::FlowEstablished { flow: 10 },
+            TraceEvent::FlowWindowAcquired {
+                flow: 10,
+                window: 14_600,
+            },
+            TraceEvent::FlowRetransmit { flow: 10 },
+            TraceEvent::FlowRto { flow: 10 },
+            TraceEvent::FlowFin {
+                flow: 10,
+                delivered: 65_536,
+            },
+            TraceEvent::FlowRttSample {
+                flow: 10,
+                nanos: 170_500,
+            },
+            TraceEvent::FaultInjected {
+                kind: "link_down",
+                node: 6,
+                port: 2,
+                value: 0,
+            },
+            TraceEvent::FaultCleared {
+                kind: "we\"ird\\ \u{1}\n\t\r\u{e9}",
+                node: 6,
+                port: 2,
+                value: 100,
+            },
+            TraceEvent::Rerouted {
+                node: 6,
+                port: 2,
+                dests: 12,
+            },
+        ];
+        for (i, e) in events.into_iter().enumerate() {
+            log.record(10 * i as u64 + u64::MAX / 2, e);
+        }
+        log
+    }
+
+    /// A finished flow, one with every optional timestamp `None`, and
+    /// one with a `u64` too large for JSON's integer form.
+    fn flow_fixture() -> Vec<FlowSummary> {
+        vec![
+            FlowSummary {
+                flow: 7,
+                src: 0,
+                dst: 1,
+                bytes: 14_600,
+                delivered: 14_600,
+                retransmits: 1,
+                timeouts: 0,
+                started_ns: 0,
+                established_ns: Some(5),
+                receiver_done_ns: Some(99),
+                sender_done_ns: Some(120),
+            },
+            FlowSummary {
+                flow: 8,
+                src: 3,
+                dst: 4,
+                bytes: 0,
+                delivered: 0,
+                retransmits: 0,
+                timeouts: 2,
+                started_ns: 1_000,
+                established_ns: None,
+                receiver_done_ns: None,
+                sender_done_ns: None,
+            },
+            FlowSummary {
+                flow: u64::MAX,
+                src: u32::MAX,
+                dst: 2,
+                bytes: 1,
+                delivered: 1,
+                retransmits: 0,
+                timeouts: 0,
+                started_ns: 3,
+                established_ns: Some(4),
+                receiver_done_ns: None,
+                sender_done_ns: Some(u64::MAX),
+            },
+        ]
+    }
+
+    /// Two retired classes (one never used), with `alpha` as given so a
+    /// non-finite value can be exported.
+    fn retired_fixture(alpha: f64) -> RetiredFlows {
+        let mut fct = QuantileSketch::new(0.01);
+        let mut bytes = QuantileSketch::new(0.01);
+        let mut rtx = QuantileSketch::new(0.01);
+        let mut slow = QuantileSketch::new(0.01);
+        for i in 1..=40u64 {
+            fct.record(i as f64 * 1_000.5);
+            bytes.record(600.0 + i as f64);
+            rtx.record((i % 3) as f64);
+            slow.record(1_000.0 + i as f64);
+        }
+        let empty = QuantileSketch::new(0.01);
+        RetiredFlows {
+            alpha,
+            total: 40,
+            slab_capacity: 32,
+            slab_peak: 30,
+            classes: vec![
+                RetiredClass {
+                    class: 0,
+                    name: "web-search".into(),
+                    count: 40,
+                    fct_ns: fct,
+                    bytes,
+                    retransmits: rtx,
+                    slowdown_milli: slow,
+                },
+                RetiredClass {
+                    class: 1,
+                    name: "data \"mining\"".into(),
+                    count: 0,
+                    fct_ns: empty.clone(),
+                    bytes: empty.clone(),
+                    retransmits: empty.clone(),
+                    slowdown_milli: empty,
+                },
+            ],
+        }
+    }
+
+    fn manifest_fixture() -> RunManifest {
+        RunManifest {
+            run: "golden".into(),
+            seed: 2016,
+            topology: "star(2) \"10G\"".into(),
+            config: "Cfg {\n\tname: \"a\\b\",\u{1f} \u{e9} }".into(),
+            git: "deadbeef-dirty".into(),
+            sim: Some(SimMeta {
+                scheduler: "Wheel".into(),
+                trace: "full".into(),
+            }),
+        }
+    }
+
+    fn stats_fixture() -> LoopStats {
+        let mut stats = LoopStats::new(&NAMES, true);
+        stats.count(0);
+        stats.count(0);
+        stats.add_nanos(0, 55);
+        stats.count(1);
+        stats
+    }
+
+    fn spans_fixture() -> SpanTracker {
+        let mut spans = SpanTracker::new(crate::TraceConfig::Full);
+        spans.on_enqueue(1, 7, true, true, 0);
+        spans.on_dequeue(1, 7, 50);
+        spans.on_enqueue(1, 7, true, false, 60);
+        spans.on_ecn(1, 7);
+        spans.on_dequeue(1, 7, 260);
+        spans.on_deliver(1, 7, 0, 400);
+        spans.on_enqueue(2, 8, true, true, 10);
+        spans.on_drop(2, 8);
+        spans.on_token_wait(7, 1_234);
+        spans
+    }
+
+    fn slots_fixture() -> Vec<PortSlotSample> {
+        vec![
+            sample(),
+            PortSlotSample {
+                at_ns: 456,
+                rho: f64::NAN,
+                token_bytes: f64::INFINITY,
+                ..sample()
+            },
+        ]
+    }
+
+    const SERIES_POINTS: &[(u64, f64)] = &[(10, 0.5), (20, 0.75), (30, f64::NAN), (40, 1e21)];
+
+    /// One JSON document streamed into memory through the exporters'
+    /// writer.
+    fn streamed(body: impl FnOnce(&mut PrettyWriter<Vec<u8>>) -> io::Result<()>) -> String {
+        let mut w = PrettyWriter::new(Vec::new());
+        body(&mut w).unwrap();
+        String::from_utf8(w.finish()).unwrap()
+    }
+
+    /// One CSV body streamed into memory.
+    fn streamed_csv(body: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+        let mut out = Vec::new();
+        body(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// Bytes the whole-tree builders (one `Value` per file, then
+    /// `pretty()`) produced for the fixtures above, recorded before the
+    /// exporters streamed.
+    macro_rules! golden {
+        ($file:literal) => {
+            include_str!(concat!("../testdata/export/", $file))
+        };
+    }
+
+    #[test]
+    fn streamed_events_match_tree_form() {
+        let log = every_event();
+        assert_eq!(streamed(|w| write_events(w, &log)), golden!("events.json"));
+        let mut ring = EventLog::new(LogMode::Ring(4), 1, 1);
+        for r in log.records() {
+            ring.record(r.at_ns, r.event);
+        }
+        assert_eq!(
+            streamed(|w| write_events(w, &ring)),
+            golden!("events_ring.json")
+        );
+        let empty = EventLog::new(LogMode::Full, 1, 1);
+        assert_eq!(streamed(|w| write_events(w, &empty)), "[]");
+    }
+
+    #[test]
+    fn streamed_flows_match_tree_form() {
+        let flows = flow_fixture();
+        assert_eq!(
+            streamed(|w| write_flows(w, flows.clone(), None)),
+            golden!("flows.json")
+        );
+        assert_eq!(streamed(|w| write_flows(w, [], None)), "[]");
+        let retired = retired_fixture(0.01);
+        assert_eq!(
+            streamed(|w| write_flows(w, flows, Some(&retired))),
+            golden!("flows_v2.json")
+        );
+        let retired = retired_fixture(f64::NAN);
+        assert_eq!(
+            streamed(|w| write_flows(w, [], Some(&retired))),
+            golden!("flows_v2_nolive.json")
+        );
+    }
+
+    #[test]
+    fn streamed_documents_match_tree_form() {
+        assert_eq!(
+            streamed(|w| w.value(&counters_json(&every_event(), &stats_fixture()))),
+            golden!("counters.json")
+        );
+        assert_eq!(
+            streamed(|w| w.value(&manifest_json(&manifest_fixture()))),
+            golden!("manifest.json")
+        );
+        assert_eq!(
+            streamed(|w| w.value(&spans_fixture().to_json())),
+            golden!("spans.json")
+        );
+    }
+
+    #[test]
+    fn streamed_csvs_match_tree_form() {
+        assert_eq!(
+            streamed_csv(|out| write_slots_csv(out, &slots_fixture())),
+            golden!("tfc_slots.csv")
+        );
+        assert_eq!(
+            streamed_csv(|out| write_slots_csv(out, &[])),
+            format!("{SLOTS_CSV_HEADER}\n")
+        );
+        let series: &[(&str, &[(u64, f64)])] = &[
+            ("queue.s1.p0", SERIES_POINTS),
+            ("w\"x", &[(5, f64::NEG_INFINITY)]),
+        ];
+        assert_eq!(
+            streamed_csv(|out| write_traces_csv(out, series)),
+            golden!("traces.csv")
+        );
+        assert_eq!(
+            streamed_csv(|out| write_traces_csv(out, &[])),
+            format!("{TRACES_CSV_HEADER}\n")
+        );
+    }
+
     #[test]
     fn slots_csv_roundtrips() {
         let slots = vec![sample(), PortSlotSample { at_ns: 456, ..sample() }];
-        let csv = slots_csv(&slots);
+        let csv = streamed_csv(|out| write_slots_csv(out, &slots));
         assert!(csv.starts_with(SLOTS_CSV_HEADER));
         assert_eq!(parse_slots_csv(&csv).unwrap(), slots);
         assert!(parse_slots_csv("nope\n1,2").is_err());
@@ -680,7 +1081,7 @@ mod tests {
             &log,
             &stats,
             &[sample()],
-            &flows,
+            flows.clone(),
             None,
             &spans,
             &[("sw1.p0.rho", points)],
@@ -730,7 +1131,7 @@ mod tests {
             &log,
             &stats,
             &[sample()],
-            &flows,
+            flows,
             None,
             &SpanTracker::new(crate::TraceConfig::Off),
             &[],
@@ -772,13 +1173,14 @@ mod tests {
                 slowdown_milli: slow,
             }],
         };
-        let doc = flows_json(&[], Some(&retired));
+        let doc = json::parse(&streamed(|w| write_flows(w, [], Some(&retired)))).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("tfc-flows/v2"));
         assert!(doc.get("live").unwrap().as_array().unwrap().is_empty());
         let back = retired_from_json(&doc).unwrap();
         assert_eq!(back, retired, "sketches must survive the JSON roundtrip");
         // The bare-array legacy form is rejected, not misparsed.
-        assert!(retired_from_json(&flows_json(&[], None)).is_err());
+        let bare = json::parse(&streamed(|w| write_flows(w, [], None))).unwrap();
+        assert!(retired_from_json(&bare).is_err());
     }
 
     #[test]

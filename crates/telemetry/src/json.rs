@@ -6,7 +6,9 @@
 //! the dumps and telemetry artifacts need — objects, arrays, numbers,
 //! strings, bools, null — with deterministic (sorted-key) pretty output
 //! and a strict recursive-descent [`parse`] so exporters' artifacts can
-//! be read back by `tfc-trace`.
+//! be read back by `tfc-trace`. All output goes through one streaming
+//! [`PrettyWriter`]: [`Value::pretty`] for small documents, member by
+//! member into a buffered file ([`write_file`]) for large artifacts.
 //!
 //! This module lives in `tfc-telemetry` (the lowest crate that writes
 //! artifacts) and is re-exported as `tfc_bench::json` for the figure
@@ -29,7 +31,10 @@
 //! numeric accessors ([`Value::as_i64`], [`Value::as_f64`]) accept both.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
 
 /// Object storage. `BTreeMap` keeps dump output key-sorted and thus
 /// byte-stable across runs.
@@ -113,91 +118,258 @@ impl Value {
         }
     }
 
-    /// Pretty-prints with two-space indentation (newline-terminated).
+    /// Pretty-prints with two-space indentation (no trailing newline),
+    /// through the same [`PrettyWriter`] the artifact exporters stream
+    /// files with.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
+        let mut w = PrettyWriter::new(Vec::new());
+        w.value(self).expect("writing to a Vec cannot fail");
+        String::from_utf8(w.finish()).expect("the writer emits UTF-8")
+    }
+}
+
+/// One open container of a [`PrettyWriter`].
+#[derive(Debug)]
+struct Frame {
+    object: bool,
+    /// Whether a member was written yet (separator and `[]`/`{}` form).
+    any: bool,
+    /// The previous key, to debug-assert that object keys rise (the
+    /// order a [`Map`] would have produced).
+    #[cfg(debug_assertions)]
+    last_key: String,
+}
+
+/// A streaming pretty-printer: the one JSON formatter in the workspace.
+///
+/// Output is two-space indented with `": "` after keys, `[]`/`{}` for
+/// empty containers, non-finite floats as `null` and no trailing
+/// newline — [`Value::pretty`] is this writer over a `Vec<u8>`. The
+/// artifact exporters drive it member by member straight into a
+/// buffered file, so no whole-document [`Value`] or `String` is built.
+///
+/// Object keys must be written in ascending byte order (the order a
+/// [`Map`] iterates in); debug builds assert it.
+///
+/// ```
+/// use tfc_telemetry::json::PrettyWriter;
+///
+/// let mut w = PrettyWriter::new(Vec::new());
+/// w.begin_object().unwrap();
+/// w.field("a", 1u64).unwrap();
+/// w.key("b").unwrap();
+/// w.begin_array().unwrap();
+/// w.str("x").unwrap();
+/// w.end_array().unwrap();
+/// w.end_object().unwrap();
+/// let out = String::from_utf8(w.finish()).unwrap();
+/// assert_eq!(out, tfc_telemetry::json!({"a": 1, "b": ["x"]}).pretty());
+/// ```
+#[derive(Debug)]
+pub struct PrettyWriter<W: Write> {
+    out: W,
+    stack: Vec<Frame>,
+    /// A key was written and its value is next.
+    after_key: bool,
+}
+
+impl<W: Write> PrettyWriter<W> {
+    /// A writer emitting one document into `out`.
+    pub fn new(out: W) -> Self {
+        Self {
+            out,
+            stack: Vec::new(),
+            after_key: false,
+        }
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
+    /// Returns the sink once the document is complete.
+    pub fn finish(self) -> W {
+        debug_assert!(self.stack.is_empty(), "unclosed JSON container");
+        self.out
+    }
+
+    /// Writes what precedes a value: nothing after a key or at top
+    /// level, else the separator and indentation of an array item.
+    fn item(&mut self) -> io::Result<()> {
+        if std::mem::take(&mut self.after_key) {
+            return Ok(());
+        }
+        match self.stack.last() {
+            None => Ok(()),
+            Some(top) => {
+                debug_assert!(!top.object, "object member written without a key");
+                self.next_member()
             }
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Value::Float(f) => {
-                if f.is_finite() {
-                    let _ = write!(out, "{f}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => write_escaped(out, s),
+        }
+    }
+
+    /// Starts the innermost container's next member: the separator
+    /// after an earlier one, then a new line at the member's depth.
+    fn next_member(&mut self) -> io::Result<()> {
+        let depth = self.stack.len();
+        let top = self.stack.last_mut().expect("JSON member outside a container");
+        if std::mem::replace(&mut top.any, true) {
+            self.out.write_all(b",")?;
+        }
+        newline_indent(&mut self.out, depth)
+    }
+
+    fn begin(&mut self, object: bool, open: &[u8]) -> io::Result<()> {
+        self.item()?;
+        self.out.write_all(open)?;
+        self.stack.push(Frame {
+            object,
+            any: false,
+            #[cfg(debug_assertions)]
+            last_key: String::new(),
+        });
+        Ok(())
+    }
+
+    fn end(&mut self, object: bool, close: &[u8]) -> io::Result<()> {
+        let frame = self.stack.pop().expect("JSON end without begin");
+        debug_assert_eq!(frame.object, object, "mismatched JSON container end");
+        debug_assert!(!self.after_key, "JSON key without a value");
+        if frame.any {
+            newline_indent(&mut self.out, self.stack.len())?;
+        }
+        self.out.write_all(close)
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> io::Result<()> {
+        self.begin(false, b"[")
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> io::Result<()> {
+        self.end(false, b"]")
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> io::Result<()> {
+        self.begin(true, b"{")
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> io::Result<()> {
+        self.end(true, b"}")
+    }
+
+    /// Writes an object member's key; its value comes next.
+    pub fn key(&mut self, k: &str) -> io::Result<()> {
+        let top = self.stack.last_mut().expect("JSON key outside an object");
+        debug_assert!(top.object, "JSON key inside an array");
+        debug_assert!(!self.after_key, "JSON key without a value");
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                !top.any || top.last_key.as_str() < k,
+                "JSON keys must rise: {k:?} after {:?}",
+                top.last_key
+            );
+            top.last_key.clear();
+            top.last_key.push_str(k);
+        }
+        self.next_member()?;
+        write_escaped(&mut self.out, k)?;
+        self.out.write_all(b": ")?;
+        self.after_key = true;
+        Ok(())
+    }
+
+    /// Writes one unquoted scalar token.
+    fn atom(&mut self, token: fmt::Arguments) -> io::Result<()> {
+        self.item()?;
+        self.out.write_fmt(token)
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, s: &str) -> io::Result<()> {
+        self.item()?;
+        write_escaped(&mut self.out, s)
+    }
+
+    /// Writes a scalar (number, bool, `Option`) exactly as its
+    /// [`Value`] form would print.
+    pub fn scalar(&mut self, v: impl Into<Value>) -> io::Result<()> {
+        self.value(&v.into())
+    }
+
+    /// Writes `key` then the scalar `v`.
+    pub fn field(&mut self, key: &str, v: impl Into<Value>) -> io::Result<()> {
+        self.key(key)?;
+        self.scalar(v)
+    }
+
+    /// Writes `key` then the string `s`.
+    pub fn str_field(&mut self, key: &str, s: &str) -> io::Result<()> {
+        self.key(key)?;
+        self.str(s)
+    }
+
+    /// Writes a whole (small) value tree.
+    pub fn value(&mut self, v: &Value) -> io::Result<()> {
+        match v {
+            Value::Null => self.atom(format_args!("null")),
+            Value::Bool(b) => self.atom(format_args!("{b}")),
+            Value::Int(i) => self.atom(format_args!("{i}")),
+            Value::Float(f) if f.is_finite() => self.atom(format_args!("{f}")),
+            Value::Float(_) => self.atom(format_args!("null")),
+            Value::Str(s) => self.str(s),
             Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                self.begin_array()?;
+                for item in items {
+                    self.value(item)?;
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                newline_indent(out, indent);
-                out.push(']');
+                self.end_array()
             }
             Value::Object(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
+                self.begin_object()?;
+                for (k, v) in map {
+                    self.key(k)?;
+                    self.value(v)?;
                 }
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                newline_indent(out, indent);
-                out.push('}');
+                self.end_object()
             }
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: usize) {
-    out.push('\n');
+fn newline_indent(out: &mut impl Write, indent: usize) -> io::Result<()> {
+    out.write_all(b"\n")?;
     for _ in 0..indent {
-        out.push_str("  ");
+        out.write_all(b"  ")?;
     }
+    Ok(())
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+fn write_escaped(out: &mut impl Write, s: &str) -> io::Result<()> {
+    out.write_all(b"\"")?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_all(b"\\\"")?,
+            '\\' => out.write_all(b"\\\\")?,
+            '\n' => out.write_all(b"\\n")?,
+            '\r' => out.write_all(b"\\r")?,
+            '\t' => out.write_all(b"\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_all(c.encode_utf8(&mut [0; 4]).as_bytes())?,
         }
     }
-    out.push('"');
+    out.write_all(b"\"")
+}
+
+/// Creates `path` and streams one pretty-printed document into it
+/// through `body`, buffered; the file never exists as a whole in memory.
+pub fn write_file(
+    path: &Path,
+    body: impl FnOnce(&mut PrettyWriter<BufWriter<File>>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut w = PrettyWriter::new(BufWriter::new(File::create(path)?));
+    body(&mut w)?;
+    w.finish().flush()
 }
 
 /// Where `parse` failed and why.
@@ -561,6 +733,9 @@ macro_rules! json_entries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rng::props::cases;
+    use rng::rngs::StdRng;
+    use rng::{Rng, RngCore};
 
     #[test]
     fn scalars_render() {
@@ -659,6 +834,112 @@ mod tests {
             "big": u64::MAX,
         });
         assert_eq!(parse(&v.pretty()).unwrap(), v);
+    }
+
+    /// A random tree: every scalar kind, non-finite floats, strings
+    /// that need escaping, empty and nested containers.
+    fn random_value(rng: &mut StdRng, depth: u32) -> Value {
+        const ALPHABET: [char; 10] = [
+            'a', 'z', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{e9}', ' ',
+        ];
+        let string = |rng: &mut StdRng| -> String {
+            (0..rng.gen_range(0..6usize))
+                .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+                .collect()
+        };
+        match rng.gen_range(0..if depth == 0 { 6u32 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen_bool(0.5)),
+            2 => Value::Int(rng.next_u64() as i64 >> rng.gen_range(0..64u32)),
+            3 => Value::Float(match rng.gen_range(0..4u32) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                // Non-integral, so it parses back as a float.
+                _ => rng.gen_range(-1e9..1e9f64).trunc() + 0.5,
+            }),
+            4 | 5 => Value::Str(string(rng)),
+            6 => Value::Array(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Drives the writer member by member, the way the exporters do.
+    fn drive<W: Write>(w: &mut PrettyWriter<W>, v: &Value) -> io::Result<()> {
+        match v {
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => {
+                w.begin_array()?;
+                for item in items {
+                    drive(w, item)?;
+                }
+                w.end_array()
+            }
+            Value::Object(map) => {
+                w.begin_object()?;
+                for (k, v) in map {
+                    w.key(k)?;
+                    drive(w, v)?;
+                }
+                w.end_object()
+            }
+            scalar => w.scalar(scalar.clone()),
+        }
+    }
+
+    /// What `parse` reads back: non-finite floats were written as null.
+    fn parsed_form(v: &Value) -> Value {
+        match v {
+            Value::Float(f) if !f.is_finite() => Value::Null,
+            Value::Array(items) => Value::Array(items.iter().map(parsed_form).collect()),
+            Value::Object(map) => Value::Object(
+                map.iter()
+                    .map(|(k, v)| (k.clone(), parsed_form(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn driven_writer_reproduces_pretty() {
+        cases(300, |_, rng| {
+            let v = random_value(rng, 4);
+            let mut w = PrettyWriter::new(Vec::new());
+            drive(&mut w, &v).unwrap();
+            let out = String::from_utf8(w.finish()).unwrap();
+            assert_eq!(out, v.pretty(), "tree {v:?}");
+            assert_eq!(parse(&out).unwrap(), parsed_form(&v), "output {out}");
+        });
+    }
+
+    #[test]
+    fn pretty_layout_is_exact() {
+        let inner = json!({"d": Value::Null});
+        let v = json!({"a": [], "b": {}, "c": [1, inner], "e": f64::INFINITY});
+        assert_eq!(
+            v.pretty(),
+            "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    1,\n    {\n      \"d\": null\n    }\n  ],\n  \"e\": null\n}"
+        );
+        assert_eq!(json!("\u{1f}\"\\").pretty(), "\"\\u001f\\\"\\\\\"");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "JSON keys must rise")]
+    fn misordered_keys_are_caught() {
+        let mut w = PrettyWriter::new(Vec::new());
+        w.begin_object().unwrap();
+        w.field("b", 1u64).unwrap();
+        w.field("a", 2u64).unwrap();
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   wait, wire, token wait, end-to-end) aggregated per hop into
 //!   streaming quantile sketches, behind a [`TraceConfig`];
 //! * [`export`] — per-run artifact writers (`results/<run>/`:
-//!   manifest, counters, events, flows, slot CSV, span sketches)
-//!   consumed by the `tfc-trace` binary.
+//!   manifest, counters, events, flows, slot CSV, span sketches,
+//!   sampler series), streamed to disk through [`json::PrettyWriter`]
+//!   and consumed by the `tfc-trace` binary.
 //!
 //! The crate is a leaf below the simulator: node/flow/time fields are
 //! plain integers, and the simulator, protocols, and experiments all

@@ -31,6 +31,13 @@ cargo test -q -p tfc-repro --test sched_equivalence
 # link-down reroute onto surviving equal-cost members.
 cargo test -q -p tfc-repro --test ecmp
 
+# Streaming export: artifact files are written record by record through
+# one pretty-writer, never built whole in memory. A counting allocator
+# bounds export's live-heap growth at 1 MiB for 100k event records and
+# 100k flows (a whole-file tree of that bundle takes ~170 MiB), so a
+# regression to whole-file trees or strings names this gate.
+cargo test -q -p tfc-repro --test export_memory
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"

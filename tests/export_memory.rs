@@ -1,0 +1,137 @@
+//! Artifact export streams: exporting a large bundle must not grow the
+//! live heap by more than a small, size-independent bound.
+//!
+//! A counting global allocator tracks live bytes and their high-water
+//! mark. The test exports 100k stored event records and 100k flows —
+//! whole-file trees or strings of that bundle would take tens of MiB —
+//! and asserts that export's peak live-heap growth stays within 1 MiB.
+//! This binary holds exactly one test, so no other thread allocates
+//! while it measures.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use telemetry::export::export_run;
+use telemetry::{
+    EventLog, FlowSummary, LogMode, LoopStats, RunManifest, SpanTracker, TraceConfig, TraceEvent,
+};
+
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const RECORDS: u64 = 100_000;
+const FLOWS: u64 = 100_000;
+const BOUND: usize = 1 << 20;
+
+#[test]
+fn export_heap_growth_is_bounded() {
+    let dir = std::env::temp_dir().join(format!("tfc_export_memory_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::env::set_var("TFC_RESULTS_DIR", &dir);
+
+    let mut log = EventLog::new(LogMode::Full, 1, 1);
+    for i in 0..RECORDS {
+        let event = match i % 4 {
+            0 => TraceEvent::PktEnqueue {
+                node: (i % 64) as u32,
+                port: (i % 8) as u16,
+                flow: i / 4,
+                seq: i * 1460,
+                bytes: 1500,
+                queue_bytes: (i % 100) * 1500,
+            },
+            1 => TraceEvent::PktDeliver {
+                node: 1,
+                flow: i / 4,
+                bytes: 1460,
+            },
+            2 => TraceEvent::FlowRttSample {
+                flow: i / 4,
+                nanos: 100_000 + i,
+            },
+            _ => TraceEvent::PktAck {
+                node: 0,
+                flow: i / 4,
+                ack: i * 1460,
+            },
+        };
+        log.record(i * 1_000, event);
+    }
+    let stats = LoopStats::new(&["arrival"], false);
+    let spans = SpanTracker::new(TraceConfig::Off);
+    let manifest = RunManifest {
+        run: "export-memory".into(),
+        seed: 1,
+        topology: "synthetic".into(),
+        config: "100k records, 100k flows".into(),
+        git: "unknown".into(),
+        sim: None,
+    };
+    let flows = (0..FLOWS).map(|i| FlowSummary {
+        flow: i,
+        src: (i % 128) as u32,
+        dst: 128,
+        bytes: 65_536,
+        delivered: 65_536,
+        retransmits: i % 3,
+        timeouts: 0,
+        started_ns: i * 10,
+        established_ns: Some(i * 10 + 5),
+        receiver_done_ns: (i % 2 == 0).then_some(i * 10 + 900),
+        sender_done_ns: None,
+    });
+
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let out = export_run(&manifest, &log, &stats, &[], flows, None, &spans, &[]).unwrap();
+    let growth = PEAK.load(Relaxed) - base;
+
+    let events = std::fs::metadata(out.join("events.json")).unwrap().len();
+    let flows = std::fs::metadata(out.join("flows.json")).unwrap().len();
+    std::fs::remove_dir_all(&dir).ok();
+    println!("export live-heap growth: {growth} B for {events} B of events, {flows} B of flows");
+    // The files are each many times the bound, so a whole-file tree or
+    // string cannot pass.
+    assert!(
+        events > 8 * BOUND as u64 && flows > 8 * BOUND as u64,
+        "{events} / {flows} B"
+    );
+    assert!(
+        growth <= BOUND,
+        "export grew the live heap by {growth} B (bound {BOUND} B) for {events} B of events and {flows} B of flows"
+    );
+}
