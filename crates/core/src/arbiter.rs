@@ -25,7 +25,7 @@ pub enum ArbiterVerdict {
 }
 
 /// Per-port delay arbiter.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DelayArbiter {
     rate_bytes_per_nano: f64,
     counter: f64,

@@ -17,7 +17,9 @@
 //!   N counter, rho counter, token allocator, window calculator);
 //! * [`arbiter::DelayArbiter`] — the token-bucket ACK pacing of §4.6;
 //! * [`switch::TfcSwitchPolicy`] — the two glued into the simulator's
-//!   switch hooks;
+//!   switch hooks; a port gets its own engine and arbiter the first
+//!   time a hook changes it, and until then reads its switch's Init
+//!   prototype for its line rate;
 //! * [`sender::TfcSender`] + [`stack::TfcStack`] — the end-host side
 //!   (§5.1/§5.3): the explicit-window policy over the `transport`
 //!   crate's shared send core, paired with its shared receiver;

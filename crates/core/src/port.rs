@@ -36,7 +36,7 @@ pub struct SlotReport {
 /// the packet was the delimiter flow's round mark and a slot closed. Read
 /// the current window with [`window`](TokenEngine::window) to stamp RM
 /// packets.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TokenEngine {
     cfg: TfcSwitchConfig,
     rate: Bandwidth,
@@ -106,6 +106,11 @@ impl TokenEngine {
         } else {
             self.window.min(Self::COLD_START_CAP)
         }
+    }
+
+    /// Line rate of the port.
+    pub fn rate(&self) -> Bandwidth {
+        self.rate
     }
 
     /// Current smoothed token value in bytes.

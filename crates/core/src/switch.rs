@@ -10,6 +10,12 @@
 //!   An RMA ACK arrives on exactly the port its data stream egresses
 //!   from (paths are symmetric in the tree topologies this workspace
 //!   uses), so the ingress port index identifies the right engine.
+//!
+//! A port's state is built the first time a hook changes it. Until then
+//! the port sits in the paper's Init state, which depends only on its
+//! line rate and the switch config, so the untouched ports of a switch
+//! share one read-only prototype per distinct rate (DESIGN.md §9, *TFC
+//! port state on first touch*).
 
 use simnet::node::PortLink;
 use simnet::packet::{Flags, NodeId, Packet};
@@ -18,7 +24,7 @@ use simnet::units::{Bandwidth, Time};
 
 use crate::arbiter::{ArbiterVerdict, DelayArbiter};
 use crate::config::TfcSwitchConfig;
-use crate::port::TokenEngine;
+use crate::port::{SlotReport, TokenEngine};
 
 const KIND_MISS: u64 = 0;
 const KIND_RELEASE: u64 = 1;
@@ -31,6 +37,9 @@ fn decode_token(token: u64) -> (u64, usize, u64) {
     (token & 1, ((token >> 1) & 0xffff) as usize, token >> 17)
 }
 
+/// One port's TFC state: token engine, delay arbiter and the
+/// bookkeeping of its two policy timers.
+#[derive(Debug, Clone)]
 struct TfcPort {
     engine: TokenEngine,
     arbiter: DelayArbiter,
@@ -39,33 +48,205 @@ struct TfcPort {
     release_armed: bool,
 }
 
+impl TfcPort {
+    /// The Init state of a port of line rate `rate`.
+    fn fresh(rate: Bandwidth, cfg: &TfcSwitchConfig) -> Self {
+        let engine = TokenEngine::new(rate, *cfg);
+        let cap = engine.token_bytes();
+        let mut arbiter = DelayArbiter::with_fill_factor(rate, cap, cfg.rho0);
+        arbiter.set_gate_all(cfg.arbiter_gates_all);
+        Self {
+            engine,
+            arbiter,
+            miss_gen: 0,
+            miss_armed_at: Time::ZERO,
+            release_armed: false,
+        }
+    }
+
+    /// Offers an RMA ACK arriving on this port to the delay arbiter.
+    fn ingress(
+        &mut self,
+        port: usize,
+        pkt: &mut Packet,
+        now: Time,
+        fx: &mut PolicyFx,
+    ) -> IngressVerdict {
+        match self.arbiter.offer(pkt, now) {
+            ArbiterVerdict::Forward => IngressVerdict::Forward,
+            ArbiterVerdict::Delayed => {
+                self.arm_release_timer(port, now, fx);
+                IngressVerdict::Consume
+            }
+        }
+    }
+
+    /// Runs the token engine on a data-direction packet leaving this
+    /// port and stamps the window of RM packets.
+    fn egress(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        pkt: &mut Packet,
+        now: Time,
+        fx: &mut PolicyFx,
+    ) {
+        let delim_before = self.engine.delimiter();
+        let slot_before = self.engine.slot_start();
+        if let Some(report) = self.engine.on_data(pkt, now) {
+            self.arbiter.set_cap(self.engine.token_bytes());
+            self.slot_gauges(node, port, &report, fx);
+            self.arm_miss_timer(port, now, fx);
+        } else if self.engine.delimiter() != delim_before || self.engine.slot_start() != slot_before
+        {
+            // A delimiter was adopted (first RM, or re-adoption after a
+            // miss); start watching it. Without this, a silent flow
+            // adopted during re-arm would wedge the port: no slot ever
+            // closes, so no close-time re-arm can happen.
+            self.arm_miss_timer(port, now, fx);
+        }
+        if pkt.flags.contains(Flags::RM) {
+            let w = pkt.weight;
+            pkt.window = pkt
+                .window
+                .min(self.engine.window_for(w))
+                .min(self.engine.live_window_for(w));
+        }
+        if pkt.flags.contains(Flags::FIN) {
+            self.engine.on_fin(pkt.flow);
+        }
+    }
+
+    /// Handles this port's policy timer of `kind` and generation `gen`.
+    fn timer(&mut self, kind: u64, port: usize, gen: u64, now: Time, fx: &mut PolicyFx) {
+        match kind {
+            KIND_MISS => {
+                if gen != self.miss_gen {
+                    return; // Stale arm generation.
+                }
+                if let Some(_next) = self.engine.on_miss_timer(self.miss_armed_at, now) {
+                    self.arm_miss_timer(port, now, fx);
+                }
+            }
+            KIND_RELEASE => {
+                self.release_armed = false;
+                for (pkt, held) in self.arbiter.release(now) {
+                    // The hold is the flow's token/window acquire wait;
+                    // report it before the ACK re-enters the fabric.
+                    fx.token_wait(pkt.flow.0, held.as_nanos());
+                    fx.inject(pkt);
+                }
+                self.arm_release_timer(port, now, fx);
+            }
+            _ => unreachable!("unknown policy timer kind"),
+        }
+    }
+
+    /// Replaces the engine and arbiter with `fresh`'s and invalidates
+    /// outstanding timers.
+    fn reset(&mut self, fresh: TfcPort, port: usize, now: Time, fx: &mut PolicyFx) {
+        self.engine = fresh.engine;
+        self.arbiter = fresh.arbiter;
+        // Cancel (best-effort) and invalidate outstanding timers; the
+        // stale-generation check on the miss timer remains the source of
+        // truth, and a release timer that outruns the cancel fires
+        // harmlessly on the empty rebuilt arbiter.
+        self.retire_miss_timer(port, now, fx);
+        if self.release_armed {
+            fx.cancel_timer(encode_token(KIND_RELEASE, port, 0));
+        }
+        self.release_armed = false;
+    }
+
+    /// Cancels the armed miss timer and moves to a new generation, so
+    /// a timer that outruns the cancel is ignored as stale.
+    fn retire_miss_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
+        if self.miss_gen > 0 {
+            // Best-effort: a no-op if that generation already fired.
+            fx.cancel_timer(encode_token(KIND_MISS, port, self.miss_gen));
+        }
+        self.miss_gen += 1;
+        self.miss_armed_at = now;
+    }
+
+    fn arm_miss_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
+        self.retire_miss_timer(port, now, fx);
+        fx.timer(
+            self.engine.miss_delay(),
+            encode_token(KIND_MISS, port, self.miss_gen),
+        );
+    }
+
+    fn arm_release_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
+        if self.release_armed {
+            return;
+        }
+        if let Some(wait) = self.arbiter.next_release_in(now) {
+            self.release_armed = true;
+            fx.timer(wait, encode_token(KIND_RELEASE, port, 0));
+        }
+    }
+
+    /// Emits the structured per-port gauge sample at slot close. Always
+    /// produced (one small struct per slot); the simulator's telemetry
+    /// layer discards it unless gauge collection is enabled.
+    fn slot_gauges(&self, node: NodeId, port: usize, report: &SlotReport, fx: &mut PolicyFx) {
+        fx.slot_sample(telemetry::PortSlotSample {
+            at_ns: 0, // stamped by the simulator
+            node: node.0,
+            port: port as u16,
+            token_bytes: report.token_bytes,
+            effective_flows: report.effective_flows,
+            rho: report.rho,
+            window_bytes: report.window_bytes,
+            rtt_b_ns: report.rtt_b.as_nanos(),
+            rtt_m_ns: report.rtt_m.as_nanos(),
+            held_acks: self.arbiter.queued() as u64,
+            delayed_total: self.arbiter.delayed_total(),
+        });
+    }
+}
+
 /// TFC packet-processing policy for one switch.
 pub struct TfcSwitchPolicy {
     id: NodeId,
     cfg: TfcSwitchConfig,
-    ports: Vec<TfcPort>,
+    /// The Init prototypes, one per distinct link rate and never
+    /// changed, then the ports some hook has changed, in first-touch
+    /// order.
+    slab: Vec<TfcPort>,
+    /// Number of prototypes at the head of `slab`.
+    protos: usize,
+    /// Per port, its entry in `slab`: its prototype until a hook
+    /// changes it.
+    index: Box<[u32]>,
 }
 
 impl TfcSwitchPolicy {
     /// Creates the policy for switch `id` with the given port links.
     pub fn new(id: NodeId, links: &[PortLink], cfg: TfcSwitchConfig) -> Self {
-        let ports = links
+        let mut slab: Vec<TfcPort> = Vec::new();
+        let index = links
             .iter()
             .map(|l| {
-                let engine = TokenEngine::new(l.rate, cfg);
-                let cap = engine.token_bytes();
-                let mut arbiter = DelayArbiter::with_fill_factor(l.rate, cap, cfg.rho0);
-                arbiter.set_gate_all(cfg.arbiter_gates_all);
-                TfcPort {
-                    engine,
-                    arbiter,
-                    miss_gen: 0,
-                    miss_armed_at: Time::ZERO,
-                    release_armed: false,
-                }
+                let i = match slab.iter().position(|p| p.engine.rate() == l.rate) {
+                    Some(i) => i,
+                    None => {
+                        slab.push(TfcPort::fresh(l.rate, &cfg));
+                        slab.len() - 1
+                    }
+                };
+                i as u32
             })
             .collect();
-        Self { id, cfg, ports }
+        slab.shrink_to_fit();
+        Self {
+            id,
+            cfg,
+            protos: slab.len(),
+            slab,
+            index,
+        }
     }
 
     /// Boxed-policy factory suitable for
@@ -78,57 +259,46 @@ impl TfcSwitchPolicy {
 
     /// Read access to a port's token engine (tests, diagnostics).
     pub fn engine(&self, port: usize) -> &TokenEngine {
-        &self.ports[port].engine
+        &self.port(port).engine
     }
 
     /// Read access to a port's delay arbiter (tests, diagnostics).
     pub fn arbiter(&self, port: usize) -> &DelayArbiter {
-        &self.ports[port].arbiter
+        &self.port(port).arbiter
     }
 
-    fn arm_miss_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
-        let p = &mut self.ports[port];
-        if p.miss_gen > 0 {
-            // Best-effort: a no-op if that generation already fired.
-            fx.cancel_timer(encode_token(KIND_MISS, port, p.miss_gen));
-        }
-        p.miss_gen += 1;
-        p.miss_armed_at = now;
-        fx.timer(
-            p.engine.miss_delay(),
-            encode_token(KIND_MISS, port, p.miss_gen),
-        );
+    fn port(&self, port: usize) -> &TfcPort {
+        &self.slab[self.index[port] as usize]
     }
 
-    fn arm_release_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
-        let p = &mut self.ports[port];
-        if p.release_armed {
-            return;
+    /// The port's own state, copied from its prototype on first touch.
+    fn touch(&mut self, port: usize) -> &mut TfcPort {
+        let mut i = self.index[port] as usize;
+        if i < self.protos {
+            i = self.go_live(port);
         }
-        if let Some(wait) = p.arbiter.next_release_in(now) {
-            p.release_armed = true;
-            fx.timer(wait, encode_token(KIND_RELEASE, port, 0));
-        }
+        &mut self.slab[i]
     }
 
-    /// Emits the structured per-port gauge sample at slot close. Always
-    /// produced (one small struct per slot); the simulator's telemetry
-    /// layer discards it unless gauge collection is enabled.
-    fn slot_gauges(&self, port: usize, report: &crate::port::SlotReport, fx: &mut PolicyFx) {
-        let p = &self.ports[port];
-        fx.slot_sample(telemetry::PortSlotSample {
-            at_ns: 0, // stamped by the simulator
-            node: self.id.0,
-            port: port as u16,
-            token_bytes: report.token_bytes,
-            effective_flows: report.effective_flows,
-            rho: report.rho,
-            window_bytes: report.window_bytes,
-            rtt_b_ns: report.rtt_b.as_nanos(),
-            rtt_m_ns: report.rtt_m.as_nanos(),
-            held_acks: p.arbiter.queued() as u64,
-            delayed_total: p.arbiter.delayed_total(),
-        });
+    /// Appends a copy of `port`'s prototype to the slab; returns its
+    /// entry.
+    ///
+    /// The slab doubles as it grows, but never past one entry per
+    /// prototype and port: on a switch where every port goes live,
+    /// doubling alone would leave up to half the slab unused.
+    #[cold]
+    #[inline(never)]
+    fn go_live(&mut self, port: usize) -> usize {
+        let proto = self.slab[self.index[port] as usize].clone();
+        let len = self.slab.len();
+        if len == self.slab.capacity() {
+            let most = self.protos + self.index.len();
+            self.slab.reserve_exact(len.min(most - len));
+        }
+        self.slab.push(proto);
+        let i = self.slab.len() - 1;
+        self.index[port] = i as u32;
+        i
     }
 }
 
@@ -143,14 +313,7 @@ impl SwitchPolicy for TfcSwitchPolicy {
         if !self.cfg.delay_arbiter || !pkt.flags.contains(Flags::RMA) {
             return IngressVerdict::Forward;
         }
-        let verdict = self.ports[in_port].arbiter.offer(pkt, now);
-        match verdict {
-            ArbiterVerdict::Forward => IngressVerdict::Forward,
-            ArbiterVerdict::Delayed => {
-                self.arm_release_timer(in_port, now, fx);
-                IngressVerdict::Consume
-            }
-        }
+        self.touch(in_port).ingress(in_port, pkt, now, fx)
     }
 
     fn on_egress(
@@ -161,33 +324,8 @@ impl SwitchPolicy for TfcSwitchPolicy {
         now: Time,
         fx: &mut PolicyFx,
     ) -> EgressVerdict {
-        let delim_before = self.ports[out_port].engine.delimiter();
-        let slot_before = self.ports[out_port].engine.slot_start();
-        if let Some(report) = self.ports[out_port].engine.on_data(pkt, now) {
-            let token = self.ports[out_port].engine.token_bytes();
-            self.ports[out_port].arbiter.set_cap(token);
-            self.slot_gauges(out_port, &report, fx);
-            self.arm_miss_timer(out_port, now, fx);
-        } else if self.ports[out_port].engine.delimiter() != delim_before
-            || self.ports[out_port].engine.slot_start() != slot_before
-        {
-            // A delimiter was adopted (first RM, or re-adoption after a
-            // miss); start watching it. Without this, a silent flow
-            // adopted during re-arm would wedge the port: no slot ever
-            // closes, so no close-time re-arm can happen.
-            self.arm_miss_timer(out_port, now, fx);
-        }
-        if pkt.flags.contains(Flags::RM) {
-            let engine = &self.ports[out_port].engine;
-            let w = pkt.weight;
-            pkt.window = pkt
-                .window
-                .min(engine.window_for(w))
-                .min(engine.live_window_for(w));
-        }
-        if pkt.flags.contains(Flags::FIN) {
-            self.ports[out_port].engine.on_fin(pkt.flow);
-        }
+        let id = self.id;
+        self.touch(out_port).egress(id, out_port, pkt, now, fx);
         EgressVerdict::Enqueue
     }
 
@@ -197,56 +335,15 @@ impl SwitchPolicy for TfcSwitchPolicy {
     /// state — token pool, effective-flow count, rho, delimiter, RTT
     /// estimates — is lost and must be re-learnt from live traffic.
     fn reset_port(&mut self, port: usize, rate: Bandwidth, now: Time, fx: &mut PolicyFx) {
-        let engine = TokenEngine::new(rate, self.cfg);
-        let cap = engine.token_bytes();
-        let mut arbiter = DelayArbiter::with_fill_factor(rate, cap, self.cfg.rho0);
-        arbiter.set_gate_all(self.cfg.arbiter_gates_all);
-        let p = &mut self.ports[port];
-        p.engine = engine;
-        p.arbiter = arbiter;
-        // Cancel (best-effort) and invalidate outstanding timers; the
-        // stale-generation check on the miss timer remains the source of
-        // truth, and a release timer that outruns the cancel fires
-        // harmlessly on the empty rebuilt arbiter.
-        if p.miss_gen > 0 {
-            fx.cancel_timer(encode_token(KIND_MISS, port, p.miss_gen));
-        }
-        p.miss_gen += 1;
-        p.miss_armed_at = now;
-        if p.release_armed {
-            fx.cancel_timer(encode_token(KIND_RELEASE, port, 0));
-        }
-        p.release_armed = false;
+        let fresh = TfcPort::fresh(rate, &self.cfg);
+        self.touch(port).reset(fresh, port, now, fx);
     }
 
+    /// Policy timers are armed only by hooks that touched their port,
+    /// so the port is already live here.
     fn on_timer(&mut self, token: u64, now: Time, fx: &mut PolicyFx) {
         let (kind, port, gen) = decode_token(token);
-        match kind {
-            KIND_MISS => {
-                let armed_at = {
-                    let p = &self.ports[port];
-                    if gen != p.miss_gen {
-                        return; // Stale arm generation.
-                    }
-                    p.miss_armed_at
-                };
-                if let Some(_next) = self.ports[port].engine.on_miss_timer(armed_at, now) {
-                    self.arm_miss_timer(port, now, fx);
-                }
-            }
-            KIND_RELEASE => {
-                self.ports[port].release_armed = false;
-                let released = self.ports[port].arbiter.release(now);
-                for (pkt, held) in released {
-                    // The hold is the flow's token/window acquire wait;
-                    // report it before the ACK re-enters the fabric.
-                    fx.token_wait(pkt.flow.0, held.as_nanos());
-                    fx.inject(pkt);
-                }
-                self.arm_release_timer(port, now, fx);
-            }
-            _ => unreachable!("unknown policy timer kind"),
-        }
+        self.touch(port).timer(kind, port, gen, now, fx);
     }
 }
 
@@ -521,6 +618,256 @@ mod proptests {
                     windows.len()
                 );
             }
+        });
+    }
+}
+
+/// Differential test of the first-touch layout against the eager one it
+/// replaces, where the constructor built every port up front.
+#[cfg(test)]
+mod first_touch {
+    use super::*;
+    use rng::props::cases;
+    use rng::rngs::StdRng;
+    use rng::Rng;
+    use simnet::packet::{FlowId, MSS, WINDOW_INIT};
+    use simnet::units::Dur;
+
+    const RATES_MBPS: [u64; 3] = [1_000, 10_000, 40_000];
+    /// A rate no link has, so no prototype exists for it.
+    const NEW_RATE_MBPS: u64 = 25_000;
+    const PORTS: usize = 12;
+    /// Ports `0..ACTIVE` carry traffic; the others are never touched
+    /// until the final resets.
+    const ACTIVE: usize = 10;
+
+    /// The eager reference: one port per link, built as the old
+    /// constructor built them.
+    struct Eager {
+        cfg: TfcSwitchConfig,
+        ports: Vec<TfcPort>,
+    }
+
+    fn eager_port(rate: Bandwidth, cfg: TfcSwitchConfig) -> TfcPort {
+        let engine = TokenEngine::new(rate, cfg);
+        let cap = engine.token_bytes();
+        let mut arbiter = DelayArbiter::with_fill_factor(rate, cap, cfg.rho0);
+        arbiter.set_gate_all(cfg.arbiter_gates_all);
+        TfcPort {
+            engine,
+            arbiter,
+            miss_gen: 0,
+            miss_armed_at: Time::ZERO,
+            release_armed: false,
+        }
+    }
+
+    impl Eager {
+        fn new(links: &[PortLink], cfg: TfcSwitchConfig) -> Self {
+            let ports = links.iter().map(|l| eager_port(l.rate, cfg)).collect();
+            Self { cfg, ports }
+        }
+
+        fn on_ingress(
+            &mut self,
+            port: usize,
+            pkt: &mut Packet,
+            now: Time,
+            fx: &mut PolicyFx,
+        ) -> IngressVerdict {
+            if !self.cfg.delay_arbiter || !pkt.flags.contains(Flags::RMA) {
+                return IngressVerdict::Forward;
+            }
+            self.ports[port].ingress(port, pkt, now, fx)
+        }
+
+        fn on_egress(
+            &mut self,
+            port: usize,
+            pkt: &mut Packet,
+            now: Time,
+            fx: &mut PolicyFx,
+        ) -> EgressVerdict {
+            self.ports[port].egress(NodeId(9), port, pkt, now, fx);
+            EgressVerdict::Enqueue
+        }
+
+        fn on_timer(&mut self, token: u64, now: Time, fx: &mut PolicyFx) {
+            let (kind, port, gen) = decode_token(token);
+            self.ports[port].timer(kind, port, gen, now, fx);
+        }
+
+        fn reset_port(&mut self, port: usize, rate: Bandwidth, now: Time, fx: &mut PolicyFx) {
+            let fresh = eager_port(rate, self.cfg);
+            self.ports[port].reset(fresh, port, now, fx);
+        }
+    }
+
+    fn link(rate_mbps: u64) -> PortLink {
+        PortLink {
+            rate: Bandwidth::mbps(rate_mbps),
+            delay: Dur::micros(1),
+            peer: NodeId(0),
+            peer_port: 0,
+        }
+    }
+
+    fn data(rng: &mut StdRng) -> Packet {
+        let flow = FlowId(rng.gen_range(1..6u64));
+        let payload = if rng.gen_bool(0.8) { MSS } else { 64 };
+        let mut p = Packet::data(flow, NodeId(0), NodeId(1), 0, payload);
+        if rng.gen_bool(0.5) {
+            p.flags.set(Flags::RM);
+        }
+        if rng.gen_bool(0.05) {
+            p.flags.set(Flags::FIN);
+        }
+        p.weight = rng.gen_range(1..4u8);
+        p.window = if rng.gen_bool(0.3) {
+            WINDOW_INIT
+        } else {
+            rng.gen_range(64..50_000)
+        };
+        p
+    }
+
+    fn ack(rng: &mut StdRng) -> Packet {
+        let flow = FlowId(rng.gen_range(1..6u64));
+        let mut p = Packet::ack(flow, NodeId(1), NodeId(0), 0);
+        if rng.gen_bool(0.8) {
+            p.flags.set(Flags::RMA);
+        }
+        p.window = if rng.gen_bool(0.1) {
+            WINDOW_INIT
+        } else {
+            rng.gen_range(64..20_000)
+        };
+        p
+    }
+
+    fn is_live(p: &TfcSwitchPolicy, port: usize) -> bool {
+        p.index[port] as usize >= p.protos
+    }
+
+    /// Every port's full state, prototype or live, matches the reference.
+    fn assert_same_ports(lazy: &TfcSwitchPolicy, eager: &Eager) {
+        for (p, port) in eager.ports.iter().enumerate() {
+            assert_eq!(
+                format!("{:?}", lazy.port(p)),
+                format!("{port:?}"),
+                "port {p}"
+            );
+        }
+    }
+
+    /// Resets `port` at `rate` on both sides and compares the effects.
+    fn reset_both(
+        lazy: &mut TfcSwitchPolicy,
+        eager: &mut Eager,
+        port: usize,
+        rate: Bandwidth,
+        now: Time,
+    ) {
+        let (mut fl, mut fe) = (PolicyFx::new(), PolicyFx::new());
+        lazy.reset_port(port, rate, now, &mut fl);
+        eager.reset_port(port, rate, now, &mut fe);
+        assert_eq!(format!("{fl:?}"), format!("{fe:?}"));
+    }
+
+    #[test]
+    fn first_touch_matches_eager_ports() {
+        cases(32, |_case, rng| {
+            let cfg = TfcSwitchConfig {
+                delay_arbiter: rng.gen_bool(0.8),
+                arbiter_gates_all: rng.gen_bool(0.5),
+                ..TfcSwitchConfig::default()
+            };
+            let links: Vec<PortLink> = (0..PORTS)
+                .map(|_| link(RATES_MBPS[rng.gen_range(0..RATES_MBPS.len())]))
+                .collect();
+            let mut lazy = TfcSwitchPolicy::new(NodeId(9), &links, cfg);
+            let mut eager = Eager::new(&links, cfg);
+            let mut touched = [false; PORTS];
+            let mut pending: Vec<u64> = Vec::new();
+            let mut now = Time(0);
+            for _ in 0..300 {
+                now = Time(now.nanos() + rng.gen_range(0..40_000u64));
+                let port = rng.gen_range(0..ACTIVE);
+                let (mut fl, mut fe) = (PolicyFx::new(), PolicyFx::new());
+                match rng.gen_range(0..20u32) {
+                    0..=8 => {
+                        let mut a = data(rng);
+                        let mut b = a.clone();
+                        assert_eq!(
+                            lazy.on_egress(port, &mut a, 0, now, &mut fl),
+                            eager.on_egress(port, &mut b, now, &mut fe)
+                        );
+                        assert_eq!(a, b, "stamped window");
+                        touched[port] = true;
+                    }
+                    9..=14 => {
+                        let mut a = ack(rng);
+                        let mut b = a.clone();
+                        assert_eq!(
+                            lazy.on_ingress(port, &mut a, now, &mut fl),
+                            eager.on_ingress(port, &mut b, now, &mut fe)
+                        );
+                        assert_eq!(a, b, "arbitrated window");
+                        touched[port] |= cfg.delay_arbiter && a.flags.contains(Flags::RMA);
+                    }
+                    15..=18 if !pending.is_empty() => {
+                        let token = pending.swap_remove(rng.gen_range(0..pending.len()));
+                        lazy.on_timer(token, now, &mut fl);
+                        eager.on_timer(token, now, &mut fe);
+                    }
+                    _ => {
+                        let rate = match rng.gen_range(0..4usize) {
+                            3 => Bandwidth::mbps(NEW_RATE_MBPS),
+                            r => Bandwidth::mbps(RATES_MBPS[r]),
+                        };
+                        reset_both(&mut lazy, &mut eager, port, rate, now);
+                        touched[port] = true;
+                    }
+                }
+                assert_eq!(format!("{fl:?}"), format!("{fe:?}"), "policy effects");
+                pending.retain(|t| !fl.cancels.contains(t));
+                pending.extend(fl.timers.iter().map(|&(_, t)| t));
+                for (p, &t) in touched.iter().enumerate() {
+                    assert_eq!(
+                        is_live(&lazy, p),
+                        t,
+                        "port {p} is live iff a hook changed it"
+                    );
+                }
+                assert_same_ports(&lazy, &eager);
+            }
+            // Prototypes stay in Init however much traffic the switch
+            // carried (perfbench sums `arbiter(p).delayed_total()` over
+            // untouched ports too).
+            for proto in &lazy.slab[..lazy.protos] {
+                let init = eager_port(proto.engine.rate(), cfg);
+                assert_eq!(format!("{proto:?}"), format!("{init:?}"));
+            }
+            // A port's first touch may be a reset after its link rate
+            // changed: to a rate with no prototype, or to another
+            // link's rate.
+            for (port, rate) in [
+                (PORTS - 2, Bandwidth::mbps(NEW_RATE_MBPS)),
+                (PORTS - 1, links[0].rate),
+            ] {
+                assert!(!is_live(&lazy, port));
+                reset_both(&mut lazy, &mut eager, port, rate, now);
+                assert!(is_live(&lazy, port));
+                let mut a = data(rng);
+                a.flags.set(Flags::RM);
+                let mut b = a.clone();
+                let (mut fl, mut fe) = (PolicyFx::new(), PolicyFx::new());
+                lazy.on_egress(port, &mut a, 0, now, &mut fl);
+                eager.on_egress(port, &mut b, now, &mut fe);
+                assert_eq!(a, b);
+                assert_eq!(format!("{fl:?}"), format!("{fe:?}"));
+            }
+            assert_same_ports(&lazy, &eager);
         });
     }
 }

@@ -38,6 +38,14 @@ cargo test -q -p tfc-repro --test ecmp
 # regression to whole-file trees or strings names this gate.
 cargo test -q -p tfc-repro --test export_memory
 
+# TFC port state on first touch: a freshly built network holds one Init
+# prototype per link rate per switch, not an engine and arbiter per
+# port. A counting allocator bounds the k=36 fat-tree's TFC policies at
+# 1 MiB of live heap over drop-tail switches (building every port up
+# front takes 14.8 MiB), so a regression to eager port state names
+# this gate.
+cargo test -q -p tfc-repro --test policy_memory
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"
