@@ -1,6 +1,7 @@
 //! Microbenchmarks of the hot simulator and protocol paths: event-queue
 //! churn, port-queue operations, the TFC token engine's per-packet cost,
-//! and raw simulated-packet throughput of the whole stack.
+//! receive-side reassembly, and raw simulated-packet throughput of the
+//! whole stack.
 
 use tfc_bench::harness::{criterion_group, criterion_main, Criterion, Throughput};
 use simnet::app::NullApp;
@@ -16,6 +17,7 @@ use std::hint::black_box;
 use tfc::config::TfcSwitchConfig;
 use tfc::port::TokenEngine;
 use tfc::{TfcStack, TfcSwitchPolicy};
+use transport::recv::RecvBuffer;
 
 fn event_queue_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -128,6 +130,34 @@ fn token_engine_per_packet(c: &mut Criterion) {
     g.finish();
 }
 
+/// Receive-side reassembly per segment: an in-order stream (the fast
+/// path, which never touches the reorder map) and the same stream with
+/// a hole every 16 segments, each filled once the next 15 arrived.
+fn recv_buffer(c: &mut Criterion) {
+    const SEGS: u64 = 1_000;
+    let mut g = c.benchmark_group("recv_buffer");
+    g.throughput(Throughput::Elements(SEGS));
+    let in_order: Vec<u64> = (0..SEGS).collect();
+    let mut holed: Vec<u64> = Vec::with_capacity(SEGS as usize);
+    for block in (0..SEGS).step_by(16) {
+        let end = (block + 16).min(SEGS);
+        holed.extend(block + 1..end);
+        holed.push(block);
+    }
+    for (name, order) in [("in_order_1k", &in_order), ("hole_every_16_1k", &holed)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut r = RecvBuffer::new();
+                for &i in order {
+                    black_box(r.on_segment(i * MSS, MSS));
+                }
+                assert_eq!(r.rcv_nxt(), SEGS * MSS);
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Topology build with its route fill on a k=16 fat-tree (1,024 hosts,
 /// 320 switches, 128 access groups), with drop-tail switches so the
 /// route fill, not policy construction, dominates.
@@ -176,6 +206,7 @@ criterion_group!(
     event_queue_churn,
     port_queue_ops,
     token_engine_per_packet,
+    recv_buffer,
     topology_build,
     end_to_end_packet_rate
 );

@@ -138,8 +138,10 @@ pub struct FlowState {
     pub timeouts: u64,
     /// Packets retransmitted by the sender.
     pub retransmits: u64,
-    /// Optional goodput meter (delivered bytes per window).
-    pub meter: Option<RateMeter>,
+    /// Optional goodput meter (delivered bytes per window), attached by
+    /// [`SimCore::meter_flow`]. Boxed because few flows carry one: an
+    /// unmetered flow's slab slot holds one pointer, not the meter.
+    pub meter: Option<Box<RateMeter>>,
     /// Whether to forward `Delivered` events to the application.
     pub watch_delivery: bool,
     /// Whether to record sender RTT samples.
@@ -362,7 +364,10 @@ impl SimCore {
     /// Attaches a goodput meter (window `window`) to a flow.
     pub fn meter_flow(&mut self, flow: FlowId, window: Dur) {
         let state = self.flows.get_mut(flow).expect("flow exists");
-        state.meter = Some(RateMeter::new(format!("flow{}", flow.0), window.as_nanos()));
+        state.meter = Some(Box::new(RateMeter::new(
+            format!("flow{}", flow.0),
+            window.as_nanos(),
+        )));
     }
 
     /// Requests `Delivered` events for a flow.
@@ -801,18 +806,28 @@ impl SimCore {
             }
         }
         // Both sides done (receiver holds the stream, sender saw its
-        // FIN acked): under retirement the flow's state leaves the
-        // simulation. The teardown is queued behind the already-pending
-        // `Completed` app event so the application's callback still
-        // observes the flow; `retire_flow` ignores a second queuing.
+        // FIN acked).
         if finishing
-            && self.retirer.is_some()
             && self
                 .flows
                 .get(flow)
                 .is_some_and(|s| s.receiver_done_at.is_some() && s.sender_done_at.is_some())
         {
-            self.pending_app.push_back(AppCall::Retire(flow));
+            // `apply_host_fx` ran this callback's cancels before its
+            // notes, so a finished sender's RTO is gone: release the
+            // drained timer list. (Not on every drain: each ACK cancels
+            // and re-arms the RTO.) A later re-arm pushes into a fresh list.
+            let pending = &mut self.host_timers[flow.0 as usize];
+            if pending.is_empty() {
+                *pending = Vec::new();
+            }
+            // Under retirement the flow's state leaves the simulation.
+            // The teardown is queued behind the already-pending
+            // `Completed` app event so the application's callback still
+            // observes the flow; `retire_flow` ignores a second queuing.
+            if self.retirer.is_some() {
+                self.pending_app.push_back(AppCall::Retire(flow));
+            }
         }
     }
 }

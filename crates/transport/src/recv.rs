@@ -54,13 +54,19 @@ impl RecvBuffer {
             return 0;
         }
         let end = seq + len;
-        if end <= self.rcv_nxt {
+        let before = self.rcv_nxt;
+        if end <= before {
             return 0; // Entirely duplicate.
         }
-        let seq = seq.max(self.rcv_nxt);
-        self.insert_range(seq, end);
+        if seq <= before && self.ooo.is_empty() {
+            // In order with nothing buffered: the common case never
+            // touches the map, so a flow that sees no reordering never
+            // allocates a node.
+            self.rcv_nxt = end;
+            return end - before;
+        }
+        self.insert_range(seq.max(before), end);
         // Advance the cumulative point through any now-contiguous ranges.
-        let before = self.rcv_nxt;
         while let Some((&s, &e)) = self.ooo.first_key_value() {
             if s > self.rcv_nxt {
                 break;
@@ -68,19 +74,23 @@ impl RecvBuffer {
             self.ooo.pop_first();
             self.rcv_nxt = self.rcv_nxt.max(e);
         }
+        if self.ooo.is_empty() {
+            // A drained map keeps its root node; free it.
+            self.ooo = BTreeMap::new();
+        }
         self.rcv_nxt - before
     }
 
     fn insert_range(&mut self, mut start: u64, mut end: u64) {
-        // Merge with any overlapping or adjacent existing ranges.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .filter(|&(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ooo.remove(&s).expect("key just observed");
+        // Merge with any overlapping or adjacent ranges in place. Ranges
+        // are disjoint and non-adjacent, so walking down from the last
+        // one starting at or before `end` meets exactly the ranges that
+        // touch `[start, end]` before the first that ends below `start`.
+        while let Some((&s, &e)) = self.ooo.range(..=end).next_back() {
+            if e < start {
+                break;
+            }
+            self.ooo.remove(&s);
             start = start.min(s);
             end = end.max(e);
         }
@@ -260,6 +270,84 @@ mod tests {
         b.on_segment(150, 200);
         assert_eq!(b.ooo_ranges(), 1);
         assert_eq!(b.on_segment(0, 100), 350);
+    }
+
+    /// Byte-set reference model of [`RecvBuffer`]: which bytes arrived.
+    #[derive(Default)]
+    struct ByteSet {
+        seen: Vec<bool>,
+        rcv_nxt: u64,
+    }
+
+    impl ByteSet {
+        fn on_segment(&mut self, seq: u64, len: u64) -> u64 {
+            let end = (seq + len) as usize;
+            if self.seen.len() < end {
+                self.seen.resize(end, false);
+            }
+            self.seen[seq as usize..end].fill(true);
+            let before = self.rcv_nxt;
+            while self.seen.get(self.rcv_nxt as usize) == Some(&true) {
+                self.rcv_nxt += 1;
+            }
+            self.rcv_nxt - before
+        }
+
+        /// Maximal runs of arrived bytes above the in-order point.
+        fn ranges(&self) -> usize {
+            let above = self.seen.get(self.rcv_nxt as usize..).unwrap_or(&[]);
+            above.windows(2).filter(|w| !w[0] && w[1]).count()
+        }
+
+        /// Start of the first buffered range, if any.
+        fn first_range(&self) -> Option<u64> {
+            (self.rcv_nxt..self.seen.len() as u64).find(|&i| self.seen[i as usize])
+        }
+    }
+
+    /// Differential check against the byte-set model over segment
+    /// streams mixing in-order runs, holes, duplicates, overlaps,
+    /// zero-length segments and segments below `rcv_nxt`; filling the
+    /// first hole exactly drains the map, so later holes reopen it.
+    #[test]
+    fn matches_byte_set_model() {
+        cases(256, |_case, rng| {
+            let mut b = RecvBuffer::new();
+            let mut model = ByteSet::default();
+            let mut trace = Vec::new();
+            for _ in 0..150 {
+                let nxt = model.rcv_nxt;
+                let (seq, len) = match rng.gen_range(0..7u32) {
+                    // In-order run.
+                    0 | 1 => (nxt, rng.gen_range(1..24u64)),
+                    // Hole ahead of the in-order point.
+                    2 => (nxt + rng.gen_range(1..48u64), rng.gen_range(1..24u64)),
+                    // At or below `rcv_nxt`, possibly straddling it.
+                    3 => {
+                        let seq = rng.gen_range(0..=nxt);
+                        (seq, rng.gen_range(0..nxt - seq + 24))
+                    }
+                    // Zero length anywhere.
+                    4 => (rng.gen_range(0..nxt + 64), 0),
+                    // Anywhere near the in-order point: overlaps.
+                    5 => (
+                        rng.gen_range(nxt.saturating_sub(32)..nxt + 96),
+                        rng.gen_range(1..64u64),
+                    ),
+                    // Fill the first hole exactly, draining the map.
+                    _ => match model.first_range() {
+                        Some(s) => (nxt, s - nxt),
+                        None => (nxt, rng.gen_range(1..24u64)),
+                    },
+                };
+                trace.push((seq, len));
+                let got = b.on_segment(seq, len);
+                let want = model.on_segment(seq, len);
+                assert_eq!(got, want, "return value after {trace:?}");
+                assert_eq!(b.rcv_nxt(), model.rcv_nxt, "rcv_nxt after {trace:?}");
+                assert_eq!(b.ooo_ranges(), model.ranges(), "ranges after {trace:?}");
+            }
+        });
     }
 
     fn mk_recv(expected: Option<u64>, echo: EchoMode) -> StreamReceiver {

@@ -46,6 +46,14 @@ cargo test -q -p tfc-repro --test export_memory
 # this gate.
 cargo test -q -p tfc-repro --test policy_memory
 
+# Completed-flow footprint: without retirement a finished flow keeps its
+# record and its two endpoint boxes, not a drained reorder-map node or
+# timer list. A counting allocator runs a lossy TFC incast at two round
+# counts and bounds the extra rounds' completed flows at 2 live heap
+# blocks each (keeping the drained node and list took 4), so a
+# regression to per-flow scratch state names this gate.
+cargo test -q -p tfc-repro --test flow_memory
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"

@@ -1,0 +1,133 @@
+//! A completed flow keeps only its record and its endpoints: its
+//! `FlowState` slab slot, its two endpoint-table slots and the sender
+//! and receiver boxes. The receiver's reorder map and the flow's timer
+//! list are freed once they drain.
+//!
+//! A counting global allocator tracks live blocks and bytes. The test
+//! runs a TFC incast with fresh connections per round and no flow
+//! retirement, under a loss burst that spans the run so the reorder
+//! path and RTOs run in every round, at two round counts. The extra
+//! rounds' completed flows may add at most 2 live heap blocks each:
+//! the two endpoint boxes (slab and table growth reallocates, so it
+//! adds bytes but no blocks). Keeping the drained reorder node and
+//! timer list made it 4. This binary holds exactly one test, so no
+//! other thread allocates while it measures.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use chaos::FaultTimeline;
+use simnet::sim::{SimConfig, Simulator};
+use simnet::topology::star;
+use simnet::units::{Bandwidth, Dur, Time};
+use telemetry::TelemetryConfig;
+use tfc::{TfcStack, TfcSwitchConfig, TfcSwitchPolicy};
+use workloads::{IncastApp, IncastConfig};
+
+struct Counting;
+
+static BLOCKS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            BLOCKS.fetch_add(1, Relaxed);
+            BYTES.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        BLOCKS.fetch_sub(1, Relaxed);
+        BYTES.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            BYTES.fetch_sub(layout.size(), Relaxed);
+            BYTES.fetch_add(new_size, Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const SENDERS: usize = 16;
+/// Live heap blocks a completed flow may hold: its two endpoint boxes.
+const BLOCKS_PER_FLOW: f64 = 2.0;
+
+/// What one incast run leaves live when it stops.
+struct Held {
+    flows: usize,
+    blocks: usize,
+    bytes: usize,
+    retransmits: u64,
+    timeouts: u64,
+}
+
+/// Runs `rounds` incast rounds and measures the live heap the simulator
+/// holds at the end, over what was live before it was built.
+fn incast(rounds: u32) -> Held {
+    let (blocks0, bytes0) = (BLOCKS.load(Relaxed), BYTES.load(Relaxed));
+    let (mut t, hosts, switch) = star(SENDERS + 1, Bandwidth::gbps(10), Dur::micros(10));
+    t.switch_buffer(512 * 1024);
+    let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
+    let app = IncastApp::new(IncastConfig {
+        senders: hosts[1..].to_vec(),
+        receiver: hosts[0],
+        block_bytes: 64 * 1024,
+        rounds,
+        request_delay: Dur::micros(20),
+        fresh_per_round: true,
+    });
+    let cfg = SimConfig {
+        seed: 2016,
+        telemetry: TelemetryConfig::off(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(net, Box::new(TfcStack::default()), app, cfg);
+    // 3 % loss on the receiver's downlink (`star` puts host i on switch
+    // port i) for the whole run.
+    FaultTimeline::new()
+        .loss_burst(Time::ZERO, Dur::secs(60), switch, 0, 30)
+        .install(sim.core_mut());
+    sim.run();
+    assert_eq!(sim.app().rounds_done(), rounds, "every round finishes");
+    let held = Held {
+        flows: sim.core().flows().count(),
+        blocks: BLOCKS.load(Relaxed) - blocks0,
+        bytes: BYTES.load(Relaxed) - bytes0,
+        retransmits: sim.core().flows().map(|(_, s)| s.retransmits).sum(),
+        timeouts: sim.core().flows().map(|(_, s)| s.timeouts).sum(),
+    };
+    drop(sim);
+    held
+}
+
+#[test]
+fn completed_flows_hold_two_heap_blocks() {
+    let short = incast(8);
+    let long = incast(24);
+    for run in [&short, &long] {
+        assert!(run.retransmits > 0, "the loss burst forces retransmits");
+        assert!(run.timeouts > 0, "the loss burst forces RTOs");
+    }
+    let flows = (long.flows - short.flows) as f64;
+    let blocks = (long.blocks as f64 - short.blocks as f64) / flows;
+    let bytes = (long.bytes as f64 - short.bytes as f64) / flows;
+    println!(
+        "{flows} extra completed flows: {blocks:.2} live blocks and {bytes:.0} live bytes each \
+         ({} retransmits, {} RTOs in the long run)",
+        long.retransmits, long.timeouts
+    );
+    assert!(
+        blocks <= BLOCKS_PER_FLOW,
+        "each extra completed flow holds {blocks:.2} live heap blocks (bound {BLOCKS_PER_FLOW})"
+    );
+}
