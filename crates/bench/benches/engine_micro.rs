@@ -91,16 +91,18 @@ fn port_queue_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("port_queue");
     g.throughput(Throughput::Elements(1_000));
     g.bench_function("enqueue_dequeue_1k", |b| {
+        // A packet sits in at most one FIFO at a time: queue 1,000
+        // distinct live packets.
         let mut arena = simnet::PacketArena::new();
-        let pkt = Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, MSS);
-        let wire = pkt.wire_bytes();
-        let id = arena.alloc(pkt);
+        let ids: Vec<_> = (0..1_000u64)
+            .map(|i| arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), i * MSS, MSS)))
+            .collect();
         b.iter(|| {
             let mut q = PortQueue::new(16 << 20);
-            for _ in 0..1_000 {
-                q.enqueue(id, wire);
+            for &id in &ids {
+                q.enqueue(id, &mut arena);
             }
-            while let Some(p) = q.dequeue() {
+            while let Some(p) = q.dequeue(&arena) {
                 black_box(p);
             }
         })
@@ -115,14 +117,15 @@ fn token_engine_per_packet(c: &mut Criterion) {
         let mut rm = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, MSS);
         rm.flags.set(Flags::RM);
         let plain = Packet::data(FlowId(2), NodeId(0), NodeId(1), 0, MSS);
+        let cfg = TfcSwitchConfig::default();
         b.iter(|| {
-            let mut e = TokenEngine::new(Bandwidth::gbps(10), TfcSwitchConfig::default());
+            let mut e = TokenEngine::new(Bandwidth::gbps(10), &cfg);
             for i in 0..10_000u64 {
                 let t = Time(i * 1_200);
                 if i % 10 == 0 {
-                    black_box(e.on_data(&rm, t));
+                    black_box(e.on_data(&cfg, &rm, t));
                 } else {
-                    black_box(e.on_data(&plain, t));
+                    black_box(e.on_data(&cfg, &plain, t));
                 }
             }
         })

@@ -36,9 +36,12 @@ pub struct SlotReport {
 /// the packet was the delimiter flow's round mark and a slot closed. Read
 /// the current window with [`window`](TokenEngine::window) to stamp RM
 /// packets.
+///
+/// The engine holds only its port's state. The switch config is the
+/// same for every port of a switch, so the caller passes it to the
+/// methods that read it instead of each engine keeping a copy.
 #[derive(Debug, Clone)]
 pub struct TokenEngine {
-    cfg: TfcSwitchConfig,
     rate: Bandwidth,
     delimiter: Option<FlowId>,
     slot_start: Time,
@@ -69,10 +72,9 @@ pub struct TokenEngine {
 
 impl TokenEngine {
     /// Creates an engine for a port of the given line rate.
-    pub fn new(rate: Bandwidth, cfg: TfcSwitchConfig) -> Self {
+    pub fn new(rate: Bandwidth, cfg: &TfcSwitchConfig) -> Self {
         let init_token = rate.bytes_per_sec() * cfg.init_rttb.as_secs_f64();
         Self {
-            cfg,
             rate,
             delimiter: None,
             slot_start: Time::ZERO,
@@ -180,7 +182,12 @@ impl TokenEngine {
 
     /// Processes a data-direction packet headed out this port
     /// (the paper's Event 1). Returns a report when a slot closed.
-    pub fn on_data(&mut self, pkt: &Packet, now: Time) -> Option<SlotReport> {
+    pub fn on_data(
+        &mut self,
+        cfg: &TfcSwitchConfig,
+        pkt: &Packet,
+        now: Time,
+    ) -> Option<SlotReport> {
         self.arrived_bytes += pkt.wire_bytes();
         if !pkt.flags.contains(simnet::packet::Flags::RM) {
             return None;
@@ -190,7 +197,7 @@ impl TokenEngine {
                 self.adopt(pkt, now);
                 None
             }
-            Some(d) if d == pkt.flow => Some(self.close_slot(pkt, now)),
+            Some(d) if d == pkt.flow => Some(self.close_slot(cfg, pkt, now)),
             Some(_) if self.rearm => {
                 // The old delimiter timed out; switch to this flow.
                 self.adopt(pkt, now);
@@ -219,7 +226,12 @@ impl TokenEngine {
     /// Delimiter-miss check (the `2^k × rtt_last` timer of §5.2).
     /// Returns the delay until the next check, or `None` when the miss
     /// budget is exhausted and the port has fully re-armed.
-    pub fn on_miss_timer(&mut self, armed_at: Time, now: Time) -> Option<Dur> {
+    pub fn on_miss_timer(
+        &mut self,
+        cfg: &TfcSwitchConfig,
+        armed_at: Time,
+        now: Time,
+    ) -> Option<Dur> {
         if self.slot_start > armed_at || self.delimiter.is_none() {
             // A slot closed (or the delimiter was replaced) since the
             // timer was armed; the caller re-arms on the next close.
@@ -227,21 +239,21 @@ impl TokenEngine {
         }
         let _ = now;
         self.rearm = true;
-        if self.miss_k >= self.cfg.max_miss_k {
+        if self.miss_k >= cfg.max_miss_k {
             // Give up on the delimiter entirely.
             self.delimiter = None;
             self.miss_k = 0;
             return None;
         }
         self.miss_k += 1;
-        Some(self.miss_delay())
+        Some(self.miss_delay(cfg))
     }
 
     /// Current miss-timer delay: `2^(k+1) × rtt_last` (§5.2: the first
     /// re-catch happens after `2 × rtt_last`, the second after
     /// `4 × rtt_last`, and so on).
-    pub fn miss_delay(&self) -> Dur {
-        Dur(self.rtt_m.as_nanos() << (self.miss_k.min(self.cfg.max_miss_k) + 1))
+    pub fn miss_delay(&self, cfg: &TfcSwitchConfig) -> Dur {
+        Dur(self.rtt_m.as_nanos() << (self.miss_k.min(cfg.max_miss_k) + 1))
     }
 
     fn adopt(&mut self, pkt: &Packet, now: Time) {
@@ -258,7 +270,7 @@ impl TokenEngine {
         self.slot_opener_full = pkt.wire_bytes() >= RTT_PROBE_FRAME;
     }
 
-    fn close_slot(&mut self, pkt: &Packet, now: Time) -> SlotReport {
+    fn close_slot(&mut self, cfg: &TfcSwitchConfig, pkt: &Packet, now: Time) -> SlotReport {
         let rtt_m = now.since(self.slot_start);
         if rtt_m > Dur::ZERO {
             self.rtt_m = rtt_m;
@@ -274,11 +286,11 @@ impl TokenEngine {
                 // pipe instead of EWMA-dragging from the initial guess.
                 self.rttb_measured = true;
                 snapped = true;
-                self.token = self.rate.bytes_per_sec() * self.rtt_b.as_secs_f64() * self.cfg.rho0;
+                self.token = self.rate.bytes_per_sec() * self.rtt_b.as_secs_f64() * cfg.rho0;
             }
         }
         self.slot_opener_full = closer_full;
-        let rtt_for_token = if self.cfg.decouple_rtt {
+        let rtt_for_token = if cfg.decouple_rtt {
             self.rtt_b
         } else {
             self.rtt_m
@@ -286,32 +298,32 @@ impl TokenEngine {
         let pipe = self.rate.bytes_per_sec() * rtt_for_token.as_secs_f64();
         let slot_capacity = self.rate.bytes_per_sec() * self.rtt_m.as_secs_f64();
         let rho_raw = self.arrived_bytes as f64 / slot_capacity.max(1.0);
-        let raw_token = if self.cfg.token_adjustment && rho_raw >= self.cfg.rho_floor {
+        let raw_token = if cfg.token_adjustment && rho_raw >= cfg.rho_floor {
             // Eq. 7: the rho0 / rho correction, with rho measured over
             // the instantaneous slot. In integral mode the ratio applies
             // to the current token (see `TfcSwitchConfig`).
-            let base = if self.cfg.integral_adjustment {
+            let base = if cfg.integral_adjustment {
                 self.token
             } else {
                 pipe
             };
-            (base * self.cfg.rho0 / rho_raw).clamp(pipe * 0.25, pipe * self.cfg.token_boost_cap)
-        } else if self.cfg.token_adjustment {
+            (base * cfg.rho0 / rho_raw).clamp(pipe * 0.25, pipe * cfg.token_boost_cap)
+        } else if cfg.token_adjustment {
             // Nearly empty slot: idle gaps carry no demand signal, so
             // boosting on them would inflate the token right before the
             // next burst (e.g. between barrier-synchronised incast
             // rounds). Hold the token instead.
             self.token
         } else {
-            pipe * self.cfg.rho0
+            pipe * cfg.rho0
         };
         // Eq. 8: EWMA with history weight alpha. The snap slot keeps the
         // freshly measured pipe as-is.
         if !snapped {
-            self.token = self.cfg.alpha * self.token + (1.0 - self.cfg.alpha) * raw_token;
+            self.token = cfg.alpha * self.token + (1.0 - cfg.alpha) * raw_token;
         }
         let e_now = self.e_count.max(1.0);
-        let e = if self.cfg.e_two_slot_average {
+        let e = if cfg.e_two_slot_average {
             let avg = (e_now + self.e_prev.unwrap_or(e_now)) / 2.0;
             self.e_prev = Some(e_now);
             avg
@@ -357,8 +369,12 @@ mod tests {
         Packet::data(FlowId(flow), NodeId(0), NodeId(1), 0, payload)
     }
 
+    fn cfg() -> TfcSwitchConfig {
+        TfcSwitchConfig::default()
+    }
+
     fn engine() -> TokenEngine {
-        TokenEngine::new(GBPS, TfcSwitchConfig::default())
+        TokenEngine::new(GBPS, &cfg())
     }
 
     #[test]
@@ -368,8 +384,8 @@ mod tests {
         assert_eq!(e.window(), TokenEngine::COLD_START_CAP);
         // After a full-frame interval the cap lifts and the token snaps
         // to the measured pipe.
-        e.on_data(&rm_data(1, MSS), Time(0));
-        e.on_data(&rm_data(1, MSS), Time(100_000));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(100_000));
         assert!(e.window() > TokenEngine::COLD_START_CAP);
         // Pipe = 1 Gbps × 100 µs × 0.97 = 12_125 B (one flow).
         assert!((e.token_bytes() - 12_125.0).abs() < 500.0);
@@ -378,19 +394,19 @@ mod tests {
     #[test]
     fn first_rm_adopts_delimiter() {
         let mut e = engine();
-        assert!(e.on_data(&rm_data(7, MSS), Time(1_000)).is_none());
+        assert!(e.on_data(&cfg(), &rm_data(7, MSS), Time(1_000)).is_none());
         assert_eq!(e.delimiter(), Some(FlowId(7)));
     }
 
     #[test]
     fn slot_counts_effective_flows() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         // Two other flows mark once, delimiter closes the slot.
-        e.on_data(&rm_data(2, MSS), Time(10_000));
-        e.on_data(&rm_data(3, MSS), Time(20_000));
+        e.on_data(&cfg(), &rm_data(2, MSS), Time(10_000));
+        e.on_data(&cfg(), &rm_data(3, MSS), Time(20_000));
         let report = e
-            .on_data(&rm_data(1, MSS), Time(100_000))
+            .on_data(&cfg(), &rm_data(1, MSS), Time(100_000))
             .expect("slot closes");
         assert_eq!(report.effective_flows, 3.0);
         assert_eq!(report.rtt_m, Dur::micros(100));
@@ -399,11 +415,11 @@ mod tests {
     #[test]
     fn window_is_token_over_e() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         for f in 2..=4 {
-            e.on_data(&rm_data(f, MSS), Time(1_000 * f));
+            e.on_data(&cfg(), &rm_data(f, MSS), Time(1_000 * f));
         }
-        let r = e.on_data(&rm_data(1, MSS), Time(160_000)).unwrap();
+        let r = e.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)).unwrap();
         assert_eq!(r.effective_flows, 4.0);
         assert_eq!(r.window_bytes, (r.token_bytes / 4.0) as u64);
     }
@@ -411,35 +427,35 @@ mod tests {
     #[test]
     fn rtt_b_takes_minimum_full_frames_only() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         // A small marked frame closes a slot but must not update rtt_b.
-        e.on_data(&rm_data(1, 100), Time(50_000));
+        e.on_data(&cfg(), &rm_data(1, 100), Time(50_000));
         assert_eq!(e.rtt_b(), Dur::micros(160));
         // An interval opened by the small frame is invalid too, even if
         // closed by a full frame.
-        e.on_data(&rm_data(1, MSS), Time(150_000));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(150_000));
         assert_eq!(e.rtt_b(), Dur::micros(160));
         // A full-frame-to-full-frame interval finally measures.
-        e.on_data(&rm_data(1, MSS), Time(250_000));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(250_000));
         assert_eq!(e.rtt_b(), Dur::micros(100));
         // Larger samples never raise it back.
-        e.on_data(&rm_data(1, MSS), Time(550_000));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(550_000));
         assert_eq!(e.rtt_b(), Dur::micros(100));
     }
 
     #[test]
     fn token_adjustment_boosts_underutilised_link() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         // Slots of 160 µs carrying 8 packets: rho = 0.6, well above the
         // idle threshold but below rho0, so the token must be boosted
         // past the pipe (20 kB).
         let mut last = 0.0;
         for i in 1..=60u64 {
             for _ in 0..7 {
-                e.on_data(&data(2, MSS), Time(i * 160_000 - 1));
+                e.on_data(&cfg(), &data(2, MSS), Time(i * 160_000 - 1));
             }
-            if let Some(r) = e.on_data(&rm_data(1, MSS), Time(i * 160_000)) {
+            if let Some(r) = e.on_data(&cfg(), &rm_data(1, MSS), Time(i * 160_000)) {
                 last = r.token_bytes;
             }
         }
@@ -452,28 +468,27 @@ mod tests {
     #[test]
     fn idle_slots_hold_the_token() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
-        e.on_data(&rm_data(1, MSS), Time(160_000));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(160_000));
         let after_snap = e.token_bytes();
         // Near-empty slots (one mark each, rho ≈ 0.075) must not move
         // the token.
         for i in 2..=20u64 {
-            e.on_data(&rm_data(1, MSS), Time(i * 160_000));
+            e.on_data(&cfg(), &rm_data(1, MSS), Time(i * 160_000));
         }
         assert_eq!(e.token_bytes(), after_snap);
     }
 
     #[test]
     fn token_adjustment_shrinks_overloaded_link() {
-        let cfg = TfcSwitchConfig::default();
-        let mut e = TokenEngine::new(GBPS, cfg);
-        e.on_data(&rm_data(1, MSS), Time(0));
+        let mut e = engine();
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         // Stuff 3 pipes' worth of arrivals into each slot: rho = 3.
         for i in 1..=40u64 {
             for _ in 0..40 {
-                e.on_data(&data(2, MSS), Time(i * 160_000 - 1));
+                e.on_data(&cfg(), &data(2, MSS), Time(i * 160_000 - 1));
             }
-            e.on_data(&rm_data(1, MSS), Time(i * 160_000));
+            e.on_data(&cfg(), &rm_data(1, MSS), Time(i * 160_000));
         }
         // rho ≈ 3 ⇒ token ≈ pipe × 0.97 / 3.
         let expect = 20_000.0 * 0.97 / 3.0;
@@ -490,10 +505,10 @@ mod tests {
             token_adjustment: false,
             ..Default::default()
         };
-        let mut e = TokenEngine::new(GBPS, cfg);
-        e.on_data(&rm_data(1, MSS), Time(0));
+        let mut e = TokenEngine::new(GBPS, &cfg);
+        e.on_data(&cfg, &rm_data(1, MSS), Time(0));
         for i in 1..=40u64 {
-            e.on_data(&rm_data(1, MSS), Time(i * 160_000));
+            e.on_data(&cfg, &rm_data(1, MSS), Time(i * 160_000));
         }
         // Without adjustment the token settles at rho0 × pipe.
         assert!((e.token_bytes() - 0.97 * 20_000.0).abs() < 200.0);
@@ -502,17 +517,17 @@ mod tests {
     #[test]
     fn fin_clears_delimiter_and_next_rm_adopts() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         e.on_fin(FlowId(1));
         assert_eq!(e.delimiter(), None);
-        e.on_data(&rm_data(9, MSS), Time(1_000));
+        e.on_data(&cfg(), &rm_data(9, MSS), Time(1_000));
         assert_eq!(e.delimiter(), Some(FlowId(9)));
     }
 
     #[test]
     fn foreign_fin_does_not_clear() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         e.on_fin(FlowId(2));
         assert_eq!(e.delimiter(), Some(FlowId(1)));
     }
@@ -520,31 +535,31 @@ mod tests {
     #[test]
     fn miss_timer_rearms_on_other_flow() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         // Timer armed at t=0 fires later with no delimiter RM in between.
-        let next = e.on_miss_timer(Time(0), Time(320_000));
+        let next = e.on_miss_timer(&cfg(), Time(0), Time(320_000));
         assert!(next.is_some());
         // Another flow's RM is now adopted.
-        e.on_data(&rm_data(2, MSS), Time(330_000));
+        e.on_data(&cfg(), &rm_data(2, MSS), Time(330_000));
         assert_eq!(e.delimiter(), Some(FlowId(2)));
     }
 
     #[test]
     fn miss_timer_noop_when_slot_progressed() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
-        e.on_data(&rm_data(1, MSS), Time(100_000)); // slot closed
-        assert_eq!(e.on_miss_timer(Time(0), Time(320_000)), None);
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(100_000)); // slot closed
+        assert_eq!(e.on_miss_timer(&cfg(), Time(0), Time(320_000)), None);
         assert_eq!(e.delimiter(), Some(FlowId(1)));
     }
 
     #[test]
     fn miss_budget_exhausts_to_full_rearm() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         let mut armed = Time(0);
         let mut fired = 0;
-        while let Some(d) = e.on_miss_timer(armed, Time(armed.nanos() + 1)) {
+        while let Some(d) = e.on_miss_timer(&cfg(), armed, Time(armed.nanos() + 1)) {
             armed = Time(armed.nanos() + d.as_nanos());
             fired += 1;
             assert!(fired < 100, "miss loop must terminate");
@@ -556,22 +571,22 @@ mod tests {
     #[test]
     fn miss_delay_doubles() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
-        let d0 = e.miss_delay();
-        e.on_miss_timer(Time(0), Time(400_000));
-        let d1 = e.miss_delay();
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
+        let d0 = e.miss_delay(&cfg());
+        e.on_miss_timer(&cfg(), Time(0), Time(400_000));
+        let d1 = e.miss_delay(&cfg());
         assert_eq!(d1.as_nanos(), d0.as_nanos() * 2);
     }
 
     #[test]
     fn weighted_flows_count_as_multiple_consumers() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         // A weight-3 flow's mark counts as three consumers.
         let mut heavy = rm_data(2, MSS);
         heavy.weight = 3;
-        e.on_data(&heavy, Time(10_000));
-        let r = e.on_data(&rm_data(1, MSS), Time(160_000)).unwrap();
+        e.on_data(&cfg(), &heavy, Time(10_000));
+        let r = e.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)).unwrap();
         assert_eq!(r.effective_flows, 4.0);
         // And its stamp is three unit windows.
         assert_eq!(e.window_for(3), e.window().saturating_mul(3));
@@ -588,13 +603,13 @@ mod tests {
         let mut b = engine();
         // Flow 1's marks reach both ports (spray); flow 2 rides port a
         // only.
-        a.on_data(&rm_data(1, MSS), Time(0));
-        b.on_data(&rm_data(1, MSS), Time(0));
+        a.on_data(&cfg(), &rm_data(1, MSS), Time(0));
+        b.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         assert_eq!(a.delimiter(), Some(FlowId(1)));
         assert_eq!(b.delimiter(), Some(FlowId(1)));
-        a.on_data(&rm_data(2, MSS), Time(50_000));
-        let ra = a.on_data(&rm_data(1, MSS), Time(160_000)).unwrap();
-        let rb = b.on_data(&rm_data(1, MSS), Time(160_000)).unwrap();
+        a.on_data(&cfg(), &rm_data(2, MSS), Time(50_000));
+        let ra = a.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)).unwrap();
+        let rb = b.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)).unwrap();
         // Per-port E reflects per-port marks: the shared port sees two
         // consumers, the private one only the sprayed flow.
         assert_eq!(ra.effective_flows, 2.0);
@@ -616,15 +631,15 @@ mod tests {
     #[test]
     fn migrated_delimiter_is_reclaimed_by_the_miss_timer() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
-        e.on_data(&rm_data(1, MSS), Time(160_000)); // steady slot
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)); // steady slot
         // Flow 1 reroutes away; only flow 2's marks still arrive.
         let armed = Time(160_000);
         let mut fired = 0;
-        while e.on_miss_timer(armed, Time(armed.nanos() + 1)).is_some() {
+        while e.on_miss_timer(&cfg(), armed, Time(armed.nanos() + 1)).is_some() {
             fired += 1;
             // While re-arming, the next foreign RM takes over.
-            e.on_data(&rm_data(2, MSS), Time(armed.nanos() + 2));
+            e.on_data(&cfg(), &rm_data(2, MSS), Time(armed.nanos() + 2));
             break;
         }
         assert!(fired > 0, "miss timer must fire for the moved flow");
@@ -668,7 +683,7 @@ mod tests {
                     t += rg.gen_range(1_000..40_000u64);
                     let p = port_of[f as usize];
                     marks[p] += 1;
-                    let report = engines[p].on_data(&rm_data(f, MSS), Time(t));
+                    let report = engines[p].on_data(&cfg(), &rm_data(f, MSS), Time(t));
                     if let Some(r) = report {
                         assert!(
                             r.effective_flows >= 1.0
@@ -693,7 +708,7 @@ mod tests {
                 }
                 let mut armed = Time(t);
                 let mut fired = 0u32;
-                while let Some(delay) = e.on_miss_timer(armed, Time(armed.nanos() + 1)) {
+                while let Some(delay) = e.on_miss_timer(&cfg(), armed, Time(armed.nanos() + 1)) {
                     armed = Time(armed.nanos() + delay.as_nanos());
                     fired += 1;
                     assert!(fired <= TfcSwitchConfig::default().max_miss_k, "miss loop leaked");
@@ -706,11 +721,11 @@ mod tests {
     #[test]
     fn non_rm_packets_only_count_arrivals() {
         let mut e = engine();
-        e.on_data(&rm_data(1, MSS), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         for _ in 0..5 {
-            assert!(e.on_data(&data(2, MSS), Time(1_000)).is_none());
+            assert!(e.on_data(&cfg(), &data(2, MSS), Time(1_000)).is_none());
         }
-        let r = e.on_data(&rm_data(1, MSS), Time(160_000)).unwrap();
+        let r = e.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)).unwrap();
         assert_eq!(r.effective_flows, 1.0);
         // 5 non-RM + 1 RM(open) + 1 RM(close): rho counts them all.
         assert!(r.rho > 0.0);

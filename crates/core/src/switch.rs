@@ -13,9 +13,13 @@
 //!
 //! A port's state is built the first time a hook changes it. Until then
 //! the port sits in the paper's Init state, which depends only on its
-//! line rate and the switch config, so the untouched ports of a switch
-//! share one read-only prototype per distinct rate (DESIGN.md §9, *TFC
-//! port state on first touch*).
+//! line rate and the switch config, so the untouched ports share one
+//! read-only prototype per distinct rate. The policies one
+//! [`TfcSwitchPolicy::factory`] builds share their prototypes and config
+//! across the whole fabric (DESIGN.md §9, *TFC port state on first
+//! touch* and *Compact port state*).
+
+use std::sync::Arc;
 
 use simnet::node::PortLink;
 use simnet::packet::{Flags, NodeId, Packet};
@@ -51,7 +55,7 @@ struct TfcPort {
 impl TfcPort {
     /// The Init state of a port of line rate `rate`.
     fn fresh(rate: Bandwidth, cfg: &TfcSwitchConfig) -> Self {
-        let engine = TokenEngine::new(rate, *cfg);
+        let engine = TokenEngine::new(rate, cfg);
         let cap = engine.token_bytes();
         let mut arbiter = DelayArbiter::with_fill_factor(rate, cap, cfg.rho0);
         arbiter.set_gate_all(cfg.arbiter_gates_all);
@@ -85,6 +89,7 @@ impl TfcPort {
     /// port and stamps the window of RM packets.
     fn egress(
         &mut self,
+        cfg: &TfcSwitchConfig,
         node: NodeId,
         port: usize,
         pkt: &mut Packet,
@@ -93,17 +98,17 @@ impl TfcPort {
     ) {
         let delim_before = self.engine.delimiter();
         let slot_before = self.engine.slot_start();
-        if let Some(report) = self.engine.on_data(pkt, now) {
+        if let Some(report) = self.engine.on_data(cfg, pkt, now) {
             self.arbiter.set_cap(self.engine.token_bytes());
             self.slot_gauges(node, port, &report, fx);
-            self.arm_miss_timer(port, now, fx);
+            self.arm_miss_timer(cfg, port, now, fx);
         } else if self.engine.delimiter() != delim_before || self.engine.slot_start() != slot_before
         {
             // A delimiter was adopted (first RM, or re-adoption after a
             // miss); start watching it. Without this, a silent flow
             // adopted during re-arm would wedge the port: no slot ever
             // closes, so no close-time re-arm can happen.
-            self.arm_miss_timer(port, now, fx);
+            self.arm_miss_timer(cfg, port, now, fx);
         }
         if pkt.flags.contains(Flags::RM) {
             let w = pkt.weight;
@@ -118,14 +123,22 @@ impl TfcPort {
     }
 
     /// Handles this port's policy timer of `kind` and generation `gen`.
-    fn timer(&mut self, kind: u64, port: usize, gen: u64, now: Time, fx: &mut PolicyFx) {
+    fn timer(
+        &mut self,
+        cfg: &TfcSwitchConfig,
+        kind: u64,
+        port: usize,
+        gen: u64,
+        now: Time,
+        fx: &mut PolicyFx,
+    ) {
         match kind {
             KIND_MISS => {
                 if gen != self.miss_gen {
                     return; // Stale arm generation.
                 }
-                if let Some(_next) = self.engine.on_miss_timer(self.miss_armed_at, now) {
-                    self.arm_miss_timer(port, now, fx);
+                if let Some(_next) = self.engine.on_miss_timer(cfg, self.miss_armed_at, now) {
+                    self.arm_miss_timer(cfg, port, now, fx);
                 }
             }
             KIND_RELEASE => {
@@ -169,10 +182,10 @@ impl TfcPort {
         self.miss_armed_at = now;
     }
 
-    fn arm_miss_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
+    fn arm_miss_timer(&mut self, cfg: &TfcSwitchConfig, port: usize, now: Time, fx: &mut PolicyFx) {
         self.retire_miss_timer(port, now, fx);
         fx.timer(
-            self.engine.miss_delay(),
+            self.engine.miss_delay(cfg),
             encode_token(KIND_MISS, port, self.miss_gen),
         );
     }
@@ -207,54 +220,78 @@ impl TfcPort {
     }
 }
 
+/// What every port of the policies built together shares: the switch
+/// config and the Init prototypes.
+#[derive(Debug, Clone)]
+struct Shared {
+    cfg: TfcSwitchConfig,
+    /// One Init port per distinct link rate, never changed.
+    protos: Vec<TfcPort>,
+}
+
+impl Shared {
+    fn new(cfg: TfcSwitchConfig) -> Arc<Self> {
+        Arc::new(Self {
+            cfg,
+            protos: Vec::new(),
+        })
+    }
+}
+
 /// TFC packet-processing policy for one switch.
 pub struct TfcSwitchPolicy {
     id: NodeId,
-    cfg: TfcSwitchConfig,
-    /// The Init prototypes, one per distinct link rate and never
-    /// changed, then the ports some hook has changed, in first-touch
-    /// order.
-    slab: Vec<TfcPort>,
-    /// Number of prototypes at the head of `slab`.
-    protos: usize,
-    /// Per port, its entry in `slab`: its prototype until a hook
-    /// changes it.
+    /// Config and prototypes, shared with the other switches of the
+    /// fabric when built by [`factory`](Self::factory).
+    shared: Arc<Shared>,
+    /// The ports some hook has changed, in first-touch order.
+    live: Vec<TfcPort>,
+    /// Per port: its prototype's index while no hook has changed it,
+    /// then `shared.protos.len()` plus its entry in `live`.
     index: Box<[u32]>,
 }
 
 impl TfcSwitchPolicy {
     /// Creates the policy for switch `id` with the given port links.
     pub fn new(id: NodeId, links: &[PortLink], cfg: TfcSwitchConfig) -> Self {
-        let mut slab: Vec<TfcPort> = Vec::new();
+        Self::with_shared(id, links, &mut Shared::new(cfg))
+    }
+
+    /// Creates the policy for switch `id` over `shared`, first adding a
+    /// prototype for each link rate it lacks. The addition copies
+    /// `shared` when other policies hold it: they keep the prototypes
+    /// they index.
+    fn with_shared(id: NodeId, links: &[PortLink], shared: &mut Arc<Shared>) -> Self {
+        let proto_of =
+            |shared: &Shared, rate| shared.protos.iter().position(|p| p.engine.rate() == rate);
         let index = links
             .iter()
             .map(|l| {
-                let i = match slab.iter().position(|p| p.engine.rate() == l.rate) {
-                    Some(i) => i,
-                    None => {
-                        slab.push(TfcPort::fresh(l.rate, &cfg));
-                        slab.len() - 1
-                    }
-                };
+                let i = proto_of(shared, l.rate).unwrap_or_else(|| {
+                    let s = Arc::make_mut(shared);
+                    let fresh = TfcPort::fresh(l.rate, &s.cfg);
+                    s.protos.push(fresh);
+                    s.protos.len() - 1
+                });
                 i as u32
             })
             .collect();
-        slab.shrink_to_fit();
         Self {
             id,
-            cfg,
-            protos: slab.len(),
-            slab,
+            shared: Arc::clone(shared),
+            live: Vec::new(),
             index,
         }
     }
 
     /// Boxed-policy factory suitable for
-    /// [`simnet::topology::TopologyBuilder::build`].
+    /// [`simnet::topology::TopologyBuilder::build`]. The policies it
+    /// makes share one config and one Init prototype per link rate.
     pub fn factory(
         cfg: TfcSwitchConfig,
     ) -> impl FnMut(NodeId, &[PortLink]) -> Box<dyn simnet::policy::SwitchPolicy> {
-        move |id, links| Box::new(TfcSwitchPolicy::new(id, links, cfg))
+        let mut shared = Shared::new(cfg);
+        move |id, links| Box::new(TfcSwitchPolicy::with_shared(id, links, &mut shared))
     }
 
     /// Read access to a port's token engine (tests, diagnostics).
@@ -268,37 +305,43 @@ impl TfcSwitchPolicy {
     }
 
     fn port(&self, port: usize) -> &TfcPort {
-        &self.slab[self.index[port] as usize]
+        let i = self.index[port] as usize;
+        let protos = &self.shared.protos;
+        protos
+            .get(i)
+            .unwrap_or_else(|| &self.live[i - protos.len()])
     }
 
-    /// The port's own state, copied from its prototype on first touch.
-    fn touch(&mut self, port: usize) -> &mut TfcPort {
-        let mut i = self.index[port] as usize;
-        if i < self.protos {
-            i = self.go_live(port);
-        }
-        &mut self.slab[i]
+    /// The port's own state, copied from its prototype on first touch,
+    /// and the config.
+    fn touch(&mut self, port: usize) -> (&mut TfcPort, &TfcSwitchConfig) {
+        let protos = self.shared.protos.len();
+        let i = match self.index[port] as usize {
+            i if i < protos => self.go_live(port),
+            i => i - protos,
+        };
+        (&mut self.live[i], &self.shared.cfg)
     }
 
-    /// Appends a copy of `port`'s prototype to the slab; returns its
-    /// entry.
+    /// Appends a copy of `port`'s prototype to the live ports; returns
+    /// its entry there.
     ///
-    /// The slab doubles as it grows, but never past one entry per
-    /// prototype and port: on a switch where every port goes live,
-    /// doubling alone would leave up to half the slab unused.
+    /// The live list doubles as it grows, but never past one entry per
+    /// port: on a switch where every port goes live, doubling alone
+    /// would leave up to half of it unused.
     #[cold]
     #[inline(never)]
     fn go_live(&mut self, port: usize) -> usize {
-        let proto = self.slab[self.index[port] as usize].clone();
-        let len = self.slab.len();
-        if len == self.slab.capacity() {
-            let most = self.protos + self.index.len();
-            self.slab.reserve_exact(len.min(most - len));
+        let protos = &self.shared.protos;
+        let proto = protos[self.index[port] as usize].clone();
+        let len = self.live.len();
+        if len == self.live.capacity() {
+            let most = self.index.len();
+            self.live.reserve_exact(len.max(1).min(most - len));
         }
-        self.slab.push(proto);
-        let i = self.slab.len() - 1;
-        self.index[port] = i as u32;
-        i
+        self.live.push(proto);
+        self.index[port] = (protos.len() + len) as u32;
+        len
     }
 }
 
@@ -310,10 +353,10 @@ impl SwitchPolicy for TfcSwitchPolicy {
         now: Time,
         fx: &mut PolicyFx,
     ) -> IngressVerdict {
-        if !self.cfg.delay_arbiter || !pkt.flags.contains(Flags::RMA) {
+        if !self.shared.cfg.delay_arbiter || !pkt.flags.contains(Flags::RMA) {
             return IngressVerdict::Forward;
         }
-        self.touch(in_port).ingress(in_port, pkt, now, fx)
+        self.touch(in_port).0.ingress(in_port, pkt, now, fx)
     }
 
     fn on_egress(
@@ -325,7 +368,8 @@ impl SwitchPolicy for TfcSwitchPolicy {
         fx: &mut PolicyFx,
     ) -> EgressVerdict {
         let id = self.id;
-        self.touch(out_port).egress(id, out_port, pkt, now, fx);
+        let (port, cfg) = self.touch(out_port);
+        port.egress(cfg, id, out_port, pkt, now, fx);
         EgressVerdict::Enqueue
     }
 
@@ -335,15 +379,17 @@ impl SwitchPolicy for TfcSwitchPolicy {
     /// state — token pool, effective-flow count, rho, delimiter, RTT
     /// estimates — is lost and must be re-learnt from live traffic.
     fn reset_port(&mut self, port: usize, rate: Bandwidth, now: Time, fx: &mut PolicyFx) {
-        let fresh = TfcPort::fresh(rate, &self.cfg);
-        self.touch(port).reset(fresh, port, now, fx);
+        let (state, cfg) = self.touch(port);
+        let fresh = TfcPort::fresh(rate, cfg);
+        state.reset(fresh, port, now, fx);
     }
 
     /// Policy timers are armed only by hooks that touched their port,
     /// so the port is already live here.
     fn on_timer(&mut self, token: u64, now: Time, fx: &mut PolicyFx) {
         let (kind, port, gen) = decode_token(token);
-        self.touch(port).timer(kind, port, gen, now, fx);
+        let (state, cfg) = self.touch(port);
+        state.timer(cfg, kind, port, gen, now, fx);
     }
 }
 
@@ -379,6 +425,36 @@ mod tests {
         p.flags.set(Flags::RMA);
         p.window = window;
         p
+    }
+
+    /// Policies built on one shared state hold one config and one
+    /// prototype per rate between them: a switch adding a rate copies
+    /// the prototypes once, and later switches share the copy.
+    #[test]
+    fn shared_state_holds_one_prototype_per_rate() {
+        let at = |mbps| PortLink {
+            rate: Bandwidth::mbps(mbps),
+            ..links(1)[0]
+        };
+        let mut shared = Shared::new(TfcSwitchConfig::default());
+        let core = TfcSwitchPolicy::with_shared(NodeId(0), &[at(40_000); 4], &mut shared);
+        let edges: Vec<TfcSwitchPolicy> = (1..4)
+            .map(|id| {
+                let l = [at(10_000), at(40_000), at(10_000), at(40_000)];
+                TfcSwitchPolicy::with_shared(NodeId(id), &l, &mut shared)
+            })
+            .collect();
+        assert_eq!(core.shared.protos.len(), 1);
+        for e in &edges {
+            assert!(
+                Arc::ptr_eq(&e.shared, &edges[0].shared),
+                "one copy after the first edge"
+            );
+            assert_eq!(e.shared.protos.len(), 2);
+            assert_eq!(e.engine(0).rate(), Bandwidth::mbps(10_000));
+            assert_eq!(e.engine(1).rate(), Bandwidth::mbps(40_000));
+        }
+        assert_eq!(core.engine(3).rate(), Bandwidth::mbps(40_000));
     }
 
     #[test]
@@ -649,7 +725,7 @@ mod first_touch {
     }
 
     fn eager_port(rate: Bandwidth, cfg: TfcSwitchConfig) -> TfcPort {
-        let engine = TokenEngine::new(rate, cfg);
+        let engine = TokenEngine::new(rate, &cfg);
         let cap = engine.token_bytes();
         let mut arbiter = DelayArbiter::with_fill_factor(rate, cap, cfg.rho0);
         arbiter.set_gate_all(cfg.arbiter_gates_all);
@@ -688,13 +764,13 @@ mod first_touch {
             now: Time,
             fx: &mut PolicyFx,
         ) -> EgressVerdict {
-            self.ports[port].egress(NodeId(9), port, pkt, now, fx);
+            self.ports[port].egress(&self.cfg, NodeId(9), port, pkt, now, fx);
             EgressVerdict::Enqueue
         }
 
         fn on_timer(&mut self, token: u64, now: Time, fx: &mut PolicyFx) {
             let (kind, port, gen) = decode_token(token);
-            self.ports[port].timer(kind, port, gen, now, fx);
+            self.ports[port].timer(&self.cfg, kind, port, gen, now, fx);
         }
 
         fn reset_port(&mut self, port: usize, rate: Bandwidth, now: Time, fx: &mut PolicyFx) {
@@ -746,7 +822,7 @@ mod first_touch {
     }
 
     fn is_live(p: &TfcSwitchPolicy, port: usize) -> bool {
-        p.index[port] as usize >= p.protos
+        p.index[port] as usize >= p.shared.protos.len()
     }
 
     /// Every port's full state, prototype or live, matches the reference.
@@ -785,7 +861,25 @@ mod first_touch {
             let links: Vec<PortLink> = (0..PORTS)
                 .map(|_| link(RATES_MBPS[rng.gen_range(0..RATES_MBPS.len())]))
                 .collect();
-            let mut lazy = TfcSwitchPolicy::new(NodeId(9), &links, cfg);
+            // As under `factory`: another switch, built first on the
+            // same shared state, has already added prototypes, so their
+            // order is not this switch's link order and some rates may
+            // be on no port here.
+            let mut shared = Shared::new(cfg);
+            let other: Vec<PortLink> = (0..rng.gen_range(0..4usize))
+                .map(|_| link(RATES_MBPS[rng.gen_range(0..RATES_MBPS.len())]))
+                .collect();
+            let before = TfcSwitchPolicy::with_shared(NodeId(8), &other, &mut shared);
+            let mut lazy = TfcSwitchPolicy::with_shared(NodeId(9), &links, &mut shared);
+            assert!(Arc::ptr_eq(&lazy.shared, &shared));
+            assert!(before.shared.protos.len() <= lazy.shared.protos.len());
+            for (l, p) in other.iter().enumerate() {
+                assert_eq!(
+                    before.engine(l).rate(),
+                    p.rate,
+                    "earlier switch keeps its prototypes"
+                );
+            }
             let mut eager = Eager::new(&links, cfg);
             let mut touched = [false; PORTS];
             let mut pending: Vec<u64> = Vec::new();
@@ -844,7 +938,7 @@ mod first_touch {
             // Prototypes stay in Init however much traffic the switch
             // carried (perfbench sums `arbiter(p).delayed_total()` over
             // untouched ports too).
-            for proto in &lazy.slab[..lazy.protos] {
+            for proto in &lazy.shared.protos {
                 let init = eager_port(proto.engine.rate(), cfg);
                 assert_eq!(format!("{proto:?}"), format!("{init:?}"));
             }

@@ -19,6 +19,13 @@
 //! for a fixed event order the id assignment (and thus everything
 //! derived from it) is identical run-to-run. Ids never appear in
 //! exported artifacts.
+//!
+//! Each slot also carries one `u32` link, which sits in what would
+//! otherwise be the slot's padding. A live packet's link chains it into
+//! the FIFO of the port it is queued at ([`crate::queue::PortQueue`]
+//! keeps only the head and tail), and a free slot's link chains it into
+//! the free list. A packet is in at most one FIFO, and never in one
+//! once freed, so the two uses never overlap.
 
 use crate::packet::Packet;
 
@@ -47,19 +54,40 @@ impl PacketId {
     }
 }
 
+/// End of a slot-link chain.
+pub(crate) const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
 struct Slot {
     gen: u32,
+    /// The next slot of the port FIFO (live slot) or of the free list
+    /// (free slot), or [`NIL`].
+    next: u32,
     pkt: Option<Packet>,
 }
 
+// The link lives in the padding after `gen`: linking costs no memory.
+const _: () = assert!(std::mem::size_of::<Slot>() == 80);
+
 /// A slab of in-flight packets with generation-checked handles.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PacketArena {
     slots: Vec<Slot>,
-    free: Vec<u32>,
+    /// Top of the free-slot stack, threaded through the slots' links.
+    free: u32,
     live: usize,
     allocated_total: u64,
+}
+
+impl Default for PacketArena {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            free: NIL,
+            live: 0,
+            allocated_total: 0,
+        }
+    }
 }
 
 impl PacketArena {
@@ -73,9 +101,12 @@ impl PacketArena {
     pub fn alloc(&mut self, pkt: Packet) -> PacketId {
         self.live += 1;
         self.allocated_total += 1;
-        if let Some(idx) = self.free.pop() {
+        if self.free != NIL {
+            let idx = self.free;
             let slot = &mut self.slots[idx as usize];
             debug_assert!(slot.pkt.is_none(), "free-list slot still occupied");
+            self.free = slot.next;
+            slot.next = NIL;
             slot.pkt = Some(pkt);
             return PacketId {
                 idx,
@@ -83,11 +114,29 @@ impl PacketArena {
             };
         }
         let idx = u32::try_from(self.slots.len()).expect("packet arena exceeds u32 slots");
+        assert!(idx != NIL, "packet arena exceeds u32 slots");
         self.slots.push(Slot {
             gen: 0,
+            next: NIL,
             pkt: Some(pkt),
         });
         PacketId { idx, gen: 0 }
+    }
+
+    /// Points live packet `id`'s link at slot `next` ([`NIL`] ends the
+    /// chain).
+    pub(crate) fn set_next(&mut self, id: u32, next: u32) {
+        let slot = &mut self.slots[id as usize];
+        debug_assert!(slot.pkt.is_some(), "linking a free slot");
+        slot.next = next;
+    }
+
+    /// The id of the live packet in slot `idx` and the slot its link
+    /// points at.
+    pub(crate) fn linked(&self, idx: u32) -> (PacketId, u32) {
+        let slot = &self.slots[idx as usize];
+        debug_assert!(slot.pkt.is_some(), "following a free slot");
+        (PacketId { idx, gen: slot.gen }, slot.next)
     }
 
     /// Shared access to the packet behind `id`.
@@ -147,7 +196,8 @@ impl PacketArena {
         );
         let pkt = slot.pkt.take().expect("live generation has a packet");
         slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(id.idx);
+        slot.next = self.free;
+        self.free = id.idx;
         self.live -= 1;
         pkt
     }
@@ -207,6 +257,21 @@ mod tests {
         assert_eq!(a.get(id3).seq, 3);
         assert_eq!(a.capacity(), 2, "no slab growth on reuse");
         assert_eq!(a.allocated_total(), 3);
+    }
+
+    /// The free list threaded through the slot links is a stack: slots
+    /// come back most recently freed first, as from the `Vec` it
+    /// replaced.
+    #[test]
+    fn free_list_reuses_slots_in_lifo_order() {
+        let mut a = PacketArena::new();
+        let ids: Vec<PacketId> = (0..5).map(|s| a.alloc(pkt(s))).collect();
+        for &i in &[1usize, 3, 0, 4] {
+            a.free(ids[i]);
+        }
+        let again: Vec<u32> = (0..5).map(|s| a.alloc(pkt(s)).index()).collect();
+        assert_eq!(again, vec![4, 0, 3, 1, 5]);
+        assert_eq!(a.capacity(), 6);
     }
 
     #[test]

@@ -19,10 +19,9 @@ use rng::Rng;
 use telemetry::{Telemetry, TraceEvent};
 
 use crate::arena::{PacketArena, PacketId};
-use crate::endpoint::Effects;
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
-use crate::node::{ecmp_select, NextHops, Node};
+use crate::node::{ecmp_select, port_in_mut, NextHops, Node, Port};
 use crate::packet::{Flags, FlowId, NodeId};
 use crate::policy::{EgressVerdict, IngressVerdict, PolicyFx};
 use crate::sim::{AppCall, PacketEventKind, SimCore};
@@ -62,19 +61,22 @@ impl SimCore {
 
     /// A packet emitted by an endpoint reaches its host's NIC queue.
     fn on_nic_enqueue(&mut self, node: NodeId, pkt: PacketId) {
-        if let Node::Host(h) = &mut self.nodes[node.0 as usize] {
-            if h.stalled {
-                // A stalled host emits nothing, silently.
-                h.nic.fault_drops += 1;
-                self.packets.free(pkt);
-                return;
-            }
+        let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
+            unreachable!("NIC enqueue at switch {node:?}");
+        };
+        if h.stalled {
+            // A stalled host emits nothing, silently.
+            h.nic.fault_drops += 1;
+            self.packets.free(pkt);
+            return;
         }
         let accepted = Self::enqueue_and_kick(
-            &mut self.nodes[node.0 as usize],
+            &mut h.nic,
+            node,
             0,
+            true,
             pkt,
-            &self.packets,
+            &mut self.packets,
             self.now,
             &mut self.events,
             &mut self.fault_rng,
@@ -87,7 +89,7 @@ impl SimCore {
 
     /// A packet finishes propagating into `node` on `port`.
     fn on_arrival(&mut self, node: NodeId, port: usize, pkt: PacketId) {
-        if !self.nodes[node.0 as usize].port(port).up {
+        if !self.port(node, port).up {
             // The packet propagated into a link that died under it:
             // lost without trace at the receiving end.
             self.record_fault_drop(node, port, pkt);
@@ -114,10 +116,13 @@ impl SimCore {
             }
         }
         let now = self.now;
-        let mut fx = Effects::new();
+        let mut fx = self.take_fx();
         match self.senders.get_mut(flow) {
             Some((host, s)) if *host == node => s.on_timer(token, now, &mut fx),
-            _ => return,
+            _ => {
+                self.fx_pool.push(fx);
+                return;
+            }
         }
         self.apply_host_fx(node, flow, fx);
     }
@@ -130,11 +135,8 @@ impl SimCore {
             }
         }
         let now = self.now;
-        let mut fx = PolicyFx::new();
-        {
-            let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
-                return;
-            };
+        let mut fx = self.take_policy_fx();
+        if let Node::Switch(sw) = &mut self.nodes[node.0 as usize] {
             sw.policy.on_timer(token, now, &mut fx);
         }
         self.apply_policy_fx(node, fx);
@@ -144,7 +146,7 @@ impl SimCore {
     /// (disjoint field borrows) instead of cloning it every firing.
     fn on_sample(&mut self, sampler: usize) {
         let s = &self.samplers[sampler];
-        let bytes = self.nodes[s.node.0 as usize].port(s.port).queue.bytes();
+        let bytes = self.port(s.node, s.port).queue.bytes();
         self.queue_series[sampler].push(self.now.nanos(), bytes as f64);
         let next = self.now + s.every;
         let past_until = s.until.is_some_and(|u| next > u);
@@ -161,7 +163,7 @@ impl SimCore {
             let p = self.packets.get(pkt);
             (p.wire_bytes(), p.flow.0, p.seq)
         };
-        self.nodes[node.0 as usize].port_mut(port).fault_drops += 1;
+        self.port_mut(node, port).fault_drops += 1;
         if self.telemetry.log.enabled() {
             self.telemetry.log.record(
                 self.now.nanos(),
@@ -176,26 +178,26 @@ impl SimCore {
         }
     }
 
-    /// Enqueues `pkt` on `node`'s `port`, starting the transmitter if it
-    /// is idle. Drops (with accounting in the queue) on overflow, and
-    /// loses the packet outright on a downed link or an active loss
-    /// window (fault accounting). Returns whether the packet was
-    /// accepted; on `false`, the caller still owns the arena slot and
-    /// must free it (after any logging it wants to do from the borrow).
+    /// Enqueues `pkt` on `port`, port `port_idx` of node `id` (a host
+    /// iff `is_host`), starting the transmitter if it is idle. Drops
+    /// (with accounting in the queue) on overflow, and loses the packet
+    /// outright on a downed link or an active loss window (fault
+    /// accounting). Returns whether the packet was accepted; on
+    /// `false`, the caller still owns the arena slot and must free it
+    /// (after any logging it wants to do from the borrow).
     #[allow(clippy::too_many_arguments)]
     fn enqueue_and_kick(
-        node: &mut Node,
+        port: &mut Port,
+        id: NodeId,
         port_idx: usize,
+        is_host: bool,
         pkt: PacketId,
-        arena: &PacketArena,
+        arena: &mut PacketArena,
         now: Time,
         events: &mut EventQueue,
         fault_rng: &mut StdRng,
         tel: &mut Telemetry,
     ) -> bool {
-        let id = node.id();
-        let is_host = matches!(node, Node::Host(_));
-        let port = node.port_mut(port_idx);
         let (wire, flow, seq, data) = {
             let p = arena.get(pkt);
             (p.wire_bytes(), p.flow.0, p.seq, p.is_data())
@@ -223,7 +225,7 @@ impl SimCore {
             tel.spans.on_drop(pkt.key(), flow);
             return false;
         }
-        let accepted = port.queue.enqueue(pkt, wire);
+        let accepted = port.queue.enqueue(pkt, arena);
         if accepted {
             // Starts the span on first sight (sender NIC) or closes the
             // preceding wire segment and advances the hop (switch).
@@ -272,10 +274,10 @@ impl SimCore {
         // serialised packet falls into the void; the transmitter never
         // stops, so no re-kick is needed when the link comes back.
         let (pkt, wire, up, link) = {
-            let port = self.nodes[node.0 as usize].port_mut(port_idx);
+            let port = port_in_mut(&mut self.nodes, &mut self.ports, node, port_idx);
             let (pkt, wire) = port
                 .queue
-                .dequeue()
+                .dequeue(&self.packets)
                 .expect("TxDone with empty queue: transmitter state corrupt");
             let up = port.up;
             if up {
@@ -320,7 +322,7 @@ impl SimCore {
             }
         }
         let next_ser = {
-            let port = self.nodes[node.0 as usize].port_mut(port_idx);
+            let port = port_in_mut(&mut self.nodes, &mut self.ports, node, port_idx);
             if port.queue.is_empty() {
                 port.busy = false;
                 None
@@ -328,7 +330,7 @@ impl SimCore {
                 // The head packet determines the next serialisation time.
                 let head_wire = port
                     .queue
-                    .peek_wire_bytes()
+                    .peek_wire_bytes(&self.packets)
                     .expect("non-empty queue has a head");
                 Some(port.link.rate.serialize(head_wire))
             }
@@ -347,7 +349,7 @@ impl SimCore {
                 now + link.delay,
                 Event::Arrival {
                     node: link.peer,
-                    port: link.peer_port,
+                    port: link.peer_port as usize,
                     pkt,
                 },
             );
@@ -358,7 +360,7 @@ impl SimCore {
 
     fn switch_ingress(&mut self, node: NodeId, in_port: usize, pkt: PacketId) {
         let now = self.now;
-        let mut fx = PolicyFx::new();
+        let mut fx = self.take_policy_fx();
         let forward = {
             let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
                 unreachable!()
@@ -408,7 +410,7 @@ impl SimCore {
                 NextHops::None => None,
                 NextHops::Single(p) => Some(p as usize),
                 NextHops::Ecmp(set) => {
-                    let ports = &sw.ports;
+                    let ports = sw.ports_in(&self.ports);
                     Some(ecmp_select(set, flow, hop, |p| ports[p as usize].up) as usize)
                 }
             }
@@ -418,7 +420,7 @@ impl SimCore {
                 let p = self.packets.get(pkt);
                 (p.wire_bytes(), p.seq)
             };
-            self.nodes[node.0 as usize].port_mut(in_port).no_route_drops += 1;
+            self.port_mut(node, in_port).no_route_drops += 1;
             if self.telemetry.log.enabled() {
                 self.telemetry.log.record(
                     now.nanos(),
@@ -441,24 +443,22 @@ impl SimCore {
         // advanced index, so a flow's member choice re-randomises per
         // tier instead of following one diagonal through the fabric.
         self.packets.get_mut(pkt).hop = hop.wrapping_add(1);
-        let mut fx = PolicyFx::new();
-        let enqueue = {
+        let mut fx = self.take_policy_fx();
+        let (slot, verdict) = {
             let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
                 unreachable!()
             };
+            let slot = sw.port_slot(out);
             let verdict = if run_hook {
-                let qbytes = sw.ports[out].queue.bytes();
+                let qbytes = self.ports[slot].queue.bytes();
                 sw.policy
                     .on_egress(out, self.packets.get_mut(pkt), qbytes, now, &mut fx)
             } else {
                 EgressVerdict::Enqueue
             };
-            match verdict {
-                EgressVerdict::Enqueue => Some(out),
-                EgressVerdict::Drop => None,
-            }
+            (slot, verdict)
         };
-        if let Some(out) = enqueue {
+        if verdict == EgressVerdict::Enqueue {
             // The egress hook may have marked the packet; capture what
             // the telemetry events need from a borrow of the arena slot.
             let marks = self.telemetry.log.enabled().then(|| {
@@ -472,10 +472,12 @@ impl SimCore {
                 )
             });
             let accepted = Self::enqueue_and_kick(
-                &mut self.nodes[node.0 as usize],
+                &mut self.ports[slot],
+                node,
                 out,
+                false,
                 pkt,
-                &self.packets,
+                &mut self.packets,
                 now,
                 &mut self.events,
                 &mut self.fault_rng,
@@ -530,36 +532,39 @@ impl SimCore {
         self.apply_policy_fx(node, fx);
     }
 
-    pub(crate) fn apply_policy_fx(&mut self, node: NodeId, fx: PolicyFx) {
+    /// Applies a policy's effects, then returns the drained sink to the
+    /// pool.
+    pub(crate) fn apply_policy_fx(&mut self, node: NodeId, mut fx: PolicyFx) {
         // Cancels first, so a policy that re-arms in the same callback
         // cancels the stale generation before scheduling the new one.
-        for token in fx.cancels {
+        for token in fx.cancels.drain(..) {
             let pending = &mut self.policy_timers[node.0 as usize];
             if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
                 let (_, handle) = pending.swap_remove(i);
                 self.events.cancel(handle);
             }
         }
-        for (after, token) in fx.timers {
+        for (after, token) in fx.timers.drain(..) {
             let handle = self
                 .events
                 .schedule_cancellable(self.now + after, Event::PolicyTimer { node, token });
             self.policy_timers[node.0 as usize].push((token, handle));
         }
-        for pkt in fx.inject {
+        for pkt in fx.inject.drain(..) {
             // Policy-owned packets (re)enter the fabric here; a no-route
             // drop of one is attributed to port 0 (they have no real
             // ingress port).
             let pkt = self.packets.alloc(pkt);
             self.switch_egress(node, 0, pkt, false);
         }
-        for mut sample in fx.slot_samples {
+        for mut sample in fx.slot_samples.drain(..) {
             sample.at_ns = self.now.nanos();
             self.telemetry.push_slot_sample(sample);
         }
-        for (flow, waited_ns) in fx.token_waits {
+        for (flow, waited_ns) in fx.token_waits.drain(..) {
             self.telemetry.spans.on_token_wait(flow, waited_ns);
         }
+        self.policy_fx_pool.push(fx);
     }
 
     /// Applies one fault action at the current time (the `Event::Fault`
@@ -575,29 +580,29 @@ impl SimCore {
                 // A packet mid-serialisation completes on its old
                 // schedule; the new rate applies from the next one.
                 let (peer, peer_port) = {
-                    let p = self.nodes[node.0 as usize].port_mut(port);
+                    let p = self.port_mut(node, port);
                     p.link.rate = rate;
                     (p.link.peer, p.link.peer_port)
                 };
-                self.nodes[peer.0 as usize].port_mut(peer_port).link.rate = rate;
+                self.port_mut(peer, peer_port as usize).link.rate = rate;
             }
             FaultAction::LossWindow {
                 node,
                 port,
                 permille,
             } => {
-                self.nodes[node.0 as usize].port_mut(port).loss_permille = permille.min(1000);
+                self.port_mut(node, port).loss_permille = permille.min(1000);
             }
             FaultAction::LossWindowEnd { node, port } => {
-                self.nodes[node.0 as usize].port_mut(port).loss_permille = 0;
+                self.port_mut(node, port).loss_permille = 0;
             }
             FaultAction::PolicyReset { node, port } => {
-                let mut fx = PolicyFx::new();
+                let mut fx = self.take_policy_fx();
                 {
                     let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
                         panic!("PolicyReset target {node:?} is not a switch");
                     };
-                    let rate = sw.ports[port].link.rate;
+                    let rate = self.ports[sw.port_slot(port)].link.rate;
                     sw.policy.reset_port(port, rate, now, &mut fx);
                 }
                 self.apply_policy_fx(node, fx);
@@ -644,14 +649,14 @@ impl SimCore {
     fn note_rerouted(&mut self, node: NodeId, port: usize) {
         let now = self.now;
         let (peer, peer_port) = {
-            let p = self.nodes[node.0 as usize].port(port);
-            (p.link.peer, p.link.peer_port)
+            let p = self.port(node, port);
+            (p.link.peer, p.link.peer_port as usize)
         };
         for (sw_id, sw_port) in [(node, port), (peer, peer_port)] {
             let Node::Switch(sw) = &self.nodes[sw_id.0 as usize] else {
                 continue;
             };
-            let ports = &sw.ports;
+            let ports = sw.ports_in(&self.ports);
             let dests = sw
                 .routes
                 .reroutable_dests(sw_port as u16, |p| ports[p as usize].up);
@@ -669,11 +674,11 @@ impl SimCore {
     /// Marks both ends of the link at `node`/`port` up or down.
     fn set_link_up(&mut self, node: NodeId, port: usize, up: bool) {
         let (peer, peer_port) = {
-            let p = self.nodes[node.0 as usize].port_mut(port);
+            let p = self.port_mut(node, port);
             p.up = up;
             (p.link.peer, p.link.peer_port)
         };
-        self.nodes[peer.0 as usize].port_mut(peer_port).up = up;
+        self.port_mut(peer, peer_port as usize).up = up;
     }
 
     fn set_host_stalled(&mut self, node: NodeId, stalled: bool) {
@@ -711,7 +716,7 @@ impl SimCore {
                 },
             );
         }
-        let mut fx = Effects::new();
+        let mut fx = self.take_fx();
         // Both tables are flow-indexed: an entry whose host is not this
         // one belongs to a different flow that recycled the id.
         let known = {
@@ -743,6 +748,8 @@ impl SimCore {
         self.packets.free(pkt);
         if known {
             self.apply_host_fx(node, flow, fx);
+        } else {
+            self.fx_pool.push(fx);
         }
     }
 }

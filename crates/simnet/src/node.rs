@@ -1,5 +1,7 @@
 //! Hosts, switches, and their ports.
 
+use std::ops::Range;
+
 use crate::packet::NodeId;
 use crate::policy::SwitchPolicy;
 use crate::queue::PortQueue;
@@ -16,11 +18,14 @@ pub struct PortLink {
     pub delay: Dur,
     /// Node at the far end.
     pub peer: NodeId,
-    /// Ingress port index at the far end.
-    pub peer_port: usize,
+    /// Ingress port index at the far end (below [`MAX_PORTS`]).
+    pub peer_port: u16,
 }
 
 /// One output port: an attached link plus its FIFO and transmitter state.
+///
+/// Host NICs live in their [`Host`]; every switch port of a network
+/// lives in one fabric-wide table (see [`Switch::ports`]).
 #[derive(Debug)]
 pub struct Port {
     /// The attached link.
@@ -74,6 +79,10 @@ impl Port {
         }
     }
 }
+
+// Fabric scale multiplies this struct (58,320 switch ports and 11,664
+// NICs on a k = 36 fat-tree): keep it within 104 bytes.
+const _: () = assert!(std::mem::size_of::<Port>() <= 104);
 
 /// A snapshot of one port's counters (see [`Port::stats`] and
 /// [`crate::sim::SimCore::port_stats`]).
@@ -437,8 +446,9 @@ pub fn ecmp_select(set: &[u16], flow: u64, hop: u8, mut up: impl FnMut(u16) -> b
 pub struct Switch {
     /// This switch's node id.
     pub id: NodeId,
-    /// Ports in index order.
-    pub ports: Vec<Port>,
+    /// Its ports, in index order, as a range of the network's switch
+    /// port table (`Network::ports`): port `p` is entry `ports.start + p`.
+    pub ports: Range<u32>,
     /// Multi-next-hop routing table toward every host.
     pub routes: RouteTable,
     /// Packet-processing policy (drop-tail, ECN, TFC, ...).
@@ -453,9 +463,24 @@ impl Switch {
         self.routes.primary(dst)
     }
 
-    /// Total drops across all port FIFOs.
-    pub fn total_drops(&self) -> u64 {
-        self.ports.iter().map(|p| p.queue.drops()).sum()
+    /// The port-table entry of port `port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the switch has no port `port`.
+    pub(crate) fn port_slot(&self, port: usize) -> usize {
+        assert!(
+            port < self.ports.len(),
+            "{:?} has no port {port} ({} ports)",
+            self.id,
+            self.ports.len()
+        );
+        self.ports.start as usize + port
+    }
+
+    /// This switch's ports in the network's port table, in index order.
+    pub(crate) fn ports_in<'a>(&self, table: &'a [Port]) -> &'a [Port] {
+        &table[self.ports.start as usize..self.ports.end as usize]
     }
 }
 
@@ -498,35 +523,42 @@ impl Node {
             Node::Switch(s) => s.id,
         }
     }
+}
 
-    /// Mutable access to a port by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port does not exist.
-    pub fn port_mut(&mut self, idx: usize) -> &mut Port {
-        match self {
-            Node::Host(h) => {
-                assert_eq!(idx, 0, "hosts have a single NIC port");
-                &mut h.nic
-            }
-            Node::Switch(s) => &mut s.ports[idx],
+/// Port `idx` of node `id`: a host's NIC, or a switch's entry in the
+/// switch port table `ports`.
+///
+/// # Panics
+///
+/// Panics if the port does not exist.
+pub(crate) fn port_in<'a>(
+    nodes: &'a [Node],
+    ports: &'a [Port],
+    id: NodeId,
+    idx: usize,
+) -> &'a Port {
+    match &nodes[id.0 as usize] {
+        Node::Host(h) => {
+            assert_eq!(idx, 0, "hosts have a single NIC port");
+            &h.nic
         }
+        Node::Switch(s) => &ports[s.port_slot(idx)],
     }
+}
 
-    /// Shared access to a port by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port does not exist.
-    pub fn port(&self, idx: usize) -> &Port {
-        match self {
-            Node::Host(h) => {
-                assert_eq!(idx, 0, "hosts have a single NIC port");
-                &h.nic
-            }
-            Node::Switch(s) => &s.ports[idx],
+/// Mutable [`port_in`].
+pub(crate) fn port_in_mut<'a>(
+    nodes: &'a mut [Node],
+    ports: &'a mut [Port],
+    id: NodeId,
+    idx: usize,
+) -> &'a mut Port {
+    match &mut nodes[id.0 as usize] {
+        Node::Host(h) => {
+            assert_eq!(idx, 0, "hosts have a single NIC port");
+            &mut h.nic
         }
+        Node::Switch(s) => &mut ports[s.port_slot(idx)],
     }
 }
 
@@ -545,16 +577,25 @@ mod tests {
         }
     }
 
+    /// A two-port switch whose ports are entries 1 and 2 of the table
+    /// [`port_table`] returns.
     fn switch() -> Switch {
         let mut routes = RouteTable::default();
         routes.set(1, &[0]);
         routes.set(2, &[1]);
         Switch {
             id: NodeId(0),
-            ports: vec![Port::new(link(1), 1_000), Port::new(link(2), 1_000)],
+            ports: 1..3,
             routes,
             policy: Box::new(DropTail),
         }
+    }
+
+    fn port_table() -> Vec<Port> {
+        [9, 1, 2, 9]
+            .into_iter()
+            .map(|peer| Port::new(link(peer), 1_000))
+            .collect()
     }
 
     #[test]
@@ -725,12 +766,7 @@ mod tests {
         let edge_ix = switches.iter().position(|&s| s == edge).unwrap();
         let uplinks = original[edge_ix][far.0 as usize].clone();
         assert_eq!(uplinks.len(), 2, "k=4 edge has two uplinks");
-        let agg = {
-            let Node::Switch(s) = &net.nodes[edge.0 as usize] else {
-                panic!()
-            };
-            s.ports[uplinks[0] as usize].link.peer
-        };
+        let agg = net.port(edge, uplinks[0] as usize).link.peer;
         let agg_ix = switches.iter().position(|&s| s == agg).unwrap();
         assert_eq!(
             original[agg_ix][h.0 as usize], original[agg_ix][mate.0 as usize],
@@ -769,36 +805,46 @@ mod tests {
     }
 
     #[test]
-    fn total_drops_sums_ports() {
-        let mut sw = switch();
-        let mut arena = crate::arena::PacketArena::new();
-        let big =
-            crate::packet::Packet::data(crate::packet::FlowId(0), NodeId(9), NodeId(1), 0, 1460);
-        let wire = big.wire_bytes();
-        let id = arena.alloc(big);
-        assert!(!sw.ports[0].queue.enqueue(id, wire), "over capacity");
-        assert!(!sw.ports[1].queue.enqueue(id, wire), "over capacity");
-        assert_eq!(sw.total_drops(), 2);
-        arena.free(id);
+    fn port_accessors_resolve_through_the_table() {
+        let mut ports = port_table();
+        let mut nodes = vec![
+            Node::Switch(switch()),
+            Node::Host(Host {
+                id: NodeId(1),
+                nic: Port::new(link(0), 1_000),
+                stalled: false,
+            }),
+        ];
+        assert_eq!(nodes[0].id(), NodeId(0));
+        assert_eq!(port_in(&nodes, &ports, NodeId(0), 1).link.peer, NodeId(2));
+        port_in_mut(&mut nodes, &mut ports, NodeId(0), 0).busy = true;
+        assert!(ports[1].busy, "port 0 is table entry 1");
+        port_in_mut(&mut nodes, &mut ports, NodeId(1), 0).busy = true;
+        assert!(port_in(&nodes, &ports, NodeId(1), 0).busy, "host NIC");
+        let Node::Switch(sw) = &nodes[0] else {
+            panic!()
+        };
+        let peers: Vec<NodeId> = sw.ports_in(&ports).iter().map(|p| p.link.peer).collect();
+        assert_eq!(peers, [NodeId(1), NodeId(2)]);
     }
 
     #[test]
-    fn node_port_accessors() {
-        let mut node = Node::Switch(switch());
-        assert_eq!(node.id(), NodeId(0));
-        assert_eq!(node.port(1).link.peer, NodeId(2));
-        node.port_mut(0).busy = true;
-        assert!(node.port(0).busy);
+    #[should_panic(expected = "has no port 2")]
+    fn switch_rejects_port_past_its_range() {
+        // Entry 3 exists in the table but belongs to no port of this
+        // switch: it must not alias.
+        let nodes = vec![Node::Switch(switch())];
+        let _ = port_in(&nodes, &port_table(), NodeId(0), 2);
     }
 
     #[test]
     #[should_panic]
     fn host_rejects_nonzero_port() {
-        let host = Node::Host(Host {
-            id: NodeId(5),
+        let nodes = vec![Node::Host(Host {
+            id: NodeId(0),
             nic: Port::new(link(0), 1_000),
             stalled: false,
-        });
-        let _ = host.port(1);
+        })];
+        let _ = port_in(&nodes, &[], NodeId(0), 1);
     }
 }

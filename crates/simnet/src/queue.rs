@@ -1,17 +1,18 @@
 //! Per-port FIFO packet queues with byte accounting.
 
-use std::collections::VecDeque;
-
-use crate::arena::PacketId;
+use crate::arena::{PacketArena, PacketId, NIL};
 
 /// A byte-bounded FIFO for one output port.
 ///
-/// The queue holds `(PacketId, wire_bytes)` pairs — the packets
-/// themselves stay in the simulation's [`crate::arena::PacketArena`] —
-/// so enqueue and dequeue move 16 bytes regardless of payload. Drops
-/// happen at enqueue time when the packet would push the backlog over
-/// `capacity_bytes` (tail drop). The queue counts drops and tracks the
-/// high-water mark for reporting.
+/// The queue is an intrusive singly linked list through the packets'
+/// own [`PacketArena`] slots: it keeps the head and tail slot indices,
+/// and each queued packet's slot links to the next. So a queue is a
+/// few words whatever its backlog, it never allocates, and enqueue and
+/// dequeue touch one arena slot each. Wire sizes are read from the
+/// packets ([`crate::packet::Packet::wire_bytes`] is a pure function of
+/// the payload), not stored. Drops happen at enqueue time when the
+/// packet would push the backlog over `capacity_bytes` (tail drop). The
+/// queue counts drops and tracks the high-water mark for reporting.
 ///
 /// # Examples
 ///
@@ -22,18 +23,22 @@ use crate::arena::PacketId;
 ///
 /// let mut arena = PacketArena::new();
 /// let mut q = PortQueue::new(3_000);
-/// let wire = Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460).wire_bytes();
 /// for _ in 0..2 {
 ///     let id = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460));
-///     assert!(q.enqueue(id, wire));
+///     assert!(q.enqueue(id, &mut arena));
 /// }
 /// let third = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460));
-/// assert!(!q.enqueue(third, wire)); // third full frame exceeds 3000 B
+/// assert!(!q.enqueue(third, &mut arena)); // third full frame exceeds 3000 B
 /// assert_eq!(q.drops(), 1);
+/// assert_eq!(q.dequeue(&arena).map(|(_, wire)| wire), Some(1500));
 /// ```
 #[derive(Debug)]
 pub struct PortQueue {
-    fifo: VecDeque<(PacketId, u64)>,
+    /// Slot of the head-of-line packet, or `NIL` when empty.
+    head: u32,
+    /// Slot of the last packet (meaningless when empty).
+    tail: u32,
+    len: u32,
     bytes: u64,
     capacity_bytes: u64,
     drops: u64,
@@ -44,7 +49,9 @@ impl PortQueue {
     /// Creates a queue bounded at `capacity_bytes` of wire bytes.
     pub fn new(capacity_bytes: u64) -> Self {
         Self {
-            fifo: VecDeque::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
             bytes: 0,
             capacity_bytes,
             drops: 0,
@@ -52,31 +59,50 @@ impl PortQueue {
         }
     }
 
-    /// Attempts to append a packet occupying `wire_bytes` on the wire;
-    /// returns `false` (and counts a drop) when capacity would be
-    /// exceeded. The caller keeps ownership of the arena slot on
-    /// rejection and must free it.
-    pub fn enqueue(&mut self, id: PacketId, wire_bytes: u64) -> bool {
-        if self.bytes + wire_bytes > self.capacity_bytes {
+    /// Attempts to append live packet `id`; returns `false` (and counts
+    /// a drop) when its wire size would push the backlog over capacity.
+    /// The caller keeps ownership of the arena slot on rejection and
+    /// must free it. An accepted packet must stay live, and in no other
+    /// queue, until it is dequeued.
+    pub fn enqueue(&mut self, id: PacketId, arena: &mut PacketArena) -> bool {
+        let wire = arena.get(id).wire_bytes();
+        if self.bytes + wire > self.capacity_bytes {
             self.drops += 1;
             return false;
         }
-        self.bytes += wire_bytes;
+        self.bytes += wire;
         self.max_bytes_seen = self.max_bytes_seen.max(self.bytes);
-        self.fifo.push_back((id, wire_bytes));
+        let idx = id.index();
+        arena.set_next(idx, NIL);
+        if self.head == NIL {
+            self.head = idx;
+        } else {
+            arena.set_next(self.tail, idx);
+        }
+        self.tail = idx;
+        self.len += 1;
         true
     }
 
     /// Removes and returns the head-of-line packet id and its wire size.
-    pub fn dequeue(&mut self) -> Option<(PacketId, u64)> {
-        let (id, wire) = self.fifo.pop_front()?;
+    pub fn dequeue(&mut self, arena: &PacketArena) -> Option<(PacketId, u64)> {
+        if self.head == NIL {
+            return None;
+        }
+        let (id, next) = arena.linked(self.head);
+        let wire = arena.get(id).wire_bytes();
+        self.head = next;
+        self.len -= 1;
         self.bytes -= wire;
         Some((id, wire))
     }
 
     /// Wire size of the head-of-line packet, if any.
-    pub fn peek_wire_bytes(&self) -> Option<u64> {
-        self.fifo.front().map(|&(_, wire)| wire)
+    pub fn peek_wire_bytes(&self, arena: &PacketArena) -> Option<u64> {
+        if self.head == NIL {
+            return None;
+        }
+        Some(arena.get(arena.linked(self.head).0).wire_bytes())
     }
 
     /// Current backlog in wire bytes.
@@ -86,12 +112,12 @@ impl PortQueue {
 
     /// Number of queued packets.
     pub fn len(&self) -> usize {
-        self.fifo.len()
+        self.len as usize
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
+        self.head == NIL
     }
 
     /// Total packets dropped at enqueue.
@@ -112,21 +138,17 @@ impl PortQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
-    use crate::arena::PacketArena;
     use crate::packet::{FlowId, NodeId, Packet};
     use rng::props::{cases, vec_u64};
     use rng::Rng;
 
-    fn pkt(payload: u64) -> Packet {
-        Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, payload)
-    }
-
-    fn alloc(arena: &mut PacketArena, payload: u64, seq: u64) -> (PacketId, u64) {
-        let mut p = pkt(payload);
+    fn alloc(arena: &mut PacketArena, payload: u64, seq: u64) -> PacketId {
+        let mut p = Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, payload);
         p.seq = seq;
-        let wire = p.wire_bytes();
-        (arena.alloc(p), wire)
+        arena.alloc(p)
     }
 
     #[test]
@@ -134,29 +156,32 @@ mod tests {
         let mut arena = PacketArena::new();
         let mut q = PortQueue::new(1 << 20);
         for seq in 0..5 {
-            let (id, wire) = alloc(&mut arena, 100, seq);
-            q.enqueue(id, wire);
+            let id = alloc(&mut arena, 100, seq);
+            q.enqueue(id, &mut arena);
         }
         for seq in 0..5 {
-            let (id, _) = q.dequeue().unwrap();
+            let (id, _) = q.dequeue(&arena).unwrap();
             assert_eq!(arena.get(id).seq, seq);
         }
-        assert!(q.dequeue().is_none());
+        assert!(q.dequeue(&arena).is_none());
+        assert!(q.is_empty());
     }
 
     #[test]
     fn byte_accounting() {
         let mut arena = PacketArena::new();
         let mut q = PortQueue::new(1 << 20);
-        let (id, wire) = alloc(&mut arena, 1460, 0);
-        q.enqueue(id, wire);
+        let id = alloc(&mut arena, 1460, 0);
+        q.enqueue(id, &mut arena);
         assert_eq!(q.bytes(), 1500);
-        let (id, wire) = alloc(&mut arena, 0, 0); // min frame 64
-        q.enqueue(id, wire);
+        let id = alloc(&mut arena, 0, 0); // min frame 64
+        q.enqueue(id, &mut arena);
         assert_eq!(q.bytes(), 1564);
-        let (_, wire) = q.dequeue().unwrap();
+        assert_eq!(q.peek_wire_bytes(&arena), Some(1500));
+        let (_, wire) = q.dequeue(&arena).unwrap();
         assert_eq!(wire, 1500);
         assert_eq!(q.bytes(), 64);
+        assert_eq!(q.peek_wire_bytes(&arena), Some(64));
         assert_eq!(q.max_bytes_seen(), 1564);
     }
 
@@ -164,10 +189,10 @@ mod tests {
     fn tail_drop_counts() {
         let mut arena = PacketArena::new();
         let mut q = PortQueue::new(1500);
-        let (id, wire) = alloc(&mut arena, 1460, 0);
-        assert!(q.enqueue(id, wire));
-        let (id, wire) = alloc(&mut arena, 1460, 1);
-        assert!(!q.enqueue(id, wire));
+        let id = alloc(&mut arena, 1460, 0);
+        assert!(q.enqueue(id, &mut arena));
+        let id = alloc(&mut arena, 1460, 1);
+        assert!(!q.enqueue(id, &mut arena));
         assert_eq!(q.drops(), 1);
         assert_eq!(q.len(), 1);
     }
@@ -180,18 +205,165 @@ mod tests {
             let mut arena = PacketArena::new();
             let mut q = PortQueue::new(cap);
             for &s in &sizes {
-                let (id, wire) = alloc(&mut arena, s, 0);
-                if !q.enqueue(id, wire) {
+                let id = alloc(&mut arena, s, 0);
+                if !q.enqueue(id, &mut arena) {
                     arena.free(id);
                 }
-                assert!(q.bytes() <= cap, "queue {} over cap {cap} after {s}", q.bytes());
+                assert!(
+                    q.bytes() <= cap,
+                    "queue {} over cap {cap} after {s}",
+                    q.bytes()
+                );
             }
             // Draining returns accounting to zero and frees every slot.
-            while let Some((id, _)) = q.dequeue() {
+            while let Some((id, _)) = q.dequeue(&arena) {
                 arena.free(id);
             }
             assert_eq!(q.bytes(), 0, "bytes nonzero after drain, sizes {sizes:?}");
             assert!(arena.is_empty(), "arena leaked slots, sizes {sizes:?}");
+        });
+    }
+
+    /// The `VecDeque` FIFO the arena-linked queue replaced, as a model.
+    struct Model {
+        fifo: VecDeque<(PacketId, u64)>,
+        bytes: u64,
+        capacity_bytes: u64,
+        drops: u64,
+        max_bytes_seen: u64,
+    }
+
+    impl Model {
+        fn new(capacity_bytes: u64) -> Self {
+            Self {
+                fifo: VecDeque::new(),
+                bytes: 0,
+                capacity_bytes,
+                drops: 0,
+                max_bytes_seen: 0,
+            }
+        }
+
+        fn enqueue(&mut self, id: PacketId, wire: u64) -> bool {
+            if self.bytes + wire > self.capacity_bytes {
+                self.drops += 1;
+                return false;
+            }
+            self.bytes += wire;
+            self.max_bytes_seen = self.max_bytes_seen.max(self.bytes);
+            self.fifo.push_back((id, wire));
+            true
+        }
+
+        fn dequeue(&mut self) -> Option<(PacketId, u64)> {
+            let (id, wire) = self.fifo.pop_front()?;
+            self.bytes -= wire;
+            Some((id, wire))
+        }
+    }
+
+    fn assert_same(q: &PortQueue, m: &Model, arena: &PacketArena, at: &str) {
+        assert_eq!(q.bytes(), m.bytes, "{at}: bytes");
+        assert_eq!(q.len(), m.fifo.len(), "{at}: len");
+        assert_eq!(q.is_empty(), m.fifo.is_empty(), "{at}: is_empty");
+        assert_eq!(q.drops(), m.drops, "{at}: drops");
+        assert_eq!(q.max_bytes_seen(), m.max_bytes_seen, "{at}: max_bytes_seen");
+        assert_eq!(
+            q.peek_wire_bytes(arena),
+            m.fifo.front().map(|&(_, w)| w),
+            "{at}: peek_wire_bytes"
+        );
+    }
+
+    /// Several ports' FIFOs linked through one shared arena, driven by
+    /// random enqueues (with overflow drops), dequeues that deliver or
+    /// forward the packet to another FIFO, whole-queue drains (a downed
+    /// link) and packets allocated and freed outside any queue (in
+    /// flight), match one `VecDeque` model per port.
+    #[test]
+    fn shared_arena_fifos_match_vecdeque_model() {
+        cases(256, |case, rng| {
+            let ports = rng.gen_range(1..6usize);
+            let mut arena = PacketArena::new();
+            let mut qs: Vec<PortQueue> = Vec::new();
+            let mut models: Vec<Model> = Vec::new();
+            for _ in 0..ports {
+                let cap = rng.gen_range(64..20_000u64);
+                qs.push(PortQueue::new(cap));
+                models.push(Model::new(cap));
+            }
+            let mut loose: Vec<PacketId> = Vec::new();
+            let mut seq = 0u64;
+            for step in 0..rng.gen_range(1..400usize) {
+                let p = rng.gen_range(0..ports);
+                let at = format!("case {case} step {step} port {p}");
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        seq += 1;
+                        let id = alloc(&mut arena, rng.gen_range(0..3_000u64), seq);
+                        let wire = arena.get(id).wire_bytes();
+                        let took = qs[p].enqueue(id, &mut arena);
+                        assert_eq!(took, models[p].enqueue(id, wire), "{at}: verdict");
+                        if !took {
+                            arena.free(id);
+                        }
+                    }
+                    5..=6 => {
+                        let got = qs[p].dequeue(&arena);
+                        assert_eq!(got, models[p].dequeue(), "{at}: dequeue");
+                        let Some((id, wire)) = got else { continue };
+                        // Delivered, or forwarded to the next hop's
+                        // FIFO with its old link still in the slot.
+                        let next = rng.gen_range(0..ports * 2);
+                        if next >= ports {
+                            arena.free(id);
+                        } else {
+                            let took = qs[next].enqueue(id, &mut arena);
+                            assert_eq!(took, models[next].enqueue(id, wire), "{at}: forward");
+                            if !took {
+                                arena.free(id);
+                            }
+                        }
+                    }
+                    7 => {
+                        // Link down: the transmitter drains the FIFO.
+                        while let Some(got) = qs[p].dequeue(&arena) {
+                            assert_eq!(Some(got), models[p].dequeue(), "{at}: drain");
+                            arena.free(got.0);
+                        }
+                        assert!(models[p].fifo.is_empty(), "{at}: drained");
+                    }
+                    8 => {
+                        seq += 1;
+                        loose.push(alloc(&mut arena, 100, seq));
+                    }
+                    _ => {
+                        if !loose.is_empty() {
+                            let i = rng.gen_range(0..loose.len());
+                            arena.free(loose.swap_remove(i));
+                        }
+                    }
+                }
+                for (q, m) in qs.iter().zip(&models) {
+                    assert_same(q, m, &arena, &at);
+                }
+            }
+            for (p, (q, m)) in qs.iter_mut().zip(&mut models).enumerate() {
+                while let Some(got) = q.dequeue(&arena) {
+                    assert_eq!(
+                        Some(got),
+                        m.dequeue(),
+                        "case {case} final drain of port {p}"
+                    );
+                    assert_eq!(arena.get(got.0).wire_bytes(), got.1);
+                    arena.free(got.0);
+                }
+                assert_same(q, m, &arena, &format!("case {case} port {p} drained"));
+            }
+            for id in loose {
+                arena.free(id);
+            }
+            assert!(arena.is_empty(), "case {case}: arena leaked slots");
         });
     }
 }

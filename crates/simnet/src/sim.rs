@@ -23,8 +23,9 @@ use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, 
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
 use crate::flowtable::FlowMap;
-use crate::node::{Node, PortStats};
+use crate::node::{port_in, port_in_mut, Node, Port, PortStats};
 use crate::packet::{FlowId, NodeId};
+use crate::policy::PolicyFx;
 use crate::retire::{FlowRetirer, RetireConfig};
 use crate::sched::{SchedulerKind, TimerHandle};
 use crate::topology::Network;
@@ -171,6 +172,8 @@ pub struct SimCore {
     pub(crate) now: Time,
     pub(crate) events: EventQueue,
     pub(crate) nodes: Vec<Node>,
+    /// The switch port table ([`Network::ports`]).
+    pub(crate) ports: Vec<Port>,
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) switches: Vec<NodeId>,
     pub(crate) stack: Box<dyn ProtocolStack>,
@@ -214,6 +217,12 @@ pub struct SimCore {
     pub(crate) telemetry: Telemetry,
     /// Every in-flight packet, slab-allocated; events carry ids into it.
     pub(crate) packets: PacketArena,
+    /// Drained endpoint effect sinks, kept for reuse so handlers do not
+    /// allocate fresh vectors per call. Holds as many sinks as effect
+    /// applications ever nested.
+    pub(crate) fx_pool: Vec<Effects>,
+    /// Drained policy effect sinks (as `fx_pool`).
+    pub(crate) policy_fx_pool: Vec<PolicyFx>,
 }
 
 /// The simulator: a [`SimCore`] plus the workload application.
@@ -287,8 +296,8 @@ impl SimCore {
         }
         self.receivers.insert(flow, (dst, receiver));
         self.senders.insert(flow, (src, sender));
-        let mut fx = Effects::new();
         let now = self.now;
+        let mut fx = self.take_fx();
         let (_, s) = self.senders.get_mut(flow).expect("just inserted");
         s.open(now, &mut fx);
         self.apply_host_fx(src, flow, fx);
@@ -302,7 +311,7 @@ impl SimCore {
     /// Panics if the flow or its sender does not exist.
     pub fn push_data(&mut self, flow: FlowId, bytes: u64) {
         let now = self.now;
-        let mut fx = Effects::new();
+        let mut fx = self.take_fx();
         let (src, s) = self.senders.get_mut(flow).expect("sender exists");
         let src = *src;
         s.push_data(bytes, now, &mut fx);
@@ -316,8 +325,9 @@ impl SimCore {
     /// workloads need not track liveness across faults.
     pub fn close_flow(&mut self, flow: FlowId) {
         let now = self.now;
-        let mut fx = Effects::new();
+        let mut fx = self.take_fx();
         let Some((src, s)) = self.senders.get_mut(flow) else {
+            self.fx_pool.push(fx);
             return;
         };
         let src = *src;
@@ -496,25 +506,37 @@ impl SimCore {
 
     /// Total enqueue drops across every switch port.
     pub fn total_drops(&self) -> u64 {
-        self.switches
-            .iter()
-            .map(|&s| match &self.nodes[s.0 as usize] {
-                Node::Switch(sw) => sw.total_drops(),
-                Node::Host(_) => 0,
-            })
-            .sum()
+        self.ports.iter().map(|p| p.queue.drops()).sum()
     }
 
-    /// Per-port statistics of a switch.
+    /// Statistics of port `port` of `node`: a switch port, or a host's
+    /// NIC (port 0).
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not a switch or `port` does not exist.
+    /// Panics if the port does not exist.
     pub fn port_stats(&self, node: NodeId, port: usize) -> PortStats {
-        let Node::Switch(sw) = &self.nodes[node.0 as usize] else {
-            panic!("{node:?} is not a switch");
-        };
-        sw.ports[port].stats()
+        self.port(node, port).stats()
+    }
+
+    /// Port `idx` of `node`: a host's NIC or a switch's table entry.
+    pub(crate) fn port(&self, node: NodeId, idx: usize) -> &Port {
+        port_in(&self.nodes, &self.ports, node, idx)
+    }
+
+    /// Mutable [`port`](Self::port).
+    pub(crate) fn port_mut(&mut self, node: NodeId, idx: usize) -> &mut Port {
+        port_in_mut(&mut self.nodes, &mut self.ports, node, idx)
+    }
+
+    /// An empty endpoint effect sink, recycled when one is pooled.
+    pub(crate) fn take_fx(&mut self) -> Effects {
+        self.fx_pool.pop().unwrap_or_default()
+    }
+
+    /// An empty policy effect sink, recycled when one is pooled.
+    pub(crate) fn take_policy_fx(&mut self) -> PolicyFx {
+        self.policy_fx_pool.pop().unwrap_or_default()
     }
 
     /// Egress port of `switch` toward host `dst`: the deterministic
@@ -653,8 +675,10 @@ impl SimCore {
         self.free_ids.push_back((self.now, flow));
     }
 
-    pub(crate) fn apply_host_fx(&mut self, host: NodeId, flow: FlowId, fx: Effects) {
-        for mut pkt in fx.packets {
+    /// Applies an endpoint's effects, then returns the drained sink to
+    /// the pool.
+    pub(crate) fn apply_host_fx(&mut self, host: NodeId, flow: FlowId, mut fx: Effects) {
+        for mut pkt in fx.packets.drain(..) {
             pkt.sent_at = self.now;
             let jitter = match self.cfg.host_jitter {
                 Some((lo, hi)) if hi > lo => Dur(self.rng.gen_range(lo.as_nanos()..=hi.as_nanos())),
@@ -669,14 +693,14 @@ impl SimCore {
         }
         // Cancels first: an endpoint that re-arms in the same callback
         // cancels the old generation before scheduling the new one.
-        for token in fx.cancels {
+        for token in fx.cancels.drain(..) {
             let pending = &mut self.host_timers[flow.0 as usize];
             if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
                 let (_, handle) = pending.swap_remove(i);
                 self.events.cancel(handle);
             }
         }
-        for (after, token) in fx.timers {
+        for (after, token) in fx.timers.drain(..) {
             let handle = self.events.schedule_cancellable(
                 self.now + after,
                 Event::HostTimer {
@@ -687,9 +711,10 @@ impl SimCore {
             );
             self.host_timers[flow.0 as usize].push((token, handle));
         }
-        for note in fx.notes {
+        for note in fx.notes.drain(..) {
             self.handle_note(flow, note);
         }
+        self.fx_pool.push(fx);
     }
 
     pub(crate) fn handle_note(&mut self, flow: FlowId, note: Note) {
@@ -844,6 +869,7 @@ impl<A: Application> Simulator<A> {
                 now: Time::ZERO,
                 events: EventQueue::with_kind(cfg.scheduler),
                 nodes: net.nodes,
+                ports: net.ports,
                 hosts: net.hosts,
                 switches: net.switches,
                 stack,
@@ -867,6 +893,8 @@ impl<A: Application> Simulator<A> {
                 packet_log: VecDeque::new(),
                 telemetry,
                 packets: PacketArena::new(),
+                fx_pool: Vec::new(),
+                policy_fx_pool: Vec::new(),
             },
             app,
         }
@@ -1218,6 +1246,44 @@ mod tests {
         sim.run();
         assert!(sim.core().total_drops() > 0);
         assert!(sim.core().flow(flow).delivered < 10 * MSS);
+    }
+
+    /// A host's NIC is port 0 of the host: its overflow drops and
+    /// transmit bytes are observable like a switch port's.
+    #[test]
+    fn port_stats_reports_host_nics() {
+        let mut t = TopologyBuilder::new();
+        let h1 = t.host();
+        let h2 = t.host();
+        let s = t.switch();
+        t.link(h1, s, Bandwidth::gbps(1), Dur::micros(1));
+        t.link(h2, s, Bandwidth::gbps(1), Dur::micros(1));
+        t.host_buffer(2_000);
+        let net = t.build_drop_tail();
+        let mut sim = Simulator::new(net, Box::new(BlastStack), NullApp, SimConfig::default());
+        let flow = sim.core_mut().start_flow(FlowSpec::open_ended(h1, h2));
+        for _ in 0..8 {
+            sim.core_mut().push_data(flow, MSS);
+        }
+        sim.run();
+        let nic = sim.core().port_stats(h1, 0);
+        let delivered = sim.core().flow(flow).delivered;
+        // One full frame fits the 2 kB NIC queue at a time; the burst
+        // overflows it.
+        assert_eq!(nic.drops, 7);
+        assert_eq!(nic.tx_bytes, 1_500);
+        assert_eq!(nic.max_queue_bytes, 1_500);
+        assert_eq!(delivered, MSS);
+        assert_eq!(sim.core().port_stats(h2, 0), PortStats::default());
+        assert_eq!(sim.core().total_drops(), 0, "switch ports dropped nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "single NIC port")]
+    fn port_stats_rejects_a_second_host_port() {
+        let (sim, _) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
+        let host = sim.core().host_ids()[0];
+        let _ = sim.core().port_stats(host, 1);
     }
 
     #[test]

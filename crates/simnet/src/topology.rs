@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::node::{DstIndex, Host, Node, Port, PortLink, RouteTable, Switch, MAX_PORTS};
+use crate::node::{port_in, DstIndex, Host, Node, Port, PortLink, RouteTable, Switch, MAX_PORTS};
 use crate::packet::NodeId;
 use crate::policy::{DropTail, SwitchPolicy};
 use crate::units::{Bandwidth, Dur};
@@ -160,10 +160,83 @@ pub struct TopologyBuilder {
 pub struct Network {
     /// All nodes; `nodes[id.0]` has id `id`.
     pub nodes: Vec<Node>,
+    /// The switch port table: every switch's ports, switch by switch in
+    /// creation order. Each [`Switch::ports`] is its range here; host
+    /// NICs stay in their [`Host`].
+    pub ports: Vec<Port>,
     /// Ids of the host nodes, in creation order.
     pub hosts: Vec<NodeId>,
     /// Ids of the switch nodes, in creation order.
     pub switches: Vec<NodeId>,
+}
+
+impl Network {
+    /// Port `idx` of `node`: a host's NIC or a switch's table entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist.
+    pub fn port(&self, node: NodeId, idx: usize) -> &Port {
+        port_in(&self.nodes, &self.ports, node, idx)
+    }
+}
+
+/// Every node's port links in one array, node by node (compressed
+/// sparse rows): node `v`'s ports are `links[start[v]..start[v + 1]]`.
+struct Links {
+    start: Vec<u32>,
+    links: Vec<PortLink>,
+}
+
+impl Links {
+    /// Lays out the ports of `n` nodes from the link list: each link
+    /// adds the next port at both ends, and each end names the other's
+    /// port number as its peer port.
+    fn new(n: usize, specs: &[LinkSpec]) -> Self {
+        let mut start = vec![0u32; n + 1];
+        for l in specs {
+            start[l.a.0 as usize + 1] += 1;
+            start[l.b.0 as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let unset = PortLink {
+            rate: Bandwidth(0),
+            delay: Dur::ZERO,
+            peer: NodeId(u32::MAX),
+            peer_port: 0,
+        };
+        let mut links = vec![unset; start[n] as usize];
+        let mut fill: Vec<u32> = start[..n].to_vec();
+        for l in specs {
+            let (a, b) = (l.a.0 as usize, l.b.0 as usize);
+            // Port numbers past `MAX_PORTS` wrap here; `try_build`
+            // rejects such nodes before any link is used.
+            let pa = (fill[a] - start[a]) as u16;
+            let pb = (fill[b] - start[b]) as u16;
+            links[fill[a] as usize] = PortLink {
+                rate: l.rate,
+                delay: l.delay,
+                peer: l.b,
+                peer_port: pb,
+            };
+            links[fill[b] as usize] = PortLink {
+                rate: l.rate,
+                delay: l.delay,
+                peer: l.a,
+                peer_port: pa,
+            };
+            fill[a] += 1;
+            fill[b] += 1;
+        }
+        Self { start, links }
+    }
+
+    /// The port links of node `v`, in port order.
+    fn of(&self, v: usize) -> &[PortLink] {
+        &self.links[self.start[v] as usize..self.start[v + 1] as usize]
+    }
 }
 
 impl TopologyBuilder {
@@ -301,35 +374,16 @@ impl TopologyBuilder {
         let switch_buf = self.switch_buffer.unwrap_or(DEFAULT_SWITCH_BUFFER);
         let host_buf = self.host_buffer.unwrap_or(DEFAULT_HOST_BUFFER);
 
-        // Per-node port lists. For the k-th link of node a to b, the
-        // matching port at b is the index of the corresponding entry:
-        // walk links counting per-node occurrences.
-        let mut ports: Vec<Vec<PortLink>> = vec![Vec::new(); n];
-        for l in &self.links {
-            let pa = ports[l.a.0 as usize].len();
-            let pb = ports[l.b.0 as usize].len();
-            ports[l.a.0 as usize].push(PortLink {
-                rate: l.rate,
-                delay: l.delay,
-                peer: l.b,
-                peer_port: pb,
-            });
-            ports[l.b.0 as usize].push(PortLink {
-                rate: l.rate,
-                delay: l.delay,
-                peer: l.a,
-                peer_port: pa,
-            });
-        }
-
+        let ports = Links::new(n, &self.links);
         for (i, kind) in self.kinds.iter().enumerate() {
-            if *kind == NodeKind::Host && ports[i].len() != 1 {
+            let degree = ports.of(i).len();
+            if *kind == NodeKind::Host && degree != 1 {
                 return Err(TopologyError::HostLinkCount {
                     host: NodeId(i as u32),
-                    links: ports[i].len(),
+                    links: degree,
                 });
             }
-            if ports[i].is_empty() {
+            if degree == 0 {
                 // An isolated node can reach nothing — degenerate case
                 // of disconnection (covers switch-only builders, where
                 // no host BFS would ever visit it).
@@ -338,31 +392,38 @@ impl TopologyBuilder {
                     unreachable: NodeId(i as u32),
                 });
             }
-            checked_ports(i, ports[i].len())?;
+            checked_ports(i, degree)?;
         }
 
         let mut routes = fill_routes(&self.kinds, &ports)?.into_iter();
         let mut nodes = Vec::with_capacity(n);
         let mut hosts = Vec::new();
         let mut switches = Vec::new();
+        let switch_ports = (0..n)
+            .filter(|&i| self.kinds[i] == NodeKind::Switch)
+            .map(|i| ports.of(i).len())
+            .sum();
+        let mut table = Vec::with_capacity(switch_ports);
         for (i, kind) in self.kinds.iter().enumerate() {
             let id = NodeId(i as u32);
+            let links = ports.of(i);
             match kind {
                 NodeKind::Host => {
                     hosts.push(id);
-                    let link = ports[i][0];
                     nodes.push(Node::Host(Host {
                         id,
-                        nic: Port::new(link, host_buf),
+                        nic: Port::new(links[0], host_buf),
                         stalled: false,
                     }));
                 }
                 NodeKind::Switch => {
                     switches.push(id);
-                    let policy = make_policy(id, &ports[i]);
+                    let policy = make_policy(id, links);
+                    let first = table.len() as u32;
+                    table.extend(links.iter().map(|&l| Port::new(l, switch_buf)));
                     nodes.push(Node::Switch(Switch {
                         id,
-                        ports: ports[i].iter().map(|&l| Port::new(l, switch_buf)).collect(),
+                        ports: first..table.len() as u32,
                         routes: routes.next().expect("one route table per switch"),
                         policy,
                     }));
@@ -371,6 +432,7 @@ impl TopologyBuilder {
         }
         Ok(Network {
             nodes,
+            ports: table,
             hosts,
             switches,
         })
@@ -392,10 +454,7 @@ impl TopologyBuilder {
 /// switches only. Groups are numbered in order of their lowest host id,
 /// so each switch meets its equal-cost sets in the same first-use order
 /// as a per-host fill would.
-fn fill_routes(
-    kinds: &[NodeKind],
-    ports: &[Vec<PortLink>],
-) -> Result<Vec<RouteTable>, TopologyError> {
+fn fill_routes(kinds: &[NodeKind], ports: &Links) -> Result<Vec<RouteTable>, TopologyError> {
     const NONE: u32 = u32::MAX;
     let n = kinds.len();
     let switches: Vec<usize> = (0..n).filter(|&v| kinds[v] == NodeKind::Switch).collect();
@@ -409,7 +468,7 @@ fn fill_routes(
     let mut adj: Vec<(u16, u32)> = Vec::new();
     for &v in &switches {
         adj_start.push(adj.len());
-        for (port, l) in ports[v].iter().enumerate() {
+        for (port, l) in ports.of(v).iter().enumerate() {
             let peer = ord[l.peer.0 as usize];
             if peer != NONE {
                 adj.push((port as u16, peer));
@@ -425,16 +484,16 @@ fn fill_routes(
     // Hosts linked to another host: no switch ever reaches them.
     let mut host_pairs = false;
     for h in (0..n).filter(|&v| kinds[v] == NodeKind::Host) {
-        let link = ports[h][0];
+        let link = ports.of(h)[0];
         let a = link.peer.0 as usize;
         if group_of[a] == NONE {
             group_of[a] = index.add_group();
             groups.push((a, h));
         }
         host_pairs |= kinds[a] != NodeKind::Switch;
-        index.assign(h, group_of[a], link.peer_port as u16);
+        index.assign(h, group_of[a], link.peer_port);
     }
-    let access = |h: usize| ports[h][0].peer.0 as usize;
+    let access = |h: usize| ports.of(h)[0].peer.0 as usize;
 
     let index = Arc::new(index);
     let mut tables: Vec<RouteTable> = switches
@@ -657,8 +716,8 @@ mod tests {
         let Node::Switch(ref sw) = net.nodes[s.0 as usize] else {
             panic!()
         };
-        assert_eq!(sw.ports[0].link.peer, h1);
-        assert_eq!(sw.ports[1].link.peer, h2);
+        assert_eq!(sw.ports_in(&net.ports)[0].link.peer, h1);
+        assert_eq!(sw.ports_in(&net.ports)[1].link.peer, h2);
     }
 
     #[test]
@@ -670,10 +729,10 @@ mod tests {
             panic!()
         };
         let up = nf1.route(hosts[5]).expect("route exists");
-        assert_eq!(nf1.ports[up].link.peer, switches[0]);
+        assert_eq!(nf1.ports_in(&net.ports)[up].link.peer, switches[0]);
         // Intra-rack route goes straight to the host port.
         let direct = nf1.route(hosts[1]).expect("route exists");
-        assert_eq!(nf1.ports[direct].link.peer, hosts[1]);
+        assert_eq!(nf1.ports_in(&net.ports)[direct].link.peer, hosts[1]);
     }
 
     #[test]
@@ -714,7 +773,7 @@ mod tests {
             panic!()
         };
         let p = s2.route(hosts[2]).unwrap();
-        assert_eq!(s2.ports[p].link.peer, hosts[2]);
+        assert_eq!(s2.ports_in(&net.ports)[p].link.peer, hosts[2]);
     }
 
     #[test]
@@ -814,12 +873,12 @@ mod tests {
             panic!()
         };
         let up = e0.route(hosts[2]).expect("route exists");
-        let agg = e0.ports[up].link.peer;
+        let agg = e0.ports_in(&net.ports)[up].link.peer;
         let Node::Switch(ref a) = net.nodes[agg.0 as usize] else {
             panic!()
         };
         let down = a.route(hosts[2]).expect("route exists");
-        assert_eq!(a.ports[down].link.peer, {
+        assert_eq!(a.ports_in(&net.ports)[down].link.peer, {
             let Node::Host(ref h2) = net.nodes[hosts[2].0 as usize] else {
                 panic!()
             };
@@ -846,7 +905,11 @@ mod tests {
         let peers = |v: usize| -> Vec<usize> {
             match &net.nodes[v] {
                 Node::Host(h) => vec![h.nic.link.peer.0 as usize],
-                Node::Switch(s) => s.ports.iter().map(|p| p.link.peer.0 as usize).collect(),
+                Node::Switch(s) => s
+                    .ports_in(&net.ports)
+                    .iter()
+                    .map(|p| p.link.peer.0 as usize)
+                    .collect(),
             }
         };
         for &dst in &hosts {
@@ -878,7 +941,8 @@ mod tests {
                 // member (no equal-cost uplink missing).
                 let closer: Vec<usize> = (0..sw.ports.len())
                     .filter(|&p| {
-                        dist[sw.ports[p].link.peer.0 as usize] + 1 == dist[swid.0 as usize]
+                        dist[sw.ports_in(&net.ports)[p].link.peer.0 as usize] + 1
+                            == dist[swid.0 as usize]
                     })
                     .collect();
                 assert_eq!(members, closer, "switch {swid:?} toward {dst:?}");
@@ -900,7 +964,7 @@ mod tests {
             other => panic!("expected ECMP uplinks, got {other:?}"),
         };
         assert_eq!(up.len(), k / 2, "edge uplink fan-out");
-        let agg = e0.ports[up[0] as usize].link.peer;
+        let agg = e0.ports_in(&net.ports)[up[0] as usize].link.peer;
         let Node::Switch(ref a0) = net.nodes[agg.0 as usize] else {
             panic!()
         };
@@ -1089,7 +1153,7 @@ mod proptests {
                         at = match &net.nodes[at.0 as usize] {
                             Node::Switch(sw) => {
                                 let port = sw.route(dst).expect("route exists");
-                                sw.ports[port].link.peer
+                                sw.ports_in(&net.ports)[port].link.peer
                             }
                             Node::Host(h) => {
                                 assert!(at != dst);
@@ -1294,13 +1358,12 @@ mod proptests {
             for node in &net.nodes {
                 let ports: Vec<_> = match node {
                     Node::Host(h) => vec![&h.nic],
-                    Node::Switch(s) => s.ports.iter().collect(),
+                    Node::Switch(s) => s.ports_in(&net.ports).iter().collect(),
                 };
                 for (idx, port) in ports.into_iter().enumerate() {
-                    let peer = &net.nodes[port.link.peer.0 as usize];
-                    let back = peer.port(port.link.peer_port);
+                    let back = net.port(port.link.peer, port.link.peer_port as usize);
                     assert_eq!(back.link.peer, node.id(), "tree {shape:?}");
-                    assert_eq!(back.link.peer_port, idx, "tree {shape:?}");
+                    assert_eq!(back.link.peer_port as usize, idx, "tree {shape:?}");
                 }
             }
         });

@@ -54,6 +54,15 @@ cargo test -q -p tfc-repro --test policy_memory
 # regression to per-flow scratch state names this gate.
 cargo test -q -p tfc-repro --test flow_memory
 
+# Compact fabric port state: switch ports live in one table of 104-byte
+# ports whose FIFOs are links through the packet arena, and TFC
+# prototypes and config are shared across the fabric. A counting
+# allocator bounds the live heap of a built k=36 TFC fat-tree at
+# 10.5 MiB (per-switch vectors of 128-byte ports and per-switch
+# prototypes took 12.2 MiB), so a regression to per-switch or per-port
+# allocations names this gate.
+cargo test -q -p tfc-repro --test port_memory
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"
