@@ -14,6 +14,12 @@ use std::collections::VecDeque;
 use simnet::packet::{Packet, MSS, WINDOW_INIT};
 use simnet::units::{Bandwidth, Dur, Time};
 
+/// One MSS as a value of the 32-bit window field.
+const MSS_WINDOW: u32 = {
+    assert!(MSS <= u32::MAX as u64);
+    MSS as u32
+};
+
 /// Outcome of offering an RMA ACK to the arbiter.
 #[derive(Debug, PartialEq)]
 pub enum ArbiterVerdict {
@@ -87,17 +93,17 @@ impl DelayArbiter {
             // Never stamped by any TFC port: nothing to arbitrate.
             return ArbiterVerdict::Forward;
         }
-        if pkt.window >= MSS && !self.gate_all {
+        if pkt.window >= MSS_WINDOW && !self.gate_all {
             // §4.6: full windows pass immediately; the counter still
             // pays for them (and may go negative, throttling future
             // sub-MSS grants).
-            self.counter -= pkt.window as f64;
+            self.counter -= f64::from(pkt.window);
             self.counter = self.counter.max(-self.cap);
             return ArbiterVerdict::Forward;
         }
         let need = self.need_of(pkt);
         if self.queue.is_empty() && self.counter >= need {
-            pkt.window = pkt.window.max(MSS);
+            pkt.window = pkt.window.max(MSS_WINDOW);
             self.counter -= need;
             ArbiterVerdict::Forward
         } else {
@@ -112,7 +118,7 @@ impl DelayArbiter {
     /// charge rounds up to full segments — clamped to the cap so a grant
     /// can never deadlock.
     fn need_of(&self, pkt: &Packet) -> f64 {
-        let pkts = pkt.window.max(MSS).div_ceil(MSS);
+        let pkts = u64::from(pkt.window).max(MSS).div_ceil(MSS);
         ((pkts * MSS) as f64).min(self.cap)
     }
 
@@ -128,7 +134,7 @@ impl DelayArbiter {
                 break;
             }
             let (held_since, mut pkt) = self.queue.pop_front().expect("checked non-empty");
-            pkt.window = pkt.window.max(MSS);
+            pkt.window = pkt.window.max(MSS_WINDOW);
             self.counter -= need;
             out.push((pkt, now.since(held_since)));
         }
@@ -185,7 +191,7 @@ mod tests {
     fn rma(window: u64) -> Packet {
         let mut p = Packet::ack(FlowId(1), NodeId(1), NodeId(0), 0);
         p.flags.set(Flags::RMA);
-        p.window = window;
+        p.window = u32::try_from(window).expect("window fits the 32-bit field");
         p
     }
 
@@ -211,13 +217,13 @@ mod tests {
         let mut a = arb();
         let mut pkt = rma(100);
         assert_eq!(a.offer(&mut pkt, Time(0)), ArbiterVerdict::Forward);
-        assert_eq!(pkt.window, MSS);
+        assert_eq!(u64::from(pkt.window), MSS);
     }
 
     #[test]
     fn unstamped_ack_ignored() {
         let mut a = arb();
-        let mut pkt = rma(WINDOW_INIT);
+        let mut pkt = rma(u64::from(WINDOW_INIT));
         let before = a.peek_counter(Time(0));
         assert_eq!(a.offer(&mut pkt, Time(0)), ArbiterVerdict::Forward);
         assert_eq!(pkt.window, WINDOW_INIT);
@@ -241,7 +247,7 @@ mod tests {
         assert_eq!(released[0].0.flow, FlowId(0));
         assert_eq!(released[2].0.flow, FlowId(2));
         for (p, held) in &released {
-            assert_eq!(p.window, MSS);
+            assert_eq!(u64::from(p.window), MSS);
             // All were queued at t = 0 and released at t = 40 µs.
             assert_eq!(*held, Dur(40_000));
         }
@@ -309,11 +315,15 @@ mod tests {
                 let t = Time(i as u64 * horizon_us * 1_000 / offers.len() as u64);
                 let mut p = rma(*w);
                 if a.offer(&mut p, t) == ArbiterVerdict::Forward {
-                    granted += p.window;
+                    granted += u64::from(p.window);
                 }
             }
             let end = Time(horizon_us * 1_000);
-            granted += a.release(end).iter().map(|(p, _)| p.window).sum::<u64>();
+            granted += a
+                .release(end)
+                .iter()
+                .map(|(p, _)| u64::from(p.window))
+                .sum::<u64>();
             let budget = 20_000.0 + 125.0 * horizon_us as f64 + MSS as f64;
             assert!(
                 (granted as f64) <= budget,

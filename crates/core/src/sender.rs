@@ -218,7 +218,7 @@ impl SenderEndpoint for TfcSender {
             // guarantees at least one MSS when it is enabled; clamp for
             // the ablation case so the flow cannot deadlock.
             if pkt.window != WINDOW_INIT {
-                self.cwnd = pkt.window.max(MSS).min(self.awnd);
+                self.cwnd = u64::from(pkt.window).max(MSS).min(self.awnd);
             } else {
                 self.cwnd = self.awnd;
             }
@@ -307,7 +307,7 @@ mod tests {
     fn rma(ack: u64, window: u64) -> Packet {
         let mut p = Packet::ack(FlowId(1), H1, H0, ack);
         p.flags.set(Flags::RMA);
-        p.window = window;
+        p.window = u32::try_from(window).expect("window fits the 32-bit field");
         p
     }
 
@@ -539,7 +539,7 @@ mod spacing_tests {
         s.on_packet(&synack, Time(100), &mut fx);
         let mut rma = Packet::ack(FlowId(1), H1, H0, 0);
         rma.flags.set(Flags::RMA);
-        rma.window = 4 * MSS;
+        rma.window = u32::try_from(4 * MSS).expect("window fits the 32-bit field");
         let mut fx = Effects::new();
         s.on_packet(&rma, Time(200), &mut fx);
         s
@@ -552,7 +552,7 @@ mod spacing_tests {
     fn rma_at(ack: u64, window: u64) -> Packet {
         let mut p = Packet::ack(FlowId(1), H1, H0, ack);
         p.flags.set(Flags::RMA);
-        p.window = window;
+        p.window = u32::try_from(window).expect("window fits the 32-bit field");
         p
     }
 

@@ -112,10 +112,8 @@ impl TfcPort {
         }
         if pkt.flags.contains(Flags::RM) {
             let w = pkt.weight;
-            pkt.window = pkt
-                .window
-                .min(self.engine.window_for(w))
-                .min(self.engine.live_window_for(w));
+            pkt.clamp_window(self.engine.window_for(w));
+            pkt.clamp_window(self.engine.live_window_for(w));
         }
         if pkt.flags.contains(Flags::FIN) {
             self.engine.on_fin(pkt.flow);
@@ -423,7 +421,7 @@ mod tests {
     fn rma(window: u64) -> Packet {
         let mut p = Packet::ack(FlowId(1), NodeId(1), NodeId(0), 0);
         p.flags.set(Flags::RMA);
-        p.window = window;
+        p.window = u32::try_from(window).expect("window fits the 32-bit field");
         p
     }
 
@@ -478,7 +476,7 @@ mod tests {
         let mut pkt = rm_data(1);
         pkt.window = WINDOW_INIT;
         p.on_egress(0, &mut pkt, 0, Time(0), &mut fx);
-        assert_eq!(pkt.window, p.engine(0).window());
+        assert_eq!(u64::from(pkt.window), p.engine(0).window());
         // A tighter upstream stamp survives.
         let mut tight = rm_data(2);
         tight.window = 5;
@@ -559,7 +557,7 @@ mod tests {
         let mut fx3 = PolicyFx::new();
         p.on_timer(tok, Time(wait.as_nanos()), &mut fx3);
         assert_eq!(fx3.inject.len(), 1);
-        assert_eq!(fx3.inject[0].window, MSS);
+        assert_eq!(u64::from(fx3.inject[0].window), MSS);
     }
 
     #[test]
@@ -643,7 +641,7 @@ mod proptests {
             pkt.flags.set(Flags::RM);
             pkt.weight = weight;
             pkt.window = WINDOW_INIT;
-            let mut expected = WINDOW_INIT;
+            let mut expected = u64::from(WINDOW_INIT);
             for p in policies.iter_mut() {
                 let mut fx = PolicyFx::new();
                 p.on_egress(0, &mut pkt, 0, Time(1_000), &mut fx);
@@ -652,10 +650,14 @@ mod proptests {
                     .window_for(weight)
                     .min(p.engine(0).live_window_for(weight));
                 expected = expected.min(stamp);
-                assert_eq!(pkt.window, expected, "rates {rates:?}, weight {weight}");
+                assert_eq!(
+                    u64::from(pkt.window),
+                    expected,
+                    "rates {rates:?}, weight {weight}"
+                );
             }
             // A tighter upstream stamp survives every later hop.
-            assert!(pkt.window <= expected);
+            assert!(u64::from(pkt.window) <= expected);
         });
     }
 
@@ -677,13 +679,13 @@ mod proptests {
                 now = Time(now.nanos() + spacing_ns);
                 let mut pkt = Packet::ack(FlowId(1), NodeId(1), NodeId(0), 0);
                 pkt.flags.set(Flags::RMA);
-                pkt.window = w;
+                pkt.window = u32::try_from(w).expect("window fits the 32-bit field");
                 if a.offer(&mut pkt, now) == crate::arbiter::ArbiterVerdict::Forward {
-                    granted += pkt.window.max(MSS).div_ceil(MSS) * MSS;
+                    granted += u64::from(pkt.window).max(MSS).div_ceil(MSS) * MSS;
                 }
             }
             for (pkt, _) in a.release(now) {
-                granted += pkt.window.max(MSS).div_ceil(MSS) * MSS;
+                granted += u64::from(pkt.window).max(MSS).div_ceil(MSS) * MSS;
             }
             if gate_all {
                 let budget =

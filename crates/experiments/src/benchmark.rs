@@ -156,7 +156,6 @@ pub fn run(cfg: &BenchExpConfig) -> BenchResult {
             seed: cfg.seed,
             end: Some(Time(cfg.horizon.as_nanos() + cfg.drain.as_nanos())),
             host_jitter: None,
-            packet_log: 0,
             telemetry: cfg.telemetry.clone(),
             ..Default::default()
         },

@@ -205,7 +205,6 @@ pub fn run(cfg: &FaultsConfig) -> FaultsResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: None,
-            packet_log: 0,
             telemetry: cfg.telemetry.clone(),
             ..Default::default()
         },

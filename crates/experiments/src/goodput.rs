@@ -121,7 +121,6 @@ pub fn run(cfg: &GoodputConfig) -> GoodputResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: None,
-            packet_log: 0,
             telemetry: cfg.telemetry.clone(),
             ..Default::default()
         },

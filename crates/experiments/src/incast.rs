@@ -129,7 +129,6 @@ pub fn run(cfg: &IncastExpConfig) -> IncastExpResult {
             seed: cfg.seed,
             end: cfg.horizon.map(|h| Time(h.as_nanos())),
             host_jitter: None,
-            packet_log: 0,
             telemetry: cfg.telemetry.clone(),
             ..Default::default()
         },

@@ -131,7 +131,6 @@ pub fn run(cfg: &NeConfig) -> NeResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: None,
-            packet_log: 0,
             telemetry: TelemetryConfig {
                 tfc_gauges: true,
                 ..cfg.telemetry.clone()

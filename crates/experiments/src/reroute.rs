@@ -190,7 +190,6 @@ pub fn run(cfg: &RerouteConfig) -> RerouteResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: None,
-            packet_log: 0,
             telemetry: cfg.telemetry.clone(),
             ..Default::default()
         },

@@ -93,7 +93,6 @@ fn run_point(cfg: &RhoConfig, rho0: f64) -> RhoPoint {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: None,
-            packet_log: 0,
             telemetry,
             ..Default::default()
         },

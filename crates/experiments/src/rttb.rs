@@ -147,7 +147,6 @@ pub fn run(cfg: &RttbConfig) -> RttbResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: Some(cfg.jitter),
-            packet_log: 0,
             telemetry: TelemetryConfig {
                 tfc_gauges: true,
                 ..cfg.telemetry.clone()

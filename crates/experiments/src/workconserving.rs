@@ -119,7 +119,6 @@ pub fn run(cfg: &WorkConservingConfig) -> WorkConservingResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: None,
-            packet_log: 0,
             telemetry: cfg.telemetry.clone(),
             ..Default::default()
         },

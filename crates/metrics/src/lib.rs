@@ -7,7 +7,6 @@
 //! * empirical CDFs ([`Cdf`]),
 //! * time series and fixed-window rate meters ([`TimeSeries`],
 //!   [`RateMeter`]),
-//! * exponentially weighted moving averages ([`Ewma`]),
 //! * summary statistics ([`Summary`]),
 //! * flow-completion-time bookkeeping with the paper's size bins
 //!   ([`FctCollector`], [`SizeBin`]),
@@ -18,7 +17,6 @@
 //! this crate knows nothing about the network simulator.
 
 pub mod cdf;
-pub mod ewma;
 pub mod fct;
 pub mod percentile;
 pub mod rate;
@@ -27,7 +25,6 @@ pub mod summary;
 pub mod timeseries;
 
 pub use cdf::{Cdf, PiecewiseCdf};
-pub use ewma::Ewma;
 pub use fct::{FctCollector, FctSummary, FlowRecord, SizeBin};
 pub use percentile::Sampler;
 pub use rate::RateMeter;

@@ -22,9 +22,9 @@ use crate::arena::{PacketArena, PacketId};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
 use crate::node::{ecmp_select, port_in_mut, NextHops, Node, Port};
-use crate::packet::{Flags, FlowId, NodeId};
+use crate::packet::{Flags, FlowId, NodeId, WINDOW_INIT};
 use crate::policy::{EgressVerdict, IngressVerdict, PolicyFx};
-use crate::sim::{AppCall, PacketEventKind, SimCore};
+use crate::sim::{AppCall, SimCore};
 use crate::units::Time;
 
 impl SimCore {
@@ -46,15 +46,17 @@ impl SimCore {
     fn dispatch_event(&mut self, ev: Event) {
         match ev {
             Event::NicEnqueue { node, pkt } => self.on_nic_enqueue(node, pkt),
-            Event::Arrival { node, port, pkt } => self.on_arrival(node, port, pkt),
-            Event::TxDone { node, port } => self.tx_done(node, port),
-            Event::HostTimer { node, flow, token } => self.on_host_timer(node, flow, token),
+            Event::Arrival { node, port, pkt } => self.on_arrival(node, usize::from(port), pkt),
+            Event::TxDone { node, port } => self.tx_done(node, usize::from(port)),
+            Event::HostTimer { node, flow, token } => {
+                self.on_host_timer(node, FlowId(u64::from(flow)), u64::from(token))
+            }
             Event::PolicyTimer { node, token } => self.on_policy_timer(node, token),
             Event::AppTimer { token } => {
                 self.pending_app.push_back(AppCall::Timer(token));
             }
             Event::Sample { sampler } => self.on_sample(sampler),
-            Event::Fault { action } => self.apply_fault(action),
+            Event::Fault { fault } => self.apply_fault(self.faults[fault as usize]),
         }
         self.events_processed += 1;
     }
@@ -100,7 +102,6 @@ impl SimCore {
             self.packets.free(pkt);
             return;
         }
-        self.log_packet(node, PacketEventKind::Arrival, pkt);
         match &self.nodes[node.0 as usize] {
             Node::Switch(_) => self.switch_ingress(node, port, pkt),
             Node::Host(_) => self.host_receive(node, pkt),
@@ -144,10 +145,10 @@ impl SimCore {
 
     /// A periodic queue sampler ticks. Reads the sampler in place
     /// (disjoint field borrows) instead of cloning it every firing.
-    fn on_sample(&mut self, sampler: usize) {
-        let s = &self.samplers[sampler];
+    fn on_sample(&mut self, sampler: u32) {
+        let s = &self.samplers[sampler as usize];
         let bytes = self.port(s.node, s.port).queue.bytes();
-        self.queue_series[sampler].push(self.now.nanos(), bytes as f64);
+        self.queue_series[sampler as usize].push(self.now.nanos(), bytes as f64);
         let next = self.now + s.every;
         let past_until = s.until.is_some_and(|u| next > u);
         let past_end = self.cfg.end.is_some_and(|e| next > e);
@@ -261,7 +262,7 @@ impl SimCore {
                 now + ser,
                 Event::TxDone {
                     node: id,
-                    port: port_idx,
+                    port: Event::port(port_idx),
                 },
             );
         }
@@ -340,7 +341,7 @@ impl SimCore {
                 now + ser,
                 Event::TxDone {
                     node,
-                    port: port_idx,
+                    port: Event::port(port_idx),
                 },
             );
         }
@@ -349,7 +350,7 @@ impl SimCore {
                 now + link.delay,
                 Event::Arrival {
                     node: link.peer,
-                    port: link.peer_port as usize,
+                    port: link.peer_port,
                     pkt,
                 },
             );
@@ -468,7 +469,14 @@ impl SimCore {
                     p.seq,
                     !ce_before && p.flags.contains(Flags::CE),
                     p.flags.contains(Flags::RM),
-                    p.window,
+                    // An unstamped window exports as the event field's
+                    // all-ones `u64`, independent of the packet field's
+                    // width.
+                    if p.window == WINDOW_INIT {
+                        u64::MAX
+                    } else {
+                        u64::from(p.window)
+                    },
                 )
             });
             let accepted = Self::enqueue_and_kick(
@@ -516,9 +524,7 @@ impl SimCore {
                     }
                 }
             } else {
-                // Rejected at the FIFO (overflow or fault loss): log
-                // the drop from the arena borrow, then recycle the slot.
-                self.log_packet(node, PacketEventKind::Drop, pkt);
+                // Rejected at the FIFO (overflow or fault loss).
                 self.packets.free(pkt);
             }
         } else {

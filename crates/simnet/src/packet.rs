@@ -26,8 +26,9 @@ pub const RTT_PROBE_FRAME: u64 = 1500;
 
 /// The initial value a TFC sender writes into the window field before the
 /// switches min-clamp it (the paper uses `0xffff`; we use the full range
-/// of the simulated field).
-pub const WINDOW_INIT: u64 = u64::MAX;
+/// of the simulated 32-bit field). It doubles as the "never stamped"
+/// sentinel.
+pub const WINDOW_INIT: u32 = u32::MAX;
 
 /// Identifier of a node (host or switch) in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,6 +126,9 @@ impl fmt::Display for Flags {
 /// forwarding pipeline stores packets in the [`crate::arena`] and moves
 /// ids, so a steady-state delivery performs zero clones — a property
 /// pinned by regression tests via [`thread_packet_clones`].
+///
+/// 56 bytes, so an arena slot with its generation and FIFO link is one
+/// 64-byte cache line.
 #[derive(Debug, PartialEq)]
 pub struct Packet {
     /// Flow this packet belongs to.
@@ -142,8 +146,8 @@ pub struct Packet {
     /// Header flag bits.
     pub flags: Flags,
     /// Explicit congestion window in bytes (TFC); `WINDOW_INIT` until a
-    /// switch clamps it.
-    pub window: u64,
+    /// switch clamps it (see [`clamp_window`](Self::clamp_window)).
+    pub window: u32,
     /// Allocation weight of the flow (TFC weighted-allocation extension;
     /// §4.1 notes tokens may be split "according to any allocation
     /// policies"). Default 1 = plain fair share.
@@ -156,6 +160,8 @@ pub struct Packet {
     /// Time the packet left its originating host (for diagnostics).
     pub sent_at: Time,
 }
+
+const _: () = assert!(std::mem::size_of::<Packet>() == 56);
 
 std::thread_local! {
     static PACKET_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -228,6 +234,15 @@ impl Packet {
         (self.payload + HEADER_BYTES).max(MIN_FRAME)
     }
 
+    /// Lowers the window field to at most `cap` bytes. A cap beyond the
+    /// field's range leaves it unchanged, as the minimum with the wider
+    /// value would.
+    pub fn clamp_window(&mut self, cap: u64) {
+        if let Ok(cap) = u32::try_from(cap) {
+            self.window = self.window.min(cap);
+        }
+    }
+
     /// Whether this packet carries payload (as opposed to pure control).
     pub fn is_data(&self) -> bool {
         self.payload > 0
@@ -292,6 +307,22 @@ mod tests {
         let mut small = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 100);
         small.flags.set(Flags::RM);
         assert!(!small.is_rtt_probe());
+    }
+
+    #[test]
+    fn clamp_window_takes_the_minimum_within_range() {
+        let mut p = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, MSS);
+        p.clamp_window(u64::MAX);
+        assert_eq!(
+            p.window, WINDOW_INIT,
+            "an out-of-range cap leaves it unstamped"
+        );
+        p.clamp_window(u64::from(u32::MAX) + 1);
+        assert_eq!(p.window, WINDOW_INIT);
+        p.clamp_window(9_000);
+        assert_eq!(p.window, 9_000);
+        p.clamp_window(12_000);
+        assert_eq!(p.window, 9_000, "a larger cap never raises it");
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! intrusive singly linked list of slab indices (Varghese & Lauck's
 //! hashed wheel), so a cascade relinks `u32`s instead of moving
 //! entries, and the slab's high-water mark is the peak number of queued
-//! entries rather than the sum of 256 per-bucket high-water marks.
+//! entries rather than the sum of 256 per-bucket high-water marks. An
+//! entry is 32 bytes (time, sequence number, 16-byte [`Event`]); its
+//! bucket link and cancellable-timer slot sit in two parallel `u32`
+//! columns, so a queued entry costs 40 bytes of slab.
 //!
 //! # Determinism
 //!
@@ -36,8 +39,14 @@
 //! level-0 bucket so co-scheduled entries always merge first. Entries
 //! pushed onto the tick being drained go to a small `late` heap beside
 //! the sorted bucket, and each pop takes the smaller head of the two.
-//! The pop sequence is therefore identical to the reference heap's —
-//! which is what the byte-identical artifact equivalence tests assert.
+//! Every key of this live run is on the cursor tick, so it packs the
+//! sub-tick offset above a 56-bit sequence number into one `u64` beside
+//! the slab index: 16 bytes instead of 24. Popping reaps cancelled
+//! entries, which can carry the cursor past the caller's clock, so a
+//! push due before the cursor tick waits in a `behind` heap of full
+//! keys that pops before everything else. The pop sequence is
+//! therefore identical to the reference heap's — which is what the
+//! byte-identical artifact equivalence tests assert.
 //!
 //! # Cancellation
 //!
@@ -53,13 +62,14 @@
 //! every ACK, so without reuse the queue would hold one dead entry per
 //! ACK until each reached its (far-future) time. Instead, the next
 //! cancellable schedule at or after the carrier's time adopts it: it
-//! takes its sequence number now and parks its entry in the carrier's
-//! slot, and when the carrier's entry pops the parked entry is pushed
-//! with that reserved key. Its key is above the carrier's, and
-//! everything popped before the carrier is below it, so the pop order
-//! stays exactly `(time, seq)` on both backends; a re-arm earlier than
-//! the carrier is pushed as usual. A timer re-armed at non-decreasing
-//! times thus holds one queued entry however often it is re-armed.
+//! takes its sequence number now and parks its entry (key and event) in
+//! the carrier's slot, and when the carrier's entry pops the parked
+//! entry is pushed with that reserved key. Its key is above the
+//! carrier's, and everything popped before the carrier is below it, so
+//! the pop order stays exactly `(time, seq)` on both backends; a re-arm
+//! earlier than the carrier is pushed as usual. A timer re-armed at
+//! non-decreasing times thus holds one queued entry however often it is
+//! re-armed.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -80,6 +90,10 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 const HORIZON_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 /// End of an intrusive list (a bucket or the slab's free list).
 const NIL: u32 = u32::MAX;
+/// Timer column value of an entry that is not a cancellable timer.
+const NO_TIMER: u32 = u32::MAX;
+/// Bits of a live-run key below the sub-tick offset: the sequence number.
+const SEQ_BITS: u32 = 64 - GRAN_BITS;
 
 /// Which scheduler backend a simulation drives its event loop with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,9 +121,11 @@ pub struct TimerHandle {
 enum SlotState {
     /// No entry of this slot is queued.
     Free,
-    /// The timer is live: either the queued entry itself or, after an
-    /// adoption, the parked `pending` entry.
+    /// The timer is live and is the queued entry itself.
     Armed,
+    /// The timer is live and is the parked `pending` entry: a re-arm
+    /// adopted the cancelled queued entry as its carrier.
+    Adopted,
     /// The timer was cancelled but its entry is still queued: a carrier
     /// the next re-arm may adopt.
     Cancelled,
@@ -120,25 +136,30 @@ struct TimerSlot {
     /// Bumped whenever a handle goes stale (fire or cancel).
     gen: u32,
     state: SlotState,
+    /// Whether the slot is on the carrier stack (at most once).
+    listed: bool,
     /// `(at, seq)` of the queued entry that carries this slot (unless
     /// `Free`).
     queued: (Time, u64),
-    /// An adopted re-arm with its reserved key, pushed when the queued
-    /// entry pops.
-    pending: Option<Entry>,
-    /// Whether the slot is on the carrier stack (at most once).
-    listed: bool,
+    /// The adopted re-arm with its reserved key, pushed when the queued
+    /// entry pops. Meaningful only while `Adopted`.
+    pending: Entry,
 }
 
-/// An event with its activation time, tie-breaking sequence number,
-/// and (for cancellable timers) timer slot.
-#[derive(Debug, Clone)]
+/// An event with its activation time and tie-breaking sequence number.
+/// A cancellable timer's slot travels beside it (the wheel's timer
+/// column, the heap's [`HeapEntry`]), not in it.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     at: Time,
     seq: u64,
     event: Event,
-    timer: Option<u32>,
 }
+
+// Pinned: a scheduler entry is half a cache line, and a timer slot
+// parks one entry beside its own 24 bytes of state.
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+const _: () = assert!(std::mem::size_of::<TimerSlot>() == 56);
 
 impl Entry {
     fn key(&self) -> (Time, u64) {
@@ -146,9 +167,10 @@ impl Entry {
     }
 }
 
-/// Min-order wrapper for [`BinaryHeap`] (which is a max-heap).
+/// Min-order wrapper for [`BinaryHeap`] (which is a max-heap), carrying
+/// the entry's timer slot ([`NO_TIMER`] for plain events).
 #[derive(Debug)]
-struct HeapEntry(Entry);
+struct HeapEntry(Entry, u32);
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
@@ -176,32 +198,44 @@ impl Ord for HeapEntry {
 /// so ordering these triples orders the entries.
 type Key = (Time, u64, u32);
 
+/// A live-run entry's key: the sub-tick offset of `at` above its 56-bit
+/// `seq`, plus its slab index. Every live-run entry is on the cursor
+/// tick, so ordering these pairs orders the entries as [`Key`]s would.
+type RunKey = (u64, u32);
+
 /// The hierarchical timing wheel.
 #[derive(Debug)]
 struct Wheel {
     /// Tick of the most recent pop; buckets behind it are empty.
     now_tick: u64,
-    /// Every queued entry; `None` marks a free slab slot.
-    entries: Vec<Option<Entry>>,
+    /// Every queued entry; a free slab slot keeps its last entry.
+    entries: Vec<Entry>,
     /// Per slab slot: the next index of its bucket list or, for a free
     /// slot, of the free list.
     next: Vec<u32>,
+    /// Per slab slot: the entry's timer slot, or [`NO_TIMER`].
+    timers: Vec<u32>,
     /// Head of the free list.
     free: u32,
     /// The level-0 bucket being drained, sorted *descending* so pops
     /// come off the cheap end.
-    current: Vec<Key>,
-    /// Entries that arrived at (or before) `now_tick` after its bucket
-    /// was drained: same-tick pushes and overflow page-mates landing on
-    /// the cursor. Together with `current` it forms the live run.
-    late: BinaryHeap<Reverse<Key>>,
+    current: Vec<RunKey>,
+    /// Entries that arrived at `now_tick` after its bucket was drained:
+    /// same-tick pushes and overflow page-mates landing on the cursor.
+    /// Together with `current` it forms the live run.
+    late: BinaryHeap<Reverse<RunKey>>,
+    /// Entries due before `now_tick`. Reaping cancelled entries carries
+    /// the cursor past the last event `pop` returned, so a caller's
+    /// clock can trail it; such an entry precedes everything else queued.
+    behind: BinaryHeap<Reverse<Key>>,
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
     /// Head of each bucket's list, level-major.
     heads: Vec<u32>,
     /// Entries beyond the wheel horizon.
     overflow: BinaryHeap<Reverse<Key>>,
-    /// Live entries across `current`, `late`, the buckets, and `overflow`.
+    /// Live entries across `behind`, `current`, `late`, the buckets, and
+    /// `overflow`.
     len: usize,
 }
 
@@ -211,9 +245,11 @@ impl Wheel {
             now_tick: 0,
             entries: Vec::new(),
             next: Vec::new(),
+            timers: Vec::new(),
             free: NIL,
             current: Vec::new(),
             late: BinaryHeap::new(),
+            behind: BinaryHeap::new(),
             occupied: [0; LEVELS],
             heads: vec![NIL; LEVELS * SLOTS],
             overflow: BinaryHeap::new(),
@@ -222,38 +258,67 @@ impl Wheel {
     }
 
     fn key(&self, idx: u32) -> Key {
-        let e = self.entries[idx as usize].as_ref().expect("queued slab slot");
+        let e = &self.entries[idx as usize];
         (e.at, e.seq, idx)
     }
 
-    /// Moves the entry out of its slab slot and frees the slot.
-    fn release(&mut self, idx: u32) -> Entry {
-        let e = self.entries[idx as usize].take().expect("queued slab slot");
-        self.next[idx as usize] = self.free;
-        self.free = idx;
-        self.len -= 1;
-        e
+    /// The live-run key of slab entry `idx`, which is on the cursor tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sequence number needs more than 56 bits.
+    fn run_key(&self, idx: u32) -> RunKey {
+        let e = &self.entries[idx as usize];
+        debug_assert_eq!(e.at.nanos() >> GRAN_BITS, self.now_tick);
+        assert!(
+            e.seq >> SEQ_BITS == 0,
+            "scheduler sequence number {} exceeds {SEQ_BITS} bits",
+            e.seq
+        );
+        let offset = e.at.nanos() & ((1 << GRAN_BITS) - 1);
+        ((offset << SEQ_BITS) | e.seq, idx)
     }
 
-    fn push(&mut self, e: Entry) {
+    /// Copies the entry and its timer slot out of slab slot `idx` and
+    /// frees the slot.
+    fn release(&mut self, idx: u32) -> (Entry, u32) {
+        let i = idx as usize;
+        self.next[i] = self.free;
+        self.free = idx;
+        self.len -= 1;
+        (self.entries[i], self.timers[i])
+    }
+
+    /// Queues `e` with timer slot `timer` ([`NO_TIMER`] for none).
+    fn push(&mut self, e: Entry, timer: u32) {
         self.len += 1;
         let tick = e.at.nanos() >> GRAN_BITS;
         let idx = if self.free != NIL {
             let idx = self.free;
             self.free = self.next[idx as usize];
-            self.entries[idx as usize] = Some(e);
+            self.entries[idx as usize] = e;
+            self.timers[idx as usize] = timer;
             idx
         } else {
-            self.entries.push(Some(e));
+            let idx = u32::try_from(self.entries.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("scheduler slab exceeds u32 entries");
+            self.entries.push(e);
             self.next.push(NIL);
-            (self.entries.len() - 1) as u32
+            self.timers.push(timer);
+            idx
         };
-        if tick <= self.now_tick {
-            // Lands on (or before) the tick being drained. A sorted
-            // insert into `current` would shift O(run) entries per push,
-            // and dense fabrics push thousands into one tick, so the
-            // entry joins the `late` heap at O(log n) instead.
-            self.late.push(Reverse(self.key(idx)));
+        if tick < self.now_tick {
+            self.behind.push(Reverse(self.key(idx)));
+            return;
+        }
+        if tick == self.now_tick {
+            // Lands on the tick being drained. A sorted insert into
+            // `current` would shift O(run) entries per push, and dense
+            // fabrics push thousands into one tick, so the entry joins
+            // the `late` heap at O(log n) instead.
+            self.late.push(Reverse(self.run_key(idx)));
             return;
         }
         self.place_future(idx, tick);
@@ -319,20 +384,24 @@ impl Wheel {
         Some(((slot as usize), (base | slot) << shift))
     }
 
-    /// Pops the smaller head of the live run's two halves.
+    /// Pops the smallest entry behind the cursor, or else the smaller
+    /// head of the live run's two halves.
     fn pop_live(&mut self) -> Option<u32> {
+        if let Some(Reverse(k)) = self.behind.pop() {
+            return Some(k.2);
+        }
         let late_first = match (self.current.last(), self.late.peek()) {
             (Some(c), Some(l)) => l.0 < *c,
             (c, _) => c.is_none(),
         };
         if late_first {
-            self.late.pop().map(|Reverse(k)| k.2)
+            self.late.pop().map(|Reverse(k)| k.1)
         } else {
-            self.current.pop().map(|k| k.2)
+            self.current.pop().map(|k| k.1)
         }
     }
 
-    fn pop(&mut self) -> Option<Entry> {
+    fn pop(&mut self) -> Option<(Entry, u32)> {
         loop {
             if let Some(idx) = self.pop_live() {
                 return Some(self.release(idx));
@@ -379,7 +448,7 @@ impl Wheel {
                     }
                     self.overflow.pop();
                     if t == self.now_tick {
-                        self.late.push(Reverse(k));
+                        self.late.push(Reverse(self.run_key(k.2)));
                     } else {
                         self.place_future(k.2, t);
                     }
@@ -393,7 +462,7 @@ impl Wheel {
             let mut idx = std::mem::replace(&mut self.heads[b], NIL);
             if level == 0 {
                 while idx != NIL {
-                    self.current.push(self.key(idx));
+                    self.current.push(self.run_key(idx));
                     idx = self.next[idx as usize];
                 }
                 self.current.sort_unstable_by(|a, b| b.cmp(a));
@@ -409,8 +478,12 @@ impl Wheel {
     }
 
     fn peek_key(&self) -> Option<(Time, u64)> {
-        let mut best = self.current.last().copied();
-        if let Some(&Reverse(k)) = self.late.peek() {
+        if let Some(&Reverse(k)) = self.behind.peek() {
+            return Some((k.0, k.1));
+        }
+        let mut best = self.current.last().map(|&(_, idx)| self.key(idx));
+        if let Some(&Reverse((_, idx))) = self.late.peek() {
+            let k = self.key(idx);
             best = Some(best.map_or(k, |b| b.min(k)));
         }
         for level in 0..LEVELS {
@@ -432,22 +505,24 @@ impl Wheel {
 
 #[derive(Debug)]
 enum Backend {
-    Wheel(Wheel),
+    /// Boxed, so the heap variant is not padded to the ~250 bytes of the
+    /// wheel's tier and column headers.
+    Wheel(Box<Wheel>),
     Heap(BinaryHeap<HeapEntry>),
 }
 
 impl Backend {
-    fn push(&mut self, e: Entry) {
+    fn push(&mut self, e: Entry, timer: u32) {
         match self {
-            Backend::Wheel(w) => w.push(e),
-            Backend::Heap(h) => h.push(HeapEntry(e)),
+            Backend::Wheel(w) => w.push(e, timer),
+            Backend::Heap(h) => h.push(HeapEntry(e, timer)),
         }
     }
 
-    fn pop(&mut self) -> Option<Entry> {
+    fn pop(&mut self) -> Option<(Entry, u32)> {
         match self {
             Backend::Wheel(w) => w.pop(),
-            Backend::Heap(h) => h.pop().map(|e| e.0),
+            Backend::Heap(h) => h.pop().map(|HeapEntry(e, timer)| (e, timer)),
         }
     }
 
@@ -529,7 +604,7 @@ impl EventQueue {
     /// Creates an empty queue on the given backend.
     pub fn with_kind(kind: SchedulerKind) -> Self {
         let backend = match kind {
-            SchedulerKind::Wheel => Backend::Wheel(Wheel::new()),
+            SchedulerKind::Wheel => Backend::Wheel(Box::new(Wheel::new())),
             SchedulerKind::RefHeap => Backend::Heap(BinaryHeap::new()),
         };
         EventQueue {
@@ -553,12 +628,7 @@ impl EventQueue {
     /// Schedules `event` at absolute time `at`.
     pub fn schedule(&mut self, at: Time, event: Event) {
         let seq = self.take_seq();
-        self.push(Entry {
-            at,
-            seq,
-            event,
-            timer: None,
-        });
+        self.push(Entry { at, seq, event }, NO_TIMER);
     }
 
     /// Schedules `event` at `at` and returns a handle that can cancel
@@ -578,13 +648,8 @@ impl EventQueue {
             if at >= s.queued.0 {
                 s.listed = false;
                 self.carriers.pop();
-                s.state = SlotState::Armed;
-                s.pending = Some(Entry {
-                    at,
-                    seq,
-                    event,
-                    timer: Some(slot),
-                });
+                s.state = SlotState::Adopted;
+                s.pending = Entry { at, seq, event };
                 return TimerHandle { slot, gen: s.gen };
             }
             break;
@@ -592,14 +657,22 @@ impl EventQueue {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NO_TIMER)
+                    .expect("timer slots exceed u32");
                 self.slots.push(TimerSlot {
                     gen: 0,
                     state: SlotState::Free,
-                    queued: (Time::ZERO, 0),
-                    pending: None,
                     listed: false,
+                    queued: (Time::ZERO, 0),
+                    pending: Entry {
+                        at: Time::ZERO,
+                        seq: 0,
+                        event,
+                    },
                 });
-                (self.slots.len() - 1) as u32
+                slot
             }
         };
         let s = &mut self.slots[slot as usize];
@@ -607,12 +680,7 @@ impl EventQueue {
         s.state = SlotState::Armed;
         s.queued = (at, seq);
         let handle = TimerHandle { slot, gen: s.gen };
-        self.push(Entry {
-            at,
-            seq,
-            event,
-            timer: Some(slot),
-        });
+        self.push(Entry { at, seq, event }, slot);
         handle
     }
 
@@ -624,12 +692,11 @@ impl EventQueue {
         let Some(s) = self.slots.get_mut(handle.slot as usize) else {
             return false;
         };
-        if s.gen != handle.gen || s.state != SlotState::Armed {
+        if s.gen != handle.gen || !matches!(s.state, SlotState::Armed | SlotState::Adopted) {
             return false;
         }
         s.state = SlotState::Cancelled;
         s.gen = s.gen.wrapping_add(1);
-        s.pending = None;
         if !s.listed {
             s.listed = true;
             self.carriers.push(handle.slot);
@@ -645,10 +712,10 @@ impl EventQueue {
         seq
     }
 
-    fn push(&mut self, e: Entry) {
+    fn push(&mut self, e: Entry, timer: u32) {
         self.queued += 1;
         self.peak_queued = self.peak_queued.max(self.queued);
-        self.backend.push(e);
+        self.backend.push(e, timer);
     }
 
     /// Pops the earliest live event, or `None` when empty. Cancelled
@@ -656,15 +723,16 @@ impl EventQueue {
     /// re-arms pushed transparently.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
         loop {
-            let e = self.backend.pop()?;
+            let (e, slot) = self.backend.pop()?;
             self.queued -= 1;
-            if let Some(slot) = e.timer {
+            if slot != NO_TIMER {
                 let s = &mut self.slots[slot as usize];
                 debug_assert_eq!(s.queued, e.key(), "slot carried by another entry");
-                if let Some(p) = s.pending.take() {
-                    debug_assert_eq!(s.state, SlotState::Armed);
+                if s.state == SlotState::Adopted {
+                    s.state = SlotState::Armed;
+                    let p = s.pending;
                     s.queued = p.key();
-                    self.push(p);
+                    self.push(p, slot);
                     continue;
                 }
                 let fired = s.state == SlotState::Armed;
@@ -868,6 +936,38 @@ mod tests {
             assert!(q.cancel(h2));
             assert!(!q.cancel(h2), "{kind:?}: double cancel");
             assert!(q.pop().is_none());
+        }
+    }
+
+    /// A pop that reaps a cancelled far-future entry moves the wheel's
+    /// cursor past the caller's clock; pushes due before the cursor must
+    /// still pop first, in `(time, seq)` order, and ahead of entries on
+    /// the cursor tick.
+    #[test]
+    fn pushes_behind_a_reaping_pop_keep_the_total_order() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let h = q.schedule_cancellable(Time(1 << 20), Event::AppTimer { token: 0 });
+            assert!(q.cancel(h));
+            assert!(q.pop().is_none(), "{kind:?}: only a cancelled entry");
+            q.schedule(Time(1 << 20), Event::AppTimer { token: 1 });
+            q.schedule(Time(700), Event::AppTimer { token: 2 });
+            q.schedule(Time(300), Event::AppTimer { token: 3 });
+            q.schedule(Time(700), Event::AppTimer { token: 4 });
+            assert_eq!(q.peek_time(), Some(Time(300)), "{kind:?}");
+            let order: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
+                .map(|(t, e)| (t, token_of(&e)))
+                .collect();
+            assert_eq!(
+                order,
+                vec![
+                    (Time(300), 3),
+                    (Time(700), 2),
+                    (Time(700), 4),
+                    (Time(1 << 20), 1)
+                ],
+                "{kind:?}"
+            );
         }
     }
 

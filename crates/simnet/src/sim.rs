@@ -18,7 +18,7 @@ use rng::{Rng, SeedableRng};
 use telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 
 use crate::app::{Application, FlowEvent};
-use crate::arena::{PacketArena, PacketId};
+use crate::arena::PacketArena;
 use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
@@ -62,10 +62,6 @@ pub struct SimConfig {
     /// applied between an endpoint emitting a packet and the NIC queue.
     /// Models the testbed's random end-host processing (§6.1.2, Fig. 6).
     pub host_jitter: Option<(Dur, Dur)>,
-    /// Capacity of the packet-event log (0 = disabled). When enabled,
-    /// the last N arrival/drop events are kept for post-run debugging
-    /// via [`SimCore::packet_log`].
-    pub packet_log: usize,
     /// Structured telemetry: typed event log, event-loop counters, TFC
     /// slot gauges (all off by default; see [`SimCore::telemetry`]).
     pub telemetry: TelemetryConfig,
@@ -86,38 +82,11 @@ impl Default for SimConfig {
             seed: 1,
             end: None,
             host_jitter: None,
-            packet_log: 0,
             telemetry: TelemetryConfig::default(),
             scheduler: SchedulerKind::default(),
             retire: None,
         }
     }
-}
-
-/// What happened to a packet (see [`SimConfig::packet_log`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketEventKind {
-    /// Arrived at a node (hosts and switches).
-    Arrival,
-    /// Tail-dropped at a switch egress FIFO.
-    Drop,
-}
-
-/// One entry of the packet-event log.
-#[derive(Debug, Clone, Copy)]
-pub struct PacketLogEntry {
-    /// When it happened.
-    pub at: Time,
-    /// Where it happened.
-    pub node: NodeId,
-    /// What happened.
-    pub kind: PacketEventKind,
-    /// The flow involved.
-    pub flow: FlowId,
-    /// Sequence number of the packet (data) or 0.
-    pub seq: u64,
-    /// Payload length.
-    pub payload: u64,
 }
 
 /// Book-keeping for one flow.
@@ -213,7 +182,9 @@ pub struct SimCore {
     pub(crate) stopped: bool,
     pub(crate) fct: FctCollector,
     pub(crate) events_processed: u64,
-    pub(crate) packet_log: VecDeque<PacketLogEntry>,
+    /// Every fault injected so far, in injection order; an
+    /// [`Event::Fault`] carries its index here.
+    pub(crate) faults: Vec<FaultAction>,
     pub(crate) telemetry: Telemetry,
     /// Every in-flight packet, slab-allocated; events carry ids into it.
     pub(crate) packets: PacketArena,
@@ -339,8 +310,10 @@ impl SimCore {
     /// to now). Identical seeds with identical fault timelines yield
     /// byte-identical runs; see [`crate::fault`] for the taxonomy.
     pub fn inject_fault(&mut self, at: Time, action: FaultAction) {
+        let fault = u32::try_from(self.faults.len()).expect("installed faults exceed u32");
+        self.faults.push(action);
         self.events
-            .schedule(at.max(self.now), Event::Fault { action });
+            .schedule(at.max(self.now), Event::Fault { fault });
     }
 
     /// Schedules every `(time, action)` pair of a fault timeline.
@@ -401,10 +374,11 @@ impl SimCore {
     pub fn add_queue_sampler(&mut self, s: QueueSampler) -> usize {
         let at = self.now + s.every;
         let idx = self.samplers.len();
+        let sampler = u32::try_from(idx).expect("queue samplers exceed u32");
         self.queue_series
             .push(TimeSeries::new(format!("queue.s{}.p{}", s.node.0, s.port)));
         self.samplers.push(s);
-        self.events.schedule(at, Event::Sample { sampler: idx });
+        self.events.schedule(at, Event::Sample { sampler });
         idx
     }
 
@@ -600,31 +574,6 @@ impl SimCore {
         self.events_processed
     }
 
-    /// The packet-event log (empty unless [`SimConfig::packet_log`] set).
-    pub fn packet_log(&self) -> &VecDeque<PacketLogEntry> {
-        &self.packet_log
-    }
-
-    /// Appends to the packet-event log from a borrow of the arena slot —
-    /// the log copies three scalar fields, never the packet.
-    pub(crate) fn log_packet(&mut self, node: NodeId, kind: PacketEventKind, id: PacketId) {
-        if self.cfg.packet_log == 0 {
-            return;
-        }
-        if self.packet_log.len() == self.cfg.packet_log {
-            self.packet_log.pop_front();
-        }
-        let pkt = self.packets.get(id);
-        self.packet_log.push_back(PacketLogEntry {
-            at: self.now,
-            node,
-            kind,
-            flow: pkt.flow,
-            seq: pkt.seq,
-            payload: pkt.payload,
-        });
-    }
-
     /// The in-flight packet arena (diagnostics: live slots, high-water).
     pub fn packet_arena(&self) -> &PacketArena {
         &self.packets
@@ -701,14 +650,9 @@ impl SimCore {
             }
         }
         for (after, token) in fx.timers.drain(..) {
-            let handle = self.events.schedule_cancellable(
-                self.now + after,
-                Event::HostTimer {
-                    node: host,
-                    flow,
-                    token,
-                },
-            );
+            let handle = self
+                .events
+                .schedule_cancellable(self.now + after, Event::host_timer(host, flow, token));
             self.host_timers[flow.0 as usize].push((token, handle));
         }
         for note in fx.notes.drain(..) {
@@ -890,7 +834,7 @@ impl<A: Application> Simulator<A> {
                 stopped: false,
                 fct: FctCollector::new(),
                 events_processed: 0,
-                packet_log: VecDeque::new(),
+                faults: Vec::new(),
                 telemetry,
                 packets: PacketArena::new(),
                 fx_pool: Vec::new(),
@@ -1319,7 +1263,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod packet_log_tests {
+mod event_log_tests {
+    use telemetry::{LogMode, TraceEvent};
+
     use super::tests::BlastStack;
     use super::*;
     use crate::app::NullApp;
@@ -1327,7 +1273,13 @@ mod packet_log_tests {
     use crate::topology::TopologyBuilder;
     use crate::units::Bandwidth;
 
-    fn lossy_sim(log: usize) -> (Simulator<NullApp>, FlowId) {
+    /// A burst of full frames into a 2 kB switch buffer, traced with the
+    /// telemetry event log: packets reach the switch and the receiver,
+    /// the overflow is logged as drops at the switch, the records are
+    /// time-ordered, and the run clones no packet and leaks no arena
+    /// slot (every allocation reached a free site).
+    #[test]
+    fn traced_burst_logs_arrivals_and_drops_without_clones_or_leaks() {
         let mut t = TopologyBuilder::new();
         let h1 = t.host();
         let h2 = t.host();
@@ -1336,65 +1288,15 @@ mod packet_log_tests {
         t.link(h2, s, Bandwidth::gbps(1), Dur::micros(1));
         t.switch_buffer(2_000);
         let net = t.build_drop_tail();
-        let mut sim = Simulator::new(
-            net,
-            Box::new(BlastStack),
-            NullApp,
-            SimConfig {
-                packet_log: log,
+        let cfg = SimConfig {
+            telemetry: TelemetryConfig {
+                events: LogMode::Full,
                 ..Default::default()
             },
-        );
+            ..Default::default()
+        };
+        let mut sim = Simulator::new(net, Box::new(BlastStack), NullApp, cfg);
         let flow = sim.core_mut().start_flow(FlowSpec::open_ended(h1, h2));
-        (sim, flow)
-    }
-
-    #[test]
-    fn disabled_log_stays_empty() {
-        let (mut sim, flow) = lossy_sim(0);
-        sim.core_mut().push_data(flow, MSS);
-        sim.run();
-        assert!(sim.core().packet_log().is_empty());
-    }
-
-    #[test]
-    fn log_records_arrivals_and_drops() {
-        let (mut sim, flow) = lossy_sim(1024);
-        for _ in 0..8 {
-            sim.core_mut().push_data(flow, MSS);
-        }
-        sim.run();
-        let log = sim.core().packet_log();
-        assert!(log
-            .iter()
-            .any(|e| e.kind == PacketEventKind::Arrival && e.flow == flow));
-        assert!(
-            log.iter().any(|e| e.kind == PacketEventKind::Drop),
-            "burst into a 2 kB buffer must log drops"
-        );
-        // Entries are time-ordered.
-        for w in log.iter().zip(log.iter().skip(1)) {
-            assert!(w.0.at <= w.1.at);
-        }
-    }
-
-    #[test]
-    fn log_is_bounded() {
-        let (mut sim, flow) = lossy_sim(4);
-        for _ in 0..20 {
-            sim.core_mut().push_data(flow, MSS);
-        }
-        sim.run();
-        assert!(sim.core().packet_log().len() <= 4);
-    }
-
-    /// Regression for the per-delivery `pkt.clone()` the packet log
-    /// used to take: a run with logging enabled — arrivals, drops, and
-    /// deliveries all exercised — must clone zero packets. Also checks
-    /// the arena leaks no slots: every allocation reached a free site.
-    #[test]
-    fn logged_run_clones_no_packets_and_leaks_no_slots() {
-        let (mut sim, flow) = lossy_sim(1024);
         for _ in 0..8 {
             sim.core_mut().push_data(flow, MSS);
         }
@@ -1402,7 +1304,31 @@ mod packet_log_tests {
         sim.run();
         let cloned = crate::packet::thread_packet_clones() - clones_before;
         assert_eq!(cloned, 0, "hot path must not clone packets");
-        assert!(sim.core().packet_log().iter().any(|e| e.kind == PacketEventKind::Drop));
+
+        let log = sim.core().telemetry().log.records();
+        let logged = |want: fn(&TraceEvent) -> Option<(u32, u64)>, node: NodeId| {
+            log.iter()
+                .filter_map(|r| want(&r.event))
+                .any(|at| at == (node.0, flow.0))
+        };
+        let enqueue = |e: &TraceEvent| match *e {
+            TraceEvent::PktEnqueue { node, flow, .. } => Some((node, flow)),
+            _ => None,
+        };
+        let deliver = |e: &TraceEvent| match *e {
+            TraceEvent::PktDeliver { node, flow, .. } => Some((node, flow)),
+            _ => None,
+        };
+        let drop = |e: &TraceEvent| match *e {
+            TraceEvent::PktDrop { node, flow, .. } => Some((node, flow)),
+            _ => None,
+        };
+        assert!(logged(enqueue, s), "no arrival at the switch logged");
+        assert!(logged(deliver, h2), "no arrival at the receiver logged");
+        assert!(logged(drop, s), "burst into a 2 kB buffer must log drops");
+        for (a, b) in log.iter().zip(log.iter().skip(1)) {
+            assert!(a.at_ns <= b.at_ns, "records out of time order");
+        }
         let arena = sim.core().packet_arena();
         assert!(arena.allocated_total() > 0);
         assert!(arena.is_empty(), "{} packet slots leaked", arena.live());

@@ -168,7 +168,8 @@ impl StreamReceiver {
             EchoMode::Tfc { awnd } => {
                 if data.flags.contains(Flags::RM) {
                     ack.flags.set(Flags::RMA);
-                    ack.window = awnd.min(data.window);
+                    ack.window = data.window;
+                    ack.clamp_window(awnd);
                 } else {
                     ack.window = WINDOW_INIT;
                 }

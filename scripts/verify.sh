@@ -63,6 +63,15 @@ cargo test -q -p tfc-repro --test flow_memory
 # allocations names this gate.
 cargo test -q -p tfc-repro --test port_memory
 
+# Compact event path: 16-byte events, 32-byte scheduler entries whose
+# bucket link and timer slot sit in parallel columns, 16-byte live-run
+# keys, 56-byte timer slots and 64-byte packet-arena slots. A counting
+# allocator bounds the live-heap peak of the benchmark's 1,100-flow
+# k=36 fat-tree run at 23 MiB (32-byte events, 56-byte entries and
+# 80-byte arena slots peaked at 25.5 MiB), so a regression that widens
+# a per-event or per-packet record names this gate.
+cargo test -q -p tfc-repro --test event_memory
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"

@@ -1,57 +1,22 @@
 //! Artifact export streams: exporting a large bundle must not grow the
 //! live heap by more than a small, size-independent bound.
 //!
-//! A counting global allocator tracks live bytes and their high-water
-//! mark. The test exports 100k stored event records and 100k flows —
+//! The shared counting allocator (`tests/common`) tracks live bytes and
+//! their high-water mark. The test exports 100k stored event records and 100k flows —
 //! whole-file trees or strings of that bundle would take tens of MiB —
 //! and asserts that export's peak live-heap growth stays within 1 MiB.
 //! This binary holds exactly one test, so no other thread allocates
 //! while it measures.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use telemetry::export::export_run;
 use telemetry::{
     EventLog, FlowSummary, LogMode, LoopStats, RunManifest, SpanTracker, TraceConfig, TraceEvent,
 };
 
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            grew(new_size);
-        }
-        p
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: common::Counting = common::Counting;
 
 const RECORDS: u64 = 100_000;
 const FLOWS: u64 = 100_000;
@@ -115,10 +80,10 @@ fn export_heap_growth_is_bounded() {
         sender_done_ns: None,
     });
 
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
+    let base = common::live();
+    common::reset_peak();
     let out = export_run(&manifest, &log, &stats, &[], flows, None, &spans, &[]).unwrap();
-    let growth = PEAK.load(Relaxed) - base;
+    let growth = common::peak() - base;
 
     let events = std::fs::metadata(out.join("events.json")).unwrap().len();
     let flows = std::fs::metadata(out.join("flows.json")).unwrap().len();

@@ -3,18 +3,15 @@
 //! and receiver boxes. The receiver's reorder map and the flow's timer
 //! list are freed once they drain.
 //!
-//! A counting global allocator tracks live blocks and bytes. The test
-//! runs a TFC incast with fresh connections per round and no flow
-//! retirement, under a loss burst that spans the run so the reorder
-//! path and RTOs run in every round, at two round counts. The extra
-//! rounds' completed flows may add at most 2 live heap blocks each:
-//! the two endpoint boxes (slab and table growth reallocates, so it
-//! adds bytes but no blocks). Keeping the drained reorder node and
-//! timer list made it 4. This binary holds exactly one test, so no
-//! other thread allocates while it measures.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+//! The shared counting allocator (`tests/common`) tracks live blocks
+//! and bytes. The test runs a TFC incast with fresh connections per
+//! round and no flow retirement, under a loss burst that spans the run
+//! so the reorder path and RTOs run in every round, at two round
+//! counts. The extra rounds' completed flows may add at most 2 live
+//! heap blocks each: the two endpoint boxes (slab and table growth
+//! reallocates, so it adds bytes but no blocks). Keeping the drained
+//! reorder node and timer list made it 4. This binary holds exactly one
+//! test, so no other thread allocates while it measures.
 
 use chaos::FaultTimeline;
 use simnet::sim::{SimConfig, Simulator};
@@ -24,39 +21,10 @@ use telemetry::TelemetryConfig;
 use tfc::{TfcStack, TfcSwitchConfig, TfcSwitchPolicy};
 use workloads::{IncastApp, IncastConfig};
 
-struct Counting;
-
-static BLOCKS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            BLOCKS.fetch_add(1, Relaxed);
-            BYTES.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        BLOCKS.fetch_sub(1, Relaxed);
-        BYTES.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            BYTES.fetch_sub(layout.size(), Relaxed);
-            BYTES.fetch_add(new_size, Relaxed);
-        }
-        p
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: common::Counting = common::Counting;
 
 const SENDERS: usize = 16;
 /// Live heap blocks a completed flow may hold: its two endpoint boxes.
@@ -74,7 +42,7 @@ struct Held {
 /// Runs `rounds` incast rounds and measures the live heap the simulator
 /// holds at the end, over what was live before it was built.
 fn incast(rounds: u32) -> Held {
-    let (blocks0, bytes0) = (BLOCKS.load(Relaxed), BYTES.load(Relaxed));
+    let (blocks0, bytes0) = (common::blocks(), common::live());
     let (mut t, hosts, switch) = star(SENDERS + 1, Bandwidth::gbps(10), Dur::micros(10));
     t.switch_buffer(512 * 1024);
     let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
@@ -101,8 +69,8 @@ fn incast(rounds: u32) -> Held {
     assert_eq!(sim.app().rounds_done(), rounds, "every round finishes");
     let held = Held {
         flows: sim.core().flows().count(),
-        blocks: BLOCKS.load(Relaxed) - blocks0,
-        bytes: BYTES.load(Relaxed) - bytes0,
+        blocks: common::blocks() - blocks0,
+        bytes: common::live() - bytes0,
         retransmits: sim.core().flows().map(|(_, s)| s.retransmits).sum(),
         timeouts: sim.core().flows().map(|(_, s)| s.timeouts).sum(),
     };

@@ -2,51 +2,22 @@
 //! holds one Init prototype per distinct link rate per switch, not a
 //! full token engine and delay arbiter per port.
 //!
-//! A counting global allocator tracks live bytes. The test builds the
-//! k=36 fat-tree (1,620 switches, 58,320 switch ports) once with
-//! drop-tail switches and once with `TfcSwitchPolicy::factory`, and
-//! asserts that the TFC network holds at most 1 MiB more live heap.
-//! Building every port's state up front takes 14.8 MiB there. This
-//! binary holds exactly one test, so no other thread allocates while it
-//! measures.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+//! The shared counting allocator (`tests/common`) tracks live bytes.
+//! The test builds the k=36 fat-tree (1,620 switches, 58,320 switch
+//! ports) once with drop-tail switches and once with
+//! `TfcSwitchPolicy::factory`, and asserts that the TFC network holds
+//! at most 1 MiB more live heap. Building every port's state up front
+//! takes 14.8 MiB there. This binary holds exactly one test, so no
+//! other thread allocates while it measures.
 
 use simnet::topology::{fat_tree, Network, TopologyBuilder};
 use simnet::units::{Bandwidth, Dur};
 use tfc::{TfcSwitchConfig, TfcSwitchPolicy};
 
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            LIVE.fetch_add(new_size, Relaxed);
-        }
-        p
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: common::Counting = common::Counting;
 
 const K: usize = 36;
 const BOUND: usize = 1 << 20;
@@ -58,9 +29,9 @@ fn builder() -> TopologyBuilder {
 
 /// Live heap the built network holds beyond its builder.
 fn held(t: TopologyBuilder, build: impl FnOnce(TopologyBuilder) -> Network) -> (usize, Network) {
-    let base = LIVE.load(Relaxed);
+    let base = common::live();
     let net = build(t);
-    (LIVE.load(Relaxed) - base, net)
+    (common::live() - base, net)
 }
 
 #[test]

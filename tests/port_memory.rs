@@ -2,63 +2,34 @@
 //! ports whose FIFOs are links through the packet arena, and TFC
 //! prototypes and config shared across the fabric.
 //!
-//! A counting global allocator tracks live bytes. The test builds the
-//! k=36 fat-tree (1,620 switches, 58,320 switch ports, 11,664 hosts)
-//! with `TfcSwitchPolicy::factory` and bounds the live heap the built
-//! network holds at 10.5 MiB; it measures 9.9 MiB. Per-switch `Vec`s of
-//! 128-byte ports and per-switch TFC prototypes held 12.2 MiB. This
-//! binary holds exactly one test, so no other thread allocates while it
-//! measures.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+//! The shared counting allocator (`tests/common`) tracks live bytes.
+//! The test builds the k=36 fat-tree (1,620 switches, 58,320 switch
+//! ports, 11,664 hosts) with `TfcSwitchPolicy::factory` and bounds the
+//! live heap the built network holds at 10.5 MiB; it measures 9.9 MiB.
+//! Per-switch `Vec`s of 128-byte ports and per-switch TFC prototypes
+//! held 12.2 MiB. This binary holds exactly one test, so no other
+//! thread allocates while it measures.
 
 use simnet::topology::fat_tree;
 use simnet::units::{Bandwidth, Dur};
 use tfc::{TfcSwitchConfig, TfcSwitchPolicy};
 
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Relaxed);
-            LIVE.fetch_add(new_size, Relaxed);
-        }
-        p
-    }
-}
+mod common;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: common::Counting = common::Counting;
 
 const K: usize = 36;
 const BOUND: usize = 10 * (1 << 20) + (1 << 19);
 
 #[test]
 fn built_k36_tfc_fat_tree_heap_is_bounded() {
-    let base = LIVE.load(Relaxed);
+    let base = common::live();
     let (t, hosts, switches) =
         fat_tree(K, Bandwidth::gbps(10), Bandwidth::gbps(40), Dur::micros(5));
     drop((hosts, switches));
     let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
-    let held = LIVE.load(Relaxed) - base;
+    let held = common::live() - base;
     let (ports, nodes) = (net.ports.len(), net.nodes.len());
     drop(net);
     println!("k={K} TFC fat-tree: {held} B live for {nodes} nodes and {ports} switch ports");
