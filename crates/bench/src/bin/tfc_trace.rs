@@ -844,81 +844,6 @@ fn try_diff_smoke() -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use telemetry::json;
-
-    #[test]
-    fn key_diff_names_the_field() {
-        let a = json::parse(r#"{"seed": 7, "x": 1}"#).unwrap();
-        let b = json::parse(r#"{"seed": 8, "x": 1}"#).unwrap();
-        assert_eq!(first_key_diff(&a, &a), None);
-        let d = first_key_diff(&a, &b).unwrap();
-        assert!(d.contains("`seed`") && d.contains('7') && d.contains('8'), "{d}");
-    }
-
-    #[test]
-    fn record_diff_finds_the_first_index() {
-        let a = json::parse(r#"[{"k": 1}, {"k": 2}, {"k": 3}]"#).unwrap();
-        let b = json::parse(r#"[{"k": 1}, {"k": 9}, {"k": 3}]"#).unwrap();
-        assert_eq!(first_record_diff("record", &a, &a).unwrap(), None);
-        let d = first_record_diff("record", &a, &b).unwrap().unwrap();
-        assert!(d.contains("record 1"), "{d}");
-        let short = json::parse(r#"[{"k": 1}]"#).unwrap();
-        let d = first_record_diff("record", &a, &short).unwrap().unwrap();
-        assert!(d.contains("3 vs 1"), "{d}");
-    }
-
-    #[test]
-    fn line_diff_is_one_indexed() {
-        assert_eq!(line_diff("a\nb\n", "a\nb\n"), None);
-        let d = line_diff("a\nb\nc\n", "a\nx\nc\n").unwrap();
-        assert!(d.contains("line 2"), "{d}");
-        let d = line_diff("a\n", "a\nb\n").unwrap();
-        assert!(d.contains("1 vs 2 lines"), "{d}");
-    }
-
-    #[test]
-    fn manifest_diff_ignores_run_and_git_only() {
-        let a = r#"{"run": "x", "git": "aaa", "seed": 7}"#;
-        let b = r#"{"run": "y", "git": "bbb", "seed": 7}"#;
-        assert_eq!(diff_file("manifest.json", a, b).unwrap(), None);
-        let c = r#"{"run": "y", "git": "bbb", "seed": 8}"#;
-        let d = diff_file("manifest.json", a, c).unwrap().unwrap();
-        assert!(d.contains("`seed`"), "{d}");
-    }
-
-    #[test]
-    fn flows_diff_handles_both_schema_forms() {
-        let legacy_a = r#"[{"flow": 0, "delivered": 10}]"#;
-        let legacy_b = r#"[{"flow": 0, "delivered": 20}]"#;
-        assert_eq!(diff_file("flows.json", legacy_a, legacy_a).unwrap(), None);
-        let d = diff_file("flows.json", legacy_a, legacy_b).unwrap().unwrap();
-        assert!(d.contains("flow 0"), "{d}");
-
-        let v2_a = r#"{"schema": "tfc-flows/v2", "retired_total": 5,
-                       "classes": [{"class": 0, "count": 5}], "live": []}"#;
-        let v2_b = r#"{"schema": "tfc-flows/v2", "retired_total": 6,
-                       "classes": [{"class": 0, "count": 6}], "live": []}"#;
-        assert_eq!(diff_file("flows.json", v2_a, v2_a).unwrap(), None);
-        let d = diff_file("flows.json", v2_a, v2_b).unwrap().unwrap();
-        assert!(d.contains("retired class 0"), "{d}");
-
-        let d = diff_file("flows.json", legacy_a, v2_a).unwrap().unwrap();
-        assert!(d.contains("legacy"), "{d}");
-    }
-
-    #[test]
-    fn spans_diff_names_the_sketch() {
-        let a = r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 4, "p50": 100}]}"#;
-        let b = r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 5, "p50": 120}]}"#;
-        assert_eq!(diff_file("spans.json", a, a).unwrap(), None);
-        let d = diff_file("spans.json", a, b).unwrap().unwrap();
-        assert!(d.contains("sw_q@1") && d.contains("4 vs 5"), "{d}");
-    }
-}
-
 /// The recovery section: fault windows paired from the event log, the
 /// aggregate-goodput dip around them, window re-acquisition, and §4.3
 /// token reclamation read off the per-port `effective_flows` gauge.
@@ -1050,5 +975,80 @@ fn fault_summary(
                 "  switch {node} port {port}: E {e_before:.2} pre-fault, tokens never reclaimed"
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use telemetry::json;
+
+    #[test]
+    fn key_diff_names_the_field() {
+        let a = json::parse(r#"{"seed": 7, "x": 1}"#).unwrap();
+        let b = json::parse(r#"{"seed": 8, "x": 1}"#).unwrap();
+        assert_eq!(first_key_diff(&a, &a), None);
+        let d = first_key_diff(&a, &b).unwrap();
+        assert!(d.contains("`seed`") && d.contains('7') && d.contains('8'), "{d}");
+    }
+
+    #[test]
+    fn record_diff_finds_the_first_index() {
+        let a = json::parse(r#"[{"k": 1}, {"k": 2}, {"k": 3}]"#).unwrap();
+        let b = json::parse(r#"[{"k": 1}, {"k": 9}, {"k": 3}]"#).unwrap();
+        assert_eq!(first_record_diff("record", &a, &a).unwrap(), None);
+        let d = first_record_diff("record", &a, &b).unwrap().unwrap();
+        assert!(d.contains("record 1"), "{d}");
+        let short = json::parse(r#"[{"k": 1}]"#).unwrap();
+        let d = first_record_diff("record", &a, &short).unwrap().unwrap();
+        assert!(d.contains("3 vs 1"), "{d}");
+    }
+
+    #[test]
+    fn line_diff_is_one_indexed() {
+        assert_eq!(line_diff("a\nb\n", "a\nb\n"), None);
+        let d = line_diff("a\nb\nc\n", "a\nx\nc\n").unwrap();
+        assert!(d.contains("line 2"), "{d}");
+        let d = line_diff("a\n", "a\nb\n").unwrap();
+        assert!(d.contains("1 vs 2 lines"), "{d}");
+    }
+
+    #[test]
+    fn manifest_diff_ignores_run_and_git_only() {
+        let a = r#"{"run": "x", "git": "aaa", "seed": 7}"#;
+        let b = r#"{"run": "y", "git": "bbb", "seed": 7}"#;
+        assert_eq!(diff_file("manifest.json", a, b).unwrap(), None);
+        let c = r#"{"run": "y", "git": "bbb", "seed": 8}"#;
+        let d = diff_file("manifest.json", a, c).unwrap().unwrap();
+        assert!(d.contains("`seed`"), "{d}");
+    }
+
+    #[test]
+    fn flows_diff_handles_both_schema_forms() {
+        let legacy_a = r#"[{"flow": 0, "delivered": 10}]"#;
+        let legacy_b = r#"[{"flow": 0, "delivered": 20}]"#;
+        assert_eq!(diff_file("flows.json", legacy_a, legacy_a).unwrap(), None);
+        let d = diff_file("flows.json", legacy_a, legacy_b).unwrap().unwrap();
+        assert!(d.contains("flow 0"), "{d}");
+
+        let v2_a = r#"{"schema": "tfc-flows/v2", "retired_total": 5,
+                       "classes": [{"class": 0, "count": 5}], "live": []}"#;
+        let v2_b = r#"{"schema": "tfc-flows/v2", "retired_total": 6,
+                       "classes": [{"class": 0, "count": 6}], "live": []}"#;
+        assert_eq!(diff_file("flows.json", v2_a, v2_a).unwrap(), None);
+        let d = diff_file("flows.json", v2_a, v2_b).unwrap().unwrap();
+        assert!(d.contains("retired class 0"), "{d}");
+
+        let d = diff_file("flows.json", legacy_a, v2_a).unwrap().unwrap();
+        assert!(d.contains("legacy"), "{d}");
+    }
+
+    #[test]
+    fn spans_diff_names_the_sketch() {
+        let a = r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 4, "p50": 100}]}"#;
+        let b = r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 5, "p50": 120}]}"#;
+        assert_eq!(diff_file("spans.json", a, a).unwrap(), None);
+        let d = diff_file("spans.json", a, b).unwrap().unwrap();
+        assert!(d.contains("sw_q@1") && d.contains("4 vs 5"), "{d}");
     }
 }

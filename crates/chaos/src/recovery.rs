@@ -171,8 +171,8 @@ pub fn rise_time_ns(
     let rate = |b: u64| b as f64 * 8.0 / (bin_ns as f64 / 1e9);
     let mut run_start = None;
     let mut run_len = 0;
-    for i in (from_ns / bin_ns) as usize..n_bins {
-        if rate(bytes[i]) >= target_bps {
+    for (i, &b) in bytes.iter().enumerate().skip((from_ns / bin_ns) as usize) {
+        if rate(b) >= target_bps {
             run_start = run_start.or(Some(i as u64));
             run_len += 1;
             if run_len >= sustain {

@@ -624,25 +624,37 @@ mod tests {
         assert_eq!(b.delimiter(), None);
     }
 
-    /// Route repair moves a flow off a port mid-stream: the abandoned
-    /// port's miss timer escalates and reclaims the delimiter within
-    /// the budget, after which a surviving flow is adopted — the slot
-    /// is never leaked to a flow that no longer maps there.
+    /// Route repair moves a flow off a port mid-stream: while no round
+    /// mark arrives, the abandoned port's miss timer escalates (2×, 4×,
+    /// ... `rtt_m`) until the budget is spent and the delimiter is
+    /// dropped; the next round mark is then adopted — the slot is never
+    /// leaked to a flow that no longer maps there.
     #[test]
     fn migrated_delimiter_is_reclaimed_by_the_miss_timer() {
         let mut e = engine();
         e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         e.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)); // steady slot
-        // Flow 1 reroutes away; only flow 2's marks still arrive.
+        // Flow 1 reroutes away; no mark reaches the port.
         let armed = Time(160_000);
-        let mut fired = 0;
-        while e.on_miss_timer(&cfg(), armed, Time(armed.nanos() + 1)).is_some() {
-            fired += 1;
-            // While re-arming, the next foreign RM takes over.
-            e.on_data(&cfg(), &rm_data(2, MSS), Time(armed.nanos() + 2));
-            break;
+        let mut delays = Vec::new();
+        while let Some(d) = e.on_miss_timer(&cfg(), armed, Time(armed.nanos() + 1)) {
+            delays.push(d);
+            assert!(
+                delays.len() <= cfg().max_miss_k as usize,
+                "budget bounds the re-arms"
+            );
         }
-        assert!(fired > 0, "miss timer must fire for the moved flow");
+        assert!(
+            !delays.is_empty(),
+            "miss timer must fire for the moved flow"
+        );
+        assert!(
+            delays.windows(2).all(|w| w[1] > w[0]),
+            "delays escalate: {delays:?}"
+        );
+        assert_eq!(e.delimiter(), None, "a spent budget drops the moved flow");
+        // Flow 2's next round mark takes the slot over.
+        e.on_data(&cfg(), &rm_data(2, MSS), Time(armed.nanos() + 2));
         assert_eq!(e.delimiter(), Some(FlowId(2)));
     }
 

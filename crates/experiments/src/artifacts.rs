@@ -55,7 +55,6 @@ pub fn maybe_export(
             trace: cfg.telemetry.trace.describe(),
         }),
     };
-    let tel = core.telemetry();
     let series: Vec<(&str, &[(u64, f64)])> = core
         .queue_series()
         .iter()
@@ -70,12 +69,9 @@ pub fn maybe_export(
     });
     match export_run(
         &manifest,
-        &tel.log,
-        &tel.loop_stats,
-        &tel.slots,
+        core.telemetry(),
         flow_summaries(core),
         retired.as_ref(),
-        &tel.spans,
         &series,
     ) {
         Ok(dir) => Some(dir),

@@ -160,7 +160,7 @@ pub struct RerouteResult {
 /// Runs one protocol through the reroute scenario.
 pub fn run(cfg: &RerouteConfig) -> RerouteResult {
     let half = cfg.k / 2;
-    assert!(cfg.k >= 4 && cfg.k % 2 == 0, "need ≥ 2 uplinks per edge");
+    assert!(cfg.k >= 4 && cfg.k.is_multiple_of(2), "need ≥ 2 uplinks per edge");
     assert!(
         (1..=half).contains(&cfg.senders),
         "senders must fit one edge switch (1..={half})"

@@ -490,8 +490,10 @@ mod tests {
 
     #[test]
     fn collapse_preserves_the_tail() {
-        let mut s = QuantileSketch::default();
-        s.max_buckets = 8;
+        let mut s = QuantileSketch {
+            max_buckets: 8,
+            ..QuantileSketch::default()
+        };
         // 200 distinct magnitudes forces collapsing.
         for i in 1..200u32 {
             s.record((i as f64).exp2().min(1e300));

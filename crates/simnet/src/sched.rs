@@ -417,7 +417,7 @@ impl Wheel {
             let mut best: Option<(u64, usize, usize)> = None;
             for level in (0..LEVELS).rev() {
                 if let Some((slot, start)) = self.candidate(level) {
-                    if best.map_or(true, |(bs, _, _)| start < bs) {
+                    if best.is_none_or(|(bs, _, _)| start < bs) {
                         best = Some((start, level, slot));
                     }
                 }

@@ -663,7 +663,7 @@ pub fn fat_tree(
     fabric_rate: Bandwidth,
     link_delay: Dur,
 ) -> (TopologyBuilder, Vec<NodeId>, Vec<NodeId>) {
-    assert!(k >= 2 && k % 2 == 0, "fat-tree arity must be even, got {k}");
+    assert!(k >= 2 && k.is_multiple_of(2), "fat-tree arity must be even, got {k}");
     let half = k / 2;
     let mut t = TopologyBuilder::new();
     let hosts = t.hosts(k * half * half);

@@ -29,7 +29,7 @@ use metrics::QuantileSketch;
 use crate::counters::{LoopStats, PortSlotSample};
 use crate::event::{EventLog, EventRecord, TraceEvent, EVENT_KIND_NAMES};
 use crate::json::{self, Map, PrettyWriter, Value};
-use crate::span::SpanTracker;
+use crate::Telemetry;
 
 /// Metadata making a run reproducible from its artifacts alone.
 #[derive(Debug, Clone)]
@@ -621,8 +621,8 @@ fn write_csv(
     out.flush()
 }
 
-/// Writes the full artifact set under `results/<manifest.run>/` and
-/// returns the directory path.
+/// Writes the full artifact set of a run's telemetry `tel` under
+/// `results/<manifest.run>/` and returns the directory path.
 ///
 /// Every file is streamed through a buffered writer one record or row
 /// at a time, so export holds no whole-file tree or string: its heap
@@ -634,22 +634,20 @@ fn write_csv(
 /// run without samplers produces exactly the historical five files.
 pub fn export_run(
     manifest: &RunManifest,
-    log: &EventLog,
-    loop_stats: &LoopStats,
-    slots: &[PortSlotSample],
+    tel: &Telemetry,
     flows: impl IntoIterator<Item = FlowSummary>,
     retired: Option<&RetiredFlows>,
-    spans: &SpanTracker,
     series: &[(&str, &[(u64, f64)])],
 ) -> io::Result<PathBuf> {
+    let (log, spans) = (&tel.log, &tel.spans);
     let dir = write_manifest(manifest)?;
     json::write_file(&dir.join("counters.json"), |w| {
-        w.value(&counters_json(log, loop_stats))
+        w.value(&counters_json(log, &tel.loop_stats))
     })?;
     json::write_file(&dir.join("events.json"), |w| write_events(w, log))?;
     json::write_file(&dir.join("flows.json"), |w| write_flows(w, flows, retired))?;
     write_csv(&dir.join("tfc_slots.csv"), |out| {
-        write_slots_csv(out, slots)
+        write_slots_csv(out, &tel.slots)
     })?;
     if spans.enabled() {
         json::write_file(&dir.join("spans.json"), |w| w.value(&spans.to_json()))?;
@@ -665,6 +663,7 @@ mod tests {
     use super::*;
     use crate::event::LogMode;
     use crate::json;
+    use crate::span::SpanTracker;
 
     const NAMES: [&str; 2] = ["arrival", "tx_done"];
 
@@ -1071,22 +1070,15 @@ mod tests {
                 trace: "full".into(),
             }),
         };
-        let mut spans = SpanTracker::new(crate::TraceConfig::Full);
-        spans.on_enqueue(1, 7, true, true, 0);
-        spans.on_dequeue(1, 7, 50);
-        spans.on_deliver(1, 7, 0, 120);
+        let mut tel = Telemetry::new(&crate::TelemetryConfig::default(), 1, &NAMES);
+        (tel.log, tel.loop_stats, tel.slots) = (log, stats, vec![sample()]);
+        tel.spans = SpanTracker::new(crate::TraceConfig::Full);
+        tel.spans.on_enqueue(1, 7, true, true, 0);
+        tel.spans.on_dequeue(1, 7, 50);
+        tel.spans.on_deliver(1, 7, 0, 120);
         let points: &[(u64, f64)] = &[(10, 0.5), (20, 0.75)];
-        let out = export_run(
-            &manifest,
-            &log,
-            &stats,
-            &[sample()],
-            flows.clone(),
-            None,
-            &spans,
-            &[("sw1.p0.rho", points)],
-        )
-        .unwrap();
+        let series = [("sw1.p0.rho", points)];
+        let out = export_run(&manifest, &tel, flows.clone(), None, &series).unwrap();
         for f in [
             "manifest.json",
             "counters.json",
@@ -1126,17 +1118,8 @@ mod tests {
         );
         // An untraced run exports exactly the historical five files.
         let off = RunManifest { run: "unit-off".into(), sim: None, ..manifest };
-        let out_off = export_run(
-            &off,
-            &log,
-            &stats,
-            &[sample()],
-            flows,
-            None,
-            &SpanTracker::new(crate::TraceConfig::Off),
-            &[],
-        )
-        .unwrap();
+        tel.spans = SpanTracker::new(crate::TraceConfig::Off);
+        let out_off = export_run(&off, &tel, flows, None, &[]).unwrap();
         assert!(!out_off.join("spans.json").exists());
         assert!(!out_off.join("traces.csv").exists());
         let m_off =

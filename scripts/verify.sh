@@ -11,6 +11,8 @@ export CARGO_NET_OFFLINE=true
 export RUSTFLAGS="${RUSTFLAGS:-} -D warnings"
 
 cargo build --release --workspace --all-targets
+# Lint gate: the workspace is clippy-clean, tests and benches included.
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 
 # End-to-end telemetry: a fully-traced incast's exported artifacts must

@@ -10,7 +10,7 @@
 
 use telemetry::export::export_run;
 use telemetry::{
-    EventLog, FlowSummary, LogMode, LoopStats, RunManifest, SpanTracker, TraceConfig, TraceEvent,
+    EventLog, FlowSummary, LogMode, RunManifest, Telemetry, TelemetryConfig, TraceEvent,
 };
 
 mod common;
@@ -56,8 +56,9 @@ fn export_heap_growth_is_bounded() {
         };
         log.record(i * 1_000, event);
     }
-    let stats = LoopStats::new(&["arrival"], false);
-    let spans = SpanTracker::new(TraceConfig::Off);
+    // Unprofiled loop counters, spans off: only the log is exported.
+    let mut tel = Telemetry::new(&TelemetryConfig::default(), 1, &["arrival"]);
+    tel.log = log;
     let manifest = RunManifest {
         run: "export-memory".into(),
         seed: 1,
@@ -82,7 +83,7 @@ fn export_heap_growth_is_bounded() {
 
     let base = common::live();
     common::reset_peak();
-    let out = export_run(&manifest, &log, &stats, &[], flows, None, &spans, &[]).unwrap();
+    let out = export_run(&manifest, &tel, flows, None, &[]).unwrap();
     let growth = common::peak() - base;
 
     let events = std::fs::metadata(out.join("events.json")).unwrap().len();
