@@ -331,14 +331,7 @@ impl EventLog {
         }
     }
 
-    /// A disabled log (the hot-path guard [`enabled`](Self::enabled)
-    /// returns `false`).
-    pub fn disabled() -> Self {
-        Self::new(LogMode::Off, 1, 0)
-    }
-
-    /// Whether events should be offered at all. Callers guard event
-    /// construction with this so a disabled log costs one branch.
+    /// Whether the log records anything (its mode is not `Off`).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.mode != LogMode::Off
@@ -514,7 +507,7 @@ mod tests {
 
     #[test]
     fn disabled_log_records_nothing() {
-        let mut log = EventLog::disabled();
+        let mut log = EventLog::new(LogMode::Off, 1, 0);
         assert!(!log.enabled());
         log.record(5, enq(1, 0));
         assert!(log.is_empty());
