@@ -3,12 +3,12 @@
 //! Criterion report shows the cost/benefit structure (and the assertions
 //! inside keep the qualitative claims honest).
 
-use tfc_bench::harness::{criterion_group, criterion_main, Criterion};
 use experiments::incast::IncastExpConfig;
 use experiments::workconserving::WorkConservingConfig;
 use experiments::Proto;
 use simnet::units::Dur;
 use std::hint::black_box;
+use tfc_bench::harness::{criterion_group, criterion_main, Criterion};
 
 fn ablation_token_adjustment(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_token_adjustment");

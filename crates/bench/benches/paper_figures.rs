@@ -4,7 +4,6 @@
 //! stays runnable. Figure *values* are produced by the `figures` binary;
 //! these benches track the simulator's performance on each scenario.
 
-use tfc_bench::harness::{criterion_group, criterion_main, Criterion};
 use experiments::benchmark::BenchExpConfig;
 use experiments::goodput::GoodputConfig;
 use experiments::incast::IncastExpConfig;
@@ -15,6 +14,7 @@ use experiments::workconserving::WorkConservingConfig;
 use experiments::Proto;
 use simnet::units::Dur;
 use std::hint::black_box;
+use tfc_bench::harness::{criterion_group, criterion_main, Criterion};
 
 fn small(c: &mut Criterion) -> Criterion {
     let _ = c;

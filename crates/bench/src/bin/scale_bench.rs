@@ -195,12 +195,8 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
         flows,
         sim_ms,
         run: Box::new(move |kind, trace| {
-            let (t, hosts, _) = fat_tree(
-                k,
-                Bandwidth::gbps(10),
-                Bandwidth::gbps(40),
-                Dur::micros(5),
-            );
+            let (t, hosts, _) =
+                fat_tree(k, Bandwidth::gbps(10), Bandwidth::gbps(40), Dur::micros(5));
             let net = t.build(tfc::TfcSwitchPolicy::factory(Default::default()));
             let mut sim = Simulator::new(
                 net,
@@ -237,12 +233,8 @@ fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
         flows,
         sim_ms,
         run: Box::new(move |kind, trace| {
-            let (t, hosts, switches) = fat_tree(
-                k,
-                Bandwidth::gbps(10),
-                Bandwidth::gbps(40),
-                Dur::micros(5),
-            );
+            let (t, hosts, switches) =
+                fat_tree(k, Bandwidth::gbps(10), Bandwidth::gbps(40), Dur::micros(5));
             let net = t.build(tfc::TfcSwitchPolicy::factory(Default::default()));
             let mut sim = Simulator::new(
                 net,
@@ -437,7 +429,10 @@ fn main() {
 
     let mut rows = Vec::new();
     for s in &scenarios {
-        eprintln!("running {} ({} hosts, {} flows, {} ms)...", s.name, s.hosts, s.flows, s.sim_ms);
+        eprintln!(
+            "running {} ({} hosts, {} flows, {} ms)...",
+            s.name, s.hosts, s.flows, s.sim_ms
+        );
         let row = bench(s);
         eprintln!(
             "  {} events; heap {:.0} ev/s, wheel {:.0} ev/s, speedup {:.2}x, trace overhead {:.3}x",

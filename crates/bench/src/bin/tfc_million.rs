@@ -35,7 +35,11 @@ fn main() {
         oracle.retired
     );
 
-    let run_name = if quick { "million-quick" } else { "million-full" };
+    let run_name = if quick {
+        "million-quick"
+    } else {
+        "million-full"
+    };
     let mut cfg = if quick {
         MillionConfig::quick()
     } else {
@@ -186,7 +190,13 @@ fn main() {
             "{key} must be positive"
         );
     }
-    for key in ["completed", "retired", "slab_capacity", "slab_peak", "arena_capacity"] {
+    for key in [
+        "completed",
+        "retired",
+        "slab_capacity",
+        "slab_peak",
+        "arena_capacity",
+    ] {
         assert!(
             m.get(key).and_then(Value::as_i64).expect("count present") > 0,
             "{key} must be positive"

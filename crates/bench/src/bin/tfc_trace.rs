@@ -273,7 +273,11 @@ fn try_summarize(dir: &Path) -> Result<(), String> {
             let c = n(row, "count");
             if c > 0 {
                 let ns = n(row, "nanos");
-                println!("  {:<22} {c:>10}  {:.3} ms", s(row, "event"), ns as f64 / 1e6);
+                println!(
+                    "  {:<22} {c:>10}  {:.3} ms",
+                    s(row, "event"),
+                    ns as f64 / 1e6
+                );
             }
         }
         println!(
@@ -320,7 +324,11 @@ fn try_summarize(dir: &Path) -> Result<(), String> {
     let delivered: i64 = fl.iter().map(|f| n(f, "delivered")).sum();
     println!(
         "\nflows{}: {}   delivered {} B   drops {drops}   retransmits {retransmits}",
-        if retired.is_some() { " (live at shutdown)" } else { "" },
+        if retired.is_some() {
+            " (live at shutdown)"
+        } else {
+            ""
+        },
         fl.len(),
         delivered,
     );
@@ -428,7 +436,15 @@ fn retired_table(r: &telemetry::RetiredFlows) {
     );
     println!(
         "  {:<16} {:>9} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
-        "class", "count", "fct p50µs", "fct p99µs", "fct p999µs", "bytes p50", "rtx p99", "sd p50", "sd p99"
+        "class",
+        "count",
+        "fct p50µs",
+        "fct p99µs",
+        "fct p999µs",
+        "bytes p50",
+        "rtx p99",
+        "sd p50",
+        "sd p99"
     );
     for c in &r.classes {
         if c.count == 0 {
@@ -624,18 +640,12 @@ fn first_key_diff(a: &Value, b: &Value) -> Option<String> {
         for k in keys {
             match (ma.get(k), mb.get(k)) {
                 (Some(x), Some(y)) if x == y => {}
-                (Some(Value::Str(sx)), Some(Value::Str(sy)))
-                    if sx.len() > 80 || sy.len() > 80 =>
-                {
+                (Some(Value::Str(sx)), Some(Value::Str(sy))) if sx.len() > 80 || sy.len() > 80 => {
                     let (wx, wy) = str_diff_windows(sx, sy);
                     return Some(format!("`{k}` differs: {wx:?} vs {wy:?}"));
                 }
                 (Some(x), Some(y)) => {
-                    return Some(format!(
-                        "`{k}` differs: {} vs {}",
-                        compact(x),
-                        compact(y)
-                    ))
+                    return Some(format!("`{k}` differs: {} vs {}", compact(x), compact(y)))
                 }
                 (Some(_), None) => return Some(format!("`{k}` only in first run")),
                 (None, Some(_)) => return Some(format!("`{k}` only in second run")),
@@ -678,8 +688,12 @@ fn str_diff_windows(a: &str, b: &str) -> (String, String) {
 
 /// First differing entry between two JSON arrays of `unit`s.
 fn first_record_diff(unit: &str, a: &Value, b: &Value) -> Result<Option<String>, String> {
-    let ra = a.as_array().ok_or(format!("first run: not an array of {unit}s"))?;
-    let rb = b.as_array().ok_or(format!("second run: not an array of {unit}s"))?;
+    let ra = a
+        .as_array()
+        .ok_or(format!("first run: not an array of {unit}s"))?;
+    let rb = b
+        .as_array()
+        .ok_or(format!("second run: not an array of {unit}s"))?;
     for (i, (x, y)) in ra.iter().zip(rb).enumerate() {
         if x != y {
             return Ok(Some(format!(
@@ -721,9 +735,8 @@ fn flows_diff(a: &Value, b: &Value) -> Result<Option<String>, String> {
     match (a, b) {
         (Value::Array(_), Value::Array(_)) => first_record_diff("flow", a, b),
         (Value::Object(ma), Value::Object(mb)) => {
-            let arr = |m: &json::Map, k: &str| {
-                m.get(k).and_then(Value::as_array).unwrap_or(&[]).to_vec()
-            };
+            let arr =
+                |m: &json::Map, k: &str| m.get(k).and_then(Value::as_array).unwrap_or(&[]).to_vec();
             if let Some(d) = first_record_diff(
                 "retired class",
                 &Value::Array(arr(ma, "classes")),
@@ -758,7 +771,12 @@ fn flows_diff(a: &Value, b: &Value) -> Result<Option<String>, String> {
 /// disagrees, then sweeps the header fields (trace mode, packet and
 /// drop tallies).
 fn spans_diff(a: &Value, b: &Value) -> Result<Option<String>, String> {
-    let rows = |v: &Value| v.get("stages").and_then(Value::as_array).unwrap_or(&[]).to_vec();
+    let rows = |v: &Value| {
+        v.get("stages")
+            .and_then(Value::as_array)
+            .unwrap_or(&[])
+            .to_vec()
+    };
     let (ra, rb) = (rows(a), rows(b));
     for (x, y) in ra.iter().zip(&rb) {
         if x != y {
@@ -989,7 +1007,10 @@ mod tests {
         let b = json::parse(r#"{"seed": 8, "x": 1}"#).unwrap();
         assert_eq!(first_key_diff(&a, &a), None);
         let d = first_key_diff(&a, &b).unwrap();
-        assert!(d.contains("`seed`") && d.contains('7') && d.contains('8'), "{d}");
+        assert!(
+            d.contains("`seed`") && d.contains('7') && d.contains('8'),
+            "{d}"
+        );
     }
 
     #[test]
@@ -1028,7 +1049,9 @@ mod tests {
         let legacy_a = r#"[{"flow": 0, "delivered": 10}]"#;
         let legacy_b = r#"[{"flow": 0, "delivered": 20}]"#;
         assert_eq!(diff_file("flows.json", legacy_a, legacy_a).unwrap(), None);
-        let d = diff_file("flows.json", legacy_a, legacy_b).unwrap().unwrap();
+        let d = diff_file("flows.json", legacy_a, legacy_b)
+            .unwrap()
+            .unwrap();
         assert!(d.contains("flow 0"), "{d}");
 
         let v2_a = r#"{"schema": "tfc-flows/v2", "retired_total": 5,
@@ -1045,8 +1068,10 @@ mod tests {
 
     #[test]
     fn spans_diff_names_the_sketch() {
-        let a = r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 4, "p50": 100}]}"#;
-        let b = r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 5, "p50": 120}]}"#;
+        let a =
+            r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 4, "p50": 100}]}"#;
+        let b =
+            r#"{"trace": "full", "stages": [{"stage": "sw_q", "hop": 1, "count": 5, "p50": 120}]}"#;
         assert_eq!(diff_file("spans.json", a, a).unwrap(), None);
         let d = diff_file("spans.json", a, b).unwrap().unwrap();
         assert!(d.contains("sw_q@1") && d.contains("4 vs 5"), "{d}");

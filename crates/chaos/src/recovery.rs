@@ -45,11 +45,9 @@ pub fn pair_windows(events: &[FaultEventRec]) -> Vec<FaultWindow> {
     let mut windows: Vec<FaultWindow> = Vec::new();
     for ev in events {
         if ev.cleared {
-            if let Some(w) = windows
-                .iter_mut()
-                .rev()
-                .find(|w| w.end_ns.is_none() && w.kind == ev.kind && w.node == ev.node && w.port == ev.port)
-            {
+            if let Some(w) = windows.iter_mut().rev().find(|w| {
+                w.end_ns.is_none() && w.kind == ev.kind && w.node == ev.node && w.port == ev.port
+            }) {
                 w.end_ns = Some(ev.at_ns);
                 continue;
             }
@@ -106,8 +104,11 @@ pub fn goodput_dip(
     if pre_bins == 0 {
         return None;
     }
-    let baseline_bps =
-        bytes[..pre_bins.min(n_bins)].iter().map(|&b| rate(b)).sum::<f64>() / pre_bins as f64;
+    let baseline_bps = bytes[..pre_bins.min(n_bins)]
+        .iter()
+        .map(|&b| rate(b))
+        .sum::<f64>()
+        / pre_bins as f64;
     if baseline_bps <= 0.0 {
         return None;
     }
@@ -132,7 +133,11 @@ pub fn goodput_dip(
         .iter()
         .map(|&b| rate(b))
         .fold(f64::INFINITY, f64::min);
-    let floor_bps = if floor_bps.is_finite() { floor_bps } else { baseline_bps };
+    let floor_bps = if floor_bps.is_finite() {
+        floor_bps
+    } else {
+        baseline_bps
+    };
     Some(DipSummary {
         baseline_bps,
         floor_bps,
@@ -280,9 +285,15 @@ mod tests {
         }
         // Sustain 3: the bins 4-5 run is broken by bin 6, so the real
         // rise is the run starting at bin 7 → end of bin 7 = 8000 ns.
-        assert_eq!(rise_time_ns(&deliveries, 4_000, 7.9e9, 1_000, 3), Some(4_000));
+        assert_eq!(
+            rise_time_ns(&deliveries, 4_000, 7.9e9, 1_000, 3),
+            Some(4_000)
+        );
         // Sustain 1 is fooled by the mirage run at bin 4.
-        assert_eq!(rise_time_ns(&deliveries, 4_000, 7.9e9, 1_000, 1), Some(1_000));
+        assert_eq!(
+            rise_time_ns(&deliveries, 4_000, 7.9e9, 1_000, 1),
+            Some(1_000)
+        );
     }
 
     #[test]

@@ -78,15 +78,22 @@ impl FaultTimeline {
         dip: Bandwidth,
         restore: Bandwidth,
     ) -> Self {
-        self.at(at, FaultAction::LinkRate { node, port, rate: dip })
-            .at(
-                at + dur,
-                FaultAction::LinkRate {
-                    node,
-                    port,
-                    rate: restore,
-                },
-            )
+        self.at(
+            at,
+            FaultAction::LinkRate {
+                node,
+                port,
+                rate: dip,
+            },
+        )
+        .at(
+            at + dur,
+            FaultAction::LinkRate {
+                node,
+                port,
+                rate: restore,
+            },
+        )
     }
 
     /// Control-plane reboot of a switch port's policy state at `at`.

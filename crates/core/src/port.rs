@@ -634,7 +634,7 @@ mod tests {
         let mut e = engine();
         e.on_data(&cfg(), &rm_data(1, MSS), Time(0));
         e.on_data(&cfg(), &rm_data(1, MSS), Time(160_000)); // steady slot
-        // Flow 1 reroutes away; no mark reaches the port.
+                                                            // Flow 1 reroutes away; no mark reaches the port.
         let armed = Time(160_000);
         let mut delays = Vec::new();
         while let Some(d) = e.on_miss_timer(&cfg(), armed, Time(armed.nanos() + 1)) {
@@ -681,8 +681,7 @@ mod tests {
             let rounds = rg.gen_range(4..12u64);
             let mut engines: Vec<TokenEngine> = (0..n_ports).map(|_| engine()).collect();
             // port_of[f] = the flow's current port; churn re-rolls it.
-            let mut port_of: Vec<usize> =
-                (0..n_flows).map(|_| rg.gen_range(0..n_ports)).collect();
+            let mut port_of: Vec<usize> = (0..n_flows).map(|_| rg.gen_range(0..n_ports)).collect();
             // Round marks fed to each port since its last slot close.
             let mut marks = vec![0u64; n_ports];
             let mut t = 0u64;
@@ -698,8 +697,7 @@ mod tests {
                     let report = engines[p].on_data(&cfg(), &rm_data(f, MSS), Time(t));
                     if let Some(r) = report {
                         assert!(
-                            r.effective_flows >= 1.0
-                                && r.effective_flows <= marks[p] as f64,
+                            r.effective_flows >= 1.0 && r.effective_flows <= marks[p] as f64,
                             "case {case} round {round}: E {} outside [1, {}]",
                             r.effective_flows,
                             marks[p]
@@ -723,7 +721,10 @@ mod tests {
                 while let Some(delay) = e.on_miss_timer(&cfg(), armed, Time(armed.nanos() + 1)) {
                     armed = Time(armed.nanos() + delay.as_nanos());
                     fired += 1;
-                    assert!(fired <= TfcSwitchConfig::default().max_miss_k, "miss loop leaked");
+                    assert!(
+                        fired <= TfcSwitchConfig::default().max_miss_k,
+                        "miss loop leaked"
+                    );
                 }
                 assert_eq!(e.delimiter(), None, "stale delimiter survived reclamation");
             }

@@ -630,11 +630,7 @@ mod proptests {
             let mut policies: Vec<TfcSwitchPolicy> = rates
                 .iter()
                 .map(|&r| {
-                    TfcSwitchPolicy::new(
-                        NodeId(9),
-                        &[port_link(r)],
-                        TfcSwitchConfig::default(),
-                    )
+                    TfcSwitchPolicy::new(NodeId(9), &[port_link(r)], TfcSwitchConfig::default())
                 })
                 .collect();
             let mut pkt = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, MSS);
@@ -688,8 +684,7 @@ mod proptests {
                 granted += u64::from(pkt.window).max(MSS).div_ceil(MSS) * MSS;
             }
             if gate_all {
-                let budget =
-                    cap + 0.97 * 0.125 * now.nanos() as f64 + (2 * MSS) as f64;
+                let budget = cap + 0.97 * 0.125 * now.nanos() as f64 + (2 * MSS) as f64;
                 assert!(
                     (granted as f64) <= budget,
                     "granted {granted} over budget {budget} ({} windows, spacing {spacing_ns} ns)",

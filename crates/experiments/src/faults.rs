@@ -209,7 +209,10 @@ pub fn run(cfg: &FaultsConfig) -> FaultsResult {
             ..Default::default()
         },
     );
-    let port = sim.core().route_of(sw, receiver).expect("route to receiver");
+    let port = sim
+        .core()
+        .route_of(sw, receiver)
+        .expect("route to receiver");
     let at = Time(cfg.fault_at.as_nanos());
     let dur = cfg.fault_dur;
     let timeline = match cfg.scenario {
@@ -387,4 +390,3 @@ mod tests {
         assert_eq!(a.dip.map(|d| d.recovery_ns), b.dip.map(|d| d.recovery_ns));
     }
 }
-

@@ -129,7 +129,11 @@ pub fn run(cfg: &GoodputConfig) -> GoodputResult {
     let port = sim.core().route_of(nf1, hosts[2]).expect("route to H3");
     let sampler = sample_queue(sim.core_mut(), nf1, port, cfg.queue_sample);
     sim.run();
-    crate::artifacts::maybe_export(sim.core(), "testbed(3 hosts, 2 switches)", format!("{cfg:?}"));
+    crate::artifacts::maybe_export(
+        sim.core(),
+        "testbed(3 hosts, 2 switches)",
+        format!("{cfg:?}"),
+    );
 
     let flow_ids = sim.app().flow_ids().to_vec();
     let flows: Vec<TimeSeries> = flow_ids

@@ -280,7 +280,12 @@ pub fn run(cfg: &MillionConfig) -> MillionStats {
             sketch: FctSummary::from_sketch(&c.fct_ns),
             exact: c.exact.summary(),
             fct_sketch: c.fct_ns.clone(),
-            exact_fct_ns: c.exact.records().iter().map(|r| r.fct_ns() as f64).collect(),
+            exact_fct_ns: c
+                .exact
+                .records()
+                .iter()
+                .map(|r| r.fct_ns() as f64)
+                .collect(),
             slowdown_p50: slowdown_q(&c.slowdown_milli, 0.5),
             slowdown_p99: slowdown_q(&c.slowdown_milli, 0.99),
         })
@@ -338,7 +343,12 @@ pub fn assert_sketch_matches_exact(stats: &MillionStats, alpha: f64) -> usize {
             "{}: oracle run must keep exact records",
             c.name
         );
-        assert_eq!(c.exact_fct_ns.len() as u64, c.count, "{}: counts diverge", c.name);
+        assert_eq!(
+            c.exact_fct_ns.len() as u64,
+            c.count,
+            "{}: counts diverge",
+            c.name
+        );
         let mut sorted = c.exact_fct_ns.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite FCTs"));
         // Mean is tracked exactly (running sum), so it must agree to

@@ -139,7 +139,11 @@ pub fn run(cfg: &NeConfig) -> NeResult {
         },
     );
     sim.run();
-    crate::artifacts::maybe_export(sim.core(), "testbed(6 hosts, 3 switches)", format!("{cfg:?}"));
+    crate::artifacts::maybe_export(
+        sim.core(),
+        "testbed(6 hosts, 3 switches)",
+        format!("{cfg:?}"),
+    );
 
     let nf2 = switches[2];
     let port = sim.core().route_of(nf2, h6).expect("route to H6");

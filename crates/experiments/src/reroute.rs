@@ -117,7 +117,9 @@ impl RerouteConfig {
         for f in 0..self.senders as u64 {
             load[(ecmp_hash(f, 0) % half as u64) as usize] += 1;
         }
-        (0..half).max_by_key(|&p| (load[p], std::cmp::Reverse(p))).unwrap()
+        (0..half)
+            .max_by_key(|&p| (load[p], std::cmp::Reverse(p)))
+            .unwrap()
     }
 }
 
@@ -160,7 +162,10 @@ pub struct RerouteResult {
 /// Runs one protocol through the reroute scenario.
 pub fn run(cfg: &RerouteConfig) -> RerouteResult {
     let half = cfg.k / 2;
-    assert!(cfg.k >= 4 && cfg.k.is_multiple_of(2), "need ≥ 2 uplinks per edge");
+    assert!(
+        cfg.k >= 4 && cfg.k.is_multiple_of(2),
+        "need ≥ 2 uplinks per edge"
+    );
     assert!(
         (1..=half).contains(&cfg.senders),
         "senders must fit one edge switch (1..={half})"
@@ -218,7 +223,12 @@ pub fn run(cfg: &RerouteConfig) -> RerouteResult {
             _ => {}
         }
     }
-    let dip = recovery::goodput_dip(&deliveries, fault_start_ns, fault_end_ns, cfg.bin.as_nanos());
+    let dip = recovery::goodput_dip(
+        &deliveries,
+        fault_start_ns,
+        fault_end_ns,
+        cfg.bin.as_nanos(),
+    );
     // Every fat-tree switch has exactly k ports.
     let (mut fault_drops, mut queue_drops, mut no_route_drops) = (0, 0, 0);
     for &sw in &switches {

@@ -155,7 +155,11 @@ pub fn run(cfg: &RttbConfig) -> RttbResult {
         },
     );
     sim.run();
-    crate::artifacts::maybe_export(sim.core(), "testbed(3 hosts, 2 switches)", format!("{cfg:?}"));
+    crate::artifacts::maybe_export(
+        sim.core(),
+        "testbed(3 hosts, 2 switches)",
+        format!("{cfg:?}"),
+    );
 
     let nf1 = switches[1];
     let port = sim.core().route_of(nf1, hosts[2]).expect("route to H3");

@@ -279,11 +279,36 @@ mod tests {
         let b = FctSummary::from_sketch(&sketch).unwrap();
         assert_eq!(a.count, b.count);
         let close = |x: f64, y: f64| (x - y).abs() / y <= 2.0 * alpha;
-        assert!(close(b.mean_us, a.mean_us), "mean {} vs {}", b.mean_us, a.mean_us);
-        assert!(close(b.p95_us, a.p95_us), "p95 {} vs {}", b.p95_us, a.p95_us);
-        assert!(close(b.p99_us, a.p99_us), "p99 {} vs {}", b.p99_us, a.p99_us);
-        assert!(close(b.p999_us, a.p999_us), "p999 {} vs {}", b.p999_us, a.p999_us);
-        assert!(close(b.p9999_us, a.p9999_us), "p9999 {} vs {}", b.p9999_us, a.p9999_us);
+        assert!(
+            close(b.mean_us, a.mean_us),
+            "mean {} vs {}",
+            b.mean_us,
+            a.mean_us
+        );
+        assert!(
+            close(b.p95_us, a.p95_us),
+            "p95 {} vs {}",
+            b.p95_us,
+            a.p95_us
+        );
+        assert!(
+            close(b.p99_us, a.p99_us),
+            "p99 {} vs {}",
+            b.p99_us,
+            a.p99_us
+        );
+        assert!(
+            close(b.p999_us, a.p999_us),
+            "p999 {} vs {}",
+            b.p999_us,
+            a.p999_us
+        );
+        assert!(
+            close(b.p9999_us, a.p9999_us),
+            "p9999 {} vs {}",
+            b.p9999_us,
+            a.p9999_us
+        );
         assert!(FctSummary::from_sketch(&QuantileSketch::new(alpha)).is_none());
     }
 

@@ -266,7 +266,10 @@ mod tests {
         let est = s.quantile(q).expect("non-empty");
         let exact = exact_quantile(sorted, q);
         if exact < 1.0 {
-            assert!(est <= 1.0 + s.alpha(), "{ctx}: q{q} est {est} for sub-unit exact {exact}");
+            assert!(
+                est <= 1.0 + s.alpha(),
+                "{ctx}: q{q} est {est} for sub-unit exact {exact}"
+            );
             return;
         }
         let rel = (est - exact).abs() / exact;
@@ -448,7 +451,10 @@ mod tests {
             assert_eq!(ab_c.min(), a_bc.min());
             assert_eq!(ab_c.max(), a_bc.max());
             let (s1, s2) = (ab_c.sum(), a_bc.sum());
-            assert!((s1 - s2).abs() <= s1.abs() * 1e-12, "sums diverged: {s1} vs {s2}");
+            assert!(
+                (s1 - s2).abs() <= s1.abs() * 1e-12,
+                "sums diverged: {s1} vs {s2}"
+            );
             // Accuracy on the union.
             let mut all: Vec<f64> = parts.concat();
             all.sort_by(|x, y| x.partial_cmp(y).unwrap());

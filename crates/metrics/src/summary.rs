@@ -180,7 +180,10 @@ mod tests {
         cases(128, |_case, rng| {
             let values = vec_f64(rng, 1..50, 0.0..1e9);
             let j = jain_index(&values);
-            assert!(j >= 1.0 / values.len() as f64 - 1e-9, "jain {j} for {values:?}");
+            assert!(
+                j >= 1.0 / values.len() as f64 - 1e-9,
+                "jain {j} for {values:?}"
+            );
             assert!(j <= 1.0 + 1e-9, "jain {j} for {values:?}");
         });
     }

@@ -137,10 +137,7 @@ impl PacketArena {
             slot.gen = slot.gen.wrapping_add(1);
             slot.next = NIL;
             slot.pkt = pkt;
-            return PacketId {
-                idx,
-                gen: slot.gen,
-            };
+            return PacketId { idx, gen: slot.gen };
         }
         let idx = u32::try_from(self.slots.len()).expect("packet arena exceeds u32 slots");
         assert!(idx != NIL, "packet arena exceeds u32 slots");

@@ -220,12 +220,20 @@ mod tests {
                 let stale = m.generation(id);
                 assert_eq!(m.remove(id), Some(i - CONCURRENCY), "tenant intact at {i}");
                 removes[id.0 as usize] += 1;
-                assert_ne!(m.generation(id), stale, "stale id must be detectable at {i}");
+                assert_ne!(
+                    m.generation(id),
+                    stale,
+                    "stale id must be detectable at {i}"
+                );
             }
             assert_eq!(m.insert(id, i), None, "slot must be empty at {i}");
         }
         for (slot, &r) in removes.iter().enumerate() {
-            assert_eq!(m.generation(FlowId(slot as u64)), r, "one bump per occupancy");
+            assert_eq!(
+                m.generation(FlowId(slot as u64)),
+                r,
+                "one bump per occupancy"
+            );
         }
         assert_eq!(m.len(), CONCURRENCY as usize);
         assert_eq!(m.peak_len(), CONCURRENCY as usize);

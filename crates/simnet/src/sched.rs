@@ -1014,7 +1014,9 @@ mod tests {
 
     impl VecModel {
         fn new() -> Self {
-            Self { entries: Vec::new() }
+            Self {
+                entries: Vec::new(),
+            }
         }
         fn schedule(&mut self, at: u64, token: u64) {
             self.entries.push((at, token));
@@ -1089,7 +1091,10 @@ mod tests {
                 });
                 assert_eq!(got, want, "anchor {anchor}");
             }
-            assert!(model.pop().is_none(), "model has leftovers, anchor {anchor}");
+            assert!(
+                model.pop().is_none(),
+                "model has leftovers, anchor {anchor}"
+            );
             assert!(q.is_empty());
         }
     }
@@ -1326,7 +1331,10 @@ mod tests {
                 assert_eq!(q.queued(), 0, "{kind:?}: dead entries left behind");
             }
         });
-        assert!(adopted > 0 && pushed > 0 && chains > 0, "{adopted} {pushed} {chains}");
+        assert!(
+            adopted > 0 && pushed > 0 && chains > 0,
+            "{adopted} {pushed} {chains}"
+        );
     }
 
     /// An ACK-clocked sender's pattern, 100k times: one packet event
@@ -1349,7 +1357,11 @@ mod tests {
                 now = t.nanos();
                 assert!(q.cancel(rto));
                 rto = q.schedule_cancellable(Time(now + RTO), Event::AppTimer { token: i });
-                assert!(q.queued() <= 2, "{kind:?}: {} queued after ACK {i}", q.queued());
+                assert!(
+                    q.queued() <= 2,
+                    "{kind:?}: {} queued after ACK {i}",
+                    q.queued()
+                );
             }
             assert!(q.peak_queued() <= 2, "{kind:?}: peak {}", q.peak_queued());
             let (t, ev) = q.pop().expect("last RTO");

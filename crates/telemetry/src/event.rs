@@ -468,7 +468,10 @@ mod tests {
                 bytes: 0,
             },
             TraceEvent::FlowEstablished { flow: 1 },
-            TraceEvent::FlowWindowAcquired { flow: 1, window: 2920 },
+            TraceEvent::FlowWindowAcquired {
+                flow: 1,
+                window: 2920,
+            },
             TraceEvent::FlowRetransmit { flow: 1 },
             TraceEvent::FlowRto { flow: 1 },
             TraceEvent::FlowFin {
@@ -567,10 +570,7 @@ mod tests {
             for i in 0..10_000u64 {
                 log.record(i, enq(1, i));
             }
-            log.records()
-                .iter()
-                .map(|r| r.at_ns)
-                .collect::<Vec<u64>>()
+            log.records().iter().map(|r| r.at_ns).collect::<Vec<u64>>()
         };
         let a = run(42);
         let b = run(42);

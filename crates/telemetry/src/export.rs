@@ -395,7 +395,10 @@ pub fn sketch_from_json(v: &Value, alpha: f64) -> Result<QuantileSketch, String>
         .ok_or("sketch missing 'buckets'")?
         .iter()
         .map(|pair| {
-            let p = pair.as_array().filter(|p| p.len() == 2).ok_or("bad bucket pair")?;
+            let p = pair
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .ok_or("bad bucket pair")?;
             let k = p[0].as_i64().ok_or("bad bucket key")? as i32;
             let c = p[1].as_i64().ok_or("bad bucket count")? as u64;
             Ok::<(i32, u64), String>((k, c))
@@ -444,16 +447,25 @@ pub fn retired_from_json(doc: &Value) -> Result<RetiredFlows, String> {
         .iter()
         .map(|c| {
             let sketch = |k: &str| {
-                sketch_from_json(c.get(k).ok_or_else(|| format!("class missing '{k}'"))?, alpha)
+                sketch_from_json(
+                    c.get(k).ok_or_else(|| format!("class missing '{k}'"))?,
+                    alpha,
+                )
             };
             Ok::<RetiredClass, String>(RetiredClass {
-                class: c.get("class").and_then(Value::as_i64).ok_or("class missing tag")? as u8,
+                class: c
+                    .get("class")
+                    .and_then(Value::as_i64)
+                    .ok_or("class missing tag")? as u8,
                 name: c
                     .get("name")
                     .and_then(Value::as_str)
                     .ok_or("class missing name")?
                     .to_string(),
-                count: c.get("count").and_then(Value::as_i64).ok_or("class missing count")? as u64,
+                count: c
+                    .get("count")
+                    .and_then(Value::as_i64)
+                    .ok_or("class missing count")? as u64,
                 fct_ns: sketch("fct_ns")?,
                 bytes: sketch("bytes")?,
                 retransmits: sketch("retransmits")?,
@@ -563,12 +575,18 @@ pub fn parse_slots_csv(text: &str) -> Result<Vec<PortSlotSample>, String> {
         }
         let f: Vec<&str> = line.split(',').collect();
         if f.len() != 11 {
-            return Err(format!("row {}: expected 11 fields, got {}", i + 2, f.len()));
+            return Err(format!(
+                "row {}: expected 11 fields, got {}",
+                i + 2,
+                f.len()
+            ));
         }
-        let num =
-            |j: usize| -> Result<f64, String> { f[j].parse().map_err(|e| format!("row {}: {e}", i + 2)) };
-        let int =
-            |j: usize| -> Result<u64, String> { f[j].parse().map_err(|e| format!("row {}: {e}", i + 2)) };
+        let num = |j: usize| -> Result<f64, String> {
+            f[j].parse().map_err(|e| format!("row {}: {e}", i + 2))
+        };
+        let int = |j: usize| -> Result<u64, String> {
+            f[j].parse().map_err(|e| format!("row {}: {e}", i + 2))
+        };
         out.push(PortSlotSample {
             at_ns: int(0)?,
             node: int(1)? as u32,
@@ -1019,7 +1037,13 @@ mod tests {
 
     #[test]
     fn slots_csv_roundtrips() {
-        let slots = vec![sample(), PortSlotSample { at_ns: 456, ..sample() }];
+        let slots = vec![
+            sample(),
+            PortSlotSample {
+                at_ns: 456,
+                ..sample()
+            },
+        ];
         let csv = streamed_csv(|out| write_slots_csv(out, &slots));
         assert!(csv.starts_with(SLOTS_CSV_HEADER));
         assert_eq!(parse_slots_csv(&csv).unwrap(), slots);
@@ -1117,7 +1141,11 @@ mod tests {
             Some(14_600)
         );
         // An untraced run exports exactly the historical five files.
-        let off = RunManifest { run: "unit-off".into(), sim: None, ..manifest };
+        let off = RunManifest {
+            run: "unit-off".into(),
+            sim: None,
+            ..manifest
+        };
         tel.spans = SpanTracker::new(crate::TraceConfig::Off);
         let out_off = export_run(&off, &tel, flows, None, &[]).unwrap();
         assert!(!out_off.join("spans.json").exists());

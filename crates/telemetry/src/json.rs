@@ -208,7 +208,10 @@ impl<W: Write> PrettyWriter<W> {
     /// after an earlier one, then a new line at the member's depth.
     fn next_member(&mut self) -> io::Result<()> {
         let depth = self.stack.len();
-        let top = self.stack.last_mut().expect("JSON member outside a container");
+        let top = self
+            .stack
+            .last_mut()
+            .expect("JSON member outside a container");
         if std::mem::replace(&mut top.any, true) {
             self.out.write_all(b",")?;
         }
@@ -946,7 +949,10 @@ mod tests {
     fn accessors() {
         let v = json!({"a": [1, "x"], "f": 2.0});
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_str(), Some("x"));
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[1].as_str(),
+            Some("x")
+        );
         assert_eq!(v.get("f").unwrap().as_i64(), Some(2));
         assert_eq!(v.get("f").unwrap().as_f64(), Some(2.0));
         assert_eq!(v.get("missing"), None);

@@ -278,8 +278,16 @@ impl SpanTracker {
         let Some(span) = self.active.remove(&key) else {
             return;
         };
-        self.record(STAGE_WIRE, span.hop.saturating_add(1), now.saturating_sub(span.wire_start));
-        let e2e = if span.data { STAGE_E2E_DATA } else { STAGE_E2E_CTRL };
+        self.record(
+            STAGE_WIRE,
+            span.hop.saturating_add(1),
+            now.saturating_sub(span.wire_start),
+        );
+        let e2e = if span.data {
+            STAGE_E2E_DATA
+        } else {
+            STAGE_E2E_CTRL
+        };
         self.record(e2e, 0, now.saturating_sub(sent_ns));
     }
 
@@ -354,9 +362,9 @@ impl SpanTracker {
     /// then hop) order.
     fn sketch_iter(&self) -> impl Iterator<Item = (u8, u8, &QuantileSketch)> {
         self.sketches.iter().enumerate().flat_map(|(stage, row)| {
-            row.iter().enumerate().filter_map(move |(hop, s)| {
-                s.as_ref().map(|s| (stage as u8, hop as u8, s))
-            })
+            row.iter()
+                .enumerate()
+                .filter_map(move |(hop, s)| s.as_ref().map(|s| (stage as u8, hop as u8, s)))
         })
     }
 
@@ -430,7 +438,10 @@ pub fn sketch_from_json(row: &Value) -> Result<QuantileSketch, String> {
         .ok_or("stage row missing 'buckets'")?
         .iter()
         .map(|pair| {
-            let p = pair.as_array().filter(|p| p.len() == 2).ok_or("bad bucket pair")?;
+            let p = pair
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .ok_or("bad bucket pair")?;
             let k = p[0].as_i64().ok_or("bad bucket key")? as i32;
             let c = p[1].as_i64().ok_or("bad bucket count")? as u64;
             Ok::<(i32, u64), String>((k, c))
@@ -464,7 +475,13 @@ mod tests {
         assert_eq!(thread_span_records(), before);
         assert_eq!(t.tracked_packets(), 0);
         assert_eq!(t.active_len(), 0);
-        assert!(t.to_json().get("stages").unwrap().as_array().unwrap().is_empty());
+        assert!(t
+            .to_json()
+            .get("stages")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -517,7 +534,10 @@ mod tests {
 
     #[test]
     fn sampled_flows_is_deterministic_and_proportional() {
-        let cfg = TraceConfig::SampledFlows { permille: 250, seed: 42 };
+        let cfg = TraceConfig::SampledFlows {
+            permille: 250,
+            seed: 42,
+        };
         let t = SpanTracker::new(cfg);
         let t2 = SpanTracker::new(cfg);
         let picked: Vec<u64> = (0..4_000).filter(|&f| t.tracked_flow(f)).collect();
@@ -526,12 +546,18 @@ mod tests {
         let frac = picked.len() as f64 / 4_000.0;
         assert!((0.20..0.30).contains(&frac), "got fraction {frac}");
         // A different seed picks a different subset.
-        let t3 = SpanTracker::new(TraceConfig::SampledFlows { permille: 250, seed: 43 });
+        let t3 = SpanTracker::new(TraceConfig::SampledFlows {
+            permille: 250,
+            seed: 43,
+        });
         let picked3: Vec<u64> = (0..4_000).filter(|&f| t3.tracked_flow(f)).collect();
         assert_ne!(picked, picked3);
         // Untracked flows never allocate span state.
         let mut t4 = SpanTracker::new(cfg);
-        let untracked: Vec<u64> = (0..4_000).filter(|&f| !t4.tracked_flow(f)).take(10).collect();
+        let untracked: Vec<u64> = (0..4_000)
+            .filter(|&f| !t4.tracked_flow(f))
+            .take(10)
+            .collect();
         for f in untracked {
             t4.on_enqueue(f, f, true, true, 0);
         }
@@ -544,7 +570,13 @@ mod tests {
         t.on_enqueue(5, 2, false, true, 0);
         t.on_consumed(5, 2);
         assert_eq!(t.active_len(), 0);
-        assert!(t.to_json().get("drops").unwrap().as_array().unwrap().is_empty());
+        assert!(t
+            .to_json()
+            .get("drops")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -574,7 +606,11 @@ mod tests {
         assert_eq!(TraceConfig::Off.describe(), "off");
         assert_eq!(TraceConfig::Full.describe(), "full");
         assert_eq!(
-            TraceConfig::SampledFlows { permille: 64, seed: 9 }.describe(),
+            TraceConfig::SampledFlows {
+                permille: 64,
+                seed: 9
+            }
+            .describe(),
             "sampled(64/1000,seed=9)"
         );
     }

@@ -62,7 +62,9 @@ impl RttEstimator {
     pub fn rto(&self) -> Dur {
         let base = match self.srtt {
             None => self.min_rto,
-            Some(srtt) => Dur(srtt.as_nanos().saturating_add(4 * self.rttvar.as_nanos().max(1))),
+            Some(srtt) => Dur(srtt
+                .as_nanos()
+                .saturating_add(4 * self.rttvar.as_nanos().max(1))),
         };
         // A large base shifted by the backoff count can overflow u64; an
         // unchecked `<<` would wrap to a tiny value and the clamp below
@@ -171,7 +173,9 @@ mod tests {
         use rng::Rng;
         cases(128, |_case, rng| {
             let min_rto = Dur(rng.gen_range(1..10_000_000u64));
-            let max_rto = Dur(min_rto.as_nanos().saturating_add(rng.gen_range(1..u64::MAX / 2)));
+            let max_rto = Dur(min_rto
+                .as_nanos()
+                .saturating_add(rng.gen_range(1..u64::MAX / 2)));
             let mut e = RttEstimator::new(min_rto, max_rto);
             // Mix ordinary and near-overflow RTT samples.
             let rtt = if rng.gen_bool(0.5) {

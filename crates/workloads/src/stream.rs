@@ -152,8 +152,8 @@ impl StreamApp {
         }
         let c = &self.cfg.classes[class];
         let bytes = sample_size(api.rng(), &c.sizes);
-        let spec = FlowSpec::sized(self.cfg.hosts[src], self.cfg.hosts[dst], bytes)
-            .with_weight(c.weight);
+        let spec =
+            FlowSpec::sized(self.cfg.hosts[src], self.cfg.hosts[dst], bytes).with_weight(c.weight);
         let flow = api.start_flow(spec);
         api.set_flow_class(flow, class as u8);
         self.counters[class].started += 1;
@@ -247,9 +247,16 @@ mod tests {
         );
         sim.run();
         let app = sim.app();
-        assert!(app.completed() >= 300, "target reached: {}", app.completed());
+        assert!(
+            app.completed() >= 300,
+            "target reached: {}",
+            app.completed()
+        );
         let per = app.class_counters();
-        assert!(per[0].completed > 0 && per[1].completed > 0, "both classes ran");
+        assert!(
+            per[0].completed > 0 && per[1].completed > 0,
+            "both classes ran"
+        );
         assert_eq!(
             per.iter().map(|c| c.started).sum::<u64>(),
             app.started(),

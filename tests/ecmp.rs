@@ -117,7 +117,7 @@ fn flows_spray_across_equal_cost_uplinks() {
 /// traffic keeps moving, and the switch end of the downed link records
 /// a `Rerouted` event counting the absorbable destinations.
 #[test]
-fn link_down_reroutes_onto_surviving_members()  {
+fn link_down_reroutes_onto_surviving_members() {
     let k = 4usize;
     let (t, hosts, _) = fat_tree(4, Bandwidth::gbps(1), Bandwidth::gbps(10), Dur::micros(2));
     let net = t.build(|_, _| Box::new(DropTail));
@@ -142,8 +142,13 @@ fn link_down_reroutes_onto_surviving_members()  {
     );
     let uplinks = sim.core().next_hops_of(edge0, dst);
     let (dead, alive) = (uplinks[0], uplinks[1]);
-    sim.core_mut()
-        .inject_fault(Time::ZERO, FaultAction::LinkDown { node: edge0, port: dead });
+    sim.core_mut().inject_fault(
+        Time::ZERO,
+        FaultAction::LinkDown {
+            node: edge0,
+            port: dead,
+        },
+    );
     let mut flows = Vec::new();
     for _ in 0..6 {
         flows.push(sim.core_mut().start_flow(FlowSpec {

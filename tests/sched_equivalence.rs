@@ -208,12 +208,8 @@ fn run_stream(v: Variant) {
 /// reroute filter reads only port liveness, so the backend may not leak
 /// into a single artifact byte.
 fn run_ecmp(v: Variant) {
-    let (t, hosts, switches) = fat_tree(
-        4,
-        Bandwidth::gbps(1),
-        Bandwidth::gbps(10),
-        Dur::micros(20),
-    );
+    let (t, hosts, switches) =
+        fat_tree(4, Bandwidth::gbps(1), Bandwidth::gbps(10), Dur::micros(20));
     let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
     let mut sim = Simulator::new(
         net,
@@ -264,7 +260,9 @@ const ARTIFACTS: [&str; 5] = [
 fn check_manifest(dir: &Path, run: &str, v: Variant, reference: &telemetry::json::Value) {
     let text = String::from_utf8(read(dir, run, "manifest.json")).unwrap();
     let mut doc = telemetry::json::parse(&text).unwrap_or_else(|e| panic!("{run} manifest: {e}"));
-    let sim = doc.get("sim").unwrap_or_else(|| panic!("{run} manifest lacks sim metadata"));
+    let sim = doc
+        .get("sim")
+        .unwrap_or_else(|| panic!("{run} manifest lacks sim metadata"));
     assert_eq!(
         sim.get("scheduler").and_then(|s| s.as_str()),
         Some(format!("{:?}", v.kind).as_str()),

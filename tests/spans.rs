@@ -84,7 +84,10 @@ fn tracing_is_zero_cost_off_passive_on_and_bounded() {
     std::env::set_var("TFC_RESULTS_DIR", &base);
 
     let off = run_incast(TraceConfig::Off, "spans_off", |_| {});
-    assert_eq!(off.records, 0, "TraceConfig::Off must record zero span entries");
+    assert_eq!(
+        off.records, 0,
+        "TraceConfig::Off must record zero span entries"
+    );
     assert_eq!(off.tracked, 0);
     assert!(
         !off.dir.join("spans.json").exists(),
@@ -148,7 +151,12 @@ fn tracing_is_zero_cost_off_passive_on_and_bounded() {
 
     // The simulation must be oblivious to being observed: every
     // non-span artifact is byte-identical whatever the trace mode.
-    for file in ["counters.json", "events.json", "flows.json", "tfc_slots.csv"] {
+    for file in [
+        "counters.json",
+        "events.json",
+        "flows.json",
+        "tfc_slots.csv",
+    ] {
         let want = std::fs::read(off.dir.join(file)).unwrap();
         assert!(!want.is_empty(), "{file} is empty");
         for (mode, dir) in [("full", &full.dir), ("sampled", &sampled.dir)] {

@@ -10,8 +10,7 @@ use telemetry::json::{self, Value};
 use telemetry::TelemetryConfig;
 
 fn load(dir: &std::path::Path, name: &str) -> Value {
-    let text = fs::read_to_string(dir.join(name))
-        .unwrap_or_else(|e| panic!("read {name}: {e}"));
+    let text = fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"));
     json::parse(&text).unwrap_or_else(|e| panic!("parse {name}: {e}"))
 }
 
