@@ -2,11 +2,16 @@
 //! log's exact `pkt_drop` count equals the tail, fault and no-route drops
 //! summed over every switch port and host NIC — including the two drops
 //! only a stalled host makes: a packet its endpoints emit into the NIC,
-//! and a packet arriving for them.
+//! and a packet arriving for them. Under a dropping switch policy, it
+//! equals the ports' drops plus the simulator's policy drops.
 
 use chaos::timeline::FaultTimeline;
 use experiments::{Proto, ProtoConfig};
-use simnet::sim::{SimConfig, Simulator};
+use simnet::app::NullApp;
+use simnet::endpoint::FlowSpec;
+use simnet::packet::NodeId;
+use simnet::policy::PeriodicLoss;
+use simnet::sim::{SimConfig, SimCore, Simulator};
 use simnet::topology::star;
 use simnet::units::{Bandwidth, Dur, Time};
 use telemetry::{LogMode, TelemetryConfig, TraceConfig, TraceEvent};
@@ -14,6 +19,28 @@ use workloads::onoff::{OnOffApp, OnOffFlow};
 
 const MS: u64 = 1_000_000;
 const HORIZON: u64 = 300 * MS;
+
+/// The tail, fault and no-route drops of a star's switch `sw` (one port
+/// per host) and host NICs.
+fn port_drops(core: &SimCore, sw: NodeId, hosts: &[NodeId]) -> u64 {
+    let ports = (0..hosts.len())
+        .map(|p| (sw, p))
+        .chain(hosts.iter().map(|&h| (h, 0)));
+    ports
+        .map(|(node, p)| {
+            let s = core.port_stats(node, p);
+            s.drops + s.fault_drops + s.no_route_drops
+        })
+        .sum()
+}
+
+fn full_log() -> TelemetryConfig {
+    TelemetryConfig {
+        events: LogMode::Full,
+        trace: TraceConfig::Full,
+        ..TelemetryConfig::default()
+    }
+}
 
 fn stalled_star(proto: Proto) {
     let senders = 4;
@@ -36,11 +63,7 @@ fn stalled_star(proto: Proto) {
             seed: 3,
             end: Some(Time(HORIZON)),
             host_jitter: None,
-            telemetry: TelemetryConfig {
-                events: LogMode::Full,
-                trace: TraceConfig::Full,
-                ..TelemetryConfig::default()
-            },
+            telemetry: full_log(),
             ..Default::default()
         },
     );
@@ -53,15 +76,7 @@ fn stalled_star(proto: Proto) {
     sim.run();
 
     let core = sim.core();
-    let ports = (0..=senders)
-        .map(|p| (sw, p))
-        .chain(hosts.iter().map(|&h| (h, 0)));
-    let counted: u64 = ports
-        .map(|(node, p)| {
-            let s = core.port_stats(node, p);
-            s.drops + s.fault_drops + s.no_route_drops
-        })
-        .sum();
+    let counted = port_drops(core, sw, &hosts);
     let log = &core.telemetry().log;
     assert!(
         core.port_stats(victim, 0).fault_drops > 0,
@@ -101,4 +116,40 @@ fn stalled_host_drops_reconcile_with_port_counters_tfc() {
 #[test]
 fn stalled_host_drops_reconcile_with_port_counters_tcp() {
     stalled_star(Proto::Tcp);
+}
+
+/// Packets a switch policy discards are counted by the simulator, not a
+/// port, and logged like every other drop: two TCP senders through a
+/// switch that drops every 23rd data packet it forwards.
+#[test]
+fn policy_drops_reconcile_with_the_log() {
+    let (t, hosts, sw) = star(3, Bandwidth::gbps(1), Dur::micros(1));
+    let net = t.build(|_, _| Box::new(PeriodicLoss::new(23)));
+    let mut sim = Simulator::new(
+        net,
+        ProtoConfig::default().stack(Proto::Tcp),
+        NullApp,
+        SimConfig {
+            end: Some(Time(HORIZON)),
+            telemetry: full_log(),
+            ..Default::default()
+        },
+    );
+    for &src in &hosts[..2] {
+        sim.core_mut().start_flow(FlowSpec {
+            src,
+            dst: hosts[2],
+            bytes: Some(400_000),
+            weight: 1,
+        });
+    }
+    sim.run();
+
+    let core = sim.core();
+    assert!(core.policy_drops() > 0, "the policy drops packets");
+    assert_eq!(
+        core.telemetry().log.count_of("pkt_drop"),
+        port_drops(core, sw, &hosts) + core.policy_drops(),
+        "logged drops reconcile"
+    );
 }
