@@ -13,6 +13,8 @@ export RUSTFLAGS="${RUSTFLAGS:-} -D warnings"
 cargo build --release --workspace --all-targets
 # Lint gate: the workspace is clippy-clean, tests and benches included.
 cargo clippy --workspace --all-targets -- -D warnings
+# Format gate: the workspace is rustfmt-clean.
+cargo fmt --all --check
 cargo test -q --workspace
 
 # End-to-end telemetry: a fully-traced incast's exported artifacts must
