@@ -33,7 +33,7 @@ pub mod span;
 pub use counters::{LoopStats, PortSlotSample};
 pub use event::{EventLog, EventRecord, LogMode, TraceEvent, EVENT_KIND_NAMES};
 pub use export::{FlowSummary, RetiredClass, RetiredFlows, RunManifest, SimMeta};
-pub use observe::{DropCause, PacketFields, PacketView, Queue};
+pub use observe::{PacketFields, PacketView, Queue};
 pub use span::{SpanTracker, TraceConfig};
 
 /// What a simulation run should collect and where it should go.
