@@ -1,6 +1,6 @@
 //! Run-artifact export shared by every experiment driver.
 //!
-//! A driver that finds [`TelemetryConfig::export`] set on its simulator
+//! A driver that finds [`TelemetryConfig::export`](telemetry::TelemetryConfig::export) set on its simulator
 //! writes the full artifact bundle (manifest, counters, events, flows,
 //! TFC slot gauges, lifecycle-span sketches, queue-sampler series) under
 //! `results/<run>/` via [`maybe_export`]. With export unset (the

@@ -30,10 +30,11 @@ use crate::units::Time;
 /// Why [`SimCore::lose`] loses a packet; each cause has its counter.
 #[derive(Debug, Clone, Copy)]
 enum DropCause {
-    /// Dead link, loss window or stalled host: the port's `fault_drops`.
+    /// Dead link, loss window or stalled host: the port's fault drops
+    /// in `SimCore::rare_drops`.
     Fault,
-    /// No route toward the destination: the ingress port's
-    /// `no_route_drops`.
+    /// No route toward the destination: the ingress port's no-route
+    /// drops in `SimCore::rare_drops`.
     NoRoute,
     /// The switch policy's egress hook discarded it (a test utility):
     /// the fabric-wide `policy_drops`.
@@ -84,6 +85,10 @@ impl SimCore {
             self.lose(node, 0, pkt, DropCause::Fault);
             return;
         }
+        if Self::faulted(&h.nic, &mut self.fault_rng) {
+            self.lose(node, 0, pkt, DropCause::Fault);
+            return;
+        }
         Self::enqueue_and_kick(
             &mut h.nic,
             node,
@@ -93,7 +98,6 @@ impl SimCore {
             &mut self.packets,
             self.now,
             &mut self.events,
-            &mut self.fault_rng,
             &mut self.telemetry,
         );
     }
@@ -162,12 +166,14 @@ impl SimCore {
     }
 
     /// Loses `pkt` at `node`'s `port` for `cause`: counts it, reports it
-    /// to telemetry and frees its slot. (A tail drop is counted by the
-    /// queue itself, in `enqueue_and_kick`.)
+    /// to telemetry and frees its slot. (A tail drop is counted on its
+    /// port, in `enqueue_and_kick`.)
     fn lose(&mut self, node: NodeId, port: usize, pkt: PacketId, cause: DropCause) {
+        // Port indices are below `MAX_PORTS` (2^15).
+        let at = (node, port as u16);
         match cause {
-            DropCause::Fault => self.port_mut(node, port).fault_drops += 1,
-            DropCause::NoRoute => self.port_mut(node, port).no_route_drops += 1,
+            DropCause::Fault => self.rare_drops.entry(at).or_default().fault += 1,
+            DropCause::NoRoute => self.rare_drops.entry(at).or_default().no_route += 1,
             DropCause::Policy => self.policy_drops += 1,
         }
         let p = self.packets.get(pkt);
@@ -176,11 +182,21 @@ impl SimCore {
         self.packets.free(pkt);
     }
 
+    /// Whether a packet entering `port` is lost to a fault: the link is
+    /// down, or an active loss window draws it. The fault RNG is only
+    /// drawn inside an active loss window, so fault-free runs are
+    /// byte-identical to pre-fault-layer ones.
+    fn faulted(port: &Port, fault_rng: &mut StdRng) -> bool {
+        !port.up
+            || (port.loss_permille > 0
+                && fault_rng.gen_range(0..1000u64) < port.loss_permille as u64)
+    }
+
     /// Enqueues `pkt` on `port`, port `port_idx` of node `id` (the
-    /// kind of `queue`), starting the transmitter if it is idle. Drops
-    /// (with accounting in the queue) on overflow, and loses the packet
-    /// outright on a downed link or an active loss window (fault
-    /// accounting); a packet not enqueued has its arena slot freed.
+    /// kind of `queue`), starting the transmitter if it is idle. On
+    /// overflow it counts a drop on the port and frees the packet's
+    /// arena slot. The caller has already checked the port for faults
+    /// ([`faulted`](Self::faulted)).
     #[allow(clippy::too_many_arguments)]
     fn enqueue_and_kick(
         port: &mut Port,
@@ -191,22 +207,11 @@ impl SimCore {
         arena: &mut PacketArena,
         now: Time,
         events: &mut EventQueue,
-        fault_rng: &mut StdRng,
         tel: &mut Telemetry,
     ) {
         let (at, node, port_no, key) = (now.nanos(), id.0, port_idx as u16, pkt.key());
-        // The fault RNG is only drawn inside an active loss window, so
-        // fault-free runs are byte-identical to pre-fault-layer ones.
-        let lost = !port.up
-            || (port.loss_permille > 0
-                && fault_rng.gen_range(0..1000u64) < port.loss_permille as u64);
-        if lost {
-            port.fault_drops += 1;
-            tel.pkt_drop(at, node, port_no, key, arena.get(pkt));
-            arena.free(pkt);
-            return;
-        }
         if !port.queue.enqueue(pkt, arena) {
+            port.drops += 1;
             tel.pkt_drop(at, node, port_no, key, arena.get(pkt));
             arena.free(pkt);
             return;
@@ -348,7 +353,11 @@ impl SimCore {
             };
             (slot, verdict)
         };
-        if verdict == EgressVerdict::Enqueue {
+        if verdict != EgressVerdict::Enqueue {
+            self.lose(node, out, pkt, DropCause::Policy);
+        } else if Self::faulted(&self.ports[slot], &mut self.fault_rng) {
+            self.lose(node, out, pkt, DropCause::Fault);
+        } else {
             Self::enqueue_and_kick(
                 &mut self.ports[slot],
                 node,
@@ -358,11 +367,8 @@ impl SimCore {
                 &mut self.packets,
                 now,
                 &mut self.events,
-                &mut self.fault_rng,
                 &mut self.telemetry,
             );
-        } else {
-            self.lose(node, out, pkt, DropCause::Policy);
         }
         self.apply_policy_fx(node, fx);
     }

@@ -18,73 +18,60 @@ pub struct PortLink {
     pub delay: Dur,
     /// Node at the far end.
     pub peer: NodeId,
-    /// Ingress port index at the far end (below [`MAX_PORTS`]).
+    /// Ingress port index at the far end (below 2^15, the most ports a
+    /// route-table entry can name).
     pub peer_port: u16,
 }
 
 /// One output port: an attached link plus its FIFO and transmitter state.
 ///
 /// Host NICs live in their [`Host`]; every switch port of a network
-/// lives in one fabric-wide table (see [`Switch::ports`]).
+/// lives in one fabric-wide table (see [`Switch::ports`]). The rare
+/// fault and no-route drop counters are not here: the simulator keeps
+/// them in a sparse per-port ledger (see
+/// [`crate::sim::SimCore::port_stats`]).
 #[derive(Debug)]
 pub struct Port {
     /// The attached link.
     pub link: PortLink,
-    /// Output FIFO.
-    pub queue: PortQueue,
-    /// Whether a packet is currently being serialised.
-    pub busy: bool,
     /// Total wire bytes transmitted out of this port.
     pub tx_bytes: u64,
+    /// Packets tail-dropped at the full FIFO.
+    pub drops: u64,
+    /// Output FIFO.
+    pub queue: PortQueue,
+    /// Drop probability of the active loss window, in permille
+    /// (0 = no loss window). Fault-injection state.
+    pub loss_permille: u16,
+    /// Whether a packet is currently being serialised.
+    pub busy: bool,
     /// Whether the attached link is up. A downed port accepts nothing
     /// new; packets it finishes serialising (and packets propagating
     /// toward it) are lost. Fault-injection state; `true` by default.
     pub up: bool,
-    /// Drop probability of the active loss window, in permille
-    /// (0 = no loss window). Fault-injection state.
-    pub loss_permille: u16,
-    /// Packets lost to faults at this port (dead link, loss window,
-    /// stalled host) — separate from the FIFO's overflow drops.
-    pub fault_drops: u64,
-    /// Packets that arrived on this port but found no route toward
-    /// their destination at this switch (counted drop, not a panic;
-    /// reachable via route-table surgery or sparse dynamic topologies).
-    pub no_route_drops: u64,
 }
 
 impl Port {
     /// Creates an idle port with a FIFO of `capacity_bytes`.
-    pub fn new(link: PortLink, capacity_bytes: u64) -> Self {
+    pub fn new(link: PortLink, capacity_bytes: u32) -> Self {
         Self {
             link,
-            queue: PortQueue::new(capacity_bytes),
-            busy: false,
             tx_bytes: 0,
-            up: true,
+            drops: 0,
+            queue: PortQueue::new(capacity_bytes),
             loss_permille: 0,
-            fault_drops: 0,
-            no_route_drops: 0,
-        }
-    }
-
-    /// Snapshot of this port's counters.
-    pub fn stats(&self) -> PortStats {
-        PortStats {
-            queue_bytes: self.queue.bytes(),
-            max_queue_bytes: self.queue.max_bytes_seen(),
-            drops: self.queue.drops(),
-            tx_bytes: self.tx_bytes,
-            fault_drops: self.fault_drops,
-            no_route_drops: self.no_route_drops,
+            busy: false,
+            up: true,
         }
     }
 }
 
 // Fabric scale multiplies this struct (58,320 switch ports and 11,664
-// NICs on a k = 36 fat-tree): keep it within 104 bytes.
-const _: () = assert!(std::mem::size_of::<Port>() <= 104);
+// NICs on a k = 36 fat-tree): one cache line. A 24-byte link, two
+// `u64` counters, a 20-byte queue, and the loss/busy/up state.
+const _: () = assert!(std::mem::size_of::<Port>() == 64);
 
-/// A snapshot of one port's counters (see [`Port::stats`] and
+/// A snapshot of one port's counters (see
 /// [`crate::sim::SimCore::port_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PortStats {
@@ -108,15 +95,10 @@ pub struct PortStats {
 /// destinations it covers (an entry cleared by route surgery).
 pub const NO_ROUTE: u16 = u16::MAX;
 
-/// Sentinel in a [`RouteTable`] entry: forward out of the destination
-/// host's own port at this switch, its access node. One value covers
-/// every host of the group, so access switches need no per-host rows.
-const DIRECT: u16 = u16::MAX - 1;
-
-/// Tag bit marking a [`RouteTable`] entry as an index into the shared
+/// Tag bit marking a [`RouteTable`] entry as an index into its row's
 /// equal-cost port-set pool rather than a single port number. Port
-/// indices must stay below this; the tagged range loses its two top
-/// values to [`DIRECT`] and [`NO_ROUTE`].
+/// indices must stay below this; the tagged range loses its top value
+/// to [`NO_ROUTE`].
 const ECMP_TAG: u16 = 1 << 15;
 
 /// Most ports one node may have: every port index must be an untagged
@@ -124,8 +106,9 @@ const ECMP_TAG: u16 = 1 << 15;
 pub(crate) const MAX_PORTS: usize = ECMP_TAG as usize;
 
 /// [`DstIndex`] group of a node no switch routes toward (a switch, or
-/// an id past the built topology).
-const NO_GROUP: u32 = u32::MAX;
+/// an id past the built topology), and the access group of a switch
+/// that is no host's access node.
+pub(crate) const NO_GROUP: u32 = u32::MAX;
 
 /// One node id's place in a [`DstIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -186,33 +169,98 @@ impl DstIndex {
     }
 }
 
+/// A switch's forwarding row: one `u16` entry per route group of its
+/// [`DstIndex`], and the deduplicated equal-cost port sets (each
+/// sorted ascending) that tagged entries index. Switches that forward
+/// identically share one row (see [`RouteTable`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub(crate) struct Row {
+    entries: Vec<u16>,
+    sets: Vec<Vec<u16>>,
+}
+
+impl Row {
+    /// A row of `entries` whose tagged values index `sets`.
+    pub(crate) fn new(entries: Vec<u16>, sets: Vec<Vec<u16>>) -> Self {
+        Self { entries, sets }
+    }
+}
+
+/// The entry value encoding `ports` in a row whose equal-cost pool is
+/// `sets`, adding a multi-port set to the pool on first use. `ports`
+/// must be sorted ascending and duplicate-free; empty is [`NO_ROUTE`].
+pub(crate) fn intern(sets: &mut Vec<Vec<u16>>, ports: &[u16]) -> u16 {
+    match ports {
+        [] => NO_ROUTE,
+        &[p] => {
+            assert!(p < ECMP_TAG, "port index {p} collides with the ECMP tag");
+            p
+        }
+        many => {
+            debug_assert!(
+                many.windows(2).all(|w| w[0] < w[1]),
+                "ports must be sorted+unique"
+            );
+            assert!(
+                *many.last().unwrap() < ECMP_TAG,
+                "port index collides with the ECMP tag"
+            );
+            // Linear pool scan: distinct sets per switch are few (a
+            // fat-tree switch has a handful), and scan order is
+            // deterministic.
+            let idx = sets.iter().position(|s| s == many).unwrap_or_else(|| {
+                sets.push(many.to_vec());
+                sets.len() - 1
+            });
+            assert!(
+                idx < (NO_ROUTE ^ ECMP_TAG) as usize,
+                "equal-cost set pool exceeds the tagged index range"
+            );
+            ECMP_TAG | idx as u16
+        }
+    }
+}
+
 /// A multi-next-hop routing table: per route group, meaning the hosts
 /// behind one access node, either a single egress port, the group's own
 /// host ports, or an equal-cost set of ports.
 ///
 /// Every switch of a built topology shares one destination index (node
-/// id → group, plus each host's port at its access node) and keeps
-/// one `u16` entry per group: values below the ECMP tag bit are a
-/// single port, [`NO_ROUTE`] means unreachable, `DIRECT` means "out of
-/// the host's own port" at its access switch, and other tagged values
-/// index a deduplicated pool of sorted port sets. Fabrics repeat the
-/// same few uplink sets across thousands of destinations (a k-ary
-/// fat-tree edge switch has exactly one distinct uplink set), so the
-/// pool stays tiny; a k = 36 fat-tree switch holds 648 entries
-/// (1.3 KB) for its 11,664 destinations.
+/// id → group, plus each host's port at its access node) and reads one
+/// `u16` entry per group from its row: values below the ECMP tag bit
+/// are a single port, [`NO_ROUTE`] means unreachable, and other tagged
+/// values index the row's pool of sorted port sets. The table stores
+/// its own access group: toward a host of that group the answer is the
+/// host's own port, so the row's entry there only takes a canonical
+/// value (the lowest other group's). Rows are built immutable and
+/// interned fabric-wide: fabrics repeat the same few rows (every edge
+/// switch of a k-ary fat-tree forwards everything up its one uplink
+/// set, every core by pod), so a k = 36 fat-tree's 1,620 switches
+/// share 38 rows of 648 entries (1.3 KB each) instead of holding one
+/// row each.
 ///
 /// Route surgery ([`set`](Self::set)) stays per destination: it gives
 /// the destination a group private to this switch, copying the index
-/// the first time, so other switches and the destination's group-mates
-/// keep their routes.
-#[derive(Debug, Clone, Default)]
+/// and the row the first time, so other switches, the row's other
+/// holders and the destination's group-mates keep their routes. A host
+/// moved out of its access switch's own group is routed by its private
+/// entry there, not by its own port.
+#[derive(Debug, Clone)]
 pub struct RouteTable {
     /// The destination index, shared until this switch's first surgery.
     index: Arc<DstIndex>,
-    /// One entry per group of `index`.
-    entries: Vec<u16>,
-    /// Deduplicated equal-cost port sets, each sorted ascending.
-    sets: Vec<Vec<u16>>,
+    /// One entry per group of `index`, shared with every switch that
+    /// forwards identically until this switch's first surgery.
+    row: Arc<Row>,
+    /// The shared group this switch is the access node of, or
+    /// [`NO_GROUP`].
+    own: u32,
+}
+
+impl Default for RouteTable {
+    fn default() -> Self {
+        Self::new(Arc::default(), Arc::default(), NO_GROUP)
+    }
 }
 
 /// Next-hop candidates for one destination (see [`RouteTable::next_hops`]).
@@ -247,29 +295,11 @@ impl NextHops<'_> {
 }
 
 impl RouteTable {
-    /// An all-[`NO_ROUTE`] table over the groups of `index`.
-    pub(crate) fn new(index: Arc<DstIndex>) -> Self {
-        Self {
-            entries: vec![NO_ROUTE; index.sizes.len()],
-            index,
-            sets: Vec::new(),
-        }
-    }
-
-    /// Sets the equal-cost next hops of every destination in each of the
-    /// shared `groups`, interning `ports` once. `ports` must be sorted
-    /// ascending and duplicate-free; empty means [`NO_ROUTE`].
-    pub(crate) fn set_groups(&mut self, ports: &[u16], groups: impl IntoIterator<Item = u32>) {
-        let entry = self.intern(ports);
-        for group in groups {
-            self.entries[group as usize] = entry;
-        }
-    }
-
-    /// Routes every destination in the shared `group` out of its own
-    /// port: this switch is the group's access node.
-    pub(crate) fn set_direct(&mut self, group: u32) {
-        self.entries[group as usize] = DIRECT;
+    /// A table reading `row` over the groups of `index`, the access
+    /// node of group `own` ([`NO_GROUP`] for none).
+    pub(crate) fn new(index: Arc<DstIndex>, row: Arc<Row>, own: u32) -> Self {
+        debug_assert_eq!(row.entries.len(), index.sizes.len());
+        Self { index, row, own }
     }
 
     /// Sets the equal-cost next hops toward `dst` alone. `ports` must be
@@ -278,15 +308,16 @@ impl RouteTable {
     ///
     /// The first call for `dst` moves it into a group private to this
     /// table, so its group-mates and other switches sharing the index
-    /// keep their routes.
+    /// or the row keep their routes.
     pub fn set(&mut self, dst: usize, ports: &[u16]) {
-        let entry = self.intern(ports);
         let group = self.private_group(dst);
-        self.entries[group] = entry;
+        let row = Arc::make_mut(&mut self.row);
+        row.entries[group] = intern(&mut row.sets, ports);
     }
 
     /// The group of `dst` that only this table uses, creating it (and
-    /// making this table's copy of the index unique) on first use.
+    /// making this table's copies of the index and the row unique) on
+    /// first use.
     fn private_group(&mut self, dst: usize) -> usize {
         let old = self.index.slots.get(dst).map_or(NO_GROUP, |s| s.group);
         if old != NO_GROUP && old >= self.index.shared {
@@ -308,56 +339,28 @@ impl RouteTable {
         let group = index.sizes.len();
         index.slots[dst].group = u32::try_from(group).expect("route groups fit in u32");
         index.sizes.push(1);
-        self.entries.push(NO_ROUTE);
+        Arc::make_mut(&mut self.row).entries.push(NO_ROUTE);
         group
     }
 
-    /// The entry value encoding `ports`, adding a multi-port set to the
-    /// pool on first use.
-    fn intern(&mut self, ports: &[u16]) -> u16 {
-        match ports {
-            [] => NO_ROUTE,
-            &[p] => {
-                assert!(p < ECMP_TAG, "port index {p} collides with the ECMP tag");
-                p
-            }
-            many => {
-                debug_assert!(
-                    many.windows(2).all(|w| w[0] < w[1]),
-                    "ports must be sorted+unique"
-                );
-                assert!(
-                    *many.last().unwrap() < ECMP_TAG,
-                    "port index collides with the ECMP tag"
-                );
-                // Linear pool scan: distinct sets per switch are few (a
-                // fat-tree switch has a handful), and scan order is
-                // deterministic.
-                let idx = self.sets.iter().position(|s| s == many).unwrap_or_else(|| {
-                    self.sets.push(many.to_vec());
-                    self.sets.len() - 1
-                });
-                assert!(
-                    idx < (DIRECT ^ ECMP_TAG) as usize,
-                    "equal-cost set pool exceeds the tagged index range"
-                );
-                ECMP_TAG | idx as u16
-            }
-        }
-    }
-
     /// The next-hop candidates toward `dst`: its group from the index,
-    /// then that group's entry.
+    /// then that group's entry, or the host's own port in this switch's
+    /// own group.
     pub fn next_hops(&self, dst: NodeId) -> NextHops<'_> {
         let Some(slot) = self.index.slots.get(dst.0 as usize) else {
             return NextHops::None;
         };
-        // NO_GROUP is past every table's end.
-        match self.entries.get(slot.group as usize) {
-            None | Some(&NO_ROUTE) => NextHops::None,
-            Some(&DIRECT) => NextHops::Single(slot.port),
-            Some(&e) if e & ECMP_TAG == 0 => NextHops::Single(e),
-            Some(&e) => NextHops::Ecmp(&self.sets[(e ^ ECMP_TAG) as usize]),
+        // NO_GROUP is past every row's end.
+        let Some(&e) = self.row.entries.get(slot.group as usize) else {
+            return NextHops::None;
+        };
+        if slot.group == self.own {
+            return NextHops::Single(slot.port);
+        }
+        match e {
+            NO_ROUTE => NextHops::None,
+            e if e & ECMP_TAG == 0 => NextHops::Single(e),
+            e => NextHops::Ecmp(&self.row.sets[(e ^ ECMP_TAG) as usize]),
         }
     }
 
@@ -372,50 +375,76 @@ impl RouteTable {
         }
     }
 
+    /// Each group with its entry and its destination count, this
+    /// switch's own group (whose entry is only a placeholder) left out.
+    fn routed_groups(&self) -> impl Iterator<Item = (u16, u32)> + '_ {
+        let own = self.own as usize;
+        self.row
+            .entries
+            .iter()
+            .zip(&self.index.sizes)
+            .enumerate()
+            .filter(move |&(g, _)| g != own)
+            .map(|(_, (&e, &size))| (e, size))
+    }
+
     /// Number of destinations whose equal-cost set contains `port`
     /// alongside at least one surviving member for which `alive` holds —
     /// i.e. how many destinations a failure of `port` can deterministically
     /// re-absorb onto siblings (the `Rerouted` telemetry payload).
     pub fn reroutable_dests(&self, port: u16, mut alive: impl FnMut(u16) -> bool) -> u64 {
         let absorbs: Vec<bool> = self
+            .row
             .sets
             .iter()
             .map(|s| s.contains(&port) && s.iter().any(|&p| p != port && alive(p)))
             .collect();
-        self.entries
-            .iter()
-            .zip(&self.index.sizes)
-            .filter(|&(&e, _)| e & ECMP_TAG != 0 && e < DIRECT && absorbs[(e ^ ECMP_TAG) as usize])
-            .map(|(_, &size)| size as u64)
+        self.routed_groups()
+            .filter(|&(e, _)| {
+                e & ECMP_TAG != 0 && e != NO_ROUTE && absorbs[(e ^ ECMP_TAG) as usize]
+            })
+            .map(|(_, size)| size as u64)
             .sum()
     }
 
-    /// Number of destinations with a route.
+    /// Number of destinations with a route: every host of this switch's
+    /// own group, and those of every group with an entry.
     pub fn reachable_dests(&self) -> usize {
-        self.entries
-            .iter()
-            .zip(&self.index.sizes)
-            .filter(|&(&e, _)| e != NO_ROUTE)
-            .map(|(_, &size)| size as usize)
-            .sum()
+        let own = self
+            .index
+            .sizes
+            .get(self.own as usize)
+            .copied()
+            .unwrap_or(0);
+        self.routed_groups()
+            .filter(|&(e, _)| e != NO_ROUTE)
+            .map(|(_, size)| size as usize)
+            .sum::<usize>()
+            + own as usize
     }
 
     /// Number of route groups this table holds entries for.
     #[cfg(test)]
     pub(crate) fn groups(&self) -> usize {
-        self.entries.len()
+        self.row.entries.len()
     }
 
     /// The equal-cost port-set pool, in interning order.
     #[cfg(test)]
     pub(crate) fn pool(&self) -> &[Vec<u16>] {
-        &self.sets
+        &self.row.sets
     }
 
     /// Whether this table and `other` share one destination index.
     #[cfg(test)]
     pub(crate) fn shares_index_with(&self, other: &RouteTable) -> bool {
         Arc::ptr_eq(&self.index, &other.index)
+    }
+
+    /// Whether this table and `other` share one row.
+    #[cfg(test)]
+    pub(crate) fn shares_row_with(&self, other: &RouteTable) -> bool {
+        Arc::ptr_eq(&self.row, &other.row)
     }
 }
 
@@ -526,6 +555,11 @@ pub enum Node {
     Switch(Switch),
 }
 
+// One per node id (13,284 on a k = 36 fat-tree): a host's id, NIC and
+// stall flag, or a switch's id, port range, route table and policy.
+const _: () = assert!(std::mem::size_of::<Node>() <= 72);
+const _: () = assert!(std::mem::size_of::<RouteTable>() == 24);
+
 impl Node {
     /// The node's id.
     pub fn id(&self) -> NodeId {
@@ -632,13 +666,13 @@ mod tests {
         assert_eq!(rt.primary(NodeId(1)), Some(1), "lowest equal-cost member");
         assert_eq!(rt.reachable_dests(), 3);
         // Identical sets share one pool slot.
-        assert_eq!(rt.sets.len(), 1);
+        assert_eq!(rt.pool().len(), 1);
         // Re-pointing a destination reuses its private group; a new
         // set takes a new pool slot.
         rt.set(2, &[0, 3]);
         assert_eq!(rt.next_hops(NodeId(2)), NextHops::Ecmp(&[0, 3]));
         assert_eq!(rt.next_hops(NodeId(1)), NextHops::Ecmp(&[1, 2]));
-        assert_eq!(rt.sets.len(), 2);
+        assert_eq!(rt.pool().len(), 2);
         assert_eq!(rt.groups(), 4);
         // Clearing an entry restores NO_ROUTE.
         rt.set(0, &[]);

@@ -6,13 +6,16 @@ use crate::arena::{PacketArena, PacketId, NIL};
 ///
 /// The queue is an intrusive singly linked list through the packets'
 /// own [`PacketArena`] slots: it keeps the head and tail slot indices,
-/// and each queued packet's slot links to the next. So a queue is a
-/// few words whatever its backlog, it never allocates, and enqueue and
-/// dequeue touch one arena slot each. Wire sizes are read from the
+/// and each queued packet's slot links to the next. So a queue is five
+/// `u32`s (20 B) whatever its backlog, it never allocates, and enqueue
+/// and dequeue touch one arena slot each. Wire sizes are read from the
 /// packets ([`crate::packet::Packet::wire_bytes`] is a pure function of
-/// the payload), not stored. Drops happen at enqueue time when the
-/// packet would push the backlog over `capacity_bytes` (tail drop). The
-/// queue counts drops and tracks the high-water mark for reporting.
+/// the payload), not stored, and the queue keeps no packet count. The
+/// backlog, the capacity and the high-water mark are `u32` bytes: a
+/// capacity must fit one (a builder refuses a larger buffer), and an
+/// accepted packet never takes the backlog past it. Enqueue refuses a
+/// packet that would push the backlog over `capacity_bytes` (tail
+/// drop); the caller counts the drop.
 ///
 /// # Examples
 ///
@@ -29,7 +32,6 @@ use crate::arena::{PacketArena, PacketId, NIL};
 /// }
 /// let third = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460));
 /// assert!(!q.enqueue(third, &mut arena)); // third full frame exceeds 3000 B
-/// assert_eq!(q.drops(), 1);
 /// assert_eq!(q.dequeue(&arena).map(|(_, wire)| wire), Some(1500));
 /// ```
 #[derive(Debug)]
@@ -38,40 +40,38 @@ pub struct PortQueue {
     head: u32,
     /// Slot of the last packet (meaningless when empty).
     tail: u32,
-    len: u32,
-    bytes: u64,
-    capacity_bytes: u64,
-    drops: u64,
-    max_bytes_seen: u64,
+    bytes: u32,
+    capacity_bytes: u32,
+    max_bytes_seen: u32,
 }
 
 impl PortQueue {
     /// Creates a queue bounded at `capacity_bytes` of wire bytes.
-    pub fn new(capacity_bytes: u64) -> Self {
+    pub fn new(capacity_bytes: u32) -> Self {
         Self {
             head: NIL,
             tail: NIL,
-            len: 0,
             bytes: 0,
             capacity_bytes,
-            drops: 0,
             max_bytes_seen: 0,
         }
     }
 
-    /// Attempts to append live packet `id`; returns `false` (and counts
-    /// a drop) when its wire size would push the backlog over capacity.
-    /// The caller keeps ownership of the arena slot on rejection and
-    /// must free it. An accepted packet must stay live, and in no other
-    /// queue, until it is dequeued.
+    /// Attempts to append live packet `id`; returns `false` when its
+    /// wire size would push the backlog over capacity. The caller keeps
+    /// ownership of the arena slot on rejection, must free it, and
+    /// counts the drop. An accepted packet must stay live, and in no
+    /// other queue, until it is dequeued.
     pub fn enqueue(&mut self, id: PacketId, arena: &mut PacketArena) -> bool {
         let wire = arena.get(id).wire_bytes();
-        if self.bytes + wire > self.capacity_bytes {
-            self.drops += 1;
+        let Some(bytes) = u32::try_from(u64::from(self.bytes) + wire)
+            .ok()
+            .filter(|&b| b <= self.capacity_bytes)
+        else {
             return false;
-        }
-        self.bytes += wire;
-        self.max_bytes_seen = self.max_bytes_seen.max(self.bytes);
+        };
+        self.bytes = bytes;
+        self.max_bytes_seen = self.max_bytes_seen.max(bytes);
         let idx = id.index();
         arena.set_next(idx, NIL);
         if self.head == NIL {
@@ -80,7 +80,6 @@ impl PortQueue {
             arena.set_next(self.tail, idx);
         }
         self.tail = idx;
-        self.len += 1;
         true
     }
 
@@ -92,8 +91,8 @@ impl PortQueue {
         let (id, next) = arena.linked(self.head);
         let wire = arena.get(id).wire_bytes();
         self.head = next;
-        self.len -= 1;
-        self.bytes -= wire;
+        // An accepted packet's wire size fits the backlog that holds it.
+        self.bytes -= u32::try_from(wire).expect("a queued packet fits the u32 backlog");
         Some((id, wire))
     }
 
@@ -107,12 +106,7 @@ impl PortQueue {
 
     /// Current backlog in wire bytes.
     pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Number of queued packets.
-    pub fn len(&self) -> usize {
-        self.len as usize
+        u64::from(self.bytes)
     }
 
     /// Whether the queue is empty.
@@ -120,21 +114,19 @@ impl PortQueue {
         self.head == NIL
     }
 
-    /// Total packets dropped at enqueue.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
     /// Highest backlog (bytes) ever observed.
     pub fn max_bytes_seen(&self) -> u64 {
-        self.max_bytes_seen
+        u64::from(self.max_bytes_seen)
     }
 
     /// Configured capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
+        u64::from(self.capacity_bytes)
     }
 }
+
+// Every port embeds one: five `u32`s.
+const _: () = assert!(std::mem::size_of::<PortQueue>() == 20);
 
 #[cfg(test)]
 mod tests {
@@ -193,15 +185,16 @@ mod tests {
         assert!(q.enqueue(id, &mut arena));
         let id = alloc(&mut arena, 1460, 1);
         assert!(!q.enqueue(id, &mut arena));
-        assert_eq!(q.drops(), 1);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.bytes(), 1500, "the refused packet is not queued");
+        assert_eq!(q.dequeue(&arena).map(|(_, wire)| wire), Some(1500));
+        assert!(q.dequeue(&arena).is_none());
     }
 
     #[test]
     fn bytes_never_exceed_capacity() {
         cases(128, |_case, rng| {
             let sizes = vec_u64(rng, 1..100, 0..3000);
-            let cap = rng.gen_range(64..100_000u64);
+            let cap = rng.gen_range(64..100_000u32);
             let mut arena = PacketArena::new();
             let mut q = PortQueue::new(cap);
             for &s in &sizes {
@@ -210,7 +203,7 @@ mod tests {
                     arena.free(id);
                 }
                 assert!(
-                    q.bytes() <= cap,
+                    q.bytes() <= u64::from(cap),
                     "queue {} over cap {cap} after {s}",
                     q.bytes()
                 );
@@ -224,12 +217,12 @@ mod tests {
         });
     }
 
-    /// The `VecDeque` FIFO the arena-linked queue replaced, as a model.
+    /// The `VecDeque` FIFO the arena-linked queue replaced, as a model,
+    /// with `u64` byte counters.
     struct Model {
         fifo: VecDeque<(PacketId, u64)>,
         bytes: u64,
         capacity_bytes: u64,
-        drops: u64,
         max_bytes_seen: u64,
     }
 
@@ -239,14 +232,12 @@ mod tests {
                 fifo: VecDeque::new(),
                 bytes: 0,
                 capacity_bytes,
-                drops: 0,
                 max_bytes_seen: 0,
             }
         }
 
         fn enqueue(&mut self, id: PacketId, wire: u64) -> bool {
             if self.bytes + wire > self.capacity_bytes {
-                self.drops += 1;
                 return false;
             }
             self.bytes += wire;
@@ -264,9 +255,8 @@ mod tests {
 
     fn assert_same(q: &PortQueue, m: &Model, arena: &PacketArena, at: &str) {
         assert_eq!(q.bytes(), m.bytes, "{at}: bytes");
-        assert_eq!(q.len(), m.fifo.len(), "{at}: len");
         assert_eq!(q.is_empty(), m.fifo.is_empty(), "{at}: is_empty");
-        assert_eq!(q.drops(), m.drops, "{at}: drops");
+        assert_eq!(q.capacity_bytes(), m.capacity_bytes, "{at}: capacity");
         assert_eq!(q.max_bytes_seen(), m.max_bytes_seen, "{at}: max_bytes_seen");
         assert_eq!(
             q.peek_wire_bytes(arena),
@@ -279,18 +269,28 @@ mod tests {
     /// random enqueues (with overflow drops), dequeues that deliver or
     /// forward the packet to another FIFO, whole-queue drains (a downed
     /// link) and packets allocated and freed outside any queue (in
-    /// flight), match one `VecDeque` model per port.
+    /// flight), match one `VecDeque` model per port. One case in four
+    /// gives every port a capacity within 4 KB of `u32::MAX` and draws
+    /// packets of up to 2^31 B, so the `u32` backlog runs up against
+    /// its capacity and a sum past `u32::MAX` must be refused, not
+    /// wrapped.
     #[test]
     fn shared_arena_fifos_match_vecdeque_model() {
         cases(256, |case, rng| {
             let ports = rng.gen_range(1..6usize);
+            let huge = rng.gen_range(0..4u32) == 0;
+            let payload = if huge { 1u64 << 31 } else { 3_000 };
             let mut arena = PacketArena::new();
             let mut qs: Vec<PortQueue> = Vec::new();
             let mut models: Vec<Model> = Vec::new();
             for _ in 0..ports {
-                let cap = rng.gen_range(64..20_000u64);
+                let cap = if huge {
+                    u32::MAX - rng.gen_range(0..4_096u32)
+                } else {
+                    rng.gen_range(64..20_000u32)
+                };
                 qs.push(PortQueue::new(cap));
-                models.push(Model::new(cap));
+                models.push(Model::new(u64::from(cap)));
             }
             let mut loose: Vec<PacketId> = Vec::new();
             let mut seq = 0u64;
@@ -300,7 +300,7 @@ mod tests {
                 match rng.gen_range(0..10u32) {
                     0..=4 => {
                         seq += 1;
-                        let id = alloc(&mut arena, rng.gen_range(0..3_000u64), seq);
+                        let id = alloc(&mut arena, rng.gen_range(0..payload), seq);
                         let wire = arena.get(id).wire_bytes();
                         let took = qs[p].enqueue(id, &mut arena);
                         assert_eq!(took, models[p].enqueue(id, wire), "{at}: verdict");

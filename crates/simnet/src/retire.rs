@@ -10,7 +10,7 @@
 //! tears down the endpoint and timer state, and quarantines the flow id
 //! for a grace period before the slab hands it out again.
 //!
-//! The quarantine matters because packets carry a bare [`FlowId`]
+//! The quarantine matters because packets carry a bare [`FlowId`](crate::packet::FlowId)
 //! without a generation: a straggler of the dead flow (a duplicated or
 //! reordered packet still crossing the fabric) must drain before the id
 //! can name a new tenant. Both endpoints being done bounds straggler

@@ -6,11 +6,11 @@
 //! a given seed and topology.
 //!
 //! The loop itself is layered: this module holds the state and the
-//! public control surface, [`crate::sched`] orders the events, and
-//! [`crate::handlers`] implements the per-event-kind handlers the
-//! dispatch loop fans out to.
+//! public control surface, [`crate::sched`] orders the events, and the
+//! private `handlers` module implements the per-event-kind handlers
+//! the dispatch loop fans out to.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use metrics::{FctCollector, FlowRecord, RateMeter};
 use rng::rngs::StdRng;
@@ -124,6 +124,17 @@ pub struct FlowState {
     pub class: u8,
 }
 
+/// One port's fault and no-route drops (see [`SimCore::port_stats`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RareDrops {
+    /// Packets lost to injected faults (dead link, loss window, stalled
+    /// host).
+    pub(crate) fault: u64,
+    /// Packets with no route at this switch, counted at their ingress
+    /// port.
+    pub(crate) no_route: u64,
+}
+
 pub(crate) enum AppCall {
     Timer(u64),
     Flow(FlowEvent),
@@ -135,8 +146,8 @@ pub(crate) enum AppCall {
 /// Everything except the application: the part of the simulator that
 /// [`SimApi`] exposes to application callbacks.
 ///
-/// Fields are `pub(crate)` so the event handlers in [`crate::handlers`]
-/// can borrow them disjointly.
+/// Fields are `pub(crate)` so the event handlers in the private
+/// `handlers` module can borrow them disjointly.
 pub struct SimCore {
     pub(crate) now: Time,
     pub(crate) events: EventQueue,
@@ -187,6 +198,10 @@ pub struct SimCore {
     /// drop cause no port counts, kept out of [`Port`] to keep ports
     /// small.
     pub(crate) policy_drops: u64,
+    /// Fault and no-route drops per `(node, port)`, with an entry only
+    /// for ports that lost a packet that way: rare counters, kept out
+    /// of [`Port`] so a port is one cache line.
+    pub(crate) rare_drops: BTreeMap<(NodeId, u16), RareDrops>,
     /// Every fault injected so far, in injection order; an
     /// [`Event::Fault`] carries its index here.
     pub(crate) faults: Vec<FaultAction>,
@@ -478,7 +493,7 @@ impl SimCore {
 
     /// Total enqueue drops across every switch port.
     pub fn total_drops(&self) -> u64 {
-        self.ports.iter().map(|p| p.queue.drops()).sum()
+        self.ports.iter().map(|p| p.drops).sum()
     }
 
     /// Statistics of port `port` of `node`: a switch port, or a host's
@@ -488,7 +503,21 @@ impl SimCore {
     ///
     /// Panics if the port does not exist.
     pub fn port_stats(&self, node: NodeId, port: usize) -> PortStats {
-        self.port(node, port).stats()
+        let p = self.port(node, port);
+        // `port` exists, so it is below `MAX_PORTS` (2^15).
+        let rare = self
+            .rare_drops
+            .get(&(node, port as u16))
+            .copied()
+            .unwrap_or_default();
+        PortStats {
+            queue_bytes: p.queue.bytes(),
+            max_queue_bytes: p.queue.max_bytes_seen(),
+            drops: p.drops,
+            tx_bytes: p.tx_bytes,
+            fault_drops: rare.fault,
+            no_route_drops: rare.no_route,
+        }
     }
 
     /// Port `idx` of `node`: a host's NIC or a switch's table entry.
@@ -792,6 +821,7 @@ impl<A: Application> Simulator<A> {
                 fct: FctCollector::new(),
                 events_processed: 0,
                 policy_drops: 0,
+                rare_drops: BTreeMap::new(),
                 faults: Vec::new(),
                 telemetry,
                 packets: PacketArena::new(),

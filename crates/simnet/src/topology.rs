@@ -5,9 +5,13 @@
 //! [`crate::sim::Simulator`]. Builders for every topology used in the
 //! paper's evaluation are provided.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::node::{port_in, DstIndex, Host, Node, Port, PortLink, RouteTable, Switch, MAX_PORTS};
+use crate::node::{
+    intern, port_in, DstIndex, Host, Node, Port, PortLink, RouteTable, Row, Switch, MAX_PORTS,
+    NO_GROUP, NO_ROUTE,
+};
 use crate::packet::NodeId;
 use crate::policy::{DropTail, SwitchPolicy};
 use crate::units::{Bandwidth, Dur};
@@ -64,8 +68,15 @@ pub enum TopologyError {
     Disconnected {
         /// A node with no path to `unreachable`.
         node: NodeId,
-        /// The destination host it cannot reach.
+        /// The destination host it cannot reach (in a graph without
+        /// hosts, the first switch).
         unreachable: NodeId,
+    },
+    /// A switch or host buffer is larger than a port queue can count:
+    /// queues keep their backlog in `u32` bytes.
+    BufferTooLarge {
+        /// The configured buffer, in bytes.
+        bytes: u64,
     },
 }
 
@@ -92,10 +103,15 @@ impl std::fmt::Display for TopologyError {
             TopologyError::Disconnected { node, unreachable } => {
                 write!(
                     f,
-                    "graph is disconnected: node {} has no path to host {}",
+                    "graph is disconnected: node {} has no path to node {}",
                     node.0, unreachable.0
                 )
             }
+            TopologyError::BufferTooLarge { bytes } => write!(
+                f,
+                "buffer too large: {bytes} B, a port queue holds at most {} B",
+                u32::MAX
+            ),
         }
     }
 }
@@ -348,7 +364,8 @@ impl TopologyBuilder {
     /// # Panics
     ///
     /// Panics if a host has more than one link, a node has more ports
-    /// than a route table can name, or the graph is disconnected; use
+    /// than a route table can name, a buffer exceeds `u32::MAX` bytes,
+    /// or the graph is disconnected; use
     /// [`try_build`](Self::try_build) to handle those as structured
     /// errors.
     pub fn build(
@@ -362,7 +379,8 @@ impl TopologyBuilder {
     /// Fallible [`build`](Self::build): returns a structured
     /// [`TopologyError`] for malformed inputs (host with a link count
     /// other than one, a node with more ports than a route table can
-    /// name, disconnected graph) instead of panicking, so programmatic
+    /// name, a buffer a port queue cannot count, disconnected graph)
+    /// instead of panicking, so programmatic
     /// builders such as ECMP fabric generators can validate candidate
     /// topologies.
     pub fn try_build(
@@ -370,8 +388,10 @@ impl TopologyBuilder {
         mut make_policy: impl FnMut(NodeId, &[PortLink]) -> Box<dyn SwitchPolicy>,
     ) -> Result<Network, TopologyError> {
         let n = self.kinds.len();
-        let switch_buf = self.switch_buffer.unwrap_or(DEFAULT_SWITCH_BUFFER);
-        let host_buf = self.host_buffer.unwrap_or(DEFAULT_HOST_BUFFER);
+        let buffer =
+            |bytes: u64| u32::try_from(bytes).map_err(|_| TopologyError::BufferTooLarge { bytes });
+        let switch_buf = buffer(self.switch_buffer.unwrap_or(DEFAULT_SWITCH_BUFFER))?;
+        let host_buf = buffer(self.host_buffer.unwrap_or(DEFAULT_HOST_BUFFER))?;
 
         let ports = Links::new(n, &self.links);
         for (i, kind) in self.kinds.iter().enumerate() {
@@ -466,7 +486,13 @@ impl TopologyBuilder {
 /// batches in order, keeps each switch's equal-cost pool in the same
 /// first-use order as a group-by-group fill. A disconnected graph
 /// reports the lowest failing group's first host as `unreachable`, and
-/// the lowest node id that cannot reach it as `node`.
+/// the lowest node id that cannot reach it as `node`; a graph without
+/// hosts is checked by one switch BFS instead.
+///
+/// The rows are filled in one scratch block, then interned: a switch
+/// answers its own access group from the index, so its entry there
+/// takes the lowest other group's, and switches whose rows (entries
+/// and pool) are then equal share one [`Row`].
 fn fill_routes(kinds: &[NodeKind], ports: &Links) -> Result<Vec<RouteTable>, TopologyError> {
     const NONE: u32 = u32::MAX;
     let n = kinds.len();
@@ -508,12 +534,24 @@ fn fill_routes(kinds: &[NodeKind], ports: &Links) -> Result<Vec<RouteTable>, Top
     }
     let access = |h: usize| ports.of(h)[0].peer.0 as usize;
 
-    let index = Arc::new(index);
-    let mut tables: Vec<RouteTable> = switches
-        .iter()
-        .map(|_| RouteTable::new(Arc::clone(&index)))
-        .collect();
     let ns = switches.len();
+    let ng = groups.len();
+    if ng == 0 {
+        // No host, so no group BFS checks the switches' reachability.
+        return connected_switches(&adj_start, &adj, &switches).map(|()| {
+            let index = Arc::new(index);
+            let row = Arc::new(Row::default());
+            (0..ns)
+                .map(|_| RouteTable::new(Arc::clone(&index), Arc::clone(&row), NO_GROUP))
+                .collect()
+        });
+    }
+    // Every switch's row, switch by switch, and its equal-cost pool,
+    // until they are interned; and the group each switch is the access
+    // node of.
+    let mut rows = vec![NO_ROUTE; ns * ng];
+    let mut pools: Vec<Vec<Vec<u16>>> = vec![Vec::new(); ns];
+    let mut owns = vec![NO_GROUP; ns];
     // One scratch block, freed on return. Per switch: the batch group
     // it is the access node of (at most one bit), the groups that
     // reached it, and those at the current and next BFS level. Per
@@ -579,10 +617,11 @@ fn fill_routes(kinds: &[NodeKind], ports: &Links) -> Result<Vec<RouteTable>, Top
                 });
             }
         }
-        for (o, table) in tables.iter_mut().enumerate() {
+        for o in 0..ns {
             if own[o] != 0 {
-                table.set_direct((base + own[o].trailing_zeros() as usize) as u32);
+                owns[o] = (base + own[o].trailing_zeros() as usize) as u32;
             }
+            let row = &mut rows[o * ng..(o + 1) * ng];
             let entries = adj_start[o]..adj_start[o + 1];
             let mut left = all & !own[o];
             while left != 0 {
@@ -601,12 +640,69 @@ fn fill_routes(kinds: &[NodeKind], ports: &Links) -> Result<Vec<RouteTable>, Top
                     }
                 }
                 debug_assert!(!next_hops.is_empty(), "reached switch has a parent");
-                table.set_groups(&next_hops, bits(same).map(|j| (base + j) as u32));
+                let entry = intern(&mut pools[o], &next_hops);
+                for j in bits(same) {
+                    row[base + j] = entry;
+                }
                 left &= !same;
             }
         }
     }
+    drop(words);
+    // A switch answers its own group from the index, so its entry there
+    // is free: the lowest other group's entry lets every edge switch of
+    // a fat-tree share one row.
+    for (row, &g) in rows.chunks_exact_mut(ng).zip(&owns) {
+        if g != NO_GROUP {
+            let g = g as usize;
+            let lowest_other = if g == 0 { 1 } else { 0 };
+            row[g] = row.get(lowest_other).copied().unwrap_or(NO_ROUTE);
+        }
+    }
+    let index = Arc::new(index);
+    let mut interned: HashMap<_, Arc<Row>> = HashMap::new();
+    let tables = rows
+        .chunks_exact(ng)
+        .zip(&pools)
+        .zip(owns)
+        .map(|((entries, sets), own)| {
+            let row = interned
+                .entry((entries, sets))
+                .or_insert_with(|| Arc::new(Row::new(entries.to_vec(), sets.clone())));
+            RouteTable::new(Arc::clone(&index), Arc::clone(row), own)
+        })
+        .collect();
     Ok(tables)
+}
+
+/// Checks that the switch graph (CSR adjacency over switch ordinals)
+/// is connected: one BFS from the first switch. A graph with no host
+/// has no group BFS that would check it.
+fn connected_switches(
+    adj_start: &[usize],
+    adj: &[(u16, u32)],
+    switches: &[usize],
+) -> Result<(), TopologyError> {
+    let mut seen = vec![false; switches.len()];
+    let mut stack = Vec::new();
+    if !seen.is_empty() {
+        seen[0] = true;
+        stack.push(0);
+    }
+    while let Some(o) = stack.pop() {
+        for &(_, peer) in &adj[adj_start[o]..adj_start[o + 1]] {
+            if !std::mem::replace(&mut seen[peer as usize], true) {
+                stack.push(peer as usize);
+            }
+        }
+    }
+    match seen.iter().position(|&s| !s) {
+        None => Ok(()),
+        Some(o) => Err(TopologyError::Disconnected {
+            node: NodeId(switches[o] as u32),
+            unreachable: NodeId(switches[0] as u32),
+        }),
+    }
 }
 
 /// The indices of `word`'s set bits, lowest first.
@@ -1157,6 +1253,182 @@ mod tests {
         }
     }
 
+    /// Switches that forward identically share one interned row: on a
+    /// k = 36 fat-tree, one for all 648 edge switches (their own group
+    /// is answered from the index, not the row), one per pod for the
+    /// aggregation switches and one for all 324 cores.
+    #[test]
+    fn k36_fat_tree_interns_38_route_rows() {
+        let k = 36;
+        let (t, _, switches) =
+            fat_tree(k, Bandwidth::gbps(10), Bandwidth::gbps(40), Dur::micros(5));
+        let net = t.build_drop_tail();
+        let mut distinct: Vec<&RouteTable> = Vec::new();
+        for &sw in &switches {
+            let Node::Switch(s) = &net.nodes[sw.0 as usize] else {
+                panic!()
+            };
+            if !distinct.iter().any(|r| r.shares_row_with(&s.routes)) {
+                distinct.push(&s.routes);
+            }
+        }
+        assert_eq!(switches.len(), 1_620);
+        assert_eq!(distinct.len(), 2 + k, "edge row, core row, one per pod");
+    }
+
+    /// Surgery on a switch whose row other switches share copies the
+    /// row first: the row-mates keep every next hop, and still share.
+    /// Surgery on a host at its own access switch overrides the host's
+    /// own port, which the table answers from the index, and leaves its
+    /// group-mates on theirs; the access group still counts as
+    /// reachable but never as reroutable, whatever its placeholder
+    /// entry in the shared row holds.
+    #[test]
+    fn surgery_copies_a_shared_row_and_overrides_the_own_port() {
+        let k = 4;
+        let (t, hosts, switches) =
+            fat_tree(k, Bandwidth::gbps(1), Bandwidth::gbps(10), Dur::micros(2));
+        let mut net = t.build_drop_tail();
+        let n = net.nodes.len() as u32;
+        let routes = |net: &Network, sw: NodeId| -> Vec<Vec<u16>> {
+            let Node::Switch(s) = &net.nodes[sw.0 as usize] else {
+                panic!()
+            };
+            (0..n)
+                .map(|d| hops(s.routes.next_hops(NodeId(d))))
+                .collect()
+        };
+        let table = |net: &Network, sw: NodeId| -> RouteTable {
+            let Node::Switch(s) = &net.nodes[sw.0 as usize] else {
+                panic!()
+            };
+            s.routes.clone()
+        };
+        let Node::Host(h) = &net.nodes[hosts[0].0 as usize] else {
+            panic!()
+        };
+        let (edge, own_port) = (h.nic.link.peer, h.nic.link.peer_port);
+        let mates: Vec<NodeId> = switches
+            .iter()
+            .copied()
+            .filter(|&s| s != edge && table(&net, s).shares_row_with(&table(&net, edge)))
+            .collect();
+        assert_eq!(
+            mates.len(),
+            k * k / 2 - 1,
+            "every edge switch shares one row"
+        );
+        let before: Vec<Vec<Vec<u16>>> = mates.iter().map(|&m| routes(&net, m)).collect();
+        let edge_before = routes(&net, edge);
+        assert_eq!(edge_before[hosts[0].0 as usize], [own_port]);
+        let uplinks = edge_before[hosts.last().unwrap().0 as usize].clone();
+        assert_eq!(uplinks.len(), k / 2);
+        // The access group is reachable, and never reroutable.
+        let rt = table(&net, edge);
+        assert_eq!(rt.reachable_dests(), hosts.len());
+        let outside = (hosts.len() - k / 2) as u64;
+        assert_eq!(rt.reroutable_dests(uplinks[0], |_| true), outside);
+
+        let Node::Switch(s) = &mut net.nodes[edge.0 as usize] else {
+            panic!()
+        };
+        s.routes.set(hosts[0].0 as usize, &uplinks);
+        let rt = table(&net, edge);
+        assert!(!mates.iter().any(|&m| rt.shares_row_with(&table(&net, m))));
+        let after = routes(&net, edge);
+        for (d, got) in after.iter().enumerate() {
+            let want = if d == hosts[0].0 as usize {
+                &uplinks
+            } else {
+                &edge_before[d]
+            };
+            assert_eq!(got, want, "edge toward {d}");
+        }
+        assert_eq!(rt.reachable_dests(), hosts.len());
+        assert_eq!(rt.reroutable_dests(uplinks[0], |_| true), outside + 1);
+        for (&m, want) in mates.iter().zip(&before) {
+            assert_eq!(&routes(&net, m), want, "row-mate {m:?}");
+            assert!(table(&net, m).shares_row_with(&table(&net, mates[0])));
+        }
+    }
+
+    /// A graph without hosts is checked for connectivity too: two
+    /// unlinked switch pairs fail with the lowest switch the first one
+    /// cannot reach, and one linked pair builds.
+    #[test]
+    fn hostless_disconnected_graph_is_rejected() {
+        let (g, d) = (Bandwidth::gbps(1), Dur::micros(1));
+        let mut t = TopologyBuilder::new();
+        let s: Vec<NodeId> = (0..4).map(|_| t.switch()).collect();
+        t.link(s[0], s[1], g, d);
+        t.link(s[2], s[3], g, d);
+        assert_eq!(
+            t.try_build(|_, _| Box::new(DropTail)).err(),
+            Some(TopologyError::Disconnected {
+                node: s[2],
+                unreachable: s[0],
+            })
+        );
+        let mut t = TopologyBuilder::new();
+        let (a, b) = (t.switch(), t.switch());
+        t.link(a, b, g, d);
+        let net = t.build_drop_tail();
+        let Node::Switch(sw) = &net.nodes[a.0 as usize] else {
+            panic!()
+        };
+        assert_eq!(sw.routes.reachable_dests(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid topology: graph is disconnected")]
+    fn hostless_disconnected_build_panics() {
+        let (g, d) = (Bandwidth::gbps(1), Dur::micros(1));
+        let mut t = TopologyBuilder::new();
+        let s: Vec<NodeId> = (0..4).map(|_| t.switch()).collect();
+        t.link(s[0], s[1], g, d);
+        t.link(s[2], s[3], g, d);
+        t.build_drop_tail();
+    }
+
+    /// Port queues count bytes in `u32`: a buffer of `u32::MAX` bytes
+    /// builds, one byte more is a typed error, never a truncation.
+    #[test]
+    fn buffers_past_u32_are_rejected() {
+        let max = u64::from(u32::MAX);
+        let (g, d) = (Bandwidth::gbps(1), Dur::micros(1));
+        for (switch, host) in [(max, 1), (1, max)] {
+            let (mut t, hosts, sw) = star(2, g, d);
+            t.switch_buffer(switch).host_buffer(host);
+            let net = t.build_drop_tail();
+            assert_eq!(net.port(sw, 0).queue.capacity_bytes(), switch);
+            assert_eq!(net.port(hosts[0], 0).queue.capacity_bytes(), host);
+        }
+        for (switch, host) in [(max + 1, 1), (1, max + 1), (1 << 40, 1 << 40)] {
+            let (mut t, _, _) = star(2, g, d);
+            t.switch_buffer(switch).host_buffer(host);
+            let err = t.try_build(|_, _| Box::new(DropTail)).err();
+            let bytes = switch.max(host);
+            assert_eq!(err, Some(TopologyError::BufferTooLarge { bytes }));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid topology: buffer too large: 4294967296 B")]
+    fn build_panics_on_a_buffer_past_u32() {
+        let (mut t, _, _) = star(2, Bandwidth::gbps(1), Dur::micros(1));
+        t.switch_buffer(u64::from(u32::MAX) + 1);
+        t.build_drop_tail();
+    }
+
+    /// `h` as a port list (empty for no route).
+    pub(super) fn hops(h: NextHops<'_>) -> Vec<u16> {
+        match h {
+            NextHops::None => Vec::new(),
+            NextHops::Single(p) => vec![p],
+            NextHops::Ecmp(set) => set.to_vec(),
+        }
+    }
+
     #[test]
     fn try_variants_match_infallible_ids() {
         let mut t = TopologyBuilder::new();
@@ -1171,8 +1443,9 @@ mod tests {
 mod proptests {
     use std::collections::VecDeque;
 
+    use super::tests::hops;
     use super::*;
-    use crate::node::{NextHops, Node};
+    use crate::node::Node;
     use rng::props::cases;
     use rng::Rng;
 
@@ -1356,14 +1629,6 @@ mod proptests {
             t.link(a, b, Bandwidth::gbps(1), Dur::micros(1));
         }
         t
-    }
-
-    fn hops(h: NextHops<'_>) -> Vec<u16> {
-        match h {
-            NextHops::None => Vec::new(),
-            NextHops::Single(p) => vec![p],
-            NextHops::Ecmp(set) => set.to_vec(),
-        }
     }
 
     /// The group route fill is observably identical to the per-host fill

@@ -20,7 +20,7 @@
 //!
 //! The crate is a leaf below the simulator: node/flow/time fields are
 //! plain integers, and the simulator, protocols, and experiments all
-//! depend on it rather than the other way round. The [`json`] module
+//! depend on it rather than the other way round. The [`json`](mod@json) module
 //! (shared with `tfc_bench`) lives here for the same reason.
 
 pub mod counters;

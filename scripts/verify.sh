@@ -15,6 +15,9 @@ cargo build --release --workspace --all-targets
 cargo clippy --workspace --all-targets -- -D warnings
 # Format gate: the workspace is rustfmt-clean.
 cargo fmt --all --check
+# Rustdoc gate: the workspace's docs build without a warning (no broken
+# or private intra-doc link).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test -q --workspace
 
 # End-to-end telemetry: a fully-traced incast's exported artifacts must
@@ -58,22 +61,26 @@ cargo test -q -p tfc-repro --test policy_memory
 # regression to per-flow scratch state names this gate.
 cargo test -q -p tfc-repro --test flow_memory
 
-# Compact fabric port state: switch ports live in one table of 104-byte
-# ports whose FIFOs are links through the packet arena, and TFC
-# prototypes and config are shared across the fabric. A counting
-# allocator bounds the live heap of a built k=36 TFC fat-tree at
-# 10.5 MiB (per-switch vectors of 128-byte ports and per-switch
-# prototypes took 12.2 MiB), so a regression to per-switch or per-port
-# allocations names this gate.
+# Compact fabric state: switch ports live in one table of 64-byte
+# ports whose FIFOs are links through the packet arena, switches that
+# forward identically share one interned route row, and TFC prototypes
+# and config are shared across the fabric. A counting allocator bounds
+# the live heap of a built k=36 TFC fat-tree at 5.25 MiB (104-byte
+# ports and a route row per switch took 9.9 MiB; per-switch vectors of
+# 128-byte ports and per-switch prototypes 12.2 MiB), so a regression
+# to wider ports, per-switch rows or per-port allocations names this
+# gate.
 cargo test -q -p tfc-repro --test port_memory
 
 # Compact event path: 16-byte events, 32-byte scheduler entries whose
 # bucket link and timer slot sit in parallel columns, 16-byte live-run
-# keys, 56-byte timer slots and 64-byte packet-arena slots. A counting
-# allocator bounds the live-heap peak of the benchmark's 1,100-flow
-# k=36 fat-tree run at 23 MiB (32-byte events, 56-byte entries and
-# 80-byte arena slots peaked at 25.5 MiB), so a regression that widens
-# a per-event or per-packet record names this gate.
+# keys, 56-byte timer slots and 64-byte packet-arena slots, on the
+# compact fabric above. A counting allocator bounds the live-heap peak
+# of the benchmark's 1,100-flow k=36 fat-tree run at 18.25 MiB
+# (104-byte ports and a route row per switch peaked at 22.3 MiB;
+# 32-byte events, 56-byte entries and 80-byte arena slots on top at
+# 25.5 MiB), so a regression that widens a per-event, per-packet or
+# per-port record names this gate.
 cargo test -q -p tfc-repro --test event_memory
 
 # tfc-trace must summarize a smoke-run artifact bundle from the files

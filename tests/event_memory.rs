@@ -1,25 +1,27 @@
 //! Per-event and per-packet records are compact: a 16-byte `Event`, a
 //! 32-byte scheduler entry with its bucket link and timer slot in
 //! parallel `u32` columns, 16-byte live-run keys, 56-byte timer slots
-//! and a 64-byte packet-arena slot.
+//! and a 64-byte packet-arena slot; and so is the fabric they run on
+//! (see `tests/port_memory.rs`).
 //!
 //! The shared counting allocator (`tests/common`) tracks the live
 //! heap's high-water mark over the benchmark's whole `fat_tree_k36`
 //! run, topology build included: 1,100 seeded sized TFC flows on the
 //! k=36 ECMP fat-tree, seed 2016. The scheduler slab peaks at ~59 k
 //! entries and the arena at ~51 k packets there, so every byte of those
-//! records shows at the MiB scale. It measures 22.3 MiB against a bound
-//! of 23 MiB; with a 32-byte `Event`, 56-byte entries, 24-byte live-run
-//! keys, 80-byte timer slots and 80-byte arena slots it was 25.5 MiB.
-//! This binary holds exactly one test, so no other thread allocates
-//! while it measures.
+//! records shows at the MiB scale. It measures 18,270,668 B against a
+//! bound of 18.25 MiB; with 104-byte ports and a route row per switch
+//! it was 23,351,520 B, and with a 32-byte `Event`, 56-byte entries,
+//! 24-byte live-run keys, 80-byte timer slots and 80-byte arena slots
+//! on top 25.5 MiB. This binary holds exactly one test, so no other
+//! thread allocates while it measures.
 
 mod common;
 
 #[global_allocator]
 static ALLOC: common::Counting = common::Counting;
 
-const BOUND: usize = 23 << 20;
+const BOUND: usize = (18 << 20) + (1 << 18);
 
 #[test]
 fn fat_tree_k36_live_heap_peak_is_bounded() {
