@@ -1,7 +1,8 @@
 //! Microbenchmarks of the hot simulator and protocol paths: event-queue
-//! churn, port-queue operations, the TFC token engine's per-packet cost,
-//! receive-side reassembly, and raw simulated-packet throughput of the
-//! whole stack.
+//! churn, the packet arena and the timing wheel at `fat_tree_k36`'s peak
+//! occupancy, port-queue operations, the TFC token engine's per-packet
+//! cost, receive-side reassembly, and raw simulated-packet throughput of
+//! the whole stack.
 
 use simnet::app::NullApp;
 use simnet::endpoint::FlowSpec;
@@ -82,6 +83,62 @@ fn event_queue_churn(c: &mut Criterion) {
             })
         });
     }
+    // A wheel holding ~60 k entries, as at the peak of the benchmark's
+    // k=36 run: every pop pushes one entry 0–20 µs past the popped time
+    // (level 0 or 1), so the occupancy stays put and slab indices spread
+    // over the whole entry table.
+    g.throughput(Throughput::Elements(OPS));
+    g.bench_function("hold_60k_push_pop_64k_Wheel", |b| {
+        const HELD: u64 = 60_000;
+        let mut q = EventQueue::with_kind(SchedulerKind::Wheel);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut jitter = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % 20_000
+        };
+        for i in 0..HELD {
+            q.schedule(Time(jitter()), Event::AppTimer { token: i });
+        }
+        b.iter(|| {
+            for i in 0..OPS {
+                let (t, ev) = q.pop().expect("held entries");
+                black_box(ev);
+                q.schedule(Time(t.nanos() + jitter()), Event::AppTimer { token: i });
+            }
+        })
+    });
+    g.finish();
+}
+
+/// Operations per iteration of the occupancy-held benches.
+const OPS: u64 = 1 << 16;
+
+/// The packet arena at the k=36 run's peak of ~50 k live packets: each
+/// operation frees one packet at a strided position, allocates its
+/// replacement (which reuses the freed slot) and reads another live
+/// packet, so the reads range over every segment of the slot table.
+fn packet_arena(c: &mut Criterion) {
+    const LIVE: usize = 50_000;
+    let mut g = c.benchmark_group("packet_arena");
+    g.throughput(Throughput::Elements(OPS));
+    g.bench_function("packet_arena_churn_64k", |b| {
+        let mut arena = simnet::PacketArena::new();
+        let pkt = |seq| Packet::data(FlowId(0), NodeId(0), NodeId(1), seq, MSS);
+        let mut live: Vec<_> = (0..LIVE as u64).map(|i| arena.alloc(pkt(i))).collect();
+        let mut j = 0usize;
+        b.iter(|| {
+            let mut sum = 0u64;
+            for i in 0..OPS {
+                j = (j + 40_503) % LIVE;
+                black_box(arena.free(live[j]));
+                live[j] = arena.alloc(pkt(i));
+                sum = sum.wrapping_add(arena.get(live[(j + LIVE / 2) % LIVE]).seq);
+            }
+            sum
+        })
+    });
     g.finish();
 }
 
@@ -215,6 +272,7 @@ fn end_to_end_packet_rate(c: &mut Criterion) {
 criterion_group!(
     micro,
     event_queue_churn,
+    packet_arena,
     port_queue_ops,
     token_engine_per_packet,
     recv_buffer,

@@ -30,8 +30,13 @@
 //! free slot's link chains it into the free list. A packet is in at
 //! most one FIFO, and never in one once freed, so the two uses never
 //! overlap.
+//!
+//! The slots live in a `Segmented` table: segments of 64, 128, 256, …
+//! slots that are allocated once and never move, so growing the arena
+//! to the run's peak copies no slot and leaves no freed block behind.
 
 use crate::packet::Packet;
+use crate::segmented::Segmented;
 
 /// Handle to a packet stored in a [`PacketArena`].
 ///
@@ -100,7 +105,7 @@ const VACANT: Packet = Packet {
 /// A slab of in-flight packets with generation-checked handles.
 #[derive(Debug)]
 pub struct PacketArena {
-    slots: Vec<Slot>,
+    slots: Segmented<Slot>,
     /// Top of the free-slot stack, threaded through the slots' links.
     free: u32,
     live: usize,
@@ -110,7 +115,7 @@ pub struct PacketArena {
 impl Default for PacketArena {
     fn default() -> Self {
         Self {
-            slots: Vec::new(),
+            slots: Segmented::new("packet arena"),
             free: NIL,
             live: 0,
             allocated_total: 0,
@@ -131,7 +136,7 @@ impl PacketArena {
         self.allocated_total += 1;
         if self.free != NIL {
             let idx = self.free;
-            let slot = &mut self.slots[idx as usize];
+            let slot = &mut self.slots[idx];
             debug_assert!(!is_live(slot.gen), "free-list slot still occupied");
             self.free = slot.next;
             slot.gen = slot.gen.wrapping_add(1);
@@ -139,9 +144,7 @@ impl PacketArena {
             slot.pkt = pkt;
             return PacketId { idx, gen: slot.gen };
         }
-        let idx = u32::try_from(self.slots.len()).expect("packet arena exceeds u32 slots");
-        assert!(idx != NIL, "packet arena exceeds u32 slots");
-        self.slots.push(Slot {
+        let idx = self.slots.push(Slot {
             gen: 1,
             next: NIL,
             pkt,
@@ -152,7 +155,7 @@ impl PacketArena {
     /// Points live packet `id`'s link at slot `next` ([`NIL`] ends the
     /// chain).
     pub(crate) fn set_next(&mut self, id: u32, next: u32) {
-        let slot = &mut self.slots[id as usize];
+        let slot = &mut self.slots[id];
         debug_assert!(is_live(slot.gen), "linking a free slot");
         slot.next = next;
     }
@@ -160,7 +163,7 @@ impl PacketArena {
     /// The id of the live packet in slot `idx` and the slot its link
     /// points at.
     pub(crate) fn linked(&self, idx: u32) -> (PacketId, u32) {
-        let slot = &self.slots[idx as usize];
+        let slot = &self.slots[idx];
         debug_assert!(is_live(slot.gen), "following a free slot");
         (PacketId { idx, gen: slot.gen }, slot.next)
     }
@@ -173,7 +176,7 @@ impl PacketArena {
     /// simulator bug, and aliasing the slot's new occupant would corrupt
     /// the run silently.
     pub fn get(&self, id: PacketId) -> &Packet {
-        let slot = &self.slots[id.idx as usize];
+        let slot = &self.slots[id.idx];
         assert_eq!(
             slot.gen, id.gen,
             "stale PacketId {id:?}: slot reused under generation {}",
@@ -189,7 +192,7 @@ impl PacketArena {
     ///
     /// Panics on stale ids, like [`get`](Self::get).
     pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
-        let slot = &mut self.slots[id.idx as usize];
+        let slot = &mut self.slots[id.idx];
         assert_eq!(
             slot.gen, id.gen,
             "stale PacketId {id:?}: slot reused under generation {}",
@@ -202,7 +205,7 @@ impl PacketArena {
     /// Shared access that returns `None` for stale ids instead of
     /// panicking (assertions and tests).
     pub fn try_get(&self, id: PacketId) -> Option<&Packet> {
-        let slot = self.slots.get(id.idx as usize)?;
+        let slot = self.slots.get(id.idx)?;
         (slot.gen == id.gen && is_live(slot.gen)).then_some(&slot.pkt)
     }
 
@@ -213,7 +216,7 @@ impl PacketArena {
     ///
     /// Panics on stale ids (double free).
     pub fn free(&mut self, id: PacketId) -> Packet {
-        let slot = &mut self.slots[id.idx as usize];
+        let slot = &mut self.slots[id.idx];
         assert_eq!(
             slot.gen, id.gen,
             "double free of PacketId {id:?}: slot already at generation {}",
@@ -397,7 +400,7 @@ mod tests {
         let first = a.alloc(pkt(1));
         a.free(first);
         // Fast-forward the free slot to the last even generation.
-        a.slots[first.index() as usize].gen = u32::MAX - 1;
+        a.slots[first.index()].gen = u32::MAX - 1;
         let last = a.alloc(pkt(2));
         assert_eq!(last.index(), first.index());
         assert_eq!(a.get(last).seq, 2);

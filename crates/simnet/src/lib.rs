@@ -46,6 +46,7 @@ pub mod policy;
 pub mod queue;
 pub mod retire;
 pub mod sched;
+mod segmented;
 pub mod sim;
 pub mod topology;
 pub mod units;

@@ -28,7 +28,12 @@
 //! entries rather than the sum of 256 per-bucket high-water marks. An
 //! entry is 32 bytes (time, sequence number, 16-byte [`Event`]); its
 //! bucket link and cancellable-timer slot sit in two parallel `u32`
-//! columns, so a queued entry costs 40 bytes of slab.
+//! columns, so a queued entry costs 40 bytes of slab. The three columns,
+//! like the cancellable-timer slots below, are `Segmented` tables:
+//! they grow in segments of 64, 128, 256, … rows that are never
+//! reallocated or moved, so reaching the run's peak copies no entry.
+//! Only the live run's `current` and `late` vectors still grow by
+//! doubling.
 //!
 //! # Determinism
 //!
@@ -75,6 +80,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::event::Event;
+use crate::segmented::Segmented;
 use crate::units::Time;
 
 /// Log2 of the tick granularity in nanoseconds (256 ns per tick).
@@ -209,12 +215,12 @@ struct Wheel {
     /// Tick of the most recent pop; buckets behind it are empty.
     now_tick: u64,
     /// Every queued entry; a free slab slot keeps its last entry.
-    entries: Vec<Entry>,
+    entries: Segmented<Entry>,
     /// Per slab slot: the next index of its bucket list or, for a free
     /// slot, of the free list.
-    next: Vec<u32>,
+    next: Segmented<u32>,
     /// Per slab slot: the entry's timer slot, or [`NO_TIMER`].
-    timers: Vec<u32>,
+    timers: Segmented<u32>,
     /// Head of the free list.
     free: u32,
     /// The level-0 bucket being drained, sorted *descending* so pops
@@ -243,9 +249,9 @@ impl Wheel {
     fn new() -> Self {
         Wheel {
             now_tick: 0,
-            entries: Vec::new(),
-            next: Vec::new(),
-            timers: Vec::new(),
+            entries: Segmented::new("scheduler entries"),
+            next: Segmented::new("scheduler links"),
+            timers: Segmented::new("scheduler timer column"),
             free: NIL,
             current: Vec::new(),
             late: BinaryHeap::new(),
@@ -258,7 +264,7 @@ impl Wheel {
     }
 
     fn key(&self, idx: u32) -> Key {
-        let e = &self.entries[idx as usize];
+        let e = &self.entries[idx];
         (e.at, e.seq, idx)
     }
 
@@ -268,7 +274,7 @@ impl Wheel {
     ///
     /// Panics if the sequence number needs more than 56 bits.
     fn run_key(&self, idx: u32) -> RunKey {
-        let e = &self.entries[idx as usize];
+        let e = &self.entries[idx];
         debug_assert_eq!(e.at.nanos() >> GRAN_BITS, self.now_tick);
         assert!(
             e.seq >> SEQ_BITS == 0,
@@ -282,11 +288,10 @@ impl Wheel {
     /// Copies the entry and its timer slot out of slab slot `idx` and
     /// frees the slot.
     fn release(&mut self, idx: u32) -> (Entry, u32) {
-        let i = idx as usize;
-        self.next[i] = self.free;
+        self.next[idx] = self.free;
         self.free = idx;
         self.len -= 1;
-        (self.entries[i], self.timers[i])
+        (self.entries[idx], self.timers[idx])
     }
 
     /// Queues `e` with timer slot `timer` ([`NO_TIMER`] for none).
@@ -295,19 +300,14 @@ impl Wheel {
         let tick = e.at.nanos() >> GRAN_BITS;
         let idx = if self.free != NIL {
             let idx = self.free;
-            self.free = self.next[idx as usize];
-            self.entries[idx as usize] = e;
-            self.timers[idx as usize] = timer;
+            self.free = self.next[idx];
+            self.entries[idx] = e;
+            self.timers[idx] = timer;
             idx
         } else {
-            let idx = u32::try_from(self.entries.len())
-                .ok()
-                .filter(|&i| i != NIL)
-                .expect("scheduler slab exceeds u32 entries");
-            self.entries.push(e);
             self.next.push(NIL);
             self.timers.push(timer);
-            idx
+            self.entries.push(e)
         };
         if tick < self.now_tick {
             self.behind.push(Reverse(self.key(idx)));
@@ -328,7 +328,7 @@ impl Wheel {
     /// a bucket is irrelevant: level 0 sorts on drain and cascades
     /// re-place each entry by its own tick.
     fn link(&mut self, b: usize, idx: u32) {
-        self.next[idx as usize] = self.heads[b];
+        self.next[idx] = self.heads[b];
         self.heads[b] = idx;
     }
 
@@ -463,14 +463,14 @@ impl Wheel {
             if level == 0 {
                 while idx != NIL {
                     self.current.push(self.run_key(idx));
-                    idx = self.next[idx as usize];
+                    idx = self.next[idx];
                 }
                 self.current.sort_unstable_by(|a, b| b.cmp(a));
                 continue;
             }
             // Cascade: entries re-place at strictly lower levels.
             while idx != NIL {
-                let next = self.next[idx as usize];
+                let next = self.next[idx];
                 self.place_internal(idx);
                 idx = next;
             }
@@ -492,7 +492,7 @@ impl Wheel {
                 while idx != NIL {
                     let k = self.key(idx);
                     best = Some(best.map_or(k, |b| b.min(k)));
-                    idx = self.next[idx as usize];
+                    idx = self.next[idx];
                 }
             }
         }
@@ -577,7 +577,7 @@ pub struct EventQueue {
     backend: Backend,
     kind: SchedulerKind,
     next_seq: u64,
-    slots: Vec<TimerSlot>,
+    slots: Segmented<TimerSlot>,
     free: Vec<u32>,
     /// Cancelled slots, most recent last: candidate carriers for the
     /// next re-arm. An entry goes stale once its carrier pops; stale
@@ -611,7 +611,7 @@ impl EventQueue {
             backend,
             kind,
             next_seq: 0,
-            slots: Vec::new(),
+            slots: Segmented::new("timer slots"),
             free: Vec::new(),
             carriers: Vec::new(),
             live: 0,
@@ -636,7 +636,7 @@ impl EventQueue {
     pub fn schedule_cancellable(&mut self, at: Time, event: Event) -> TimerHandle {
         let seq = self.take_seq();
         while let Some(&slot) = self.carriers.last() {
-            let s = &mut self.slots[slot as usize];
+            let s = &mut self.slots[slot];
             if s.state != SlotState::Cancelled {
                 s.listed = false;
                 self.carriers.pop();
@@ -656,26 +656,19 @@ impl EventQueue {
         }
         let slot = match self.free.pop() {
             Some(s) => s,
-            None => {
-                let slot = u32::try_from(self.slots.len())
-                    .ok()
-                    .filter(|&s| s != NO_TIMER)
-                    .expect("timer slots exceed u32");
-                self.slots.push(TimerSlot {
-                    gen: 0,
-                    state: SlotState::Free,
-                    listed: false,
-                    queued: (Time::ZERO, 0),
-                    pending: Entry {
-                        at: Time::ZERO,
-                        seq: 0,
-                        event,
-                    },
-                });
-                slot
-            }
+            None => self.slots.push(TimerSlot {
+                gen: 0,
+                state: SlotState::Free,
+                listed: false,
+                queued: (Time::ZERO, 0),
+                pending: Entry {
+                    at: Time::ZERO,
+                    seq: 0,
+                    event,
+                },
+            }),
         };
-        let s = &mut self.slots[slot as usize];
+        let s = &mut self.slots[slot];
         debug_assert_eq!(s.state, SlotState::Free);
         s.state = SlotState::Armed;
         s.queued = (at, seq);
@@ -689,7 +682,7 @@ impl EventQueue {
     /// is discarded lazily when the queue reaches it, unless a re-arm
     /// adopts it first.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        let Some(s) = self.slots.get_mut(handle.slot as usize) else {
+        let Some(s) = self.slots.get_mut(handle.slot) else {
             return false;
         };
         if s.gen != handle.gen || !matches!(s.state, SlotState::Armed | SlotState::Adopted) {
@@ -726,7 +719,7 @@ impl EventQueue {
             let (e, slot) = self.backend.pop()?;
             self.queued -= 1;
             if slot != NO_TIMER {
-                let s = &mut self.slots[slot as usize];
+                let s = &mut self.slots[slot];
                 debug_assert_eq!(s.queued, e.key(), "slot carried by another entry");
                 if s.state == SlotState::Adopted {
                     s.state = SlotState::Armed;
@@ -1275,7 +1268,7 @@ mod tests {
                             let i = rng.gen_range(0..timers.len());
                             for link in 0..rng.gen_range(1..4u32) {
                                 let (h, tok) = timers[i];
-                                let carrier_at = q.slots[h.slot as usize].queued.0.nanos();
+                                let carrier_at = q.slots[h.slot].queued.0.nanos();
                                 assert!(q.cancel(h));
                                 model.cancel(tok);
                                 let own_top = q.carriers.last() == Some(&h.slot);

@@ -83,6 +83,16 @@ cargo test -q -p tfc-repro --test port_memory
 # per-port record names this gate.
 cargo test -q -p tfc-repro --test event_memory
 
+# Never-moving tables: the packet arena's slots, the timing wheel's
+# entry columns and the timer slots grow in segments that are never
+# reallocated. A counting allocator bounds the bytes that reallocations
+# of blocks of 64 KiB or more may copy during the benchmark's k=36 loop
+# at 1,101,004 B (the wheel's live run, measured 1,048,576 B, plus 5%;
+# doubling `Vec`s for those tables made 8,273,920 B), so a regression
+# to a growable table that scales with in-flight packets names this
+# gate.
+cargo test -q -p tfc-repro --test loop_moves
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"

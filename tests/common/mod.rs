@@ -1,8 +1,9 @@
 //! Shared support for the integration tests that measure the heap.
 //!
 //! [`Counting`] wraps the system allocator and tracks live bytes, their
-//! high-water mark, live blocks and allocation calls. A test binary
-//! installs it with
+//! high-water mark, live blocks, allocation calls, and the reallocations
+//! of large blocks with the bytes they may copy ([`moves`], [`moved`]).
+//! A test binary installs it with
 //!
 //! ```ignore
 //! mod common;
@@ -39,6 +40,12 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static MOVES: AtomicUsize = AtomicUsize::new(0);
+static MOVED: AtomicUsize = AtomicUsize::new(0);
+
+/// Smallest block whose reallocations [`moves`] and [`moved`] count:
+/// 64 KiB.
+pub const MOVE_MIN: usize = 64 << 10;
 
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
@@ -68,6 +75,10 @@ unsafe impl GlobalAlloc for Counting {
             LIVE.fetch_sub(layout.size(), Relaxed);
             grew(new_size);
             ALLOCS.fetch_add(1, Relaxed);
+            if layout.size() >= MOVE_MIN {
+                MOVES.fetch_add(1, Relaxed);
+                MOVED.fetch_add(layout.size(), Relaxed);
+            }
         }
         p
     }
@@ -97,6 +108,18 @@ pub fn blocks() -> usize {
 /// Allocation calls so far, reallocations included.
 pub fn allocs() -> usize {
     ALLOCS.load(Relaxed)
+}
+
+/// Reallocations so far of a block of at least [`MOVE_MIN`] bytes.
+/// Whether the system allocator grows such a block in place or copies
+/// it depends on its heap layout, so every one counts.
+pub fn moves() -> usize {
+    MOVES.load(Relaxed)
+}
+
+/// Bytes those [`moves`] may copy: the sum of the blocks' old sizes.
+pub fn moved() -> usize {
+    MOVED.load(Relaxed)
 }
 
 /// Fat-tree arity of the benchmark's `fat_tree_k36` workload.
