@@ -11,7 +11,7 @@
 //!    with flow retirement recycling slab slots and Ring-mode telemetry
 //!    keeping the exported artifacts flat-sized. The flow-slab and
 //!    packet-arena high-water marks are asserted bounded and recorded,
-//!    the endpoint tables sized like the flow slab, and the scheduler's
+//!    the endpoint records reused as flows retire, and the scheduler's
 //!    queued-entry high-water bounded by peak live flows.
 //!
 //! Results merge into `results/bench/BENCH_scale.json` (schema v4)
@@ -61,7 +61,7 @@ fn main() {
         stats.events_per_sec,
     );
     eprintln!(
-        "  memory: flow slab {} slots (peak {} live) for {} flows; endpoint tables {:?} slots; \
+        "  memory: flow slab {} slots (peak {} live) for {} flows; endpoint records {} slots; \
          scheduler peak {} queued entries; arena {} slots",
         stats.slab_capacity,
         stats.slab_peak,
@@ -84,9 +84,8 @@ fn main() {
         stats.slab_capacity
     );
     assert_eq!(
-        stats.endpoint_capacity,
-        (stats.slab_capacity, stats.slab_capacity),
-        "endpoint tables must be flow-indexed like the flow slab"
+        stats.endpoint_capacity, stats.slab_peak,
+        "endpoint records must be reused once their flows retire"
     );
     assert!(
         stats.sched_peak_queued <= SCHED_ENTRIES_PER_LIVE_FLOW * stats.slab_peak,

@@ -217,9 +217,10 @@ pub struct MillionStats {
     /// Flow-slab slots ever created (resident-memory proxy; bounded by
     /// peak concurrency plus the id quarantine, not by `retired`).
     pub slab_capacity: usize,
-    /// `(senders, receivers)` endpoint-table slots; flow-indexed, so
-    /// each equals `slab_capacity`.
-    pub endpoint_capacity: (usize, usize),
+    /// Endpoint-record slots: the peak number of flows with live
+    /// endpoints. Records are freed at retirement and their slots
+    /// reused, so this equals `slab_peak`.
+    pub endpoint_capacity: usize,
     /// Peak entries the event queue held, live or cancelled (re-armed
     /// timers reuse their queued entry, so this tracks live events).
     pub sched_peak_queued: usize,
@@ -411,11 +412,8 @@ mod tests {
             stats.retired
         );
         assert!(stats.slab_peak <= stats.slab_capacity);
-        // The endpoint tables and the scheduler are bounded too.
-        assert_eq!(
-            stats.endpoint_capacity,
-            (stats.slab_capacity, stats.slab_capacity)
-        );
+        // The endpoint records and the scheduler are bounded too.
+        assert_eq!(stats.endpoint_capacity, stats.slab_peak);
         assert!(
             stats.sched_peak_queued <= SCHED_ENTRIES_PER_LIVE_FLOW * stats.slab_peak,
             "{} queued entries for {} peak live flows",

@@ -1,29 +1,40 @@
-//! Dense per-flow tables indexed by [`FlowId`].
+//! Dense per-flow tables.
 //!
-//! Flow ids are allocated sequentially from zero, so every per-flow
-//! table in the hot path can be a slab vector indexed by `FlowId`
-//! instead of an ordered map: O(1) lookup, no pointer chasing, and
-//! iteration stays in id order (which the artifact exporters rely on).
-//! When flow retirement is enabled ([`crate::retire`]) completed ids
-//! are recycled, so a slab's length is bounded by peak concurrency
-//! while the per-slot generations keep stale references detectable.
+//! Flow ids are allocated sequentially from zero, so the simulator's
+//! flow states sit in a slab indexed by `FlowId` ([`FlowMap`]) instead
+//! of an ordered map: O(1) lookup, no pointer chasing, and iteration
+//! stays in id order (which the artifact exporters rely on). When flow
+//! retirement is enabled ([`crate::retire`]) completed ids are
+//! recycled, so the slab's length is bounded by peak concurrency while
+//! the per-slot generations keep stale references detectable.
+//!
+//! A flow's endpoints live in a second table, a `Slab` that hands out
+//! and reuses its own `u32` indices: an endpoint record is freed as soon
+//! as nothing can reach it (see `SimCore::free_if_unreachable`), so that
+//! table tracks the live flows, not every flow ever started.
+
+use std::ops::{Index, IndexMut};
 
 use crate::packet::FlowId;
+use crate::segmented::Segmented;
 
-/// A slab keyed by [`FlowId`]: `Vec<Option<T>>` with O(1) access and
-/// id-ordered iteration. Its length is the largest id it ever held, so
-/// it suits tables with an entry for (nearly) every flow, like the
-/// simulator's flow states and its flow-indexed endpoint tables. A
-/// table holding a sparse subset — say, one host's flows — still pays
-/// a slot for every id up to the largest it saw.
+/// A slab keyed by [`FlowId`] with O(1) access and id-ordered
+/// iteration. Its length is the largest id it ever held, so it suits
+/// tables with an entry for (nearly) every flow, like the simulator's
+/// flow states. A table holding a sparse subset — say, one host's flows
+/// — still pays a slot for every id up to the largest it saw.
+///
+/// The slots sit in never-moving segments, so growing the table never
+/// copies or frees the states it holds. Ids at or past `u32::MAX - 63`
+/// do not fit and panic on insert.
 #[derive(Debug)]
 pub struct FlowMap<T> {
-    slots: Vec<Option<T>>,
+    slots: Segmented<Option<T>>,
     /// Per-slot generation, bumped every time an entry is removed. A
     /// stale actor holding a flow id across teardown and re-insert can
     /// compare generations to tell the new occupant from the state it
     /// remembers — dead state is never resurrected by id reuse.
-    gens: Vec<u32>,
+    gens: Segmented<u32>,
     len: usize,
     /// High-water mark of `len`: the peak number of simultaneously live
     /// entries this table ever held. With id recycling the slab length
@@ -38,12 +49,17 @@ impl<T> Default for FlowMap<T> {
     }
 }
 
+/// The slot index of `id`, or `None` if it cannot name a slot.
+fn slot(id: FlowId) -> Option<u32> {
+    u32::try_from(id.0).ok()
+}
+
 impl<T> FlowMap<T> {
     /// Creates an empty table.
     pub fn new() -> Self {
         FlowMap {
-            slots: Vec::new(),
-            gens: Vec::new(),
+            slots: Segmented::new("flow table"),
+            gens: Segmented::new("flow generations"),
             len: 0,
             peak_len: 0,
         }
@@ -73,12 +89,12 @@ impl<T> FlowMap<T> {
 
     /// Shared access to the entry for `id`.
     pub fn get(&self, id: FlowId) -> Option<&T> {
-        self.slots.get(id.0 as usize).and_then(Option::as_ref)
+        self.slots.get(slot(id)?)?.as_ref()
     }
 
     /// Mutable access to the entry for `id`.
     pub fn get_mut(&mut self, id: FlowId) -> Option<&mut T> {
-        self.slots.get_mut(id.0 as usize).and_then(Option::as_mut)
+        self.slots.get_mut(slot(id)?)?.as_mut()
     }
 
     /// Whether `id` has an entry.
@@ -88,11 +104,15 @@ impl<T> FlowMap<T> {
 
     /// Inserts a value for `id`, growing the slab as needed. Returns
     /// the previous value, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is at or past `u32::MAX - 63`.
     pub fn insert(&mut self, id: FlowId, value: T) -> Option<T> {
-        let idx = id.0 as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-            self.gens.resize(idx + 1, 0);
+        let idx = slot(id).expect("flow id exceeds the flow table");
+        while self.slots.len() <= idx as usize {
+            self.slots.push(None);
+            self.gens.push(0);
         }
         let old = self.slots[idx].replace(value);
         if old.is_none() {
@@ -105,9 +125,10 @@ impl<T> FlowMap<T> {
     /// Removes and returns the entry for `id`, if any. Removal bumps the
     /// slot's generation (see [`generation`](Self::generation)).
     pub fn remove(&mut self, id: FlowId) -> Option<T> {
-        let old = self.slots.get_mut(id.0 as usize).and_then(Option::take);
+        let idx = slot(id)?;
+        let old = self.slots.get_mut(idx).and_then(Option::take);
         if old.is_some() {
-            self.gens[id.0 as usize] = self.gens[id.0 as usize].wrapping_add(1);
+            self.gens[idx] = self.gens[idx].wrapping_add(1);
             self.len -= 1;
         }
         old
@@ -118,7 +139,10 @@ impl<T> FlowMap<T> {
     /// occupancy of the slot, so state captured before a teardown can be
     /// recognised as stale after the id is reused.
     pub fn generation(&self, id: FlowId) -> u32 {
-        self.gens.get(id.0 as usize).copied().unwrap_or(0)
+        slot(id)
+            .and_then(|i| self.gens.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Iterates entries in flow-id order.
@@ -135,6 +159,84 @@ impl<T> FlowMap<T> {
             .iter_mut()
             .enumerate()
             .filter_map(|(i, v)| v.as_mut().map(|v| (FlowId(i as u64), v)))
+    }
+}
+
+/// A table that hands out `u32` indices and reuses freed ones, most
+/// recently freed first. Its capacity is the peak number of entries
+/// live at once; the slots sit in never-moving segments.
+#[derive(Debug)]
+pub(crate) struct Slab<T> {
+    slots: Segmented<Option<T>>,
+    /// Indices of the empty slots, reused last in, first out.
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    /// An empty slab; `name` names it in panic messages.
+    pub(crate) fn new(name: &'static str) -> Self {
+        Self {
+            slots: Segmented::new(name),
+            free: Vec::new(),
+        }
+    }
+
+    /// Slots ever materialised: the peak number of live entries.
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Stores `value` in a free slot, or a new one, and returns its
+    /// index.
+    pub(crate) fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = Some(value);
+                i
+            }
+            None => self.slots.push(Some(value)),
+        }
+    }
+
+    /// Takes the entry at `i` out and frees its slot; `None` if the
+    /// slot is empty or does not exist.
+    pub(crate) fn remove(&mut self, i: u32) -> Option<T> {
+        let old = self.slots.get_mut(i)?.take();
+        if old.is_some() {
+            self.free.push(i);
+        }
+        old
+    }
+
+    /// The entry at `i`, if it holds one.
+    #[inline]
+    pub(crate) fn get(&self, i: u32) -> Option<&T> {
+        self.slots.get(i)?.as_ref()
+    }
+
+    /// The entry at `i` mutably, if it holds one.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, i: u32) -> Option<&mut T> {
+        self.slots.get_mut(i)?.as_mut()
+    }
+}
+
+impl<T> Index<u32> for Slab<T> {
+    type Output = T;
+
+    /// # Panics
+    ///
+    /// Panics if slot `i` is empty or does not exist.
+    #[inline]
+    fn index(&self, i: u32) -> &T {
+        self.slots[i].as_ref().expect("slab slot is free")
+    }
+}
+
+impl<T> IndexMut<u32> for Slab<T> {
+    #[inline]
+    fn index_mut(&mut self, i: u32) -> &mut T {
+        self.slots[i].as_mut().expect("slab slot is free")
     }
 }
 
@@ -242,6 +344,45 @@ mod tests {
             CONCURRENCY as usize,
             "slab must be bounded by peak concurrency, not total churn"
         );
+    }
+
+    #[test]
+    fn ids_past_the_table_are_absent_not_a_panic() {
+        let mut m: FlowMap<u8> = FlowMap::new();
+        m.insert(FlowId(2), 2);
+        for id in [FlowId(u64::from(u32::MAX)), FlowId(u64::MAX)] {
+            assert_eq!(m.get(id), None);
+            assert_eq!(m.get_mut(id), None);
+            assert_eq!(m.remove(id), None);
+            assert_eq!(m.generation(id), 0);
+        }
+        assert_eq!(m.capacity(), 3, "ids 0 and 1 are holes");
+    }
+
+    /// The slab reuses the most recently freed index first and never
+    /// grows past the peak number of live entries.
+    #[test]
+    fn slab_reuses_freed_indices() {
+        let mut s: Slab<&str> = Slab::new("test slab");
+        let (a, b, c) = (s.insert("a"), s.insert("b"), s.insert("c"));
+        assert_eq!((a, b, c), (0, 1, 2));
+        assert_eq!(s.remove(b), Some("b"));
+        assert_eq!(s.remove(b), None, "already free");
+        assert_eq!(s.get(b), None);
+        assert_eq!(s.remove(a), Some("a"));
+        assert_eq!(s.insert("d"), a, "last freed, first reused");
+        assert_eq!(s.insert("e"), b);
+        assert_eq!(s.insert("f"), 3, "no free slot left");
+        *s.get_mut(c).expect("live") = "C";
+        assert_eq!(s.get(c), Some(&"C"));
+        assert_eq!(s.capacity(), 4);
+        assert_eq!(s.get(u32::MAX), None);
+        assert_eq!(s.remove(u32::MAX), None);
+        for i in 0..1_000 {
+            let j = s.insert("churn");
+            assert_eq!(s.remove(j), Some("churn"), "cycle {i}");
+        }
+        assert_eq!(s.capacity(), 5, "churn reuses one slot");
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! table) and free it on every terminal path: delivery to an endpoint,
 //! tail drop, fault loss, or policy consumption. The hot path performs
 //! zero packet clones.
+//!
+//! Without retirement every free but a policy's consumption also counts
+//! the packet out of its flow's packets in flight: a consumed packet is
+//! handed to the policy, which re-injects it (uncounted) or, after a
+//! `reset_port`, forgets it. Once the count, the flow's timers and both
+//! of its endpoints are done, the endpoints are freed
+//! (`SimCore::free_if_unreachable`).
 
 use rng::rngs::StdRng;
 use rng::Rng;
@@ -24,7 +31,7 @@ use crate::fault::FaultAction;
 use crate::node::{ecmp_select, port_in_mut, NextHops, Node, Port};
 use crate::packet::{Flags, FlowId, NodeId};
 use crate::policy::{EgressVerdict, IngressVerdict, PolicyFx};
-use crate::sim::{AppCall, SimCore};
+use crate::sim::{AppCall, SimCore, FREED};
 use crate::units::Time;
 
 /// Why [`SimCore::lose`] loses a packet; each cause has its counter.
@@ -89,7 +96,7 @@ impl SimCore {
             self.lose(node, 0, pkt, DropCause::Fault);
             return;
         }
-        Self::enqueue_and_kick(
+        let dropped = Self::enqueue_and_kick(
             &mut h.nic,
             node,
             0,
@@ -100,6 +107,9 @@ impl SimCore {
             &mut self.events,
             &mut self.telemetry,
         );
+        if let Some(flow) = dropped {
+            self.packet_gone(flow);
+        }
     }
 
     /// A packet finishes propagating into `node` on `port`.
@@ -118,22 +128,23 @@ impl SimCore {
 
     /// A transport-endpoint timer fires at a host.
     fn on_host_timer(&mut self, node: NodeId, flow: FlowId, token: u64) {
-        // The timer's cancellation handle is spent the moment it fires.
-        if let Some(pending) = self.host_timers.get_mut(flow.0 as usize) {
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                pending.swap_remove(i);
-            }
-        }
         let now = self.now;
         let mut fx = self.take_fx();
-        match self.senders.get_mut(flow) {
-            Some((host, s)) if *host == node => s.on_timer(token, now, &mut fx),
-            _ => {
-                self.fx_pool.push(fx);
-                return;
-            }
+        let ep = self.endpoints_of(flow);
+        let Some(e) = self.endpoints.get_mut(ep) else {
+            self.fx_pool.push(fx);
+            return;
+        };
+        // The timer's cancellation handle is spent the moment it fires.
+        if let Some(i) = e.timers.iter().position(|&(t, _)| t == token) {
+            e.timers.swap_remove(i);
         }
-        self.apply_host_fx(node, flow, fx);
+        if e.src == node {
+            e.sender.on_timer(token, now, &mut fx);
+        }
+        // Applied even when empty: the spent timer may have been the
+        // last thing that could reach the flow.
+        self.apply_host_fx(node, flow, ep, fx);
     }
 
     /// A switch-policy timer fires.
@@ -179,7 +190,9 @@ impl SimCore {
         let p = self.packets.get(pkt);
         self.telemetry
             .pkt_drop(self.now.nanos(), node.0, port as u16, pkt.key(), p);
+        let flow = p.flow;
         self.packets.free(pkt);
+        self.packet_gone(flow);
     }
 
     /// Whether a packet entering `port` is lost to a fault: the link is
@@ -194,9 +207,10 @@ impl SimCore {
 
     /// Enqueues `pkt` on `port`, port `port_idx` of node `id` (the
     /// kind of `queue`), starting the transmitter if it is idle. On
-    /// overflow it counts a drop on the port and frees the packet's
-    /// arena slot. The caller has already checked the port for faults
-    /// ([`faulted`](Self::faulted)).
+    /// overflow it counts a drop on the port, frees the packet's arena
+    /// slot and returns the packet's flow, for the caller to count the
+    /// packet out ([`packet_gone`](Self::packet_gone)). The caller has
+    /// already checked the port for faults ([`faulted`](Self::faulted)).
     #[allow(clippy::too_many_arguments)]
     fn enqueue_and_kick(
         port: &mut Port,
@@ -208,13 +222,12 @@ impl SimCore {
         now: Time,
         events: &mut EventQueue,
         tel: &mut Telemetry,
-    ) {
+    ) -> Option<FlowId> {
         let (at, node, port_no, key) = (now.nanos(), id.0, port_idx as u16, pkt.key());
         if !port.queue.enqueue(pkt, arena) {
             port.drops += 1;
             tel.pkt_drop(at, node, port_no, key, arena.get(pkt));
-            arena.free(pkt);
-            return;
+            return Some(arena.free(pkt).flow);
         }
         let p = arena.get(pkt);
         tel.pkt_enqueue(at, node, port_no, key, p, port.queue.bytes(), queue);
@@ -229,6 +242,7 @@ impl SimCore {
                 },
             );
         }
+        None
     }
 
     fn tx_done(&mut self, node: NodeId, port_idx: usize) {
@@ -295,7 +309,8 @@ impl SimCore {
         } else {
             // Consumed (e.g. the TFC delay arbiter holds its own copy);
             // the in-fabric slot is done. Not a loss: the span is
-            // forgotten without a drop count.
+            // forgotten without a drop count, and the packet stays
+            // counted in flight until the policy's copy re-enters.
             let p = self.packets.get(pkt);
             self.telemetry.pkt_consumed(pkt.key(), p);
             self.packets.free(pkt);
@@ -357,18 +372,18 @@ impl SimCore {
             self.lose(node, out, pkt, DropCause::Policy);
         } else if Self::faulted(&self.ports[slot], &mut self.fault_rng) {
             self.lose(node, out, pkt, DropCause::Fault);
-        } else {
-            Self::enqueue_and_kick(
-                &mut self.ports[slot],
-                node,
-                out,
-                Queue::Switch { ce_before },
-                pkt,
-                &mut self.packets,
-                now,
-                &mut self.events,
-                &mut self.telemetry,
-            );
+        } else if let Some(flow) = Self::enqueue_and_kick(
+            &mut self.ports[slot],
+            node,
+            out,
+            Queue::Switch { ce_before },
+            pkt,
+            &mut self.packets,
+            now,
+            &mut self.events,
+            &mut self.telemetry,
+        ) {
+            self.packet_gone(flow);
         }
         self.apply_policy_fx(node, fx);
     }
@@ -392,9 +407,10 @@ impl SimCore {
             self.policy_timers[node.0 as usize].push((token, handle));
         }
         for pkt in fx.inject.drain(..) {
-            // Policy-owned packets (re)enter the fabric here; a no-route
-            // drop of one is attributed to port 0 (they have no real
-            // ingress port).
+            // Policy-owned packets (re)enter the fabric here, still
+            // counted in flight from their consumption; a no-route drop
+            // of one is attributed to port 0 (they have no real ingress
+            // port).
             let pkt = self.packets.alloc(pkt);
             self.switch_egress(node, 0, pkt, false);
         }
@@ -514,17 +530,22 @@ impl SimCore {
             return;
         }
         let (now, flow) = (self.now, self.packets.get(pkt).flow);
+        let ep = self.endpoints_of(flow);
+        debug_assert!(
+            self.retirer.is_some() || ep != FREED || !self.flows.contains(flow),
+            "a packet of {flow:?} reached {node:?} after the flow's endpoints were freed"
+        );
         let mut fx = self.take_fx();
-        // Both tables are flow-indexed: an entry whose host is not this
-        // one belongs to a different flow that recycled the id.
+        // Ids are recycled under retirement: a record whose hosts are
+        // not this one belongs to a different flow that took the id.
         let p = self.packets.get(pkt);
-        let known = match (self.senders.get_mut(flow), self.receivers.get_mut(flow)) {
-            (Some((host, s)), _) if *host == node => {
-                s.on_packet(p, now, &mut fx);
+        let known = match self.endpoints.get_mut(ep) {
+            Some(e) if e.src == node => {
+                e.sender.on_packet(p, now, &mut fx);
                 true
             }
-            (_, Some((host, r))) if *host == node => {
-                r.on_packet(p, now, &mut fx);
+            Some(e) if e.dst == node => {
+                e.receiver.on_packet(p, now, &mut fx);
                 true
             }
             _ => false, // Stale packet of a torn-down flow.
@@ -535,9 +556,16 @@ impl SimCore {
         // before effects apply (effects never reference the packet).
         self.packets.free(pkt);
         if known {
-            self.apply_host_fx(node, flow, fx);
+            // Counted out without the free check: that runs once the
+            // effects, which may send a reply, are applied.
+            if self.retirer.is_none() {
+                self.endpoints[ep].in_flight -= 1;
+            }
+            self.apply_host_fx(node, flow, ep, fx);
         } else {
+            self.stale_arrivals += 1;
             self.fx_pool.push(fx);
+            self.packet_gone(flow);
         }
     }
 }

@@ -19,8 +19,8 @@
 //! lookups already treat unknown flows as stale packets and consume
 //! them, so a quarantined id is harmless by construction.
 //!
-//! Memory is O(peak active flows): the flow slab, the per-flow timer
-//! table, and the endpoint tables all recycle slots, the sketches are
+//! Memory is O(peak active flows): the flow slab and the endpoint
+//! records (which hold each flow's timers) recycle slots, the sketches are
 //! fixed-size, and the id quarantine holds at most
 //! `arrival_rate x reuse_after` entries.
 

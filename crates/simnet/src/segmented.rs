@@ -5,7 +5,9 @@
 //! in-flight packets (the packet arena's slots and the scheduler
 //! wheel's entry columns) those steps happen mid-run, at up to megabyte
 //! sizes, and the freed blocks stay resident as holes in the allocator's
-//! heap. A [`Segmented`] table instead allocates its storage in
+//! heap. The per-flow tables ([`crate::flowtable`]) grow the same way
+//! with the flows ever started, up to megabytes in a long closed-loop
+//! run. A [`Segmented`] table instead allocates its storage in
 //! segments: segment `k` holds `64 << k` elements and is allocated at
 //! its full size when segment `k - 1` is full. A segment is never
 //! reallocated, moved or freed before the table drops, so an element's
@@ -107,6 +109,18 @@ impl<T> Segmented<T> {
     pub(crate) fn get_mut(&mut self, i: u32) -> Option<&mut T> {
         let (k, off) = locate(i);
         self.segs.get_mut(k)?.get_mut(off)
+    }
+
+    /// The elements in index order. Every allocated segment but the
+    /// last is full and no later one holds anything, so the segments
+    /// concatenate to the table.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.segs.iter().flatten()
+    }
+
+    /// The elements mutably, in index order (as [`iter`](Self::iter)).
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.segs.iter_mut().flatten()
     }
 }
 
@@ -217,6 +231,11 @@ mod tests {
             for (i, &v) in model.iter().enumerate() {
                 assert_eq!(s[i as u32], v);
             }
+            assert!(s.iter().eq(model.iter()), "iter walks the model in order");
+            for v in s.iter_mut() {
+                *v ^= 1;
+            }
+            assert!(s.iter().zip(&model).all(|(&v, &w)| v == w ^ 1));
         });
     }
 

@@ -22,7 +22,7 @@ use crate::arena::PacketArena;
 use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
-use crate::flowtable::FlowMap;
+use crate::flowtable::{FlowMap, Slab};
 use crate::node::{port_in, port_in_mut, Node, Port, PortStats};
 use crate::packet::{FlowId, NodeId};
 use crate::policy::PolicyFx;
@@ -122,7 +122,40 @@ pub struct FlowState {
     /// [`SimCore::set_flow_class`]). Keys the per-class retirement
     /// sketches when flow retirement is on.
     pub class: u8,
+    /// Index of the flow's [`Endpoints`] record in
+    /// [`SimCore::endpoints`], or [`FREED`] once it is freed. Sits in
+    /// what was padding, so a state stays 152 bytes.
+    pub(crate) endpoints: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Option<FlowState>>() == 152);
+
+/// [`FlowState::endpoints`] of a flow whose endpoints are freed; no
+/// slab index reaches it.
+pub(crate) const FREED: u32 = u32::MAX;
+
+/// Everything a packet or timer of a live flow can reach: both
+/// transport endpoints with their hosts, the flow's pending timers and
+/// its packets in flight. The simulator frees the record as soon as
+/// none of them can act again (see [`SimCore::free_if_unreachable`]).
+pub(crate) struct Endpoints {
+    /// The sender's host (the flow's source).
+    pub(crate) src: NodeId,
+    /// The receiver's host (the flow's destination).
+    pub(crate) dst: NodeId,
+    pub(crate) sender: Box<dyn SenderEndpoint>,
+    pub(crate) receiver: Box<dyn ReceiverEndpoint>,
+    /// Pending cancellable host-timer handles, as `(endpoint token,
+    /// handle)` pairs; entries leave on fire or cancel.
+    pub(crate) timers: Vec<(u64, TimerHandle)>,
+    /// The flow's packets in the arena or held by a switch policy that
+    /// consumed them and has not re-injected them. Counted only without
+    /// retirement: a retired id is reused, so a straggler could not be
+    /// told from the new tenant's packets.
+    pub(crate) in_flight: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Endpoints>>() == 72);
 
 /// One port's fault and no-route drops (see [`SimCore::port_stats`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -163,13 +196,11 @@ pub struct SimCore {
     /// leave the slab and their ids return after a quarantine, so the
     /// slab length is bounded by peak concurrency.
     pub(crate) flows: FlowMap<FlowState>,
-    /// Every flow's sender endpoint with the host it lives on. Indexed
-    /// by flow id like `flows`, so the table is bounded by the same
-    /// slab high-water; lookups must check the host, since a stale
-    /// packet of a recycled id can reach a host the new flow avoids.
-    pub(crate) senders: FlowMap<(NodeId, Box<dyn SenderEndpoint>)>,
-    /// Every flow's receiver endpoint with its host (as `senders`).
-    pub(crate) receivers: FlowMap<(NodeId, Box<dyn ReceiverEndpoint>)>,
+    /// The endpoint records of the flows something can still reach,
+    /// each named by its flow's [`FlowState::endpoints`]. Lookups must
+    /// check the host, since a stale packet of a recycled id can reach
+    /// a host the new flow avoids.
+    pub(crate) endpoints: Slab<Endpoints>,
     /// Next never-used flow id (ids below it are live, retired, or
     /// quarantined).
     pub(crate) next_flow_id: u64,
@@ -178,9 +209,6 @@ pub struct SimCore {
     pub(crate) free_ids: VecDeque<(Time, FlowId)>,
     /// The retirement pipeline, when [`SimConfig::retire`] is set.
     pub(crate) retirer: Option<FlowRetirer>,
-    /// Pending cancellable host-timer handles per flow, as
-    /// `(endpoint token, handle)` pairs; entries leave on fire/cancel.
-    pub(crate) host_timers: Vec<Vec<(u64, TimerHandle)>>,
     /// Pending cancellable policy-timer handles per node id.
     pub(crate) policy_timers: Vec<Vec<(u64, TimerHandle)>>,
     pub(crate) rng: StdRng,
@@ -198,6 +226,9 @@ pub struct SimCore {
     /// drop cause no port counts, kept out of [`Port`] to keep ports
     /// small.
     pub(crate) policy_drops: u64,
+    /// Packets that reached a host holding no endpoint of their flow
+    /// (see [`SimCore::stale_arrivals`]).
+    pub(crate) stale_arrivals: u64,
     /// Fault and no-route drops per `(node, port)`, with an entry only
     /// for ports that lost a packet that way: rare counters, kept out
     /// of [`Port`] so a port is one cache line.
@@ -248,6 +279,20 @@ impl SimCore {
         let bytes = spec.bytes.unwrap_or(0);
         self.telemetry
             .flow_open(self.now.nanos(), flow.0, src.0, dst.0, bytes);
+        for node in [src, dst] {
+            assert!(
+                matches!(self.nodes[node.0 as usize], Node::Host(_)),
+                "flow endpoint {node:?} is not a host"
+            );
+        }
+        let ep = self.endpoints.insert(Endpoints {
+            src,
+            dst,
+            sender,
+            receiver,
+            timers: Vec::new(),
+            in_flight: 0,
+        });
         let prev = self.flows.insert(
             flow,
             FlowState {
@@ -264,26 +309,14 @@ impl SimCore {
                 watch_rtt: false,
                 rtt_samples: Vec::new(),
                 class: 0,
+                endpoints: ep,
             },
         );
         debug_assert!(prev.is_none(), "allocated id {flow:?} was occupied");
-        if self.host_timers.len() <= flow.0 as usize {
-            self.host_timers.push(Vec::new());
-        }
-        debug_assert!(self.host_timers[flow.0 as usize].is_empty());
-        for node in [src, dst] {
-            assert!(
-                matches!(self.nodes[node.0 as usize], Node::Host(_)),
-                "flow endpoint {node:?} is not a host"
-            );
-        }
-        self.receivers.insert(flow, (dst, receiver));
-        self.senders.insert(flow, (src, sender));
         let now = self.now;
         let mut fx = self.take_fx();
-        let (_, s) = self.senders.get_mut(flow).expect("just inserted");
-        s.open(now, &mut fx);
-        self.apply_host_fx(src, flow, fx);
+        self.endpoints[ep].sender.open(now, &mut fx);
+        self.apply_host_fx(src, flow, ep, fx);
         flow
     }
 
@@ -291,31 +324,36 @@ impl SimCore {
     ///
     /// # Panics
     ///
-    /// Panics if the flow or its sender does not exist.
+    /// Panics if the flow or its sender does not exist: it was never
+    /// started, was retired, or finished and had its endpoints freed.
     pub fn push_data(&mut self, flow: FlowId, bytes: u64) {
         let now = self.now;
         let mut fx = self.take_fx();
-        let (src, s) = self.senders.get_mut(flow).expect("sender exists");
-        let src = *src;
-        s.push_data(bytes, now, &mut fx);
-        self.apply_host_fx(src, flow, fx);
+        let ep = self.endpoints_of(flow);
+        let e = self.endpoints.get_mut(ep).expect("sender exists");
+        e.sender.push_data(bytes, now, &mut fx);
+        let src = e.src;
+        self.apply_host_fx(src, flow, ep, fx);
     }
 
     /// Closes an open-ended flow (FIN once pushed data is delivered).
     ///
-    /// A no-op when the flow or its sender no longer exists (never
-    /// started, or already torn down) — closing twice is safe, so
-    /// workloads need not track liveness across faults.
+    /// A no-op when the flow or its sender no longer exists: never
+    /// started, retired, or finished with its endpoints freed (a flow
+    /// that closed and completed has nothing left to close). Closing
+    /// twice is safe, so workloads need not track liveness across
+    /// faults.
     pub fn close_flow(&mut self, flow: FlowId) {
         let now = self.now;
         let mut fx = self.take_fx();
-        let Some((src, s)) = self.senders.get_mut(flow) else {
+        let ep = self.endpoints_of(flow);
+        let Some(e) = self.endpoints.get_mut(ep) else {
             self.fx_pool.push(fx);
             return;
         };
-        let src = *src;
-        s.close(now, &mut fx);
-        self.apply_host_fx(src, flow, fx);
+        e.sender.close(now, &mut fx);
+        let src = e.src;
+        self.apply_host_fx(src, flow, ep, fx);
     }
 
     /// Schedules a fault to take effect at simulated time `at` (clamped
@@ -467,12 +505,14 @@ impl SimCore {
         )
     }
 
-    /// Slots of the flow-indexed `(senders, receivers)` endpoint tables.
-    /// Every flow inserts into both and into the flow slab under the
-    /// same id, so each equals [`flow_slab_stats`](Self::flow_slab_stats)'s
-    /// capacity.
-    pub fn endpoint_table_capacity(&self) -> (usize, usize) {
-        (self.senders.capacity(), self.receivers.capacity())
+    /// Slots of the endpoint-record slab: the peak number of flows whose
+    /// endpoints were live at once. A record is freed when its flow is
+    /// retired or, without retirement, once no packet or timer can
+    /// reach it, and its slot is reused; so this is at most
+    /// [`flow_slab_stats`](Self::flow_slab_stats)'s peak, and equals it
+    /// under retirement.
+    pub fn endpoint_table_capacity(&self) -> usize {
+        self.endpoints.capacity()
     }
 
     /// Read access to the event queue, e.g. for its
@@ -607,14 +647,25 @@ impl SimCore {
         self.policy_drops
     }
 
+    /// Packets that reached a host holding no endpoint of their flow and
+    /// were discarded there: stragglers of a retired flow, or packets of
+    /// an id that never named a flow. Without retirement a flow's
+    /// endpoints outlive its last packet, so this stays 0.
+    pub fn stale_arrivals(&self) -> u64 {
+        self.stale_arrivals
+    }
+
     /// The in-flight packet arena (diagnostics: live slots, high-water).
     pub fn packet_arena(&self) -> &PacketArena {
         &self.packets
     }
 
-    /// Current congestion window of a flow's sender, if it exists.
+    /// Current congestion window of a flow's sender, if it exists:
+    /// `None` for a flow never started, retired, or finished with its
+    /// endpoints freed.
     pub fn sender_cwnd(&self, flow: FlowId) -> Option<u64> {
-        self.senders.get(flow).map(|(_, s)| s.cwnd())
+        let e = self.endpoints.get(self.endpoints_of(flow))?;
+        Some(e.sender.cwnd())
     }
 
     // ------------------------------------------------------------------
@@ -638,9 +689,16 @@ impl SimCore {
         id
     }
 
+    /// The index of `flow`'s endpoint record: [`FREED`] if the flow has
+    /// no state (never started, or retired) or its endpoints are freed.
+    #[inline]
+    pub(crate) fn endpoints_of(&self, flow: FlowId) -> u32 {
+        self.flows.get(flow).map_or(FREED, |s| s.endpoints)
+    }
+
     /// Tears down a finished flow: folds its scalars into the retirer's
-    /// per-class sketches, cancels its pending timers, removes both
-    /// endpoints (bumping the slot generations), frees the slab entry,
+    /// per-class sketches, cancels its pending timers, frees its
+    /// endpoint record and its slab entry (bumping the slot generation),
     /// and quarantines the id. Packets of the dead flow still in flight
     /// take the existing stale-packet path at the hosts.
     fn retire_flow(&mut self, flow: FlowId) {
@@ -649,17 +707,65 @@ impl SimCore {
         };
         let retirer = self.retirer.as_mut().expect("retire_flow requires retirer");
         retirer.retire(&state);
-        for (_, handle) in self.host_timers[flow.0 as usize].drain(..) {
+        let e = self
+            .endpoints
+            .remove(state.endpoints)
+            .expect("a retired flow's endpoints are live until now");
+        for (_, handle) in e.timers {
             self.events.cancel(handle);
         }
-        self.senders.remove(flow);
-        self.receivers.remove(flow);
         self.free_ids.push_back((self.now, flow));
     }
 
-    /// Applies an endpoint's effects, then returns the drained sink to
-    /// the pool.
-    pub(crate) fn apply_host_fx(&mut self, host: NodeId, flow: FlowId, mut fx: Effects) {
+    /// Frees `flow`'s endpoint record `ep` if nothing can reach it any
+    /// more: both sides are done, no timer of the flow is pending and
+    /// none of its packets is in flight. Then no event can ever call
+    /// into the endpoints again, so dropping them changes nothing a run
+    /// observes.
+    ///
+    /// Runs only without retirement, and only after a callback's
+    /// effects are applied: a receiver that just took the flow's last
+    /// packet may be about to send an ACK, which puts the count back
+    /// above zero.
+    pub(crate) fn free_if_unreachable(&mut self, flow: FlowId, ep: u32) {
+        let e = &self.endpoints[ep];
+        if e.in_flight != 0 || !e.timers.is_empty() {
+            return;
+        }
+        let state = self
+            .flows
+            .get_mut(flow)
+            .expect("a flow with endpoints has state");
+        if state.sender_done_at.is_some() && state.receiver_done_at.is_some() {
+            state.endpoints = FREED;
+            self.endpoints.remove(ep);
+        }
+    }
+
+    /// One of `flow`'s packets left the arena outside an endpoint
+    /// callback (lost or tail-dropped): counts it out of the flow's
+    /// packets in flight, and frees the endpoints if that was the last
+    /// thing that could reach them.
+    pub(crate) fn packet_gone(&mut self, flow: FlowId) {
+        if self.retirer.is_some() {
+            return;
+        }
+        let ep = self.endpoints_of(flow);
+        if let Some(e) = self.endpoints.get_mut(ep) {
+            e.in_flight -= 1;
+            self.free_if_unreachable(flow, ep);
+        }
+    }
+
+    /// Applies the effects of an endpoint of `flow` (record `ep`) at
+    /// `host`, then returns the drained sink to the pool. Each packet
+    /// it sends counts into the flow's packets in flight.
+    pub(crate) fn apply_host_fx(&mut self, host: NodeId, flow: FlowId, ep: u32, mut fx: Effects) {
+        let counting = self.retirer.is_none();
+        let e = &mut self.endpoints[ep];
+        if counting {
+            e.in_flight += fx.packets.len() as u32;
+        }
         for mut pkt in fx.packets.drain(..) {
             pkt.sent_at = self.now;
             let jitter = match self.cfg.host_jitter {
@@ -676,7 +782,7 @@ impl SimCore {
         // Cancels first: an endpoint that re-arms in the same callback
         // cancels the old generation before scheduling the new one.
         for token in fx.cancels.drain(..) {
-            let pending = &mut self.host_timers[flow.0 as usize];
+            let pending = &mut e.timers;
             if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
                 let (_, handle) = pending.swap_remove(i);
                 self.events.cancel(handle);
@@ -686,12 +792,15 @@ impl SimCore {
             let handle = self
                 .events
                 .schedule_cancellable(self.now + after, Event::host_timer(host, flow, token));
-            self.host_timers[flow.0 as usize].push((token, handle));
+            e.timers.push((token, handle));
         }
         for note in fx.notes.drain(..) {
             self.handle_note(flow, note);
         }
         self.fx_pool.push(fx);
+        if counting {
+            self.free_if_unreachable(flow, ep);
+        }
     }
 
     pub(crate) fn handle_note(&mut self, flow: FlowId, note: Note) {
@@ -760,29 +869,19 @@ impl SimCore {
                 tel.flow_rtt(at, flow.0, nanos);
             }
         }
-        // Both sides done (receiver holds the stream, sender saw its
-        // FIN acked).
+        // Under retirement the flow's state leaves the simulation once
+        // both sides are done (receiver holds the stream, sender saw its
+        // FIN acked). The teardown is queued behind the already-pending
+        // `Completed` app event so the application's callback still
+        // observes the flow; `retire_flow` ignores a second queuing.
         if finishing
+            && self.retirer.is_some()
             && self
                 .flows
                 .get(flow)
                 .is_some_and(|s| s.receiver_done_at.is_some() && s.sender_done_at.is_some())
         {
-            // `apply_host_fx` ran this callback's cancels before its
-            // notes, so a finished sender's RTO is gone: release the
-            // drained timer list. (Not on every drain: each ACK cancels
-            // and re-arms the RTO.) A later re-arm pushes into a fresh list.
-            let pending = &mut self.host_timers[flow.0 as usize];
-            if pending.is_empty() {
-                *pending = Vec::new();
-            }
-            // Under retirement the flow's state leaves the simulation.
-            // The teardown is queued behind the already-pending
-            // `Completed` app event so the application's callback still
-            // observes the flow; `retire_flow` ignores a second queuing.
-            if self.retirer.is_some() {
-                self.pending_app.push_back(AppCall::Retire(flow));
-            }
+            self.pending_app.push_back(AppCall::Retire(flow));
         }
     }
 }
@@ -804,12 +903,10 @@ impl<A: Application> Simulator<A> {
                 switches: net.switches,
                 stack,
                 flows: FlowMap::new(),
-                senders: FlowMap::new(),
-                receivers: FlowMap::new(),
+                endpoints: Slab::new("endpoint records"),
                 next_flow_id: 0,
                 free_ids: VecDeque::new(),
                 retirer,
-                host_timers: Vec::new(),
                 policy_timers,
                 rng: StdRng::seed_from_u64(cfg.seed),
                 fault_rng: StdRng::seed_from_u64(cfg.seed ^ FAULT_RNG_TAG),
@@ -821,6 +918,7 @@ impl<A: Application> Simulator<A> {
                 fct: FctCollector::new(),
                 events_processed: 0,
                 policy_drops: 0,
+                stale_arrivals: 0,
                 rare_drops: BTreeMap::new(),
                 faults: Vec::new(),
                 telemetry,
@@ -1247,6 +1345,7 @@ mod tests {
         sim.run();
         // The stale packet's slot was still recycled.
         assert!(sim.core().packet_arena().is_empty());
+        assert_eq!(sim.core().stale_arrivals(), 1);
     }
 }
 
@@ -1485,23 +1584,39 @@ mod endpoint_table_tests {
             "the straggler's span was not forgotten"
         );
         assert!(sim.core().packet_arena().is_empty());
+        assert_eq!(sim.core().stale_arrivals(), 1, "the straggler was stale");
     }
 
-    /// Flow-indexed endpoint tables grow with the flow-id space once,
-    /// not once per host: 2,000 flows over a 64-host star leave both
-    /// tables at 2,000 slots.
+    /// The endpoint-record slab grows with the flows live at once, not
+    /// with the flows ever started or the hosts: 2,000 one-packet flows
+    /// started together over a 64-host star take 2,000 records, each
+    /// freed once its packet is delivered, and a second batch of 2,000
+    /// reuses those slots. The flow states stay, one per flow.
     #[test]
-    fn endpoint_tables_size_by_flow_ids_not_hosts() {
+    fn endpoint_records_size_by_live_flows() {
         const HOSTS: usize = 64;
         const FLOWS: usize = 2_000;
         let (mut sim, h, calls) = star_sim(HOSTS, SimConfig::default());
-        for i in 0..FLOWS {
-            sim.core_mut()
-                .start_flow(sized(h[i % HOSTS], h[(i + 1) % HOSTS]));
+        let mut ids = Vec::new();
+        for _batch in 0..2 {
+            for i in 0..FLOWS {
+                let spec = sized(h[i % HOSTS], h[(i + 1) % HOSTS]);
+                ids.push(sim.core_mut().start_flow(spec));
+            }
+            assert_eq!(sim.core().endpoint_table_capacity(), FLOWS);
+            let batch = &ids[ids.len() - FLOWS..];
+            assert!(batch.iter().all(|&f| sim.core().sender_cwnd(f).is_some()));
+            sim.run();
+            assert!(
+                ids.iter().all(|&f| sim.core().sender_cwnd(f).is_none()),
+                "every delivered flow's endpoints are freed"
+            );
         }
-        sim.run();
-        assert_eq!(calls.load(Ordering::Relaxed), FLOWS as u64);
-        assert_eq!(sim.core().flow_slab_stats().2, FLOWS);
-        assert_eq!(sim.core().endpoint_table_capacity(), (FLOWS, FLOWS));
+        assert_eq!(calls.load(Ordering::Relaxed), 2 * FLOWS as u64);
+        assert_eq!(sim.core().flow_slab_stats().2, 2 * FLOWS);
+        assert!(sim
+            .core()
+            .flows()
+            .all(|(_, s)| s.delivered == BYTES && s.endpoints == FREED));
     }
 }

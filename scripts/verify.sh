@@ -53,13 +53,23 @@ cargo test -q -p tfc-repro --test export_memory
 # this gate.
 cargo test -q -p tfc-repro --test policy_memory
 
-# Completed-flow footprint: without retirement a finished flow keeps its
-# record and its two endpoint boxes, not a drained reorder-map node or
-# timer list. A counting allocator runs a lossy TFC incast at two round
-# counts and bounds the extra rounds' completed flows at 2 live heap
-# blocks each (keeping the drained node and list took 4), so a
-# regression to per-flow scratch state names this gate.
+# Completed-flow footprint: without retirement a finished flow keeps
+# only its record; its endpoints, timer list and transport scratch state
+# are freed once no packet or timer can reach it. A counting allocator
+# runs a lossy TFC incast at two round counts and bounds the extra
+# rounds' completed flows at 0 live heap blocks and 207 live bytes each
+# (keeping the two endpoint boxes took 2 blocks and 683 B, keeping a
+# drained reorder node and timer list 4 blocks), so a regression to
+# per-flow state that outlives the flow names this gate.
 cargo test -q -p tfc-repro --test flow_memory
+
+# Endpoint lifetime at benchmark scale: the benchmark's incast_chaos
+# run (12,000 flows in 100 rounds of fresh connections, no retirement)
+# without its export. A counting allocator bounds its live-heap peak at
+# 4,056,294 B plus 5 % (keeping every finished flow's endpoints peaked
+# at 8,735,814 B), so a regression that keeps per-flow endpoint or
+# timer state past the flow's last packet names this gate.
+cargo test -q -p tfc-repro --test incast_memory
 
 # Compact fabric state: switch ports live in one table of 64-byte
 # ports whose FIFOs are links through the packet arena, switches that

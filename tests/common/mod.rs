@@ -15,8 +15,9 @@
 //! The counters are process-wide, so each such binary holds exactly one
 //! test: no other test thread allocates while it measures.
 //!
-//! [`fat_tree_k36`] builds the benchmark's `fat_tree_k36` run for the
-//! tests that measure it.
+//! [`fat_tree_k36`] and [`incast_chaos`] build the benchmark's
+//! `fat_tree_k36` and `incast_chaos` runs for the tests that measure
+//! them.
 
 // Each test binary compiles this module and uses part of it.
 #![allow(dead_code)]
@@ -24,14 +25,17 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
+use chaos::FaultTimeline;
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
 use simnet::app::{Application, FlowEvent};
 use simnet::endpoint::FlowSpec;
 use simnet::sim::{SimApi, SimConfig, Simulator};
-use simnet::topology::fat_tree;
-use simnet::units::{Bandwidth, Dur};
+use simnet::topology::{fat_tree, star};
+use simnet::units::{Bandwidth, Dur, Time};
+use telemetry::{LogMode, TelemetryConfig, TraceConfig};
 use tfc::{TfcStack, TfcSwitchConfig, TfcSwitchPolicy};
+use workloads::{IncastApp, IncastConfig};
 
 /// A counting global allocator over [`System`].
 pub struct Counting;
@@ -177,5 +181,65 @@ pub fn fat_tree_k36() -> Simulator<StopWhenDone> {
         sim.core_mut()
             .start_flow(FlowSpec::sized(hosts[src], hosts[dst], bytes));
     }
+    sim
+}
+
+/// Senders of the benchmark's `incast_chaos` workload.
+pub const INCAST_SENDERS: usize = 120;
+/// Barrier rounds it runs, each on fresh connections.
+pub const INCAST_ROUNDS: u32 = 100;
+/// The workload's default seed.
+pub const INCAST_SEED: u64 = 2016;
+
+/// The benchmark's `incast_chaos` run, ready to `run()`, without its
+/// artifact export: 120 TFC senders return 64 KB each to one receiver
+/// on a 10 G star (10 µs links, 512 KB switch buffers) in 100 barrier
+/// rounds of fresh connections, under a seeded 10 % loss burst on the
+/// receiver's downlink, a sender stall and a sender link flap, with a
+/// 4,096-record event ring, TFC gauges and 16 ‰ sampled flow spans.
+pub fn incast_chaos() -> Simulator<IncastApp> {
+    let link_delay = Dur::micros(10);
+    // Seeded fault placement: which senders fail and when (µs jitter).
+    let mut rng = StdRng::seed_from_u64(INCAST_SEED ^ 0x1ca5_7c4a);
+    let stalled = 1 + rng.gen_range(0..INCAST_SENDERS);
+    let flapped = 1 + rng.gen_range(0..INCAST_SENDERS);
+    let mut at = |base_us: u64| Time(Dur::micros(base_us + rng.gen_range(0..1_000u64)).as_nanos());
+    let (loss_at, stall_at, flap_at) = (at(2_000), at(9_000), at(16_000));
+    let (mut t, hosts, switch) = star(INCAST_SENDERS + 1, Bandwidth::gbps(10), link_delay);
+    t.switch_buffer(512 * 1024);
+    let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
+    let request_delay =
+        Dur(2 * Bandwidth::gbps(10).serialize(64).as_nanos() + 2 * link_delay.as_nanos());
+    let app = IncastApp::new(IncastConfig {
+        senders: hosts[1..].to_vec(),
+        receiver: hosts[0],
+        block_bytes: 64 * 1024,
+        rounds: INCAST_ROUNDS,
+        request_delay,
+        fresh_per_round: true,
+    });
+    let cfg = SimConfig {
+        seed: INCAST_SEED,
+        telemetry: TelemetryConfig {
+            events: LogMode::Ring(4096),
+            sample_one_in: 1,
+            tfc_gauges: true,
+            profile: false,
+            trace: TraceConfig::SampledFlows {
+                permille: 16,
+                seed: 9,
+            },
+            export: None,
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(net, Box::new(TfcStack::default()), app, cfg);
+    // `star` links host i to switch port i, so port 0 is the receiver's
+    // downlink.
+    FaultTimeline::new()
+        .loss_burst(loss_at, Dur::millis(1), switch, 0, 100)
+        .host_stall(stall_at, Dur::millis(2), hosts[stalled])
+        .link_flap(flap_at, Dur::millis(1), hosts[flapped], 0)
+        .install(sim.core_mut());
     sim
 }

@@ -1,0 +1,228 @@
+//! Endpoint lifetime without retirement: a finished flow's endpoints
+//! are freed at the first moment nothing can reach them again, and no
+//! packet ever reaches a flow after that.
+//!
+//! A flow's endpoint record is freed once its sender and receiver are
+//! done, no timer of the flow is pending and none of its packets is in
+//! flight (in the arena, or consumed by a switch policy that has not
+//! re-injected it). Each case runs a star incast with fresh connections
+//! per round under TFC, DCTCP and TCP, with 3 % loss on the receiver's
+//! downlink for the whole run or with one of the fault kinds of
+//! `experiments::faults` striking mid-run: a loss burst, an access-link
+//! flap, a host stall or a policy reset. (That suite's own flows are
+//! backlogged and never finish within its horizon, so nothing there
+//! would be freed.) Every case asserts:
+//!
+//! - no packet reaches a host that holds no endpoint of its flow
+//!   (`SimCore::stale_arrivals`; in debug builds the simulator also
+//!   asserts it at the arrival);
+//! - every completed flow's endpoints are freed, with one exception.
+//!
+//! The exception: a policy reset wipes the TFC delay arbiter's held
+//! ACKs on the reset port. Such an ACK was counted in flight when its
+//! receiver sent it and is never freed from the arena or re-injected,
+//! so its flow's count never returns to 0 and the flow keeps its
+//! endpoints. The flow itself recovers (its sender retransmits on RTO)
+//! and completes. `tfc_policy_reset_keeps_only_flows_with_wiped_acks`
+//! pins those flows.
+
+use chaos::FaultTimeline;
+use experiments::proto::{Proto, ProtoConfig};
+use simnet::app::{Application, FlowEvent};
+use simnet::endpoint::FlowSpec;
+use simnet::packet::{FlowId, NodeId};
+use simnet::sim::{SimApi, SimConfig, Simulator};
+use simnet::topology::star;
+use simnet::units::{Bandwidth, Dur, Time};
+use telemetry::TelemetryConfig;
+
+const SENDERS: usize = 16;
+const ROUNDS: u32 = 6;
+
+/// What strikes the incast.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// 3 % loss on the receiver's downlink for the whole run (1 s,
+    /// several times the rounds' length).
+    Lossy,
+    /// 10 % loss on the receiver's downlink for 1 ms.
+    LossBurst,
+    /// The first sender's access link is down for 1 ms.
+    LinkFlap,
+    /// The second sender stalls for 2 ms.
+    HostStall,
+    /// The switch port toward the receiver, where the TFC delay arbiter
+    /// holds the receiver's ACKs, loses its policy state.
+    PolicyReset,
+}
+
+const FAULTS: [Fault; 5] = [
+    Fault::Lossy,
+    Fault::LossBurst,
+    Fault::LinkFlap,
+    Fault::HostStall,
+    Fault::PolicyReset,
+];
+
+/// When the loss burst, flap and stall strike: inside the second round.
+const FAULT_AT: Time = Time(1_500_000);
+/// When the policy reset strikes: in the last round, while the TFC
+/// delay arbiter holds an ACK of five of its flows.
+const RESET_AT: Time = Time(4_984_000);
+
+/// What one run leaves behind.
+struct Outcome {
+    /// Flows whose receiver holds the whole block.
+    completed: usize,
+    /// Completed flows that still hold their endpoints.
+    kept: Vec<FlowId>,
+    /// Packets that reached a host holding no endpoint of their flow.
+    stale: u64,
+    /// Packets left in the arena when the run drained.
+    in_arena: usize,
+    /// RTOs over all flows.
+    timeouts: u64,
+}
+
+/// Incast rounds on fresh connections: every sender sends one 64 KB
+/// block to the receiver, and the next round starts when the last block
+/// of this one is in. Unlike `workloads::IncastApp` it does not stop the
+/// run after the last round, so every flow's teardown drains.
+struct Rounds {
+    senders: Vec<NodeId>,
+    receiver: NodeId,
+    started: u32,
+    completed: usize,
+}
+
+impl Rounds {
+    fn round(&mut self, api: &mut SimApi<'_>) {
+        for &src in &self.senders {
+            api.start_flow(FlowSpec::sized(src, self.receiver, 64 * 1024));
+        }
+        self.started += 1;
+    }
+}
+
+impl Application for Rounds {
+    fn start(&mut self, api: &mut SimApi<'_>) {
+        self.round(api);
+    }
+
+    fn on_flow_event(&mut self, ev: FlowEvent, api: &mut SimApi<'_>) {
+        if let FlowEvent::Completed(_) = ev {
+            self.completed += 1;
+            if self.completed == self.senders.len() * self.started as usize && self.started < ROUNDS
+            {
+                self.round(api);
+            }
+        }
+    }
+}
+
+fn incast(proto: Proto, fault: Fault) -> Outcome {
+    let (mut t, hosts, switch) = star(SENDERS + 1, Bandwidth::gbps(10), Dur::micros(10));
+    t.switch_buffer(512 * 1024);
+    let proto_cfg = ProtoConfig::ten_gig();
+    let net = proto_cfg.build_net(proto, t);
+    let app = Rounds {
+        senders: hosts[1..].to_vec(),
+        receiver: hosts[0],
+        started: 0,
+        completed: 0,
+    };
+    let cfg = SimConfig {
+        seed: 2016,
+        // A backstop only: the runs drain long before.
+        end: Some(Time(Dur::secs(60).as_nanos())),
+        telemetry: TelemetryConfig::off(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(net, proto_cfg.stack(proto), app, cfg);
+    // `star` links host i to switch port i: port 0 is the receiver's.
+    let timeline = match fault {
+        Fault::Lossy => FaultTimeline::new().loss_burst(Time::ZERO, Dur::secs(1), switch, 0, 30),
+        Fault::LossBurst => {
+            FaultTimeline::new().loss_burst(FAULT_AT, Dur::millis(1), switch, 0, 100)
+        }
+        Fault::LinkFlap => FaultTimeline::new().link_flap(FAULT_AT, Dur::millis(1), hosts[1], 0),
+        Fault::HostStall => FaultTimeline::new().host_stall(FAULT_AT, Dur::millis(2), hosts[2]),
+        Fault::PolicyReset => FaultTimeline::new().policy_reset(RESET_AT, switch, 0),
+    };
+    timeline.install(sim.core_mut());
+    sim.run();
+    let core = sim.core();
+    let completed: Vec<FlowId> = core
+        .flows()
+        .filter(|(_, s)| s.receiver_done_at.is_some())
+        .map(|(id, _)| id)
+        .collect();
+    Outcome {
+        completed: completed.len(),
+        kept: completed
+            .into_iter()
+            .filter(|&f| core.sender_cwnd(f).is_some())
+            .collect(),
+        stale: core.stale_arrivals(),
+        in_arena: core.packet_arena().live(),
+        timeouts: core.flows().map(|(_, s)| s.timeouts).sum(),
+    }
+}
+
+/// Runs every fault but the policy reset under `proto`.
+fn check_freed(proto: Proto) {
+    for fault in FAULTS {
+        if matches!(fault, Fault::PolicyReset) && proto == Proto::Tfc {
+            continue; // Pinned on its own below.
+        }
+        let out = incast(proto, fault);
+        assert_eq!(
+            out.completed,
+            SENDERS * ROUNDS as usize,
+            "{proto:?} {fault:?}"
+        );
+        assert_eq!(
+            out.stale, 0,
+            "{proto:?} {fault:?}: packets reached freed flows"
+        );
+        assert_eq!(out.in_arena, 0, "{proto:?} {fault:?}: the run drained");
+        assert_eq!(
+            out.kept,
+            Vec::<FlowId>::new(),
+            "{proto:?} {fault:?}: completed flows kept their endpoints"
+        );
+        if matches!(fault, Fault::Lossy) {
+            assert!(out.timeouts > 0, "{proto:?}: 3 % loss forces RTOs");
+        }
+    }
+}
+
+#[test]
+fn tfc_frees_every_completed_flow() {
+    check_freed(Proto::Tfc);
+}
+
+#[test]
+fn dctcp_frees_every_completed_flow() {
+    check_freed(Proto::Dctcp);
+}
+
+#[test]
+fn tcp_frees_every_completed_flow() {
+    check_freed(Proto::Tcp);
+}
+
+/// The reset wipes one held ACK of each of flows 91–95. Their senders
+/// time out and retransmit, so the flows complete, but each keeps one
+/// packet counted in flight that no arena slot holds: the drained run
+/// leaves the arena empty, so the count can only be the wiped hold.
+#[test]
+fn tfc_policy_reset_keeps_only_flows_with_wiped_acks() {
+    let out = incast(Proto::Tfc, Fault::PolicyReset);
+    assert_eq!(out.completed, SENDERS * ROUNDS as usize);
+    assert_eq!(out.stale, 0, "packets reached freed flows");
+    assert_eq!(out.in_arena, 0, "the run drained");
+    assert_eq!(out.timeouts, 5, "each wiped ACK costs its sender an RTO");
+    let wiped: Vec<FlowId> = (91..=95).map(FlowId).collect();
+    assert_eq!(out.kept, wiped, "only flows whose held ACK the reset wiped");
+}

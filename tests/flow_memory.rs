@@ -1,17 +1,23 @@
-//! A completed flow keeps only its record and its endpoints: its
-//! `FlowState` slab slot, its two endpoint-table slots and the sender
-//! and receiver boxes. The receiver's reorder map and the flow's timer
-//! list are freed once they drain.
+//! A completed flow keeps only its record: its `FlowState` slot in the
+//! flow table and its FCT record. Its endpoints, timer list and
+//! transport scratch state are freed once no packet or timer can reach
+//! the flow any more (`SimCore::free_if_unreachable`).
 //!
 //! The shared counting allocator (`tests/common`) tracks live blocks
 //! and bytes. The test runs a TFC incast with fresh connections per
 //! round and no flow retirement, under a loss burst that spans the run
 //! so the reorder path and RTOs run in every round, at two round
-//! counts. The extra rounds' completed flows may add at most 2 live
-//! heap blocks each: the two endpoint boxes (slab and table growth
-//! reallocates, so it adds bytes but no blocks). Keeping the drained
-//! reorder node and timer list made it 4. This binary holds exactly one
-//! test, so no other thread allocates while it measures.
+//! counts. The extra rounds' completed flows may add no live heap
+//! block of their own: the only extra blocks are one new segment each
+//! of the flow table and its generations, which grow in never-moving
+//! segments (the FCT record vector reallocates, adding bytes but no
+//! blocks). Keeping the two endpoint boxes made it 2 blocks per flow,
+//! and keeping a drained reorder node and timer list 4. Each extra flow
+//! may also add at most [`BYTES_PER_FLOW`] live bytes: its 152-byte
+//! state slot, a 4-byte generation and a 24-byte FCT record, with the
+//! record vector's doubling slack (197 B measured; 683 B with the
+//! endpoint boxes). This binary holds exactly one test, so no other
+//! thread allocates while it measures.
 
 use chaos::FaultTimeline;
 use simnet::sim::{SimConfig, Simulator};
@@ -27,8 +33,14 @@ mod common;
 static ALLOC: common::Counting = common::Counting;
 
 const SENDERS: usize = 16;
-/// Live heap blocks a completed flow may hold: its two endpoint boxes.
-const BLOCKS_PER_FLOW: f64 = 2.0;
+/// Live heap blocks a completed flow may hold of its own.
+const BLOCKS_PER_FLOW: f64 = 0.0;
+/// Blocks the longer run may add beyond that: one new segment each of
+/// the flow table and its generations (128 flows fill segments 0–1,
+/// 384 flows segments 0–2).
+const TABLE_SEGMENTS: f64 = 2.0;
+/// Live heap bytes a completed flow may hold: 197 B measured, plus 5 %.
+const BYTES_PER_FLOW: f64 = 207.0;
 
 /// What one incast run leaves live when it stops.
 struct Held {
@@ -79,7 +91,7 @@ fn incast(rounds: u32) -> Held {
 }
 
 #[test]
-fn completed_flows_hold_two_heap_blocks() {
+fn completed_flows_hold_no_heap_blocks() {
     let short = incast(8);
     let long = incast(24);
     for run in [&short, &long] {
@@ -87,15 +99,21 @@ fn completed_flows_hold_two_heap_blocks() {
         assert!(run.timeouts > 0, "the loss burst forces RTOs");
     }
     let flows = (long.flows - short.flows) as f64;
-    let blocks = (long.blocks as f64 - short.blocks as f64) / flows;
+    let extra_blocks = long.blocks as f64 - short.blocks as f64;
+    let blocks = extra_blocks / flows;
     let bytes = (long.bytes as f64 - short.bytes as f64) / flows;
     println!(
-        "{flows} extra completed flows: {blocks:.2} live blocks and {bytes:.0} live bytes each \
-         ({} retransmits, {} RTOs in the long run)",
+        "{flows} extra completed flows: {extra_blocks} live blocks ({blocks:.3} each) and \
+         {bytes:.0} live bytes each ({} retransmits, {} RTOs in the long run)",
         long.retransmits, long.timeouts
     );
     assert!(
-        blocks <= BLOCKS_PER_FLOW,
-        "each extra completed flow holds {blocks:.2} live heap blocks (bound {BLOCKS_PER_FLOW})"
+        extra_blocks <= BLOCKS_PER_FLOW * flows + TABLE_SEGMENTS,
+        "{flows} extra completed flows hold {extra_blocks} live heap blocks \
+         (bound {BLOCKS_PER_FLOW} each plus {TABLE_SEGMENTS} table segments)"
+    );
+    assert!(
+        bytes <= BYTES_PER_FLOW,
+        "each extra completed flow holds {bytes:.0} live heap bytes (bound {BYTES_PER_FLOW})"
     );
 }
