@@ -153,9 +153,9 @@ fn port_queue_ops(c: &mut Criterion) {
             .map(|i| arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), i * MSS, MSS)))
             .collect();
         b.iter(|| {
-            let mut q = PortQueue::new(16 << 20);
+            let mut q = PortQueue::new();
             for &id in &ids {
-                q.enqueue(id, &mut arena);
+                q.enqueue(id, &mut arena, 16 << 20);
             }
             while let Some(p) = q.dequeue(&arena) {
                 black_box(p);

@@ -154,6 +154,13 @@ impl DelayArbiter {
         Some(Dur((deficit / self.rate_bytes_per_nano).ceil() as u64))
     }
 
+    /// Takes every held ACK out of the arbiter, oldest first.
+    pub(crate) fn take_held(&mut self) -> impl Iterator<Item = Packet> {
+        std::mem::take(&mut self.queue)
+            .into_iter()
+            .map(|(_, pkt)| pkt)
+    }
+
     /// Number of ACKs currently held.
     pub fn queued(&self) -> usize {
         self.queue.len()

@@ -153,10 +153,14 @@ impl TfcPort {
         }
     }
 
-    /// Replaces the engine and arbiter with `fresh`'s and invalidates
-    /// outstanding timers.
+    /// Replaces the engine and arbiter with `fresh`'s, hands the ACKs
+    /// the old arbiter held back to be lost, and invalidates outstanding
+    /// timers.
     fn reset(&mut self, fresh: TfcPort, port: usize, now: Time, fx: &mut PolicyFx) {
         self.engine = fresh.engine;
+        for pkt in self.arbiter.take_held() {
+            fx.discard(port, pkt);
+        }
         self.arbiter = fresh.arbiter;
         // Cancel (best-effort) and invalidate outstanding timers; the
         // stale-generation check on the miss timer remains the source of
@@ -375,7 +379,9 @@ impl SwitchPolicy for TfcSwitchPolicy {
     /// token engine and delay arbiter are rebuilt from scratch at the
     /// port's current line rate, exactly as at construction. All learnt
     /// state — token pool, effective-flow count, rho, delimiter, RTT
-    /// estimates — is lost and must be re-learnt from live traffic.
+    /// estimates — is lost and must be re-learnt from live traffic. The
+    /// ACKs the delay arbiter held are handed back as discards, so the
+    /// simulator loses them as policy drops.
     fn reset_port(&mut self, port: usize, rate: Bandwidth, now: Time, fx: &mut PolicyFx) {
         let (state, cfg) = self.touch(port);
         let fresh = TfcPort::fresh(rate, cfg);

@@ -17,9 +17,9 @@
 //! Without retirement every free but a policy's consumption also counts
 //! the packet out of its flow's packets in flight: a consumed packet is
 //! handed to the policy, which re-injects it (uncounted) or, after a
-//! `reset_port`, forgets it. Once the count, the flow's timers and both
-//! of its endpoints are done, the endpoints are freed
-//! (`SimCore::free_if_unreachable`).
+//! `reset_port`, hands it back to be lost as a policy drop. Once the
+//! count, the flow's timers and both of its endpoints are done, the
+//! endpoints are freed (`SimCore::free_if_unreachable`).
 
 use rng::rngs::StdRng;
 use rng::Rng;
@@ -28,7 +28,7 @@ use telemetry::{Queue, Telemetry};
 use crate::arena::{PacketArena, PacketId};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
-use crate::node::{ecmp_select, port_in_mut, NextHops, Node, Port};
+use crate::node::{ecmp_select, port_in_mut, NextHops, Node, Port, PortParams, Wire};
 use crate::packet::{Flags, FlowId, NodeId};
 use crate::policy::{EgressVerdict, IngressVerdict, PolicyFx};
 use crate::sim::{AppCall, SimCore, FREED};
@@ -43,8 +43,9 @@ enum DropCause {
     /// No route toward the destination: the ingress port's no-route
     /// drops in `SimCore::rare_drops`.
     NoRoute,
-    /// The switch policy's egress hook discarded it (a test utility):
-    /// the fabric-wide `policy_drops`.
+    /// The switch policy's egress hook discarded it (a test utility),
+    /// or a policy reset wiped it from the policy's hold: the
+    /// fabric-wide `policy_drops`.
     Policy,
 }
 
@@ -92,12 +93,14 @@ impl SimCore {
             self.lose(node, 0, pkt, DropCause::Fault);
             return;
         }
-        if Self::faulted(&h.nic, &mut self.fault_rng) {
+        let params = &self.params[usize::from(h.nic.link.params)];
+        if Self::faulted(params, &mut self.fault_rng) {
             self.lose(node, 0, pkt, DropCause::Fault);
             return;
         }
         let dropped = Self::enqueue_and_kick(
             &mut h.nic,
+            params,
             node,
             0,
             Queue::Nic,
@@ -108,13 +111,13 @@ impl SimCore {
             &mut self.telemetry,
         );
         if let Some(flow) = dropped {
-            self.packet_gone(flow);
+            self.tail_dropped(node, 0, flow);
         }
     }
 
     /// A packet finishes propagating into `node` on `port`.
     fn on_arrival(&mut self, node: NodeId, port: usize, pkt: PacketId) {
-        if !self.port(node, port).up {
+        if !self.port_params(node, port).up {
             // The packet propagated into a link that died under it:
             // lost at the receiving end.
             self.lose(node, port, pkt, DropCause::Fault);
@@ -149,7 +152,8 @@ impl SimCore {
 
     /// A switch-policy timer fires.
     fn on_policy_timer(&mut self, node: NodeId, token: u64) {
-        if let Some(pending) = self.policy_timers.get_mut(node.0 as usize) {
+        if let Some(sw) = self.switch_index(node) {
+            let pending = &mut self.policy_timers[sw];
             if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
                 pending.swap_remove(i);
             }
@@ -177,8 +181,8 @@ impl SimCore {
     }
 
     /// Loses `pkt` at `node`'s `port` for `cause`: counts it, reports it
-    /// to telemetry and frees its slot. (A tail drop is counted on its
-    /// port, in `enqueue_and_kick`.)
+    /// to telemetry and frees its slot. (A tail drop is reported and
+    /// freed in `enqueue_and_kick` and counted in `tail_dropped`.)
     fn lose(&mut self, node: NodeId, port: usize, pkt: PacketId, cause: DropCause) {
         // Port indices are below `MAX_PORTS` (2^15).
         let at = (node, port as u16);
@@ -195,25 +199,36 @@ impl SimCore {
         self.packet_gone(flow);
     }
 
-    /// Whether a packet entering `port` is lost to a fault: the link is
-    /// down, or an active loss window draws it. The fault RNG is only
-    /// drawn inside an active loss window, so fault-free runs are
-    /// byte-identical to pre-fault-layer ones.
-    fn faulted(port: &Port, fault_rng: &mut StdRng) -> bool {
-        !port.up
-            || (port.loss_permille > 0
-                && fault_rng.gen_range(0..1000u64) < port.loss_permille as u64)
+    /// Counts a tail drop of a packet of `flow` at `node`'s `port`
+    /// (already reported and freed by `enqueue_and_kick`), and counts
+    /// the packet out of its flow.
+    fn tail_dropped(&mut self, node: NodeId, port: usize, flow: FlowId) {
+        // Port indices are below `MAX_PORTS` (2^15).
+        self.rare_drops.entry((node, port as u16)).or_default().tail += 1;
+        self.packet_gone(flow);
     }
 
-    /// Enqueues `pkt` on `port`, port `port_idx` of node `id` (the
-    /// kind of `queue`), starting the transmitter if it is idle. On
-    /// overflow it counts a drop on the port, frees the packet's arena
-    /// slot and returns the packet's flow, for the caller to count the
-    /// packet out ([`packet_gone`](Self::packet_gone)). The caller has
-    /// already checked the port for faults ([`faulted`](Self::faulted)).
+    /// Whether a packet entering a port with `params` is lost to a
+    /// fault: the link is down, or an active loss window draws it. The
+    /// fault RNG is only drawn inside an active loss window, so
+    /// fault-free runs are byte-identical to pre-fault-layer ones.
+    fn faulted(params: &PortParams, fault_rng: &mut StdRng) -> bool {
+        !params.up
+            || (params.loss_permille > 0
+                && fault_rng.gen_range(0..1000u64) < params.loss_permille as u64)
+    }
+
+    /// Enqueues `pkt` on `port` (with `params`), port `port_idx` of
+    /// node `id` (the kind of `queue`), starting the transmitter if it
+    /// is idle, i.e. if the FIFO was empty. On overflow it reports the
+    /// drop, frees the packet's arena slot and returns the packet's
+    /// flow, for the caller to count the drop
+    /// ([`tail_dropped`](Self::tail_dropped)). The caller has already
+    /// checked the port for faults ([`faulted`](Self::faulted)).
     #[allow(clippy::too_many_arguments)]
     fn enqueue_and_kick(
         port: &mut Port,
+        params: &PortParams,
         id: NodeId,
         port_idx: usize,
         queue: Queue,
@@ -224,16 +239,15 @@ impl SimCore {
         tel: &mut Telemetry,
     ) -> Option<FlowId> {
         let (at, node, port_no, key) = (now.nanos(), id.0, port_idx as u16, pkt.key());
-        if !port.queue.enqueue(pkt, arena) {
-            port.drops += 1;
+        let idle = port.queue.is_empty();
+        if !port.queue.enqueue(pkt, arena, params.capacity) {
             tel.pkt_drop(at, node, port_no, key, arena.get(pkt));
             return Some(arena.free(pkt).flow);
         }
         let p = arena.get(pkt);
         tel.pkt_enqueue(at, node, port_no, key, p, port.queue.bytes(), queue);
-        if !port.busy {
-            port.busy = true;
-            let ser = port.link.rate.serialize(p.wire_bytes());
+        if idle {
+            let ser = params.rate.serialize(p.wire_bytes());
             events.schedule(
                 now + ser,
                 Event::TxDone {
@@ -255,20 +269,21 @@ impl SimCore {
             .queue
             .dequeue(&self.packets)
             .expect("TxDone with empty queue: transmitter state corrupt");
-        let (up, link) = (port.up, port.link);
+        let (link, params) = (port.link, self.params[usize::from(port.link.params)]);
+        let up = params.up;
         if up {
             port.tx_bytes += wire;
         }
-        // The head packet determines the next serialisation time.
-        match port.queue.peek_wire_bytes(&self.packets) {
-            Some(head_wire) => self.events.schedule(
-                now + link.rate.serialize(head_wire),
+        // The head packet determines the next serialisation time; an
+        // empty FIFO leaves the transmitter idle.
+        if let Some(head_wire) = port.queue.peek_wire_bytes(&self.packets) {
+            self.events.schedule(
+                now + params.rate.serialize(head_wire),
                 Event::TxDone {
                     node,
                     port: Event::port(port_idx),
                 },
-            ),
-            None => port.busy = false,
+            );
         }
         if up {
             // Closes the queue-wait segment at this hop; wire time runs
@@ -277,7 +292,7 @@ impl SimCore {
             self.telemetry
                 .pkt_dequeue(now.nanos(), node.0, port_idx as u16, pkt.key(), p);
             self.events.schedule(
-                now + link.delay,
+                now + params.delay,
                 Event::Arrival {
                     node: link.peer,
                     port: link.peer_port,
@@ -340,8 +355,9 @@ impl SimCore {
                 NextHops::None => None,
                 NextHops::Single(p) => Some(p as usize),
                 NextHops::Ecmp(set) => {
-                    let ports = sw.ports_in(&self.ports);
-                    Some(ecmp_select(set, flow, hop, |p| ports[p as usize].up) as usize)
+                    let (ports, params) = (sw.ports_in(&self.ports), &self.params);
+                    let up = |p: u16| params[usize::from(ports[p as usize].link.params)].up;
+                    Some(ecmp_select(set, flow, hop, up) as usize)
                 }
             }
         };
@@ -368,12 +384,14 @@ impl SimCore {
             };
             (slot, verdict)
         };
+        let params = &self.params[usize::from(self.ports[slot].link.params)];
         if verdict != EgressVerdict::Enqueue {
             self.lose(node, out, pkt, DropCause::Policy);
-        } else if Self::faulted(&self.ports[slot], &mut self.fault_rng) {
+        } else if Self::faulted(params, &mut self.fault_rng) {
             self.lose(node, out, pkt, DropCause::Fault);
         } else if let Some(flow) = Self::enqueue_and_kick(
             &mut self.ports[slot],
+            params,
             node,
             out,
             Queue::Switch { ce_before },
@@ -383,28 +401,38 @@ impl SimCore {
             &mut self.events,
             &mut self.telemetry,
         ) {
-            self.packet_gone(flow);
+            self.tail_dropped(node, out, flow);
         }
         self.apply_policy_fx(node, fx);
     }
 
-    /// Applies a policy's effects, then returns the drained sink to the
-    /// pool.
+    /// Applies the effects of switch `node`'s policy, then returns the
+    /// drained sink to the pool.
     pub(crate) fn apply_policy_fx(&mut self, node: NodeId, mut fx: PolicyFx) {
-        // Cancels first, so a policy that re-arms in the same callback
-        // cancels the stale generation before scheduling the new one.
-        for token in fx.cancels.drain(..) {
-            let pending = &mut self.policy_timers[node.0 as usize];
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                let (_, handle) = pending.swap_remove(i);
-                self.events.cancel(handle);
+        if !fx.cancels.is_empty() || !fx.timers.is_empty() {
+            let sw = self.switch_index(node).expect("only switches run policies");
+            // Cancels first, so a policy that re-arms in the same
+            // callback cancels the stale generation before scheduling
+            // the new one.
+            for token in fx.cancels.drain(..) {
+                let pending = &mut self.policy_timers[sw];
+                if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
+                    let (_, handle) = pending.swap_remove(i);
+                    self.events.cancel(handle);
+                }
+            }
+            for (after, token) in fx.timers.drain(..) {
+                let handle = self
+                    .events
+                    .schedule_cancellable(self.now + after, Event::PolicyTimer { node, token });
+                self.policy_timers[sw].push((token, handle));
             }
         }
-        for (after, token) in fx.timers.drain(..) {
-            let handle = self
-                .events
-                .schedule_cancellable(self.now + after, Event::PolicyTimer { node, token });
-            self.policy_timers[node.0 as usize].push((token, handle));
+        for (port, pkt) in fx.discards.drain(..) {
+            // A packet the policy held since consuming it, still
+            // counted in flight: lost at the port that held it.
+            let pkt = self.packets.alloc(pkt);
+            self.lose(node, port, pkt, DropCause::Policy);
         }
         for pkt in fx.inject.drain(..) {
             // Policy-owned packets (re)enter the fabric here, still
@@ -431,27 +459,27 @@ impl SimCore {
     fn apply_fault(&mut self, action: FaultAction) {
         let now = self.now;
         match action {
-            FaultAction::LinkDown { node, port } => self.set_link_up(node, port, false),
-            FaultAction::LinkUp { node, port } => self.set_link_up(node, port, true),
+            FaultAction::LinkDown { node, port } => {
+                self.change_link_params(node, port, |p| p.up = false)
+            }
+            FaultAction::LinkUp { node, port } => {
+                self.change_link_params(node, port, |p| p.up = true)
+            }
             FaultAction::LinkRate { node, port, rate } => {
                 // A packet mid-serialisation completes on its old
                 // schedule; the new rate applies from the next one.
-                let (peer, peer_port) = {
-                    let p = self.port_mut(node, port);
-                    p.link.rate = rate;
-                    (p.link.peer, p.link.peer_port)
-                };
-                self.port_mut(peer, peer_port as usize).link.rate = rate;
+                self.change_link_params(node, port, |p| p.rate = rate)
             }
             FaultAction::LossWindow {
                 node,
                 port,
                 permille,
             } => {
-                self.port_mut(node, port).loss_permille = permille.min(1000);
+                let permille = permille.min(1000);
+                self.change_port_params(node, port, |p| p.loss_permille = permille);
             }
             FaultAction::LossWindowEnd { node, port } => {
-                self.port_mut(node, port).loss_permille = 0;
+                self.change_port_params(node, port, |p| p.loss_permille = 0);
             }
             FaultAction::PolicyReset { node, port } => {
                 let mut fx = self.take_policy_fx();
@@ -459,7 +487,8 @@ impl SimCore {
                     let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
                         panic!("PolicyReset target {node:?} is not a switch");
                     };
-                    let rate = self.ports[sw.port_slot(port)].link.rate;
+                    let params = self.ports[sw.port_slot(port)].link.params;
+                    let rate = self.params[usize::from(params)].rate;
                     sw.policy.reset_port(port, rate, now, &mut fx);
                 }
                 self.apply_policy_fx(node, fx);
@@ -497,20 +526,21 @@ impl SimCore {
             let Node::Switch(sw) = &self.nodes[sw_id.0 as usize] else {
                 continue;
             };
-            let (ports, port) = (sw.ports_in(&self.ports), sw_port as u16);
-            let dests = || sw.routes.reroutable_dests(port, |p| ports[p as usize].up);
+            let (ports, params, port) = (sw.ports_in(&self.ports), &self.params, sw_port as u16);
+            let up = |p: u16| params[usize::from(ports[p as usize].link.params)].up;
+            let dests = || sw.routes.reroutable_dests(port, up);
             self.telemetry.rerouted(now.nanos(), sw_id.0, port, dests);
         }
     }
 
-    /// Marks both ends of the link at `node`/`port` up or down.
-    fn set_link_up(&mut self, node: NodeId, port: usize, up: bool) {
-        let (peer, peer_port) = {
-            let p = self.port_mut(node, port);
-            p.up = up;
-            (p.link.peer, p.link.peer_port)
-        };
-        self.port_mut(peer, peer_port as usize).up = up;
+    /// Applies `change` to the parameters of both ends of the link at
+    /// `node`/`port`.
+    fn change_link_params(&mut self, node: NodeId, port: usize, change: impl Fn(&mut PortParams)) {
+        let Wire {
+            peer, peer_port, ..
+        } = self.port(node, port).link;
+        self.change_port_params(node, port, &change);
+        self.change_port_params(peer, usize::from(peer_port), change);
     }
 
     fn set_host_stalled(&mut self, node: NodeId, stalled: bool) {
@@ -567,5 +597,131 @@ impl SimCore {
             self.fx_pool.push(fx);
             self.packet_gone(flow);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rng::props::cases;
+
+    use super::*;
+    use crate::app::NullApp;
+    use crate::node::PortStats;
+    use crate::packet::Packet;
+    use crate::sim::tests::BlastStack;
+    use crate::sim::{SimConfig, Simulator};
+    use crate::topology::star;
+    use crate::units::{Bandwidth, Dur};
+
+    /// Random link-rate, link-state and loss-window faults on a star
+    /// whose switch ports share one parameter row and whose NICs share
+    /// another, with full frames sent into random ports between them,
+    /// match a model that keeps each port's parameters and counters on
+    /// its own: a fault changes its port (and, for link faults, the
+    /// peer end) and no sibling of the row. Loss windows draw the fault
+    /// RNG, so frames are sent only into ports with no window or a
+    /// certain one.
+    #[test]
+    fn port_faults_change_only_their_ports() {
+        const HOSTS: usize = 4;
+        const FRAME: u64 = 1_500;
+        cases(64, |case, rng| {
+            let (mut t, hosts, sw) = star(HOSTS, Bandwidth::gbps(10), Dur::micros(1));
+            t.switch_buffer(4_500).host_buffer(3_000);
+            let cfg = SimConfig::default();
+            let mut sim = Simulator::new(t.build_drop_tail(), Box::new(BlastStack), NullApp, cfg);
+            let core = sim.core_mut();
+            // The switch's ports, then the NICs: port `i` of the switch
+            // and host `i`'s NIC are the two ends of one link.
+            let ports: Vec<(NodeId, usize)> = (0..HOSTS)
+                .map(|p| (sw, p))
+                .chain(hosts.iter().map(|&h| (h, 0)))
+                .collect();
+            let peer = |i: usize| (i + HOSTS) % (2 * HOSTS);
+            assert_eq!(core.params.len(), 2, "one row for each kind of port");
+            let mut model: Vec<(PortParams, PortStats)> = (0..2 * HOSTS)
+                .map(|i| {
+                    let params = PortParams {
+                        rate: Bandwidth::gbps(10),
+                        delay: Dur::micros(1),
+                        capacity: if i < HOSTS { 4_500 } else { 3_000 },
+                        loss_permille: 0,
+                        up: true,
+                    };
+                    (params, PortStats::default())
+                })
+                .collect();
+            for step in 0..rng.gen_range(1..80usize) {
+                let i = rng.gen_range(0..ports.len());
+                let (node, port) = ports[i];
+                match rng.gen_range(0..6u32) {
+                    0 => {
+                        let rate = Bandwidth::gbps([1, 10, 40][rng.gen_range(0..3usize)]);
+                        core.apply_fault(FaultAction::LinkRate { node, port, rate });
+                        for j in [i, peer(i)] {
+                            model[j].0.rate = rate;
+                        }
+                    }
+                    1 => {
+                        core.apply_fault(FaultAction::LinkDown { node, port });
+                        for j in [i, peer(i)] {
+                            model[j].0.up = false;
+                        }
+                    }
+                    2 => {
+                        core.apply_fault(FaultAction::LinkUp { node, port });
+                        for j in [i, peer(i)] {
+                            model[j].0.up = true;
+                        }
+                    }
+                    3 => {
+                        let permille = [250, 1000, 1500][rng.gen_range(0..3usize)];
+                        let action = FaultAction::LossWindow {
+                            node,
+                            port,
+                            permille,
+                        };
+                        core.apply_fault(action);
+                        model[i].0.loss_permille = permille.min(1000);
+                    }
+                    4 => {
+                        core.apply_fault(FaultAction::LossWindowEnd { node, port });
+                        model[i].0.loss_permille = 0;
+                    }
+                    _ => {
+                        let (params, stats) = &mut model[i];
+                        if params.loss_permille % 1000 != 0 {
+                            continue;
+                        }
+                        // A frame toward the far end of port `i`'s link.
+                        let (src, dst) = if i < HOSTS {
+                            (hosts[(i + 1) % HOSTS], hosts[i])
+                        } else {
+                            (node, hosts[(i + 1) % HOSTS])
+                        };
+                        let pkt = Packet::data(FlowId(0), src, dst, 0, FRAME - 40);
+                        let pkt = core.packets.alloc(pkt);
+                        if i < HOSTS {
+                            core.switch_egress(sw, (i + 1) % HOSTS, pkt, false);
+                        } else {
+                            core.on_nic_enqueue(node, pkt);
+                        }
+                        if !params.up || params.loss_permille == 1000 {
+                            stats.fault_drops += 1;
+                        } else if stats.queue_bytes + FRAME > u64::from(params.capacity) {
+                            stats.drops += 1;
+                        } else {
+                            stats.queue_bytes += FRAME;
+                            stats.max_queue_bytes = stats.queue_bytes;
+                        }
+                    }
+                }
+                for (&(node, port), (params, stats)) in ports.iter().zip(&model) {
+                    let at = format!("case {case} step {step}: {node:?} port {port}");
+                    assert_eq!(core.port_params(node, port), *params, "{at}");
+                    assert_eq!(core.port_stats(node, port), *stats, "{at}");
+                }
+            }
+        });
     }
 }

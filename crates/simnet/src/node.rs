@@ -8,8 +8,11 @@ use crate::queue::PortQueue;
 use crate::units::{Bandwidth, Dur};
 use std::sync::Arc;
 
-/// The attached link of a port: rate, one-way propagation delay, and the
-/// peer `(node, port)` at the far end.
+/// The attached link of a port as the builder lays it out and a
+/// policy factory sees it: rate, one-way propagation delay, and the
+/// peer `(node, port)` at the far end. A built [`Port`] keeps only the
+/// peer and a parameter row ([`Wire`]); the rate and delay live in its
+/// interned [`PortParams`].
 #[derive(Debug, Clone, Copy)]
 pub struct PortLink {
     /// Link rate.
@@ -23,53 +26,95 @@ pub struct PortLink {
     pub peer_port: u16,
 }
 
-/// One output port: an attached link plus its FIFO and transmitter state.
+/// What a port transmits with, and what faults change: the link's rate
+/// and delay, the FIFO's capacity, whether the link is up and the
+/// active loss window.
 ///
-/// Host NICs live in their [`Host`]; every switch port of a network
-/// lives in one fabric-wide table (see [`Switch::ports`]). The rare
-/// fault and no-route drop counters are not here: the simulator keeps
-/// them in a sparse per-port ledger (see
-/// [`crate::sim::SimCore::port_stats`]).
-#[derive(Debug)]
-pub struct Port {
-    /// The attached link.
-    pub link: PortLink,
-    /// Total wire bytes transmitted out of this port.
-    pub tx_bytes: u64,
-    /// Packets tail-dropped at the full FIFO.
-    pub drops: u64,
-    /// Output FIFO.
-    pub queue: PortQueue,
+/// A network interns these in one table
+/// ([`crate::topology::Network::params`]) that every port indexes with
+/// a `u16` ([`Wire::params`]); ports with equal parameters share a row,
+/// so a fat-tree needs a handful of rows for all its ports. A row is
+/// never changed in place: a fault interns the changed copy and points
+/// the port at it, so the row's other ports keep theirs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortParams {
+    /// Link rate.
+    pub rate: Bandwidth,
+    /// One-way propagation delay.
+    pub delay: Dur,
+    /// FIFO capacity in wire bytes.
+    pub capacity: u32,
     /// Drop probability of the active loss window, in permille
-    /// (0 = no loss window). Fault-injection state.
+    /// (0 = no loss window).
     pub loss_permille: u16,
-    /// Whether a packet is currently being serialised.
-    pub busy: bool,
     /// Whether the attached link is up. A downed port accepts nothing
     /// new; packets it finishes serialising (and packets propagating
-    /// toward it) are lost. Fault-injection state; `true` by default.
+    /// toward it) are lost.
     pub up: bool,
 }
 
+/// The row of `params` in `table`: an equal row's index, or a new row
+/// appended at the end. A linear scan: tables hold a few rows.
+///
+/// # Panics
+///
+/// Panics if the table would outgrow the `u16` row index.
+pub(crate) fn intern_params(table: &mut Vec<PortParams>, params: PortParams) -> u16 {
+    let row = table.iter().position(|&r| r == params).unwrap_or_else(|| {
+        table.push(params);
+        table.len() - 1
+    });
+    u16::try_from(row).expect("more distinct port parameter rows than a u16 can index")
+}
+
+/// A built port's link: the peer `(node, port)` at the far end and the
+/// port's row in the network's [`PortParams`] table.
+#[derive(Debug, Clone, Copy)]
+pub struct Wire {
+    /// Node at the far end.
+    pub peer: NodeId,
+    /// Ingress port index at the far end.
+    pub peer_port: u16,
+    /// The port's row in the parameter table.
+    pub params: u16,
+}
+
+/// One output port: where its link leads, its FIFO and its transmitted
+/// bytes.
+///
+/// Host NICs live in their [`Host`]; every switch port of a network
+/// lives in one fabric-wide table (see [`Switch::ports`]). Everything
+/// else is kept elsewhere: rate, delay, capacity, link state and loss
+/// window in the interned [`PortParams`] row, the drop counters in the
+/// simulator's sparse per-port ledger (see
+/// [`crate::sim::SimCore::port_stats`]). The transmitter is busy
+/// exactly while the FIFO holds a packet: the head packet is the one
+/// being serialised.
+#[derive(Debug)]
+pub struct Port {
+    /// Where the link leads, and the parameter row.
+    pub link: Wire,
+    /// Output FIFO.
+    pub queue: PortQueue,
+    /// Total wire bytes transmitted out of this port.
+    pub tx_bytes: u64,
+}
+
 impl Port {
-    /// Creates an idle port with a FIFO of `capacity_bytes`.
-    pub fn new(link: PortLink, capacity_bytes: u32) -> Self {
+    /// Creates an idle port on `link`.
+    pub fn new(link: Wire) -> Self {
         Self {
             link,
+            queue: PortQueue::new(),
             tx_bytes: 0,
-            drops: 0,
-            queue: PortQueue::new(capacity_bytes),
-            loss_permille: 0,
-            busy: false,
-            up: true,
         }
     }
 }
 
 // Fabric scale multiplies this struct (58,320 switch ports and 11,664
-// NICs on a k = 36 fat-tree): one cache line. A 24-byte link, two
-// `u64` counters, a 20-byte queue, and the loss/busy/up state.
-const _: () = assert!(std::mem::size_of::<Port>() == 64);
+// NICs on a k = 36 fat-tree): half a cache line. An 8-byte wire, a
+// 16-byte queue and the transmitted-byte counter.
+const _: () = assert!(std::mem::size_of::<Port>() == 32);
 
 /// A snapshot of one port's counters (see
 /// [`crate::sim::SimCore::port_stats`]).
@@ -557,7 +602,7 @@ pub enum Node {
 
 // One per node id (13,284 on a k = 36 fat-tree): a host's id, NIC and
 // stall flag, or a switch's id, port range, route table and policy.
-const _: () = assert!(std::mem::size_of::<Node>() <= 72);
+const _: () = assert!(std::mem::size_of::<Node>() == 56);
 const _: () = assert!(std::mem::size_of::<RouteTable>() == 24);
 
 impl Node {
@@ -613,12 +658,11 @@ mod tests {
     use crate::policy::DropTail;
     use crate::units::{Bandwidth, Dur};
 
-    fn link(peer: u32) -> PortLink {
-        PortLink {
-            rate: Bandwidth::gbps(1),
-            delay: Dur::micros(1),
+    fn link(peer: u32) -> Wire {
+        Wire {
             peer: NodeId(peer),
             peer_port: 0,
+            params: 0,
         }
     }
 
@@ -639,7 +683,7 @@ mod tests {
     fn port_table() -> Vec<Port> {
         [9, 1, 2, 9]
             .into_iter()
-            .map(|peer| Port::new(link(peer), 1_000))
+            .map(|peer| Port::new(link(peer)))
             .collect()
     }
 
@@ -856,16 +900,20 @@ mod tests {
             Node::Switch(switch()),
             Node::Host(Host {
                 id: NodeId(1),
-                nic: Port::new(link(0), 1_000),
+                nic: Port::new(link(0)),
                 stalled: false,
             }),
         ];
         assert_eq!(nodes[0].id(), NodeId(0));
         assert_eq!(port_in(&nodes, &ports, NodeId(0), 1).link.peer, NodeId(2));
-        port_in_mut(&mut nodes, &mut ports, NodeId(0), 0).busy = true;
-        assert!(ports[1].busy, "port 0 is table entry 1");
-        port_in_mut(&mut nodes, &mut ports, NodeId(1), 0).busy = true;
-        assert!(port_in(&nodes, &ports, NodeId(1), 0).busy, "host NIC");
+        port_in_mut(&mut nodes, &mut ports, NodeId(0), 0).tx_bytes = 7;
+        assert_eq!(ports[1].tx_bytes, 7, "port 0 is table entry 1");
+        port_in_mut(&mut nodes, &mut ports, NodeId(1), 0).tx_bytes = 9;
+        assert_eq!(
+            port_in(&nodes, &ports, NodeId(1), 0).tx_bytes,
+            9,
+            "host NIC"
+        );
         let Node::Switch(sw) = &nodes[0] else {
             panic!()
         };
@@ -887,7 +935,7 @@ mod tests {
     fn host_rejects_nonzero_port() {
         let nodes = vec![Node::Host(Host {
             id: NodeId(0),
-            nic: Port::new(link(0), 1_000),
+            nic: Port::new(link(0)),
             stalled: false,
         })];
         let _ = port_in(&nodes, &[], NodeId(0), 1);

@@ -21,6 +21,13 @@ pub struct PolicyFx {
     /// routed and enqueued as if it had just arrived, but without another
     /// ingress-hook pass.
     pub inject: Vec<Packet>,
+    /// Packets the policy consumed and now gives up, each with the port
+    /// that held it (e.g. the ACKs a TFC delay arbiter held when a
+    /// [`reset_port`](SwitchPolicy::reset_port) wiped it). Each is lost
+    /// there as a policy drop: logged, counted in
+    /// [`crate::sim::SimCore::policy_drops`], and counted out of its
+    /// flow's packets in flight.
+    pub discards: Vec<(usize, Packet)>,
     /// TFC per-port gauge samples emitted at slot close. The simulator
     /// stamps the time and forwards them to the telemetry layer (which
     /// discards them unless gauge collection is enabled).
@@ -50,6 +57,11 @@ impl PolicyFx {
     /// Re-injects a packet into the egress path.
     pub fn inject(&mut self, pkt: Packet) {
         self.inject.push(pkt);
+    }
+
+    /// Gives up a consumed packet held for `port`: it is lost there.
+    pub fn discard(&mut self, port: usize, pkt: Packet) {
+        self.discards.push((port, pkt));
     }
 
     /// Emits a TFC slot gauge sample.
@@ -130,7 +142,9 @@ pub trait SwitchPolicy: Send {
     /// Wipes the policy's soft state for `port`, as after a control-plane
     /// reboot (the `PolicyReset` fault). `rate` is the port's current
     /// line rate, so a policy that sizes its state off the link (TFC's
-    /// token engine) rebuilds against post-renegotiation reality.
+    /// token engine) rebuilds against post-renegotiation reality. A
+    /// policy that held consumed packets for the port hands them back
+    /// with [`PolicyFx::discard`].
     ///
     /// Stateless policies need not override this.
     fn reset_port(&mut self, port: usize, rate: Bandwidth, now: Time, fx: &mut PolicyFx) {

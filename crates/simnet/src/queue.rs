@@ -6,16 +6,17 @@ use crate::arena::{PacketArena, PacketId, NIL};
 ///
 /// The queue is an intrusive singly linked list through the packets'
 /// own [`PacketArena`] slots: it keeps the head and tail slot indices,
-/// and each queued packet's slot links to the next. So a queue is five
-/// `u32`s (20 B) whatever its backlog, it never allocates, and enqueue
+/// and each queued packet's slot links to the next. So a queue is four
+/// `u32`s (16 B) whatever its backlog, it never allocates, and enqueue
 /// and dequeue touch one arena slot each. Wire sizes are read from the
 /// packets ([`crate::packet::Packet::wire_bytes`] is a pure function of
 /// the payload), not stored, and the queue keeps no packet count. The
-/// backlog, the capacity and the high-water mark are `u32` bytes: a
-/// capacity must fit one (a builder refuses a larger buffer), and an
-/// accepted packet never takes the backlog past it. Enqueue refuses a
-/// packet that would push the backlog over `capacity_bytes` (tail
-/// drop); the caller counts the drop.
+/// backlog and the high-water mark are `u32` bytes. The capacity is
+/// not stored either: it is a port parameter the caller passes to
+/// [`enqueue`](Self::enqueue), and must fit a `u32` (a builder refuses
+/// a larger buffer), so an accepted packet never takes the backlog past
+/// it. Enqueue refuses a packet that would push the backlog over the
+/// capacity (tail drop); the caller counts the drop.
 ///
 /// # Examples
 ///
@@ -25,13 +26,13 @@ use crate::arena::{PacketArena, PacketId, NIL};
 /// use tfc_simnet::queue::PortQueue;
 ///
 /// let mut arena = PacketArena::new();
-/// let mut q = PortQueue::new(3_000);
+/// let mut q = PortQueue::new();
 /// for _ in 0..2 {
 ///     let id = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460));
-///     assert!(q.enqueue(id, &mut arena));
+///     assert!(q.enqueue(id, &mut arena, 3_000));
 /// }
 /// let third = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1460));
-/// assert!(!q.enqueue(third, &mut arena)); // third full frame exceeds 3000 B
+/// assert!(!q.enqueue(third, &mut arena, 3_000)); // third full frame exceeds 3000 B
 /// assert_eq!(q.dequeue(&arena).map(|(_, wire)| wire), Some(1500));
 /// ```
 #[derive(Debug)]
@@ -41,32 +42,36 @@ pub struct PortQueue {
     /// Slot of the last packet (meaningless when empty).
     tail: u32,
     bytes: u32,
-    capacity_bytes: u32,
     max_bytes_seen: u32,
 }
 
+impl Default for PortQueue {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PortQueue {
-    /// Creates a queue bounded at `capacity_bytes` of wire bytes.
-    pub fn new(capacity_bytes: u32) -> Self {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
         Self {
             head: NIL,
             tail: NIL,
             bytes: 0,
-            capacity_bytes,
             max_bytes_seen: 0,
         }
     }
 
     /// Attempts to append live packet `id`; returns `false` when its
-    /// wire size would push the backlog over capacity. The caller keeps
-    /// ownership of the arena slot on rejection, must free it, and
-    /// counts the drop. An accepted packet must stay live, and in no
-    /// other queue, until it is dequeued.
-    pub fn enqueue(&mut self, id: PacketId, arena: &mut PacketArena) -> bool {
+    /// wire size would push the backlog over `capacity_bytes`. The
+    /// caller keeps ownership of the arena slot on rejection, must free
+    /// it, and counts the drop. An accepted packet must stay live, and
+    /// in no other queue, until it is dequeued.
+    pub fn enqueue(&mut self, id: PacketId, arena: &mut PacketArena, capacity_bytes: u32) -> bool {
         let wire = arena.get(id).wire_bytes();
         let Some(bytes) = u32::try_from(u64::from(self.bytes) + wire)
             .ok()
-            .filter(|&b| b <= self.capacity_bytes)
+            .filter(|&b| b <= capacity_bytes)
         else {
             return false;
         };
@@ -118,15 +123,10 @@ impl PortQueue {
     pub fn max_bytes_seen(&self) -> u64 {
         u64::from(self.max_bytes_seen)
     }
-
-    /// Configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        u64::from(self.capacity_bytes)
-    }
 }
 
-// Every port embeds one: five `u32`s.
-const _: () = assert!(std::mem::size_of::<PortQueue>() == 20);
+// Every port embeds one: four `u32`s.
+const _: () = assert!(std::mem::size_of::<PortQueue>() == 16);
 
 #[cfg(test)]
 mod tests {
@@ -146,10 +146,10 @@ mod tests {
     #[test]
     fn fifo_order() {
         let mut arena = PacketArena::new();
-        let mut q = PortQueue::new(1 << 20);
+        let mut q = PortQueue::new();
         for seq in 0..5 {
             let id = alloc(&mut arena, 100, seq);
-            q.enqueue(id, &mut arena);
+            q.enqueue(id, &mut arena, 1 << 20);
         }
         for seq in 0..5 {
             let (id, _) = q.dequeue(&arena).unwrap();
@@ -162,12 +162,12 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let mut arena = PacketArena::new();
-        let mut q = PortQueue::new(1 << 20);
+        let mut q = PortQueue::new();
         let id = alloc(&mut arena, 1460, 0);
-        q.enqueue(id, &mut arena);
+        q.enqueue(id, &mut arena, 1 << 20);
         assert_eq!(q.bytes(), 1500);
         let id = alloc(&mut arena, 0, 0); // min frame 64
-        q.enqueue(id, &mut arena);
+        q.enqueue(id, &mut arena, 1 << 20);
         assert_eq!(q.bytes(), 1564);
         assert_eq!(q.peek_wire_bytes(&arena), Some(1500));
         let (_, wire) = q.dequeue(&arena).unwrap();
@@ -180,11 +180,11 @@ mod tests {
     #[test]
     fn tail_drop_counts() {
         let mut arena = PacketArena::new();
-        let mut q = PortQueue::new(1500);
+        let mut q = PortQueue::new();
         let id = alloc(&mut arena, 1460, 0);
-        assert!(q.enqueue(id, &mut arena));
+        assert!(q.enqueue(id, &mut arena, 1500));
         let id = alloc(&mut arena, 1460, 1);
-        assert!(!q.enqueue(id, &mut arena));
+        assert!(!q.enqueue(id, &mut arena, 1500));
         assert_eq!(q.bytes(), 1500, "the refused packet is not queued");
         assert_eq!(q.dequeue(&arena).map(|(_, wire)| wire), Some(1500));
         assert!(q.dequeue(&arena).is_none());
@@ -196,10 +196,10 @@ mod tests {
             let sizes = vec_u64(rng, 1..100, 0..3000);
             let cap = rng.gen_range(64..100_000u32);
             let mut arena = PacketArena::new();
-            let mut q = PortQueue::new(cap);
+            let mut q = PortQueue::new();
             for &s in &sizes {
                 let id = alloc(&mut arena, s, 0);
-                if !q.enqueue(id, &mut arena) {
+                if !q.enqueue(id, &mut arena, cap) {
                     arena.free(id);
                 }
                 assert!(
@@ -256,7 +256,6 @@ mod tests {
     fn assert_same(q: &PortQueue, m: &Model, arena: &PacketArena, at: &str) {
         assert_eq!(q.bytes(), m.bytes, "{at}: bytes");
         assert_eq!(q.is_empty(), m.fifo.is_empty(), "{at}: is_empty");
-        assert_eq!(q.capacity_bytes(), m.capacity_bytes, "{at}: capacity");
         assert_eq!(q.max_bytes_seen(), m.max_bytes_seen, "{at}: max_bytes_seen");
         assert_eq!(
             q.peek_wire_bytes(arena),
@@ -283,14 +282,16 @@ mod tests {
             let mut arena = PacketArena::new();
             let mut qs: Vec<PortQueue> = Vec::new();
             let mut models: Vec<Model> = Vec::new();
+            let mut caps: Vec<u32> = Vec::new();
             for _ in 0..ports {
                 let cap = if huge {
                     u32::MAX - rng.gen_range(0..4_096u32)
                 } else {
                     rng.gen_range(64..20_000u32)
                 };
-                qs.push(PortQueue::new(cap));
+                qs.push(PortQueue::new());
                 models.push(Model::new(u64::from(cap)));
+                caps.push(cap);
             }
             let mut loose: Vec<PacketId> = Vec::new();
             let mut seq = 0u64;
@@ -302,7 +303,7 @@ mod tests {
                         seq += 1;
                         let id = alloc(&mut arena, rng.gen_range(0..payload), seq);
                         let wire = arena.get(id).wire_bytes();
-                        let took = qs[p].enqueue(id, &mut arena);
+                        let took = qs[p].enqueue(id, &mut arena, caps[p]);
                         assert_eq!(took, models[p].enqueue(id, wire), "{at}: verdict");
                         if !took {
                             arena.free(id);
@@ -318,7 +319,7 @@ mod tests {
                         if next >= ports {
                             arena.free(id);
                         } else {
-                            let took = qs[next].enqueue(id, &mut arena);
+                            let took = qs[next].enqueue(id, &mut arena, caps[next]);
                             assert_eq!(took, models[next].enqueue(id, wire), "{at}: forward");
                             if !took {
                                 arena.free(id);

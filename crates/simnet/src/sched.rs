@@ -53,6 +53,17 @@
 //! therefore identical to the reference heap's — which is what the
 //! byte-identical artifact equivalence tests assert.
 //!
+//! Most same-tick pushes are for the very instant just popped: a handler
+//! schedules follow-up work with zero delay (a zero-jitter NIC enqueue
+//! per emitted packet). Such a push carries a fresh sequence number, so
+//! it sorts after every entry queued at that instant before it. It joins
+//! a same-instant FIFO threaded through the slab's `next` column, in
+//! O(1) and with no vector to grow; a push at that instant that would
+//! not sort after the FIFO's tail (an adopted re-arm, pushed with its
+//! reserved older sequence number) takes the `late` path instead. Each
+//! pop takes the FIFO's head when it sorts before the rest of the live
+//! run; everything in buckets or overflow is at a later tick.
+//!
 //! # Cancellation
 //!
 //! [`EventQueue::schedule_cancellable`] returns a generation-checked
@@ -240,8 +251,16 @@ struct Wheel {
     heads: Vec<u32>,
     /// Entries beyond the wheel horizon.
     overflow: BinaryHeap<Reverse<Key>>,
-    /// Live entries across `behind`, `current`, `late`, the buckets, and
-    /// `overflow`.
+    /// Time of the entry popped last.
+    last_at: Time,
+    /// Head of the same-instant FIFO, or [`NIL`]: entries pushed at the
+    /// `last_at` of their push, in `(at, seq)` order, linked through
+    /// `next`. Its entries are at or before the cursor tick.
+    fifo_head: u32,
+    /// Last entry of the same-instant FIFO (meaningless when empty).
+    fifo_tail: u32,
+    /// Live entries across `behind`, the FIFO, `current`, `late`, the
+    /// buckets, and `overflow`.
     len: usize,
 }
 
@@ -259,6 +278,9 @@ impl Wheel {
             occupied: [0; LEVELS],
             heads: vec![NIL; LEVELS * SLOTS],
             overflow: BinaryHeap::new(),
+            last_at: Time::ZERO,
+            fifo_head: NIL,
+            fifo_tail: NIL,
             len: 0,
         }
     }
@@ -285,12 +307,13 @@ impl Wheel {
         ((offset << SEQ_BITS) | e.seq, idx)
     }
 
-    /// Copies the entry and its timer slot out of slab slot `idx` and
-    /// frees the slot.
+    /// Copies the entry and its timer slot out of slab slot `idx`, the
+    /// entry being popped, and frees the slot.
     fn release(&mut self, idx: u32) -> (Entry, u32) {
         self.next[idx] = self.free;
         self.free = idx;
         self.len -= 1;
+        self.last_at = self.entries[idx].at;
         (self.entries[idx], self.timers[idx])
     }
 
@@ -309,6 +332,20 @@ impl Wheel {
             self.timers.push(timer);
             self.entries.push(e)
         };
+        if e.at == self.last_at
+            && (self.fifo_head == NIL || self.key(self.fifo_tail) < (e.at, e.seq, idx))
+        {
+            // Sorts after the whole FIFO, which is at or before the
+            // cursor tick: append it.
+            self.next[idx] = NIL;
+            if self.fifo_head == NIL {
+                self.fifo_head = idx;
+            } else {
+                self.next[self.fifo_tail] = idx;
+            }
+            self.fifo_tail = idx;
+            return;
+        }
         if tick < self.now_tick {
             self.behind.push(Reverse(self.key(idx)));
             return;
@@ -384,6 +421,20 @@ impl Wheel {
         Some(((slot as usize), (base | slot) << shift))
     }
 
+    /// The smallest key behind the cursor, or else the smaller head of
+    /// the live run's two halves.
+    fn live_min(&self) -> Option<Key> {
+        if let Some(&Reverse(k)) = self.behind.peek() {
+            return Some(k);
+        }
+        let current = self.current.last().map(|&(_, idx)| self.key(idx));
+        let late = self.late.peek().map(|&Reverse((_, idx))| self.key(idx));
+        match (current, late) {
+            (Some(c), Some(l)) => Some(c.min(l)),
+            (c, l) => c.or(l),
+        }
+    }
+
     /// Pops the smallest entry behind the cursor, or else the smaller
     /// head of the live run's two halves.
     fn pop_live(&mut self) -> Option<u32> {
@@ -402,6 +453,21 @@ impl Wheel {
     }
 
     fn pop(&mut self) -> Option<(Entry, u32)> {
+        if self.fifo_head != NIL {
+            // The FIFO is at or before the cursor tick, so only the live
+            // run can hold a smaller entry.
+            let head = self.fifo_head;
+            let idx = match self.live_min() {
+                Some(k) if k < self.key(head) => {
+                    self.pop_live().expect("the live run is non-empty")
+                }
+                _ => {
+                    self.fifo_head = self.next[head];
+                    head
+                }
+            };
+            return Some(self.release(idx));
+        }
         loop {
             if let Some(idx) = self.pop_live() {
                 return Some(self.release(idx));
@@ -478,12 +544,9 @@ impl Wheel {
     }
 
     fn peek_key(&self) -> Option<(Time, u64)> {
-        if let Some(&Reverse(k)) = self.behind.peek() {
-            return Some((k.0, k.1));
-        }
-        let mut best = self.current.last().map(|&(_, idx)| self.key(idx));
-        if let Some(&Reverse((_, idx))) = self.late.peek() {
-            let k = self.key(idx);
+        let mut best = self.live_min();
+        if self.fifo_head != NIL {
+            let k = self.key(self.fifo_head);
             best = Some(best.map_or(k, |b| b.min(k)));
         }
         for level in 0..LEVELS {
@@ -1327,6 +1390,118 @@ mod tests {
         assert!(
             adopted > 0 && pushed > 0 && chains > 0,
             "{adopted} {pushed} {chains}"
+        );
+    }
+
+    /// Same-instant pushes against the model, on both backends, mixed
+    /// with the two cases that keep a push at that instant out of the
+    /// wheel's FIFO: an adopted re-arm pushed with its reserved older
+    /// sequence number when its carrier pops, and a pop that reaps a
+    /// cancelled later entry, carrying the cursor (and the last popped
+    /// time) past the caller's clock so pushes at the clock go behind
+    /// it. Counts that every path was taken on the wheel.
+    #[test]
+    fn same_instant_pushes_match_model() {
+        // Operations that appended to the FIFO, grew `late` or `behind`,
+        // and re-arms that were adopted.
+        let (mut fifo, mut late, mut behind, mut adopted) = (0u32, 0u32, 0u32, 0u32);
+        // The wheel's FIFO, `late` and `behind` lengths.
+        let tiers = |q: &EventQueue| match &q.backend {
+            Backend::Wheel(w) => {
+                let mut n = 0;
+                let mut idx = w.fifo_head;
+                while idx != NIL {
+                    n += 1;
+                    idx = w.next[idx];
+                }
+                (n, w.late.len(), w.behind.len())
+            }
+            Backend::Heap(_) => (0, 0, 0),
+        };
+        cases(64, |_case, rng| {
+            for kind in KINDS {
+                let mut q = EventQueue::with_kind(kind);
+                let mut model = VecModel::new();
+                let mut timers: Vec<(TimerHandle, u64)> = Vec::new();
+                let mut now = 0u64;
+                let mut token = 0u64;
+                for _ in 0..400 {
+                    let before = tiers(&q);
+                    match rng.gen_range(0u32..8) {
+                        r @ (0..=2) => {
+                            // At the instant just popped, or a little later.
+                            let at = if r < 2 {
+                                now
+                            } else {
+                                now + rng.gen_range(0..512u64)
+                            };
+                            let ev = Event::AppTimer { token };
+                            if r == 1 {
+                                timers.push((q.schedule_cancellable(Time(at), ev), token));
+                            } else {
+                                q.schedule(Time(at), ev);
+                            }
+                            model.schedule(at, token);
+                            token += 1;
+                        }
+                        3 if !timers.is_empty() => {
+                            // Re-arm at this instant or at the carrier's
+                            // time: adopted whenever not earlier.
+                            let i = rng.gen_range(0..timers.len());
+                            let (h, tok) = timers[i];
+                            let carrier_at = q.slots[h.slot].queued.0.nanos();
+                            assert!(q.cancel(h));
+                            model.cancel(tok);
+                            let at = if rng.gen_range(0..2u32) == 0 {
+                                now
+                            } else {
+                                carrier_at.max(now)
+                            };
+                            let queued = q.queued();
+                            let h2 = q.schedule_cancellable(Time(at), Event::AppTimer { token });
+                            if kind == SchedulerKind::Wheel && q.queued() == queued {
+                                adopted += 1;
+                            }
+                            model.schedule(at, token);
+                            timers[i] = (h2, token);
+                            token += 1;
+                        }
+                        4 => {
+                            // A later timer cancelled at once: a dead
+                            // entry that a pop reaps past the clock.
+                            let at = now + rng.gen_range(1..1u64 << 16);
+                            let h = q.schedule_cancellable(Time(at), Event::AppTimer { token });
+                            assert!(q.cancel(h));
+                            token += 1;
+                        }
+                        _ => {
+                            let got = q.pop().map(|(t, e)| (t.nanos(), token_of(&e)));
+                            assert_eq!(got, model.pop(), "{kind:?}");
+                            if let Some((t, tok)) = got {
+                                now = t;
+                                timers.retain(|&(_, x)| x != tok);
+                            }
+                        }
+                    }
+                    let after = tiers(&q);
+                    fifo += u32::from(after.0 > before.0);
+                    late += u32::from(after.1 > before.1);
+                    behind += u32::from(after.2 > before.2);
+                    assert_eq!(q.len(), model.entries.len(), "{kind:?}");
+                }
+                loop {
+                    let got = q.pop().map(|(t, e)| (t.nanos(), token_of(&e)));
+                    assert_eq!(got, model.pop(), "{kind:?}");
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                assert_eq!(q.queued(), 0, "{kind:?}: dead entries left behind");
+            }
+        });
+        assert!(
+            fifo > 0 && late > 0 && behind > 0 && adopted > 0,
+            "fifo {fifo} late {late} behind {behind} adopted {adopted}"
         );
     }
 

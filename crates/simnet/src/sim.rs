@@ -23,7 +23,7 @@ use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, 
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
 use crate::flowtable::{FlowMap, Slab};
-use crate::node::{port_in, port_in_mut, Node, Port, PortStats};
+use crate::node::{intern_params, port_in, port_in_mut, Node, Port, PortParams, PortStats};
 use crate::packet::{FlowId, NodeId};
 use crate::policy::PolicyFx;
 use crate::retire::{FlowRetirer, RetireConfig};
@@ -157,9 +157,11 @@ pub(crate) struct Endpoints {
 
 const _: () = assert!(std::mem::size_of::<Option<Endpoints>>() == 72);
 
-/// One port's fault and no-route drops (see [`SimCore::port_stats`]).
+/// One port's drops (see [`SimCore::port_stats`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RareDrops {
+    /// Packets tail-dropped at the full FIFO.
+    pub(crate) tail: u64,
     /// Packets lost to injected faults (dead link, loss window, stalled
     /// host).
     pub(crate) fault: u64,
@@ -187,6 +189,8 @@ pub struct SimCore {
     pub(crate) nodes: Vec<Node>,
     /// The switch port table ([`Network::ports`]).
     pub(crate) ports: Vec<Port>,
+    /// The interned port parameters ([`Network::params`]).
+    pub(crate) params: Vec<PortParams>,
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) switches: Vec<NodeId>,
     pub(crate) stack: Box<dyn ProtocolStack>,
@@ -209,7 +213,8 @@ pub struct SimCore {
     pub(crate) free_ids: VecDeque<(Time, FlowId)>,
     /// The retirement pipeline, when [`SimConfig::retire`] is set.
     pub(crate) retirer: Option<FlowRetirer>,
-    /// Pending cancellable policy-timer handles per node id.
+    /// Pending cancellable policy-timer handles per switch, in the
+    /// order of `switches` (see [`SimCore::switch_index`]).
     pub(crate) policy_timers: Vec<Vec<(u64, TimerHandle)>>,
     pub(crate) rng: StdRng,
     pub(crate) fault_rng: StdRng,
@@ -229,9 +234,9 @@ pub struct SimCore {
     /// Packets that reached a host holding no endpoint of their flow
     /// (see [`SimCore::stale_arrivals`]).
     pub(crate) stale_arrivals: u64,
-    /// Fault and no-route drops per `(node, port)`, with an entry only
-    /// for ports that lost a packet that way: rare counters, kept out
-    /// of [`Port`] so a port is one cache line.
+    /// Tail, fault and no-route drops per `(node, port)`, with an entry
+    /// only for ports that lost a packet: rare counters, kept out of
+    /// [`Port`] so a port is half a cache line.
     pub(crate) rare_drops: BTreeMap<(NodeId, u16), RareDrops>,
     /// Every fault injected so far, in injection order; an
     /// [`Event::Fault`] carries its index here.
@@ -533,7 +538,11 @@ impl SimCore {
 
     /// Total enqueue drops across every switch port.
     pub fn total_drops(&self) -> u64 {
-        self.ports.iter().map(|p| p.drops).sum()
+        self.rare_drops
+            .iter()
+            .filter(|((node, _), _)| matches!(self.nodes[node.0 as usize], Node::Switch(_)))
+            .map(|(_, d)| d.tail)
+            .sum()
     }
 
     /// Statistics of port `port` of `node`: a switch port, or a host's
@@ -553,11 +562,42 @@ impl SimCore {
         PortStats {
             queue_bytes: p.queue.bytes(),
             max_queue_bytes: p.queue.max_bytes_seen(),
-            drops: p.drops,
+            drops: rare.tail,
             tx_bytes: p.tx_bytes,
             fault_drops: rare.fault,
             no_route_drops: rare.no_route,
         }
+    }
+
+    /// The current parameters of port `port` of `node`: rate, delay,
+    /// FIFO capacity, link state and loss window, as the builder set
+    /// them and faults changed them since.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist.
+    pub(crate) fn port_params(&self, node: NodeId, port: usize) -> PortParams {
+        self.params[usize::from(self.port(node, port).link.params)]
+    }
+
+    /// Applies `change` to the parameters of port `port` of `node`
+    /// alone: the changed copy is interned, and the port moves to its
+    /// row, so the ports sharing the old row keep it.
+    pub(crate) fn change_port_params(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        change: impl FnOnce(&mut PortParams),
+    ) {
+        let mut params = self.port_params(node, port);
+        change(&mut params);
+        let row = intern_params(&mut self.params, params);
+        self.port_mut(node, port).link.params = row;
+    }
+
+    /// The index of switch `node` in `switches`, or `None` for a host.
+    pub(crate) fn switch_index(&self, node: NodeId) -> Option<usize> {
+        self.switches.binary_search(&node).ok()
     }
 
     /// Port `idx` of `node`: a host's NIC or a switch's table entry.
@@ -891,7 +931,13 @@ impl<A: Application> Simulator<A> {
     /// and config.
     pub fn new(net: Network, stack: Box<dyn ProtocolStack>, app: A, cfg: SimConfig) -> Self {
         let telemetry = Telemetry::new(&cfg.telemetry, cfg.seed, &Event::KIND_NAMES);
-        let policy_timers = net.nodes.iter().map(|_| Vec::new()).collect();
+        // Switch ids are handed out in creation order, so `switches`
+        // is sorted and `switch_index` can search it.
+        assert!(
+            net.switches.windows(2).all(|w| w[0] < w[1]),
+            "switch ids must be listed in ascending order"
+        );
+        let policy_timers = net.switches.iter().map(|_| Vec::new()).collect();
         let retirer = cfg.retire.clone().map(FlowRetirer::new);
         Self {
             core: SimCore {
@@ -899,6 +945,7 @@ impl<A: Application> Simulator<A> {
                 events: EventQueue::with_kind(cfg.scheduler),
                 nodes: net.nodes,
                 ports: net.ports,
+                params: net.params,
                 hosts: net.hosts,
                 switches: net.switches,
                 stack,
@@ -1074,7 +1121,7 @@ impl<'a> SimApi<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::app::NullApp;
     use crate::endpoint::{ReceiverEndpoint, SenderEndpoint};
@@ -1124,7 +1171,7 @@ mod tests {
         }
     }
 
-    pub(super) struct BlastStack;
+    pub(crate) struct BlastStack;
 
     impl ProtocolStack for BlastStack {
         fn new_sender(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn SenderEndpoint> {

@@ -9,8 +9,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::node::{
-    intern, port_in, DstIndex, Host, Node, Port, PortLink, RouteTable, Row, Switch, MAX_PORTS,
-    NO_GROUP, NO_ROUTE,
+    intern, intern_params, port_in, DstIndex, Host, Node, Port, PortLink, PortParams, RouteTable,
+    Row, Switch, Wire, MAX_PORTS, NO_GROUP, NO_ROUTE,
 };
 use crate::packet::NodeId;
 use crate::policy::{DropTail, SwitchPolicy};
@@ -179,6 +179,10 @@ pub struct Network {
     /// creation order. Each [`Switch::ports`] is its range here; host
     /// NICs stay in their [`Host`].
     pub ports: Vec<Port>,
+    /// The interned port parameters every port names a row of
+    /// ([`Wire::params`]): one row per distinct rate, delay, buffer,
+    /// link state and loss window.
+    pub params: Vec<PortParams>,
     /// Ids of the host nodes, in creation order.
     pub hosts: Vec<NodeId>,
     /// Ids of the switch nodes, in creation order.
@@ -423,6 +427,29 @@ impl TopologyBuilder {
             .map(|i| ports.of(i).len())
             .sum();
         let mut table = Vec::with_capacity(switch_ports);
+        // Consecutive ports mostly share a row, so the previous port's
+        // row is tried before the scan.
+        let mut params = Vec::new();
+        let mut last: Option<(PortParams, u16)> = None;
+        let mut wire = |l: &PortLink, capacity: u32| {
+            let p = PortParams {
+                rate: l.rate,
+                delay: l.delay,
+                capacity,
+                loss_permille: 0,
+                up: true,
+            };
+            let row = match last {
+                Some((q, row)) if q == p => row,
+                _ => intern_params(&mut params, p),
+            };
+            last = Some((p, row));
+            Wire {
+                peer: l.peer,
+                peer_port: l.peer_port,
+                params: row,
+            }
+        };
         for (i, kind) in self.kinds.iter().enumerate() {
             let id = NodeId(i as u32);
             let links = ports.of(i);
@@ -431,7 +458,7 @@ impl TopologyBuilder {
                     hosts.push(id);
                     nodes.push(Node::Host(Host {
                         id,
-                        nic: Port::new(links[0], host_buf),
+                        nic: Port::new(wire(&links[0], host_buf)),
                         stalled: false,
                     }));
                 }
@@ -439,7 +466,7 @@ impl TopologyBuilder {
                     switches.push(id);
                     let policy = make_policy(id, links);
                     let first = table.len() as u32;
-                    table.extend(links.iter().map(|&l| Port::new(l, switch_buf)));
+                    table.extend(links.iter().map(|l| Port::new(wire(l, switch_buf))));
                     nodes.push(Node::Switch(Switch {
                         id,
                         ports: first..table.len() as u32,
@@ -452,6 +479,7 @@ impl TopologyBuilder {
         Ok(Network {
             nodes,
             ports: table,
+            params,
             hosts,
             switches,
         })
@@ -1400,8 +1428,9 @@ mod tests {
             let (mut t, hosts, sw) = star(2, g, d);
             t.switch_buffer(switch).host_buffer(host);
             let net = t.build_drop_tail();
-            assert_eq!(net.port(sw, 0).queue.capacity_bytes(), switch);
-            assert_eq!(net.port(hosts[0], 0).queue.capacity_bytes(), host);
+            let capacity = |node| net.params[usize::from(net.port(node, 0).link.params)].capacity;
+            assert_eq!(u64::from(capacity(sw)), switch);
+            assert_eq!(u64::from(capacity(hosts[0])), host);
         }
         for (switch, host) in [(max + 1, 1), (1, max + 1), (1 << 40, 1 << 40)] {
             let (mut t, _, _) = star(2, g, d);

@@ -71,36 +71,40 @@ cargo test -q -p tfc-repro --test flow_memory
 # timer state past the flow's last packet names this gate.
 cargo test -q -p tfc-repro --test incast_memory
 
-# Compact fabric state: switch ports live in one table of 64-byte
-# ports whose FIFOs are links through the packet arena, switches that
-# forward identically share one interned route row, and TFC prototypes
-# and config are shared across the fabric. A counting allocator bounds
-# the live heap of a built k=36 TFC fat-tree at 5.25 MiB (104-byte
-# ports and a route row per switch took 9.9 MiB; per-switch vectors of
-# 128-byte ports and per-switch prototypes 12.2 MiB), so a regression
-# to wider ports, per-switch rows or per-port allocations names this
-# gate.
+# Compact fabric state: switch ports live in one table of 32-byte
+# ports whose FIFOs are links through the packet arena and whose rate,
+# delay, buffer and fault state are rows of one interned parameter
+# table, switches that forward identically share one interned route
+# row, and TFC prototypes and config are shared across the fabric. A
+# counting allocator bounds the live heap of a built k=36 TFC
+# fat-tree at the measured 3,174,164 B plus 5% (64-byte ports took
+# 5.0 MiB; 104-byte ports and a route row per switch 9.9 MiB;
+# per-switch vectors of 128-byte ports and per-switch prototypes 12.2
+# MiB), so a regression to wider ports, per-switch rows or per-port
+# allocations names this gate.
 cargo test -q -p tfc-repro --test port_memory
 
 # Compact event path: 16-byte events, 32-byte scheduler entries whose
 # bucket link and timer slot sit in parallel columns, 16-byte live-run
-# keys, 56-byte timer slots and 64-byte packet-arena slots, on the
-# compact fabric above. A counting allocator bounds the live-heap peak
-# of the benchmark's 1,100-flow k=36 fat-tree run at 18.25 MiB
-# (104-byte ports and a route row per switch peaked at 22.3 MiB;
-# 32-byte events, 56-byte entries and 80-byte arena slots on top at
-# 25.5 MiB), so a regression that widens a per-event, per-packet or
-# per-port record names this gate.
+# keys, 56-byte timer slots and 64-byte packet-arena slots, with pushes
+# at the instant just popped in a FIFO through the bucket links, on
+# the compact fabric above. A counting allocator bounds the live-heap
+# peak of the benchmark's 1,100-flow k=36 fat-tree run at the measured
+# 14,798,668 B plus 5% (64-byte ports and those pushes in a heap
+# peaked at 17.3 MiB; 104-byte ports and a route row per switch at
+# 22.3 MiB; 32-byte events, 56-byte entries and 80-byte arena slots on
+# top at 25.5 MiB), so a regression that widens a per-event,
+# per-packet or per-port record names this gate.
 cargo test -q -p tfc-repro --test event_memory
 
 # Never-moving tables: the packet arena's slots, the timing wheel's
 # entry columns and the timer slots grow in segments that are never
 # reallocated. A counting allocator bounds the bytes that reallocations
 # of blocks of 64 KiB or more may copy during the benchmark's k=36 loop
-# at 1,101,004 B (the wheel's live run, measured 1,048,576 B, plus 5%;
-# doubling `Vec`s for those tables made 8,273,920 B), so a regression
-# to a growable table that scales with in-flight packets names this
-# gate.
+# at the measured 65,536 B plus 5% (the wheel's sorted `current`
+# bucket; same-instant pushes in its `late` heap made 1,048,576 B and
+# doubling `Vec`s for those tables 8,273,920 B), so a regression to a
+# growable table that scales with in-flight packets names this gate.
 cargo test -q -p tfc-repro --test loop_moves
 
 # tfc-trace must summarize a smoke-run artifact bundle from the files

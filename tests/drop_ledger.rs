@@ -2,7 +2,8 @@
 //! log's exact `pkt_drop` count equals the tail, fault and no-route drops
 //! summed over every switch port and host NIC — including the two drops
 //! only a stalled host makes: a packet its endpoints emit into the NIC,
-//! and a packet arriving for them. Under a dropping switch policy, it
+//! and a packet arriving for them. Under a dropping switch policy, and
+//! under TFC policy resets that wipe the ACKs a delay arbiter holds, it
 //! equals the ports' drops plus the simulator's policy drops.
 
 use chaos::timeline::FaultTimeline;
@@ -147,6 +148,51 @@ fn policy_drops_reconcile_with_the_log() {
 
     let core = sim.core();
     assert!(core.policy_drops() > 0, "the policy drops packets");
+    assert_eq!(
+        core.telemetry().log.count_of("pkt_drop"),
+        port_drops(core, sw, &hosts) + core.policy_drops(),
+        "logged drops reconcile"
+    );
+}
+
+/// ACKs a TFC delay arbiter holds when a policy reset wipes its port are
+/// lost as policy drops, and logged: sixteen backlogged TFC senders into
+/// one 1 Gbps receiver, whose switch port (where the arbiter holds the
+/// receiver's ACKs) is reset every millisecond for 20 ms.
+#[test]
+fn policy_reset_drops_reconcile_with_the_log() {
+    let senders = 16;
+    let (t, hosts, sw) = star(senders + 1, Bandwidth::gbps(1), Dur::micros(1));
+    let receiver = hosts[senders];
+    let proto_cfg = ProtoConfig::default();
+    let flows = hosts[..senders]
+        .iter()
+        .map(|&src| OnOffFlow {
+            src,
+            dst: receiver,
+            active: vec![(0, 40 * MS)],
+        })
+        .collect();
+    let mut sim = Simulator::new(
+        proto_cfg.build_net(Proto::Tfc, t),
+        proto_cfg.stack(Proto::Tfc),
+        OnOffApp::new(flows, 128 * 1024),
+        SimConfig {
+            seed: 5,
+            end: Some(Time(HORIZON)),
+            telemetry: full_log(),
+            ..Default::default()
+        },
+    );
+    // `star` links host i to switch port i.
+    let timeline = (1..=20).fold(FaultTimeline::new(), |t, ms| {
+        t.policy_reset(Time(ms * MS), sw, senders)
+    });
+    timeline.install(sim.core_mut());
+    sim.run();
+
+    let core = sim.core();
+    assert!(core.policy_drops() > 0, "a reset wipes held ACKs");
     assert_eq!(
         core.telemetry().log.count_of("pkt_drop"),
         port_drops(core, sw, &hosts) + core.policy_drops(),

@@ -16,15 +16,14 @@
 //! - no packet reaches a host that holds no endpoint of its flow
 //!   (`SimCore::stale_arrivals`; in debug builds the simulator also
 //!   asserts it at the arrival);
-//! - every completed flow's endpoints are freed, with one exception.
+//! - every completed flow's endpoints are freed.
 //!
-//! The exception: a policy reset wipes the TFC delay arbiter's held
-//! ACKs on the reset port. Such an ACK was counted in flight when its
-//! receiver sent it and is never freed from the arena or re-injected,
-//! so its flow's count never returns to 0 and the flow keeps its
-//! endpoints. The flow itself recovers (its sender retransmits on RTO)
-//! and completes. `tfc_policy_reset_keeps_only_flows_with_wiped_acks`
-//! pins those flows.
+//! A policy reset wipes the TFC delay arbiter's held ACKs on the reset
+//! port. Each was counted in flight when its receiver sent it; the
+//! reset loses it as a policy drop, which counts it out again, so its
+//! flow is freed once it completes (its sender retransmits on RTO).
+//! `tfc_policy_reset_loses_wiped_acks_as_policy_drops` pins those
+//! drops.
 
 use chaos::FaultTimeline;
 use experiments::proto::{Proto, ProtoConfig};
@@ -82,6 +81,8 @@ struct Outcome {
     in_arena: usize,
     /// RTOs over all flows.
     timeouts: u64,
+    /// Packets switch policies dropped.
+    policy_drops: u64,
 }
 
 /// Incast rounds on fresh connections: every sender sends one 64 KB
@@ -166,15 +167,13 @@ fn incast(proto: Proto, fault: Fault) -> Outcome {
         stale: core.stale_arrivals(),
         in_arena: core.packet_arena().live(),
         timeouts: core.flows().map(|(_, s)| s.timeouts).sum(),
+        policy_drops: core.policy_drops(),
     }
 }
 
-/// Runs every fault but the policy reset under `proto`.
+/// Runs every fault under `proto`.
 fn check_freed(proto: Proto) {
     for fault in FAULTS {
-        if matches!(fault, Fault::PolicyReset) && proto == Proto::Tfc {
-            continue; // Pinned on its own below.
-        }
         let out = incast(proto, fault);
         assert_eq!(
             out.completed,
@@ -212,17 +211,20 @@ fn tcp_frees_every_completed_flow() {
     check_freed(Proto::Tcp);
 }
 
-/// The reset wipes one held ACK of each of flows 91–95. Their senders
-/// time out and retransmit, so the flows complete, but each keeps one
-/// packet counted in flight that no arena slot holds: the drained run
-/// leaves the arena empty, so the count can only be the wiped hold.
+/// The reset wipes one held ACK of each of five flows. Each is lost as
+/// a policy drop, so the flows are freed once their senders time out,
+/// retransmit and complete.
 #[test]
-fn tfc_policy_reset_keeps_only_flows_with_wiped_acks() {
+fn tfc_policy_reset_loses_wiped_acks_as_policy_drops() {
     let out = incast(Proto::Tfc, Fault::PolicyReset);
     assert_eq!(out.completed, SENDERS * ROUNDS as usize);
     assert_eq!(out.stale, 0, "packets reached freed flows");
     assert_eq!(out.in_arena, 0, "the run drained");
+    assert_eq!(out.policy_drops, 5, "one wiped ACK of each of five flows");
     assert_eq!(out.timeouts, 5, "each wiped ACK costs its sender an RTO");
-    let wiped: Vec<FlowId> = (91..=95).map(FlowId).collect();
-    assert_eq!(out.kept, wiped, "only flows whose held ACK the reset wiped");
+    assert_eq!(
+        out.kept,
+        Vec::<FlowId>::new(),
+        "every completed flow is freed"
+    );
 }
