@@ -19,7 +19,7 @@ use experiments::ne::NeConfig;
 use experiments::rho::RhoConfig;
 use experiments::rttb::RttbConfig;
 use experiments::workconserving::WorkConservingConfig;
-use experiments::{Proto, ProtoConfig};
+use experiments::Proto;
 use simnet::units::Dur;
 use tfc_bench::chart::{bar_chart, line_chart};
 use tfc_bench::{dump_json, fmt_bps, fmt_kb, fmt_us, header};
@@ -775,8 +775,3 @@ fn sweeps(paper: bool) {
         &tfc_bench::json!({"alpha": ser(&apts), "init_rttb_us": ser(&rpts)}),
     );
 }
-
-// ProtoConfig is re-exported for downstream parameterisation of custom
-// sweeps; reference it so the import stays honest.
-#[allow(dead_code)]
-fn _unused(_: ProtoConfig) {}

@@ -1,25 +1,18 @@
-//! `tfc-scale-bench`: the simulation-core scale suite.
+//! `tfc-scale-bench`: the scheduler and tracing identity smokes.
 //!
 //! Runs five scenarios — the paper's 360-host leaf-spine at 10 Gbps
-//! edge links, a wide incast fan-in, a chaos fault timeline, a k-ary
-//! fat-tree scale point (k = 36 → 11664 hosts in full mode), and a
-//! multipath fat-tree whose cross-pod flows spray over every
-//! equal-cost uplink while edge and aggregation links flap (ECMP
-//! forwarding plus selection-time reroute at scale) —
-//! under the reference binary-heap scheduler and the timing wheel (the
-//! default). For each scenario, it checks both produced *identical*
-//! simulations (same event count, same delivered bytes) and records
-//! events/sec, writing `results/bench/BENCH_scale.json`. The timer
-//! covers `Simulator::run` alone — topology and route build and flow
-//! setup are excluded — so `speedup` is a loop-only ratio.
+//! edge links, a wide incast fan-in, a chaos fault timeline, a k = 8
+//! fat-tree, and a multipath fat-tree whose cross-pod flows spray over
+//! every equal-cost uplink while edge and aggregation links flap (ECMP
+//! forwarding plus selection-time reroute) — under the reference
+//! binary-heap scheduler, the timing wheel (the default) and the wheel
+//! with flow-sampled lifecycle tracing (16/1000 flows), and asserts all
+//! three reach the same outcome (events processed, bytes delivered).
+//! On the leaf-spine it also records `trace_overhead`, the traced loop
+//! time over the untraced one (1.0 = free; `scripts/verify.sh` bounds
+//! it at 1.10). The results go to `results/bench/BENCH_scale.json`.
+//! Simulator speed is measured by perfbench, not here.
 //!
-//! Each scenario also re-runs the default variant with flow-sampled
-//! lifecycle tracing on (16/1000 flows), asserting the traced
-//! simulation is outcome-identical to the untraced one and recording
-//! the loop-time ratio as `trace_overhead` (1.0 = free; the CI smoke
-//! bounds the leaf-spine value at 1.10).
-//!
-//! `--quick` shortens every horizon for CI smoke use (`scripts/verify.sh`).
 //! `--det` instead exports two same-seed wheel runs for the verify.sh
 //! byte-determinism gate (`tfc-trace diff`).
 
@@ -184,10 +177,7 @@ fn chaos_leaf_spine(sim_ms: u64, flows: usize) -> Scenario {
     }
 }
 
-/// k-ary fat-tree (Al-Fares) with a sparse random flow matrix: the
-/// ≥10k-host scale point. Full mode runs k = 36 (11664 hosts, 1620
-/// switches); quick CI smoke uses k = 8 (128 hosts) to exercise the
-/// same code path cheaply.
+/// k-ary fat-tree (Al-Fares) with a sparse random flow matrix.
 fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
     Scenario {
         name: "fat_tree",
@@ -223,9 +213,8 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
 /// matrix sprays over every equal-cost uplink via the `(flow, hop)`
 /// ECMP hash while one edge uplink and one aggregation-core link flap
 /// mid-run, forcing selection-time reroutes. The cross-variant identity
-/// check then doubles as a scale-sized proof that route churn does not
-/// leak the scheduler backend into the simulation. Quick CI smoke uses
-/// k = 8; full mode k = 16 (1024 hosts).
+/// check then doubles as proof that route churn does not leak the
+/// scheduler backend into the simulation.
 fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
     Scenario {
         name: "fat_tree_multipath",
@@ -266,91 +255,55 @@ fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
     }
 }
 
-struct Row {
-    name: &'static str,
-    hosts: usize,
-    flows: usize,
-    sim_ms: u64,
-    events: u64,
-    heap_loop_ms: f64,
-    wheel_loop_ms: f64,
-    heap_events_per_sec: f64,
-    wheel_events_per_sec: f64,
-    /// Wheel vs reference heap, event loop only.
-    speedup: f64,
-    traced_loop_ms: f64,
-    traced_events_per_sec: f64,
-    /// Wheel with sampled lifecycle tracing vs without.
-    trace_overhead: f64,
-}
+/// Flow-sampled lifecycle tracing, as the identity and overhead checks
+/// run it.
+const SAMPLED: TraceConfig = TraceConfig::SampledFlows {
+    permille: 16,
+    seed: 9,
+};
 
-fn bench(s: &Scenario) -> Row {
-    let (heap_out, heap_secs) = (s.run)(SchedulerKind::RefHeap, TraceConfig::Off);
-    let (wheel_out, wheel_secs) = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
+/// Runs `s` under the reference heap, the wheel and the traced wheel,
+/// asserting all three reach one outcome, and returns it.
+fn check_identity(s: &Scenario) -> Outcome {
+    let (heap, _) = (s.run)(SchedulerKind::RefHeap, TraceConfig::Off);
+    let (wheel, _) = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
     assert_eq!(
-        heap_out, wheel_out,
+        heap, wheel,
         "{}: wheel diverged from heap (events, delivered)",
         s.name
     );
-    // The overhead ratio is measured in adjacent traced/untraced pairs
-    // and reported as the minimum per-pair ratio: single wall-clock
-    // samples on shared machines swing by double digits, but two runs
-    // launched back to back see (mostly) the same ambient load, so
-    // their ratio cancels slowdowns that would otherwise masquerade as
-    // tracing cost. The minimum across pairs then discards pairs a load
-    // spike split down the middle.
-    let sampled = TraceConfig::SampledFlows {
-        permille: 16,
-        seed: 9,
-    };
-    let mut traced_best = f64::INFINITY;
-    let mut overhead = f64::INFINITY;
-    for _ in 0..3 {
-        let (traced_out, traced_secs) = (s.run)(SchedulerKind::Wheel, sampled);
-        assert_eq!(
-            wheel_out, traced_out,
-            "{}: sampled tracing changed the simulation (events, delivered)",
-            s.name
-        );
-        traced_best = traced_best.min(traced_secs);
-        let (out, untraced_secs) = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
-        assert_eq!(wheel_out, out, "{}: rerun diverged", s.name);
-        overhead = overhead.min(traced_secs / untraced_secs);
-    }
-    let events = heap_out.0;
-    Row {
-        name: s.name,
-        hosts: s.hosts,
-        flows: s.flows,
-        sim_ms: s.sim_ms,
-        events,
-        heap_loop_ms: heap_secs * 1e3,
-        wheel_loop_ms: wheel_secs * 1e3,
-        heap_events_per_sec: events as f64 / heap_secs,
-        wheel_events_per_sec: events as f64 / wheel_secs,
-        speedup: heap_secs / wheel_secs,
-        traced_loop_ms: traced_best * 1e3,
-        traced_events_per_sec: events as f64 / traced_best,
-        trace_overhead: overhead,
-    }
+    let (traced, _) = (s.run)(SchedulerKind::Wheel, SAMPLED);
+    assert_eq!(
+        wheel, traced,
+        "{}: sampled tracing changed the simulation (events, delivered)",
+        s.name
+    );
+    wheel
 }
 
-fn row_json(r: &Row) -> Value {
-    telemetry::json!({
-        "name": r.name,
-        "hosts": r.hosts as u64,
-        "flows": r.flows as u64,
-        "sim_ms": r.sim_ms,
-        "events": r.events,
-        "heap_loop_ms": r.heap_loop_ms,
-        "wheel_loop_ms": r.wheel_loop_ms,
-        "heap_events_per_sec": r.heap_events_per_sec,
-        "wheel_events_per_sec": r.wheel_events_per_sec,
-        "speedup": r.speedup,
-        "traced_loop_ms": r.traced_loop_ms,
-        "traced_events_per_sec": r.traced_events_per_sec,
-        "trace_overhead": r.trace_overhead,
-    })
+/// The traced wheel's loop time over the untraced one on `s`, whose
+/// runs must all reach `expect`.
+///
+/// The ratio is measured in adjacent traced/untraced pairs and reported
+/// as the minimum per-pair ratio: single wall-clock samples on shared
+/// machines swing by double digits, but two runs launched back to back
+/// see (mostly) the same ambient load, so their ratio cancels slowdowns
+/// that would otherwise masquerade as tracing cost. The minimum across
+/// pairs then discards pairs a load spike split down the middle.
+fn trace_overhead(s: &Scenario, expect: Outcome) -> f64 {
+    let mut overhead = f64::INFINITY;
+    for _ in 0..3 {
+        let (traced, traced_secs) = (s.run)(SchedulerKind::Wheel, SAMPLED);
+        let (untraced, untraced_secs) = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
+        assert_eq!(
+            (traced, untraced),
+            (expect, expect),
+            "{}: rerun diverged",
+            s.name
+        );
+        overhead = overhead.min(traced_secs / untraced_secs);
+    }
+    overhead
 }
 
 /// `--det`: exports two same-seed wheel chaos leaf-spine runs with
@@ -404,51 +357,46 @@ fn det_export() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--det") {
-        det_export();
-        return;
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("--det") => return det_export(),
+        Some(other) => {
+            eprintln!("usage: tfc-scale-bench [--det] (unknown argument {other:?})");
+            std::process::exit(2);
+        }
     }
-    let quick = std::env::args().any(|a| a == "--quick");
-    let scenarios = if quick {
-        vec![
-            leaf_spine_360(5, 300),
-            incast_fanin(5, 40),
-            chaos_leaf_spine(15, 24),
-            fat_tree_scale(8, 4, 120),
-            fat_tree_multipath(8, 4, 96),
-        ]
-    } else {
-        vec![
-            leaf_spine_360(60, 1200),
-            incast_fanin(40, 120),
-            chaos_leaf_spine(100, 48),
-            fat_tree_scale(36, 5, 3000),
-            fat_tree_multipath(16, 6, 1200),
-        ]
-    };
+    let scenarios = [
+        leaf_spine_360(5, 300),
+        incast_fanin(5, 40),
+        chaos_leaf_spine(15, 24),
+        fat_tree_scale(8, 4, 120),
+        fat_tree_multipath(8, 4, 96),
+    ];
 
     let mut rows = Vec::new();
+    let mut overhead = None;
     for s in &scenarios {
         eprintln!(
             "running {} ({} hosts, {} flows, {} ms)...",
             s.name, s.hosts, s.flows, s.sim_ms
         );
-        let row = bench(s);
-        eprintln!(
-            "  {} events; heap {:.0} ev/s, wheel {:.0} ev/s, speedup {:.2}x, trace overhead {:.3}x",
-            row.events,
-            row.heap_events_per_sec,
-            row.wheel_events_per_sec,
-            row.speedup,
-            row.trace_overhead,
-        );
-        rows.push(row);
+        let outcome = check_identity(s);
+        eprintln!("  {} events, heap == wheel == traced wheel", outcome.0);
+        if s.name == "leaf_spine_360" {
+            let o = trace_overhead(s, outcome);
+            eprintln!("  trace overhead {o:.3}x");
+            overhead = Some(o);
+        }
+        rows.push(telemetry::json!({
+            "name": s.name,
+            "hosts": s.hosts as u64,
+            "flows": s.flows as u64,
+            "sim_ms": s.sim_ms,
+            "events": outcome.0,
+        }));
     }
+    let overhead = overhead.expect("leaf-spine scenario present");
 
-    let leaf = rows
-        .iter()
-        .find(|r| r.name == "leaf_spine_360")
-        .expect("leaf-spine scenario present");
     // Timings are only interpretable relative to the machine: record
     // how many hardware threads it advertises and how many the suite
     // keeps busy (the single event-loop thread). `available_parallelism`
@@ -456,33 +404,20 @@ fn main() {
     let available_parallelism = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(0);
-    let mut doc = telemetry::json!({
-        "schema": "tfc-bench-scale/v7",
-        "mode": if quick { "quick" } else { "full" },
+    let doc = telemetry::json!({
+        "schema": "tfc-bench-scale/v8",
         "git": git_describe().as_str(),
         "host": telemetry::json!({
             "available_parallelism": available_parallelism,
             "active_threads": 1u64,
         }),
-        "scenarios": Value::Array(rows.iter().map(row_json).collect()),
-        "leaf_spine_speedup": leaf.speedup,
-        "trace_overhead": leaf.trace_overhead,
+        "scenarios": Value::Array(rows),
+        "trace_overhead": overhead,
     });
 
     let dir = results_dir().join("bench");
     std::fs::create_dir_all(&dir).expect("create results/bench");
     let path = dir.join("BENCH_scale.json");
-    // `tfc-million` merges its streaming block into the same document;
-    // carry an existing block across re-runs of this suite.
-    if let Some(million) = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| json::parse(&s).ok())
-        .and_then(|v| v.get("million").cloned())
-    {
-        if let Value::Object(map) = &mut doc {
-            map.insert("million".to_string(), million);
-        }
-    }
     json::write_file(&path, |w| w.value(&doc)).expect("write BENCH_scale.json");
 
     // Self-validate: the written file must parse back with the expected
@@ -491,7 +426,7 @@ fn main() {
         .expect("BENCH_scale.json parses");
     assert_eq!(
         parsed.get("schema").and_then(Value::as_str),
-        Some("tfc-bench-scale/v7")
+        Some("tfc-bench-scale/v8")
     );
     let host = parsed.get("host").expect("host block present");
     for key in ["available_parallelism", "active_threads"] {
@@ -500,31 +435,19 @@ fn main() {
             "host.{key} must be recorded"
         );
     }
-    assert!(
-        parsed
-            .get("scenarios")
-            .and_then(Value::as_array)
-            .into_iter()
-            .flatten()
-            .any(|s| s.get("name").and_then(Value::as_str) == Some("fat_tree_multipath")),
-        "multipath scenario missing from the suite"
-    );
     let scen = parsed
         .get("scenarios")
         .and_then(Value::as_array)
         .expect("scenarios array");
-    assert!(!scen.is_empty(), "no scenarios recorded");
+    assert_eq!(scen.len(), scenarios.len(), "every scenario recorded");
     for s in scen {
-        for key in [
-            "heap_events_per_sec",
-            "wheel_events_per_sec",
-            "speedup",
-            "traced_events_per_sec",
-            "trace_overhead",
-        ] {
-            let v = s.get(key).and_then(Value::as_f64).expect("rate present");
-            assert!(v > 0.0, "{key} must be positive");
-        }
+        let events = s.get("events").and_then(Value::as_f64).expect("events");
+        assert!(events > 0.0, "a scenario processed no events");
     }
+    let o = parsed.get("trace_overhead").and_then(Value::as_f64);
+    assert!(
+        o.is_some_and(|o| o > 0.0),
+        "trace_overhead must be positive"
+    );
     println!("{}", path.display());
 }

@@ -14,8 +14,8 @@
 //!    the endpoint records reused as flows retire, and the scheduler's
 //!    queued-entry high-water bounded by peak live flows.
 //!
-//! Results merge into `results/bench/BENCH_scale.json` (schema v4)
-//! under the `"million"` key, alongside the `tfc-scale-bench` rows.
+//! Results go to `results/bench/BENCH_million.json`
+//! (`tfc-bench-million/v1`).
 
 use experiments::million::{
     assert_sketch_matches_exact, run, MillionConfig, SCHED_ENTRIES_PER_LIVE_FLOW,
@@ -119,7 +119,9 @@ fn main() {
             "slowdown_p99": c.slowdown_p99.unwrap_or(0.0),
         })
     };
-    let million = telemetry::json!({
+    let doc = telemetry::json!({
+        "schema": "tfc-bench-million/v1",
+        "git": git_describe().as_str(),
         "mode": if quick { "quick" } else { "full" },
         "target_flows": cfg.target_flows,
         "completed": stats.completed,
@@ -145,44 +147,12 @@ fn main() {
 
     let dir = results_dir().join("bench");
     std::fs::create_dir_all(&dir).expect("create results/bench");
-    let path = dir.join("BENCH_scale.json");
-    let mut doc = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| json::parse(&s).ok())
-        .unwrap_or_else(|| {
-            telemetry::json!({
-                "schema": "tfc-bench-scale/v4",
-                "git": git_describe().as_str(),
-            })
-        });
-    match &mut doc {
-        Value::Object(map) => {
-            map.insert("million".to_string(), million);
-            // The million block is what v4 adds over v3, so merging it
-            // into an older document upgrades the schema to v4 — but a
-            // newer document (v5+, written by tfc-scale-bench) keeps its
-            // own schema: never downgrade.
-            let existing = map
-                .get("schema")
-                .and_then(|v| v.as_str())
-                .and_then(|s| s.strip_prefix("tfc-bench-scale/v"))
-                .and_then(|n| n.parse::<u64>().ok())
-                .unwrap_or(0);
-            if existing < 4 {
-                map.insert(
-                    "schema".to_string(),
-                    Value::Str("tfc-bench-scale/v4".to_string()),
-                );
-            }
-        }
-        _ => panic!("BENCH_scale.json is not an object"),
-    }
-    json::write_file(&path, |w| w.value(&doc)).expect("write BENCH_scale.json");
+    let path = dir.join("BENCH_million.json");
+    json::write_file(&path, |w| w.value(&doc)).expect("write BENCH_million.json");
 
-    // Self-validate the merged document.
-    let parsed = json::parse(&std::fs::read_to_string(&path).expect("read back"))
-        .expect("BENCH_scale.json parses");
-    let m = parsed.get("million").expect("million block present");
+    // Self-validate the written document.
+    let m = json::parse(&std::fs::read_to_string(&path).expect("read back"))
+        .expect("BENCH_million.json parses");
     for key in ["flows_per_sec", "events_per_sec"] {
         assert!(
             m.get(key).and_then(Value::as_f64).expect("rate present") > 0.0,

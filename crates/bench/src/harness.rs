@@ -1,13 +1,13 @@
 //! A plain timed-binary bench harness with a `criterion`-shaped API.
 //!
-//! The benches under `benches/` were written against Criterion; pulling
+//! `benches/engine_micro.rs` was written against Criterion; pulling
 //! that crate (and its large dependency tree) from a registry is not
 //! possible in the hermetic build, so this module provides the small
-//! surface they use — `Criterion::bench_function`, benchmark groups,
-//! element throughput, and the `criterion_group!`/`criterion_main!`
-//! macros — implemented as a straightforward wall-clock timer. Each
-//! bench target stays `harness = false`, so `cargo bench` runs these
-//! binaries directly and prints one line per benchmark:
+//! surface it uses — benchmark groups, element throughput, and the
+//! `criterion_group!`/`criterion_main!` macros — implemented as a
+//! straightforward wall-clock timer. The bench target stays
+//! `harness = false`, so `cargo bench` runs the binary directly and
+//! prints one line per benchmark:
 //!
 //! ```text
 //! bench event_queue/schedule_pop_10k ... mean 1.23 ms, min 1.19 ms, 8.1 Melem/s (10 iters)
@@ -41,12 +41,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets iterations per benchmark (builder style, like Criterion).
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
     /// Opens a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup {
         BenchmarkGroup {
@@ -54,12 +48,6 @@ impl Criterion {
             sample_size: self.sample_size,
             throughput: None,
         }
-    }
-
-    /// Times one benchmark outside any group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        run_bench(name, self.sample_size, None, f);
-        self
     }
 }
 
@@ -169,12 +157,6 @@ fn fmt_rate(per_sec: f64) -> String {
 /// Declares a bench group function, mirroring `criterion_group!`.
 #[macro_export]
 macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c: $crate::harness::Criterion = $config;
-            $( $target(&mut c); )+
-        }
-    };
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
             let mut c = $crate::harness::Criterion::default();
@@ -202,15 +184,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_function_runs_requested_samples() {
-        let mut calls = 0;
-        let mut c = Criterion::default().sample_size(3);
-        c.bench_function("unit", |b| b.iter(|| calls += 1));
-        // One warm-up plus three timed samples.
-        assert_eq!(calls, 4);
-    }
-
-    #[test]
     fn group_applies_sample_size_and_throughput() {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("g");
@@ -218,6 +191,7 @@ mod tests {
         let mut calls = 0;
         g.bench_function("inner", |b| b.iter(|| calls += 1));
         g.finish();
+        // One warm-up plus two timed samples.
         assert_eq!(calls, 3);
     }
 

@@ -16,7 +16,7 @@
 //! [`PacketArena::get`] panics — rather than silently aliasing whatever
 //! packet reused the slot. The generation wraps after 2^31 reuses of
 //! one slot, preserving its parity. This mirrors the
-//! [`crate::sched::TimerHandle`] slab and the FlowMap generation scheme.
+//! [`crate::sched::TimerHandle`] slab.
 //!
 //! Determinism: slot indices are assigned LIFO from the free list, so
 //! for a fixed event order the id assignment (and thus everything

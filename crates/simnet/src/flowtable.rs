@@ -5,8 +5,7 @@
 //! of an ordered map: O(1) lookup, no pointer chasing, and iteration
 //! stays in id order (which the artifact exporters rely on). When flow
 //! retirement is enabled ([`crate::retire`]) completed ids are
-//! recycled, so the slab's length is bounded by peak concurrency while
-//! the per-slot generations keep stale references detectable.
+//! recycled, so the slab's length is bounded by peak concurrency.
 //!
 //! A flow's endpoints live in a second table, a `Slab` that hands out
 //! and reuses its own `u32` indices: an endpoint record is freed as soon
@@ -30,11 +29,6 @@ use crate::segmented::Segmented;
 #[derive(Debug)]
 pub struct FlowMap<T> {
     slots: Segmented<Option<T>>,
-    /// Per-slot generation, bumped every time an entry is removed. A
-    /// stale actor holding a flow id across teardown and re-insert can
-    /// compare generations to tell the new occupant from the state it
-    /// remembers — dead state is never resurrected by id reuse.
-    gens: Segmented<u32>,
     len: usize,
     /// High-water mark of `len`: the peak number of simultaneously live
     /// entries this table ever held. With id recycling the slab length
@@ -59,7 +53,6 @@ impl<T> FlowMap<T> {
     pub fn new() -> Self {
         FlowMap {
             slots: Segmented::new("flow table"),
-            gens: Segmented::new("flow generations"),
             len: 0,
             peak_len: 0,
         }
@@ -112,7 +105,6 @@ impl<T> FlowMap<T> {
         let idx = slot(id).expect("flow id exceeds the flow table");
         while self.slots.len() <= idx as usize {
             self.slots.push(None);
-            self.gens.push(0);
         }
         let old = self.slots[idx].replace(value);
         if old.is_none() {
@@ -122,27 +114,13 @@ impl<T> FlowMap<T> {
         old
     }
 
-    /// Removes and returns the entry for `id`, if any. Removal bumps the
-    /// slot's generation (see [`generation`](Self::generation)).
+    /// Removes and returns the entry for `id`, if any.
     pub fn remove(&mut self, id: FlowId) -> Option<T> {
-        let idx = slot(id)?;
-        let old = self.slots.get_mut(idx).and_then(Option::take);
+        let old = self.slots.get_mut(slot(id)?).and_then(Option::take);
         if old.is_some() {
-            self.gens[idx] = self.gens[idx].wrapping_add(1);
             self.len -= 1;
         }
         old
-    }
-
-    /// Generation of `id`'s slot: 0 until the first removal, then +1 per
-    /// removal. A `(FlowId, generation)` pair uniquely names one
-    /// occupancy of the slot, so state captured before a teardown can be
-    /// recognised as stale after the id is reused.
-    pub fn generation(&self, id: FlowId) -> u32 {
-        slot(id)
-            .and_then(|i| self.gens.get(i))
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Iterates entries in flow-id order.
@@ -262,80 +240,20 @@ mod tests {
         assert_eq!(m.len(), 1);
     }
 
-    #[test]
-    fn slot_reuse_keeps_generations_distinct() {
-        // Grow, retire, and reinsert under the same flow id: each
-        // occupancy gets its own generation, so a stale reference to a
-        // dead flow can never be confused with the slot's new tenant.
-        let mut m: FlowMap<&str> = FlowMap::new();
-        let id = FlowId(4);
-        assert_eq!(m.generation(id), 0, "untouched slot");
-        m.insert(id, "first");
-        assert_eq!(m.generation(id), 0, "insert does not bump");
-        let before = m.generation(id);
-        assert_eq!(m.remove(id), Some("first"));
-        assert_eq!(m.generation(id), before + 1, "remove bumps");
-        m.insert(id, "second");
-        assert_eq!(m.generation(id), before + 1);
-        assert_eq!(
-            m.get(id),
-            Some(&"second"),
-            "reused slot holds the new state only"
-        );
-        assert_eq!(m.remove(id), Some("second"));
-        assert_eq!(m.generation(id), before + 2, "one bump per occupancy");
-        assert_eq!(m.get(id), None, "dead state is not resurrected");
-    }
-
-    #[test]
-    fn generation_survives_failed_removes_and_growth() {
-        let mut m: FlowMap<u8> = FlowMap::new();
-        m.insert(FlowId(1), 1);
-        m.remove(FlowId(1));
-        assert_eq!(m.generation(FlowId(1)), 1);
-        // Removing an empty or out-of-range slot bumps nothing.
-        m.remove(FlowId(1));
-        m.remove(FlowId(50));
-        assert_eq!(m.generation(FlowId(1)), 1);
-        assert_eq!(m.generation(FlowId(50)), 0, "beyond the slab");
-        // Growing the slab preserves earlier generations.
-        m.insert(FlowId(9), 9);
-        assert_eq!(m.generation(FlowId(1)), 1);
-        assert_eq!(m.generation(FlowId(9)), 0);
-    }
-
     /// Churn stress for the retirement path: a million insert/remove
-    /// cycles funnelled through a 64-slot id window. Every cycle a
-    /// "stale actor" captures the `(id, generation)` pair of the tenant
-    /// it is about to tear down and verifies the bump makes the captured
-    /// pair unmatchable afterwards; at the end the slab must have grown
+    /// cycles funnelled through a 64-slot id window must grow the slab
     /// to peak concurrency and not one slot further.
     #[test]
-    fn million_cycle_churn_stays_bounded_with_detectable_stale_ids() {
+    fn million_cycle_churn_stays_bounded() {
         const CONCURRENCY: u64 = 64;
         const CYCLES: u64 = 1_000_000;
         let mut m: FlowMap<u64> = FlowMap::new();
-        let mut removes = vec![0u32; CONCURRENCY as usize];
         for i in 0..CYCLES {
             let id = FlowId(i % CONCURRENCY);
             if i >= CONCURRENCY {
-                let stale = m.generation(id);
                 assert_eq!(m.remove(id), Some(i - CONCURRENCY), "tenant intact at {i}");
-                removes[id.0 as usize] += 1;
-                assert_ne!(
-                    m.generation(id),
-                    stale,
-                    "stale id must be detectable at {i}"
-                );
             }
             assert_eq!(m.insert(id, i), None, "slot must be empty at {i}");
-        }
-        for (slot, &r) in removes.iter().enumerate() {
-            assert_eq!(
-                m.generation(FlowId(slot as u64)),
-                r,
-                "one bump per occupancy"
-            );
         }
         assert_eq!(m.len(), CONCURRENCY as usize);
         assert_eq!(m.peak_len(), CONCURRENCY as usize);
@@ -354,7 +272,6 @@ mod tests {
             assert_eq!(m.get(id), None);
             assert_eq!(m.get_mut(id), None);
             assert_eq!(m.remove(id), None);
-            assert_eq!(m.generation(id), 0);
         }
         assert_eq!(m.capacity(), 3, "ids 0 and 1 are holes");
     }

@@ -139,9 +139,7 @@ impl SimCore {
             return;
         };
         // The timer's cancellation handle is spent the moment it fires.
-        if let Some(i) = e.timers.iter().position(|&(t, _)| t == token) {
-            e.timers.swap_remove(i);
-        }
+        e.timers.fired(token);
         if e.src == node {
             e.sender.on_timer(token, now, &mut fx);
         }
@@ -153,10 +151,7 @@ impl SimCore {
     /// A switch-policy timer fires.
     fn on_policy_timer(&mut self, node: NodeId, token: u64) {
         if let Some(sw) = self.switch_index(node) {
-            let pending = &mut self.policy_timers[sw];
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                pending.swap_remove(i);
-            }
+            self.policy_timers[sw].fired(token);
         }
         let now = self.now;
         let mut fx = self.take_policy_fx();
@@ -414,18 +409,18 @@ impl SimCore {
             // Cancels first, so a policy that re-arms in the same
             // callback cancels the stale generation before scheduling
             // the new one.
+            let pending = &mut self.policy_timers[sw];
             for token in fx.cancels.drain(..) {
-                let pending = &mut self.policy_timers[sw];
-                if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                    let (_, handle) = pending.swap_remove(i);
-                    self.events.cancel(handle);
-                }
+                pending.cancel(&mut self.events, token);
             }
             for (after, token) in fx.timers.drain(..) {
-                let handle = self
-                    .events
-                    .schedule_cancellable(self.now + after, Event::PolicyTimer { node, token });
-                self.policy_timers[sw].push((token, handle));
+                let at = self.now + after;
+                pending.arm(
+                    &mut self.events,
+                    at,
+                    Event::PolicyTimer { node, token },
+                    token,
+                );
             }
         }
         for (port, pkt) in fx.discards.drain(..) {

@@ -120,7 +120,7 @@ pub enum SchedulerKind {
     Wheel,
     /// The pre-refactor global binary heap: O(log n) schedule/pop.
     /// Kept as the reference implementation for equivalence tests and
-    /// as the baseline in the scale benchmarks.
+    /// as the baseline of perfbench's `sched.refheap_ratio`.
     RefHeap,
 }
 
@@ -542,28 +542,6 @@ impl Wheel {
             }
         }
     }
-
-    fn peek_key(&self) -> Option<(Time, u64)> {
-        let mut best = self.live_min();
-        if self.fifo_head != NIL {
-            let k = self.key(self.fifo_head);
-            best = Some(best.map_or(k, |b| b.min(k)));
-        }
-        for level in 0..LEVELS {
-            if let Some((slot, _)) = self.candidate(level) {
-                let mut idx = self.heads[level * SLOTS + slot];
-                while idx != NIL {
-                    let k = self.key(idx);
-                    best = Some(best.map_or(k, |b| b.min(k)));
-                    idx = self.next[idx];
-                }
-            }
-        }
-        if let Some(&Reverse(k)) = self.overflow.peek() {
-            best = Some(best.map_or(k, |b| b.min(k)));
-        }
-        best.map(|(at, seq, _)| (at, seq))
-    }
 }
 
 #[derive(Debug)]
@@ -586,13 +564,6 @@ impl Backend {
         match self {
             Backend::Wheel(w) => w.pop(),
             Backend::Heap(h) => h.pop().map(|HeapEntry(e, timer)| (e, timer)),
-        }
-    }
-
-    fn peek_key(&self) -> Option<(Time, u64)> {
-        match self {
-            Backend::Wheel(w) => w.peek_key(),
-            Backend::Heap(h) => h.peek().map(|e| e.0.key()),
         }
     }
 }
@@ -806,13 +777,6 @@ impl EventQueue {
         }
     }
 
-    /// Time of the earliest pending entry. Lazy deletion means a
-    /// cancelled-but-unreaped entry (possibly carrying an adopted
-    /// re-arm) may be reported here; `pop` never returns it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.backend.peek_key().map(|(t, _)| t)
-    }
-
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
         self.live
@@ -834,6 +798,48 @@ impl EventQueue {
     /// life: the scheduler's share of peak resident memory.
     pub fn peak_queued(&self) -> usize {
         self.peak_queued
+    }
+}
+
+/// The pending cancellable timers of one owner (a flow's endpoints, a
+/// switch's policy) as `(token, handle)` pairs. An entry leaves when
+/// its timer fires or is cancelled; the owner names timers by token.
+#[derive(Debug, Default)]
+pub(crate) struct Timers(Vec<(u64, TimerHandle)>);
+
+impl Timers {
+    /// Schedules `event` at `at` under `token`.
+    pub(crate) fn arm(&mut self, events: &mut EventQueue, at: Time, event: Event, token: u64) {
+        self.0.push((token, events.schedule_cancellable(at, event)));
+    }
+
+    /// Cancels the pending timer under `token`, if there is one.
+    pub(crate) fn cancel(&mut self, events: &mut EventQueue, token: u64) {
+        if let Some(handle) = self.take(token) {
+            events.cancel(handle);
+        }
+    }
+
+    /// Forgets the timer under `token`: it fired, so its handle is spent.
+    pub(crate) fn fired(&mut self, token: u64) {
+        self.take(token);
+    }
+
+    /// Cancels every pending timer.
+    pub(crate) fn cancel_all(self, events: &mut EventQueue) {
+        for (_, handle) in self.0 {
+            events.cancel(handle);
+        }
+    }
+
+    /// Whether no timer is pending.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn take(&mut self, token: u64) -> Option<TimerHandle> {
+        let i = self.0.iter().position(|&(t, _)| t == token)?;
+        Some(self.0.swap_remove(i).1)
     }
 }
 
@@ -881,13 +887,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn len_counts_pending_events() {
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.peek_time(), None);
             q.schedule(Time(7), Event::AppTimer { token: 0 });
-            assert_eq!(q.peek_time(), Some(Time(7)), "{kind:?}");
-            assert_eq!(q.len(), 1);
+            assert_eq!(q.len(), 1, "{kind:?}");
             q.pop();
             assert!(q.is_empty());
         }
@@ -1010,7 +1014,6 @@ mod tests {
             q.schedule(Time(700), Event::AppTimer { token: 2 });
             q.schedule(Time(300), Event::AppTimer { token: 3 });
             q.schedule(Time(700), Event::AppTimer { token: 4 });
-            assert_eq!(q.peek_time(), Some(Time(300)), "{kind:?}");
             let order: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
                 .map(|(t, e)| (t, token_of(&e)))
                 .collect();

@@ -27,7 +27,7 @@ use crate::node::{intern_params, port_in, port_in_mut, Node, Port, PortParams, P
 use crate::packet::{FlowId, NodeId};
 use crate::policy::PolicyFx;
 use crate::retire::{FlowRetirer, RetireConfig};
-use crate::sched::{SchedulerKind, TimerHandle};
+use crate::sched::{SchedulerKind, Timers};
 use crate::topology::Network;
 use crate::units::{Dur, Time};
 use metrics::TimeSeries;
@@ -145,9 +145,8 @@ pub(crate) struct Endpoints {
     pub(crate) dst: NodeId,
     pub(crate) sender: Box<dyn SenderEndpoint>,
     pub(crate) receiver: Box<dyn ReceiverEndpoint>,
-    /// Pending cancellable host-timer handles, as `(endpoint token,
-    /// handle)` pairs; entries leave on fire or cancel.
-    pub(crate) timers: Vec<(u64, TimerHandle)>,
+    /// Pending cancellable host timers, by endpoint token.
+    pub(crate) timers: Timers,
     /// The flow's packets in the arena or held by a switch policy that
     /// consumed them and has not re-injected them. Counted only without
     /// retirement: a retired id is reused, so a straggler could not be
@@ -213,9 +212,9 @@ pub struct SimCore {
     pub(crate) free_ids: VecDeque<(Time, FlowId)>,
     /// The retirement pipeline, when [`SimConfig::retire`] is set.
     pub(crate) retirer: Option<FlowRetirer>,
-    /// Pending cancellable policy-timer handles per switch, in the
-    /// order of `switches` (see [`SimCore::switch_index`]).
-    pub(crate) policy_timers: Vec<Vec<(u64, TimerHandle)>>,
+    /// Pending cancellable policy timers per switch, in the order of
+    /// `switches` (see [`SimCore::switch_index`]).
+    pub(crate) policy_timers: Vec<Timers>,
     pub(crate) rng: StdRng,
     pub(crate) fault_rng: StdRng,
     pub(crate) samplers: Vec<QueueSampler>,
@@ -295,7 +294,7 @@ impl SimCore {
             dst,
             sender,
             receiver,
-            timers: Vec::new(),
+            timers: Timers::default(),
             in_flight: 0,
         });
         let prev = self.flows.insert(
@@ -738,9 +737,9 @@ impl SimCore {
 
     /// Tears down a finished flow: folds its scalars into the retirer's
     /// per-class sketches, cancels its pending timers, frees its
-    /// endpoint record and its slab entry (bumping the slot generation),
-    /// and quarantines the id. Packets of the dead flow still in flight
-    /// take the existing stale-packet path at the hosts.
+    /// endpoint record and its slab entry, and quarantines the id.
+    /// Packets of the dead flow still in flight take the existing
+    /// stale-packet path at the hosts.
     fn retire_flow(&mut self, flow: FlowId) {
         let Some(state) = self.flows.remove(flow) else {
             return;
@@ -751,9 +750,7 @@ impl SimCore {
             .endpoints
             .remove(state.endpoints)
             .expect("a retired flow's endpoints are live until now");
-        for (_, handle) in e.timers {
-            self.events.cancel(handle);
-        }
+        e.timers.cancel_all(&mut self.events);
         self.free_ids.push_back((self.now, flow));
     }
 
@@ -822,17 +819,16 @@ impl SimCore {
         // Cancels first: an endpoint that re-arms in the same callback
         // cancels the old generation before scheduling the new one.
         for token in fx.cancels.drain(..) {
-            let pending = &mut e.timers;
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                let (_, handle) = pending.swap_remove(i);
-                self.events.cancel(handle);
-            }
+            e.timers.cancel(&mut self.events, token);
         }
         for (after, token) in fx.timers.drain(..) {
-            let handle = self
-                .events
-                .schedule_cancellable(self.now + after, Event::host_timer(host, flow, token));
-            e.timers.push((token, handle));
+            let at = self.now + after;
+            e.timers.arm(
+                &mut self.events,
+                at,
+                Event::host_timer(host, flow, token),
+                token,
+            );
         }
         for note in fx.notes.drain(..) {
             self.handle_note(flow, note);
@@ -937,7 +933,7 @@ impl<A: Application> Simulator<A> {
             net.switches.windows(2).all(|w| w[0] < w[1]),
             "switch ids must be listed in ascending order"
         );
-        let policy_timers = net.switches.iter().map(|_| Vec::new()).collect();
+        let policy_timers = net.switches.iter().map(|_| Timers::default()).collect();
         let retirer = cfg.retire.clone().map(FlowRetirer::new);
         Self {
             core: SimCore {

@@ -360,8 +360,10 @@ pub struct RetiredFlows {
 }
 
 /// The JSON form of one quantile sketch: exact bucket contents plus
-/// convenience quantiles. Inverse of [`sketch_from_json`].
-pub fn sketch_json(s: &QuantileSketch) -> Value {
+/// convenience quantiles. `unit` suffixes the sum, min and max keys:
+/// `""` in `flows.json`, `"_ns"` in `spans.json` stage rows. Inverse of
+/// [`sketch_from_json`].
+pub fn sketch_json(s: &QuantileSketch, unit: &str) -> Map {
     let q = |p: f64| Value::from(s.quantile(p).unwrap_or(0.0));
     let buckets: Vec<Value> = s
         .bucket_entries()
@@ -371,19 +373,20 @@ pub fn sketch_json(s: &QuantileSketch) -> Value {
     let mut m = Map::new();
     m.insert("count".into(), s.count().into());
     m.insert("zero".into(), s.zero_count().into());
-    m.insert("sum".into(), s.sum().into());
-    m.insert("min".into(), s.min().unwrap_or(0.0).into());
-    m.insert("max".into(), s.max().unwrap_or(0.0).into());
+    m.insert(format!("sum{unit}"), s.sum().into());
+    m.insert(format!("min{unit}"), s.min().unwrap_or(0.0).into());
+    m.insert(format!("max{unit}"), s.max().unwrap_or(0.0).into());
     m.insert("p50".into(), q(0.50));
     m.insert("p90".into(), q(0.90));
     m.insert("p99".into(), q(0.99));
     m.insert("p999".into(), q(0.999));
     m.insert("buckets".into(), Value::Array(buckets));
-    Value::Object(m)
+    m
 }
 
-/// Rebuilds a sketch from its [`sketch_json`] form.
-pub fn sketch_from_json(v: &Value, alpha: f64) -> Result<QuantileSketch, String> {
+/// Rebuilds a sketch of accuracy `alpha` from its [`sketch_json`] form
+/// with sum, min and max keys suffixed by `unit`.
+pub fn sketch_from_json(v: &Value, alpha: f64, unit: &str) -> Result<QuantileSketch, String> {
     let num = |k: &str| -> Result<f64, String> {
         v.get(k)
             .and_then(Value::as_f64)
@@ -408,9 +411,9 @@ pub fn sketch_from_json(v: &Value, alpha: f64) -> Result<QuantileSketch, String>
         alpha,
         num("zero")? as u64,
         &entries,
-        num("sum")?,
-        num("min")?,
-        num("max")?,
+        num(&format!("sum{unit}"))?,
+        num(&format!("min{unit}"))?,
+        num(&format!("max{unit}"))?,
     ))
 }
 
@@ -419,10 +422,10 @@ fn retired_class_json(c: &RetiredClass) -> Value {
         "class": u64::from(c.class),
         "name": c.name.as_str(),
         "count": c.count,
-        "fct_ns": sketch_json(&c.fct_ns),
-        "bytes": sketch_json(&c.bytes),
-        "retransmits": sketch_json(&c.retransmits),
-        "slowdown_milli": sketch_json(&c.slowdown_milli),
+        "fct_ns": Value::Object(sketch_json(&c.fct_ns, "")),
+        "bytes": Value::Object(sketch_json(&c.bytes, "")),
+        "retransmits": Value::Object(sketch_json(&c.retransmits, "")),
+        "slowdown_milli": Value::Object(sketch_json(&c.slowdown_milli, "")),
     })
 }
 
@@ -450,6 +453,7 @@ pub fn retired_from_json(doc: &Value) -> Result<RetiredFlows, String> {
                 sketch_from_json(
                     c.get(k).ok_or_else(|| format!("class missing '{k}'"))?,
                     alpha,
+                    "",
                 )
             };
             Ok::<RetiredClass, String>(RetiredClass {

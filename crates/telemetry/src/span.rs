@@ -22,7 +22,8 @@ use std::collections::HashMap;
 
 use metrics::sketch::{QuantileSketch, DEFAULT_ALPHA};
 
-use crate::json::{Map, Value};
+use crate::export::sketch_json;
+use crate::json::Value;
 
 /// Which flows get lifecycle spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,66 +401,19 @@ impl SpanTracker {
     }
 }
 
+/// One `spans.json` stage row: the sketch's JSON form with its
+/// nanosecond sum, min and max, tagged with its stage and hop.
 fn sketch_row(stage: u8, hop: u8, s: &QuantileSketch) -> Value {
-    let q = |p: f64| Value::from(s.quantile(p).unwrap_or(0.0));
-    let buckets: Vec<Value> = s
-        .bucket_entries()
-        .into_iter()
-        .map(|(k, c)| Value::Array(vec![Value::from(i64::from(k)), Value::from(c)]))
-        .collect();
-    let mut m = Map::new();
+    let mut m = sketch_json(s, "_ns");
     m.insert("stage".into(), STAGE_NAMES[stage as usize].into());
     m.insert("hop".into(), u64::from(hop).into());
-    m.insert("count".into(), s.count().into());
-    m.insert("zero".into(), s.zero_count().into());
-    m.insert("sum_ns".into(), s.sum().into());
-    m.insert("min_ns".into(), s.min().unwrap_or(0.0).into());
-    m.insert("max_ns".into(), s.max().unwrap_or(0.0).into());
-    m.insert("p50".into(), q(0.50));
-    m.insert("p90".into(), q(0.90));
-    m.insert("p99".into(), q(0.99));
-    m.insert("p999".into(), q(0.999));
-    m.insert("buckets".into(), Value::Array(buckets));
     Value::Object(m)
-}
-
-/// Rebuilds a sketch from a `spans.json` stage row (inverse of the
-/// exporter; used by `tfc-trace diff` to compare quantiles).
-pub fn sketch_from_json(row: &Value) -> Result<QuantileSketch, String> {
-    let num = |k: &str| -> Result<f64, String> {
-        row.get(k)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("stage row missing numeric '{k}'"))
-    };
-    let zero = num("zero")? as u64;
-    let entries: Vec<(i32, u64)> = row
-        .get("buckets")
-        .and_then(Value::as_array)
-        .ok_or("stage row missing 'buckets'")?
-        .iter()
-        .map(|pair| {
-            let p = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or("bad bucket pair")?;
-            let k = p[0].as_i64().ok_or("bad bucket key")? as i32;
-            let c = p[1].as_i64().ok_or("bad bucket count")? as u64;
-            Ok::<(i32, u64), String>((k, c))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(QuantileSketch::from_parts(
-        DEFAULT_ALPHA,
-        zero,
-        &entries,
-        num("sum_ns")?,
-        num("min_ns")?,
-        num("max_ns")?,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::sketch_from_json;
 
     #[test]
     fn off_records_nothing_and_counts_nothing() {
@@ -589,7 +543,7 @@ mod tests {
         }
         let j = t.to_json();
         for row in j.get("stages").unwrap().as_array().unwrap() {
-            let s = sketch_from_json(row).unwrap();
+            let s = sketch_from_json(row, DEFAULT_ALPHA, "_ns").unwrap();
             let stage = row.get("stage").unwrap().as_str().unwrap();
             let hop = row.get("hop").unwrap().as_i64().unwrap();
             let idx = STAGE_NAMES.iter().position(|n| *n == stage).unwrap() as u8;

@@ -57,7 +57,7 @@ cargo test -q -p tfc-repro --test policy_memory
 # only its record; its endpoints, timer list and transport scratch state
 # are freed once no packet or timer can reach it. A counting allocator
 # runs a lossy TFC incast at two round counts and bounds the extra
-# rounds' completed flows at 0 live heap blocks and 207 live bytes each
+# rounds' completed flows at 0 live heap blocks and 203 live bytes each
 # (keeping the two endpoint boxes took 2 blocks and 683 B, keeping a
 # drained reorder node and timer list 4 blocks), so a regression to
 # per-flow state that outlives the flow names this gate.
@@ -66,7 +66,7 @@ cargo test -q -p tfc-repro --test flow_memory
 # Endpoint lifetime at benchmark scale: the benchmark's incast_chaos
 # run (12,000 flows in 100 rounds of fresh connections, no retirement)
 # without its export. A counting allocator bounds its live-heap peak at
-# 4,056,294 B plus 5 % (keeping every finished flow's endpoints peaked
+# 3,982,678 B plus 5 % (keeping every finished flow's endpoints peaked
 # at 8,735,814 B), so a regression that keeps per-flow endpoint or
 # timer state past the flow's last packet names this gate.
 cargo test -q -p tfc-repro --test incast_memory
@@ -90,7 +90,7 @@ cargo test -q -p tfc-repro --test port_memory
 # at the instant just popped in a FIFO through the bucket links, on
 # the compact fabric above. A counting allocator bounds the live-heap
 # peak of the benchmark's 1,100-flow k=36 fat-tree run at the measured
-# 14,798,668 B plus 5% (64-byte ports and those pushes in a heap
+# 14,790,732 B plus 5% (64-byte ports and those pushes in a heap
 # peaked at 17.3 MiB; 104-byte ports and a route row per switch at
 # 22.3 MiB; 32-byte events, 56-byte entries and 80-byte arena slots on
 # top at 25.5 MiB), so a regression that widens a per-event,
@@ -151,21 +151,17 @@ TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace
 grep "no divergence" "$TRACE_DIR/diffsmoke.out" >/dev/null
 grep "first divergence" "$TRACE_DIR/diffsmoke.out" >/dev/null
 
-# Scale-bench smoke: the quick suite must run the heap and the wheel
-# to identical outcomes — including the fat-tree and ECMP-multipath
-# scenarios — and write a well-formed BENCH_scale.json (schema key,
-# host-parallelism manifest, non-zero loop-only events/sec and speedup
-# — the binary itself asserts positivity and outcome identity).
-TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-scale-bench -- --quick >/dev/null
+# Scale-bench smoke: the heap, the wheel and the flow-sampled traced
+# wheel must reach identical outcomes on all five scenarios — including
+# the fat-tree and ECMP-multipath ones — and write a well-formed
+# BENCH_scale.json (schema key, host-parallelism manifest, the
+# leaf-spine trace overhead — the binary itself asserts outcome
+# identity and positivity). Simulator speed is perfbench's to measure.
+TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-scale-bench >/dev/null
 test -s "$TRACE_DIR/bench/BENCH_scale.json"
-grep '"schema": "tfc-bench-scale/v7"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"schema": "tfc-bench-scale/v8"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"available_parallelism"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"active_threads"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"heap_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"wheel_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"heap_loop_ms"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"wheel_loop_ms"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"speedup"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"name": "fat_tree"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"name": "fat_tree_multipath"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 
@@ -178,17 +174,13 @@ TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace
 
 # Streaming smoke: tfc-million --quick validates its sketches against
 # an exact oracle, completes 100k open-loop flows with bounded slab and
-# arena high-water marks (asserted by the binary), and merges a
-# well-formed "million" block into BENCH_scale.json.
+# arena high-water marks (asserted by the binary), and writes a
+# well-formed BENCH_million.json.
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-million -- --quick >/dev/null
-grep '"million"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"flows_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"slab_capacity"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"oracle_classes_checked"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-# The scale-bench rows must survive the merge (and vice versa: a
-# re-run of scale-bench preserves the million block).
-grep '"schema": "tfc-bench-scale/v7"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
-grep '"wheel_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"schema": "tfc-bench-million/v1"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
+grep '"flows_per_sec"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
+grep '"slab_capacity"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
+grep '"oracle_classes_checked"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
 
 # tfc-trace --flows: the per-class retired table must render from the
 # v2 flows.json alone (self-test), and the streaming run's artifacts
@@ -197,7 +189,7 @@ TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- --flows "$TRACE_DIR/million-quick" | grep "retired flows:" >/dev/null
 
 # Tracing-overhead smoke: flow-sampled tracing on the leaf-spine run
-# must stay within 10% of the untraced events/sec (ratio <= 1.10).
+# must stay within 10% of the untraced loop time (ratio <= 1.10).
 OVERHEAD="$(grep -m1 '"trace_overhead"' "$TRACE_DIR/bench/BENCH_scale.json" | sed 's/[^0-9.]*//g')"
 awk -v o="$OVERHEAD" 'BEGIN { exit !(o > 0 && o <= 1.10) }' \
   || { echo "verify: trace overhead $OVERHEAD exceeds 1.10" >&2; exit 1; }

@@ -8,15 +8,15 @@
 //! round and no flow retirement, under a loss burst that spans the run
 //! so the reorder path and RTOs run in every round, at two round
 //! counts. The extra rounds' completed flows may add no live heap
-//! block of their own: the only extra blocks are one new segment each
-//! of the flow table and its generations, which grow in never-moving
-//! segments (the FCT record vector reallocates, adding bytes but no
-//! blocks). Keeping the two endpoint boxes made it 2 blocks per flow,
-//! and keeping a drained reorder node and timer list 4. Each extra flow
-//! may also add at most [`BYTES_PER_FLOW`] live bytes: its 152-byte
-//! state slot, a 4-byte generation and a 24-byte FCT record, with the
-//! record vector's doubling slack (197 B measured; 683 B with the
-//! endpoint boxes). This binary holds exactly one test, so no other
+//! block of their own: the only extra block is one new segment of the
+//! flow table, which grows in never-moving segments (the FCT record
+//! vector reallocates, adding bytes but no blocks). Keeping the two
+//! endpoint boxes made it 2 blocks per flow, and keeping a drained
+//! reorder node and timer list 4. Each extra flow may also add at most
+//! [`BYTES_PER_FLOW`] live bytes: its 152-byte state slot and a 24-byte
+//! FCT record, with the record vector's doubling slack (193 B measured;
+//! 197 B with a per-slot generation column beside the flow table, 683 B
+//! with the endpoint boxes). This binary holds exactly one test, so no other
 //! thread allocates while it measures.
 
 use chaos::FaultTimeline;
@@ -35,12 +35,11 @@ static ALLOC: common::Counting = common::Counting;
 const SENDERS: usize = 16;
 /// Live heap blocks a completed flow may hold of its own.
 const BLOCKS_PER_FLOW: f64 = 0.0;
-/// Blocks the longer run may add beyond that: one new segment each of
-/// the flow table and its generations (128 flows fill segments 0–1,
-/// 384 flows segments 0–2).
-const TABLE_SEGMENTS: f64 = 2.0;
-/// Live heap bytes a completed flow may hold: 197 B measured, plus 5 %.
-const BYTES_PER_FLOW: f64 = 207.0;
+/// Blocks the longer run may add beyond that: one new segment of the
+/// flow table (128 flows fill segments 0–1, 384 flows segments 0–2).
+const TABLE_SEGMENTS: f64 = 1.0;
+/// Live heap bytes a completed flow may hold: 193 B measured, plus 5 %.
+const BYTES_PER_FLOW: f64 = 203.0;
 
 /// What one incast run leaves live when it stops.
 struct Held {
