@@ -15,7 +15,8 @@
 //!    queued-entry high-water bounded by peak live flows.
 //!
 //! Results go to `results/bench/BENCH_million.json`
-//! (`tfc-bench-million/v1`).
+//! (`tfc-bench-million/v2`): counts only, no wall-clock speed; perfbench
+//! measures the simulator's speed.
 
 use experiments::million::{
     assert_sketch_matches_exact, run, MillionConfig, SCHED_ENTRIES_PER_LIVE_FLOW,
@@ -52,13 +53,11 @@ fn main() {
     );
     let stats = run(&cfg);
     eprintln!(
-        "  completed {} (retired {}) in {:.1} sim-ms / {:.2} wall-s: {:.0} flows/s, {:.0} ev/s",
+        "  completed {} (retired {}) in {:.1} sim-ms, {} events",
         stats.completed,
         stats.retired,
         stats.sim_ns as f64 / 1e6,
-        stats.wall_secs,
-        stats.flows_per_sec,
-        stats.events_per_sec,
+        stats.events,
     );
     eprintln!(
         "  memory: flow slab {} slots (peak {} live) for {} flows; endpoint records {} slots; \
@@ -120,7 +119,7 @@ fn main() {
         })
     };
     let doc = telemetry::json!({
-        "schema": "tfc-bench-million/v1",
+        "schema": "tfc-bench-million/v2",
         "git": git_describe().as_str(),
         "mode": if quick { "quick" } else { "full" },
         "target_flows": cfg.target_flows,
@@ -129,10 +128,7 @@ fn main() {
         "started": stats.started,
         "shed": stats.shed,
         "sim_ns": stats.sim_ns,
-        "wall_secs": stats.wall_secs,
-        "flows_per_sec": stats.flows_per_sec,
         "events": stats.events,
-        "events_per_sec": stats.events_per_sec,
         "slab_live": stats.slab_live as u64,
         "slab_peak": stats.slab_peak as u64,
         "slab_capacity": stats.slab_capacity as u64,
@@ -153,14 +149,9 @@ fn main() {
     // Self-validate the written document.
     let m = json::parse(&std::fs::read_to_string(&path).expect("read back"))
         .expect("BENCH_million.json parses");
-    for key in ["flows_per_sec", "events_per_sec"] {
-        assert!(
-            m.get(key).and_then(Value::as_f64).expect("rate present") > 0.0,
-            "{key} must be positive"
-        );
-    }
     for key in [
         "completed",
+        "events",
         "retired",
         "slab_capacity",
         "slab_peak",

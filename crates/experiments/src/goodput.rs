@@ -140,9 +140,7 @@ pub fn run(cfg: &GoodputConfig) -> GoodputResult {
         .iter()
         .map(|&f| {
             sim.core()
-                .flow(f)
-                .meter
-                .as_ref()
+                .flow_meter(f)
                 .map(|m| m.series().clone())
                 .expect("meter attached at start")
         })

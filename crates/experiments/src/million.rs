@@ -19,8 +19,6 @@
 //! drift. The oracle is only affordable at small scale; the full run
 //! drops `keep_exact` and trusts the bound the small run established.
 
-use std::time::Instant;
-
 use metrics::{FctSummary, QuantileSketch};
 use simnet::retire::RetireConfig;
 use simnet::sim::{SimConfig, Simulator};
@@ -202,14 +200,8 @@ pub struct MillionStats {
     pub shed: u64,
     /// Simulated time consumed (ns).
     pub sim_ns: u64,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
-    /// Retired flows per wall-clock second.
-    pub flows_per_sec: f64,
     /// Scheduler events processed.
     pub events: u64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
     /// Flows still live at shutdown.
     pub slab_live: usize,
     /// Peak concurrently-live flows.
@@ -261,9 +253,7 @@ pub fn run(cfg: &MillionConfig) -> MillionStats {
             ..Default::default()
         },
     );
-    let t0 = Instant::now();
     sim.run();
-    let wall_secs = t0.elapsed().as_secs_f64();
     crate::artifacts::maybe_export(
         sim.core(),
         format!("leaf_spine({},{})", cfg.leaves, cfg.hosts_per_leaf),
@@ -293,18 +283,13 @@ pub fn run(cfg: &MillionConfig) -> MillionStats {
         .collect();
     let (slab_live, slab_peak, slab_capacity) = core.flow_slab_stats();
     let arena = core.packet_arena();
-    let retired = retirer.total();
-    let events = core.events_processed();
     MillionStats {
         completed: sim.app().completed(),
-        retired,
+        retired: retirer.total(),
         started: sim.app().started(),
         shed: sim.app().shed(),
         sim_ns: core.now().nanos(),
-        wall_secs,
-        flows_per_sec: retired as f64 / wall_secs.max(1e-9),
-        events,
-        events_per_sec: events as f64 / wall_secs.max(1e-9),
+        events: core.events_processed(),
         slab_live,
         slab_peak,
         slab_capacity,

@@ -173,8 +173,7 @@ pub fn run(cfg: &RttbConfig) -> RttbResult {
     let ping = sim.app().ping_flow.expect("ping flow started");
     let reference: Vec<f64> = sim
         .core()
-        .flow(ping)
-        .rtt_samples
+        .rtt_samples(ping)
         .iter()
         .map(|&(_, rtt)| rtt as f64 / 1_000.0)
         .collect();

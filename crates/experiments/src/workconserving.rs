@@ -141,9 +141,7 @@ pub fn run(cfg: &WorkConservingConfig) -> WorkConservingResult {
             .iter()
             .map(|&f| {
                 sim.core()
-                    .flow(f)
-                    .meter
-                    .as_ref()
+                    .flow_meter(f)
                     .map(|m| m.series())
                     .expect("metered")
             })

@@ -86,7 +86,7 @@ impl Application for StaticFlows {
 
     fn on_timer(&mut self, token: u64, api: &mut SimApi<'_>) {
         let idx = token as usize;
-        let spec = self.schedule[idx].1.clone();
+        let spec = self.schedule[idx].1;
         self.started[idx] = Some(api.start_flow(spec));
     }
 }

@@ -133,7 +133,7 @@ pub trait ReceiverEndpoint: Send {
 }
 
 /// Static description of a flow to be started.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Source host.
     pub src: NodeId,

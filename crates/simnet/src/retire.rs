@@ -1,6 +1,6 @@
 //! Bounded-memory flow retirement.
 //!
-//! The closed-loop experiment drivers keep every [`crate::sim::FlowState`]
+//! The closed-loop experiment drivers keep every flow's record
 //! alive for the whole run and post-process the dense tables afterwards.
 //! That is fine for a few thousand flows and hopeless for millions: the
 //! streaming workload engine instead *retires* a flow the moment both

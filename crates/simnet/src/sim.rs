@@ -89,8 +89,12 @@ impl Default for SimConfig {
     }
 }
 
-/// Book-keeping for one flow.
-#[derive(Debug)]
+/// A snapshot of one flow's book-keeping, built on demand by
+/// [`SimCore::flow`] and [`SimCore::flows`]. The flow table stores a
+/// compact private record instead; the rare per-flow extras, a goodput
+/// meter and RTT samples, are read through [`SimCore::flow_meter`] and
+/// [`SimCore::rtt_samples`].
+#[derive(Debug, Clone, Copy)]
 pub struct FlowState {
     /// The flow's static description.
     pub spec: FlowSpec,
@@ -108,29 +112,129 @@ pub struct FlowState {
     pub timeouts: u64,
     /// Packets retransmitted by the sender.
     pub retransmits: u64,
-    /// Optional goodput meter (delivered bytes per window), attached by
-    /// [`SimCore::meter_flow`]. Boxed because few flows carry one: an
-    /// unmetered flow's slab slot holds one pointer, not the meter.
-    pub meter: Option<Box<RateMeter>>,
-    /// Whether to forward `Delivered` events to the application.
-    pub watch_delivery: bool,
-    /// Whether to record sender RTT samples.
-    pub watch_rtt: bool,
-    /// Sender RTT samples `(time, rtt)` in ns, if watched.
-    pub rtt_samples: Vec<(u64, u64)>,
     /// Workload class tag (0 by default; see
     /// [`SimCore::set_flow_class`]). Keys the per-class retirement
     /// sketches when flow retirement is on.
     pub class: u8,
-    /// Index of the flow's [`Endpoints`] record in
-    /// [`SimCore::endpoints`], or [`FREED`] once it is freed. Sits in
-    /// what was padding, so a state stays 152 bytes.
-    pub(crate) endpoints: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Option<FlowState>>() == 152);
+/// A time field of a [`FlowEntry`] that has not happened yet.
+const NEVER: u64 = u64::MAX;
+/// [`FlowEntry::bytes`] of an open-ended flow.
+const OPEN_ENDED: u64 = u64::MAX;
 
-/// [`FlowState::endpoints`] of a flow whose endpoints are freed; no
+/// [`FlowEntry::flags`]: forward `Delivered` events to the application.
+const WATCH_DELIVERY: u8 = 1;
+/// [`FlowEntry::flags`]: record sender RTT samples in the flow's
+/// [`FlowExtras`].
+const WATCH_RTT: u8 = 2;
+/// [`FlowEntry::flags`]: the flow's [`FlowExtras`] hold a goodput
+/// meter.
+const METERED: u8 = 4;
+
+/// One flow's slot in the flow table: what [`FlowState`] shows, packed.
+/// Times are nanoseconds with [`NEVER`] for "not yet", counters that
+/// never get near 2^32 saturate there, and the rare extras live in
+/// [`SimCore::extras`].
+#[derive(Debug)]
+pub(crate) struct FlowEntry {
+    src: NodeId,
+    dst: NodeId,
+    /// Bytes to transfer, or [`OPEN_ENDED`].
+    bytes: u64,
+    started_at: u64,
+    established_at: u64,
+    receiver_done_at: u64,
+    sender_done_at: u64,
+    delivered: u64,
+    timeouts: u32,
+    retransmits: u32,
+    /// Index of the flow's [`Endpoints`] record in
+    /// [`SimCore::endpoints`], or [`FREED`] once it is freed.
+    pub(crate) endpoints: u32,
+    weight: u8,
+    class: u8,
+    /// [`WATCH_DELIVERY`], [`WATCH_RTT`] and [`METERED`] bits.
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<FlowEntry>>() <= 80);
+
+/// `t` as a time, or `None` if it is [`NEVER`].
+fn when(t: u64) -> Option<Time> {
+    (t != NEVER).then_some(Time(t))
+}
+
+impl FlowEntry {
+    /// The record of a flow `spec` started at `now`, with endpoint
+    /// record `endpoints`.
+    fn new(spec: &FlowSpec, now: Time, endpoints: u32) -> Self {
+        assert!(
+            spec.bytes != Some(OPEN_ENDED),
+            "a sized flow must be shorter than u64::MAX bytes"
+        );
+        Self {
+            src: spec.src,
+            dst: spec.dst,
+            bytes: spec.bytes.unwrap_or(OPEN_ENDED),
+            started_at: now.nanos(),
+            established_at: NEVER,
+            receiver_done_at: NEVER,
+            sender_done_at: NEVER,
+            delivered: 0,
+            timeouts: 0,
+            retransmits: 0,
+            endpoints,
+            weight: spec.weight,
+            class: 0,
+            flags: 0,
+        }
+    }
+
+    /// The [`FlowState`] snapshot of this record.
+    fn view(&self) -> FlowState {
+        FlowState {
+            spec: FlowSpec {
+                src: self.src,
+                dst: self.dst,
+                bytes: self.size(),
+                weight: self.weight,
+            },
+            started_at: Time(self.started_at),
+            established_at: when(self.established_at),
+            receiver_done_at: when(self.receiver_done_at),
+            sender_done_at: when(self.sender_done_at),
+            delivered: self.delivered,
+            timeouts: u64::from(self.timeouts),
+            retransmits: u64::from(self.retransmits),
+            class: self.class,
+        }
+    }
+
+    /// The flow's size, or `None` if it is open-ended.
+    fn size(&self) -> Option<u64> {
+        (self.bytes != OPEN_ENDED).then_some(self.bytes)
+    }
+
+    /// Whether both sides are done.
+    fn finished(&self) -> bool {
+        self.receiver_done_at != NEVER && self.sender_done_at != NEVER
+    }
+}
+
+/// The per-flow state few flows carry, kept beside the flow table in
+/// [`SimCore::extras`].
+#[derive(Debug, Default)]
+pub(crate) struct FlowExtras {
+    /// Goodput meter (delivered bytes per window), attached by
+    /// [`SimCore::meter_flow`].
+    meter: Option<RateMeter>,
+    /// Sender RTT samples `(time, rtt)` in ns, recorded after
+    /// [`SimCore::watch_rtt`].
+    rtt_samples: Vec<(u64, u64)>,
+}
+
+/// [`FlowEntry::endpoints`] of a flow whose endpoints are freed; no
 /// slab index reaches it.
 pub(crate) const FREED: u32 = u32::MAX;
 
@@ -193,14 +297,17 @@ pub struct SimCore {
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) switches: Vec<NodeId>,
     pub(crate) stack: Box<dyn ProtocolStack>,
-    /// Flow states in a dense slab. Ids are allocated sequentially;
+    /// Flow records in a dense slab. Ids are allocated sequentially;
     /// without retirement they are never recycled and `flows` only
     /// grows, with retirement ([`SimConfig::retire`]) completed flows
     /// leave the slab and their ids return after a quarantine, so the
     /// slab length is bounded by peak concurrency.
-    pub(crate) flows: FlowMap<FlowState>,
+    pub(crate) flows: FlowMap<FlowEntry>,
+    /// The meters and RTT samples of the flows that carry them, by id.
+    /// A flow's entry leaves with it at retirement, as its id is reused.
+    pub(crate) extras: BTreeMap<FlowId, FlowExtras>,
     /// The endpoint records of the flows something can still reach,
-    /// each named by its flow's [`FlowState::endpoints`]. Lookups must
+    /// each named by its flow's [`FlowEntry::endpoints`]. Lookups must
     /// check the host, since a stale packet of a recycled id can reach
     /// a host the new flow avoids.
     pub(crate) endpoints: Slab<Endpoints>,
@@ -297,25 +404,7 @@ impl SimCore {
             timers: Timers::default(),
             in_flight: 0,
         });
-        let prev = self.flows.insert(
-            flow,
-            FlowState {
-                spec,
-                started_at: self.now,
-                established_at: None,
-                receiver_done_at: None,
-                sender_done_at: None,
-                delivered: 0,
-                timeouts: 0,
-                retransmits: 0,
-                meter: None,
-                watch_delivery: false,
-                watch_rtt: false,
-                rtt_samples: Vec::new(),
-                class: 0,
-                endpoints: ep,
-            },
-        );
+        let prev = self.flows.insert(flow, FlowEntry::new(&spec, self.now, ep));
         debug_assert!(prev.is_none(), "allocated id {flow:?} was occupied");
         let now = self.now;
         let mut fx = self.take_fx();
@@ -398,26 +487,23 @@ impl SimCore {
         }
     }
 
-    /// Attaches a goodput meter (window `window`) to a flow.
+    /// Attaches a goodput meter (window `window`) to a flow, replacing
+    /// any meter it had; read it with [`flow_meter`](Self::flow_meter).
     pub fn meter_flow(&mut self, flow: FlowId, window: Dur) {
-        let state = self.flows.get_mut(flow).expect("flow exists");
-        state.meter = Some(Box::new(RateMeter::new(
-            format!("flow{}", flow.0),
-            window.as_nanos(),
-        )));
+        self.flows.get_mut(flow).expect("flow exists").flags |= METERED;
+        self.extras.entry(flow).or_default().meter =
+            Some(RateMeter::new(format!("flow{}", flow.0), window.as_nanos()));
     }
 
     /// Requests `Delivered` events for a flow.
     pub fn watch_delivery(&mut self, flow: FlowId) {
-        self.flows
-            .get_mut(flow)
-            .expect("flow exists")
-            .watch_delivery = true;
+        self.flows.get_mut(flow).expect("flow exists").flags |= WATCH_DELIVERY;
     }
 
-    /// Requests sender RTT sample recording for a flow.
+    /// Requests sender RTT sample recording for a flow; read them with
+    /// [`rtt_samples`](Self::rtt_samples).
     pub fn watch_rtt(&mut self, flow: FlowId) {
-        self.flows.get_mut(flow).expect("flow exists").watch_rtt = true;
+        self.flows.get_mut(flow).expect("flow exists").flags |= WATCH_RTT;
     }
 
     /// Registers a periodic queue-length sampler and returns the index
@@ -443,14 +529,32 @@ impl SimCore {
         self.stopped = true;
     }
 
-    /// Immutable flow state.
+    /// A snapshot of a flow's state.
     ///
     /// # Panics
     ///
     /// Panics if the flow never existed or was retired (see
     /// [`SimConfig::retire`]).
-    pub fn flow(&self, flow: FlowId) -> &FlowState {
-        self.flows.get(flow).expect("flow exists (not retired)")
+    pub fn flow(&self, flow: FlowId) -> FlowState {
+        self.flows
+            .get(flow)
+            .expect("flow exists (not retired)")
+            .view()
+    }
+
+    /// The goodput meter attached by [`meter_flow`](Self::meter_flow),
+    /// or `None` if the flow has none or was retired.
+    pub fn flow_meter(&self, flow: FlowId) -> Option<&RateMeter> {
+        self.extras.get(&flow)?.meter.as_ref()
+    }
+
+    /// The sender RTT samples `(time, rtt)` in ns recorded since
+    /// [`watch_rtt`](Self::watch_rtt); empty if the flow recorded none
+    /// or was retired.
+    pub fn rtt_samples(&self, flow: FlowId) -> &[(u64, u64)] {
+        self.extras
+            .get(&flow)
+            .map_or(&[], |x| x.rtt_samples.as_slice())
     }
 
     /// Whether the flow currently has live state (retired flows do not).
@@ -460,8 +564,8 @@ impl SimCore {
 
     /// Iterates all live flows in id order. Under retirement, completed
     /// flows are absent: their statistics live in [`SimCore::retirer`].
-    pub fn flows(&self) -> impl Iterator<Item = (FlowId, &FlowState)> {
-        self.flows.iter()
+    pub fn flows(&self) -> impl Iterator<Item = (FlowId, FlowState)> + '_ {
+        self.flows.iter().map(|(id, r)| (id, r.view()))
     }
 
     /// The queued-bytes series of every queue sampler, in registration
@@ -737,15 +841,17 @@ impl SimCore {
 
     /// Tears down a finished flow: folds its scalars into the retirer's
     /// per-class sketches, cancels its pending timers, frees its
-    /// endpoint record and its slab entry, and quarantines the id.
-    /// Packets of the dead flow still in flight take the existing
-    /// stale-packet path at the hosts.
+    /// endpoint record, its slab entry and its extras, and quarantines
+    /// the id. Packets of the dead flow still in flight take the
+    /// existing stale-packet path at the hosts.
     fn retire_flow(&mut self, flow: FlowId) {
         let Some(state) = self.flows.remove(flow) else {
             return;
         };
         let retirer = self.retirer.as_mut().expect("retire_flow requires retirer");
-        retirer.retire(&state);
+        retirer.retire(&state.view());
+        // The id's next tenant must not inherit a meter or samples.
+        self.extras.remove(&flow);
         let e = self
             .endpoints
             .remove(state.endpoints)
@@ -773,7 +879,7 @@ impl SimCore {
             .flows
             .get_mut(flow)
             .expect("a flow with endpoints has state");
-        if state.sender_done_at.is_some() && state.receiver_done_at.is_some() {
+        if state.finished() {
             state.endpoints = FREED;
             self.endpoints.remove(ep);
         }
@@ -840,16 +946,15 @@ impl SimCore {
     }
 
     pub(crate) fn handle_note(&mut self, flow: FlowId, note: Note) {
-        let now = self.now;
-        let (at, tel) = (now.nanos(), &mut self.telemetry);
+        let (at, tel) = (self.now.nanos(), &mut self.telemetry);
         let finishing = matches!(note, Note::ReceiverDone | Note::SenderDone);
         let Some(state) = self.flows.get_mut(flow) else {
             return;
         };
         match note {
             Note::Established => {
-                if state.established_at.is_none() {
-                    state.established_at = Some(now);
+                if state.established_at == NEVER {
+                    state.established_at = at;
                     tel.flow_established(at, flow.0);
                     self.pending_app
                         .push_back(AppCall::Flow(FlowEvent::Established(flow)));
@@ -857,26 +962,26 @@ impl SimCore {
             }
             Note::Delivered { bytes } => {
                 state.delivered += bytes;
-                if let Some(m) = &mut state.meter {
-                    m.add(at, bytes);
+                if state.flags & METERED != 0 {
+                    let meter = self.extras.get_mut(&flow).and_then(|x| x.meter.as_mut());
+                    meter.expect("a metered flow has a meter").add(at, bytes);
                 }
-                tel.flow_delivered(at, state.spec.dst.0, flow.0, bytes);
-                if state.watch_delivery {
+                tel.flow_delivered(at, state.dst.0, flow.0, bytes);
+                if state.flags & WATCH_DELIVERY != 0 {
                     self.pending_app
                         .push_back(AppCall::Flow(FlowEvent::Delivered { flow, bytes }));
                 }
             }
             Note::ReceiverDone => {
-                if state.receiver_done_at.is_none() {
-                    state.receiver_done_at = Some(now);
+                if state.receiver_done_at == NEVER {
+                    state.receiver_done_at = at;
                     // Streaming runs keep FCTs in the retirer's bounded
                     // sketches instead of this unbounded record vector.
                     if self.retirer.is_none() {
-                        let bytes = state.spec.bytes.unwrap_or(state.delivered);
                         self.fct.record(FlowRecord {
-                            bytes,
-                            start_ns: state.started_at.nanos(),
-                            end_ns: now.nanos(),
+                            bytes: state.size().unwrap_or(state.delivered),
+                            start_ns: state.started_at,
+                            end_ns: at,
                         });
                     }
                     self.pending_app
@@ -884,23 +989,24 @@ impl SimCore {
                 }
             }
             Note::SenderDone => {
-                if state.sender_done_at.is_none() {
-                    state.sender_done_at = Some(now);
+                if state.sender_done_at == NEVER {
+                    state.sender_done_at = at;
                     tel.flow_fin(at, flow.0, state.delivered);
                 }
             }
             Note::Timeout => {
-                state.timeouts += 1;
+                state.timeouts = state.timeouts.saturating_add(1);
                 tel.flow_rto(at, flow.0);
             }
             Note::Retransmit => {
-                state.retransmits += 1;
+                state.retransmits = state.retransmits.saturating_add(1);
                 tel.flow_retransmit(at, flow.0);
             }
             Note::WindowAcquired { bytes } => tel.flow_window(at, flow.0, bytes),
             Note::RttSample { nanos } => {
-                if state.watch_rtt {
-                    state.rtt_samples.push((at, nanos));
+                if state.flags & WATCH_RTT != 0 {
+                    let samples = &mut self.extras.entry(flow).or_default().rtt_samples;
+                    samples.push((at, nanos));
                 }
                 tel.flow_rtt(at, flow.0, nanos);
             }
@@ -912,10 +1018,7 @@ impl SimCore {
         // observes the flow; `retire_flow` ignores a second queuing.
         if finishing
             && self.retirer.is_some()
-            && self
-                .flows
-                .get(flow)
-                .is_some_and(|s| s.receiver_done_at.is_some() && s.sender_done_at.is_some())
+            && self.flows.get(flow).is_some_and(FlowEntry::finished)
         {
             self.pending_app.push_back(AppCall::Retire(flow));
         }
@@ -946,6 +1049,7 @@ impl<A: Application> Simulator<A> {
                 switches: net.switches,
                 stack,
                 flows: FlowMap::new(),
+                extras: BTreeMap::new(),
                 endpoints: Slab::new("endpoint records"),
                 next_flow_id: 0,
                 free_ids: VecDeque::new(),
@@ -996,10 +1100,10 @@ impl<A: Application> Simulator<A> {
             self.drain_app_calls();
         }
         // Flush goodput meters so trailing zero-windows are emitted.
-        let now = self.core.now;
-        for (_, state) in self.core.flows.iter_mut() {
-            if let Some(m) = &mut state.meter {
-                m.flush(now.nanos());
+        let now = self.core.now.nanos();
+        for x in self.core.extras.values_mut() {
+            if let Some(m) = &mut x.meter {
+                m.flush(now);
             }
         }
     }
@@ -1095,8 +1199,9 @@ impl<'a> SimApi<'a> {
         self.core.set_flow_class(flow, class)
     }
 
-    /// Flow state (delivered bytes, timestamps, counters).
-    pub fn flow(&self, flow: FlowId) -> &FlowState {
+    /// A snapshot of a flow's state (delivered bytes, timestamps,
+    /// counters); see [`SimCore::flow`].
+    pub fn flow(&self, flow: FlowId) -> FlowState {
         self.core.flow(flow)
     }
 
@@ -1288,8 +1393,7 @@ pub(crate) mod tests {
             sim.core_mut().push_data(flow, MSS);
         }
         sim.run();
-        let st = sim.core().flow(flow);
-        let m = st.meter.as_ref().expect("meter attached");
+        let m = sim.core().flow_meter(flow).expect("meter attached");
         // 10 × 1460 B over ~146 µs of delivery: some window should show
         // close to line-rate goodput.
         assert!(m.series().max_value().unwrap() > 0.5e9);
@@ -1367,6 +1471,71 @@ pub(crate) mod tests {
         sim.run();
         assert_eq!(sim.core().flow(flow).delivered, 0);
         assert_eq!(sim.core().now(), Time(10_000));
+    }
+
+    /// The flow table's packed record reads back as the state it
+    /// encodes: a time that never came is `None`, an open-ended flow has
+    /// no size (it opens with `bytes: 0` in the event log, and its FCT
+    /// record counts the bytes delivered), and the saturating counters,
+    /// weight and class round-trip.
+    #[test]
+    fn flow_records_read_back_their_encodings() {
+        let (t, h, _) = crate::topology::star(2, Bandwidth::gbps(1), Dur::micros(1));
+        let cfg = SimConfig {
+            telemetry: TelemetryConfig {
+                events: telemetry::LogMode::Full,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut sim = Simulator::new(t.build_drop_tail(), Box::new(BlastStack), NullApp, cfg);
+        let spec = FlowSpec::open_ended(h[0], h[1]).with_weight(3);
+        let flow = sim.core_mut().start_flow(spec);
+        sim.core_mut().set_flow_class(flow, 2);
+        sim.core_mut().push_data(flow, MSS);
+        sim.run();
+        let st = sim.core().flow(flow);
+        assert_eq!(st.spec, spec);
+        assert_eq!(st.spec.bytes, None, "open-ended");
+        assert_eq!(st.started_at, Time::ZERO);
+        assert_eq!(st.established_at, None, "BlastStack never handshakes");
+        assert_eq!((st.receiver_done_at, st.sender_done_at), (None, None));
+        assert_eq!((st.delivered, st.timeouts, st.retransmits), (MSS, 0, 0));
+        assert_eq!(st.class, 2);
+        let opened = sim
+            .core()
+            .telemetry()
+            .log
+            .records()
+            .iter()
+            .find_map(|r| match r.event {
+                telemetry::TraceEvent::FlowOpen { flow: f, bytes, .. } if f == flow.0 => {
+                    Some(bytes)
+                }
+                _ => None,
+            });
+        assert_eq!(opened, Some(0), "an open-ended flow exports bytes: 0");
+
+        let core = sim.core_mut();
+        let done = core.now();
+        for note in [Note::Timeout, Note::Retransmit, Note::Retransmit] {
+            core.handle_note(flow, note);
+        }
+        core.handle_note(flow, Note::ReceiverDone);
+        let st = core.flow(flow);
+        assert_eq!((st.timeouts, st.retransmits), (1, 2));
+        assert_eq!(st.receiver_done_at, Some(done));
+        assert_eq!(st.sender_done_at, None);
+        let fct = core.fct().records();
+        assert_eq!(
+            (fct.len(), fct[0].bytes),
+            (1, MSS),
+            "FCT of the bytes delivered"
+        );
+
+        core.flows.get_mut(flow).expect("live").timeouts = u32::MAX;
+        core.handle_note(flow, Note::Timeout);
+        assert_eq!(core.flow(flow).timeouts, u64::from(u32::MAX), "saturates");
     }
 
     #[test]
@@ -1538,7 +1707,7 @@ mod endpoint_table_tests {
         fn new_sender(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn SenderEndpoint> {
             Box::new(OneShotSender {
                 flow,
-                spec: spec.clone(),
+                spec: *spec,
                 calls: self.0.clone(),
             })
         }
@@ -1630,6 +1799,49 @@ mod endpoint_table_tests {
         assert_eq!(sim.core().stale_arrivals(), 1, "the straggler was stale");
     }
 
+    /// A retired flow's meter and RTT samples leave the side table with
+    /// it: the id's next tenant starts with neither.
+    #[test]
+    fn retirement_drops_a_flows_extras() {
+        let reuse_after = Dur::micros(50);
+        let cfg = SimConfig {
+            retire: Some(RetireConfig {
+                reuse_after,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let (mut sim, h, _) = star_sim(4, cfg);
+        let old = sim.core_mut().start_flow(sized(h[0], h[1]));
+        sim.core_mut().meter_flow(old, Dur::micros(10));
+        sim.core_mut().watch_rtt(old);
+        sim.core_mut()
+            .handle_note(old, Note::RttSample { nanos: 7 });
+        assert!(sim.core().flow_meter(old).is_some());
+        assert_eq!(sim.core().rtt_samples(old), &[(0, 7)]);
+        sim.run();
+        assert!(!sim.core().has_flow(old), "flow retired");
+        assert!(sim.core().extras.is_empty(), "its extras left with it");
+        assert!(sim.core().flow_meter(old).is_none());
+        assert!(sim.core().rtt_samples(old).is_empty());
+
+        let later = sim.core().now() + reuse_after;
+        sim.core_mut().set_timer_at(later, 0);
+        sim.run();
+        let new = sim.core_mut().start_flow(sized(h[2], h[3]));
+        assert_eq!(new, old, "retired id recycled");
+        assert!(sim.core().flow_meter(new).is_none(), "no inherited meter");
+        sim.core_mut().watch_rtt(new);
+        sim.core_mut()
+            .handle_note(new, Note::RttSample { nanos: 9 });
+        let at = sim.core().now().nanos();
+        assert_eq!(
+            sim.core().rtt_samples(new),
+            &[(at, 9)],
+            "no inherited samples"
+        );
+    }
+
     /// The endpoint-record slab grows with the flows live at once, not
     /// with the flows ever started or the hosts: 2,000 one-packet flows
     /// started together over a 64-host star take 2,000 records, each
@@ -1657,9 +1869,7 @@ mod endpoint_table_tests {
         }
         assert_eq!(calls.load(Ordering::Relaxed), 2 * FLOWS as u64);
         assert_eq!(sim.core().flow_slab_stats().2, 2 * FLOWS);
-        assert!(sim
-            .core()
-            .flows()
-            .all(|(_, s)| s.delivered == BYTES && s.endpoints == FREED));
+        assert!(sim.core().flows().all(|(_, s)| s.delivered == BYTES));
+        assert!(sim.core().flows.iter().all(|(_, r)| r.endpoints == FREED));
     }
 }

@@ -20,6 +20,12 @@ cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test -q --workspace
 
+# The benchmark harness is a Cargo workspace of its own that depends on
+# the crates by path, so the workspace build above does not compile it:
+# build it and run its tests, so an API change that breaks it fails
+# here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 # End-to-end telemetry: a fully-traced incast's exported artifacts must
 # reconcile exactly with the simulator's ground truth.
 cargo test -q -p tfc-repro --test telemetry
@@ -54,21 +60,25 @@ cargo test -q -p tfc-repro --test export_memory
 cargo test -q -p tfc-repro --test policy_memory
 
 # Completed-flow footprint: without retirement a finished flow keeps
-# only its record; its endpoints, timer list and transport scratch state
-# are freed once no packet or timer can reach it. A counting allocator
-# runs a lossy TFC incast at two round counts and bounds the extra
-# rounds' completed flows at 0 live heap blocks and 203 live bytes each
-# (keeping the two endpoint boxes took 2 blocks and 683 B, keeping a
-# drained reorder node and timer list 4 blocks), so a regression to
-# per-flow state that outlives the flow names this gate.
+# only its 80-byte flow-table record and its FCT record; its endpoints,
+# timer list and transport scratch state are freed once no packet or
+# timer can reach it. A counting allocator runs a lossy TFC incast at
+# two round counts and bounds the extra rounds' completed flows at 0
+# live heap blocks and 127 live bytes each (121 B measured plus 5 %;
+# 152-byte flow-table slots took 193 B, keeping the two endpoint boxes
+# 2 blocks and 683 B, keeping a drained reorder node and timer list 4
+# blocks), so a regression to per-flow state that outlives the flow or
+# widens its record names this gate.
 cargo test -q -p tfc-repro --test flow_memory
 
-# Endpoint lifetime at benchmark scale: the benchmark's incast_chaos
-# run (12,000 flows in 100 rounds of fresh connections, no retirement)
-# without its export. A counting allocator bounds its live-heap peak at
-# 3,982,678 B plus 5 % (keeping every finished flow's endpoints peaked
-# at 8,735,814 B), so a regression that keeps per-flow endpoint or
-# timer state past the flow's last packet names this gate.
+# Endpoint lifetime and compact flow records at benchmark scale: the
+# benchmark's incast_chaos run (12,000 flows in 100 rounds of fresh
+# connections, no retirement) without its export. A counting allocator
+# bounds its live-heap peak at 2,807,638 B plus 5 % (152-byte
+# flow-table slots peaked at 3,982,678 B, keeping every finished
+# flow's endpoints on top at 8,735,814 B), so a regression that keeps
+# per-flow endpoint or timer state past the flow's last packet, or
+# widens the flow record, names this gate.
 cargo test -q -p tfc-repro --test incast_memory
 
 # Compact fabric state: switch ports live in one table of 32-byte
@@ -88,13 +98,14 @@ cargo test -q -p tfc-repro --test port_memory
 # bucket link and timer slot sit in parallel columns, 16-byte live-run
 # keys, 56-byte timer slots and 64-byte packet-arena slots, with pushes
 # at the instant just popped in a FIFO through the bucket links, on
-# the compact fabric above. A counting allocator bounds the live-heap
-# peak of the benchmark's 1,100-flow k=36 fat-tree run at the measured
-# 14,790,732 B plus 5% (64-byte ports and those pushes in a heap
-# peaked at 17.3 MiB; 104-byte ports and a route row per switch at
-# 22.3 MiB; 32-byte events, 56-byte entries and 80-byte arena slots on
-# top at 25.5 MiB), so a regression that widens a per-event,
-# per-packet or per-port record names this gate.
+# the compact fabric above, with 80-byte flow-table records. A
+# counting allocator bounds the live-heap peak of the benchmark's
+# 1,100-flow k=36 fat-tree run at the measured 14,647,884 B plus 5%
+# (152-byte flow-table slots peaked at 14,790,732 B; 64-byte ports and
+# those pushes in a heap at 17.3 MiB; 104-byte ports and a route row
+# per switch at 22.3 MiB; 32-byte events, 56-byte entries and 80-byte
+# arena slots on top at 25.5 MiB), so a regression that widens a
+# per-event, per-packet, per-port or per-flow record names this gate.
 cargo test -q -p tfc-repro --test event_memory
 
 # Never-moving tables: the packet arena's slots, the timing wheel's
@@ -175,10 +186,11 @@ TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace
 # Streaming smoke: tfc-million --quick validates its sketches against
 # an exact oracle, completes 100k open-loop flows with bounded slab and
 # arena high-water marks (asserted by the binary), and writes a
-# well-formed BENCH_million.json.
+# well-formed BENCH_million.json (v2: counts only, no wall-clock
+# speed).
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-million -- --quick >/dev/null
-grep '"schema": "tfc-bench-million/v1"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
-grep '"flows_per_sec"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
+grep '"schema": "tfc-bench-million/v2"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
+grep '"events"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
 grep '"slab_capacity"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
 grep '"oracle_classes_checked"' "$TRACE_DIR/bench/BENCH_million.json" >/dev/null
 

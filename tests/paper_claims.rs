@@ -135,7 +135,7 @@ fn departing_flow_hands_bandwidth_over_quickly() {
         .receiver_done_at
         .expect("departer finished")
         .nanos();
-    let meter = sim.core().flow(survivor).meter.as_ref().unwrap();
+    let meter = sim.core().flow_meter(survivor).unwrap();
     let before: Vec<f64> = meter
         .series()
         .window(gone_at.saturating_sub(20_000_000), gone_at)
