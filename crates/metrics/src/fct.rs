@@ -148,6 +148,13 @@ impl FctCollector {
         Self::default()
     }
 
+    /// Creates an empty collector with room for `n` records.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            records: Vec::with_capacity(n),
+        }
+    }
+
     /// Records one completed flow.
     pub fn record(&mut self, r: FlowRecord) {
         self.records.push(r);

@@ -1,148 +1,25 @@
 //! Dense per-flow tables.
 //!
-//! Flow ids are allocated sequentially from zero, so the simulator's
-//! flow states sit in a slab indexed by `FlowId` ([`FlowMap`]) instead
-//! of an ordered map: O(1) lookup, no pointer chasing, and iteration
-//! stays in id order (which the artifact exporters rely on). When flow
-//! retirement is enabled ([`crate::retire`]) completed ids are
-//! recycled, so the slab's length is bounded by peak concurrency.
+//! The simulator keeps two [`Slab`]s: one of flow records, whose slot
+//! indices are the flow ids, and one of endpoint records. A slab hands
+//! out its own indices and reuses freed ones, so both tables track the
+//! flows live at once, not every flow ever started:
 //!
-//! A flow's endpoints live in a second table, a `Slab` that hands out
-//! and reuses its own `u32` indices: an endpoint record is freed as soon
-//! as nothing can reach it (see `SimCore::free_if_unreachable`), so that
-//! table tracks the live flows, not every flow ever started.
+//! - without retirement no flow record is ever freed, so flow ids come
+//!   out sequentially from zero;
+//! - with retirement ([`crate::retire`]) a flow's record is freed once
+//!   nothing can reach the flow (see `SimCore::free_if_unreachable`), so
+//!   its id is reused at once, most recently freed first;
+//! - an endpoint record is freed at that same point, in either mode.
 
 use std::ops::{Index, IndexMut};
 
-use crate::packet::FlowId;
 use crate::segmented::Segmented;
-
-/// A slab keyed by [`FlowId`] with O(1) access and id-ordered
-/// iteration. Its length is the largest id it ever held, so it suits
-/// tables with an entry for (nearly) every flow, like the simulator's
-/// flow states. A table holding a sparse subset — say, one host's flows
-/// — still pays a slot for every id up to the largest it saw.
-///
-/// The slots sit in never-moving segments, so growing the table never
-/// copies or frees the states it holds. Ids at or past `u32::MAX - 63`
-/// do not fit and panic on insert.
-#[derive(Debug)]
-pub struct FlowMap<T> {
-    slots: Segmented<Option<T>>,
-    len: usize,
-    /// High-water mark of `len`: the peak number of simultaneously live
-    /// entries this table ever held. With id recycling the slab length
-    /// is bounded by peak concurrency, not total churn, and this is the
-    /// number that proves it.
-    peak_len: usize,
-}
-
-impl<T> Default for FlowMap<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The slot index of `id`, or `None` if it cannot name a slot.
-fn slot(id: FlowId) -> Option<u32> {
-    u32::try_from(id.0).ok()
-}
-
-impl<T> FlowMap<T> {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        FlowMap {
-            slots: Segmented::new("flow table"),
-            len: 0,
-            peak_len: 0,
-        }
-    }
-
-    /// Number of slots the slab has ever materialised (live + holes).
-    /// Under id recycling this is the resident-memory proxy: it tracks
-    /// peak concurrency, not cumulative flow count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Peak number of simultaneously live entries (see `capacity`).
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Shared access to the entry for `id`.
-    pub fn get(&self, id: FlowId) -> Option<&T> {
-        self.slots.get(slot(id)?)?.as_ref()
-    }
-
-    /// Mutable access to the entry for `id`.
-    pub fn get_mut(&mut self, id: FlowId) -> Option<&mut T> {
-        self.slots.get_mut(slot(id)?)?.as_mut()
-    }
-
-    /// Whether `id` has an entry.
-    pub fn contains(&self, id: FlowId) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Inserts a value for `id`, growing the slab as needed. Returns
-    /// the previous value, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is at or past `u32::MAX - 63`.
-    pub fn insert(&mut self, id: FlowId, value: T) -> Option<T> {
-        let idx = slot(id).expect("flow id exceeds the flow table");
-        while self.slots.len() <= idx as usize {
-            self.slots.push(None);
-        }
-        let old = self.slots[idx].replace(value);
-        if old.is_none() {
-            self.len += 1;
-            self.peak_len = self.peak_len.max(self.len);
-        }
-        old
-    }
-
-    /// Removes and returns the entry for `id`, if any.
-    pub fn remove(&mut self, id: FlowId) -> Option<T> {
-        let old = self.slots.get_mut(slot(id)?).and_then(Option::take);
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
-    /// Iterates entries in flow-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (FlowId, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|v| (FlowId(i as u64), v)))
-    }
-
-    /// Iterates entries mutably in flow-id order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (FlowId, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_mut().map(|v| (FlowId(i as u64), v)))
-    }
-}
 
 /// A table that hands out `u32` indices and reuses freed ones, most
 /// recently freed first. Its capacity is the peak number of entries
-/// live at once; the slots sit in never-moving segments.
+/// live at once; the slots sit in never-moving segments, so growing the
+/// table never copies or frees the entries it holds.
 #[derive(Debug)]
 pub(crate) struct Slab<T> {
     slots: Segmented<Option<T>>,
@@ -162,6 +39,11 @@ impl<T> Slab<T> {
     /// Slots ever materialised: the peak number of live entries.
     pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 
     /// Stores `value` in a free slot, or a new one, and returns its
@@ -197,6 +79,13 @@ impl<T> Slab<T> {
     pub(crate) fn get_mut(&mut self, i: u32) -> Option<&mut T> {
         self.slots.get_mut(i)?.as_mut()
     }
+
+    /// The live entries with their indices, in index order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        (0..)
+            .zip(self.slots.iter())
+            .filter_map(|(i, v)| Some((i, v.as_ref()?)))
+    }
 }
 
 impl<T> Index<u32> for Slab<T> {
@@ -222,60 +111,6 @@ impl<T> IndexMut<u32> for Slab<T> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn insert_get_remove_roundtrip() {
-        let mut m: FlowMap<u32> = FlowMap::new();
-        assert!(m.is_empty());
-        assert_eq!(m.insert(FlowId(3), 30), None);
-        assert_eq!(m.insert(FlowId(0), 0), None);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(FlowId(3)), Some(&30));
-        assert_eq!(m.get(FlowId(1)), None, "hole in the slab");
-        assert_eq!(m.get(FlowId(999)), None, "beyond the slab");
-        assert_eq!(m.insert(FlowId(3), 31), Some(30), "replace keeps len");
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.remove(FlowId(3)), Some(31));
-        assert_eq!(m.remove(FlowId(3)), None);
-        assert_eq!(m.remove(FlowId(999)), None);
-        assert_eq!(m.len(), 1);
-    }
-
-    /// Churn stress for the retirement path: a million insert/remove
-    /// cycles funnelled through a 64-slot id window must grow the slab
-    /// to peak concurrency and not one slot further.
-    #[test]
-    fn million_cycle_churn_stays_bounded() {
-        const CONCURRENCY: u64 = 64;
-        const CYCLES: u64 = 1_000_000;
-        let mut m: FlowMap<u64> = FlowMap::new();
-        for i in 0..CYCLES {
-            let id = FlowId(i % CONCURRENCY);
-            if i >= CONCURRENCY {
-                assert_eq!(m.remove(id), Some(i - CONCURRENCY), "tenant intact at {i}");
-            }
-            assert_eq!(m.insert(id, i), None, "slot must be empty at {i}");
-        }
-        assert_eq!(m.len(), CONCURRENCY as usize);
-        assert_eq!(m.peak_len(), CONCURRENCY as usize);
-        assert_eq!(
-            m.capacity(),
-            CONCURRENCY as usize,
-            "slab must be bounded by peak concurrency, not total churn"
-        );
-    }
-
-    #[test]
-    fn ids_past_the_table_are_absent_not_a_panic() {
-        let mut m: FlowMap<u8> = FlowMap::new();
-        m.insert(FlowId(2), 2);
-        for id in [FlowId(u64::from(u32::MAX)), FlowId(u64::MAX)] {
-            assert_eq!(m.get(id), None);
-            assert_eq!(m.get_mut(id), None);
-            assert_eq!(m.remove(id), None);
-        }
-        assert_eq!(m.capacity(), 3, "ids 0 and 1 are holes");
-    }
-
     /// The slab reuses the most recently freed index first and never
     /// grows past the peak number of live entries.
     #[test]
@@ -287,12 +122,13 @@ mod tests {
         assert_eq!(s.remove(b), None, "already free");
         assert_eq!(s.get(b), None);
         assert_eq!(s.remove(a), Some("a"));
+        assert_eq!(s.len(), 1);
         assert_eq!(s.insert("d"), a, "last freed, first reused");
         assert_eq!(s.insert("e"), b);
         assert_eq!(s.insert("f"), 3, "no free slot left");
         *s.get_mut(c).expect("live") = "C";
         assert_eq!(s.get(c), Some(&"C"));
-        assert_eq!(s.capacity(), 4);
+        assert_eq!((s.len(), s.capacity()), (4, 4));
         assert_eq!(s.get(u32::MAX), None);
         assert_eq!(s.remove(u32::MAX), None);
         for i in 0..1_000 {
@@ -302,17 +138,25 @@ mod tests {
         assert_eq!(s.capacity(), 5, "churn reuses one slot");
     }
 
+    /// Churn through a 64-entry window grows the slab to peak
+    /// concurrency and not one slot further, and iteration skips the
+    /// free slots in index order.
     #[test]
-    fn iterates_in_id_order() {
-        let mut m: FlowMap<&str> = FlowMap::new();
-        m.insert(FlowId(5), "e");
-        m.insert(FlowId(1), "b");
-        m.insert(FlowId(9), "j");
-        let got: Vec<(u64, &str)> = m.iter().map(|(id, v)| (id.0, *v)).collect();
-        assert_eq!(got, vec![(1, "b"), (5, "e"), (9, "j")]);
-        for (_, v) in m.iter_mut() {
-            *v = "x";
+    fn churn_stays_bounded_and_iterates_in_index_order() {
+        const CONCURRENCY: u32 = 64;
+        let mut s: Slab<u64> = Slab::new("test slab");
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..100_000u64 {
+            if live.len() == CONCURRENCY as usize {
+                let j = live.pop_front().expect("full window");
+                assert!(s.remove(j).is_some(), "tenant intact at {i}");
+            }
+            live.push_back(s.insert(i));
         }
-        assert!(m.iter().all(|(_, v)| *v == "x"));
+        assert_eq!((s.len(), s.capacity()), (64, 64));
+        s.remove(5);
+        s.remove(1);
+        let got: Vec<u32> = s.iter().map(|(i, _)| i).take(4).collect();
+        assert_eq!(got, vec![0, 2, 3, 4]);
     }
 }

@@ -14,12 +14,13 @@
 //! tail drop, fault loss, or policy consumption. The hot path performs
 //! zero packet clones.
 //!
-//! Without retirement every free but a policy's consumption also counts
-//! the packet out of its flow's packets in flight: a consumed packet is
-//! handed to the policy, which re-injects it (uncounted) or, after a
-//! `reset_port`, hands it back to be lost as a policy drop. Once the
-//! count, the flow's timers and both of its endpoints are done, the
-//! endpoints are freed (`SimCore::free_if_unreachable`).
+//! Every free but a policy's consumption also counts the packet out of
+//! its flow's packets in flight: a consumed packet is handed to the
+//! policy, which re-injects it (uncounted) or, after a `reset_port`,
+//! hands it back to be lost as a policy drop. Once the count, the
+//! flow's timers and both of its endpoints are done, the endpoints are
+//! freed and, under retirement, the flow is retired
+//! (`SimCore::free_if_unreachable`).
 
 use rng::rngs::StdRng;
 use rng::Rng;
@@ -556,14 +557,20 @@ impl SimCore {
         }
         let (now, flow) = (self.now, self.packets.get(pkt).flow);
         let ep = self.endpoints_of(flow);
+        let mut fx = self.take_fx();
+        let p = self.packets.get(pkt);
         debug_assert!(
-            self.retirer.is_some() || ep != FREED || !self.flows.contains(flow),
+            ep != FREED || !self.has_flow(flow),
             "a packet of {flow:?} reached {node:?} after the flow's endpoints were freed"
         );
-        let mut fx = self.take_fx();
-        // Ids are recycled under retirement: a record whose hosts are
-        // not this one belongs to a different flow that took the id.
-        let p = self.packets.get(pkt);
+        debug_assert!(
+            self.endpoints
+                .get(ep)
+                .is_none_or(|e| [(e.src, e.dst), (e.dst, e.src)].contains(&(p.src, p.dst))),
+            "a packet of {flow:?} from {:?} to {:?} reached another flow's endpoints",
+            p.src,
+            p.dst
+        );
         let known = match self.endpoints.get_mut(ep) {
             Some(e) if e.src == node => {
                 e.sender.on_packet(p, now, &mut fx);
@@ -573,7 +580,7 @@ impl SimCore {
                 e.receiver.on_packet(p, now, &mut fx);
                 true
             }
-            _ => false, // Stale packet of a torn-down flow.
+            _ => false, // A packet of an id that names no flow.
         };
         self.telemetry
             .pkt_arrive(now.nanos(), node.0, pkt.key(), p, known);
@@ -583,9 +590,7 @@ impl SimCore {
         if known {
             // Counted out without the free check: that runs once the
             // effects, which may send a reply, are applied.
-            if self.retirer.is_none() {
-                self.endpoints[ep].in_flight -= 1;
-            }
+            self.endpoints[ep].in_flight -= 1;
             self.apply_host_fx(node, flow, ep, fx);
         } else {
             self.stale_arrivals += 1;

@@ -38,7 +38,7 @@ pub mod arena;
 pub mod endpoint;
 pub mod event;
 pub mod fault;
-pub mod flowtable;
+mod flowtable;
 mod handlers;
 pub mod node;
 pub mod packet;
@@ -55,7 +55,6 @@ pub use app::{Application, FlowEvent, NullApp};
 pub use arena::{PacketArena, PacketId};
 pub use endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
 pub use fault::FaultAction;
-pub use flowtable::FlowMap;
 pub use node::PortStats;
 pub use packet::{Flags, FlowId, NodeId, Packet, HEADER_BYTES, MIN_FRAME, MSS, WINDOW_INIT};
 pub use retire::{FlowRetirer, RetireConfig};

@@ -3,26 +3,18 @@
 //! The closed-loop experiment drivers keep every flow's record
 //! alive for the whole run and post-process the dense tables afterwards.
 //! That is fine for a few thousand flows and hopeless for millions: the
-//! streaming workload engine instead *retires* a flow the moment both
-//! sides are done (receiver holds the byte stream, sender saw its FIN
-//! acknowledged). Retirement folds the flow's scalars — FCT, bytes,
-//! retransmit count, slowdown — into per-class [`QuantileSketch`]es,
-//! tears down the endpoint and timer state, and quarantines the flow id
-//! for a grace period before the slab hands it out again.
+//! streaming workload engine instead *retires* a flow once nothing can
+//! reach it any more, the same point at which its endpoints are freed:
+//! the receiver holds the byte stream, the sender saw its FIN
+//! acknowledged, no timer of the flow is pending and none of its
+//! packets is in flight (a TFC delay arbiter may still hold an RMA ACK
+//! after both sides are done). Retirement folds the flow's scalars —
+//! FCT, bytes, retransmit count, slowdown — into per-class
+//! [`QuantileSketch`]es and frees its flow record.
 //!
-//! The quarantine matters because packets carry a bare [`FlowId`](crate::packet::FlowId)
-//! without a generation: a straggler of the dead flow (a duplicated or
-//! reordered packet still crossing the fabric) must drain before the id
-//! can name a new tenant. Both endpoints being done bounds straggler
-//! lifetime to roughly one RTT plus residual queueing, so the default
-//! grace of 2 ms is conservative for data-center scales. Host-side
-//! lookups already treat unknown flows as stale packets and consume
-//! them, so a quarantined id is harmless by construction.
-//!
-//! Memory is O(peak active flows): the flow slab and the endpoint
-//! records (which hold each flow's timers) recycle slots, the sketches are
-//! fixed-size, and the id quarantine holds at most
-//! `arrival_rate x reuse_after` entries.
+//! No packet or timer can name a retired flow, so its id is handed to
+//! the next flow at once. Memory is O(peak active flows): the flow and
+//! endpoint tables reuse their slots and the sketches are fixed-size.
 
 use metrics::{FctCollector, FlowRecord, QuantileSketch};
 use telemetry::export::{RetiredClass, RetiredFlows};
@@ -41,8 +33,6 @@ pub const SLOWDOWN_SCALE: f64 = 1_000.0;
 pub struct RetireConfig {
     /// Relative-error bound of the per-class sketches.
     pub alpha: f64,
-    /// Quarantine before a retired flow id may be reused.
-    pub reuse_after: Dur,
     /// Base round-trip time of the fabric, the latency term of the
     /// ideal FCT that slowdown normalises against.
     pub base_rtt: Dur,
@@ -61,7 +51,6 @@ impl Default for RetireConfig {
     fn default() -> Self {
         Self {
             alpha: 0.01,
-            reuse_after: Dur::millis(2),
             base_rtt: Dur::micros(100),
             line_rate: Bandwidth::gbps(10),
             classes: vec!["all".to_string()],

@@ -825,13 +825,6 @@ impl Timers {
         self.take(token);
     }
 
-    /// Cancels every pending timer.
-    pub(crate) fn cancel_all(self, events: &mut EventQueue) {
-        for (_, handle) in self.0 {
-            events.cancel(handle);
-        }
-    }
-
     /// Whether no timer is pending.
     pub(crate) fn is_empty(&self) -> bool {
         self.0.is_empty()

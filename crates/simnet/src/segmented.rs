@@ -117,11 +117,6 @@ impl<T> Segmented<T> {
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.segs.iter().flatten()
     }
-
-    /// The elements mutably, in index order (as [`iter`](Self::iter)).
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.segs.iter_mut().flatten()
-    }
 }
 
 #[cold]
@@ -232,10 +227,6 @@ mod tests {
                 assert_eq!(s[i as u32], v);
             }
             assert!(s.iter().eq(model.iter()), "iter walks the model in order");
-            for v in s.iter_mut() {
-                *v ^= 1;
-            }
-            assert!(s.iter().zip(&model).all(|(&v, &w)| v == w ^ 1));
         });
     }
 

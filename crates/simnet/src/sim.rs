@@ -22,7 +22,7 @@ use crate::arena::PacketArena;
 use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
-use crate::flowtable::{FlowMap, Slab};
+use crate::flowtable::Slab;
 use crate::node::{intern_params, port_in, port_in_mut, Node, Port, PortParams, PortStats};
 use crate::packet::{FlowId, NodeId};
 use crate::policy::PolicyFx;
@@ -69,9 +69,9 @@ pub struct SimConfig {
     /// reference heap exists for equivalence tests and benchmarks, and
     /// both produce byte-identical runs (see [`crate::sched`]).
     pub scheduler: SchedulerKind,
-    /// Bounded-memory flow retirement (off by default): completed flows
-    /// fold into per-class quantile sketches and free all per-flow
-    /// state, with ids recycled after a quarantine. Required for the
+    /// Bounded-memory flow retirement (off by default): a finished flow
+    /// folds into per-class quantile sketches and frees its record once
+    /// nothing can reach it, and its id is reused. Required for the
     /// streaming million-flow workloads; see [`crate::retire`].
     pub retire: Option<RetireConfig>,
 }
@@ -220,6 +220,22 @@ impl FlowEntry {
     fn finished(&self) -> bool {
         self.receiver_done_at != NEVER && self.sender_done_at != NEVER
     }
+
+    /// The flow's completion record once its receiver is done; an
+    /// open-ended flow counts the bytes delivered.
+    fn fct_record(&self) -> Option<FlowRecord> {
+        (self.receiver_done_at != NEVER).then(|| FlowRecord {
+            bytes: self.size().unwrap_or(self.delivered),
+            start_ns: self.started_at,
+            end_ns: self.receiver_done_at,
+        })
+    }
+}
+
+/// The flow-table slot of `flow`; an id too large for the table names
+/// no slot.
+fn slot(flow: FlowId) -> u32 {
+    u32::try_from(flow.0).unwrap_or(u32::MAX)
 }
 
 /// The per-flow state few flows carry, kept beside the flow table in
@@ -252,9 +268,7 @@ pub(crate) struct Endpoints {
     /// Pending cancellable host timers, by endpoint token.
     pub(crate) timers: Timers,
     /// The flow's packets in the arena or held by a switch policy that
-    /// consumed them and has not re-injected them. Counted only without
-    /// retirement: a retired id is reused, so a straggler could not be
-    /// told from the new tenant's packets.
+    /// consumed them and has not re-injected them.
     pub(crate) in_flight: u32,
 }
 
@@ -297,26 +311,18 @@ pub struct SimCore {
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) switches: Vec<NodeId>,
     pub(crate) stack: Box<dyn ProtocolStack>,
-    /// Flow records in a dense slab. Ids are allocated sequentially;
-    /// without retirement they are never recycled and `flows` only
-    /// grows, with retirement ([`SimConfig::retire`]) completed flows
-    /// leave the slab and their ids return after a quarantine, so the
-    /// slab length is bounded by peak concurrency.
-    pub(crate) flows: FlowMap<FlowEntry>,
+    /// Flow records, each at the slot its flow id names: the slab hands
+    /// out the ids. Without retirement no record is freed, so ids are
+    /// sequential; with retirement ([`SimConfig::retire`]) a retired
+    /// flow's id is reused at once, so the slab is bounded by peak
+    /// concurrency.
+    pub(crate) flows: Slab<FlowEntry>,
     /// The meters and RTT samples of the flows that carry them, by id.
     /// A flow's entry leaves with it at retirement, as its id is reused.
     pub(crate) extras: BTreeMap<FlowId, FlowExtras>,
     /// The endpoint records of the flows something can still reach,
-    /// each named by its flow's [`FlowEntry::endpoints`]. Lookups must
-    /// check the host, since a stale packet of a recycled id can reach
-    /// a host the new flow avoids.
+    /// each named by its flow's [`FlowEntry::endpoints`].
     pub(crate) endpoints: Slab<Endpoints>,
-    /// Next never-used flow id (ids below it are live, retired, or
-    /// quarantined).
-    pub(crate) next_flow_id: u64,
-    /// Retired ids awaiting reuse, oldest first, with their retirement
-    /// times; an id leaves quarantine `retire.reuse_after` later.
-    pub(crate) free_ids: VecDeque<(Time, FlowId)>,
     /// The retirement pipeline, when [`SimConfig::retire`] is set.
     pub(crate) retirer: Option<FlowRetirer>,
     /// Pending cancellable policy timers per switch, in the order of
@@ -330,7 +336,6 @@ pub struct SimCore {
     pub(crate) pending_app: VecDeque<AppCall>,
     pub(crate) cfg: SimConfig,
     pub(crate) stopped: bool,
-    pub(crate) fct: FctCollector,
     pub(crate) events_processed: u64,
     /// Packets a switch policy's egress hook discarded
     /// ([`crate::policy::EgressVerdict::Drop`]), fabric-wide: the one
@@ -383,19 +388,21 @@ impl SimCore {
     /// Panics if `src`/`dst` are not distinct hosts.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!(spec.src != spec.dst, "flow endpoints must differ");
-        let flow = self.alloc_flow_id();
-        let sender = self.stack.new_sender(flow, &spec);
-        let receiver = self.stack.new_receiver(flow, &spec);
         let (src, dst) = (spec.src, spec.dst);
-        let bytes = spec.bytes.unwrap_or(0);
-        self.telemetry
-            .flow_open(self.now.nanos(), flow.0, src.0, dst.0, bytes);
         for node in [src, dst] {
             assert!(
                 matches!(self.nodes[node.0 as usize], Node::Host(_)),
                 "flow endpoint {node:?} is not a host"
             );
         }
+        // The flow table hands out the id; the endpoint index follows.
+        let idx = self.flows.insert(FlowEntry::new(&spec, self.now, FREED));
+        let flow = FlowId(u64::from(idx));
+        let sender = self.stack.new_sender(flow, &spec);
+        let receiver = self.stack.new_receiver(flow, &spec);
+        let bytes = spec.bytes.unwrap_or(0);
+        self.telemetry
+            .flow_open(self.now.nanos(), flow.0, src.0, dst.0, bytes);
         let ep = self.endpoints.insert(Endpoints {
             src,
             dst,
@@ -404,8 +411,7 @@ impl SimCore {
             timers: Timers::default(),
             in_flight: 0,
         });
-        let prev = self.flows.insert(flow, FlowEntry::new(&spec, self.now, ep));
-        debug_assert!(prev.is_none(), "allocated id {flow:?} was occupied");
+        self.flows[idx].endpoints = ep;
         let now = self.now;
         let mut fx = self.take_fx();
         self.endpoints[ep].sender.open(now, &mut fx);
@@ -432,10 +438,11 @@ impl SimCore {
     /// Closes an open-ended flow (FIN once pushed data is delivered).
     ///
     /// A no-op when the flow or its sender no longer exists: never
-    /// started, retired, or finished with its endpoints freed (a flow
-    /// that closed and completed has nothing left to close). Closing
-    /// twice is safe, so workloads need not track liveness across
-    /// faults.
+    /// started, or finished with its endpoints freed (a flow that
+    /// closed and completed has nothing left to close). Closing twice
+    /// is safe, so workloads need not track liveness across faults;
+    /// under retirement, though, a retired flow's id may already name a
+    /// new flow.
     pub fn close_flow(&mut self, flow: FlowId) {
         let now = self.now;
         let mut fx = self.take_fx();
@@ -482,7 +489,7 @@ impl SimCore {
     /// the per-class retirement sketches; the tag is a no-op for flows
     /// that are already gone.
     pub fn set_flow_class(&mut self, flow: FlowId, class: u8) {
-        if let Some(state) = self.flows.get_mut(flow) {
+        if let Some(state) = self.flows.get_mut(slot(flow)) {
             state.class = class;
         }
     }
@@ -490,20 +497,20 @@ impl SimCore {
     /// Attaches a goodput meter (window `window`) to a flow, replacing
     /// any meter it had; read it with [`flow_meter`](Self::flow_meter).
     pub fn meter_flow(&mut self, flow: FlowId, window: Dur) {
-        self.flows.get_mut(flow).expect("flow exists").flags |= METERED;
+        self.flows.get_mut(slot(flow)).expect("flow exists").flags |= METERED;
         self.extras.entry(flow).or_default().meter =
             Some(RateMeter::new(format!("flow{}", flow.0), window.as_nanos()));
     }
 
     /// Requests `Delivered` events for a flow.
     pub fn watch_delivery(&mut self, flow: FlowId) {
-        self.flows.get_mut(flow).expect("flow exists").flags |= WATCH_DELIVERY;
+        self.flows.get_mut(slot(flow)).expect("flow exists").flags |= WATCH_DELIVERY;
     }
 
     /// Requests sender RTT sample recording for a flow; read them with
     /// [`rtt_samples`](Self::rtt_samples).
     pub fn watch_rtt(&mut self, flow: FlowId) {
-        self.flows.get_mut(flow).expect("flow exists").flags |= WATCH_RTT;
+        self.flows.get_mut(slot(flow)).expect("flow exists").flags |= WATCH_RTT;
     }
 
     /// Registers a periodic queue-length sampler and returns the index
@@ -537,7 +544,7 @@ impl SimCore {
     /// [`SimConfig::retire`]).
     pub fn flow(&self, flow: FlowId) -> FlowState {
         self.flows
-            .get(flow)
+            .get(slot(flow))
             .expect("flow exists (not retired)")
             .view()
     }
@@ -559,13 +566,15 @@ impl SimCore {
 
     /// Whether the flow currently has live state (retired flows do not).
     pub fn has_flow(&self, flow: FlowId) -> bool {
-        self.flows.contains(flow)
+        self.flows.get(slot(flow)).is_some()
     }
 
-    /// Iterates all live flows in id order. Under retirement, completed
+    /// Iterates all live flows in id order. Under retirement, retired
     /// flows are absent: their statistics live in [`SimCore::retirer`].
     pub fn flows(&self) -> impl Iterator<Item = (FlowId, FlowState)> + '_ {
-        self.flows.iter().map(|(id, r)| (id, r.view()))
+        self.flows
+            .iter()
+            .map(|(id, r)| (FlowId(u64::from(id)), r.view()))
     }
 
     /// The queued-bytes series of every queue sampler, in registration
@@ -590,11 +599,15 @@ impl SimCore {
         &self.cfg
     }
 
-    /// Completed-flow records. Empty when flow retirement is on — the
-    /// per-class sketches in [`SimCore::retirer`] replace the unbounded
-    /// record vector.
-    pub fn fct(&self) -> &FctCollector {
-        &self.fct
+    /// The completion records of the completed flows in the flow
+    /// table, in id order, built from their flow records. Under
+    /// retirement a retired flow's record is gone: its FCT lives in the
+    /// per-class sketches of [`SimCore::retirer`].
+    pub fn fct(&self) -> FctCollector {
+        let done = || self.flows.iter().filter_map(|(_, r)| r.fct_record());
+        let mut fct = FctCollector::with_capacity(done().count());
+        done().for_each(|r| fct.record(r));
+        fct
     }
 
     /// The flow-retirement pipeline, when enabled.
@@ -603,22 +616,18 @@ impl SimCore {
     }
 
     /// Flow-slab occupancy diagnostics: `(live, peak_live, capacity)`.
-    /// With retirement on, `capacity` is bounded by peak concurrency —
-    /// the resident-memory half of the million-flow claim.
+    /// The slab reuses a retired flow's slot at once, so its capacity is
+    /// its peak live count: with retirement on, both are bounded by peak
+    /// concurrency — the resident-memory half of the million-flow claim.
     pub fn flow_slab_stats(&self) -> (usize, usize, usize) {
-        (
-            self.flows.len(),
-            self.flows.peak_len(),
-            self.flows.capacity(),
-        )
+        let peak = self.flows.capacity();
+        (self.flows.len(), peak, peak)
     }
 
     /// Slots of the endpoint-record slab: the peak number of flows whose
-    /// endpoints were live at once. A record is freed when its flow is
-    /// retired or, without retirement, once no packet or timer can
-    /// reach it, and its slot is reused; so this is at most
-    /// [`flow_slab_stats`](Self::flow_slab_stats)'s peak, and equals it
-    /// under retirement.
+    /// endpoints were live at once. A record is freed once no packet or
+    /// timer can reach its flow, and its slot is reused; so this is at
+    /// most [`flow_slab_stats`](Self::flow_slab_stats)'s peak.
     pub fn endpoint_table_capacity(&self) -> usize {
         self.endpoints.capacity()
     }
@@ -791,9 +800,9 @@ impl SimCore {
     }
 
     /// Packets that reached a host holding no endpoint of their flow and
-    /// were discarded there: stragglers of a retired flow, or packets of
-    /// an id that never named a flow. Without retirement a flow's
-    /// endpoints outlive its last packet, so this stays 0.
+    /// were discarded there: packets of an id that never named a flow. A
+    /// flow's endpoints, and under retirement its id, outlive its last
+    /// packet, so in a run this stays 0.
     pub fn stale_arrivals(&self) -> u64 {
         self.stale_arrivals
     }
@@ -815,73 +824,49 @@ impl SimCore {
     // Internal machinery.
     // ------------------------------------------------------------------
 
-    /// Allocates a flow id: a quarantine-expired retired id when
-    /// retirement is on (oldest first, so reuse order is deterministic),
-    /// otherwise the next fresh id.
-    fn alloc_flow_id(&mut self) -> FlowId {
-        if let Some(cfg) = &self.cfg.retire {
-            if let Some(&(retired_at, id)) = self.free_ids.front() {
-                if retired_at + cfg.reuse_after <= self.now {
-                    self.free_ids.pop_front();
-                    return id;
-                }
-            }
-        }
-        let id = FlowId(self.next_flow_id);
-        self.next_flow_id += 1;
-        id
-    }
-
     /// The index of `flow`'s endpoint record: [`FREED`] if the flow has
     /// no state (never started, or retired) or its endpoints are freed.
     #[inline]
     pub(crate) fn endpoints_of(&self, flow: FlowId) -> u32 {
-        self.flows.get(flow).map_or(FREED, |s| s.endpoints)
+        self.flows.get(slot(flow)).map_or(FREED, |s| s.endpoints)
     }
 
-    /// Tears down a finished flow: folds its scalars into the retirer's
-    /// per-class sketches, cancels its pending timers, frees its
-    /// endpoint record, its slab entry and its extras, and quarantines
-    /// the id. Packets of the dead flow still in flight take the
-    /// existing stale-packet path at the hosts.
+    /// Folds a finished flow nothing can reach into the retirer's
+    /// per-class sketches and frees its record, its extras and its id.
     fn retire_flow(&mut self, flow: FlowId) {
-        let Some(state) = self.flows.remove(flow) else {
-            return;
-        };
+        let state = self
+            .flows
+            .remove(slot(flow))
+            .expect("a flow is retired once");
         let retirer = self.retirer.as_mut().expect("retire_flow requires retirer");
         retirer.retire(&state.view());
         // The id's next tenant must not inherit a meter or samples.
         self.extras.remove(&flow);
-        let e = self
-            .endpoints
-            .remove(state.endpoints)
-            .expect("a retired flow's endpoints are live until now");
-        e.timers.cancel_all(&mut self.events);
-        self.free_ids.push_back((self.now, flow));
     }
 
     /// Frees `flow`'s endpoint record `ep` if nothing can reach it any
     /// more: both sides are done, no timer of the flow is pending and
     /// none of its packets is in flight. Then no event can ever call
     /// into the endpoints again, so dropping them changes nothing a run
-    /// observes.
+    /// observes. Under retirement the flow is then retired, behind its
+    /// `Completed` event, so the application's callback still observes
+    /// the flow.
     ///
-    /// Runs only without retirement, and only after a callback's
-    /// effects are applied: a receiver that just took the flow's last
-    /// packet may be about to send an ACK, which puts the count back
-    /// above zero.
+    /// Runs only after a callback's effects are applied: a receiver
+    /// that just took the flow's last packet may be about to send an
+    /// ACK, which puts the count back above zero.
     pub(crate) fn free_if_unreachable(&mut self, flow: FlowId, ep: u32) {
         let e = &self.endpoints[ep];
         if e.in_flight != 0 || !e.timers.is_empty() {
             return;
         }
-        let state = self
-            .flows
-            .get_mut(flow)
-            .expect("a flow with endpoints has state");
+        let state = &mut self.flows[slot(flow)];
         if state.finished() {
             state.endpoints = FREED;
             self.endpoints.remove(ep);
+            if self.retirer.is_some() {
+                self.pending_app.push_back(AppCall::Retire(flow));
+            }
         }
     }
 
@@ -890,9 +875,6 @@ impl SimCore {
     /// packets in flight, and frees the endpoints if that was the last
     /// thing that could reach them.
     pub(crate) fn packet_gone(&mut self, flow: FlowId) {
-        if self.retirer.is_some() {
-            return;
-        }
         let ep = self.endpoints_of(flow);
         if let Some(e) = self.endpoints.get_mut(ep) {
             e.in_flight -= 1;
@@ -904,11 +886,8 @@ impl SimCore {
     /// `host`, then returns the drained sink to the pool. Each packet
     /// it sends counts into the flow's packets in flight.
     pub(crate) fn apply_host_fx(&mut self, host: NodeId, flow: FlowId, ep: u32, mut fx: Effects) {
-        let counting = self.retirer.is_none();
         let e = &mut self.endpoints[ep];
-        if counting {
-            e.in_flight += fx.packets.len() as u32;
-        }
+        e.in_flight += fx.packets.len() as u32;
         for mut pkt in fx.packets.drain(..) {
             pkt.sent_at = self.now;
             let jitter = match self.cfg.host_jitter {
@@ -940,15 +919,12 @@ impl SimCore {
             self.handle_note(flow, note);
         }
         self.fx_pool.push(fx);
-        if counting {
-            self.free_if_unreachable(flow, ep);
-        }
+        self.free_if_unreachable(flow, ep);
     }
 
     pub(crate) fn handle_note(&mut self, flow: FlowId, note: Note) {
         let (at, tel) = (self.now.nanos(), &mut self.telemetry);
-        let finishing = matches!(note, Note::ReceiverDone | Note::SenderDone);
-        let Some(state) = self.flows.get_mut(flow) else {
+        let Some(state) = self.flows.get_mut(slot(flow)) else {
             return;
         };
         match note {
@@ -975,15 +951,6 @@ impl SimCore {
             Note::ReceiverDone => {
                 if state.receiver_done_at == NEVER {
                     state.receiver_done_at = at;
-                    // Streaming runs keep FCTs in the retirer's bounded
-                    // sketches instead of this unbounded record vector.
-                    if self.retirer.is_none() {
-                        self.fct.record(FlowRecord {
-                            bytes: state.size().unwrap_or(state.delivered),
-                            start_ns: state.started_at,
-                            end_ns: at,
-                        });
-                    }
                     self.pending_app
                         .push_back(AppCall::Flow(FlowEvent::Completed(flow)));
                 }
@@ -1011,17 +978,6 @@ impl SimCore {
                 tel.flow_rtt(at, flow.0, nanos);
             }
         }
-        // Under retirement the flow's state leaves the simulation once
-        // both sides are done (receiver holds the stream, sender saw its
-        // FIN acked). The teardown is queued behind the already-pending
-        // `Completed` app event so the application's callback still
-        // observes the flow; `retire_flow` ignores a second queuing.
-        if finishing
-            && self.retirer.is_some()
-            && self.flows.get(flow).is_some_and(FlowEntry::finished)
-        {
-            self.pending_app.push_back(AppCall::Retire(flow));
-        }
     }
 }
 
@@ -1048,11 +1004,9 @@ impl<A: Application> Simulator<A> {
                 hosts: net.hosts,
                 switches: net.switches,
                 stack,
-                flows: FlowMap::new(),
+                flows: Slab::new("flow table"),
                 extras: BTreeMap::new(),
                 endpoints: Slab::new("endpoint records"),
-                next_flow_id: 0,
-                free_ids: VecDeque::new(),
                 retirer,
                 policy_timers,
                 rng: StdRng::seed_from_u64(cfg.seed),
@@ -1062,7 +1016,6 @@ impl<A: Application> Simulator<A> {
                 pending_app: VecDeque::new(),
                 cfg,
                 stopped: false,
-                fct: FctCollector::new(),
                 events_processed: 0,
                 policy_drops: 0,
                 stale_arrivals: 0,
@@ -1526,14 +1479,15 @@ pub(crate) mod tests {
         assert_eq!((st.timeouts, st.retransmits), (1, 2));
         assert_eq!(st.receiver_done_at, Some(done));
         assert_eq!(st.sender_done_at, None);
-        let fct = core.fct().records();
+        let fct = core.fct();
+        let fct = fct.records();
         assert_eq!(
             (fct.len(), fct[0].bytes),
             (1, MSS),
             "FCT of the bytes delivered"
         );
 
-        core.flows.get_mut(flow).expect("live").timeouts = u32::MAX;
+        core.flows[slot(flow)].timeouts = u32::MAX;
         core.handle_note(flow, Note::Timeout);
         assert_eq!(core.flow(flow).timeouts, u64::from(u32::MAX), "saturates");
     }
@@ -1636,23 +1590,23 @@ mod event_log_tests {
 
 #[cfg(test)]
 mod endpoint_table_tests {
+    use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    use telemetry::span::{TraceConfig, STAGE_E2E_DATA};
 
     use super::*;
     use crate::app::NullApp;
     use crate::endpoint::{ReceiverEndpoint, SenderEndpoint};
-    use crate::packet::Packet;
+    use crate::packet::{Flags, Packet};
+    use crate::policy::{IngressVerdict, SwitchPolicy};
     use crate::topology::star;
     use crate::units::Bandwidth;
 
     const BYTES: u64 = 100;
 
     /// One data packet per flow: the sender emits it on open and is done
-    /// at once, the receiver is done on receipt. Every endpoint
-    /// `on_packet` call bumps the shared counter.
+    /// at once, the receiver is done on receipt and answers with an ACK.
+    /// Every endpoint `on_packet` call bumps the shared counter.
     struct OneShotSender {
         flow: FlowId,
         spec: FlowSpec,
@@ -1693,6 +1647,7 @@ mod endpoint_table_tests {
         fn on_packet(&mut self, pkt: &Packet, _now: Time, fx: &mut Effects) {
             self.calls.fetch_add(1, Ordering::Relaxed);
             self.got += pkt.payload;
+            fx.send(Packet::ack(pkt.flow, pkt.dst, pkt.src, self.got));
             fx.note(Note::Delivered { bytes: pkt.payload });
             fx.note(Note::ReceiverDone);
         }
@@ -1722,6 +1677,36 @@ mod endpoint_table_tests {
         }
     }
 
+    /// How long [`HoldAcks`] holds each ACK.
+    const HOLD: Dur = Dur::micros(100);
+
+    /// Holds every pure ACK entering the switch for [`HOLD`] before
+    /// forwarding it, as the TFC delay arbiter holds RMA ACKs.
+    #[derive(Default)]
+    struct HoldAcks(VecDeque<Packet>);
+
+    impl SwitchPolicy for HoldAcks {
+        fn on_ingress(
+            &mut self,
+            _in_port: usize,
+            pkt: &mut Packet,
+            _now: Time,
+            fx: &mut PolicyFx,
+        ) -> IngressVerdict {
+            if !pkt.flags.contains(Flags::ACK) || pkt.payload > 0 {
+                return IngressVerdict::Forward;
+            }
+            self.0.push_back(pkt.clone());
+            fx.timer(HOLD, 0);
+            IngressVerdict::Consume
+        }
+
+        fn on_timer(&mut self, _token: u64, _now: Time, fx: &mut PolicyFx) {
+            // Every ACK is held equally long, so they leave in order.
+            fx.inject(self.0.pop_front().expect("a held ACK"));
+        }
+    }
+
     fn sized(src: NodeId, dst: NodeId) -> FlowSpec {
         FlowSpec {
             src,
@@ -1731,87 +1716,94 @@ mod endpoint_table_tests {
         }
     }
 
-    fn star_sim(hosts: usize, cfg: SimConfig) -> (Simulator<NullApp>, Vec<NodeId>, Arc<AtomicU64>) {
+    /// A star of `hosts` running the one-shot stack and the application
+    /// `app` builds from the host ids; its switch holds ACKs if
+    /// `hold_acks`.
+    fn star_sim<A: Application>(
+        hosts: usize,
+        cfg: SimConfig,
+        hold_acks: bool,
+        app: impl FnOnce(&[NodeId]) -> A,
+    ) -> (Simulator<A>, Vec<NodeId>, Arc<AtomicU64>) {
         let (t, ids, _) = star(hosts, Bandwidth::gbps(10), Dur::micros(1));
+        let net = if hold_acks {
+            t.build(|_, _| Box::new(HoldAcks::default()))
+        } else {
+            t.build_drop_tail()
+        };
         let calls = Arc::new(AtomicU64::new(0));
         let stack = Box::new(OneShotStack(calls.clone()));
-        (
-            Simulator::new(t.build_drop_tail(), stack, NullApp, cfg),
-            ids,
-            calls,
-        )
+        let app = app(&ids);
+        (Simulator::new(net, stack, app, cfg), ids, calls)
     }
 
-    /// A straggler of a retired flow whose id was recycled for a flow
-    /// between two other hosts must take the stale path at the old
-    /// destination: no endpoint call (the flow-indexed tables hold the
-    /// new flow under that id, tagged with other hosts) and no span
-    /// delivery — it is consumed.
-    #[test]
-    fn straggler_of_recycled_id_stays_stale() {
-        let reuse_after = Dur::micros(50);
-        let cfg = SimConfig {
-            retire: Some(RetireConfig {
-                reuse_after,
-                ..Default::default()
-            }),
-            telemetry: TelemetryConfig {
-                trace: TraceConfig::Full,
-                ..Default::default()
-            },
+    fn retiring() -> SimConfig {
+        SimConfig {
+            retire: Some(RetireConfig::default()),
             ..Default::default()
-        };
-        let (mut sim, h, calls) = star_sim(4, cfg);
+        }
+    }
+
+    /// At time `at`, snapshots flow 0 if it is still live and starts
+    /// `spec`.
+    struct Probe {
+        at: Time,
+        spec: FlowSpec,
+        seen: Option<(Option<FlowState>, FlowId)>,
+    }
+
+    impl Application for Probe {
+        fn start(&mut self, api: &mut SimApi<'_>) {
+            api.set_timer_at(self.at, 0);
+        }
+
+        fn on_timer(&mut self, _token: u64, api: &mut SimApi<'_>) {
+            let first = FlowId(0);
+            let state = api.has_flow(first).then(|| api.flow(first));
+            self.seen = Some((state, api.start_flow(self.spec)));
+        }
+    }
+
+    /// A flow whose ACK the switch still holds after both of its sides
+    /// are done is neither retired nor has its id reused until the ACK
+    /// reaches its sender; then its id goes to the next flow at once,
+    /// the most recently retired first.
+    #[test]
+    fn held_ack_defers_retirement_and_id_reuse() {
+        // Both sides of flow 0 are done ~2 µs in; its ACK is held until
+        // ~103 µs.
+        let (mut sim, h, calls) = star_sim(4, retiring(), true, |h| Probe {
+            at: Time(Dur::micros(20).as_nanos()),
+            spec: sized(h[2], h[3]),
+            seen: None,
+        });
         let old = sim.core_mut().start_flow(sized(h[0], h[1]));
+        assert_eq!(old, FlowId(0));
         sim.run();
-        assert!(sim.core().flows.get(old).is_none(), "flow retired");
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        // Let the id leave quarantine, then hand it to h2 -> h3.
-        let later = sim.core().now() + reuse_after;
-        sim.core_mut().set_timer_at(later, 0);
-        sim.run();
-        let new = sim.core_mut().start_flow(sized(h[2], h[3]));
-        assert_eq!(new, old, "retired id recycled");
-        // The old flow's straggler, emitted by its old source.
-        let pkt = sim
-            .core_mut()
-            .packets
-            .alloc(Packet::data(old, h[0], h[1], 0, BYTES));
-        let at = sim.core().now();
-        sim.core_mut()
-            .events
-            .schedule(at, Event::NicEnqueue { node: h[0], pkt });
-        sim.run();
+        let (state, new) = sim.app().seen.expect("the probe ran");
+        let state = state.expect("flow retired while its ACK was held");
+        assert!(state.receiver_done_at.is_some() && state.sender_done_at.is_some());
+        assert_ne!(new, old, "id reused while its ACK was held");
+        let core = sim.core();
+        assert!(!core.has_flow(old) && !core.has_flow(new), "both retired");
+        assert_eq!(core.retirer().expect("retiring").total(), 2);
         assert_eq!(
             calls.load(Ordering::Relaxed),
-            2,
-            "only the new flow's receiver ran"
+            4,
+            "each ACK reached its sender"
         );
-        let spans = &sim.core().telemetry().spans;
-        let delivered = spans.sketch(STAGE_E2E_DATA, 0).map_or(0, |s| s.count());
-        assert_eq!(delivered, 2, "the straggler was delivered, not consumed");
-        assert_eq!(
-            spans.active_len(),
-            0,
-            "the straggler's span was not forgotten"
-        );
-        assert!(sim.core().packet_arena().is_empty());
-        assert_eq!(sim.core().stale_arrivals(), 1, "the straggler was stale");
+        assert_eq!(core.stale_arrivals(), 0);
+        assert!(core.packet_arena().is_empty());
+        assert_eq!(core.flow_slab_stats(), (0, 2, 2));
+        let next = sim.core_mut().start_flow(sized(h[0], h[1]));
+        assert_eq!(next, new, "the last retired id is reused at once");
     }
 
     /// A retired flow's meter and RTT samples leave the side table with
     /// it: the id's next tenant starts with neither.
     #[test]
     fn retirement_drops_a_flows_extras() {
-        let reuse_after = Dur::micros(50);
-        let cfg = SimConfig {
-            retire: Some(RetireConfig {
-                reuse_after,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let (mut sim, h, _) = star_sim(4, cfg);
+        let (mut sim, h, _) = star_sim(4, retiring(), false, |_| NullApp);
         let old = sim.core_mut().start_flow(sized(h[0], h[1]));
         sim.core_mut().meter_flow(old, Dur::micros(10));
         sim.core_mut().watch_rtt(old);
@@ -1825,11 +1817,8 @@ mod endpoint_table_tests {
         assert!(sim.core().flow_meter(old).is_none());
         assert!(sim.core().rtt_samples(old).is_empty());
 
-        let later = sim.core().now() + reuse_after;
-        sim.core_mut().set_timer_at(later, 0);
-        sim.run();
         let new = sim.core_mut().start_flow(sized(h[2], h[3]));
-        assert_eq!(new, old, "retired id recycled");
+        assert_eq!(new, old, "retired id reused at once");
         assert!(sim.core().flow_meter(new).is_none(), "no inherited meter");
         sim.core_mut().watch_rtt(new);
         sim.core_mut()
@@ -1845,13 +1834,13 @@ mod endpoint_table_tests {
     /// The endpoint-record slab grows with the flows live at once, not
     /// with the flows ever started or the hosts: 2,000 one-packet flows
     /// started together over a 64-host star take 2,000 records, each
-    /// freed once its packet is delivered, and a second batch of 2,000
+    /// freed once its ACK is delivered, and a second batch of 2,000
     /// reuses those slots. The flow states stay, one per flow.
     #[test]
     fn endpoint_records_size_by_live_flows() {
         const HOSTS: usize = 64;
         const FLOWS: usize = 2_000;
-        let (mut sim, h, calls) = star_sim(HOSTS, SimConfig::default());
+        let (mut sim, h, calls) = star_sim(HOSTS, SimConfig::default(), false, |_| NullApp);
         let mut ids = Vec::new();
         for _batch in 0..2 {
             for i in 0..FLOWS {
@@ -1867,7 +1856,7 @@ mod endpoint_table_tests {
                 "every delivered flow's endpoints are freed"
             );
         }
-        assert_eq!(calls.load(Ordering::Relaxed), 2 * FLOWS as u64);
+        assert_eq!(calls.load(Ordering::Relaxed), 4 * FLOWS as u64);
         assert_eq!(sim.core().flow_slab_stats().2, 2 * FLOWS);
         assert!(sim.core().flows().all(|(_, s)| s.delivered == BYTES));
         assert!(sim.core().flows.iter().all(|(_, r)| r.endpoints == FREED));

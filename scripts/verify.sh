@@ -32,9 +32,9 @@ cargo test -q -p tfc-repro --test telemetry
 
 # Scheduler equivalence: the reference heap and the timing wheel must
 # export byte-identical artifacts — including the open-loop streaming
-# scenario, where flow retirement recycles ids mid-run and a same-seed
-# wheel re-run must reproduce the whole bundle byte for byte, and the
-# ECMP+churn fat-tree scenario, where multipath spray and
+# scenario, where a retired flow's id goes to the next flow mid-run and
+# a same-seed wheel re-run must reproduce the whole bundle byte for
+# byte, and the ECMP+churn fat-tree scenario, where multipath spray and
 # selection-time reroute must not leak the backend into a single
 # artifact byte. (Also part of the workspace suite above; run
 # explicitly so a failure names the gate.)
@@ -60,25 +60,36 @@ cargo test -q -p tfc-repro --test export_memory
 cargo test -q -p tfc-repro --test policy_memory
 
 # Completed-flow footprint: without retirement a finished flow keeps
-# only its 80-byte flow-table record and its FCT record; its endpoints,
-# timer list and transport scratch state are freed once no packet or
-# timer can reach it. A counting allocator runs a lossy TFC incast at
-# two round counts and bounds the extra rounds' completed flows at 0
-# live heap blocks and 127 live bytes each (121 B measured plus 5 %;
-# 152-byte flow-table slots took 193 B, keeping the two endpoint boxes
-# 2 blocks and 683 B, keeping a drained reorder node and timer list 4
-# blocks), so a regression to per-flow state that outlives the flow or
-# widens its record names this gate.
+# only its 80-byte flow-table record (FCT records are built from it on
+# demand); its endpoints, timer list and transport scratch state are
+# freed once no packet or timer can reach it. A counting allocator runs
+# a lossy TFC incast at two round counts and bounds the extra rounds'
+# completed flows at 0 live heap blocks and 89 live bytes each
+# (84.875 B measured plus 5 %; a 24-byte FCT record per flow in a
+# doubling vector took 121 B, 152-byte flow-table slots 193 B, keeping
+# the two endpoint boxes 2 blocks and 683 B, keeping a drained reorder
+# node and timer list 4 blocks), so a regression to per-flow state
+# that outlives the flow or widens its record names this gate.
 cargo test -q -p tfc-repro --test flow_memory
+
+# Flow lifetime: a finished flow's endpoints are freed, and under
+# retirement the flow is retired and its id reused, only once no
+# packet or timer can reach it. Lossy and faulted TFC, DCTCP and TCP
+# incasts, with and without retirement, and an open-loop TFC stream
+# whose delay arbiter holds ACKs of finished flows must see no packet
+# reach a host without its flow's endpoints, so a lifecycle regression
+# names this gate.
+cargo test -q -p tfc-repro --test endpoint_lifetime
 
 # Endpoint lifetime and compact flow records at benchmark scale: the
 # benchmark's incast_chaos run (12,000 flows in 100 rounds of fresh
 # connections, no retirement) without its export. A counting allocator
-# bounds its live-heap peak at 2,807,638 B plus 5 % (152-byte
-# flow-table slots peaked at 3,982,678 B, keeping every finished
-# flow's endpoints on top at 8,735,814 B), so a regression that keeps
-# per-flow endpoint or timer state past the flow's last packet, or
-# widens the flow record, names this gate.
+# bounds its live-heap peak at 2,414,422 B plus 5 % (a 24-byte FCT
+# record per flow beside the flow table peaked at 2,807,638 B,
+# 152-byte flow-table slots on top at 3,982,678 B, keeping every
+# finished flow's endpoints on top of that at 8,735,814 B), so a
+# regression that keeps per-flow endpoint or timer state past the
+# flow's last packet, or widens the flow record, names this gate.
 cargo test -q -p tfc-repro --test incast_memory
 
 # Compact fabric state: switch ports live in one table of 32-byte
@@ -100,8 +111,9 @@ cargo test -q -p tfc-repro --test port_memory
 # at the instant just popped in a FIFO through the bucket links, on
 # the compact fabric above, with 80-byte flow-table records. A
 # counting allocator bounds the live-heap peak of the benchmark's
-# 1,100-flow k=36 fat-tree run at the measured 14,647,884 B plus 5%
-# (152-byte flow-table slots peaked at 14,790,732 B; 64-byte ports and
+# 1,100-flow k=36 fat-tree run at the measured 14,642,640 B plus 5%
+# (an FCT record vector beside the flow table peaked at 14,647,884 B;
+# 152-byte flow-table slots at 14,790,732 B; 64-byte ports and
 # those pushes in a heap at 17.3 MiB; 104-byte ports and a route row
 # per switch at 22.3 MiB; 32-byte events, 56-byte entries and 80-byte
 # arena slots on top at 25.5 MiB), so a regression that widens a
@@ -184,8 +196,9 @@ TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace
   "$TRACE_DIR/det-a" "$TRACE_DIR/det-b" | grep "no divergence" >/dev/null
 
 # Streaming smoke: tfc-million --quick validates its sketches against
-# an exact oracle, completes 100k open-loop flows with bounded slab and
-# arena high-water marks (asserted by the binary), and writes a
+# an exact oracle, completes 100k open-loop flows with a flow slab no
+# larger than its peak live count and a bounded arena high-water mark
+# (asserted by the binary), and writes a
 # well-formed BENCH_million.json (v2: counts only, no wall-clock
 # speed).
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-million -- --quick >/dev/null

@@ -1,6 +1,6 @@
-//! Endpoint lifetime without retirement: a finished flow's endpoints
-//! are freed at the first moment nothing can reach them again, and no
-//! packet ever reaches a flow after that.
+//! Flow lifetime: a finished flow's endpoints are freed, and under
+//! retirement the flow is retired, at the first moment nothing can
+//! reach them again, and no packet ever reaches a flow after that.
 //!
 //! A flow's endpoint record is freed once its sender and receiver are
 //! done, no timer of the flow is pending and none of its packets is in
@@ -11,12 +11,21 @@
 //! `experiments::faults` striking mid-run: a loss burst, an access-link
 //! flap, a host stall or a policy reset. (That suite's own flows are
 //! backlogged and never finish within its horizon, so nothing there
-//! would be freed.) Every case asserts:
+//! would be freed.) Each case runs once without retirement and once
+//! with it, where a retired flow's id is reused at once. Every case
+//! asserts:
 //!
 //! - no packet reaches a host that holds no endpoint of its flow
 //!   (`SimCore::stale_arrivals`; in debug builds the simulator also
-//!   asserts it at the arrival);
-//! - every completed flow's endpoints are freed.
+//!   asserts it at the arrival, and that a packet reaches only the
+//!   endpoints of its own host pair);
+//! - every completed flow's endpoints are freed;
+//! - under retirement, every completed flow is retired and the flow
+//!   table drains.
+//!
+//! The open-loop TFC stream of `tests/sched_equivalence.rs` retires
+//! flows while the delay arbiter holds their ACKs; no packet of it
+//! reaches a flow either.
 //!
 //! A policy reset wipes the TFC delay arbiter's held ACKs on the reset
 //! port. Each was counted in flight when its receiver sent it; the
@@ -30,10 +39,15 @@ use experiments::proto::{Proto, ProtoConfig};
 use simnet::app::{Application, FlowEvent};
 use simnet::endpoint::FlowSpec;
 use simnet::packet::{FlowId, NodeId};
+use simnet::retire::RetireConfig;
 use simnet::sim::{SimApi, SimConfig, Simulator};
-use simnet::topology::star;
+use simnet::topology::{leaf_spine, star};
 use simnet::units::{Bandwidth, Dur, Time};
 use telemetry::TelemetryConfig;
+use tfc::config::TfcSwitchConfig;
+use tfc::{TfcStack, TfcSwitchPolicy};
+use workloads::dist::{background_flow_sizes, cache_follower_flow_sizes};
+use workloads::{StreamApp, StreamClass, StreamConfig};
 
 const SENDERS: usize = 16;
 const ROUNDS: u32 = 6;
@@ -75,6 +89,10 @@ struct Outcome {
     completed: usize,
     /// Completed flows that still hold their endpoints.
     kept: Vec<FlowId>,
+    /// Flows retired (0 without retirement).
+    retired: u64,
+    /// Flows left in the flow table.
+    live: usize,
     /// Packets that reached a host holding no endpoint of their flow.
     stale: u64,
     /// Packets left in the arena when the run drained.
@@ -121,7 +139,7 @@ impl Application for Rounds {
     }
 }
 
-fn incast(proto: Proto, fault: Fault) -> Outcome {
+fn incast(proto: Proto, fault: Fault, retire: bool) -> Outcome {
     let (mut t, hosts, switch) = star(SENDERS + 1, Bandwidth::gbps(10), Dur::micros(10));
     t.switch_buffer(512 * 1024);
     let proto_cfg = ProtoConfig::ten_gig();
@@ -137,6 +155,7 @@ fn incast(proto: Proto, fault: Fault) -> Outcome {
         // A backstop only: the runs drain long before.
         end: Some(Time(Dur::secs(60).as_nanos())),
         telemetry: TelemetryConfig::off(),
+        retire: retire.then(RetireConfig::default),
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(net, proto_cfg.stack(proto), app, cfg);
@@ -153,17 +172,15 @@ fn incast(proto: Proto, fault: Fault) -> Outcome {
     timeline.install(sim.core_mut());
     sim.run();
     let core = sim.core();
-    let completed: Vec<FlowId> = core
-        .flows()
-        .filter(|(_, s)| s.receiver_done_at.is_some())
-        .map(|(id, _)| id)
-        .collect();
     Outcome {
-        completed: completed.len(),
-        kept: completed
-            .into_iter()
-            .filter(|&f| core.sender_cwnd(f).is_some())
+        completed: sim.app().completed,
+        kept: core
+            .flows()
+            .filter(|&(f, s)| s.receiver_done_at.is_some() && core.sender_cwnd(f).is_some())
+            .map(|(f, _)| f)
             .collect(),
+        retired: core.retirer().map_or(0, |r| r.total()),
+        live: core.flow_slab_stats().0,
         stale: core.stale_arrivals(),
         in_arena: core.packet_arena().live(),
         timeouts: core.flows().map(|(_, s)| s.timeouts).sum(),
@@ -171,44 +188,57 @@ fn incast(proto: Proto, fault: Fault) -> Outcome {
     }
 }
 
-/// Runs every fault under `proto`.
-fn check_freed(proto: Proto) {
+/// Runs every fault under `proto`, with or without retirement.
+fn check_freed(proto: Proto, retire: bool) {
+    const FLOWS: usize = SENDERS * ROUNDS as usize;
     for fault in FAULTS {
-        let out = incast(proto, fault);
-        assert_eq!(
-            out.completed,
-            SENDERS * ROUNDS as usize,
-            "{proto:?} {fault:?}"
-        );
-        assert_eq!(
-            out.stale, 0,
-            "{proto:?} {fault:?}: packets reached freed flows"
-        );
-        assert_eq!(out.in_arena, 0, "{proto:?} {fault:?}: the run drained");
+        let out = incast(proto, fault, retire);
+        let case = format!("{proto:?} {fault:?} (retire: {retire})");
+        assert_eq!(out.completed, FLOWS, "{case}");
+        assert_eq!(out.stale, 0, "{case}: packets reached freed flows");
+        assert_eq!(out.in_arena, 0, "{case}: the run drained");
         assert_eq!(
             out.kept,
             Vec::<FlowId>::new(),
-            "{proto:?} {fault:?}: completed flows kept their endpoints"
+            "{case}: completed flows kept their endpoints"
         );
-        if matches!(fault, Fault::Lossy) {
-            assert!(out.timeouts > 0, "{proto:?}: 3 % loss forces RTOs");
+        if retire {
+            assert_eq!(out.retired, FLOWS as u64, "{case}: every flow retired");
+            assert_eq!(out.live, 0, "{case}: the flow table drained");
+        } else if matches!(fault, Fault::Lossy) {
+            assert!(out.timeouts > 0, "{case}: 3 % loss forces RTOs");
         }
     }
 }
 
 #[test]
 fn tfc_frees_every_completed_flow() {
-    check_freed(Proto::Tfc);
+    check_freed(Proto::Tfc, false);
 }
 
 #[test]
 fn dctcp_frees_every_completed_flow() {
-    check_freed(Proto::Dctcp);
+    check_freed(Proto::Dctcp, false);
 }
 
 #[test]
 fn tcp_frees_every_completed_flow() {
-    check_freed(Proto::Tcp);
+    check_freed(Proto::Tcp, false);
+}
+
+#[test]
+fn tfc_retires_every_completed_flow() {
+    check_freed(Proto::Tfc, true);
+}
+
+#[test]
+fn dctcp_retires_every_completed_flow() {
+    check_freed(Proto::Dctcp, true);
+}
+
+#[test]
+fn tcp_retires_every_completed_flow() {
+    check_freed(Proto::Tcp, true);
 }
 
 /// The reset wipes one held ACK of each of five flows. Each is lost as
@@ -216,7 +246,7 @@ fn tcp_frees_every_completed_flow() {
 /// retransmit and complete.
 #[test]
 fn tfc_policy_reset_loses_wiped_acks_as_policy_drops() {
-    let out = incast(Proto::Tfc, Fault::PolicyReset);
+    let out = incast(Proto::Tfc, Fault::PolicyReset, false);
     assert_eq!(out.completed, SENDERS * ROUNDS as usize);
     assert_eq!(out.stale, 0, "packets reached freed flows");
     assert_eq!(out.in_arena, 0, "the run drained");
@@ -227,4 +257,56 @@ fn tfc_policy_reset_loses_wiped_acks_as_policy_drops() {
         Vec::<FlowId>::new(),
         "every completed flow is freed"
     );
+}
+
+/// The open-loop TFC stream of `tests/sched_equivalence.rs`: a 3 x 4
+/// leaf-spine until 1,500 flows complete, retiring flows and reusing
+/// their ids while the delay arbiter holds ACKs. No packet reaches a
+/// host that no longer holds its flow, and the flow table never grows
+/// past the flows live at once.
+#[test]
+fn tfc_stream_retires_without_stale_arrivals() {
+    let (t, hosts, _) = leaf_spine(
+        3,
+        4,
+        Bandwidth::gbps(10),
+        Bandwidth::gbps(40),
+        Dur::micros(20),
+    );
+    let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
+    let class = |name: &str, mean_interarrival, sizes| StreamClass {
+        name: name.into(),
+        mean_interarrival,
+        sizes,
+        weight: 1,
+    };
+    let app = StreamApp::new(StreamConfig {
+        hosts,
+        classes: vec![
+            class(
+                "cache-follower",
+                Dur::micros(4),
+                cache_follower_flow_sizes(),
+            ),
+            class("web-search", Dur::micros(40), background_flow_sizes()),
+        ],
+        target_completed: Some(1_500),
+        horizon: None,
+        max_active: 0,
+    });
+    let cfg = SimConfig {
+        seed: 23,
+        retire: Some(RetireConfig::default()),
+        telemetry: TelemetryConfig::off(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(net, Box::new(TfcStack::default()), app, cfg);
+    sim.run();
+    let core = sim.core();
+    assert!(sim.app().completed() >= 1_500);
+    let retired = core.retirer().expect("retiring").total();
+    let (live, peak, capacity) = core.flow_slab_stats();
+    assert_eq!(sim.app().started(), retired + live as u64);
+    assert_eq!(core.stale_arrivals(), 0, "packets reached retired flows");
+    assert_eq!(capacity, peak, "retired ids are reused at once");
 }

@@ -1,7 +1,8 @@
 //! A completed flow keeps only its record: its 80-byte slot in the
-//! flow table and its FCT record. Its endpoints, timer list and
-//! transport scratch state are freed once no packet or timer can reach
-//! the flow any more (`SimCore::free_if_unreachable`).
+//! flow table, from which `SimCore::fct` builds its FCT record on
+//! demand. Its endpoints, timer list and transport scratch state are
+//! freed once no packet or timer can reach the flow any more
+//! (`SimCore::free_if_unreachable`).
 //!
 //! The shared counting allocator (`tests/common`) tracks live blocks
 //! and bytes. The test runs a TFC incast with fresh connections per
@@ -9,16 +10,16 @@
 //! so the reorder path and RTOs run in every round, at two round
 //! counts. The extra rounds' completed flows may add no live heap
 //! block of their own: the only extra block is one new segment of the
-//! flow table, which grows in never-moving segments (the FCT record
-//! vector reallocates, adding bytes but no blocks). Keeping the two
+//! flow table, which grows in never-moving segments. Keeping the two
 //! endpoint boxes made it 2 blocks per flow, and keeping a drained
 //! reorder node and timer list 4. Each extra flow may also add at most
-//! [`BYTES_PER_FLOW`] live bytes: its 80-byte flow-table slot and a
-//! 24-byte FCT record, with the record vector's doubling slack (121 B
-//! measured; 193 B with 152-byte `Option<FlowState>` slots, 197 B with
-//! a per-slot generation column beside the flow table on top, 683 B
-//! with the endpoint boxes). This binary holds exactly one test, so no
-//! other thread allocates while it measures.
+//! [`BYTES_PER_FLOW`] live bytes: its 80-byte flow-table slot, with
+//! the new segment's unfilled tail (84.875 B measured; 121 B with a
+//! 24-byte FCT record per flow in a doubling vector beside the table,
+//! 193 B with 152-byte `Option<FlowState>` slots on top, 197 B with a
+//! per-slot generation column beside the flow table on top of that,
+//! 683 B with the endpoint boxes). This binary holds exactly one test,
+//! so no other thread allocates while it measures.
 
 use chaos::FaultTimeline;
 use simnet::sim::{SimConfig, Simulator};
@@ -39,8 +40,9 @@ const BLOCKS_PER_FLOW: f64 = 0.0;
 /// Blocks the longer run may add beyond that: one new segment of the
 /// flow table (128 flows fill segments 0–1, 384 flows segments 0–2).
 const TABLE_SEGMENTS: f64 = 1.0;
-/// Live heap bytes a completed flow may hold: 121 B measured, plus 5 %.
-const BYTES_PER_FLOW: f64 = 127.0;
+/// Live heap bytes a completed flow may hold: 84.875 B measured, plus
+/// 5 %.
+const BYTES_PER_FLOW: f64 = 89.0;
 
 /// What one incast run leaves live when it stops.
 struct Held {

@@ -15,9 +15,9 @@
 //! semantically: backend fields must match the variant, everything
 //! else must be identical.
 //!
-//! The streaming scenario pushes the bar further: flow ids are
-//! recycled mid-run through the retirement quarantine and the retired
-//! sketches land in the v2 `flows.json`, so byte-identity here proves
+//! The streaming scenario pushes the bar further: a retired flow's id
+//! is reused by the next flow mid-run and the retired sketches land in
+//! the v2 `flows.json`, so byte-identity here proves
 //! the whole retirement pipeline — deferred `Retire` calls, slab
 //! reuse, sketch folds — is schedule-stable. A same-seed re-run of the
 //! wheel must also reproduce the entire streaming bundle (manifest
@@ -143,8 +143,8 @@ fn run_chaos(v: Variant) {
 }
 
 /// Open-loop streaming mix with flow retirement: two RPC classes drive
-/// a small leaf-spine until 1 500 flows complete, recycling flow ids
-/// through the retirement quarantine along the way. The retired
+/// a small leaf-spine until 1 500 flows complete, reusing each retired
+/// flow's id along the way. The retired
 /// sketches and per-class counters ride in the v2 `flows.json`.
 fn run_stream(v: Variant) {
     let (t, hosts, _switches) = leaf_spine(
@@ -313,7 +313,7 @@ fn wheel_reproduces_heap_artifacts_byte_for_byte() {
 
     // Same-seed re-run of the wheel: the streaming bundle — manifest
     // included, since backend and seed are identical — must reproduce
-    // byte for byte. Retirement recycles flow ids mid-run, so this pins
+    // byte for byte. Retirement reuses flow ids mid-run, so this pins
     // down the whole lifecycle pipeline, not just the scheduler.
     let rerun = base.join("wheel_rerun");
     std::env::set_var("TFC_RESULTS_DIR", &rerun);
