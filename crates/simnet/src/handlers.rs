@@ -24,16 +24,15 @@
 
 use rng::rngs::StdRng;
 use rng::Rng;
-use telemetry::{Queue, Telemetry};
+use telemetry::Queue;
 
-use crate::arena::{PacketArena, PacketId};
-use crate::event::{Event, EventQueue};
+use crate::arena::PacketId;
+use crate::event::Event;
 use crate::fault::FaultAction;
-use crate::node::{ecmp_select, port_in_mut, NextHops, Node, Port, PortParams, Wire};
+use crate::node::{ecmp_select, NextHops, Node, PortParams, Wire};
 use crate::packet::{Flags, FlowId, NodeId};
 use crate::policy::{EgressVerdict, IngressVerdict, PolicyFx};
 use crate::sim::{AppCall, SimCore, FREED};
-use crate::units::Time;
 
 /// Why [`SimCore::lose`] loses a packet; each cause has its counter.
 #[derive(Debug, Clone, Copy)]
@@ -86,41 +85,17 @@ impl SimCore {
 
     /// A packet emitted by an endpoint reaches its host's NIC queue.
     fn on_nic_enqueue(&mut self, node: NodeId, pkt: PacketId) {
-        let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
-            unreachable!("NIC enqueue at switch {node:?}");
-        };
-        if h.stalled {
-            // A stalled host emits nothing.
-            self.lose(node, 0, pkt, DropCause::Fault);
-            return;
-        }
-        let params = &self.params[usize::from(h.nic.link.params)];
-        if Self::faulted(params, &mut self.fault_rng) {
-            self.lose(node, 0, pkt, DropCause::Fault);
-            return;
-        }
-        let dropped = Self::enqueue_and_kick(
-            &mut h.nic,
-            params,
-            node,
-            0,
-            Queue::Nic,
-            pkt,
-            &mut self.packets,
-            self.now,
-            &mut self.events,
-            &mut self.telemetry,
-        );
-        if let Some(flow) = dropped {
-            self.tail_dropped(node, 0, flow);
-        }
+        let slot = self.port_slot(node, 0);
+        self.egress(node, 0, slot, Queue::Nic, pkt);
     }
 
     /// A packet finishes propagating into `node` on `port`.
     fn on_arrival(&mut self, node: NodeId, port: usize, pkt: PacketId) {
-        if !self.port_params(node, port).up {
-            // The packet propagated into a link that died under it:
-            // lost at the receiving end.
+        let params = self.port_params(node, port);
+        if !params.up || params.stalled {
+            // The packet propagated into a link that died under it, or
+            // into a stalled host, whose endpoints see nothing: lost at
+            // the receiving end.
             self.lose(node, port, pkt, DropCause::Fault);
             return;
         }
@@ -151,12 +126,10 @@ impl SimCore {
 
     /// A switch-policy timer fires.
     fn on_policy_timer(&mut self, node: NodeId, token: u64) {
-        if let Some(sw) = self.switch_index(node) {
-            self.policy_timers[sw].fired(token);
-        }
         let now = self.now;
         let mut fx = self.take_policy_fx();
         if let Node::Switch(sw) = &mut self.nodes[node.0 as usize] {
+            sw.timers.fired(token);
             sw.policy.on_timer(token, now, &mut fx);
         }
         self.apply_policy_fx(node, fx);
@@ -177,8 +150,8 @@ impl SimCore {
     }
 
     /// Loses `pkt` at `node`'s `port` for `cause`: counts it, reports it
-    /// to telemetry and frees its slot. (A tail drop is reported and
-    /// freed in `enqueue_and_kick` and counted in `tail_dropped`.)
+    /// to telemetry and frees its slot. (A tail drop is counted,
+    /// reported and freed in [`egress`](Self::egress).)
     fn lose(&mut self, node: NodeId, port: usize, pkt: PacketId, cause: DropCause) {
         // Port indices are below `MAX_PORTS` (2^15).
         let at = (node, port as u16);
@@ -195,64 +168,57 @@ impl SimCore {
         self.packet_gone(flow);
     }
 
-    /// Counts a tail drop of a packet of `flow` at `node`'s `port`
-    /// (already reported and freed by `enqueue_and_kick`), and counts
-    /// the packet out of its flow.
-    fn tail_dropped(&mut self, node: NodeId, port: usize, flow: FlowId) {
-        // Port indices are below `MAX_PORTS` (2^15).
-        self.rare_drops.entry((node, port as u16)).or_default().tail += 1;
-        self.packet_gone(flow);
-    }
-
     /// Whether a packet entering a port with `params` is lost to a
-    /// fault: the link is down, or an active loss window draws it. The
-    /// fault RNG is only drawn inside an active loss window, so
-    /// fault-free runs are byte-identical to pre-fault-layer ones.
+    /// fault: the link is down, the NIC's host is stalled, or an active
+    /// loss window draws it. The fault RNG is only drawn inside an
+    /// active loss window, so fault-free runs are byte-identical to
+    /// pre-fault-layer ones.
     fn faulted(params: &PortParams, fault_rng: &mut StdRng) -> bool {
         !params.up
+            || params.stalled
             || (params.loss_permille > 0
                 && fault_rng.gen_range(0..1000u64) < params.loss_permille as u64)
     }
 
-    /// Enqueues `pkt` on `port` (with `params`), port `port_idx` of
-    /// node `id` (the kind of `queue`), starting the transmitter if it
-    /// is idle, i.e. if the FIFO was empty. On overflow it reports the
-    /// drop, frees the packet's arena slot and returns the packet's
-    /// flow, for the caller to count the drop
-    /// ([`tail_dropped`](Self::tail_dropped)). The caller has already
-    /// checked the port for faults ([`faulted`](Self::faulted)).
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_and_kick(
-        port: &mut Port,
-        params: &PortParams,
-        id: NodeId,
-        port_idx: usize,
-        queue: Queue,
-        pkt: PacketId,
-        arena: &mut PacketArena,
-        now: Time,
-        events: &mut EventQueue,
-        tel: &mut Telemetry,
-    ) -> Option<FlowId> {
-        let (at, node, port_no, key) = (now.nanos(), id.0, port_idx as u16, pkt.key());
-        let idle = port.queue.is_empty();
-        if !port.queue.enqueue(pkt, arena, params.capacity) {
-            tel.pkt_drop(at, node, port_no, key, arena.get(pkt));
-            return Some(arena.free(pkt).flow);
+    /// Sends `pkt` out of port `port` of `node`, port-table row `slot`,
+    /// a queue of kind `queue`: the one egress path of host NICs and
+    /// switch ports alike. A faulted port ([`faulted`](Self::faulted))
+    /// loses the packet, a full FIFO tail-drops it, and otherwise it is
+    /// queued, starting the transmitter if it is idle, i.e. if the FIFO
+    /// was empty.
+    fn egress(&mut self, node: NodeId, port: usize, slot: usize, queue: Queue, pkt: PacketId) {
+        let out = &mut self.ports[slot];
+        let params = &self.params[usize::from(out.link.params)];
+        if Self::faulted(params, &mut self.fault_rng) {
+            self.lose(node, port, pkt, DropCause::Fault);
+            return;
         }
-        let p = arena.get(pkt);
-        tel.pkt_enqueue(at, node, port_no, key, p, port.queue.bytes(), queue);
+        // Port indices are below `MAX_PORTS` (2^15).
+        let (now, port_no, key) = (self.now, port as u16, pkt.key());
+        let idle = out.queue.is_empty();
+        if !out.queue.enqueue(pkt, &mut self.packets, params.capacity) {
+            let at = now.nanos();
+            let p = self.packets.get(pkt);
+            self.telemetry.pkt_drop(at, node.0, port_no, key, p);
+            let flow = self.packets.free(pkt).flow;
+            self.rare_drops.entry((node, port_no)).or_default().tail += 1;
+            self.packet_gone(flow);
+            return;
+        }
+        let p = self.packets.get(pkt);
+        let bytes = out.queue.bytes();
+        self.telemetry
+            .pkt_enqueue(now.nanos(), node.0, port_no, key, p, bytes, queue);
         if idle {
             let ser = params.rate.serialize(p.wire_bytes());
-            events.schedule(
+            self.events.schedule(
                 now + ser,
                 Event::TxDone {
-                    node: id,
-                    port: Event::port(port_idx),
+                    node,
+                    port: Event::port(port),
                 },
             );
         }
-        None
     }
 
     fn tx_done(&mut self, node: NodeId, port_idx: usize) {
@@ -260,7 +226,8 @@ impl SimCore {
         // A downed link keeps draining its FIFO at line rate, but every
         // serialised packet falls into the void; the transmitter never
         // stops, so no re-kick is needed when the link comes back.
-        let port = port_in_mut(&mut self.nodes, &mut self.ports, node, port_idx);
+        let slot = self.port_slot(node, port_idx);
+        let port = &mut self.ports[slot];
         let (pkt, wire) = port
             .queue
             .dequeue(&self.packets)
@@ -380,24 +347,10 @@ impl SimCore {
             };
             (slot, verdict)
         };
-        let params = &self.params[usize::from(self.ports[slot].link.params)];
-        if verdict != EgressVerdict::Enqueue {
+        if verdict == EgressVerdict::Enqueue {
+            self.egress(node, out, slot, Queue::Switch { ce_before }, pkt);
+        } else {
             self.lose(node, out, pkt, DropCause::Policy);
-        } else if Self::faulted(params, &mut self.fault_rng) {
-            self.lose(node, out, pkt, DropCause::Fault);
-        } else if let Some(flow) = Self::enqueue_and_kick(
-            &mut self.ports[slot],
-            params,
-            node,
-            out,
-            Queue::Switch { ce_before },
-            pkt,
-            &mut self.packets,
-            now,
-            &mut self.events,
-            &mut self.telemetry,
-        ) {
-            self.tail_dropped(node, out, flow);
         }
         self.apply_policy_fx(node, fx);
     }
@@ -406,11 +359,13 @@ impl SimCore {
     /// drained sink to the pool.
     pub(crate) fn apply_policy_fx(&mut self, node: NodeId, mut fx: PolicyFx) {
         if !fx.cancels.is_empty() || !fx.timers.is_empty() {
-            let sw = self.switch_index(node).expect("only switches run policies");
+            let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
+                panic!("only switches run policies");
+            };
             // Cancels first, so a policy that re-arms in the same
             // callback cancels the stale generation before scheduling
             // the new one.
-            let pending = &mut self.policy_timers[sw];
+            let pending = &mut sw.timers;
             for token in fx.cancels.drain(..) {
                 pending.cancel(&mut self.events, token);
             }
@@ -489,8 +444,15 @@ impl SimCore {
                 }
                 self.apply_policy_fx(node, fx);
             }
-            FaultAction::HostStall { node } => self.set_host_stalled(node, true),
-            FaultAction::HostResume { node } => self.set_host_stalled(node, false),
+            FaultAction::HostStall { node } | FaultAction::HostResume { node } => {
+                assert!(
+                    matches!(self.nodes[node.0 as usize], Node::Host(_)),
+                    "host-stall target {node:?} is not a host"
+                );
+                let stalled = matches!(action, FaultAction::HostStall { .. });
+                // The NIC's own parameter row: its row-mates keep theirs.
+                self.change_port_params(node, 0, |p| p.stalled = stalled);
+            }
         }
         self.telemetry.fault(
             now.nanos(),
@@ -539,22 +501,7 @@ impl SimCore {
         self.change_port_params(peer, usize::from(peer_port), change);
     }
 
-    fn set_host_stalled(&mut self, node: NodeId, stalled: bool) {
-        let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
-            panic!("host-stall target {node:?} is not a host");
-        };
-        h.stalled = stalled;
-    }
-
     fn host_receive(&mut self, node: NodeId, pkt: PacketId) {
-        let Node::Host(h) = &self.nodes[node.0 as usize] else {
-            unreachable!()
-        };
-        if h.stalled {
-            // A stalled host's endpoints see nothing.
-            self.lose(node, 0, pkt, DropCause::Fault);
-            return;
-        }
         let (now, flow) = (self.now, self.packets.get(pkt).flow);
         let ep = self.endpoints_of(flow);
         let mut fx = self.take_fx();
@@ -613,14 +560,14 @@ mod tests {
     use crate::topology::star;
     use crate::units::{Bandwidth, Dur};
 
-    /// Random link-rate, link-state and loss-window faults on a star
-    /// whose switch ports share one parameter row and whose NICs share
-    /// another, with full frames sent into random ports between them,
-    /// match a model that keeps each port's parameters and counters on
-    /// its own: a fault changes its port (and, for link faults, the
-    /// peer end) and no sibling of the row. Loss windows draw the fault
-    /// RNG, so frames are sent only into ports with no window or a
-    /// certain one.
+    /// Random link-rate, link-state, loss-window and host-stall faults
+    /// on a star whose switch ports share one parameter row and whose
+    /// NICs share another, with full frames sent into random ports
+    /// between them, match a model that keeps each port's parameters
+    /// and counters on its own: a fault changes its port (and, for link
+    /// faults, the peer end) and no sibling of the row, and a stall
+    /// changes only its host's NIC. Loss windows draw the fault RNG, so
+    /// frames are sent only into ports with no window or a certain one.
     #[test]
     fn port_faults_change_only_their_ports() {
         const HOSTS: usize = 4;
@@ -647,6 +594,7 @@ mod tests {
                         capacity: if i < HOSTS { 4_500 } else { 3_000 },
                         loss_permille: 0,
                         up: true,
+                        stalled: false,
                     };
                     (params, PortStats::default())
                 })
@@ -654,7 +602,7 @@ mod tests {
             for step in 0..rng.gen_range(1..80usize) {
                 let i = rng.gen_range(0..ports.len());
                 let (node, port) = ports[i];
-                match rng.gen_range(0..6u32) {
+                match rng.gen_range(0..8u32) {
                     0 => {
                         let rate = Bandwidth::gbps([1, 10, 40][rng.gen_range(0..3usize)]);
                         core.apply_fault(FaultAction::LinkRate { node, port, rate });
@@ -688,6 +636,17 @@ mod tests {
                         core.apply_fault(FaultAction::LossWindowEnd { node, port });
                         model[i].0.loss_permille = 0;
                     }
+                    kind @ (5 | 6) => {
+                        // A stall or resume of one host: its NIC.
+                        let nic = HOSTS + i % HOSTS;
+                        let (node, stalled) = (ports[nic].0, kind == 5);
+                        core.apply_fault(if stalled {
+                            FaultAction::HostStall { node }
+                        } else {
+                            FaultAction::HostResume { node }
+                        });
+                        model[nic].0.stalled = stalled;
+                    }
                     _ => {
                         let (params, stats) = &mut model[i];
                         if params.loss_permille % 1000 != 0 {
@@ -706,7 +665,7 @@ mod tests {
                         } else {
                             core.on_nic_enqueue(node, pkt);
                         }
-                        if !params.up || params.loss_permille == 1000 {
+                        if !params.up || params.stalled || params.loss_permille == 1000 {
                             stats.fault_drops += 1;
                         } else if stats.queue_bytes + FRAME > u64::from(params.capacity) {
                             stats.drops += 1;

@@ -5,6 +5,7 @@ use std::ops::Range;
 use crate::packet::NodeId;
 use crate::policy::SwitchPolicy;
 use crate::queue::PortQueue;
+use crate::sched::Timers;
 use crate::units::{Bandwidth, Dur};
 use std::sync::Arc;
 
@@ -27,8 +28,8 @@ pub struct PortLink {
 }
 
 /// What a port transmits with, and what faults change: the link's rate
-/// and delay, the FIFO's capacity, whether the link is up and the
-/// active loss window.
+/// and delay, the FIFO's capacity, whether the link is up, the active
+/// loss window and, on a host's NIC, whether the host is stalled.
 ///
 /// A network interns these in one table
 /// ([`crate::topology::Network::params`]) that every port indexes with
@@ -51,7 +52,15 @@ pub struct PortParams {
     /// new; packets it finishes serialising (and packets propagating
     /// toward it) are lost.
     pub up: bool,
+    /// Whether the NIC's host is stalled by a fault: silent without
+    /// FIN. The NIC accepts nothing new and arrivals at the host are
+    /// lost, but packets already queued still leave and the host's
+    /// timers still run. Always false on a switch port.
+    pub stalled: bool,
 }
+
+// A network interns a handful of these (three on a fat-tree).
+const _: () = assert!(std::mem::size_of::<PortParams>() == 24);
 
 /// The row of `params` in `table`: an equal row's index, or a new row
 /// appended at the end. A linear scan: tables hold a few rows.
@@ -82,14 +91,14 @@ pub struct Wire {
 /// One output port: where its link leads, its FIFO and its transmitted
 /// bytes.
 ///
-/// Host NICs live in their [`Host`]; every switch port of a network
-/// lives in one fabric-wide table (see [`Switch::ports`]). Everything
-/// else is kept elsewhere: rate, delay, capacity, link state and loss
-/// window in the interned [`PortParams`] row, the drop counters in the
-/// simulator's sparse per-port ledger (see
-/// [`crate::sim::SimCore::port_stats`]). The transmitter is busy
-/// exactly while the FIFO holds a packet: the head packet is the one
-/// being serialised.
+/// Every port of a network, host NICs included, is a row of one
+/// fabric-wide table laid out node by node (see [`Host::port`] and
+/// [`Switch::ports`]). Everything else is kept elsewhere: rate, delay,
+/// capacity, link state, loss window and stall in the interned
+/// [`PortParams`] row, the drop counters in the simulator's sparse
+/// per-port ledger (see [`crate::sim::SimCore::port_stats`]). The
+/// transmitter is busy exactly while the FIFO holds a packet: the head
+/// packet is the one being serialised.
 #[derive(Debug)]
 pub struct Port {
     /// Where the link leads, and the parameter row.
@@ -527,17 +536,20 @@ pub fn ecmp_select(set: &[u16], flow: u64, hop: u8, mut up: impl FnMut(u16) -> b
     unreachable!("live member count changed mid-scan")
 }
 
-/// A switch: ports, a routing table, and a packet-processing policy.
+/// A switch: ports, a routing table, and a packet-processing policy
+/// with its pending timers.
 pub struct Switch {
     /// This switch's node id.
     pub id: NodeId,
-    /// Its ports, in index order, as a range of the network's switch
-    /// port table (`Network::ports`): port `p` is entry `ports.start + p`.
+    /// Its ports, in index order, as a range of the network's port
+    /// table (`Network::ports`): port `p` is row `ports.start + p`.
     pub ports: Range<u32>,
     /// Multi-next-hop routing table toward every host.
     pub routes: RouteTable,
     /// Packet-processing policy (drop-tail, ECN, TFC, ...).
     pub policy: Box<dyn SwitchPolicy>,
+    /// The policy's pending cancellable timers.
+    pub(crate) timers: Timers,
 }
 
 impl Switch {
@@ -548,7 +560,7 @@ impl Switch {
         self.routes.primary(dst)
     }
 
-    /// The port-table entry of port `port`.
+    /// The port-table row of port `port`.
     ///
     /// # Panics
     ///
@@ -584,11 +596,9 @@ impl std::fmt::Debug for Switch {
 pub struct Host {
     /// This host's node id.
     pub id: NodeId,
-    /// The NIC.
-    pub nic: Port,
-    /// Whether the host is stalled by a fault: silent without FIN —
-    /// nothing leaves the NIC, arrivals are discarded, timers still run.
-    pub stalled: bool,
+    /// Its NIC, port 0, as a row of the network's port table
+    /// (`Network::ports`).
+    pub port: u32,
 }
 
 /// A node in the simulated network.
@@ -596,13 +606,16 @@ pub struct Host {
 pub enum Node {
     /// An end host.
     Host(Host),
-    /// A switch.
-    Switch(Switch),
+    /// A switch, boxed: hosts outnumber switches, so a node is sized
+    /// by its host.
+    Switch(Box<Switch>),
 }
 
-// One per node id (13,284 on a k = 36 fat-tree): a host's id, NIC and
-// stall flag, or a switch's id, port range, route table and policy.
-const _: () = assert!(std::mem::size_of::<Node>() == 56);
+// One per node id (13,284 on a k = 36 fat-tree): a host's id and NIC
+// row, or a boxed switch (id, port range, route table, policy and its
+// timers).
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+const _: () = assert!(std::mem::size_of::<Switch>() == 80);
 const _: () = assert!(std::mem::size_of::<RouteTable>() == 24);
 
 impl Node {
@@ -613,42 +626,22 @@ impl Node {
             Node::Switch(s) => s.id,
         }
     }
-}
 
-/// Port `idx` of node `id`: a host's NIC, or a switch's entry in the
-/// switch port table `ports`.
-///
-/// # Panics
-///
-/// Panics if the port does not exist.
-pub(crate) fn port_in<'a>(
-    nodes: &'a [Node],
-    ports: &'a [Port],
-    id: NodeId,
-    idx: usize,
-) -> &'a Port {
-    match &nodes[id.0 as usize] {
-        Node::Host(h) => {
-            assert_eq!(idx, 0, "hosts have a single NIC port");
-            &h.nic
+    /// The port-table row of the node's port `idx`: a host's NIC is its
+    /// port 0, a switch's ports are its range of rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist: the rows around it belong to
+    /// other nodes, so it must not alias them.
+    pub(crate) fn port_slot(&self, idx: usize) -> usize {
+        match self {
+            Node::Host(h) => {
+                assert_eq!(idx, 0, "hosts have a single NIC port");
+                h.port as usize
+            }
+            Node::Switch(s) => s.port_slot(idx),
         }
-        Node::Switch(s) => &ports[s.port_slot(idx)],
-    }
-}
-
-/// Mutable [`port_in`].
-pub(crate) fn port_in_mut<'a>(
-    nodes: &'a mut [Node],
-    ports: &'a mut [Port],
-    id: NodeId,
-    idx: usize,
-) -> &'a mut Port {
-    match &mut nodes[id.0 as usize] {
-        Node::Host(h) => {
-            assert_eq!(idx, 0, "hosts have a single NIC port");
-            &mut h.nic
-        }
-        Node::Switch(s) => &mut ports[s.port_slot(idx)],
     }
 }
 
@@ -666,7 +659,7 @@ mod tests {
         }
     }
 
-    /// A two-port switch whose ports are entries 1 and 2 of the table
+    /// A two-port switch whose ports are rows 1 and 2 of the table
     /// [`port_table`] returns.
     fn switch() -> Switch {
         let mut routes = RouteTable::default();
@@ -677,11 +670,14 @@ mod tests {
             ports: 1..3,
             routes,
             policy: Box::new(DropTail),
+            timers: Timers::default(),
         }
     }
 
+    /// Rows 1 and 2 are [`switch`]'s ports, row 3 is host 1's NIC and
+    /// row 0 belongs to another node.
     fn port_table() -> Vec<Port> {
-        [9, 1, 2, 9]
+        [9, 1, 2, 0]
             .into_iter()
             .map(|peer| Port::new(link(peer)))
             .collect()
@@ -851,7 +847,7 @@ mod tests {
         let Node::Host(host) = &net.nodes[h.0 as usize] else {
             panic!()
         };
-        let edge = host.nic.link.peer;
+        let edge = net.port(host.id, 0).link.peer;
         let edge_ix = switches.iter().position(|&s| s == edge).unwrap();
         let uplinks = original[edge_ix][far.0 as usize].clone();
         assert_eq!(uplinks.len(), 2, "k=4 edge has two uplinks");
@@ -895,25 +891,19 @@ mod tests {
 
     #[test]
     fn port_accessors_resolve_through_the_table() {
-        let mut ports = port_table();
-        let mut nodes = vec![
-            Node::Switch(switch()),
+        let ports = port_table();
+        let nodes = [
+            Node::Switch(Box::new(switch())),
             Node::Host(Host {
                 id: NodeId(1),
-                nic: Port::new(link(0)),
-                stalled: false,
+                port: 3,
             }),
         ];
         assert_eq!(nodes[0].id(), NodeId(0));
-        assert_eq!(port_in(&nodes, &ports, NodeId(0), 1).link.peer, NodeId(2));
-        port_in_mut(&mut nodes, &mut ports, NodeId(0), 0).tx_bytes = 7;
-        assert_eq!(ports[1].tx_bytes, 7, "port 0 is table entry 1");
-        port_in_mut(&mut nodes, &mut ports, NodeId(1), 0).tx_bytes = 9;
-        assert_eq!(
-            port_in(&nodes, &ports, NodeId(1), 0).tx_bytes,
-            9,
-            "host NIC"
-        );
+        assert_eq!(ports[nodes[0].port_slot(1)].link.peer, NodeId(2));
+        assert_eq!(nodes[0].port_slot(0), 1, "port 0 is table row 1");
+        assert_eq!(nodes[1].port_slot(0), 3, "host NIC");
+        assert_eq!(ports[nodes[1].port_slot(0)].link.peer, NodeId(0));
         let Node::Switch(sw) = &nodes[0] else {
             panic!()
         };
@@ -924,20 +914,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "has no port 2")]
     fn switch_rejects_port_past_its_range() {
-        // Entry 3 exists in the table but belongs to no port of this
+        // Row 3 exists in the table but belongs to no port of this
         // switch: it must not alias.
-        let nodes = vec![Node::Switch(switch())];
-        let _ = port_in(&nodes, &port_table(), NodeId(0), 2);
+        let _ = Node::Switch(Box::new(switch())).port_slot(2);
     }
 
     #[test]
     #[should_panic]
     fn host_rejects_nonzero_port() {
-        let nodes = vec![Node::Host(Host {
+        // Row 1 exists in the table but belongs to another node.
+        let host = Node::Host(Host {
             id: NodeId(0),
-            nic: Port::new(link(0)),
-            stalled: false,
-        })];
-        let _ = port_in(&nodes, &[], NodeId(0), 1);
+            port: 0,
+        });
+        let _ = host.port_slot(1);
     }
 }

@@ -10,7 +10,8 @@
 //! packets is in flight (a TFC delay arbiter may still hold an RMA ACK
 //! after both sides are done). Retirement folds the flow's scalars —
 //! FCT, bytes, retransmit count, slowdown — into per-class
-//! [`QuantileSketch`]es and frees its flow record.
+//! [`QuantileSketch`]es, adds its RTO count to a per-class sum, and
+//! frees its flow record.
 //!
 //! No packet or timer can name a retired flow, so its id is handed to
 //! the next flow at once. Memory is O(peak active flows): the flow and
@@ -81,6 +82,8 @@ pub struct ClassStats {
     pub bytes: QuantileSketch,
     /// Retransmitted packets per flow.
     pub retransmits: QuantileSketch,
+    /// Retransmission timeouts, summed over the class's flows.
+    pub timeouts: u64,
     /// Slowdown (FCT over ideal FCT) in thousandths; see
     /// [`SLOWDOWN_SCALE`].
     pub slowdown_milli: QuantileSketch,
@@ -96,6 +99,7 @@ impl ClassStats {
             fct_ns: QuantileSketch::new(alpha),
             bytes: QuantileSketch::new(alpha),
             retransmits: QuantileSketch::new(alpha),
+            timeouts: 0,
             slowdown_milli: QuantileSketch::new(alpha),
             exact: FctCollector::new(),
         }
@@ -166,6 +170,7 @@ impl FlowRetirer {
         c.fct_ns.record(fct_ns as f64);
         c.bytes.record(bytes as f64);
         c.retransmits.record(state.retransmits as f64);
+        c.timeouts += state.timeouts;
         c.slowdown_milli.record(slowdown * SLOWDOWN_SCALE);
         if self.cfg.keep_exact {
             c.exact.record(FlowRecord {

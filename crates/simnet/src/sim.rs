@@ -23,7 +23,7 @@ use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, 
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
 use crate::flowtable::Slab;
-use crate::node::{intern_params, port_in, port_in_mut, Node, Port, PortParams, PortStats};
+use crate::node::{intern_params, Node, Port, PortParams, PortStats};
 use crate::packet::{FlowId, NodeId};
 use crate::policy::PolicyFx;
 use crate::retire::{FlowRetirer, RetireConfig};
@@ -304,7 +304,8 @@ pub struct SimCore {
     pub(crate) now: Time,
     pub(crate) events: EventQueue,
     pub(crate) nodes: Vec<Node>,
-    /// The switch port table ([`Network::ports`]).
+    /// The port table, host NICs and switch ports
+    /// ([`Network::ports`]).
     pub(crate) ports: Vec<Port>,
     /// The interned port parameters ([`Network::params`]).
     pub(crate) params: Vec<PortParams>,
@@ -325,9 +326,6 @@ pub struct SimCore {
     pub(crate) endpoints: Slab<Endpoints>,
     /// The retirement pipeline, when [`SimConfig::retire`] is set.
     pub(crate) retirer: Option<FlowRetirer>,
-    /// Pending cancellable policy timers per switch, in the order of
-    /// `switches` (see [`SimCore::switch_index`]).
-    pub(crate) policy_timers: Vec<Timers>,
     pub(crate) rng: StdRng,
     pub(crate) fault_rng: StdRng,
     pub(crate) samplers: Vec<QueueSampler>,
@@ -707,19 +705,25 @@ impl SimCore {
         self.port_mut(node, port).link.params = row;
     }
 
-    /// The index of switch `node` in `switches`, or `None` for a host.
-    pub(crate) fn switch_index(&self, node: NodeId) -> Option<usize> {
-        self.switches.binary_search(&node).ok()
+    /// The port-table row of port `idx` of `node`: a host's NIC (port
+    /// 0) or a switch port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the port does not exist.
+    pub(crate) fn port_slot(&self, node: NodeId, idx: usize) -> usize {
+        self.nodes[node.0 as usize].port_slot(idx)
     }
 
-    /// Port `idx` of `node`: a host's NIC or a switch's table entry.
+    /// Port `idx` of `node` (see [`port_slot`](Self::port_slot)).
     pub(crate) fn port(&self, node: NodeId, idx: usize) -> &Port {
-        port_in(&self.nodes, &self.ports, node, idx)
+        &self.ports[self.port_slot(node, idx)]
     }
 
     /// Mutable [`port`](Self::port).
     pub(crate) fn port_mut(&mut self, node: NodeId, idx: usize) -> &mut Port {
-        port_in_mut(&mut self.nodes, &mut self.ports, node, idx)
+        let slot = self.port_slot(node, idx);
+        &mut self.ports[slot]
     }
 
     /// An empty endpoint effect sink, recycled when one is pooled.
@@ -986,13 +990,6 @@ impl<A: Application> Simulator<A> {
     /// and config.
     pub fn new(net: Network, stack: Box<dyn ProtocolStack>, app: A, cfg: SimConfig) -> Self {
         let telemetry = Telemetry::new(&cfg.telemetry, cfg.seed, &Event::KIND_NAMES);
-        // Switch ids are handed out in creation order, so `switches`
-        // is sorted and `switch_index` can search it.
-        assert!(
-            net.switches.windows(2).all(|w| w[0] < w[1]),
-            "switch ids must be listed in ascending order"
-        );
-        let policy_timers = net.switches.iter().map(|_| Timers::default()).collect();
         let retirer = cfg.retire.clone().map(FlowRetirer::new);
         Self {
             core: SimCore {
@@ -1008,7 +1005,6 @@ impl<A: Application> Simulator<A> {
                 extras: BTreeMap::new(),
                 endpoints: Slab::new("endpoint records"),
                 retirer,
-                policy_timers,
                 rng: StdRng::seed_from_u64(cfg.seed),
                 fault_rng: StdRng::seed_from_u64(cfg.seed ^ FAULT_RNG_TAG),
                 samplers: Vec::new(),

@@ -9,8 +9,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::node::{
-    intern, intern_params, port_in, DstIndex, Host, Node, Port, PortLink, PortParams, RouteTable,
-    Row, Switch, Wire, MAX_PORTS, NO_GROUP, NO_ROUTE,
+    intern, intern_params, DstIndex, Host, Node, Port, PortLink, PortParams, RouteTable, Row,
+    Switch, Wire, MAX_PORTS, NO_GROUP, NO_ROUTE,
 };
 use crate::packet::NodeId;
 use crate::policy::{DropTail, SwitchPolicy};
@@ -175,9 +175,9 @@ pub struct TopologyBuilder {
 pub struct Network {
     /// All nodes; `nodes[id.0]` has id `id`.
     pub nodes: Vec<Node>,
-    /// The switch port table: every switch's ports, switch by switch in
-    /// creation order. Each [`Switch::ports`] is its range here; host
-    /// NICs stay in their [`Host`].
+    /// The port table: every node's ports, node by node in id order. A
+    /// [`Host::port`] is its NIC's row here, a [`Switch::ports`] its
+    /// range of rows.
     pub ports: Vec<Port>,
     /// The interned port parameters every port names a row of
     /// ([`Wire::params`]): one row per distinct rate, delay, buffer,
@@ -190,13 +190,13 @@ pub struct Network {
 }
 
 impl Network {
-    /// Port `idx` of `node`: a host's NIC or a switch's table entry.
+    /// Port `idx` of `node`: a host's NIC (port 0) or a switch port.
     ///
     /// # Panics
     ///
     /// Panics if the port does not exist.
     pub fn port(&self, node: NodeId, idx: usize) -> &Port {
-        port_in(&self.nodes, &self.ports, node, idx)
+        &self.ports[self.nodes[node.0 as usize].port_slot(idx)]
     }
 }
 
@@ -422,11 +422,9 @@ impl TopologyBuilder {
         let mut nodes = Vec::with_capacity(n);
         let mut hosts = Vec::new();
         let mut switches = Vec::new();
-        let switch_ports = (0..n)
-            .filter(|&i| self.kinds[i] == NodeKind::Switch)
-            .map(|i| ports.of(i).len())
-            .sum();
-        let mut table = Vec::with_capacity(switch_ports);
+        // The port table takes the links' layout: node by node, each
+        // node's ports in index order.
+        let mut table = Vec::with_capacity(ports.links.len());
         // Consecutive ports mostly share a row, so the previous port's
         // row is tried before the scan.
         let mut params = Vec::new();
@@ -438,6 +436,7 @@ impl TopologyBuilder {
                 capacity,
                 loss_permille: 0,
                 up: true,
+                stalled: false,
             };
             let row = match last {
                 Some((q, row)) if q == p => row,
@@ -453,26 +452,24 @@ impl TopologyBuilder {
         for (i, kind) in self.kinds.iter().enumerate() {
             let id = NodeId(i as u32);
             let links = ports.of(i);
+            let first = table.len() as u32;
             match kind {
                 NodeKind::Host => {
                     hosts.push(id);
-                    nodes.push(Node::Host(Host {
-                        id,
-                        nic: Port::new(wire(&links[0], host_buf)),
-                        stalled: false,
-                    }));
+                    table.push(Port::new(wire(&links[0], host_buf)));
+                    nodes.push(Node::Host(Host { id, port: first }));
                 }
                 NodeKind::Switch => {
                     switches.push(id);
                     let policy = make_policy(id, links);
-                    let first = table.len() as u32;
                     table.extend(links.iter().map(|l| Port::new(wire(l, switch_buf))));
-                    nodes.push(Node::Switch(Switch {
+                    nodes.push(Node::Switch(Box::new(Switch {
                         id,
                         ports: first..table.len() as u32,
                         routes: routes.next().expect("one route table per switch"),
                         policy,
-                    }));
+                        timers: Default::default(),
+                    })));
                 }
             }
         }
@@ -899,8 +896,8 @@ mod tests {
         let Node::Host(ref hh1) = net.nodes[h1.0 as usize] else {
             panic!()
         };
-        assert_eq!(hh1.nic.link.peer, s);
-        assert_eq!(hh1.nic.link.peer_port, 0);
+        assert_eq!(net.port(hh1.id, 0).link.peer, s);
+        assert_eq!(net.port(hh1.id, 0).link.peer_port, 0);
         let Node::Switch(ref sw) = net.nodes[s.0 as usize] else {
             panic!()
         };
@@ -1061,7 +1058,7 @@ mod tests {
         let Node::Host(ref h0) = net.nodes[hosts[0].0 as usize] else {
             panic!()
         };
-        let edge0 = h0.nic.link.peer;
+        let edge0 = net.port(h0.id, 0).link.peer;
         let Node::Switch(ref e0) = net.nodes[edge0.0 as usize] else {
             panic!()
         };
@@ -1075,7 +1072,7 @@ mod tests {
             let Node::Host(ref h2) = net.nodes[hosts[2].0 as usize] else {
                 panic!()
             };
-            h2.nic.link.peer
+            net.port(h2.id, 0).link.peer
         });
     }
 
@@ -1097,7 +1094,7 @@ mod tests {
         // undirected port graph.
         let peers = |v: usize| -> Vec<usize> {
             match &net.nodes[v] {
-                Node::Host(h) => vec![h.nic.link.peer.0 as usize],
+                Node::Host(h) => vec![net.port(h.id, 0).link.peer.0 as usize],
                 Node::Switch(s) => s
                     .ports_in(&net.ports)
                     .iter()
@@ -1147,7 +1144,7 @@ mod tests {
         let Node::Host(ref h0) = net.nodes[hosts[0].0 as usize] else {
             panic!()
         };
-        let edge0 = h0.nic.link.peer;
+        let edge0 = net.port(h0.id, 0).link.peer;
         let far = *hosts.last().unwrap(); // different pod
         let Node::Switch(ref e0) = net.nodes[edge0.0 as usize] else {
             panic!()
@@ -1335,7 +1332,10 @@ mod tests {
         let Node::Host(h) = &net.nodes[hosts[0].0 as usize] else {
             panic!()
         };
-        let (edge, own_port) = (h.nic.link.peer, h.nic.link.peer_port);
+        let (edge, own_port) = (
+            net.port(h.id, 0).link.peer,
+            net.port(h.id, 0).link.peer_port,
+        );
         let mates: Vec<NodeId> = switches
             .iter()
             .copied()
@@ -1530,7 +1530,7 @@ mod proptests {
                             }
                             Node::Host(h) => {
                                 assert!(at != dst);
-                                h.nic.link.peer
+                                net.port(h.id, 0).link.peer
                             }
                         };
                     }
@@ -1769,7 +1769,7 @@ mod proptests {
             let net = random_tree(&shape, 1);
             for node in &net.nodes {
                 let ports: Vec<_> = match node {
-                    Node::Host(h) => vec![&h.nic],
+                    Node::Host(h) => vec![net.port(h.id, 0)],
                     Node::Switch(s) => s.ports_in(&net.ports).iter().collect(),
                 };
                 for (idx, port) in ports.into_iter().enumerate() {

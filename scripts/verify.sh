@@ -92,27 +92,30 @@ cargo test -q -p tfc-repro --test endpoint_lifetime
 # flow's last packet, or widens the flow record, names this gate.
 cargo test -q -p tfc-repro --test incast_memory
 
-# Compact fabric state: switch ports live in one table of 32-byte
-# ports whose FIFOs are links through the packet arena and whose rate,
-# delay, buffer and fault state are rows of one interned parameter
-# table, switches that forward identically share one interned route
-# row, and TFC prototypes and config are shared across the fabric. A
-# counting allocator bounds the live heap of a built k=36 TFC
-# fat-tree at the measured 3,174,164 B plus 5% (64-byte ports took
-# 5.0 MiB; 104-byte ports and a route row per switch 9.9 MiB;
-# per-switch vectors of 128-byte ports and per-switch prototypes 12.2
-# MiB), so a regression to wider ports, per-switch rows or per-port
-# allocations names this gate.
+# Compact fabric state: every port, host NICs included, lives in one
+# table of 32-byte ports whose FIFOs are links through the packet
+# arena and whose rate, delay, buffer and fault state are rows of one
+# interned parameter table, nodes are 16 bytes with each switch boxed,
+# switches that forward identically share one interned route row, and
+# TFC prototypes and config are shared across the fabric. A counting
+# allocator bounds the live heap of a built k=36 TFC fat-tree at the
+# measured 3,145,652 B plus 5% (NICs inline in 56-byte nodes took
+# 3,174,164 B; 64-byte ports 5.0 MiB; 104-byte ports and a route row
+# per switch 9.9 MiB; per-switch vectors of 128-byte ports and
+# per-switch prototypes 12.2 MiB), so a regression to wider ports or
+# nodes, per-switch rows or per-port allocations names this gate.
 cargo test -q -p tfc-repro --test port_memory
 
 # Compact event path: 16-byte events, 32-byte scheduler entries whose
 # bucket link and timer slot sit in parallel columns, 16-byte live-run
 # keys, 56-byte timer slots and 64-byte packet-arena slots, with pushes
 # at the instant just popped in a FIFO through the bucket links, on
-# the compact fabric above, with 80-byte flow-table records. A
-# counting allocator bounds the live-heap peak of the benchmark's
-# 1,100-flow k=36 fat-tree run at the measured 14,642,640 B plus 5%
-# (an FCT record vector beside the flow table peaked at 14,647,884 B;
+# the compact fabric above, with 80-byte flow-table records and each
+# switch's policy timers in its box. A counting allocator bounds the
+# live-heap peak of the benchmark's 1,100-flow k=36 fat-tree run at
+# the measured 14,574,348 B plus 5% (NICs inline in 56-byte nodes and
+# a policy-timer list per switch beside them peaked at 14,642,640 B;
+# an FCT record vector beside the flow table at 14,647,884 B;
 # 152-byte flow-table slots at 14,790,732 B; 64-byte ports and
 # those pushes in a heap at 17.3 MiB; 104-byte ports and a route row
 # per switch at 22.3 MiB; 32-byte events, 56-byte entries and 80-byte

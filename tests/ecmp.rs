@@ -75,7 +75,7 @@ fn flows_spray_across_equal_cost_uplinks() {
         let Node::Host(h) = &net.nodes[src.0 as usize] else {
             panic!()
         };
-        h.nic.link.peer
+        net.port(h.id, 0).link.peer
     };
     let mut sim = Simulator::new(
         net,
@@ -127,7 +127,7 @@ fn link_down_reroutes_onto_surviving_members() {
         let Node::Host(h) = &net.nodes[src.0 as usize] else {
             panic!()
         };
-        h.nic.link.peer
+        net.port(h.id, 0).link.peer
     };
     let mut sim = Simulator::new(
         net,

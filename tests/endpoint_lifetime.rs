@@ -21,7 +21,8 @@
 //!   endpoints of its own host pair);
 //! - every completed flow's endpoints are freed;
 //! - under retirement, every completed flow is retired and the flow
-//!   table drains.
+//!   table drains, and the RTOs of the retired and the live flows add
+//!   up to the RTOs of the same run without retirement.
 //!
 //! The open-loop TFC stream of `tests/sched_equivalence.rs` retires
 //! flows while the delay arbiter holds their ACKs; no packet of it
@@ -97,7 +98,7 @@ struct Outcome {
     stale: u64,
     /// Packets left in the arena when the run drained.
     in_arena: usize,
-    /// RTOs over all flows.
+    /// RTOs over all flows: the live flows' and the retired classes'.
     timeouts: u64,
     /// Packets switch policies dropped.
     policy_drops: u64,
@@ -183,7 +184,10 @@ fn incast(proto: Proto, fault: Fault, retire: bool) -> Outcome {
         live: core.flow_slab_stats().0,
         stale: core.stale_arrivals(),
         in_arena: core.packet_arena().live(),
-        timeouts: core.flows().map(|(_, s)| s.timeouts).sum(),
+        timeouts: core.flows().map(|(_, s)| s.timeouts).sum::<u64>()
+            + core
+                .retirer()
+                .map_or(0, |r| r.classes().iter().map(|c| c.timeouts).sum()),
         policy_drops: core.policy_drops(),
     }
 }
@@ -202,11 +206,17 @@ fn check_freed(proto: Proto, retire: bool) {
             Vec::<FlowId>::new(),
             "{case}: completed flows kept their endpoints"
         );
+        if matches!(fault, Fault::Lossy) {
+            assert!(out.timeouts > 0, "{case}: 3 % loss forces RTOs");
+        }
         if retire {
             assert_eq!(out.retired, FLOWS as u64, "{case}: every flow retired");
             assert_eq!(out.live, 0, "{case}: the flow table drained");
-        } else if matches!(fault, Fault::Lossy) {
-            assert!(out.timeouts > 0, "{case}: 3 % loss forces RTOs");
+            let kept = incast(proto, fault, false).timeouts;
+            assert_eq!(
+                out.timeouts, kept,
+                "{case}: retirement lost RTOs of the run without it"
+            );
         }
     }
 }
