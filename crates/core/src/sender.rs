@@ -11,12 +11,16 @@
 //!   min-clamp;
 //! * the congestion window is exactly the value carried by the last RMA;
 //! * loss recovery is a plain dup-ACK fast retransmit plus an RTO safety
-//!   net (TFC rarely drops, so these are cold paths).
+//!   net (TFC rarely drops, so these are cold paths), and, beyond the
+//!   paper, a tail-loss probe: windows of about one packet never collect
+//!   three duplicate ACKs, so a flight unanswered for a probe timeout
+//!   has its head resent, re-marked, long before the 200 ms RTO.
 //!
-//! The stream machinery (sequence space, RTO, RTT probe, SYN and FIN,
-//! retransmitted head, go-back-N) is the `transport` crate's
-//! [`SendCore`], shared with TCP and DCTCP; this module is only the
-//! explicit-window policy over it.
+//! The stream machinery (sequence space, RTO, tail-loss probe, RTT
+//! probe, SYN and FIN, retransmitted head, go-back-N) is the `transport`
+//! crate's [`SendCore`], shared with TCP and DCTCP (which never enable
+//! the tail-loss probe); this module is only the explicit-window policy
+//! over it.
 
 use simnet::endpoint::{Effects, Note, SenderEndpoint};
 use simnet::packet::{Flags, FlowId, NodeId, Packet, MSS, WINDOW_INIT};
@@ -59,6 +63,11 @@ pub struct TfcSender {
     rm_sent_at: Option<Time>,
 }
 
+// Pinned: every live TFC flow boxes one sender. The tail-loss probe's
+// 8-byte RTO deadline fits in what the RTT probe's niche saves, so the
+// sender stays at 184 B.
+const _: () = assert!(std::mem::size_of::<TfcSender>() <= 184);
+
 impl TfcSender {
     /// Creates a sender for `flow` from `local` to `remote`; `bytes` is
     /// the sized-flow length (`None` = open-ended).
@@ -87,7 +96,8 @@ impl TfcSender {
             weight: weight.max(1),
         };
         Self {
-            core: SendCore::new(flow, local, remote, bytes, cfg.min_rto, cfg.max_rto, stamp),
+            core: SendCore::new(flow, local, remote, bytes, cfg.min_rto, cfg.max_rto, stamp)
+                .with_tail_probe(),
             awnd: cfg.awnd,
             probe_on_resume: cfg.probe_on_resume,
             state: State::SynSent,
@@ -108,12 +118,12 @@ impl TfcSender {
     }
 
     /// Sends a window-acquisition probe and arms the RTO.
-    fn emit_probe(&mut self, fx: &mut Effects) {
+    fn acquire_window(&mut self, now: Time, fx: &mut Effects) {
         let mut probe = self.core.segment(self.core.snd_una(), 0);
         probe.flags.set(Flags::RM);
         self.rm_outstanding = true;
         fx.send(probe);
-        self.core.arm_timer(fx);
+        self.core.arm_timer(now, fx);
     }
 
     /// Records the round mark a retransmitted head carried, if data went
@@ -148,7 +158,7 @@ impl TfcSender {
             }
             fx.send(pkt);
         }
-        self.core.send_tail(fx);
+        self.core.send_tail(now, fx);
     }
 
     /// Current state name (tests, diagnostics).
@@ -162,9 +172,9 @@ impl TfcSender {
 }
 
 impl SenderEndpoint for TfcSender {
-    fn open(&mut self, _now: Time, fx: &mut Effects) {
+    fn open(&mut self, now: Time, fx: &mut Effects) {
         if self.state == State::SynSent && !self.core.timer_armed() {
-            self.core.emit_syn(fx);
+            self.core.emit_syn(now, fx);
         }
     }
 
@@ -173,7 +183,7 @@ impl SenderEndpoint for TfcSender {
         self.core.push(bytes);
         if self.state == State::WindowAcq && !self.rm_outstanding {
             // Established while idle: run the deferred acquisition now.
-            self.emit_probe(fx);
+            self.acquire_window(now, fx);
             return;
         }
         if self.state == State::Streaming && was_idle && self.probe_on_resume {
@@ -181,7 +191,7 @@ impl SenderEndpoint for TfcSender {
             // now (the switch stopped counting it). Re-acquire first.
             self.state = State::WindowAcq;
             self.cwnd = 0;
-            self.emit_probe(fx);
+            self.acquire_window(now, fx);
             return;
         }
         self.send_available(now, fx);
@@ -204,7 +214,7 @@ impl SenderEndpoint for TfcSender {
                 // mark rounds they will not use (and cannot become a
                 // silent delimiter).
                 if !self.core.idle() {
-                    self.emit_probe(fx);
+                    self.acquire_window(now, fx);
                 }
             }
             return;
@@ -246,32 +256,38 @@ impl SenderEndpoint for TfcSender {
         let una = self.core.snd_una();
         if ack > una {
             self.core.advance(ack, now, fx);
-            if self.core.settle(fx) {
+            if self.core.settle(now, fx) {
                 return;
             }
         } else if ack == una && self.core.outstanding() > 0 && !pkt.flags.contains(Flags::RMA) {
             // An RMA for a probe or a re-marked head is no dup-ACK signal.
             self.core.dup_acks += 1;
             if self.core.dup_acks == 3 {
-                let end = self.core.retransmit_head(fx);
+                let end = self.core.retransmit_head(now, fx);
                 self.head_remarked(end);
             }
         }
         self.send_available(now, fx);
     }
 
-    fn on_timer(&mut self, token: u64, _now: Time, fx: &mut Effects) {
+    fn on_timer(&mut self, token: u64, now: Time, fx: &mut Effects) {
         if !self.core.take_timer(token) {
+            return;
+        }
+        if self.core.probe_armed() {
+            // Probes are armed only with data outstanding, so streaming.
+            let end = self.core.send_tail_probe(now, fx);
+            self.head_remarked(end);
             return;
         }
         fx.note(Note::Timeout);
         self.core.est.back_off();
         match self.state {
-            State::SynSent => self.core.emit_syn(fx),
-            State::WindowAcq => self.emit_probe(fx),
+            State::SynSent => self.core.emit_syn(now, fx),
+            State::WindowAcq => self.acquire_window(now, fx),
             State::Streaming if self.core.outstanding() == 0 => {}
             State::Streaming => {
-                let end = self.core.go_back_n(fx);
+                let end = self.core.go_back_n(now, fx);
                 self.head_remarked(end);
             }
         }
@@ -458,6 +474,67 @@ mod tests {
         assert!(fx2.notes.contains(&Note::Timeout));
         assert!(fx2.packets[0].flags.contains(Flags::RM));
         assert_eq!(fx2.packets[0].payload, 0);
+    }
+
+    /// A one-packet-window sender whose first segment (sent at 200 ns)
+    /// was acknowledged 100 us later, with the second in flight: the
+    /// armed timer's `(delay, token)`. The PTO is 2 x (100 + 4 x 50) us.
+    fn second_segment_in_flight(s: &mut TfcSender) -> (Dur, u64) {
+        establish(s, MSS);
+        let mut fx = Effects::new();
+        s.on_packet(&ack(MSS), Time(100_200), &mut fx);
+        assert!(fx.notes.contains(&Note::RttSample { nanos: 100_000 }));
+        assert_eq!(fx.packets.iter().filter(|p| p.is_data()).count(), 1);
+        assert_eq!(fx.timers.len(), 1);
+        fx.timers[0]
+    }
+
+    #[test]
+    fn lost_flight_is_probed_with_a_marked_head() {
+        let mut s = sender(Some(100_000));
+        let (after, token) = second_segment_in_flight(&mut s);
+        assert_eq!(after, Dur::micros(600), "the probe, not the 200 ms RTO");
+        let mut fx = Effects::new();
+        s.on_timer(token, Time(100_200) + after, &mut fx);
+        assert_eq!(fx.notes, vec![Note::Retransmit], "no timeout is noted");
+        assert_eq!(fx.packets.len(), 1);
+        let head = &fx.packets[0];
+        assert_eq!((head.seq, head.payload), (MSS, MSS));
+        assert!(
+            head.flags.contains(Flags::RM),
+            "the probe re-marks the head"
+        );
+        assert!(s.rm_outstanding && s.rm_seq_end == 2 * MSS);
+        assert_eq!(
+            s.core.est.rto(),
+            Dur::millis(200),
+            "the RTO is not backed off"
+        );
+        assert_eq!(
+            fx.timers[0].0,
+            Dur::micros(1_200),
+            "the next probe backs off"
+        );
+    }
+
+    #[test]
+    fn no_probe_before_the_first_rtt_sample() {
+        let mut s = sender(Some(100_000));
+        let mut fx = Effects::new();
+        s.open(Time::ZERO, &mut fx);
+        let mut fx = Effects::new();
+        s.on_packet(&synack(), Time(100), &mut fx);
+        let (after, token) = fx.timers[0];
+        assert_eq!(after, Dur::millis(200));
+        let mut fx = Effects::new();
+        s.on_packet(&rma(0, MSS), Time(200), &mut fx);
+        assert!(
+            fx.timers.is_empty(),
+            "the acquisition's RTO covers the flight"
+        );
+        let mut fx = Effects::new();
+        s.on_timer(token, Time(100) + after, &mut fx);
+        assert!(fx.notes.contains(&Note::Timeout), "the RTO fired");
     }
 
     #[test]

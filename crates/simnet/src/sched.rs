@@ -86,6 +86,16 @@
 //! earlier than the carrier is pushed as usual. A timer re-armed at
 //! non-decreasing times thus holds one queued entry however often it is
 //! re-armed.
+//!
+//! Carriers wait on two LIFO stacks, split by how far ahead of the
+//! clock their entry is when cancelled (wheel level 2, ~1.05 ms), and a
+//! re-arm tries the stack of its own horizon first. With one stack, an
+//! owner that moves from far timers (a 200 ms RTO) to near ones
+//! (sub-ms probes) leaves its far carrier under a pile of near ones: a
+//! near re-arm cannot adopt it and a far re-arm adopts a near carrier
+//! instead, so one far carrier per owner stays queued until its time.
+//! Which carrier a re-arm adopts never changes its key, so the pop
+//! order is the same either way.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -111,6 +121,9 @@ const NIL: u32 = u32::MAX;
 const NO_TIMER: u32 = u32::MAX;
 /// Bits of a live-run key below the sub-tick offset: the sequence number.
 const SEQ_BITS: u32 = 64 - GRAN_BITS;
+/// Log2 of the nanoseconds from the clock beyond which a carrier is
+/// far (wheel level 2 and up, ~1.05 ms): RTOs, not probes or pacing.
+const FAR_BITS: u32 = GRAN_BITS + 2 * LEVEL_BITS;
 
 /// Which scheduler backend a simulation drives its event loop with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -613,10 +626,15 @@ pub struct EventQueue {
     next_seq: u64,
     slots: Segmented<TimerSlot>,
     free: Vec<u32>,
-    /// Cancelled slots, most recent last: candidate carriers for the
-    /// next re-arm. An entry goes stale once its carrier pops; stale
-    /// entries are dropped when they reach the top.
+    /// Cancelled slots whose entry was near the clock when cancelled,
+    /// most recent last: candidate carriers for the next re-arm. An
+    /// entry goes stale once its carrier pops; stale entries are
+    /// dropped when they reach the top.
     carriers: Vec<u32>,
+    /// The same for entries at least `1 << FAR_BITS` ns ahead.
+    far_carriers: Vec<u32>,
+    /// Time of the event popped last.
+    clock: Time,
     live: usize,
     /// Entries held by the backend, live or dead, and their high-water.
     queued: usize,
@@ -648,6 +666,8 @@ impl EventQueue {
             slots: Segmented::new("timer slots"),
             free: Vec::new(),
             carriers: Vec::new(),
+            far_carriers: Vec::new(),
+            clock: Time::ZERO,
             live: 0,
             queued: 0,
             peak_queued: 0,
@@ -669,24 +689,12 @@ impl EventQueue {
     /// it before it fires.
     pub fn schedule_cancellable(&mut self, at: Time, event: Event) -> TimerHandle {
         let seq = self.take_seq();
-        while let Some(&slot) = self.carriers.last() {
-            let s = &mut self.slots[slot];
-            if s.state != SlotState::Cancelled {
-                s.listed = false;
-                self.carriers.pop();
-                continue;
+        let e = Entry { at, seq, event };
+        let far = self.is_far(at);
+        for far in [far, !far] {
+            if let Some(handle) = self.adopt(far, e) {
+                return handle;
             }
-            // The new key `(at, seq)` sorts after the carrier's (its seq
-            // is newer), so parking it until the carrier pops keeps the
-            // pop order. An earlier re-arm leaves the carrier in place.
-            if at >= s.queued.0 {
-                s.listed = false;
-                self.carriers.pop();
-                s.state = SlotState::Adopted;
-                s.pending = Entry { at, seq, event };
-                return TimerHandle { slot, gen: s.gen };
-            }
-            break;
         }
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -711,6 +719,41 @@ impl EventQueue {
         handle
     }
 
+    /// Whether `at` is far enough ahead of the clock for the far stack.
+    fn is_far(&self, at: Time) -> bool {
+        at.nanos().saturating_sub(self.clock.nanos()) >> FAR_BITS != 0
+    }
+
+    /// Parks `e` in the top live carrier of the far or near stack, if
+    /// that carrier is queued at or before `e`, and returns its handle.
+    fn adopt(&mut self, far: bool, e: Entry) -> Option<TimerHandle> {
+        let stack = if far {
+            &mut self.far_carriers
+        } else {
+            &mut self.carriers
+        };
+        while let Some(&slot) = stack.last() {
+            let s = &mut self.slots[slot];
+            if s.state != SlotState::Cancelled {
+                s.listed = false;
+                stack.pop();
+                continue;
+            }
+            // The new key `(at, seq)` sorts after the carrier's (its seq
+            // is newer), so parking it until the carrier pops keeps the
+            // pop order. An earlier re-arm leaves the carrier in place.
+            if e.at < s.queued.0 {
+                return None;
+            }
+            s.listed = false;
+            stack.pop();
+            s.state = SlotState::Adopted;
+            s.pending = e;
+            return Some(TimerHandle { slot, gen: s.gen });
+        }
+        None
+    }
+
     /// Cancels a pending cancellable event. Returns `false` for stale
     /// handles (already fired, or already cancelled). The queued entry
     /// is discarded lazily when the queue reaches it, unless a re-arm
@@ -726,7 +769,12 @@ impl EventQueue {
         s.gen = s.gen.wrapping_add(1);
         if !s.listed {
             s.listed = true;
-            self.carriers.push(handle.slot);
+            let at = s.queued.0;
+            if self.is_far(at) {
+                self.far_carriers.push(handle.slot);
+            } else {
+                self.carriers.push(handle.slot);
+            }
         }
         self.live -= 1;
         true
@@ -773,6 +821,7 @@ impl EventQueue {
                 }
             }
             self.live -= 1;
+            self.clock = e.at;
             return Some((e.at, e.event));
         }
     }
@@ -1532,6 +1581,52 @@ mod tests {
             assert_eq!((t.nanos(), token_of(&ev)), (now + RTO, ACKS), "{kind:?}");
             assert!(q.pop().is_none());
             assert_eq!(q.queued(), 0);
+        }
+    }
+
+    /// Owners that live like TFC flows, each life a far timer (the
+    /// 200 ms SYN RTO) re-armed once far (the window acquisition), then
+    /// re-armed at sub-ms probe deadlines on every ACK and cancelled at
+    /// the end. Lives are staggered, so at every step some owners arm
+    /// far while others re-arm near. With one carrier stack, each life
+    /// leaves its far carrier buried under near ones until its 200 ms
+    /// pass: a queue of one entry per life, not per owner (one stack
+    /// peaked at 1,441 entries here; split stacks at 27).
+    #[test]
+    fn mixed_horizon_rearms_keep_queued_entries_per_owner() {
+        const OWNERS: usize = 16;
+        const LIFE: usize = 20;
+        const STEPS: usize = 8_000;
+        const STEP: u64 = 50_000;
+        const FAR: u64 = 200_000_000;
+        const PTO: u64 = 300_000;
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let mut timers: Vec<Option<TimerHandle>> = vec![None; OWNERS];
+            let mut now = 0u64;
+            for step in 0..STEPS {
+                for (owner, timer) in timers.iter_mut().enumerate() {
+                    if let Some(h) = timer.take() {
+                        assert!(q.cancel(h), "{kind:?}: a live timer");
+                    }
+                    let at = match (step + owner) % LIFE {
+                        0 | 1 => now + FAR,
+                        p if p < LIFE - 1 => now + PTO,
+                        _ => continue,
+                    };
+                    let token = owner as u64;
+                    *timer = Some(q.schedule_cancellable(Time(at), Event::AppTimer { token }));
+                }
+                q.schedule(Time(now + STEP), Event::AppTimer { token: u64::MAX });
+                let (t, ev) = q.pop().expect("the step's event");
+                assert_eq!(token_of(&ev), u64::MAX, "{kind:?}: a cancelled timer fired");
+                now = t.nanos();
+            }
+            assert!(
+                q.peak_queued() <= 2 * OWNERS,
+                "{kind:?}: peak {} queued for {OWNERS} owners",
+                q.peak_queued()
+            );
         }
     }
 }

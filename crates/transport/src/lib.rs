@@ -16,8 +16,9 @@
 //! The TFC protocol itself lives in the `tfc` crate. Its sender embeds
 //! the same [`send::SendCore`] as [`tcp::TcpSender`]: the sequence space,
 //! RTO, RTT probe, SYN/FIN, retransmitted head and go-back-N live there
-//! once, and each sender keeps only its window policy. TFC also reuses
-//! the receiver from here.
+//! once, and each sender keeps only its window policy. The core's
+//! tail-loss probe is TFC's alone; the baselines never enable it. TFC
+//! also reuses the receiver from here.
 
 pub mod recv;
 pub mod rtt;

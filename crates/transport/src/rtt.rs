@@ -1,4 +1,5 @@
-//! RFC 6298 round-trip-time estimation and RTO management.
+//! RFC 6298 round-trip-time estimation and RTO management, plus the
+//! probe timeout of a time-based tail-loss probe (after RFC 8985).
 
 use simnet::units::Dur;
 
@@ -25,6 +26,8 @@ pub struct RttEstimator {
     min_rto: Dur,
     max_rto: Dur,
     backoff: u32,
+    /// Unanswered tail-loss probes since the last reset.
+    probe_backoff: u8,
 }
 
 impl RttEstimator {
@@ -36,10 +39,11 @@ impl RttEstimator {
             min_rto,
             max_rto,
             backoff: 0,
+            probe_backoff: 0,
         }
     }
 
-    /// Feeds one RTT measurement and resets exponential backoff.
+    /// Feeds one RTT measurement and resets both backoffs.
     pub fn sample(&mut self, rtt: Dur) {
         match self.srtt {
             None => {
@@ -55,17 +59,21 @@ impl RttEstimator {
             }
         }
         self.backoff = 0;
+        self.probe_backoff = 0;
+    }
+
+    /// RFC 6298's unclamped RTO, `srtt + 4 * rttvar`, once sampled.
+    fn base(&self) -> Option<Dur> {
+        let srtt = self.srtt?;
+        Some(Dur(srtt
+            .as_nanos()
+            .saturating_add(4 * self.rttvar.as_nanos().max(1))))
     }
 
     /// Current retransmission timeout, including backoff, clamped to
     /// `[min_rto, max_rto]`.
     pub fn rto(&self) -> Dur {
-        let base = match self.srtt {
-            None => self.min_rto,
-            Some(srtt) => Dur(srtt
-                .as_nanos()
-                .saturating_add(4 * self.rttvar.as_nanos().max(1))),
-        };
+        let base = self.base().unwrap_or(self.min_rto);
         // A large base shifted by the backoff count can overflow u64; an
         // unchecked `<<` would wrap to a tiny value and the clamp below
         // would then *shrink* the RTO on backoff. Saturate to max_rto
@@ -81,6 +89,26 @@ impl RttEstimator {
     /// Doubles the RTO (called on each timeout).
     pub fn back_off(&mut self) {
         self.backoff = (self.backoff + 1).min(16);
+    }
+
+    /// Tail-loss probe timeout: twice the unclamped RTO, so without the
+    /// `min_rto` floor, doubled per unanswered probe and capped at
+    /// `max_rto`. `None` before the first sample: no probe is armed
+    /// without an RTT.
+    pub fn pto(&self) -> Option<Dur> {
+        let base = self.base()?.as_nanos().saturating_mul(2);
+        let backed = base.saturating_mul(1 << self.probe_backoff);
+        Some(Dur(backed.min(self.max_rto.as_nanos())))
+    }
+
+    /// Doubles the probe timeout (called on each probe).
+    pub fn back_off_probe(&mut self) {
+        self.probe_backoff = (self.probe_backoff + 1).min(16);
+    }
+
+    /// Restores the undoubled probe timeout: a probe was answered.
+    pub fn reset_probe_backoff(&mut self) {
+        self.probe_backoff = 0;
     }
 
     /// Smoothed RTT, if at least one sample has arrived.
@@ -140,6 +168,25 @@ mod tests {
         assert_eq!(e.rto(), Dur(base.as_nanos() * 4));
         e.sample(Dur::millis(100));
         assert!(e.rto() <= Dur(base.as_nanos() * 2));
+    }
+
+    #[test]
+    fn pto_is_twice_the_unclamped_rto_and_doubles_per_probe() {
+        let mut e = est();
+        assert_eq!(e.pto(), None, "no probe before the first sample");
+        e.sample(Dur::micros(100));
+        // 2 x (100us + 4 * 50us), below the 10 ms min RTO.
+        assert_eq!(e.pto(), Some(Dur::micros(600)));
+        e.back_off_probe();
+        e.back_off_probe();
+        assert_eq!(e.pto(), Some(Dur::micros(2_400)));
+        assert_eq!(e.rto(), Dur::millis(10), "probes leave the RTO alone");
+        e.reset_probe_backoff();
+        assert_eq!(e.pto(), Some(Dur::micros(600)));
+        e.back_off_probe();
+        e.sample(Dur::micros(100));
+        // Reset, and rttvar is now 37.5 us: 2 x (100us + 150us).
+        assert_eq!(e.pto(), Some(Dur::micros(500)), "a sample resets it");
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl TcpSender {
         while let Some(pkt) = self.core.next_segment(wnd, true, now) {
             fx.send(pkt);
         }
-        self.core.send_tail(fx);
+        self.core.send_tail(now, fx);
     }
 
     fn on_new_ack(&mut self, ack: u64, ece: bool, now: Time, fx: &mut Effects) {
@@ -155,7 +155,7 @@ impl TcpSender {
                 });
             } else {
                 // Partial ack: retransmit the next hole, deflate.
-                self.core.retransmit_head(fx);
+                self.core.retransmit_head(now, fx);
                 self.cwnd = (self.cwnd - acked as f64 + MSS as f64).max(MSS as f64);
             }
         } else {
@@ -182,7 +182,7 @@ impl TcpSender {
             }
         }
 
-        if !self.core.settle(fx) {
+        if !self.core.settle(now, fx) {
             self.send_available(now, fx);
         }
     }
@@ -197,7 +197,7 @@ impl TcpSender {
             self.ssthresh = (self.core.outstanding() as f64 / 2.0).max(2.0 * MSS as f64);
             self.recover = self.core.snd_nxt();
             self.in_recovery = true;
-            self.core.retransmit_head(fx);
+            self.core.retransmit_head(now, fx);
             self.cwnd = self.ssthresh + 3.0 * MSS as f64;
             fx.note(Note::WindowAcquired {
                 bytes: self.cwnd as u64,
@@ -218,10 +218,10 @@ impl TcpSender {
 }
 
 impl SenderEndpoint for TcpSender {
-    fn open(&mut self, _now: Time, fx: &mut Effects) {
+    fn open(&mut self, now: Time, fx: &mut Effects) {
         // Until the SYN-ACK, a SYN in flight always has its RTO armed.
         if !self.established && !self.core.timer_armed() {
-            self.core.emit_syn(fx);
+            self.core.emit_syn(now, fx);
         }
     }
 
@@ -257,7 +257,7 @@ impl SenderEndpoint for TcpSender {
         }
     }
 
-    fn on_timer(&mut self, token: u64, _now: Time, fx: &mut Effects) {
+    fn on_timer(&mut self, token: u64, now: Time, fx: &mut Effects) {
         if !self.core.take_timer(token) {
             return;
         }
@@ -265,7 +265,7 @@ impl SenderEndpoint for TcpSender {
             // SYN loss.
             fx.note(Note::Timeout);
             self.core.est.back_off();
-            self.core.emit_syn(fx);
+            self.core.emit_syn(now, fx);
             return;
         }
         if self.core.outstanding() == 0 {
@@ -279,7 +279,7 @@ impl SenderEndpoint for TcpSender {
         });
         self.in_recovery = false;
         self.core.est.back_off();
-        self.core.go_back_n(fx);
+        self.core.go_back_n(now, fx);
     }
 
     fn cwnd(&self) -> u64 {
@@ -388,6 +388,21 @@ mod tests {
         assert_eq!(s.cwnd(), MSS);
         let rtx = fx2.packets.iter().find(|p| p.is_data()).expect("rtx");
         assert_eq!(rtx.seq, 0);
+    }
+
+    #[test]
+    fn tcp_and_dctcp_never_arm_a_tail_probe() {
+        for cfg in [TcpConfig::default(), TcpConfig::dctcp()] {
+            let mut s = TcpSender::new(FlowId(1), H0, H1, Some(1_000_000), cfg);
+            establish(&mut s);
+            // Sampled RTT of 1 us: a probe would be due within 6 us.
+            let mut fx = Effects::new();
+            s.on_packet(&ack(MSS), Time(2_000), &mut fx);
+            assert!(s.core.est.srtt().is_some());
+            assert_eq!(fx.timers.len(), 1);
+            assert_eq!(fx.timers[0].0, Dur::millis(200), "only the RTO is armed");
+            assert!(!s.core.probe_armed());
+        }
     }
 
     #[test]

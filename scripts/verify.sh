@@ -26,6 +26,14 @@ cargo test -q --workspace
 # here.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
+# Loss recovery: every protocol delivers the exact byte stream under
+# periodic switch loss, with pinned retransmit, timeout and completion
+# counts. TFC's rows also assert no RTO and completion within 20 ms:
+# its tail-loss probe recovers each loss in round trips, where the
+# 200 ms min-RTO took 203-406 ms per run, so a regression in the probe
+# or the send core's timer names this gate.
+cargo test -q -p tfc-repro --test reliability
+
 # End-to-end telemetry: a fully-traced incast's exported artifacts must
 # reconcile exactly with the simulator's ground truth.
 cargo test -q -p tfc-repro --test telemetry
@@ -84,7 +92,10 @@ cargo test -q -p tfc-repro --test endpoint_lifetime
 # Endpoint lifetime and compact flow records at benchmark scale: the
 # benchmark's incast_chaos run (12,000 flows in 100 rounds of fresh
 # connections, no retirement) without its export. A counting allocator
-# bounds its live-heap peak at 2,414,422 B plus 5 % (a 24-byte FCT
+# bounds its live-heap peak at 2,414,422 B plus 5 % (it measures
+# 2,429,886 B since TFC senders have a tail-loss probe; with one
+# scheduler carrier stack the probes' sub-ms timers strand a 200 ms
+# entry per flow, 3,214,374 B; a 24-byte FCT
 # record per flow beside the flow table peaked at 2,807,638 B,
 # 152-byte flow-table slots on top at 3,982,678 B, keeping every
 # finished flow's endpoints on top of that at 8,735,814 B), so a
@@ -113,7 +124,8 @@ cargo test -q -p tfc-repro --test port_memory
 # the compact fabric above, with 80-byte flow-table records and each
 # switch's policy timers in its box. A counting allocator bounds the
 # live-heap peak of the benchmark's 1,100-flow k=36 fat-tree run at
-# the measured 14,574,348 B plus 5% (NICs inline in 56-byte nodes and
+# 14,574,348 B plus 5% (it measures 14,582,540 B: the scheduler's far
+# carrier stack adds 8,192 B; NICs inline in 56-byte nodes and
 # a policy-timer list per switch beside them peaked at 14,642,640 B;
 # an FCT record vector beside the flow table at 14,647,884 B;
 # 152-byte flow-table slots at 14,790,732 B; 64-byte ports and

@@ -11,8 +11,12 @@
 //! run, topology build included: 1,100 seeded sized TFC flows on the
 //! k=36 ECMP fat-tree, seed 2016. The scheduler slab peaks at ~59 k
 //! entries and the arena at ~51 k packets there, so every byte of those
-//! records shows at the MiB scale. It measures 14,574,348 B against a
-//! bound of that plus 5 % (14,642,640 B with host NICs inline in
+//! records shows at the MiB scale. It measures 14,582,540 B against a
+//! bound of 14,574,348 B plus 5 %, measured with one scheduler
+//! carrier stack: the 8,192 B between them are the far stack's 2,048
+//! `u32` slots (the near one ends at 8,192). No tail-loss probe fires
+//! in this run, and the setup heap is unchanged. It was 14,642,640 B
+//! with host NICs inline in
 //! 56-byte nodes and a policy-timer list per switch beside them,
 //! 14,647,884 B with a 24-byte FCT record per
 //! completed flow beside the flow table, 14,790,732 B with 152-byte

@@ -9,8 +9,13 @@
 //! senders, 100 rounds of fresh connections (12,000 flows), seed 2016,
 //! under a loss burst, a sender stall and a sender link flap, with the
 //! benchmark's event ring, TFC gauges and 16 ‰ sampled spans. It
-//! measures 2,414,422 B against a bound of that plus 5 %, of which the
-//! flow table's 16,320 slots of 80 bytes take 1,305,600 B. With a
+//! measures 2,429,886 B against a bound of 2,414,422 B plus 5 %, which
+//! was measured before TFC senders had a tail-loss probe; the flow
+//! table's 16,320 slots of 80 bytes take 1,305,600 B. The probes move
+//! flows from 200 ms timers to sub-ms ones, and the scheduler peaks at
+//! 398 queued entries instead of 279. With one carrier stack instead
+//! of a near and a far one, each flow's cancelled 200 ms timer stayed
+//! queued: 4,217 entries and 3,214,374 B. With a
 //! 24-byte FCT record per completed flow in a doubling vector beside
 //! the table (16,384 × 24 B at the peak) it peaked at 2,807,638 B; with
 //! 152-byte `Option<FlowState>` slots (meter, RTT samples and padded
