@@ -60,14 +60,39 @@ pub struct TokenEngine {
     /// adopted as the new delimiter.
     rearm: bool,
     miss_k: u32,
-    /// Whether `rtt_b` has been measured at least once (vs. the
-    /// configured initial guess).
-    rttb_measured: bool,
-    /// Whether the RM that opened the current slot was a full frame.
-    /// `rtt_b` intervals are only valid between two full frames (§4.4):
-    /// store-and-forward time depends on frame size, so a slot opened by
-    /// a small probe and closed by a data packet reads short.
-    slot_opener_full: bool,
+    /// What the token is sized from: the configured guess, the
+    /// handshake's interval, or a measured `rtt_b`.
+    pipe: Pipe,
+    /// Wire size, up to a full frame, of the RM that opened the current
+    /// slot (see [`frame_size`]). `rtt_b` intervals are only valid
+    /// between two full frames (§4.4): store-and-forward time depends
+    /// on frame size, so a slot opened by a small probe and closed by a
+    /// data packet reads short. Two frames of one size time a clean
+    /// round trip, but a small one's lacks the data frame's
+    /// serialisation, so it only sizes a provisional pipe.
+    slot_opener_wire: u16,
+}
+
+/// A packet's wire size, with every full frame (§4.4) the same.
+fn frame_size(pkt: &Packet) -> u16 {
+    pkt.wire_bytes().min(RTT_PROBE_FRAME) as u16
+}
+
+const FULL: u16 = RTT_PROBE_FRAME as u16;
+
+/// What a port's token is sized from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pipe {
+    /// Nothing measured: the token is the configured `c × init_rttb`,
+    /// and stamps are capped at [`TokenEngine::COLD_START_CAP`].
+    Guess,
+    /// Provisional: the first same-size small-frame interval (the
+    /// delimiter's SYN to its window-acquisition probe), if shorter
+    /// than `init_rttb`, snapped the token to `c × rtt_m × rho0`.
+    /// `rtt_b` is still the guess.
+    Handshake,
+    /// `rtt_b` measured between two full frames.
+    Measured,
 }
 
 impl TokenEngine {
@@ -87,26 +112,31 @@ impl TokenEngine {
             window: init_token as u64,
             rearm: false,
             miss_k: 0,
-            rttb_measured: false,
-            slot_opener_full: false,
+            pipe: Pipe::Guess,
+            slot_opener_wire: 0,
         }
     }
 
     /// Current window (bytes) to stamp into RM packets.
     ///
-    /// Until the first real `rtt_b` measurement the stamp is capped at a
+    /// Until the port has timed any round trip the stamp is capped at a
     /// few segments: the configured initial pipe (`c × 160 µs`) can be
     /// an order above the true one, and stamping it into a burst of
     /// establishing flows builds a standing queue that then inflates
     /// every subsequent RTT measurement (the queue hides the base RTT
-    /// from the min filter). A short conservative start avoids the
-    /// overshoot entirely; one RTT later the token snaps to the
-    /// measured pipe.
+    /// from the min filter). The delimiter's handshake usually lifts the
+    /// cap before its first data round: the interval from its SYN to
+    /// its window probe sizes a provisional pipe. The cap is the
+    /// fallback when it did not.
     pub fn window(&self) -> u64 {
-        if self.rttb_measured {
-            self.window
+        self.capped(self.window)
+    }
+
+    fn capped(&self, w: u64) -> u64 {
+        if self.pipe == Pipe::Guess {
+            w.min(Self::COLD_START_CAP)
         } else {
-            self.window.min(Self::COLD_START_CAP)
+            w
         }
     }
 
@@ -152,12 +182,7 @@ impl TokenEngine {
     /// establishment) it caps the k-th new flow at `token / k` instead
     /// of everyone receiving the stale single-flow window.
     pub fn live_window(&self) -> u64 {
-        let w = (self.token / self.e_count.max(1.0)).max(1.0) as u64;
-        if self.rttb_measured {
-            w
-        } else {
-            w.min(Self::COLD_START_CAP)
-        }
+        self.capped((self.token / self.e_count.max(1.0)).max(1.0) as u64)
     }
 
     /// Pre-measurement stamp cap: four full segments.
@@ -167,12 +192,7 @@ impl TokenEngine {
     /// `weight × token / E` (the unit-weight [`window`](Self::window)
     /// scaled), with the same cold-start cap.
     pub fn window_for(&self, weight: u8) -> u64 {
-        let w = self.window.saturating_mul(weight.max(1) as u64);
-        if self.rttb_measured {
-            w
-        } else {
-            w.min(Self::COLD_START_CAP)
-        }
+        self.capped(self.window.saturating_mul(weight.max(1) as u64))
     }
 
     /// Weighted variant of [`live_window`](Self::live_window).
@@ -267,7 +287,7 @@ impl TokenEngine {
         // escalation is what lets the check outlast a round that is
         // longer than the stale `rtt_m` (e.g. the sub-MSS paced regime).
         // A real slot close resets it.
-        self.slot_opener_full = pkt.wire_bytes() >= RTT_PROBE_FRAME;
+        self.slot_opener_wire = frame_size(pkt);
     }
 
     fn close_slot(&mut self, cfg: &TfcSwitchConfig, pkt: &Packet, now: Time) -> SlotReport {
@@ -277,19 +297,32 @@ impl TokenEngine {
         }
         // §4.4: only intervals between two full frames measure the base
         // RTT, because store-and-forward time depends on frame size.
-        let closer_full = pkt.wire_bytes() >= RTT_PROBE_FRAME;
-        let mut snapped = false;
-        if closer_full && self.slot_opener_full && rtt_m > Dur::ZERO {
+        let closer = frame_size(pkt);
+        let full = closer == FULL && self.slot_opener_wire == FULL;
+        let mut snapped = None;
+        if full && rtt_m > Dur::ZERO {
             self.rtt_b = self.rtt_b.min(rtt_m);
-            if !self.rttb_measured {
+            if self.pipe != Pipe::Measured {
                 // First real measurement: snap the token to the measured
                 // pipe instead of EWMA-dragging from the initial guess.
-                self.rttb_measured = true;
-                snapped = true;
-                self.token = self.rate.bytes_per_sec() * self.rtt_b.as_secs_f64() * cfg.rho0;
+                self.pipe = Pipe::Measured;
+                snapped = Some(self.rtt_b);
             }
+        } else if closer == self.slot_opener_wire
+            && self.pipe == Pipe::Guess
+            && rtt_m > Dur::ZERO
+            && rtt_m < cfg.init_rttb
+        {
+            // Same-size small frames: a provisional pipe that keeps the
+            // min filter clean. An interval stretched past the guess
+            // (a deferred probe, a queue) is no evidence: keep the cap.
+            self.pipe = Pipe::Handshake;
+            snapped = Some(rtt_m);
         }
-        self.slot_opener_full = closer_full;
+        if let Some(rtt) = snapped {
+            self.token = self.rate.bytes_per_sec() * rtt.as_secs_f64() * cfg.rho0;
+        }
+        self.slot_opener_wire = closer;
         let rtt_for_token = if cfg.decouple_rtt {
             self.rtt_b
         } else {
@@ -319,7 +352,7 @@ impl TokenEngine {
         };
         // Eq. 8: EWMA with history weight alpha. The snap slot keeps the
         // freshly measured pipe as-is.
-        if !snapped {
+        if snapped.is_none() {
             self.token = cfg.alpha * self.token + (1.0 - cfg.alpha) * raw_token;
         }
         let e_now = self.e_count.max(1.0);
@@ -389,6 +422,71 @@ mod tests {
         assert!(e.window() > TokenEngine::COLD_START_CAP);
         // Pipe = 1 Gbps × 100 µs × 0.97 = 12_125 B (one flow).
         assert!((e.token_bytes() - 12_125.0).abs() < 500.0);
+    }
+
+    /// The delimiter's SYN and its window-acquisition probe: two marked
+    /// 64 B frames one round trip apart.
+    fn rm_bare(flow: u64) -> Packet {
+        rm_data(flow, 0)
+    }
+
+    #[test]
+    fn handshake_interval_lifts_the_cap_but_not_rtt_b() {
+        let mut e = engine();
+        e.on_data(&cfg(), &rm_bare(1), Time(0));
+        let r = e.on_data(&cfg(), &rm_bare(1), Time(100_000)).unwrap();
+        // A provisional pipe: 1 Gbps × 100 µs × 0.97 = 12_125 B.
+        assert!((r.token_bytes - 12_125.0).abs() < 1.0);
+        assert_eq!(e.window(), 12_125);
+        assert_eq!(e.live_window(), 12_125);
+        assert_eq!(e.window_for(2), 24_250);
+        // The min filter never saw the small frames.
+        assert_eq!(e.rtt_b(), cfg().init_rttb);
+    }
+
+    #[test]
+    fn first_full_sample_resnaps_after_the_handshake() {
+        let mut e = engine();
+        e.on_data(&cfg(), &rm_bare(1), Time(0));
+        e.on_data(&cfg(), &rm_bare(1), Time(100_000));
+        // The first data round: a full-frame mark opens, another closes.
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(180_000));
+        let r = e.on_data(&cfg(), &rm_data(1, MSS), Time(260_000)).unwrap();
+        assert_eq!(e.rtt_b(), Dur::micros(80));
+        // Snapped to 1 Gbps × 80 µs × 0.97, not EWMA-dragged.
+        assert!((r.token_bytes - 9_700.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn handshake_interval_at_or_over_the_guess_keeps_the_cap() {
+        for interval in [160_000, 400_000] {
+            let mut e = engine();
+            e.on_data(&cfg(), &rm_bare(1), Time(0));
+            e.on_data(&cfg(), &rm_bare(1), Time(interval));
+            assert_eq!(e.window(), TokenEngine::COLD_START_CAP, "{interval} ns");
+            assert_eq!(e.rtt_b(), cfg().init_rttb);
+        }
+    }
+
+    #[test]
+    fn small_opener_and_full_closer_never_touch_rtt_b_or_the_cap() {
+        let mut e = engine();
+        e.on_data(&cfg(), &rm_bare(1), Time(0));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(50_000));
+        assert_eq!(e.rtt_b(), cfg().init_rttb);
+        assert_eq!(e.window(), TokenEngine::COLD_START_CAP);
+        // Small frames of two sizes are no clean round trip either.
+        e.on_data(&cfg(), &rm_data(1, 300), Time(100_000));
+        e.on_data(&cfg(), &rm_bare(1), Time(150_000));
+        assert_eq!(e.window(), TokenEngine::COLD_START_CAP);
+        // Nor is a same-size pair once `rtt_b` is measured.
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(200_000));
+        e.on_data(&cfg(), &rm_data(1, MSS), Time(300_000));
+        let token = e.token_bytes();
+        e.on_data(&cfg(), &rm_bare(1), Time(310_000));
+        e.on_data(&cfg(), &rm_bare(1), Time(320_000));
+        assert_eq!(e.rtt_b(), Dur::micros(100));
+        assert_eq!(e.token_bytes(), token, "an idle slot holds the token");
     }
 
     #[test]

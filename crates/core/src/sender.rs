@@ -8,7 +8,8 @@
 //!   window (the window-acquisition phase of §4.6);
 //! * the first data packet after each received RMA carries the RM bit,
 //!   with the window field reset to the init value for switches to
-//!   min-clamp;
+//!   min-clamp, unless it is the flow's last segment (beyond the paper:
+//!   the window its RMA would grant can never be used);
 //! * the congestion window is exactly the value carried by the last RMA;
 //! * loss recovery is a plain dup-ACK fast retransmit plus an RTO safety
 //!   net (TFC rarely drops, so these are cold paths), and, beyond the
@@ -149,7 +150,8 @@ impl TfcSender {
         // full-frame-only rtt_b filter of §4.4. The overshoot is
         // absorbed by the rho feedback of Eq. 7.
         while let Some(mut pkt) = self.core.next_segment(self.cwnd, false, now) {
-            if self.rm_pending && self.mark_spacing_ok(now) {
+            let last = self.core.ends_stream(pkt.seq + pkt.payload);
+            if self.rm_pending && self.mark_spacing_ok(now) && !last {
                 self.rm_pending = false;
                 pkt.flags.set(Flags::RM);
                 self.rm_outstanding = true;
@@ -274,7 +276,7 @@ impl SenderEndpoint for TfcSender {
         if !self.core.take_timer(token) {
             return;
         }
-        if self.core.probe_armed() {
+        if self.core.probe_due(now) {
             // Probes are armed only with data outstanding, so streaming.
             let end = self.core.send_tail_probe(now, fx);
             self.head_remarked(end);
@@ -535,6 +537,34 @@ mod tests {
         let mut fx = Effects::new();
         s.on_timer(token, Time(100) + after, &mut fx);
         assert!(fx.notes.contains(&Note::Timeout), "the RTO fired");
+    }
+
+    /// A flow's last segment carries no round mark: the window its RMA
+    /// would grant can never be used, and a delay arbiter would hold
+    /// that RMA, and with it the finished flow, in its queue.
+    #[test]
+    fn last_segment_is_not_marked() {
+        let mut s = sender(Some(MSS + 100));
+        let fx = establish(&mut s, 10 * MSS);
+        let data: Vec<_> = fx.packets.iter().filter(|p| p.is_data()).collect();
+        assert_eq!(data.len(), 2);
+        assert!(data[0].flags.contains(Flags::RM), "first of round marked");
+        assert!(!data[1].flags.contains(Flags::RM));
+        // The RMA of the first arrives with the last still to send.
+        let mut s = sender(Some(MSS + 100));
+        establish(&mut s, MSS);
+        let mut fx = Effects::new();
+        s.on_packet(&rma(MSS, MSS), Time(100_000), &mut fx);
+        let last = fx.packets.iter().find(|p| p.is_data()).expect("sent");
+        assert_eq!((last.seq, last.payload), (MSS, 100));
+        assert!(!last.flags.contains(Flags::RM), "the last is unmarked");
+        assert!(!s.rm_outstanding);
+        // A one-segment flow marks only its SYN and its probe.
+        let mut s = sender(Some(300));
+        let fx = establish(&mut s, 10 * MSS);
+        let data: Vec<_> = fx.packets.iter().filter(|p| p.is_data()).collect();
+        assert_eq!(data.len(), 1);
+        assert!(!data[0].flags.contains(Flags::RM));
     }
 
     #[test]

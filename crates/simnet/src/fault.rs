@@ -16,9 +16,9 @@
 //!   (control-plane reboot): TFC loses its token/E/rho counters and must
 //!   re-learn them;
 //! * **host stall/resume** — a host goes silent without FIN (the §4.3
-//!   rho-reclamation case): nothing leaves its NIC and nothing it
-//!   receives reaches its endpoints, but its timers keep firing so
-//!   recovery on resume is the endpoints' own.
+//!   rho-reclamation case): nothing leaves its NIC, nothing it
+//!   receives reaches its endpoints, and its endpoints' timers that
+//!   come due fire at the resume, so recovery is the endpoints' own.
 //!
 //! Higher-level scripting (timelines, randomized chaos suites, recovery
 //! metrics) lives in the `chaos` crate; this module only defines what
@@ -82,15 +82,16 @@ pub enum FaultAction {
         /// Port index at that switch.
         port: usize,
     },
-    /// The host goes silent without FIN: its NIC emits nothing and
-    /// arriving packets are discarded, while endpoint timers keep
-    /// running.
+    /// The host goes silent without FIN: its NIC emits nothing,
+    /// arriving packets are discarded, and endpoint timers that come due
+    /// are parked until the resume.
     HostStall {
         /// The host.
         node: NodeId,
     },
-    /// The host resumes; senders recover via their own timers (and, for
-    /// TFC, the window re-acquisition probe).
+    /// The host resumes: its parked timers fire, and senders recover
+    /// via their own timers (and, for TFC, the window re-acquisition
+    /// probe).
     HostResume {
         /// The host.
         node: NodeId,

@@ -105,8 +105,13 @@ impl SimCore {
         }
     }
 
-    /// A transport-endpoint timer fires at a host.
+    /// A transport-endpoint timer fires at a host. A stalled host runs
+    /// nothing: the timer is parked until the host resumes.
     fn on_host_timer(&mut self, node: NodeId, flow: FlowId, token: u64) {
+        if self.port_params(node, 0).stalled {
+            self.parked_timers.push((node, flow, token));
+            return;
+        }
         let now = self.now;
         let mut fx = self.take_fx();
         let ep = self.endpoints_of(flow);
@@ -452,6 +457,9 @@ impl SimCore {
                 let stalled = matches!(action, FaultAction::HostStall { .. });
                 // The NIC's own parameter row: its row-mates keep theirs.
                 self.change_port_params(node, 0, |p| p.stalled = stalled);
+                if !stalled {
+                    self.fire_parked_timers(node);
+                }
             }
         }
         self.telemetry.fault(
@@ -465,6 +473,26 @@ impl SimCore {
         if let FaultAction::LinkDown { node, port } = action {
             self.note_rerouted(node, port);
         }
+    }
+
+    /// Re-arms, at the current instant and in the order they came due,
+    /// the timers parked while `host` was stalled that its flows still
+    /// hold.
+    fn fire_parked_timers(&mut self, host: NodeId) {
+        let mut parked = std::mem::take(&mut self.parked_timers);
+        parked.retain(|&(node, flow, token)| {
+            if node != host {
+                return true;
+            }
+            let ep = self.endpoints_of(flow);
+            if let Some(e) = self.endpoints.get_mut(ep) {
+                let at = self.now;
+                let ev = Event::host_timer(node, flow, token);
+                e.timers.rearm(&mut self.events, at, ev, token);
+            }
+            false
+        });
+        self.parked_timers = parked;
     }
 
     /// Reports a reroute to telemetry for each switch end of the

@@ -54,8 +54,8 @@ pub struct PortParams {
     pub up: bool,
     /// Whether the NIC's host is stalled by a fault: silent without
     /// FIN. The NIC accepts nothing new and arrivals at the host are
-    /// lost, but packets already queued still leave and the host's
-    /// timers still run. Always false on a switch port.
+    /// lost, but packets already queued still leave. The host's timers
+    /// that come due wait for the resume. Always false on a switch port.
     pub stalled: bool,
 }
 

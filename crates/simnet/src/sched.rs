@@ -874,6 +874,14 @@ impl Timers {
         self.take(token);
     }
 
+    /// Re-arms the timer under `token` at `at`, if it is still held (a
+    /// parked timer keeps its spent handle until it is re-armed).
+    pub(crate) fn rearm(&mut self, events: &mut EventQueue, at: Time, event: Event, token: u64) {
+        if self.take(token).is_some() {
+            self.arm(events, at, event, token);
+        }
+    }
+
     /// Whether no timer is pending.
     pub(crate) fn is_empty(&self) -> bool {
         self.0.is_empty()

@@ -350,6 +350,11 @@ pub struct SimCore {
     /// Every fault injected so far, in injection order; an
     /// [`Event::Fault`] carries its index here.
     pub(crate) faults: Vec<FaultAction>,
+    /// Host timers that came due at a stalled host, in firing order, as
+    /// `(host, flow, token)`: they fire when the host resumes. Each
+    /// keeps its spent handle in its flow's timers until then, so the
+    /// flow stays reachable and a cancel still forgets it.
+    pub(crate) parked_timers: Vec<(NodeId, FlowId, u64)>,
     pub(crate) telemetry: Telemetry,
     /// Every in-flight packet, slab-allocated; events carry ids into it.
     pub(crate) packets: PacketArena,
@@ -868,6 +873,9 @@ impl SimCore {
         if state.finished() {
             state.endpoints = FREED;
             self.endpoints.remove(ep);
+            // A parked timer the flow cancelled must not reach the
+            // flow that reuses its id.
+            self.parked_timers.retain(|&(_, f, _)| f != flow);
             if self.retirer.is_some() {
                 self.pending_app.push_back(AppCall::Retire(flow));
             }
@@ -1017,6 +1025,7 @@ impl<A: Application> Simulator<A> {
                 stale_arrivals: 0,
                 rare_drops: BTreeMap::new(),
                 faults: Vec::new(),
+                parked_timers: Vec::new(),
                 telemetry,
                 packets: PacketArena::new(),
                 fx_pool: Vec::new(),

@@ -128,6 +128,11 @@ impl SendCore {
         self.outstanding() == 0 && self.snd_nxt == self.pushed
     }
 
+    /// Whether a segment ending at `end` is the last of a closed stream.
+    pub fn ends_stream(&self, end: u64) -> bool {
+        self.closed && end == self.pushed
+    }
+
     /// Payload bytes acknowledged so far.
     pub fn acked_bytes(&self) -> u64 {
         self.snd_una.min(self.pushed)
@@ -203,13 +208,21 @@ impl SendCore {
         self.probe_armed
     }
 
+    /// Whether the timer [`Self::take_timer`] just consumed at `now` is
+    /// a tail-loss probe: armed as one, with the RTO not yet due. A
+    /// timer that fires late, past that deadline (its host was
+    /// stalled), is the RTO.
+    pub fn probe_due(&self, now: Time) -> bool {
+        self.probe_armed && now < self.rto_at
+    }
+
     /// Sends a tail-loss probe: resends the head like
     /// [`Self::retransmit_head`] (a `Retransmit` is noted, the RTT probe
     /// stops), doubles the next probe interval and re-arms the timer
     /// without moving the RTO deadline or backing off the RTO. Returns
     /// the resent segment's end.
     pub fn send_tail_probe(&mut self, now: Time, fx: &mut Effects) -> Option<u64> {
-        debug_assert!(self.probe_armed, "the RTO is due, not a probe");
+        debug_assert!(self.probe_due(now), "the RTO is due, not a probe");
         self.est.back_off_probe();
         self.set_timer(now, fx);
         self.resend_head(fx)
@@ -408,7 +421,7 @@ mod tests {
     fn fire(c: &mut SendCore, token: u64, now: Time) -> Effects {
         let mut fx = Effects::new();
         if c.take_timer(token) && c.outstanding() > 0 {
-            if c.probe_armed() {
+            if c.probe_due(now) {
                 c.send_tail_probe(now, &mut fx);
             } else {
                 c.est.back_off();

@@ -34,6 +34,14 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml --target-
 # or the send core's timer names this gate.
 cargo test -q -p tfc-repro --test reliability
 
+# TFC cold start: a switch port without a measured rtt_b sizes its
+# token from the delimiter's SYN -> window-probe interval, so a lone
+# 24 KB flow on an idle k=4 fat-tree finishes within handshake, probe,
+# one RTT and serialisation (+10 %), and the lone flows of a seeded k=8
+# matrix finish within 1.2x of that floor at the median. Under the old
+# unconditional 4-MSS cap both fail (290.8 us against 199.3 us; 1.45).
+cargo test -q -p tfc-repro --test cold_start
+
 # End-to-end telemetry: a fully-traced incast's exported artifacts must
 # reconcile exactly with the simulator's ground truth.
 cargo test -q -p tfc-repro --test telemetry
@@ -73,7 +81,7 @@ cargo test -q -p tfc-repro --test policy_memory
 # freed once no packet or timer can reach it. A counting allocator runs
 # a lossy TFC incast at two round counts and bounds the extra rounds'
 # completed flows at 0 live heap blocks and 89 live bytes each
-# (84.875 B measured plus 5 %; a 24-byte FCT record per flow in a
+# (84.875 B measured, ~82 B now, plus 5 %; a 24-byte FCT record per flow in a
 # doubling vector took 121 B, 152-byte flow-table slots 193 B, keeping
 # the two endpoint boxes 2 blocks and 683 B, keeping a drained reorder
 # node and timer list 4 blocks), so a regression to per-flow state
@@ -93,7 +101,8 @@ cargo test -q -p tfc-repro --test endpoint_lifetime
 # benchmark's incast_chaos run (12,000 flows in 100 rounds of fresh
 # connections, no retirement) without its export. A counting allocator
 # bounds its live-heap peak at 2,414,422 B plus 5 % (it measures
-# 2,429,886 B since TFC senders have a tail-loss probe; with one
+# 2,379,006 B; 2,429,886 B before a flow's last segment went unmarked,
+# so delay arbiters held finished flows' RMAs; with one
 # scheduler carrier stack the probes' sub-ms timers strand a 200 ms
 # entry per flow, 3,214,374 B; a 24-byte FCT
 # record per flow beside the flow table peaked at 2,807,638 B,
@@ -124,8 +133,9 @@ cargo test -q -p tfc-repro --test port_memory
 # the compact fabric above, with 80-byte flow-table records and each
 # switch's policy timers in its box. A counting allocator bounds the
 # live-heap peak of the benchmark's 1,100-flow k=36 fat-tree run at
-# 14,574,348 B plus 5% (it measures 14,582,540 B: the scheduler's far
-# carrier stack adds 8,192 B; NICs inline in 56-byte nodes and
+# 14,574,348 B plus 5% (it measures 14,655,564 B since fresh TFC
+# flows start at T / E instead of 4 MSS, 14,582,540 B before: the
+# scheduler's far carrier stack adds 8,192 B; NICs inline in 56-byte nodes and
 # a policy-timer list per switch beside them peaked at 14,642,640 B;
 # an FCT record vector beside the flow table at 14,647,884 B;
 # 152-byte flow-table slots at 14,790,732 B; 64-byte ports and
@@ -158,6 +168,14 @@ for FIG in all ablations sweeps reroute; do
 done
 for JSON in results/*.json; do
   cmp "$JSON" "$TRACE_DIR/$(basename "$JSON")" \
+    || { echo "verify: $JSON does not regenerate byte-identically" >&2; exit 1; }
+done
+# Paper-scale contract: the committed results/paper/*.json, which
+# EXPERIMENTS.md quotes, must regenerate byte-identically too (~2 min).
+mkdir -p "$TRACE_DIR/paper"
+TFC_RESULTS_DIR="$TRACE_DIR/paper" cargo run --release -q -p tfc-bench --bin figures -- all --paper >/dev/null
+for JSON in results/paper/*.json; do
+  cmp "$JSON" "$TRACE_DIR/paper/$(basename "$JSON")" \
     || { echo "verify: $JSON does not regenerate byte-identically" >&2; exit 1; }
 done
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- --smoke

@@ -48,7 +48,7 @@ fn stalled_star(proto: Proto) {
     let (t, hosts, sw) = star(senders + 1, Bandwidth::gbps(1), Dur::nanos(500));
     let (receiver, victim) = (hosts[senders], hosts[0]);
     let proto_cfg = ProtoConfig::default();
-    let flows = hosts[..senders]
+    let mut flows: Vec<OnOffFlow> = hosts[..senders]
         .iter()
         .map(|&src| OnOffFlow {
             src,
@@ -56,6 +56,14 @@ fn stalled_star(proto: Proto) {
             active: vec![(0, HORIZON)],
         })
         .collect();
+    // A second flow of the victim's: one 128 KB chunk at the start,
+    // long delivered when the stall strikes, and more data from its
+    // application in the middle of the stall.
+    flows.push(OnOffFlow {
+        src: victim,
+        dst: receiver,
+        active: vec![(0, 1), (100 * MS, HORIZON)],
+    });
     let mut sim = Simulator::new(
         proto_cfg.build_net(proto, t),
         proto_cfg.stack(proto),
@@ -70,9 +78,10 @@ fn stalled_star(proto: Proto) {
     );
     // The stall outlasts the 200 ms minimum RTO: the receiver's ACKs
     // for the victim's in-flight data arrive at a stalled host, and the
-    // victim's sender then retransmits into its stalled NIC.
+    // idle flow's sender, handed data by its application, emits into
+    // its stalled NIC. (The busy flow's timers wait for the resume.)
     FaultTimeline::new()
-        .host_stall(Time(4 * MS), Dur::millis(250), victim)
+        .host_stall(Time(20 * MS), Dur::millis(250), victim)
         .install(sim.core_mut());
     sim.run();
 
@@ -89,22 +98,26 @@ fn stalled_star(proto: Proto) {
         "{proto:?}: logged drops reconcile"
     );
 
-    // Both stalled-host paths are among the logged drops: data the
-    // victim's sender emitted, and the ACK-sized packets sent to it.
-    let victim_drops: Vec<u64> = log
+    // Both stalled-host paths are among the logged drops: what the idle
+    // flow's sender emitted (nothing of that flow was in flight when
+    // the stall struck), and the ACK-sized packets sent to the busy one.
+    let [busy, idle] = [0, senders].map(|i| sim.app().flow_ids()[i].0);
+    let victim_drops: Vec<(u64, u64)> = log
         .records()
         .iter()
         .filter_map(|r| match r.event {
-            TraceEvent::PktDrop { node, bytes, .. } if node == victim.0 => Some(bytes),
+            TraceEvent::PktDrop {
+                node, flow, bytes, ..
+            } if node == victim.0 => Some((flow, bytes)),
             _ => None,
         })
         .collect();
     assert!(
-        victim_drops.iter().any(|&b| b > 64),
+        victim_drops.iter().any(|&(f, _)| f == idle),
         "{proto:?}: an emitted packet is logged"
     );
     assert!(
-        victim_drops.contains(&64),
+        victim_drops.contains(&(busy, 64)),
         "{proto:?}: an arriving ACK is logged"
     );
 }
@@ -117,6 +130,62 @@ fn stalled_host_drops_reconcile_with_port_counters_tfc() {
 #[test]
 fn stalled_host_drops_reconcile_with_port_counters_tcp() {
     stalled_star(Proto::Tcp);
+}
+
+/// A stalled host runs none of its timers: a probe or RTO that comes
+/// due is parked until the host resumes. A 250 ms stall of a sender
+/// with data in flight, longer than its 200 ms minimum RTO and many
+/// times its probe timeout, loses the ACKs sent to it but no data
+/// packet at its NIC, and every flow completes after the resume.
+#[test]
+fn stalled_sender_defers_its_timers_to_resume() {
+    for proto in [Proto::Tfc, Proto::Dctcp, Proto::Tcp] {
+        let (t, hosts, _) = star(3, Bandwidth::gbps(1), Dur::micros(1));
+        let (victim, receiver) = (hosts[0], hosts[2]);
+        let proto_cfg = ProtoConfig::default();
+        let mut sim = Simulator::new(
+            proto_cfg.build_net(proto, t),
+            proto_cfg.stack(proto),
+            NullApp,
+            SimConfig {
+                end: Some(Time(HORIZON)),
+                telemetry: full_log(),
+                ..Default::default()
+            },
+        );
+        let flows = [victim, hosts[1]].map(|src| {
+            sim.core_mut()
+                .start_flow(FlowSpec::sized(src, receiver, 2_000_000))
+        });
+        let stall = Time(2 * MS);
+        FaultTimeline::new()
+            .host_stall(stall, Dur::millis(250), victim)
+            .install(sim.core_mut());
+        sim.run();
+
+        let core = sim.core();
+        for f in flows {
+            assert!(
+                core.flow(f).receiver_done_at.is_some(),
+                "{proto:?}: flow {f:?} completes"
+            );
+        }
+        let victim_drops: Vec<u64> = core
+            .telemetry()
+            .log
+            .records()
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::PktDrop { node, bytes, .. } if node == victim.0 => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert!(!victim_drops.is_empty(), "{proto:?}: the stall drops ACKs");
+        assert!(
+            victim_drops.iter().all(|&b| b == 64),
+            "{proto:?}: a data packet was lost at the stalled NIC: {victim_drops:?}"
+        );
+    }
 }
 
 /// Packets a switch policy discards are counted by the simulator, not a

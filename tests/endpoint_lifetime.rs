@@ -80,9 +80,11 @@ const FAULTS: [Fault; 5] = [
 
 /// When the loss burst, flap and stall strike: inside the second round.
 const FAULT_AT: Time = Time(1_500_000);
-/// When the policy reset strikes: in the last round, while the TFC
-/// delay arbiter holds an ACK of five of its flows.
-const RESET_AT: Time = Time(4_984_000);
+/// When the policy reset strikes: in the last round (which starts at
+/// 4,883,060 ns), while the TFC delay arbiter holds an ACK of five of
+/// its flows. Held ACKs sit there only for ~15 us of each round, so the
+/// instant follows the round timing.
+const RESET_AT: Time = Time(4_956_000);
 
 /// What one run leaves behind.
 struct Outcome {

@@ -11,11 +11,15 @@
 //! run, topology build included: 1,100 seeded sized TFC flows on the
 //! k=36 ECMP fat-tree, seed 2016. The scheduler slab peaks at ~59 k
 //! entries and the arena at ~51 k packets there, so every byte of those
-//! records shows at the MiB scale. It measures 14,582,540 B against a
+//! records shows at the MiB scale. It measures 14,655,564 B against a
 //! bound of 14,574,348 B plus 5 %, measured with one scheduler
-//! carrier stack: the 8,192 B between them are the far stack's 2,048
-//! `u32` slots (the near one ends at 8,192). No tail-loss probe fires
-//! in this run, and the setup heap is unchanged. It was 14,642,640 B
+//! carrier stack. It measured 14,582,540 B before switch ports took a
+//! provisional pipe from the handshake: fresh flows now start at
+//! `T / E` instead of 4 MSS, and the peak (59,071 queued events against
+//! 58,882) moved with the traffic; the 8,192 B over the bound then were
+//! the far stack's 2,048 `u32` slots (the near one ends at 8,192). No
+//! tail-loss probe fires in this run, and the setup heap is unchanged.
+//! It was 14,642,640 B
 //! with host NICs inline in
 //! 56-byte nodes and a policy-timer list per switch beside them,
 //! 14,647,884 B with a 24-byte FCT record per

@@ -14,7 +14,9 @@
 //! endpoint boxes made it 2 blocks per flow, and keeping a drained
 //! reorder node and timer list 4. Each extra flow may also add at most
 //! [`BYTES_PER_FLOW`] live bytes: its 80-byte flow-table slot, with
-//! the new segment's unfilled tail (84.875 B measured; 121 B with a
+//! the new segment's unfilled tail (~82 B measured, 84.875 B before TFC
+//! ports took a provisional pipe from the handshake and a flow's last
+//! segment went unmarked; 121 B with a
 //! 24-byte FCT record per flow in a doubling vector beside the table,
 //! 193 B with 152-byte `Option<FlowState>` slots on top, 197 B with a
 //! per-slot generation column beside the flow table on top of that,
@@ -40,8 +42,8 @@ const BLOCKS_PER_FLOW: f64 = 0.0;
 /// Blocks the longer run may add beyond that: one new segment of the
 /// flow table (128 flows fill segments 0–1, 384 flows segments 0–2).
 const TABLE_SEGMENTS: f64 = 1.0;
-/// Live heap bytes a completed flow may hold: 84.875 B measured, plus
-/// 5 %.
+/// Live heap bytes a completed flow may hold: 84.875 B measured (~82 B
+/// now), plus 5 %.
 const BYTES_PER_FLOW: f64 = 89.0;
 
 /// What one incast run leaves live when it stops.

@@ -9,8 +9,10 @@
 //! senders, 100 rounds of fresh connections (12,000 flows), seed 2016,
 //! under a loss burst, a sender stall and a sender link flap, with the
 //! benchmark's event ring, TFC gauges and 16 ‰ sampled spans. It
-//! measures 2,429,886 B against a bound of 2,414,422 B plus 5 %, which
-//! was measured before TFC senders had a tail-loss probe; the flow
+//! measures 2,379,006 B (2,429,886 B before a flow's last segment went
+//! unmarked, so a delay arbiter no longer holds finished flows' RMAs)
+//! against a bound of 2,414,422 B plus 5 %, which was measured before
+//! TFC senders had a tail-loss probe; the flow
 //! table's 16,320 slots of 80 bytes take 1,305,600 B. The probes move
 //! flows from 200 ms timers to sub-ms ones, and the scheduler peaks at
 //! 398 queued entries instead of 279. With one carrier stack instead
